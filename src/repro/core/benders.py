@@ -63,11 +63,11 @@ class _MasterState:
     appended at the bottom, so the per-problem structure -- the objective
     over ``(x, theta_0..theta_{B-1})``, the bounds/integrality vectors and
     the hstacked path-selection block -- is assembled exactly once.  Cut rows
-    are accumulated in a pending list and stacked lazily: ``cut_rows()`` /
-    ``constraints()`` fold the pending batch into the cached CSR matrix with
-    a single ``vstack`` per master solve, so a solve that adds k cuts costs
-    O(k) row builds plus one stack instead of the O(k^2) repeated
-    re-stacking a per-``add_cut`` ``vstack`` would pay.
+    are queued as plain dense arrays and folded lazily: ``cut_rows()`` /
+    ``constraints()`` turn the pending batch into CSR once and append it to
+    the cached cut matrix, so ``add_cut`` builds no sparse object at all and
+    a master solve that follows k new cuts pays one conversion and one
+    ``vstack`` whatever k is.
 
     ``theta_lowers`` carries one lower bound per surrogate: the classic
     single-cut master has exactly one surrogate, the multi-cut master one
@@ -133,7 +133,7 @@ class _MasterState:
         )
 
         self._cut_matrix: sparse.csr_matrix | None = None
-        self._pending_rows: list[sparse.csr_matrix] = []
+        self._pending_rows: list[np.ndarray] = []
         self._cut_rhs: list[float] = []
 
     @property
@@ -161,19 +161,16 @@ class _MasterState:
                 theta_part[:] = 1.0
             else:
                 theta_part[list(theta_indices)] = 1.0
-        row = sparse.csr_matrix(
-            np.concatenate([coefficients, theta_part]).reshape(1, -1)
-        )
-        self._pending_rows.append(row)
+        self._pending_rows.append(np.concatenate([coefficients, theta_part]))
         self._cut_rhs.append(rhs)
 
     def cut_rows(self) -> tuple[sparse.csr_matrix | None, np.ndarray]:
         """The accumulated cut matrix over (x, thetas) and its RHS vector."""
         if self._pending_rows:
-            stack = self._pending_rows
+            folded = sparse.csr_matrix(np.vstack(self._pending_rows))
             if self._cut_matrix is not None:
-                stack = [self._cut_matrix, *stack]
-            self._cut_matrix = sparse.vstack(stack, format="csr")
+                folded = sparse.vstack([self._cut_matrix, folded], format="csr")
+            self._cut_matrix = folded
             self._pending_rows = []
         return self._cut_matrix, np.asarray(self._cut_rhs)
 
@@ -304,14 +301,15 @@ class CutPool:
         sla = np.array([item.sla_mbps for item in slave.problem.items])
         u_bound = np.concatenate([sla, sla])
 
-        # Block cuts re-validate against their block's own system; they are
-        # only seedable into a master that actually carries that block's
+        # Block cuts re-validate against their block's own system (its
+        # row/column range of the stacked block system); they are only
+        # seedable into a master that actually carries that block's
         # surrogate (a multi-cut master over the same block structure).
-        blocks = None
+        blocks = stack = None
         if any(block_id is not None for _, _, block_id in entry.multipliers):
-            candidate = slave.blocks()
-            if master.num_thetas == len(candidate):
-                blocks = candidate
+            candidate = slave.block_stack()
+            if master.num_thetas == len(candidate.blocks):
+                blocks, stack = candidate.blocks, candidate
 
         # Batch the re-validation linear algebra per system (the aggregate
         # system and each referenced block), then emit cuts in their
@@ -328,10 +326,11 @@ class CutPool:
                 system_h, system_h0, bound = slave.h_matrix, slave.h0, u_bound
                 expected_rows = num_rows
             elif blocks is not None and 0 <= block_id < len(blocks):
-                block = blocks[block_id]
-                system_d, system_g = block.d, block.g_matrix
-                system_h, system_h0, bound = block.h_matrix, block.h0, block.u_bound
-                expected_rows = len(block.rows)
+                rows, cols = blocks[block_id].rows, blocks[block_id].cols
+                system_d, system_g = stack.d[cols], stack.g_matrix[rows, cols]
+                system_h, system_h0 = stack.h_matrix[rows], stack.h0[rows]
+                bound = stack.u_bound[cols]
+                expected_rows = blocks[block_id].num_rows
             else:
                 for position in positions:
                     prepared[position] = None
@@ -478,7 +477,6 @@ class BendersSolver:
         warm_start: bool = True,
         cut_pool: CutPool | None = None,
         multi_cut: bool = False,
-        executor=None,
     ):
         """Configure the decomposition.
 
@@ -503,11 +501,9 @@ class BendersSolver:
         block independently and adds one optimality cut per block on its own
         surrogate ``theta_b`` *in addition to* the classic aggregate cut, so
         the master lower bound tightens much faster while keeping the exact
-        certificate the aggregate cut carries.  Block LPs are independent
-        deterministic solves fanned out over ``executor`` (an object with
-        the :mod:`repro.utils.executors` ``map`` contract; ``None`` prices
-        blocks serially) in deterministic block order, so decisions are
-        bit-identical for any worker count.
+        certificate the aggregate cut carries.  The blocks of a round are
+        priced together by one block-diagonal LP
+        (:meth:`SlaveProblem.evaluate_blocks`).
         """
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
@@ -521,7 +517,6 @@ class BendersSolver:
         self.master_time_limit_s = master_time_limit_s
         self.time_limit_s = time_limit_s
         self.multi_cut = multi_cut
-        self.executor = executor
         if cut_pool is not None:
             self.cut_pool: CutPool | None = cut_pool
         else:
@@ -605,13 +600,8 @@ class BendersSolver:
                 # block prices the tenant's relaxed sub-LP, so its cut is a
                 # valid lower bound on theta_b (q(x) >= sum_b q_b(x), see
                 # SlaveBlock); the aggregate cut above keeps the certificate
-                # exact where blocks compete for shared capacity.  Block
-                # solves are independent; results come back in block order
-                # whatever the executor, so the cut sequence -- and with it
-                # the decision -- is bit-identical for any worker count.
-                block_outcomes = slave.evaluate_blocks(
-                    x_candidate, executor=self.executor
-                )
+                # exact where blocks compete for shared capacity.
+                block_outcomes = slave.evaluate_blocks(x_candidate)
                 for block, block_outcome in zip(blocks, block_outcomes):
                     if block_outcome.feasible:
                         if not outcome.feasible:
@@ -786,6 +776,9 @@ class BendersSolver:
           stopping band, where cold could settle on a different, equally
           certified vertex.
         """
+        if self.cut_pool.entry(pool_key) is None:
+            # Structurally unknown instance: nothing to replay or seed.
+            return None
         replay = self._replay_identical_instance(
             problem, slave, pool_key, instance_token, start
         )

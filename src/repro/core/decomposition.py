@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.lpsolver import LPSolution, Phase1Problem, solve_lp
-from repro.core.problem import ACRRProblem, ResourceBlock
+from repro.core.problem import ACRRProblem
 
 #: Numerical tolerance below which a phase-1 optimum counts as "feasible".
 FEASIBILITY_TOLERANCE = 1e-6
@@ -58,10 +58,7 @@ class SlaveSolveOutcome:
 class SlaveBlock:
     """One tenant's relaxed slice of the slave LP (multi-cut block).
 
-    Holds plain arrays only, so instances pickle cleanly into process-pool
-    workers.  ``rows`` indexes into the full slave system (capacity rows the
-    tenant's items touch, then the items' coupling rows); ``g_matrix`` is
-    those rows restricted to the block's own ``u = (y_b, z_b)`` columns.
+    ``rows`` / ``cols`` are the block's ranges in the :class:`BlockStack`.
     Dropping the other tenants' non-negative terms from a shared ``<=`` row
     while keeping the full right-hand side relaxes the row, so the block
     optimum underestimates the tenant's share of the joint slave cost:
@@ -70,23 +67,52 @@ class SlaveBlock:
 
     which makes per-block optimality cuts ``theta_b >= -(h0_b + H_b x)' mu``
     valid lower bounds on the per-block surrogates whatever iteration the
-    multipliers came from.  ``h_matrix`` keeps the full x width, so block
-    cuts may involve other tenants' admission variables (shared capacity
-    rows carry their baseline terms).
+    multipliers came from.
     """
 
     index: int
     tenant_index: int
     item_indices: tuple[int, ...]
-    rows: tuple[int, ...]
+    rows: slice
+    cols: slice
+    theta_lower: float
+
+    @property
+    def num_rows(self) -> int:
+        return self.rows.stop - self.rows.start
+
+
+@dataclass(frozen=True)
+class BlockStack:
+    """Every per-tenant block of the slave as one block-diagonal LP.
+
+    Block ``b`` is the relaxed slice of the slave that belongs to tenant
+    ``b``: the capacity rows its items touch, then the items' coupling rows,
+    restricted to the tenant's own ``u = (y_b, z_b)`` columns.  Shared
+    capacity rows are duplicated once per block that touches them, so the
+    blocks are row- *and* column-disjoint and stack into
+
+        min  d' u   s.t.  diag(G_b) u <= h0 + H x,   u >= 0,
+
+    which separates: its optimum is the concatenation of the block optima,
+    primal and dual.  One LP call therefore prices every block of a round
+    (:meth:`SlaveProblem.evaluate_blocks`) and a :class:`SlaveBlock` is just
+    a contiguous row range and column range of these arrays.  ``h_matrix``
+    keeps the full x width, so block cuts may involve other tenants'
+    admission variables (shared capacity rows carry their baseline terms).
+    """
+
+    blocks: list[SlaveBlock]
     d: np.ndarray
     g_matrix: sparse.csr_matrix
     h0: np.ndarray
     h_matrix: sparse.csr_matrix
+    #: ``H'`` over the same arrays, for cut coefficients ``H' mu``.
+    h_transposed: sparse.csc_matrix
     u_lower: np.ndarray
     u_upper: np.ndarray
+    #: Implied bounds of any feasible slave point: 0 <= (y, z) <= sla.
     u_bound: np.ndarray
-    theta_lower: float
 
 
 @dataclass(frozen=True)
@@ -101,40 +127,26 @@ class BlockSolveOutcome:
     ray: np.ndarray
 
 
-def evaluate_block(block: SlaveBlock, x: np.ndarray) -> BlockSolveOutcome:
-    """Price one block at ``x``.  Module-level so process pools can map it."""
-    b = block.h0 + block.h_matrix.dot(np.asarray(x, dtype=float))
-    solution: LPSolution = solve_lp(
-        block.d, block.g_matrix, b, block.u_lower, block.u_upper
-    )
-    if solution.success:
-        return BlockSolveOutcome(
-            block_index=block.index,
-            feasible=True,
-            objective=solution.objective,
-            duals=solution.duals_upper,
-            infeasibility=0.0,
-            ray=np.zeros(len(b)),
-        )
-    phase1 = Phase1Problem(block.g_matrix, block.u_lower, block.u_upper)
-    infeasibility, ray = phase1.certificate(b)
-    if infeasibility <= FEASIBILITY_TOLERANCE:
+#: Relative strong-duality residual above which block multipliers are refused.
+DUALITY_TOLERANCE = 1e-6
+
+
+def _check_strong_duality(
+    block_index: int, objective: float, b: np.ndarray, duals: np.ndarray
+) -> None:
+    """Refuse block multipliers whose dual objective misses the primal one.
+
+    At an LP optimum ``q_b = d_b' u_b = -(h0_b + H_b x)' mu_b`` (``u >= 0``
+    carries no finite bound duals).  A residual means the multipliers do not
+    belong to this block -- mis-sliced or numerically broken -- and a cut
+    built from them would be wrong, so the safeguard chain degrades instead.
+    """
+    residual = abs(objective + float(np.dot(b, duals)))
+    if not residual <= DUALITY_TOLERANCE * max(1.0, abs(objective)):
         raise SlaveNumericalError(
-            f"block {block.index} LP solver failure despite a feasible "
-            f"phase-1 problem: {solution.status}"
+            f"block {block_index} violates strong duality: primal objective "
+            f"{objective!r}, residual {residual!r}"
         )
-    return BlockSolveOutcome(
-        block_index=block.index,
-        feasible=False,
-        objective=float("inf"),
-        duals=np.zeros(len(b)),
-        infeasibility=infeasibility,
-        ray=ray,
-    )
-
-
-def _evaluate_block_task(task: "tuple[SlaveBlock, np.ndarray]") -> BlockSolveOutcome:
-    return evaluate_block(task[0], task[1])
 
 
 class SlaveProblem:
@@ -169,8 +181,9 @@ class SlaveProblem:
         # Phase-1 certificate problem, extended once on the first infeasible
         # evaluate; later certificates only swap the right-hand side.
         self._phase1: Phase1Problem | None = None
-        # Per-tenant blocks for multi-cut disaggregation, built lazily.
-        self._blocks: list[SlaveBlock] | None = None
+        # Per-tenant blocks for multi-cut disaggregation, stacked into one
+        # block-diagonal system; built lazily.
+        self._block_stack: BlockStack | None = None
 
     # ------------------------------------------------------------------ #
     def rhs(self, x: np.ndarray) -> np.ndarray:
@@ -236,54 +249,171 @@ class SlaveProblem:
     # ------------------------------------------------------------------ #
     def blocks(self) -> list[SlaveBlock]:
         """Per-tenant blocks in deterministic (tenant) order, built lazily."""
-        if self._blocks is None:
-            self._blocks = [
-                self._build_block(block) for block in self.problem.resource_blocks()
-            ]
-        return self._blocks
+        return self.block_stack().blocks
 
-    def _build_block(self, block: ResourceBlock) -> SlaveBlock:
-        n = self.num_items
-        items = list(block.item_indices)
-        rows = list(block.capacity_rows) + [
-            self.num_capacity_rows + 5 * i + j for i in items for j in range(5)
-        ]
-        cols = items + [n + i for i in items]
-        g_block = self.g_matrix[rows, :].tocsc()[:, cols].tocsr()
-        sla = np.array(
-            [self.problem.items[i].sla_mbps for i in items], dtype=float
-        )
-        c_y = self.problem.objective_y()[items]
-        return SlaveBlock(
-            index=block.index,
-            tenant_index=block.tenant_index,
-            item_indices=tuple(items),
-            rows=tuple(rows),
-            d=self.d[cols],
-            g_matrix=g_block,
-            h0=self.h0[rows],
-            h_matrix=self.h_matrix[rows, :].tocsr(),
-            u_lower=np.zeros(2 * len(items)),
-            u_upper=np.full(2 * len(items), np.inf),
-            u_bound=np.concatenate([sla, sla]),
-            theta_lower=float(np.sum(np.minimum(c_y * sla, 0.0))),
-        )
+    def block_stack(self) -> BlockStack:
+        """The block-diagonal system the :meth:`blocks` are ranges of."""
+        if self._block_stack is None:
+            self._block_stack = self._build_block_stack()
+        return self._block_stack
 
-    def evaluate_blocks(self, x: np.ndarray, executor=None) -> list[BlockSolveOutcome]:
-        """Price every block at ``x``, optionally fanning out over an executor.
+    def _build_block_stack(self) -> BlockStack:
+        """Assemble the stacked block system straight from the slave arrays.
 
-        Results come back in block order whatever the executor, and each
-        block LP is an independent deterministic solve, so the outcome list
-        is bit-identical for any worker count (the executor contract in
-        :mod:`repro.utils.executors`).
+        One row gather, one entry filter and one column renumbering build
+        ``diag(G_b)`` for every tenant at once; no per-tenant sparse slicing.
         """
-        blocks = self.blocks()
-        x = np.asarray(x, dtype=float)
-        if executor is None or len(blocks) <= 1:
-            return [evaluate_block(block, x) for block in blocks]
-        return executor.map(
-            _evaluate_block_task, [(block, x) for block in blocks]
+        n = self.num_items
+        resource_blocks = self.problem.resource_blocks()
+        coupling_offsets = np.arange(5)
+        sla = np.array([item.sla_mbps for item in self.problem.items], dtype=float)
+        theta_floor = np.minimum(self.problem.objective_y() * sla, 0.0)
+        row_parts: list[np.ndarray] = []
+        col_parts: list[np.ndarray] = []
+        theta_lowers: list[float] = []
+        for block in resource_blocks:
+            items = np.asarray(block.item_indices, dtype=np.intp)
+            theta_lowers.append(float(np.sum(theta_floor[items])))
+            coupling_rows = self.num_capacity_rows + (
+                5 * items[:, np.newaxis] + coupling_offsets
+            ).ravel()
+            row_parts.append(
+                np.concatenate(
+                    [np.asarray(block.capacity_rows, dtype=np.intp), coupling_rows]
+                )
+            )
+            col_parts.append(np.concatenate([items, n + items]))
+        row_counts = [len(part) for part in row_parts]
+        col_counts = [len(part) for part in col_parts]
+        row_offsets = np.cumsum([0, *row_counts]).tolist()
+        col_offsets = np.cumsum([0, *col_counts]).tolist()
+        rows = np.concatenate(row_parts)
+        cols = np.concatenate(col_parts)
+        block_ids = np.arange(len(resource_blocks))
+
+        # Every slave column belongs to exactly one tenant: its block and
+        # its position in the stacked column order.
+        col_block = np.full(2 * n, -1, dtype=np.intp)
+        col_block[cols] = np.repeat(block_ids, col_counts)
+        col_position = np.zeros(2 * n, dtype=np.intp)
+        col_position[cols] = np.arange(len(cols))
+
+        # Gather the stacked rows, keep only the entries in the row's own
+        # block (the other tenants' terms of a shared capacity row drop out)
+        # and renumber the columns.  Positions grow with the column index
+        # inside a block, so the rows stay sorted.
+        gathered = self.g_matrix[rows]
+        entry_row = np.repeat(np.arange(len(rows)), np.diff(gathered.indptr))
+        keep = col_block[gathered.indices] == np.repeat(block_ids, row_counts)[entry_row]
+        indptr = np.zeros(len(rows) + 1, dtype=gathered.indptr.dtype)
+        np.cumsum(np.bincount(entry_row[keep], minlength=len(rows)), out=indptr[1:])
+        g_stack = sparse.csr_matrix(
+            (
+                gathered.data[keep],
+                col_position[gathered.indices[keep]].astype(gathered.indices.dtype),
+                indptr,
+            ),
+            shape=(len(rows), len(cols)),
         )
+
+        blocks = [
+            SlaveBlock(
+                index=block.index,
+                tenant_index=block.tenant_index,
+                item_indices=tuple(block.item_indices),
+                rows=slice(row_offsets[b], row_offsets[b + 1]),
+                cols=slice(col_offsets[b], col_offsets[b + 1]),
+                theta_lower=theta_lowers[b],
+            )
+            for b, block in enumerate(resource_blocks)
+        ]
+        h_stack = self.h_matrix[rows]
+        return BlockStack(
+            blocks=blocks,
+            d=self.d[cols],
+            g_matrix=g_stack,
+            h0=self.h0[rows],
+            h_matrix=h_stack,
+            h_transposed=h_stack.T,
+            u_lower=np.zeros(len(cols)),
+            u_upper=np.full(len(cols), np.inf),
+            u_bound=np.concatenate([sla, sla])[cols],
+        )
+
+    def evaluate_block(self, block: SlaveBlock, x: np.ndarray) -> BlockSolveOutcome:
+        """Price one block at ``x`` with its own LP.
+
+        The reference :meth:`evaluate_blocks` is tested against and its
+        fallback: this is where a block that cannot be priced is told apart
+        as infeasible (phase-1 ray) or numerically broken (typed error).
+        """
+        stack = self.block_stack()
+        g_block = stack.g_matrix[block.rows, block.cols]
+        b = stack.h0[block.rows] + stack.h_matrix[block.rows].dot(
+            np.asarray(x, dtype=float)
+        )
+        u_lower, u_upper = stack.u_lower[block.cols], stack.u_upper[block.cols]
+        solution: LPSolution = solve_lp(stack.d[block.cols], g_block, b, u_lower, u_upper)
+        if solution.success:
+            _check_strong_duality(block.index, solution.objective, b, solution.duals_upper)
+            return BlockSolveOutcome(
+                block_index=block.index,
+                feasible=True,
+                objective=solution.objective,
+                duals=solution.duals_upper,
+                infeasibility=0.0,
+                ray=np.zeros(len(b)),
+            )
+        infeasibility, ray = Phase1Problem(g_block, u_lower, u_upper).certificate(b)
+        if infeasibility <= FEASIBILITY_TOLERANCE:
+            raise SlaveNumericalError(
+                f"block {block.index} LP solver failure despite a feasible "
+                f"phase-1 problem: {solution.status}"
+            )
+        return BlockSolveOutcome(
+            block_index=block.index,
+            feasible=False,
+            objective=float("inf"),
+            duals=np.zeros(len(b)),
+            infeasibility=infeasibility,
+            ray=ray,
+        )
+
+    def evaluate_blocks(self, x: np.ndarray) -> list[BlockSolveOutcome]:
+        """Price every block at ``x`` with one LP call on the stacked system.
+
+        The stacked LP is block-diagonal, so its optimal primal and dual
+        split by row/column range into the per-block optima (measured
+        bit-identical to :meth:`evaluate_block`'s duals).  If the stacked
+        call does not succeed -- some block is infeasible at ``x``, or the
+        solver broke down -- every block is priced on its own instead.
+        """
+        stack = self.block_stack()
+        x = np.asarray(x, dtype=float)
+        b = stack.h0 + stack.h_matrix.dot(x)
+        solution: LPSolution = solve_lp(
+            stack.d, stack.g_matrix, b, stack.u_lower, stack.u_upper
+        )
+        if not solution.success:
+            return [self.evaluate_block(block, x) for block in stack.blocks]
+        outcomes = []
+        for block in stack.blocks:
+            duals = solution.duals_upper[block.rows]
+            objective = float(
+                np.dot(stack.d[block.cols], solution.primal[block.cols])
+            )
+            _check_strong_duality(block.index, objective, b[block.rows], duals)
+            outcomes.append(
+                BlockSolveOutcome(
+                    block_index=block.index,
+                    feasible=True,
+                    objective=objective,
+                    duals=duals,
+                    infeasibility=0.0,
+                    ray=np.zeros(len(duals)),
+                )
+            )
+        return outcomes
 
     def cut_from_block_multipliers(
         self, block: SlaveBlock, mu: np.ndarray
@@ -294,9 +424,14 @@ class SlaveProblem:
         capacity rows carry other tenants' baseline terms); the cut reads
         ``theta_b + (H_b' mu)' x >= -h0_b' mu``.
         """
+        stack = self.block_stack()
         mu = np.asarray(mu, dtype=float)
-        coeff = np.asarray(block.h_matrix.T.dot(mu)).ravel()
-        rhs = -float(np.dot(block.h0, mu))
+        # Zero outside the block's rows: the other blocks' rows add exact
+        # zeros, so this is H_b' mu without slicing H_b out of the stack.
+        padded = np.zeros(len(stack.h0))
+        padded[block.rows] = mu
+        coeff = stack.h_transposed.dot(padded)
+        rhs = -float(np.dot(stack.h0[block.rows], mu))
         return coeff, rhs
 
     # ------------------------------------------------------------------ #

@@ -35,7 +35,6 @@ from repro.topology.generators import degrade_link_capacities
 from repro.topology.network import NetworkTopology
 from repro.topology.paths import compute_path_sets
 from repro.traffic.patterns import demand_for_request
-from repro.utils.executors import SerialExecutor, ThreadPoolRunExecutor
 from repro.utils.rng import derive_seed
 from repro.utils.validation import ensure_non_negative_int, ensure_positive_int
 
@@ -335,10 +334,6 @@ class MultiCutOutcome:
     milp_net_revenue: float
     single_cut_net_revenue: float
     multi_cut_net_revenue: float
-    worker_counts: tuple[int, ...]
-    #: True when every worker count (serial included) produced a bit-identical
-    #: decision fingerprint -- the determinism half of the multi-cut claim.
-    fingerprints_identical: bool
     single_cut_iterations: int
     multi_cut_iterations: int
     num_blocks: int
@@ -363,9 +358,7 @@ class MultiCutOutcome:
             f"single={self.single_cut_net_revenue:.9f} "
             f"multi={self.multi_cut_net_revenue:.9f} "
             f"({self.num_blocks} blocks, iterations "
-            f"single={self.single_cut_iterations} multi={self.multi_cut_iterations}, "
-            f"workers {list(self.worker_counts)} "
-            f"{'identical' if self.fingerprints_identical else 'DIVERGED'})"
+            f"single={self.single_cut_iterations} multi={self.multi_cut_iterations})"
         )
 
 
@@ -373,27 +366,19 @@ def multi_cut_check(
     scenario: Scenario,
     epoch: int = 0,
     rel_tolerance: float = 1e-6,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
     benders_max_iterations: int = _BENDERS_MAX_ITERATIONS,
 ) -> MultiCutOutcome:
-    """Differential oracle for the multi-cut parallel Benders master.
+    """Differential oracle for the multi-cut Benders master.
 
     Solves one scenario's epoch instance with the exact MILP, single-cut
-    Benders and multi-cut Benders under every requested worker count
-    (``1`` means :class:`SerialExecutor`, ``>1`` a thread pool of that
-    size).  The harness asserts two claims on the outcome:
-
-    * exactness -- the multi-cut optimum equals the MILP (and hence the
-      single-cut) optimum within ``rel_tolerance``;
-    * determinism -- the multi-cut decision fingerprint is bit-identical
-      for every worker count, because the per-block LP solves are
-      independent deterministic problems whose cuts are folded back in
-      deterministic block order regardless of completion order.
+    Benders and multi-cut Benders.  The harness asserts exactness on the
+    outcome: the multi-cut optimum equals the MILP (and hence the
+    single-cut) optimum within ``rel_tolerance``.
     """
     problem = problem_for_scenario(scenario, epoch=epoch)
     milp = DirectMILPSolver(time_limit_s=None, mip_rel_gap=1e-9).solve(problem)
 
-    def make_solver(multi_cut: bool, executor=None) -> BendersSolver:
+    def make_solver(multi_cut: bool) -> BendersSolver:
         return BendersSolver(
             tolerance=_BENDERS_TOLERANCE,
             relative_tolerance=_BENDERS_TOLERANCE,
@@ -401,28 +386,15 @@ def multi_cut_check(
             master_time_limit_s=None,
             time_limit_s=None,
             multi_cut=multi_cut,
-            executor=executor,
         )
 
     single = make_solver(False).solve(problem)
-    fingerprints = []
-    multi = None
-    for workers in worker_counts:
-        executor = (
-            SerialExecutor() if workers <= 1 else ThreadPoolRunExecutor(workers)
-        )
-        decision = make_solver(True, executor).solve(problem)
-        fingerprints.append(decision_fingerprint(decision))
-        if multi is None:
-            multi = decision
-    assert multi is not None  # worker_counts is non-empty
+    multi = make_solver(True).solve(problem)
     return MultiCutOutcome(
         scenario_name=scenario.name,
         milp_net_revenue=milp.expected_net_reward,
         single_cut_net_revenue=single.expected_net_reward,
         multi_cut_net_revenue=multi.expected_net_reward,
-        worker_counts=tuple(worker_counts),
-        fingerprints_identical=all(fp == fingerprints[0] for fp in fingerprints),
         single_cut_iterations=single.stats.iterations,
         multi_cut_iterations=multi.stats.iterations,
         num_blocks=len(problem.resource_blocks()),

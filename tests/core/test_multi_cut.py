@@ -3,28 +3,28 @@
 Unit-level companions to the differential sweep in
 ``tests/differential/test_multi_cut_differential.py``: the per-tenant block
 relaxation must lower-bound the joint slave (the soundness inequality
-``q(x) >= sum_b q_b(x)``), the master must accumulate cut rows lazily
-instead of re-stacking the whole CSR matrix per cut, an essentially-feasible
-LP failure must raise the typed :class:`SlaveNumericalError`, and a
-wall-clock-truncated solve must say so in its stats.
+``q(x) >= sum_b q_b(x)``), one stacked LP must price a round's blocks
+exactly as the per-block reference does, the master must queue cut rows
+without building a sparse object per cut, an essentially-feasible LP
+failure or a strong-duality violation must raise the typed
+:class:`SlaveNumericalError`, and a wall-clock-truncated solve must say so
+in its stats.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.core import decomposition
 from repro.core.benders import BendersSolver, _MasterState
-from repro.core.decomposition import (
-    SlaveNumericalError,
-    SlaveProblem,
-    evaluate_block,
-)
+from repro.core.decomposition import SlaveNumericalError, SlaveProblem
 from repro.core.lpsolver import LPSolution
 from repro.core.milp_solver import DirectMILPSolver
 from repro.scenarios import decision_fingerprint
-from repro.utils.executors import SerialExecutor, ThreadPoolRunExecutor
 
 
 def accept_all_edge(problem) -> np.ndarray:
@@ -33,6 +33,38 @@ def accept_all_edge(problem) -> np.ndarray:
         if item.path.compute_unit == "edge-cu":
             x[item.index] = 1.0
     return x
+
+
+def per_block_reference(slave: SlaveProblem, x: np.ndarray):
+    """Every block priced by its own LP: what the stacked call must equal."""
+    return [slave.evaluate_block(block, x) for block in slave.blocks()]
+
+
+def assert_same_outcomes(stacked, reference):
+    assert len(stacked) == len(reference)
+    for a, b in zip(stacked, reference):
+        assert a.block_index == b.block_index
+        assert a.feasible == b.feasible
+        assert np.array_equal(a.duals, b.duals)  # bit-identical, not approx
+        assert np.array_equal(a.ray, b.ray)
+        assert a.infeasibility == b.infeasibility
+        if a.feasible:
+            assert abs(a.objective - b.objective) <= 1e-12
+        else:
+            assert a.objective == b.objective == float("inf")
+
+
+def counting_solve_lp(monkeypatch) -> list:
+    """Route the slave's ``solve_lp`` through a call counter."""
+    calls = []
+    real_solve_lp = decomposition.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return real_solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr("repro.core.decomposition.solve_lp", counted)
+    return calls
 
 
 class TestResourceBlocks:
@@ -86,17 +118,107 @@ class TestResourceBlocks:
             # duality makes it tight at the generating point.
             assert outcome.objective + float(coeff @ x) >= rhs - 1e-8
 
-    def test_block_fanout_matches_serial_evaluation(self, mixed_problem):
+    def test_blocks_are_disjoint_ranges_of_the_stack(self, mixed_problem):
         slave = SlaveProblem(mixed_problem)
-        x = accept_all_edge(mixed_problem)
-        serial = slave.evaluate_blocks(x, executor=SerialExecutor())
-        pooled = slave.evaluate_blocks(x, executor=ThreadPoolRunExecutor(4))
-        assert len(serial) == len(pooled)
-        for a, b in zip(serial, pooled):
-            assert a.block_index == b.block_index
-            assert a.feasible == b.feasible
-            assert a.objective == b.objective  # bit-identical, not approx
-            assert np.array_equal(a.duals, b.duals)
+        stack = slave.block_stack()
+        row_stop = col_stop = 0
+        for block in slave.blocks():
+            assert (block.rows.start, block.cols.start) == (row_stop, col_stop)
+            row_stop, col_stop = block.rows.stop, block.cols.stop
+            assert block.num_rows >= 5 * len(block.item_indices)
+        assert stack.g_matrix.shape == (row_stop, col_stop)
+        assert col_stop == 2 * mixed_problem.num_items
+        # Block-diagonal: no entry couples one block's rows to another's columns.
+        coupled = stack.g_matrix.tocoo()
+        owner_of_row = np.repeat(
+            np.arange(len(slave.blocks())), [b.num_rows for b in slave.blocks()]
+        )
+        owner_of_col = np.repeat(
+            np.arange(len(slave.blocks())),
+            [2 * len(b.item_indices) for b in slave.blocks()],
+        )
+        assert np.array_equal(owner_of_row[coupled.row], owner_of_col[coupled.col])
+
+
+class TestStackedPricing:
+    """Tentpole: one block-diagonal LP prices every block of a round."""
+
+    def test_stacked_pricing_matches_per_block_reference(self, mixed_problem):
+        slave = SlaveProblem(mixed_problem)
+        for x in (
+            np.zeros(mixed_problem.num_items),
+            accept_all_edge(mixed_problem),
+            np.ones(mixed_problem.num_items),
+        ):
+            stacked = slave.evaluate_blocks(x)
+            assert all(outcome.feasible for outcome in stacked)
+            assert_same_outcomes(stacked, per_block_reference(slave, x))
+
+    def test_infeasible_block_returns_exactly_the_reference_list(self, mixed_problem):
+        # Doubling one tenant's admission variables breaks its coupling rows
+        # (12), so the stacked LP is infeasible and every block is priced on
+        # its own: the infeasible one yields its phase-1 ray, the others
+        # their duals, in block order.
+        slave = SlaveProblem(mixed_problem)
+        broken = slave.blocks()[1]
+        x = np.zeros(mixed_problem.num_items)
+        x[list(broken.item_indices)] = 2.0
+        stacked = slave.evaluate_blocks(x)
+        assert [o.feasible for o in stacked] == [
+            block.index != broken.index for block in slave.blocks()
+        ]
+        assert stacked[broken.index].infeasibility > 0.0
+        assert stacked[broken.index].ray.any()
+        assert_same_outcomes(stacked, per_block_reference(slave, x))
+
+    def test_feasible_round_makes_two_lp_calls_whatever_the_tenant_count(
+        self, embb_problem, mixed_problem, monkeypatch
+    ):
+        calls = counting_solve_lp(monkeypatch)
+        for problem in (embb_problem, mixed_problem):
+            for num_tenants in (2, len(problem.requests)):
+                sub = type(problem)(
+                    topology=problem.topology,
+                    path_set=problem.path_set,
+                    requests=problem.requests[:num_tenants],
+                    forecasts={
+                        request.name: problem.forecast(request.name)
+                        for request in problem.requests[:num_tenants]
+                    },
+                )
+                del calls[:]
+                decision = BendersSolver(
+                    max_iterations=30,
+                    master_time_limit_s=None,
+                    time_limit_s=None,
+                    warm_start=False,
+                    multi_cut=True,
+                ).solve(sub)
+                # Every master candidate satisfies the floor-footprint
+                # surrogate, so every round is slave-feasible: one aggregate
+                # LP plus one stacked block LP, never one per tenant.
+                assert len(calls) == 2 * decision.stats.iterations
+                assert len(SlaveProblem(sub).blocks()) == num_tenants
+
+    def test_solver_decision_equals_the_per_block_reference(
+        self, mixed_problem, monkeypatch
+    ):
+        def solve():
+            return BendersSolver(
+                tolerance=1e-9,
+                relative_tolerance=1e-9,
+                max_iterations=30,
+                master_time_limit_s=None,
+                time_limit_s=None,
+                warm_start=False,
+                multi_cut=True,
+            ).solve(mixed_problem)
+
+        stacked = solve()
+        monkeypatch.setattr(SlaveProblem, "evaluate_blocks", per_block_reference)
+        reference = solve()
+        assert decision_fingerprint(stacked) == decision_fingerprint(reference)
+        assert stacked.stats.iterations == reference.stats.iterations
 
 
 class TestLazyCutAccumulation:
@@ -135,23 +257,63 @@ class TestLazyCutAccumulation:
         assert grown.shape[0] == 6
         assert rhs[-1] == -99.0
 
-    def test_vstack_calls_are_linear_in_solves_not_cuts(self, embb_problem, monkeypatch):
-        # The O(n^2) bug: one vstack per add_cut.  Fixed behavior: one
-        # vstack per cut_rows() call that found pending rows.
-        calls = []
-        real_vstack = sparse.vstack
+    def test_add_cut_builds_nothing_sparse_and_cut_rows_folds_once(
+        self, embb_problem, monkeypatch
+    ):
+        # The invariant behind the lazy store: zero sparse constructions per
+        # add_cut, at most one fold (one CSR conversion, one vstack onto the
+        # cached matrix) per cut_rows().
+        conversions, stacks = [], []
+        real_csr, real_vstack = sparse.csr_matrix, sparse.vstack
+
+        def counting_csr(*args, **kwargs):
+            conversions.append(1)
+            return real_csr(*args, **kwargs)
 
         def counting_vstack(blocks, *args, **kwargs):
-            calls.append(len(blocks))
+            stacks.append(len(blocks))
             return real_vstack(blocks, *args, **kwargs)
 
         master = self._master(embb_problem)
+        monkeypatch.setattr("repro.core.benders.sparse.csr_matrix", counting_csr)
         monkeypatch.setattr("repro.core.benders.sparse.vstack", counting_vstack)
         for k in range(50):
             master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
-        assert calls == []  # queueing is stack-free
+        assert (conversions, stacks) == ([], [])  # queueing is sparse-free
         master.cut_rows()
-        assert len(calls) == 1  # one fold for the whole batch
+        assert (len(conversions), stacks) == (1, [])  # one fold, nothing to stack on
+        master.cut_rows()
+        assert (len(conversions), stacks) == (1, [])  # nothing pending: no work
+        for k in range(50):
+            master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
+        assert (len(conversions), stacks) == (1, [])
+        matrix, _ = master.cut_rows()
+        assert (len(conversions), stacks) == (2, [2])  # cached matrix + one batch
+        assert matrix.shape[0] == 100
+
+    def test_folded_cut_matrix_equals_per_row_csr_stacking(self, embb_problem):
+        # Same CSR content, bit for bit, as one csr_matrix per cut would give.
+        rng = np.random.default_rng(3)
+        n = embb_problem.num_items
+        coefficients = rng.normal(size=(12, n)) * (rng.random((12, n)) < 0.3)
+        master = self._master(embb_problem)
+        for row in coefficients[:7]:
+            master.add_cut(row, 0.0, True)
+        master.cut_rows()
+        for row in coefficients[7:]:
+            master.add_cut(row, 0.0, False)
+        folded, _ = master.cut_rows()
+        theta = np.concatenate([np.ones(7), np.zeros(5)])[:, np.newaxis]
+        expected = sparse.vstack(
+            [
+                sparse.csr_matrix(np.concatenate([row, t]).reshape(1, -1))
+                for row, t in zip(coefficients, theta)
+            ],
+            format="csr",
+        )
+        assert np.array_equal(folded.indptr, expected.indptr)
+        assert np.array_equal(folded.indices, expected.indices)
+        assert np.array_equal(folded.data, expected.data)
 
     def test_multi_theta_master_pads_cuts_correctly(self, mixed_problem):
         slave = SlaveProblem(mixed_problem)
@@ -203,9 +365,53 @@ class TestSlaveNumericalError:
         self, embb_problem, monkeypatch
     ):
         monkeypatch.setattr("repro.core.decomposition.solve_lp", self._failed_lp)
-        block = SlaveProblem(embb_problem).blocks()[0]
+        slave = SlaveProblem(embb_problem)
         with pytest.raises(SlaveNumericalError):
-            evaluate_block(block, np.zeros(embb_problem.num_items))
+            slave.evaluate_block(slave.blocks()[0], np.zeros(embb_problem.num_items))
+
+    def test_stacked_failure_on_a_feasible_instance_raises_the_typed_error(
+        self, embb_problem, monkeypatch
+    ):
+        # The stacked call fails, the per-block fallback fails the same way,
+        # and its phase-1 certificate says "feasible": typed error, no cut.
+        monkeypatch.setattr("repro.core.decomposition.solve_lp", self._failed_lp)
+        slave = SlaveProblem(embb_problem)
+        with pytest.raises(SlaveNumericalError, match="block 0 LP solver failure"):
+            slave.evaluate_blocks(np.zeros(embb_problem.num_items))
+
+    @pytest.mark.parametrize("entry_point", ["evaluate_blocks", "evaluate_block"])
+    def test_corrupted_duals_trip_the_strong_duality_invariant(
+        self, embb_problem, monkeypatch, entry_point
+    ):
+        # Multipliers shifted by one row -- what a mis-sliced stack would
+        # hand out -- no longer reproduce the block's primal objective.
+        real_solve_lp = decomposition.solve_lp
+
+        def shifted_duals(*args, **kwargs):
+            solution = real_solve_lp(*args, **kwargs)
+            return dataclasses.replace(
+                solution, duals_upper=np.roll(solution.duals_upper, 1)
+            )
+
+        slave = SlaveProblem(embb_problem)
+        x = accept_all_edge(embb_problem)
+        assert any(outcome.objective < -1e-3 for outcome in slave.evaluate_blocks(x))
+        monkeypatch.setattr("repro.core.decomposition.solve_lp", shifted_duals)
+        with pytest.raises(SlaveNumericalError, match="strong duality"):
+            if entry_point == "evaluate_blocks":
+                slave.evaluate_blocks(x)
+            else:
+                for block in slave.blocks():
+                    slave.evaluate_block(block, x)
+
+    def test_certified_duals_pass_the_invariant_with_room_to_spare(self, mixed_problem):
+        slave = SlaveProblem(mixed_problem)
+        stack = slave.block_stack()
+        x = accept_all_edge(mixed_problem)
+        b = stack.h0 + stack.h_matrix.dot(x)
+        for block, outcome in zip(slave.blocks(), slave.evaluate_blocks(x)):
+            residual = abs(outcome.objective + float(b[block.rows] @ outcome.duals))
+            assert residual <= 1e-9 * max(1.0, abs(outcome.objective))
 
     def test_error_is_a_runtime_error_for_the_safeguard_chain(self):
         # The safeguard chain's fall-through tier catches RuntimeError; the
@@ -265,28 +471,3 @@ class TestMultiCutSolver:
         assert multi.expected_net_reward == pytest.approx(
             single.expected_net_reward, abs=1e-6
         )
-
-    def test_multi_cut_decision_is_worker_count_invariant(self, mixed_problem):
-        def solve(executor):
-            return BendersSolver(
-                tolerance=1e-9,
-                relative_tolerance=1e-9,
-                max_iterations=30,
-                master_time_limit_s=None,
-                time_limit_s=None,
-                warm_start=False,
-                multi_cut=True,
-                executor=executor,
-            ).solve(mixed_problem)
-
-        fingerprints = {
-            decision_fingerprint(solve(executor))
-            for executor in (
-                None,
-                SerialExecutor(),
-                ThreadPoolRunExecutor(1),
-                ThreadPoolRunExecutor(2),
-                ThreadPoolRunExecutor(4),
-            )
-        }
-        assert len(fingerprints) == 1
