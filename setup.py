@@ -10,7 +10,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    # scipy >= 1.15 vendors the highspy bindings repro.core.lpsolver drives.
+    install_requires=["numpy", "scipy>=1.15", "networkx"],
     entry_points={
         "console_scripts": [
             "repro-experiments = repro.experiments.cli:main",

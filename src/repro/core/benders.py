@@ -43,7 +43,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from repro.core.decomposition import SlaveProblem
-from repro.core.lpsolver import solve_milp, validate_milp_hint
+from repro.core.lpsolver import solve_milp, stack_constraints, validate_milp_hint
 from repro.core.problem import (
     ACRRProblem,
     InfeasibleProblemError,
@@ -93,14 +93,14 @@ class _MasterState:
         self.integrality = np.concatenate([np.ones(n), np.zeros(num_thetas)])
 
         selection = problem.selection_block()
-        self.selection_constraint: optimize.LinearConstraint | None = None
+        selection_rows: list[optimize.LinearConstraint] = []
         if selection.num_rows:
             sel_matrix = sparse.hstack(
                 [selection.a_x, sparse.csr_matrix((selection.num_rows, num_thetas))],
                 format="csr",
             )
-            self.selection_constraint = optimize.LinearConstraint(
-                sel_matrix, selection.lower, selection.upper
+            selection_rows.append(
+                optimize.LinearConstraint(sel_matrix, selection.lower, selection.upper)
             )
 
         # Floor-footprint capacity surrogates.  Every admitted item must
@@ -123,13 +123,18 @@ class _MasterState:
             ]
         )
         footprint = capacity.a_x + capacity.a_z.multiply(floor[np.newaxis, :])
-        self.capacity_surrogate = optimize.LinearConstraint(
+        capacity_surrogate = optimize.LinearConstraint(
             sparse.hstack(
                 [footprint, sparse.csr_matrix((capacity.num_rows, num_thetas))],
                 format="csr",
             ),
             capacity.lower,
             capacity.upper,
+        )
+        # Neither block changes within a solve: stacked once, so a master
+        # round only appends its cut rows.
+        self.static_rows = stack_constraints(
+            [capacity_surrogate, *selection_rows], n + num_thetas
         )
 
         self._cut_matrix: sparse.csr_matrix | None = None
@@ -175,9 +180,8 @@ class _MasterState:
         return self._cut_matrix, np.asarray(self._cut_rhs)
 
     def constraints(self) -> list[optimize.LinearConstraint]:
-        constraints: list[optimize.LinearConstraint] = [self.capacity_surrogate]
-        if self.selection_constraint is not None:
-            constraints.append(self.selection_constraint)
+        """Capacity surrogate, path selection, then the cuts in insertion order."""
+        constraints = [self.static_rows]
         cut_matrix, cut_rhs = self.cut_rows()
         if cut_matrix is not None:
             constraints.append(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.core.lpsolver import LPSolution, Phase1Problem, solve_lp
+from repro.core.lpsolver import CompiledLP, LPSolution, Phase1Problem
 from repro.core.problem import ACRRProblem
 
 #: Numerical tolerance below which a phase-1 optimum counts as "feasible".
@@ -178,12 +178,21 @@ class SlaveProblem:
         self.d: np.ndarray = np.concatenate([problem.objective_y(), np.zeros(n)])
         self.u_lower = np.zeros(2 * n)
         self.u_upper = np.full(2 * n, np.inf)
-        # Phase-1 certificate problem, extended once on the first infeasible
-        # evaluate; later certificates only swap the right-hand side.
+        # Compiled on first use, re-solved per right-hand side afterwards:
+        # the slave LP, its phase-1 certificate problem (first infeasible
+        # evaluate) and the stacked block LP.  They hold native HiGHS
+        # instances, so they live and die with this object (one solve).
+        self._lp: CompiledLP | None = None
         self._phase1: Phase1Problem | None = None
+        self._stack_lp: CompiledLP | None = None
         # Per-tenant blocks for multi-cut disaggregation, stacked into one
         # block-diagonal system; built lazily.
         self._block_stack: BlockStack | None = None
+        # The last candidate priced and its outcomes: a master that
+        # re-proposes the previous round's admission vector would re-solve
+        # byte-identical LPs.
+        self._last_outcome: tuple[bytes, SlaveSolveOutcome] | None = None
+        self._last_block_outcomes: tuple[bytes, list[BlockSolveOutcome]] | None = None
 
     # ------------------------------------------------------------------ #
     def rhs(self, x: np.ndarray) -> np.ndarray:
@@ -205,10 +214,16 @@ class SlaveProblem:
 
     def evaluate(self, x: np.ndarray) -> SlaveSolveOutcome:
         """Solve the slave LP at ``x``; fall back to the phase-1 certificate."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if self._last_outcome is None or self._last_outcome[0] != key:
+            self._last_outcome = (key, self._evaluate(x))
+        return self._last_outcome[1]
+
+    def _evaluate(self, x: np.ndarray) -> SlaveSolveOutcome:
         b = self.rhs(x)
-        solution: LPSolution = solve_lp(
-            self.d, self.g_matrix, b, self.u_lower, self.u_upper
-        )
+        if self._lp is None:
+            self._lp = CompiledLP(self.d, self.g_matrix, self.u_lower, self.u_upper)
+        solution: LPSolution = self._lp.solve(b)
         n = self.num_items
         if solution.success:
             return SlaveSolveOutcome(
@@ -353,7 +368,9 @@ class SlaveProblem:
             np.asarray(x, dtype=float)
         )
         u_lower, u_upper = stack.u_lower[block.cols], stack.u_upper[block.cols]
-        solution: LPSolution = solve_lp(stack.d[block.cols], g_block, b, u_lower, u_upper)
+        solution: LPSolution = CompiledLP(
+            stack.d[block.cols], g_block, u_lower, u_upper
+        ).solve(b)
         if solution.success:
             _check_strong_duality(block.index, solution.objective, b, solution.duals_upper)
             return BlockSolveOutcome(
@@ -388,12 +405,20 @@ class SlaveProblem:
         call does not succeed -- some block is infeasible at ``x``, or the
         solver broke down -- every block is priced on its own instead.
         """
-        stack = self.block_stack()
         x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if self._last_block_outcomes is None or self._last_block_outcomes[0] != key:
+            self._last_block_outcomes = (key, self._evaluate_blocks(x))
+        return self._last_block_outcomes[1]
+
+    def _evaluate_blocks(self, x: np.ndarray) -> list[BlockSolveOutcome]:
+        stack = self.block_stack()
         b = stack.h0 + stack.h_matrix.dot(x)
-        solution: LPSolution = solve_lp(
-            stack.d, stack.g_matrix, b, stack.u_lower, stack.u_upper
-        )
+        if self._stack_lp is None:
+            self._stack_lp = CompiledLP(
+                stack.d, stack.g_matrix, stack.u_lower, stack.u_upper
+            )
+        solution: LPSolution = self._stack_lp.solve(b)
         if not solution.success:
             return [self.evaluate_block(block, x) for block in stack.blocks]
         outcomes = []

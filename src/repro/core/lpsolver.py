@@ -1,15 +1,25 @@
-"""Thin wrappers around the HiGHS LP/MILP backends shipped with SciPy.
+"""The one place that drives the HiGHS LP/MILP solver.
 
 The paper solves its optimisation problems with IBM CPLEX; we substitute the
-open-source HiGHS solvers exposed through :func:`scipy.optimize.linprog` and
-:func:`scipy.optimize.milp` (see DESIGN.md).  This module centralises the
-calls so the rest of the code never touches solver-specific details, and adds
-the two pieces CPLEX gives for free that HiGHS does not:
+open-source HiGHS solver (see DESIGN.md, "Solver substitution").  HiGHS is
+driven directly through the highspy bindings SciPy vendors for its own
+:func:`scipy.optimize.linprog` / :func:`scipy.optimize.milp`, with the options
+those wrappers set, so the algorithm HiGHS runs -- hence every vertex, every
+multiplier and every incumbent -- is the one the wrappers returned; what is
+gone is their per-call input cleaning, option checking and result assembly,
+which cost more than the optimisation on the small LPs of a Benders round.
+This module centralises the calls so the rest of the code never touches
+solver-specific details, and adds the two pieces CPLEX gives for free that
+HiGHS does not:
 
 * dual values (Lagrange multipliers) of inequality constraints, needed for
   Benders optimality cuts, and
 * Farkas-style infeasibility certificates, obtained from a phase-1 LP, needed
   for Benders feasibility cuts and for the KAC heuristic.
+
+A :class:`CompiledLP` (and the :class:`Phase1Problem` built on it) owns a
+native HiGHS instance: keep it on objects that live for one solve, never on
+anything that is cached across epochs or crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +27,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import optimize, sparse
+
+try:
+    # The single import site of the private bindings (see DESIGN.md).
+    from scipy.optimize._highspy import _core as _highs
+
+    _Highs, _HighsLp, _HighsOptions = _highs._Highs, _highs.HighsLp, _highs.HighsOptions
+except (ImportError, AttributeError) as error:
+    raise ImportError(
+        "repro.core.lpsolver drives HiGHS through the highspy bindings that "
+        "scipy >= 1.15 vendors as scipy.optimize._highspy._core (tested "
+        f"through scipy 1.17); scipy {scipy.__version__} does not provide them"
+    ) from error
+
+
+def backend_version() -> str:
+    """The SciPy release and the HiGHS build bound underneath it.
+
+    CI prints this before the suite: results are pinned bit for bit, so a
+    golden drift after an image bump is attributable to one of the two.
+    """
+    highs = _Highs()
+    return f"scipy {scipy.__version__} | HiGHS {highs.version()} ({highs.githash()})"
 
 
 @dataclass(frozen=True)
@@ -46,6 +79,255 @@ class MILPSolution:
     hint_applied: bool = False
 
 
+# --------------------------------------------------------------------- #
+# HiGHS plumbing shared by the LP and MILP entry points
+# --------------------------------------------------------------------- #
+_ModelStatus = _highs.HighsModelStatus
+_ERROR = _highs.HighsStatus.kError
+_VAR_TYPES = tuple(_highs.HighsVarType(kind) for kind in range(4))
+
+#: SciPy's status number and wording per HiGHS model status; the wording
+#: travels in typed errors and ``EpochReport.solver_message``, so it stays
+#: byte-identical to what ``linprog`` / ``milp`` reported.
+_SCIPY_STATUS = {
+    _ModelStatus.kModelError: (2, ""),
+    _ModelStatus.kOptimal: (0, "Optimization terminated successfully. "),
+    _ModelStatus.kTimeLimit: (1, "Time limit reached. "),
+    _ModelStatus.kIterationLimit: (1, "Iteration limit reached. "),
+    _ModelStatus.kInfeasible: (2, "The problem is infeasible. "),
+    _ModelStatus.kUnbounded: (3, "The problem is unbounded. "),
+    _ModelStatus.kUnboundedOrInfeasible: (4, "The problem is unbounded or infeasible. "),
+    **{
+        status: (4, "")
+        for status in (
+            _ModelStatus.kNotset,
+            _ModelStatus.kLoadError,
+            _ModelStatus.kPresolveError,
+            _ModelStatus.kSolveError,
+            _ModelStatus.kPostsolveError,
+            _ModelStatus.kModelEmpty,
+            _ModelStatus.kObjectiveBound,
+            _ModelStatus.kObjectiveTarget,
+        )
+    },
+}
+_UNRECOGNISED_STATUS = (4, "The HiGHS status code was not recognized. ")
+#: Statuses under which a MIP may still carry an incumbent worth returning.
+_LIMIT_STATUSES = (
+    _ModelStatus.kTimeLimit,
+    _ModelStatus.kIterationLimit,
+    _ModelStatus.kSolutionLimit,
+)
+
+
+def _lp_options() -> "_highs.HighsOptions":
+    """The options ``linprog(method="highs")`` passes for a default call."""
+    options = _HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = 0
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = 1  # dual simplex
+    return options
+
+
+_LP_OPTIONS = _lp_options()
+
+
+def _checked_vector(name: str, values: np.ndarray, size: int, finite: bool = False) -> np.ndarray:
+    """``values`` as a float vector of ``size`` entries without NaN.
+
+    ``finite`` also refuses +-inf (objective coefficients); elsewhere +-inf
+    is HiGHS's own "no bound on this side".
+    """
+    vector = np.asarray(values, dtype=float)
+    if vector.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {vector.shape}")
+    if (~np.isfinite(vector) if finite else np.isnan(vector)).any():
+        raise ValueError(f"{name} must not contain {'inf or ' if finite else ''}nan")
+    return vector
+
+
+def _checked_matrix(name: str, matrix, num_cols: int) -> sparse.csc_matrix:
+    """``matrix`` column-major (what HiGHS takes) with finite entries."""
+    csc = sparse.csc_matrix(matrix, dtype=float)
+    if csc.shape[1] != num_cols:
+        raise ValueError(f"{name} must have {num_cols} columns, got shape {csc.shape}")
+    if not np.isfinite(csc.data).all():
+        raise ValueError(f"{name} must not contain inf or nan")
+    return csc
+
+
+def _highs_model(
+    cost: np.ndarray, matrix: sparse.csc_matrix, lower: np.ndarray, upper: np.ndarray
+) -> "_highs.HighsLp":
+    """A ``HighsLp`` with everything but its row bounds filled in."""
+    num_cols = len(cost)
+    cost = _checked_vector("cost", cost, num_cols, finite=True)
+    model = _HighsLp()
+    model.num_col_ = num_cols
+    model.num_row_ = matrix.shape[0]
+    model.a_matrix_.num_col_ = num_cols
+    model.a_matrix_.num_row_ = matrix.shape[0]
+    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    # The bindings take index vectors element by element, which is 2.5x
+    # faster from a list than from an integer array.
+    model.a_matrix_.start_ = matrix.indptr.tolist()
+    model.a_matrix_.index_ = matrix.indices.tolist()
+    model.a_matrix_.value_ = matrix.data
+    model.col_cost_ = cost
+    model.col_lower_ = _checked_vector("lower", lower, num_cols)
+    model.col_upper_ = _checked_vector("upper", upper, num_cols)
+    return model
+
+
+def _run(highs: "_highs._Highs", model: "_highs.HighsLp", is_mip: bool):
+    """Load and solve ``model``; returns ``(scipy status, message, info, solution)``.
+
+    ``passModel`` drops any basis and solution the instance holds, so every
+    run is a cold solve.  ``solution`` is ``None`` unless there is something
+    safe to read: an optimum, or a MIP incumbent at a limit.
+    """
+    status = _ModelStatus.kModelError
+    described = info = solution = None
+    if highs.passModel(model) != _ERROR:
+        ran = highs.run() != _ERROR
+        status = highs.getModelStatus()
+        if ran:
+            info = highs.getInfo()
+            if status == _ModelStatus.kOptimal or (
+                is_mip
+                and status in _LIMIT_STATUSES
+                and info.objective_function_value != _highs.kHighsInf
+            ):
+                solution = highs.getSolution()
+            else:
+                described = (
+                    f"model_status is {highs.modelStatusToString(status)}; primal_status "
+                    f"is {highs.solutionStatusToString(info.primal_solution_status)}"
+                )
+    if described is None:
+        described = highs.modelStatusToString(status)
+    code, text = _SCIPY_STATUS.get(status, _UNRECOGNISED_STATUS)
+    return code, f"{text}(HiGHS Status {int(status)}: {described})", info, solution
+
+
+# --------------------------------------------------------------------- #
+# Linear programs
+# --------------------------------------------------------------------- #
+class CompiledLP:
+    """``min c'u  s.t.  A u <= b,  lower <= u <= upper`` with ``b`` left open.
+
+    Everything but the right-hand side is checked, converted and handed to
+    HiGHS once; :meth:`solve` swaps the row upper bounds and re-passes the
+    model.  Re-passing resets basis and solution, so each solve is the cold
+    solve ``linprog`` ran and solves never see each other's state.
+    """
+
+    def __init__(
+        self,
+        cost: np.ndarray,
+        a_ub: sparse.csr_matrix,
+        lower: np.ndarray,
+        upper: np.ndarray,
+    ):
+        self.num_cols = len(cost)
+        matrix = _checked_matrix("a_ub", a_ub, self.num_cols)
+        self.num_rows = matrix.shape[0]
+        self._model = _highs_model(cost, matrix, lower, upper)
+        self._model.row_lower_ = np.full(self.num_rows, -np.inf)
+        self._highs = _Highs()
+        self._highs.passOptions(_LP_OPTIONS)
+
+    def solve(self, b_ub: np.ndarray) -> LPSolution:
+        """Solve for one right-hand side.
+
+        Returns the dual multipliers of the inequality rows as *non-negative*
+        numbers ``mu`` such that the dual objective is ``-b' mu`` (the sign
+        convention used by the Benders derivation in the paper).
+        """
+        self._model.row_upper_ = _checked_vector("b_ub", b_ub, self.num_rows)
+        code, message, info, solution = _run(self._highs, self._model, is_mip=False)
+        if solution is None:
+            return LPSolution(
+                success=False,
+                status=message,
+                objective=float("nan"),
+                primal=np.zeros(self.num_cols),
+                duals_upper=np.zeros(self.num_rows),
+                infeasible=code == 2,
+            )
+        # HiGHS row duals are <= 0 for <= constraints in a minimisation.
+        duals = np.clip(-np.array(solution.row_dual), 0.0, None)
+        return LPSolution(
+            success=True,
+            status=message,
+            objective=float(info.objective_function_value),
+            primal=np.array(solution.col_value),
+            duals_upper=duals,
+            infeasible=False,
+        )
+
+
+def solve_lp(
+    cost: np.ndarray,
+    a_ub: sparse.csr_matrix,
+    b_ub: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> LPSolution:
+    """One-shot :class:`CompiledLP` solve, for LPs that are not re-priced."""
+    return CompiledLP(cost, a_ub, lower, upper).solve(b_ub)
+
+
+class Phase1Problem:
+    """Parametric phase-1 feasibility LP, compiled once.
+
+    The phase-1 system ``min 1's  s.t.  A u - s <= b, s >= 0, lower <= u <=
+    upper`` only depends on the right-hand side ``b`` between solves, so the
+    extended matrix ``[A | -I]``, the cost vector and the extended bounds are
+    assembled and compiled once here and reused for every certificate (see
+    DESIGN.md, "Incremental solver layer").  The Benders and KAC slave
+    problems hit this on every infeasible evaluate.
+    """
+
+    def __init__(
+        self,
+        a_ub: sparse.csr_matrix,
+        lower: np.ndarray,
+        upper: np.ndarray,
+    ):
+        num_rows, num_vars = a_ub.shape
+        a_ext = sparse.hstack(
+            [a_ub, -sparse.identity(num_rows, format="csr")], format="csr"
+        )
+        self._lp = CompiledLP(
+            np.concatenate([np.zeros(num_vars), np.ones(num_rows)]),
+            a_ext,
+            np.concatenate([lower, np.zeros(num_rows)]),
+            np.concatenate([upper, np.full(num_rows, np.inf)]),
+        )
+
+    def certificate(self, b_ub: np.ndarray) -> tuple[float, np.ndarray]:
+        """Measure infeasibility of ``A u <= b_ub`` and return a Farkas ray.
+
+        The optimal value is 0 exactly when the original system is feasible.
+        When it is positive, the dual multipliers of the relaxed rows form a
+        certificate ``mu >= 0`` with ``b' mu < 0`` on any violated
+        combination; used as the "extreme ray" of the dual slave problem in
+        Algorithm 1 / Algorithm 3.
+        """
+        solution = self._lp.solve(b_ub)
+        if not solution.success:
+            raise RuntimeError(
+                f"phase-1 feasibility LP failed unexpectedly: {solution.status}"
+            )
+        return solution.objective, solution.duals_upper
+
+
+# --------------------------------------------------------------------- #
+# Mixed-integer programs
+# --------------------------------------------------------------------- #
 #: Tolerances used to validate a warm-start hint before trusting it.
 _HINT_FEASIBILITY_TOL = 1e-7
 _HINT_INTEGRALITY_TOL = 1e-7
@@ -87,86 +369,36 @@ def validate_milp_hint(
     return True
 
 
-def solve_lp(
-    cost: np.ndarray,
-    a_ub: sparse.csr_matrix,
-    b_ub: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> LPSolution:
-    """Solve ``min c'u  s.t.  A u <= b,  lower <= u <= upper``.
+def stack_constraints(
+    constraints: list[optimize.LinearConstraint], num_cols: int
+) -> optimize.LinearConstraint:
+    """Fold ``constraints`` into one row-major block, rows in order.
 
-    Returns the dual multipliers of the inequality rows as *non-negative*
-    numbers ``mu`` such that the dual objective is ``-b' mu`` (the sign
-    convention used by the Benders derivation in the paper).
+    Row-major because appending rows to CSR is a concatenation: stacking the
+    blocks this way and converting to HiGHS's column-major form once was
+    measured twice as fast as stacking column-major blocks, which SciPy
+    routes through COO.  Scalar bounds are broadcast over their rows; a
+    bound or block that does not fit raises ``ValueError``.
     """
-    bounds = np.column_stack([lower, upper])
-    result = optimize.linprog(
-        c=np.asarray(cost, dtype=float),
-        A_ub=a_ub,
-        b_ub=np.asarray(b_ub, dtype=float),
-        bounds=bounds,
-        method="highs",
-    )
-    infeasible = result.status == 2
-    duals = np.zeros(a_ub.shape[0])
-    if result.status == 0 and result.ineqlin is not None:
-        # HiGHS marginals are <= 0 for <= constraints in a minimisation.
-        duals = -np.asarray(result.ineqlin.marginals, dtype=float)
-        duals = np.clip(duals, 0.0, None)
-    return LPSolution(
-        success=result.status == 0,
-        status=result.message,
-        objective=float(result.fun) if result.status == 0 else float("nan"),
-        primal=np.asarray(result.x, dtype=float) if result.x is not None else np.zeros(len(cost)),
-        duals_upper=duals,
-        infeasible=infeasible,
-    )
-
-
-class Phase1Problem:
-    """Parametric phase-1 feasibility LP with a precomputed extended matrix.
-
-    The phase-1 system ``min 1's  s.t.  A u - s <= b, s >= 0, lower <= u <=
-    upper`` only depends on the right-hand side ``b`` between solves, so the
-    extended matrix ``[A | -I]``, the cost vector and the extended bounds are
-    assembled once here and reused for every certificate (see DESIGN.md,
-    "Incremental solver layer").  The Benders and KAC slave problems hit this
-    on every infeasible evaluate, which previously re-hstacked the matrix
-    each time.
-    """
-
-    def __init__(
-        self,
-        a_ub: sparse.csr_matrix,
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ):
-        num_rows, num_vars = a_ub.shape
-        self.a_ext = sparse.hstack(
-            [a_ub, -sparse.identity(num_rows, format="csr")], format="csr"
-        )
-        self.cost = np.concatenate([np.zeros(num_vars), np.ones(num_rows)])
-        self.lower_ext = np.concatenate([lower, np.zeros(num_rows)])
-        self.upper_ext = np.concatenate([upper, np.full(num_rows, np.inf)])
-
-    def certificate(self, b_ub: np.ndarray) -> tuple[float, np.ndarray]:
-        """Measure infeasibility of ``A u <= b_ub`` and return a Farkas ray.
-
-        The optimal value is 0 exactly when the original system is feasible.
-        When it is positive, the dual multipliers of the relaxed rows form a
-        certificate ``mu >= 0`` with ``b' mu < 0`` on any violated
-        combination; used as the "extreme ray" of the dual slave problem in
-        Algorithm 1 / Algorithm 3.
-        """
-        solution = solve_lp(
-            self.cost, self.a_ext, b_ub, self.lower_ext, self.upper_ext
-        )
-        if not solution.success:
-            raise RuntimeError(
-                f"phase-1 feasibility LP failed unexpectedly: {solution.status}"
+    matrices, lowers, uppers = [], [], []
+    for constraint in constraints:
+        matrix = sparse.csr_matrix(constraint.A)
+        matrices.append(matrix)
+        for bound, parts in ((constraint.lb, lowers), (constraint.ub, uppers)):
+            parts.append(
+                np.broadcast_to(np.asarray(bound, dtype=float), (matrix.shape[0],))
             )
-        return solution.objective, solution.duals_upper
+    if not matrices:
+        return optimize.LinearConstraint(
+            sparse.csr_matrix((0, num_cols)), np.empty(0), np.empty(0)
+        )
+    if len(matrices) == 1:
+        return optimize.LinearConstraint(matrices[0], lowers[0], uppers[0])
+    return optimize.LinearConstraint(
+        sparse.vstack(matrices, format="csr"),
+        np.concatenate(lowers),
+        np.concatenate(uppers),
+    )
 
 
 def solve_milp(
@@ -182,13 +414,16 @@ def solve_milp(
     """Solve a mixed-integer linear program with HiGHS.
 
     ``hint`` is an optional warm-start candidate (a full variable vector,
-    e.g. the previous epoch's optimum).  SciPy's :func:`scipy.optimize.milp`
-    has no native MIP-start interface, so a *validated* hint is turned into
-    the next best thing: an objective-cutoff constraint ``c' v <= c' hint``
-    that is guaranteed to keep the optimum (the hint is feasible, so the
-    optimum can only be at least as good) while letting branch-and-bound
-    prune every node whose relaxation is worse than the incumbent the hint
-    represents.  Invalid hints are ignored.
+    e.g. the previous epoch's optimum).  A native MIP start would change the
+    incumbent HiGHS lands on, so a *validated* hint is turned into the next
+    best thing: an objective-cutoff constraint ``c' v <= c' hint`` that is
+    guaranteed to keep the optimum (the hint is feasible, so the optimum can
+    only be at least as good) while letting branch-and-bound prune every
+    node whose relaxation is worse than the incumbent the hint represents.
+    Invalid hints are ignored.
+
+    A solve stopped by ``time_limit_s`` with an incumbent returns
+    ``success=False`` with the incumbent in ``values`` and its ``mip_gap``.
     """
     cost = np.asarray(cost, dtype=float)
     hint_applied = False
@@ -203,27 +438,44 @@ def solve_milp(
             )
         ]
         hint_applied = True
-    options: dict[str, float] = {"mip_rel_gap": mip_rel_gap}
+    rows = stack_constraints(constraints, len(cost))
+    matrix = _checked_matrix("constraint matrix", rows.A, len(cost))
+    model = _highs_model(cost, matrix, lower, upper)
+    model.row_lower_ = _checked_vector("constraint lb", rows.lb, matrix.shape[0])
+    model.row_upper_ = _checked_vector("constraint ub", rows.ub, matrix.shape[0])
+    kinds = np.asarray(integrality)
+    if kinds.shape != cost.shape or ((kinds < 0) | (kinds > 3)).any():
+        raise ValueError(f"integrality must hold {len(cost)} values in 0..3")
+    kinds = kinds.astype(np.uint8)
+    model.integrality_ = [_VAR_TYPES[kind] for kind in kinds.tolist()]
+
+    # What ``milp`` sets: its own log off, the gap, the optional time limit.
+    options = _HighsOptions()
+    options.log_to_console = False
+    options.mip_rel_gap = float(mip_rel_gap)
     if time_limit_s is not None:
-        options["time_limit"] = float(time_limit_s)
-    result = optimize.milp(
-        c=cost,
-        constraints=constraints,
-        integrality=np.asarray(integrality),
-        bounds=optimize.Bounds(lb=lower, ub=upper),
-        options=options,
-    )
-    values = (
-        np.asarray(result.x, dtype=float)
-        if result.x is not None
-        else np.zeros(len(cost))
-    )
-    gap = float(result.mip_gap) if getattr(result, "mip_gap", None) is not None else 0.0
+        options.time_limit = float(time_limit_s)
+    highs = _Highs()
+    if highs.passOptions(options) == _ERROR:
+        raise ValueError(
+            f"HiGHS refused mip_rel_gap={mip_rel_gap!r} / time_limit_s={time_limit_s!r}"
+        )
+    is_mip = bool(kinds.any())
+    code, message, info, solution = _run(highs, model, is_mip)
+    if solution is None:
+        return MILPSolution(
+            success=False,
+            status=message,
+            objective=float("nan"),
+            values=np.zeros(len(cost)),
+            mip_gap=0.0,
+            hint_applied=hint_applied,
+        )
     return MILPSolution(
-        success=result.status == 0,
-        status=result.message,
-        objective=float(result.fun) if result.fun is not None else float("nan"),
-        values=values,
-        mip_gap=gap,
+        success=code == 0,
+        status=message,
+        objective=float(info.objective_function_value),
+        values=np.array(solution.col_value),
+        mip_gap=float(info.mip_gap) if is_mip else 0.0,
         hint_applied=hint_applied,
     )

@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core import decomposition
 from repro.core.benders import BendersSolver, _MasterState
 from repro.core.decomposition import SlaveNumericalError, SlaveProblem
-from repro.core.lpsolver import LPSolution
+from repro.core.lpsolver import CompiledLP, LPSolution
 from repro.core.milp_solver import DirectMILPSolver
 from repro.scenarios import decision_fingerprint
 
@@ -54,16 +53,27 @@ def assert_same_outcomes(stacked, reference):
             assert a.objective == b.objective == float("inf")
 
 
-def counting_solve_lp(monkeypatch) -> list:
-    """Route the slave's ``solve_lp`` through a call counter."""
+def patch_slave_lp(monkeypatch, solve) -> None:
+    """Route every LP the slave solves (``decomposition.CompiledLP``, the one
+    seam) through ``solve(lp, b_ub, real_solve)``.  Phase-1 certificates
+    compile inside ``lpsolver`` and are not touched."""
+
+    class PatchedLP(CompiledLP):
+        def solve(self, b_ub):
+            return solve(self, b_ub, super().solve)
+
+    monkeypatch.setattr("repro.core.decomposition.CompiledLP", PatchedLP)
+
+
+def counting_slave_lp(monkeypatch) -> list:
+    """Route the slave's LP solves through a call counter."""
     calls = []
-    real_solve_lp = decomposition.solve_lp
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[2]))
-        return real_solve_lp(*args, **kwargs)
+    def counted(lp, b_ub, real_solve):
+        calls.append(len(b_ub))
+        return real_solve(b_ub)
 
-    monkeypatch.setattr("repro.core.decomposition.solve_lp", counted)
+    patch_slave_lp(monkeypatch, counted)
     return calls
 
 
@@ -174,7 +184,15 @@ class TestStackedPricing:
     def test_feasible_round_makes_two_lp_calls_whatever_the_tenant_count(
         self, embb_problem, mixed_problem, monkeypatch
     ):
-        calls = counting_solve_lp(monkeypatch)
+        calls = counting_slave_lp(monkeypatch)
+        candidates = []
+        real_evaluate = SlaveProblem.evaluate
+
+        def recording_evaluate(slave, x):
+            candidates.append(np.asarray(x, dtype=float).tobytes())
+            return real_evaluate(slave, x)
+
+        monkeypatch.setattr(SlaveProblem, "evaluate", recording_evaluate)
         for problem in (embb_problem, mixed_problem):
             for num_tenants in (2, len(problem.requests)):
                 sub = type(problem)(
@@ -186,7 +204,7 @@ class TestStackedPricing:
                         for request in problem.requests[:num_tenants]
                     },
                 )
-                del calls[:]
+                del calls[:], candidates[:]
                 decision = BendersSolver(
                     max_iterations=30,
                     master_time_limit_s=None,
@@ -196,9 +214,32 @@ class TestStackedPricing:
                 ).solve(sub)
                 # Every master candidate satisfies the floor-footprint
                 # surrogate, so every round is slave-feasible: one aggregate
-                # LP plus one stacked block LP, never one per tenant.
-                assert len(calls) == 2 * decision.stats.iterations
+                # LP plus one stacked block LP, never one per tenant -- and
+                # none at all when the master re-proposes the candidate the
+                # previous round already priced.
+                assert len(candidates) == decision.stats.iterations
+                fresh = sum(
+                    1
+                    for previous, current in zip([None, *candidates], candidates)
+                    if current != previous
+                )
+                assert len(calls) == 2 * fresh
                 assert len(SlaveProblem(sub).blocks()) == num_tenants
+
+    def test_repeated_candidate_is_not_repriced(self, mixed_problem, monkeypatch):
+        calls = counting_slave_lp(monkeypatch)
+        slave = SlaveProblem(mixed_problem)
+        x, other = accept_all_edge(mixed_problem), np.zeros(mixed_problem.num_items)
+        first = slave.evaluate(x), slave.evaluate_blocks(x)
+        assert len(calls) == 2
+        again = slave.evaluate(x.copy()), slave.evaluate_blocks(x.copy())
+        assert len(calls) == 2  # byte-identical LPs: the outcomes are remembered
+        assert again[0] is first[0] and again[1] is first[1]
+        slave.evaluate(other), slave.evaluate_blocks(other)
+        assert len(calls) == 4
+        # Only the last candidate is kept: coming back to x prices it again.
+        assert_same_outcomes(slave.evaluate_blocks(x), first[1])
+        assert len(calls) == 5
 
     def test_solver_decision_equals_the_per_block_reference(
         self, mixed_problem, monkeypatch
@@ -335,15 +376,13 @@ class TestSlaveNumericalError:
     """Satellite: an essentially-feasible LP failure raises a typed error."""
 
     @staticmethod
-    def _failed_lp(*args, **kwargs):
-        d = args[0]
-        num_rows = len(args[2])
+    def _failed_lp(lp, b_ub, real_solve):
         return LPSolution(
             success=False,
             status="numerical breakdown",
             objective=float("nan"),
-            primal=np.zeros(len(d)),
-            duals_upper=np.zeros(num_rows),
+            primal=np.zeros(lp.num_cols),
+            duals_upper=np.zeros(lp.num_rows),
             infeasible=False,
         )
 
@@ -356,7 +395,7 @@ class TestSlaveNumericalError:
         # code raised a bare RuntimeError here despite a comment promising
         # an infeasible outcome; now the error is typed so the safeguard
         # chain can catch it without matching on strings.
-        monkeypatch.setattr("repro.core.decomposition.solve_lp", self._failed_lp)
+        patch_slave_lp(monkeypatch, self._failed_lp)
         slave = SlaveProblem(embb_problem)
         with pytest.raises(SlaveNumericalError, match="numerical breakdown"):
             slave.evaluate(np.zeros(embb_problem.num_items))
@@ -364,7 +403,7 @@ class TestSlaveNumericalError:
     def test_block_evaluation_raises_the_same_typed_error(
         self, embb_problem, monkeypatch
     ):
-        monkeypatch.setattr("repro.core.decomposition.solve_lp", self._failed_lp)
+        patch_slave_lp(monkeypatch, self._failed_lp)
         slave = SlaveProblem(embb_problem)
         with pytest.raises(SlaveNumericalError):
             slave.evaluate_block(slave.blocks()[0], np.zeros(embb_problem.num_items))
@@ -374,7 +413,7 @@ class TestSlaveNumericalError:
     ):
         # The stacked call fails, the per-block fallback fails the same way,
         # and its phase-1 certificate says "feasible": typed error, no cut.
-        monkeypatch.setattr("repro.core.decomposition.solve_lp", self._failed_lp)
+        patch_slave_lp(monkeypatch, self._failed_lp)
         slave = SlaveProblem(embb_problem)
         with pytest.raises(SlaveNumericalError, match="block 0 LP solver failure"):
             slave.evaluate_blocks(np.zeros(embb_problem.num_items))
@@ -385,18 +424,20 @@ class TestSlaveNumericalError:
     ):
         # Multipliers shifted by one row -- what a mis-sliced stack would
         # hand out -- no longer reproduce the block's primal objective.
-        real_solve_lp = decomposition.solve_lp
-
-        def shifted_duals(*args, **kwargs):
-            solution = real_solve_lp(*args, **kwargs)
+        def shifted_duals(lp, b_ub, real_solve):
+            solution = real_solve(b_ub)
             return dataclasses.replace(
                 solution, duals_upper=np.roll(solution.duals_upper, 1)
             )
 
-        slave = SlaveProblem(embb_problem)
         x = accept_all_edge(embb_problem)
-        assert any(outcome.objective < -1e-3 for outcome in slave.evaluate_blocks(x))
-        monkeypatch.setattr("repro.core.decomposition.solve_lp", shifted_duals)
+        assert any(
+            outcome.objective < -1e-3
+            for outcome in SlaveProblem(embb_problem).evaluate_blocks(x)
+        )
+        patch_slave_lp(monkeypatch, shifted_duals)
+        # A fresh slave: LPs compile (and candidates are remembered) per slave.
+        slave = SlaveProblem(embb_problem)
         with pytest.raises(SlaveNumericalError, match="strong duality"):
             if entry_point == "evaluate_blocks":
                 slave.evaluate_blocks(x)
