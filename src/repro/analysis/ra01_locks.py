@@ -1,12 +1,19 @@
 """RA01 -- broker lock discipline.
 
-The PR 8 concurrency contract (DESIGN.md, "Thread safety"): every mutating
-public entry point of :class:`~repro.api.broker.SliceBroker` serialises on
-the one reentrant admission-path lock (``self._lock``), while ``quote`` and
-the documented read-only escape hatches are *pure reads* that must never
-take it (a pure read acquiring the lock would serialise the hot quote path
-behind epoch solves -- and, worse, would advertise a consistency level the
-contract does not promise).
+The concurrency contract (DESIGN.md, "Concurrency-safe facade") has three
+tiers.  Every mutating public entry point of
+:class:`~repro.api.broker.SliceBroker` serialises on the one reentrant
+admission-path lock (``self._lock``), which ``advance_epoch`` holds for a
+whole solve.  ``quote`` and the documented read-only escape hatches are
+*pure reads* that must never take it (a pure read acquiring the lock would
+serialise the hot quote path behind epoch solves -- and, worse, would
+advertise a consistency level the contract does not promise).  The
+*snapshot reads* (``status``, ``list_slices``, ``slice_count``) are
+consistent reads that must not take it either: they are answered under the
+short state mutex, from the running epoch's checkpoint if there is one, so
+that a read never waits out a solve -- one ``with self._lock`` sneaking
+back in re-creates exactly the stall they were taken off the lock to
+remove.
 
 Mechanically:
 
@@ -15,12 +22,14 @@ Mechanically:
   ``with self._lock`` block, or calls ``self._lock.acquire()``;
 * every public method not in the declared read surface must be locked;
 * the declared pure reads / lock-free escape hatches
-  (:data:`PURE_READ_METHODS`) must **not** reference ``self._lock`` at all.
+  (:data:`PURE_READ_METHODS`) and the declared snapshot reads
+  (:data:`SNAPSHOT_READ_METHODS`) must **not** be ``@_synchronized`` and
+  must **not** reference ``self._lock`` at all.
 
 The read surface is declared here, not inferred: adding a new lock-free
 method to the broker is a contract change and must be reviewed as one (the
-checker fails until the method is either locked or added to
-:data:`PURE_READ_METHODS`).
+checker fails until the method is either locked or added to one of the two
+declared sets).
 """
 
 from __future__ import annotations
@@ -50,6 +59,26 @@ PURE_READ_METHODS = frozenset(
     {"quote", "active_slices", "admitted_names", "rejected_names"}
 )
 
+#: Consistent reads served from the live tables or, while an epoch runs,
+#: from its checkpoint -- under the state mutex, never the admission lock.
+SNAPSHOT_READ_METHODS = frozenset({"status", "list_slices", "slice_count"})
+
+#: method -> (what it is declared as, what to do instead of locking it).
+_DECLARED_READS = {
+    **dict.fromkeys(
+        PURE_READ_METHODS,
+        (
+            "pure read",
+            "pure reads must stay lock-free (or be removed from "
+            "PURE_READ_METHODS and locked)",
+        ),
+    ),
+    **dict.fromkeys(
+        SNAPSHOT_READ_METHODS,
+        ("snapshot read", "read under the state mutex from the epoch view instead"),
+    ),
+}
+
 #: Dunder/lifecycle methods exempt from the discipline: ``__init__`` runs
 #: before the instance is shared, so locking there is meaningless.
 EXEMPT_METHODS = frozenset({"__init__"})
@@ -69,12 +98,18 @@ def _references_lock(func: ast.FunctionDef) -> bool:
     return any(_is_lock_reference(node) for node in ast.walk(func))
 
 
-def _acquires_lock(func: ast.FunctionDef) -> bool:
-    """Decorated ``@_synchronized``, ``with self._lock`` or ``.acquire()``."""
+def _is_synchronized(func: ast.FunctionDef) -> bool:
     for decorator in func.decorator_list:
         name = dotted_name(decorator)
         if name and name.split(".")[-1] == SYNCHRONIZED_DECORATOR:
             return True
+    return False
+
+
+def _acquires_lock(func: ast.FunctionDef) -> bool:
+    """Decorated ``@_synchronized``, ``with self._lock`` or ``.acquire()``."""
+    if _is_synchronized(func):
+        return True
     for node in ast.walk(func):
         if isinstance(node, ast.With):
             for item in node.items:
@@ -104,8 +139,9 @@ class LockDisciplineChecker(Checker):
     description = (
         "Every mutating public SliceBroker method must hold the admission "
         "lock (@_synchronized, `with self._lock` or self._lock.acquire()); "
-        "declared pure reads (quote, the registry escape hatches) must not "
-        "touch it."
+        "declared pure reads (quote, the registry escape hatches) and "
+        "declared snapshot reads (status, list_slices, slice_count) must "
+        "not touch it."
     )
 
     def check(self, tree: ProjectTree) -> Iterator[Finding]:
@@ -124,15 +160,18 @@ class LockDisciplineChecker(Checker):
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             symbol = f"{cls.name}.{item.name}"
-            if item.name in PURE_READ_METHODS:
-                if _references_lock(item):
+            declared = _DECLARED_READS.get(item.name)
+            if declared is not None:
+                kind, remedy = declared
+                if _is_synchronized(item) or _references_lock(item):
                     yield self.finding(
                         module,
                         item,
                         symbol,
-                        f"{item.name} is a declared pure read but references "
-                        f"self.{LOCK_ATTR}; pure reads must stay lock-free "
-                        "(or be removed from PURE_READ_METHODS and locked)",
+                        f"{item.name} is a declared {kind} but takes the "
+                        f"admission lock (@{SYNCHRONIZED_DECORATOR} or "
+                        f"self.{LOCK_ATTR}), so it would queue behind a "
+                        f"whole epoch solve; {remedy}",
                     )
                 continue
             if (

@@ -42,6 +42,7 @@ from repro.api.dtos import (
     AdmissionTicket,
     EpochReport,
     QuoteResponse,
+    SlicePage,
     SliceRequestV1,
     SliceStatus,
 )
@@ -53,7 +54,11 @@ from repro.api.errors import (
     ValidationError,
 )
 from repro.api.events import EventBus, LifecycleEvent, LifecycleEventKind
-from repro.controlplane.orchestrator import E2EOrchestrator, OrchestratorConfig
+from repro.controlplane.orchestrator import (
+    E2EOrchestrator,
+    EpochCheckpoint,
+    OrchestratorConfig,
+)
 from repro.controlplane.slice_manager import SliceDescriptor
 from repro.controlplane.state import (
     TERMINAL_STATES,
@@ -145,17 +150,30 @@ def _synchronized(method):
     return wrapper
 
 
+#: What a status read consults for the intake queue and the registry
+#: (``.slice_manager`` / ``.registry``): the live orchestrator, or the
+#: checkpoint a running epoch took of it -- same attribute names and types.
+_StateSource = E2EOrchestrator | EpochCheckpoint
+
+
 class SliceBroker:
     """Versioned northbound service API over one orchestrator instance.
 
-    Thread safety: every mutating entry point (``submit``, ``submit_batch``,
-    ``release``, ``advance_epoch``, monitoring/forecast feeds, chaos controls)
-    and the consistent-snapshot reads (``status``, ``list_slices``) serialise
-    on one reentrant admission-path lock, so concurrent transport sessions
-    can share a broker without torn caches or double-enqueued idempotent
-    retries.  ``quote`` is a pure read by contract and deliberately takes no
-    lock.  With ``max_pending`` set, intake applies backpressure: a submit
-    that would grow the queue past the bound raises the 429-style
+    Thread safety, three tiers.  *Serialised writers*: every mutating entry
+    point (``submit``, ``submit_batch``, ``release``, ``advance_epoch``,
+    monitoring/forecast feeds, chaos controls) serialises on one reentrant
+    admission-path lock, so concurrent transport sessions can share a broker
+    without torn caches or double-enqueued idempotent retries.  *Snapshot
+    reads* (``status``, ``list_slices``, ``slice_count``, ``pending_count``)
+    never touch that lock: they take only a short state mutex that writers
+    hold for their own table mutation and that ``advance_epoch`` holds just
+    long enough to publish, and later withdraw, the epoch's checkpoint as
+    the read view -- so a read that overlaps an epoch is answered from the
+    pre-epoch state (it is ordered before the epoch, which has not returned
+    yet) instead of waiting out the solve.  Lock order is admission lock,
+    then state mutex, never the reverse.  *Pure reads*: ``quote`` takes no
+    lock at all.  With ``max_pending`` set, intake applies backpressure: a
+    submit that would grow the queue past the bound raises the 429-style
     :class:`CapacityError` instead of accepting unbounded work.
     """
 
@@ -223,6 +241,17 @@ class SliceBroker:
         #: release, epochs, cache maintenance).  Reentrant because
         #: ``submit_batch`` drives ``submit`` and error paths may re-enter.
         self._lock = threading.RLock()
+        #: Guards the tables status reads consult (intake queue, registry,
+        #: released/withdrawn markers) and the choice of read view.  Plain
+        #: and short-held: never across a solve, never across event fan-out.
+        #: Taken after ``_lock`` by writers, alone by readers.
+        self._state_mutex = threading.Lock()
+        #: The running epoch's checkpoint, published as the read view from
+        #: the moment it is taken until the epoch commits or rolls back;
+        #: ``None`` between epochs (reads then see the live tables).
+        self._epoch_view: EpochCheckpoint | None = None
+        #: Thread running that epoch: its own reads (fault hooks) stay live.
+        self._epoch_thread: int | None = None
         self._last_decision = None
         #: Registry snapshot (state + renewal count per name) as of the last
         #: *published* events.  Persisting it across a failed advance_epoch
@@ -271,7 +300,13 @@ class SliceBroker:
     @property
     def pending_count(self) -> int:
         """Requests queued at intake, not yet released into an epoch batch."""
-        return self._orchestrator.slice_manager.pending_count
+        with self._state_mutex:
+            return self._read_source().slice_manager.pending_count
+
+    @property
+    def epoch_in_flight(self) -> bool:
+        """True while an ``advance_epoch`` is between checkpoint and commit."""
+        return self._epoch_view is not None
 
     def active_slices(self, epoch: int) -> list[SliceRecord]:
         """Registry records of slices that must stay provisioned at ``epoch``."""
@@ -304,39 +339,61 @@ class SliceBroker:
         reusing a token with a *different* payload raises
         :class:`DuplicateSliceError`.
         """
+        core_request, fingerprint = self._prepare(request, client_token)
+        with self._lock, self._state_mutex:
+            return self._submit_prepared(core_request, fingerprint, client_token)
+
+    @staticmethod
+    def _prepare(
+        request: SliceRequestV1 | SliceRequest | Mapping[str, Any],
+        client_token: str | None,
+    ) -> tuple[SliceRequest, str | None]:
+        """Coerce and (for tokened submits) fingerprint one request.
+
+        Pure computation: a single ``submit`` runs it outside both locks.
+        """
         core_request = _coerce_request(request)
+        if client_token is None:
+            return core_request, None
+        # Fingerprinting converts through the V1 DTO, whose stricter domain
+        # checks can reject an in-process SliceRequest -- keep that a
+        # structured error, not a bare ValueError.
+        try:
+            return core_request, _request_fingerprint(core_request)
+        except (TypeError, ValueError) as error:
+            raise ValidationError(
+                f"invalid slice request: {error}",
+                details={"slice_name": core_request.name},
+            ) from error
+
+    def _submit_prepared(
+        self,
+        core_request: SliceRequest,
+        fingerprint: str | None,
+        client_token: str | None,
+    ) -> AdmissionTicket:
+        """Replay check, enqueue and cache store; the caller holds both locks.
+
+        The three are one atomic step: two concurrent submits racing on the
+        same token must resolve into exactly one enqueued ticket, with the
+        loser replaying it.
+        """
         if client_token is not None:
-            # Fingerprinting converts through the V1 DTO, whose stricter
-            # domain checks can reject an in-process SliceRequest -- keep
-            # that a structured error, not a bare ValueError.  Pure
-            # computation: deliberately outside the admission lock.
-            try:
-                fingerprint = _request_fingerprint(core_request)
-            except (TypeError, ValueError) as error:
-                raise ValidationError(
-                    f"invalid slice request: {error}",
-                    details={"slice_name": core_request.name},
-                ) from error
-        # The replay check, the enqueue and the cache store are one atomic
-        # step: two concurrent submits racing on the same token must resolve
-        # into exactly one enqueued ticket, with the loser replaying it.
-        with self._lock:
-            if client_token is not None:
-                replay = self._tickets_by_token.get(client_token)
-                if replay is not None:
-                    stored_fingerprint, ticket = replay
-                    if stored_fingerprint != fingerprint:
-                        raise DuplicateSliceError(
-                            f"client token {client_token!r} was already used for a "
-                            "different request payload",
-                            details={"client_token": client_token},
-                        )
-                    return ticket
-            ticket = self._enqueue(core_request, client_token)
-            if client_token is not None:
-                self._tickets_by_token[client_token] = (fingerprint, ticket)
-                self._evict_replay_cache()
-            return ticket
+            replay = self._tickets_by_token.get(client_token)
+            if replay is not None:
+                stored_fingerprint, ticket = replay
+                if stored_fingerprint != fingerprint:
+                    raise DuplicateSliceError(
+                        f"client token {client_token!r} was already used for a "
+                        "different request payload",
+                        details={"client_token": client_token},
+                    )
+                return ticket
+        ticket = self._enqueue(core_request, client_token)
+        if client_token is not None:
+            self._tickets_by_token[client_token] = (fingerprint, ticket)
+            self._evict_replay_cache()
+        return ticket
 
     def _evict_replay_cache(self) -> None:
         """Bound the token-replay cache without breaking live retries.
@@ -396,32 +453,37 @@ class SliceBroker:
         enqueued: list[tuple[str, str | None]] = []
         withdrawn_markers: dict[str, tuple[int, int]] = {}
         completed = False
-        self._lock.acquire()
-        try:
-            for request, token in zip(requests, tokens):
-                # Snapshot only this request's released-withdrawal marker
-                # (popped by _enqueue) so a rollback can restore it; copying
-                # the whole cache per batch would be O(cache_limit).
-                name_hint = _request_name_hint(request)
-                if name_hint is not None and name_hint in self._withdrawn:
-                    withdrawn_markers.setdefault(name_hint, self._withdrawn[name_hint])
-                was_replay = token is not None and token in self._tickets_by_token
-                ticket = self.submit(request, client_token=token)
-                if not was_replay:
-                    enqueued.append((ticket.slice_name, token))
-                tickets.append(ticket)
-            completed = True
-        finally:
-            # Atomicity lives in a success-flag ``finally``, not an except
-            # clause: nothing is caught (structured broker errors and
-            # unexpected bugs alike propagate unchanged, per the error
-            # taxonomy), yet the queue is restored on *every* abnormal exit,
-            # including BaseExceptions a bare ``except Exception`` would
-            # have missed.
-            # Every entry in `enqueued` was a fresh (non-replay) submission,
-            # so any token it carries was inserted by this batch and is
-            # popped outright -- no pre-batch token snapshot needed.
+        # The state mutex is held across the whole batch: a concurrent
+        # status read sees all of it or none of it, never a request that a
+        # later entry's failure is about to withdraw again.
+        with self._lock, self._state_mutex:
             try:
+                for request, token in zip(requests, tokens):
+                    # Snapshot only this request's released-withdrawal marker
+                    # (popped by _enqueue) so a rollback can restore it;
+                    # copying the whole cache per batch would be
+                    # O(cache_limit).
+                    name_hint = _request_name_hint(request)
+                    if name_hint is not None and name_hint in self._withdrawn:
+                        withdrawn_markers.setdefault(name_hint, self._withdrawn[name_hint])
+                    was_replay = token is not None and token in self._tickets_by_token
+                    core_request, fingerprint = self._prepare(request, token)
+                    ticket = self._submit_prepared(core_request, fingerprint, token)
+                    if not was_replay:
+                        enqueued.append((ticket.slice_name, token))
+                    tickets.append(ticket)
+                completed = True
+            finally:
+                # Atomicity lives in a success-flag ``finally``, not an
+                # except clause: nothing is caught (structured broker errors
+                # and unexpected bugs alike propagate unchanged, per the
+                # error taxonomy), yet the queue is restored on *every*
+                # abnormal exit, including BaseExceptions a bare ``except
+                # Exception`` would have missed.
+                # Every entry in `enqueued` was a fresh (non-replay)
+                # submission, so any token it carries was inserted by this
+                # batch and is popped outright -- no pre-batch token snapshot
+                # needed.
                 if not completed:
                     for name, token in reversed(enqueued):
                         self._orchestrator.slice_manager.withdraw(name)
@@ -434,8 +496,6 @@ class SliceBroker:
                             # answering "released" exactly as before the
                             # batch.
                             self._withdrawn[name] = withdrawn_markers[name]
-            finally:
-                self._lock.release()
         return tickets
 
     def _enqueue(self, request: SliceRequest, client_token: str | None) -> AdmissionTicket:
@@ -629,47 +689,61 @@ class SliceBroker:
         the registry committed some transitions (expiries run before the
         solve), those transitions are derived and published by the next
         successful epoch -- stamped with the epoch that published them.
+
+        Status reads from other threads are not held up: from the
+        orchestrator's checkpoint until the commit point below they are
+        answered from that checkpoint, i.e. ordered before this epoch.
         """
         registry = self._orchestrator.registry
         # Diff against the baseline of the last *published* events, not a
         # fresh snapshot: if a previous advance_epoch failed after committing
         # transitions (expiries run before the solve), those are derived now.
         before = self._event_baseline
+        events: list[LifecycleEvent] = []
         try:
-            decision = self._orchestrator.run_epoch(epoch)
-        except SliceStateError as error:
-            self.health.note_failed_epoch()
-            raise LifecycleError(str(error)) from error
-        except (ValueError, RuntimeError) as error:
-            # advance_epoch carries no tenant payload, so an internal
-            # ValueError is a control-plane fault, not a client validation
-            # failure -- both map to the solver-side error code.  run_epoch
-            # already rolled the control plane back to its pre-epoch state
-            # (crash-consistent epochs); only the health machine remembers
-            # that the epoch failed.
-            self.health.note_failed_epoch()
-            raise SolverError(str(error)) from error
-        self._last_decision = decision
-        # Collected submissions left the intake queue; stop tracking their
-        # queued-withdrawal tokens (the replay cache itself stays intact).
-        still_pending = {
-            request.name
-            for request in self._orchestrator.slice_manager.pending_requests
-        }
-        self._token_by_queued_name = {
-            name: token
-            for name, token in self._token_by_queued_name.items()
-            if name in still_pending
-        }
-        events = self._derive_events(epoch, before, decision)
-        # Advance the baseline *before* fan-out: delivery is at-most-once per
-        # transition, so a subscriber raising mid-publish (exceptions
-        # propagate by contract) cannot make the next epoch re-publish the
-        # same transitions under a later epoch stamp.
-        self._event_baseline = {
-            record.name: (record.state, registry.renewal_count(record.name))
-            for record in registry.all_records()
-        }
+            try:
+                decision = self._orchestrator.run_epoch(
+                    epoch, on_checkpoint=self._publish_epoch_view
+                )
+            except SliceStateError as error:
+                self.health.note_failed_epoch()
+                raise LifecycleError(str(error)) from error
+            except (ValueError, RuntimeError) as error:
+                # advance_epoch carries no tenant payload, so an internal
+                # ValueError is a control-plane fault, not a client
+                # validation failure -- both map to the solver-side error
+                # code.  run_epoch already rolled the control plane back to
+                # its pre-epoch state (crash-consistent epochs); only the
+                # health machine remembers that the epoch failed.
+                self.health.note_failed_epoch()
+                raise SolverError(str(error)) from error
+            self._last_decision = decision
+            # Collected submissions left the intake queue; stop tracking
+            # their queued-withdrawal tokens (the replay cache itself stays
+            # intact).
+            still_pending = {
+                request.name
+                for request in self._orchestrator.slice_manager.pending_requests
+            }
+            self._token_by_queued_name = {
+                name: token
+                for name, token in self._token_by_queued_name.items()
+                if name in still_pending
+            }
+            events = self._derive_events(epoch, before, decision)
+            # Advance the baseline *before* fan-out: delivery is at-most-once
+            # per transition, so a subscriber raising mid-publish (exceptions
+            # propagate by contract) cannot make the next epoch re-publish
+            # the same transitions under a later epoch stamp.
+            self._event_baseline = {
+                record.name: (record.state, registry.renewal_count(record.name))
+                for record in registry.all_records()
+            }
+        finally:
+            # Commit point (or rollback: the live tables then equal the
+            # checkpoint again, so either source gives the same answer).
+            # Readers switch to the live tables before any subscriber runs.
+            self._withdraw_epoch_view(events)
         # Registry + controllers are consistent here; only now fan out.
         self.events.publish(events)
         stats = decision.stats
@@ -745,6 +819,43 @@ class SliceBroker:
             rehomed=rehomed,
         )
 
+    def _publish_epoch_view(self, checkpoint: EpochCheckpoint) -> None:
+        """Serve other threads' status reads from ``checkpoint`` from now on.
+
+        Runs on the epoch's thread between the checkpoint and the epoch's
+        first mutation; waits only for a reader or writer that is inside
+        its (short) critical section right now.
+        """
+        with self._state_mutex:
+            self._epoch_thread = threading.get_ident()
+            self._epoch_view = checkpoint
+
+    def _withdraw_epoch_view(self, events: Sequence[LifecycleEvent]) -> None:
+        """Point status reads back at the live tables.
+
+        The released markers of renewed names described the archived life
+        (the fresh record owns the name now); they are dropped in the same
+        critical section, so no read ever pairs a checkpoint record with a
+        post-epoch marker table or the reverse.
+        """
+        with self._state_mutex:
+            self._epoch_view = None
+            self._epoch_thread = None
+            for event in events:
+                if event.kind is LifecycleEventKind.RENEWED:
+                    self._released.pop(event.slice_name, None)
+
+    def _read_source(self) -> _StateSource:
+        """Where a status read looks right now; the caller holds the mutex.
+
+        The running epoch's checkpoint for every thread but the epoch's own
+        (a fault hook reading mid-epoch sees the tables it is mutating).
+        """
+        view = self._epoch_view
+        if view is not None and self._epoch_thread != threading.get_ident():
+            return view
+        return self._orchestrator
+
     def _derive_events(
         self,
         epoch: int,
@@ -778,9 +889,6 @@ class SliceBroker:
             prev_state, prev_renewals = before.get(name, (None, 0))
             renewals = registry.renewal_count(name)
             if renewals > prev_renewals:
-                # The released marker described the archived life; the fresh
-                # record owns the name now.
-                self._released.pop(name, None)
                 old = registry.archived_records(name)[-1]
                 if prev_state is SliceState.ADMITTED and old.state is SliceState.EXPIRED:
                     expired.append(
@@ -849,7 +957,6 @@ class SliceBroker:
     # ------------------------------------------------------------------ #
     # Status and release
     # ------------------------------------------------------------------ #
-    @_synchronized
     def status(self, slice_name: str) -> SliceStatus:
         """Lifecycle status of one slice (queued, registered or archived).
 
@@ -857,9 +964,17 @@ class SliceBroker:
         over a queued submission under the same name: with a pre-booked
         renewal queued for a still-admitted slice, the status describes the
         live slice, not the renewal waiting at intake.
+
+        Never waits for a decision epoch: a read that overlaps one is
+        answered from the epoch's checkpoint (the pre-epoch state).
         """
-        manager = self._orchestrator.slice_manager
-        registry = self._orchestrator.registry
+        with self._state_mutex:
+            return self._status_from(self._read_source(), slice_name)
+
+    def _status_from(self, source: _StateSource, slice_name: str) -> SliceStatus:
+        """Status of one slice as ``source`` has it; the caller holds the mutex."""
+        manager = source.slice_manager
+        registry = source.registry
         queued = manager.pending_request(slice_name)
         record = registry.record(slice_name) if slice_name in registry else None
         if queued is not None and (record is None or record.state in TERMINAL_STATES):
@@ -905,10 +1020,14 @@ class SliceBroker:
             renewal_count=renewals,
         )
 
-    @_synchronized
-    def list_slices(
-        self, offset: int = 0, limit: int | None = None
-    ) -> list[SliceStatus]:
+    def _names_in(self, source: _StateSource) -> set[str]:
+        """Every name ``source`` can report a status for; caller holds the mutex."""
+        names = {request.name for request in source.slice_manager.pending_requests}
+        names.update(record.name for record in source.registry.all_records())
+        names.update(self._withdrawn)
+        return names
+
+    def list_slices(self, offset: int = 0, limit: int | None = None) -> SlicePage:
         """Status of the broker's slices, sorted by name, paged.
 
         Ordering is stable (lexicographic by slice name), so
@@ -916,6 +1035,9 @@ class SliceBroker:
         across calls; status DTOs are only built for the requested page --
         a sweep over a 100k-slice registry never materialises one giant
         list per call.  ``limit=None`` returns everything from ``offset``.
+        The returned page is a list that also carries ``total`` (what
+        :meth:`slice_count` would say) taken from the same name set in the
+        same critical section, so the two can never disagree.
         """
         if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
             raise ValidationError(
@@ -927,22 +1049,20 @@ class SliceBroker:
             raise ValidationError(
                 f"limit must be a non-negative integer or None, got {limit!r}"
             )
-        manager = self._orchestrator.slice_manager
-        names = {request.name for request in manager.pending_requests}
-        names.update(record.name for record in self._orchestrator.registry.all_records())
-        names.update(self._withdrawn)
         stop = None if limit is None else offset + limit
-        page = sorted(names)[offset:stop]
-        return [self.status(name) for name in page]
+        with self._state_mutex:
+            source = self._read_source()
+            names = self._names_in(source)
+            return SlicePage(
+                [self._status_from(source, name) for name in sorted(names)[offset:stop]],
+                total=len(names),
+                offset=offset,
+            )
 
-    @_synchronized
     def slice_count(self) -> int:
         """Total slices :meth:`list_slices` would page over."""
-        manager = self._orchestrator.slice_manager
-        names = {request.name for request in manager.pending_requests}
-        names.update(record.name for record in self._orchestrator.registry.all_records())
-        names.update(self._withdrawn)
-        return len(names)
+        with self._state_mutex:
+            return len(self._names_in(self._read_source()))
 
     @_synchronized
     def release(self, slice_name: str, *, epoch: int) -> SliceStatus:
@@ -959,6 +1079,26 @@ class SliceBroker:
         Releasing a slice that is neither queued nor admitted raises
         :class:`LifecycleError`.
         """
+        # The tables change under the state mutex; the event goes out after
+        # it is dropped, so a subscriber may read the broker from its
+        # callback (and already sees the released state).
+        with self._state_mutex:
+            status, metadata = self._release_locked(slice_name)
+        self.events.publish(
+            [
+                LifecycleEvent(
+                    kind=LifecycleEventKind.RELEASED,
+                    slice_name=slice_name,
+                    epoch=epoch,
+                    metadata=metadata,
+                )
+            ]
+        )
+        return status
+
+    def _release_locked(self, slice_name: str) -> tuple[SliceStatus, dict[str, Any]]:
+        """The table mutation of :meth:`release`: the released life's status
+        and the RELEASED event's metadata.  The caller holds both locks."""
         manager = self._orchestrator.slice_manager
         registry = self._orchestrator.registry
         live_admitted = (
@@ -981,22 +1121,13 @@ class SliceBroker:
                     request.duration_epochs,
                 )
                 _evict_oldest(self._withdrawn, self._cache_limit)
-            self.events.publish(
-                [
-                    LifecycleEvent(
-                        kind=LifecycleEventKind.RELEASED,
-                        slice_name=slice_name,
-                        epoch=epoch,
-                        metadata={"stage": "queued"},
-                    )
-                ]
-            )
-            return SliceStatus(
+            status = SliceStatus(
                 name=slice_name,
                 state="released",
                 arrival_epoch=request.arrival_epoch,
                 duration_epochs=request.duration_epochs,
             )
+            return status, {"stage": "queued"}
         if slice_name not in registry:
             raise LifecycleError(
                 f"unknown slice {slice_name!r}: never submitted to this broker",
@@ -1006,32 +1137,16 @@ class SliceBroker:
             record = registry.release(slice_name)
         except SliceStateError as error:
             raise LifecycleError(str(error), details={"slice_name": slice_name}) from error
-        self._released[slice_name] = registry.renewal_count(slice_name)
+        renewals = registry.renewal_count(slice_name)
+        self._released[slice_name] = renewals
         _evict_oldest(self._released, self._cache_limit)
-        # The RELEASED event below is the authoritative announcement of this
+        # The RELEASED event is the authoritative announcement of this
         # transition; fold it into the baseline so the next epoch's diff does
         # not re-derive it as a spurious EXPIRED event.
-        self._event_baseline[slice_name] = (
-            record.state,
-            registry.renewal_count(slice_name),
-        )
-        self.events.publish(
-            [
-                LifecycleEvent(
-                    kind=LifecycleEventKind.RELEASED,
-                    slice_name=slice_name,
-                    epoch=epoch,
-                    metadata={
-                        "stage": "admitted",
-                        "admitted_epoch": record.admitted_epoch,
-                        "compute_unit": record.compute_unit,
-                    },
-                )
-            ]
-        )
+        self._event_baseline[slice_name] = (record.state, renewals)
         # Describe the life that was just released (status() may already
         # prefer a queued renewal waiting under the same name).
-        return SliceStatus(
+        status = SliceStatus(
             name=slice_name,
             state="released",
             arrival_epoch=record.request.arrival_epoch,
@@ -1040,5 +1155,11 @@ class SliceBroker:
             expires_at=record.expires_at(),
             compute_unit=record.compute_unit,
             reservations_mbps=dict(record.last_reservations_mbps),
-            renewal_count=registry.renewal_count(slice_name),
+            renewal_count=renewals,
         )
+        metadata = {
+            "stage": "admitted",
+            "admitted_epoch": record.admitted_epoch,
+            "compute_unit": record.compute_unit,
+        }
+        return status, metadata

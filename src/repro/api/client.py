@@ -37,6 +37,7 @@ from repro.api.dtos import (
     EpochReport,
     QuoteResponse,
     SliceRequestV1,
+    SlicePage,
     SliceStatus,
 )
 from repro.api.errors import BrokerError, ValidationError, error_from_dict
@@ -73,22 +74,6 @@ class EventPage:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-class SlicePage(list):
-    """One page of :class:`SliceStatus` DTOs plus its paging frame.
-
-    The page *is* the list (name-sorted, stable across pages), so existing
-    ``for status in client.list_slices()`` call sites keep working;
-    ``total`` is the registry-wide slice count at serve time and ``offset``
-    echoes the page start, so a pager knows when it has drained the
-    registry (``offset + len(page) >= total``).
-    """
-
-    def __init__(self, slices: Iterable[SliceStatus], total: int, offset: int):
-        super().__init__(slices)
-        self.total = total
-        self.offset = offset
 
 
 def _request_payload(

@@ -19,7 +19,7 @@ existing clients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.api.errors import ValidationError
 from repro.api.events import LifecycleEvent
@@ -31,6 +31,7 @@ __all__ = [
     "SliceRequestV1",
     "AdmissionTicket",
     "SliceStatus",
+    "SlicePage",
     "QuoteResponse",
     "EpochReport",
 ]
@@ -316,6 +317,24 @@ class SliceStatus:
 # --------------------------------------------------------------------- #
 # Quotes
 # --------------------------------------------------------------------- #
+
+class SlicePage(list):
+    """One page of :class:`SliceStatus` DTOs plus its paging frame.
+
+    The page *is* the list (name-sorted, stable across pages), so
+    ``for status in broker.list_slices()`` call sites keep working, in
+    process and over the wire alike; ``total`` is the broker-wide slice
+    count taken from the same state as the page and ``offset`` echoes the
+    page start, so a pager knows when it has drained the listing
+    (``offset + len(page) >= total``).
+    """
+
+    def __init__(self, slices: Iterable[SliceStatus], total: int, offset: int):
+        super().__init__(slices)
+        self.total = total
+        self.offset = offset
+
+
 @dataclass(frozen=True)
 class QuoteResponse:
     """Non-binding admission quote: what the broker would plan for a request.

@@ -111,7 +111,13 @@ class EventLog:
             return self._total - (len(self._events) - self._start)
 
     def page(self, since: int, limit: int | None = None) -> tuple[list[dict[str, Any]], int]:
-        """Events with seq > ``since`` (at most ``limit``), plus the next cursor."""
+        """Events with seq > ``since`` (at most ``limit``), plus the next cursor.
+
+        Only the window is copied under the log lock; the payloads are
+        encoded after it is dropped, so a large page never stalls
+        :meth:`_append` -- which runs inside an epoch's event fan-out, under
+        the broker's admission lock.
+        """
         with self._lock:
             since = max(0, since)
             dropped = self._total - (len(self._events) - self._start)
@@ -130,14 +136,12 @@ class EventLog:
                 self._total if limit is None else min(self._total, since + limit)
             )
             first = self._start + (since - dropped)
-            page = [
-                {"seq": seq, "event": event.to_dict()}
-                for seq, event in enumerate(
-                    self._events[first : first + (stop_seq - since)],
-                    start=since + 1,
-                )
-            ]
-            return page, stop_seq
+            window = self._events[first : first + (stop_seq - since)]
+        page = [
+            {"seq": seq, "event": event.to_dict()}
+            for seq, event in enumerate(window, start=since + 1)
+        ]
+        return page, stop_seq
 
 
 class _BrokerRequestHandler(BaseHTTPRequestHandler):
@@ -457,8 +461,8 @@ class BrokerServer:
         page = self.broker.list_slices(offset=offset, limit=limit)
         return {
             "slices": [status.to_dict() for status in page],
-            "total": self.broker.slice_count(),
-            "offset": offset,
+            "total": page.total,
+            "offset": page.offset,
         }
 
     def _health_payload(self) -> dict[str, Any]:
@@ -466,4 +470,5 @@ class BrokerServer:
             "health": self.broker.health.state.value,
             "pending_requests": self.broker.pending_count,
             "events_published": len(self.event_log),
+            "epoch_in_flight": self.broker.epoch_in_flight,
         }

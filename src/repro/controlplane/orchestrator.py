@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -133,6 +133,30 @@ class ForecastingBlock:
             except Exception:
                 continue
         return ForecastInput.pessimistic(request.sla_mbps)
+
+
+@dataclass(frozen=True)
+class EpochCheckpoint:
+    """Pre-epoch copy of every mutable control-plane structure.
+
+    Taken once on entry of :meth:`E2EOrchestrator.run_epoch` and restored
+    byte-for-byte if the epoch raises.  Never mutated after it is taken
+    (``restore`` re-copies), which is what lets the broker answer
+    concurrent status reads from it while the epoch is still running:
+    :attr:`registry` and :attr:`slice_manager` carry the orchestrator's
+    attribute names and types, so code that reads them off the live
+    orchestrator reads them off the checkpoint unchanged.
+    """
+
+    registry: SliceRegistry
+    slice_manager: SliceManager
+    controllers: dict
+    solver: Any
+    last_solve: tuple[tuple, OrchestrationDecision] | None
+    last_problem: ACRRProblem | None
+    last_decision: OrchestrationDecision | None
+    cache: Any
+    rehomed: tuple[str, ...]
 
 
 class E2EOrchestrator:
@@ -266,7 +290,12 @@ class E2EOrchestrator:
             self.topology.link(*key)  # raises KeyError for unknown links
         self._scheduled_link_failures.append((keys, float(capacity_factor)))
 
-    def run_epoch(self, epoch: int) -> OrchestrationDecision:
+    def run_epoch(
+        self,
+        epoch: int,
+        *,
+        on_checkpoint: Callable[[EpochCheckpoint], None] | None = None,
+    ) -> OrchestrationDecision:
         """Run the AC-RR cycle for one decision epoch and enforce the result.
 
         Crash-consistent: every mutable control-plane structure (registry,
@@ -278,10 +307,18 @@ class E2EOrchestrator:
         happen.  Topology damage applied by a link failure is *not* rolled
         back: the network really is degraded, and the retry epoch re-detects
         and re-homes the displaced slices.
+
+        ``on_checkpoint`` receives the checkpoint after it is taken and
+        before the first mutation of the epoch, so a caller serving reads
+        concurrently (the broker) can switch them over to the pre-epoch
+        copy in time; the checkpoint stays valid -- and equal to the live
+        state again after a rollback -- for as long as the caller keeps it.
         """
         if self.fault_injector is not None:
             self.fault_injector.begin_epoch(epoch)
         checkpoint = self._checkpoint()
+        if on_checkpoint is not None:
+            on_checkpoint(checkpoint)
         try:
             return self._run_epoch_inner(epoch)
         except BaseException:
@@ -372,32 +409,32 @@ class E2EOrchestrator:
     # ------------------------------------------------------------------ #
     # Crash consistency and link-failure handling
     # ------------------------------------------------------------------ #
-    def _checkpoint(self) -> dict:
+    def _checkpoint(self) -> EpochCheckpoint:
         snapshot_state = getattr(self.solver, "snapshot_state", None)
-        return {
-            "registry": self.registry.snapshot(),
-            "manager": self.slice_manager.snapshot(),
-            "controllers": self.controllers.snapshot(),
-            "solver": snapshot_state() if snapshot_state is not None else None,
-            "last_solve": self._last_solve,
-            "last_problem": self.last_problem,
-            "last_decision": self.last_decision,
-            "cache": self.problem_cache.snapshot(),
-            "rehomed": self.last_rehomed,
-        }
+        return EpochCheckpoint(
+            registry=self.registry.snapshot(),
+            slice_manager=self.slice_manager.snapshot(),
+            controllers=self.controllers.snapshot(),
+            solver=snapshot_state() if snapshot_state is not None else None,
+            last_solve=self._last_solve,
+            last_problem=self.last_problem,
+            last_decision=self.last_decision,
+            cache=self.problem_cache.snapshot(),
+            rehomed=self.last_rehomed,
+        )
 
-    def _restore_checkpoint(self, checkpoint: dict) -> None:
-        self.registry.restore(checkpoint["registry"])
-        self.slice_manager.restore(checkpoint["manager"])
-        self.controllers.restore(checkpoint["controllers"])
+    def _restore_checkpoint(self, checkpoint: EpochCheckpoint) -> None:
+        self.registry.restore(checkpoint.registry)
+        self.slice_manager.restore(checkpoint.slice_manager)
+        self.controllers.restore(checkpoint.controllers)
         restore_state = getattr(self.solver, "restore_state", None)
         if restore_state is not None:
-            restore_state(checkpoint["solver"])
-        self._last_solve = checkpoint["last_solve"]
-        self.last_problem = checkpoint["last_problem"]
-        self.last_decision = checkpoint["last_decision"]
-        self.problem_cache.restore(checkpoint["cache"])
-        self.last_rehomed = checkpoint["rehomed"]
+            restore_state(checkpoint.solver)
+        self._last_solve = checkpoint.last_solve
+        self.last_problem = checkpoint.last_problem
+        self.last_decision = checkpoint.last_decision
+        self.problem_cache.restore(checkpoint.cache)
+        self.last_rehomed = checkpoint.rehomed
 
     def _apply_link_failures(self, epoch: int) -> None:
         """Damage the topology per the injector and the scheduled failures."""

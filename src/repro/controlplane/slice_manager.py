@@ -10,7 +10,7 @@ concrete artefact to consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.slices import SliceRequest
 
@@ -135,17 +135,18 @@ class SliceManager:
         except KeyError:
             raise KeyError(f"no queued request named {name!r}") from None
 
-    def snapshot(self) -> dict[str, SliceRequest]:
+    def snapshot(self) -> "SliceManager":
         """Capture the intake queue for epoch-level rollback.
 
-        Requests are immutable, so a shallow copy of the (insertion-ordered)
-        queue dict is a complete snapshot.
+        The checkpoint is itself a :class:`SliceManager` (queryable like
+        the live one; never mutated).  Requests are immutable, so a shallow
+        copy of the (insertion-ordered) queue dict is a complete snapshot.
         """
-        return dict(self._pending)
+        return replace(self, _pending=dict(self._pending))
 
-    def restore(self, snapshot: dict[str, SliceRequest]) -> None:
+    def restore(self, snapshot: "SliceManager") -> None:
         """Reset the queue to a :meth:`snapshot` taken earlier."""
-        self._pending = dict(snapshot)
+        self._pending = dict(snapshot._pending)
 
     def collect_for_epoch(self, epoch: int) -> list[SliceRequest]:
         """Release the requests that the orchestrator should consider at ``epoch``.

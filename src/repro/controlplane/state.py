@@ -202,32 +202,36 @@ class SliceRegistry:
     # ------------------------------------------------------------------ #
     # Crash-consistent epochs (snapshot / restore)
     # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
+    def snapshot(self) -> "SliceRegistry":
         """Capture the registry state for epoch-level rollback.
 
-        Live records are mutated in place by the lifecycle transitions, so
-        each one is copied; archived records are immutable once archived, so
+        The checkpoint is itself a :class:`SliceRegistry`, so everything
+        that can query the live registry can query the checkpoint (the
+        broker serves status reads from it while the epoch runs).  Live
+        records are mutated in place by the lifecycle transitions, so each
+        one is copied; archived records are immutable once archived, so
         only the per-name lists are copied.  The snapshot is independent of
-        any later mutation -- :meth:`restore` brings the registry back to a
-        byte-identical pre-epoch state.
+        any later mutation and is never mutated itself -- :meth:`restore`
+        brings the registry back to a byte-identical pre-epoch state.
         """
-        return {
-            "records": {name: record.copy() for name, record in self._records.items()},
-            "archive": {name: list(records) for name, records in self._archive.items()},
-        }
+        frozen = SliceRegistry()
+        frozen._records = {name: record.copy() for name, record in self._records.items()}
+        frozen._archive = {name: list(records) for name, records in self._archive.items()}
+        return frozen
 
-    def restore(self, snapshot: dict) -> None:
+    def restore(self, snapshot: "SliceRegistry") -> None:
         """Reset the registry to a :meth:`snapshot` taken earlier.
 
         The registry object itself is preserved (callers hold references to
         it); only its internal tables are swapped.  Records are re-copied so
-        the same snapshot can be restored more than once.
+        the same snapshot can be restored more than once (and stays a valid
+        read view while the restored registry moves on).
         """
         self._records = {
-            name: record.copy() for name, record in snapshot["records"].items()
+            name: record.copy() for name, record in snapshot._records.items()
         }
         self._archive = {
-            name: list(records) for name, records in snapshot["archive"].items()
+            name: list(records) for name, records in snapshot._archive.items()
         }
 
     def counts_by_state(self) -> dict[SliceState, int]:

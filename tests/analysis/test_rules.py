@@ -42,6 +42,28 @@ class SliceBroker:
     def quote(self, request):
         with self._lock:
             return request
+
+    @_synchronized
+    def admitted_names(self):
+        return []
+'''
+
+RA01_SNAPSHOT_READ_LOCKS = '''
+class SliceBroker:
+    def status(self, name):
+        with self._state_mutex:
+            if self._epoch_view is not None:
+                return self._epoch_view[name]
+        with self._lock:
+            return self._records[name]
+
+    @_synchronized
+    def slice_count(self):
+        return len(self._records)
+
+    def list_slices(self):
+        with self._state_mutex:
+            return sorted(self._records)
 '''
 
 RA01_CLEAN = '''
@@ -81,6 +103,10 @@ class SliceBroker:
     def quote(self, request):
         return request
 
+    def status(self, name):
+        with self._state_mutex:
+            return self._records[name]
+
     def _helper(self):
         self._internal = 1
 '''
@@ -94,8 +120,23 @@ class TestRA01:
 
     def test_pure_read_taking_the_lock_fires(self):
         found = findings_for(LockDisciplineChecker(), {BROKER_PATH: RA01_PURE_READ_LOCKS})
-        assert [f.symbol for f in found] == ["SliceBroker.quote"]
-        assert "pure read" in found[0].message
+        assert [f.symbol for f in found] == [
+            "SliceBroker.quote",
+            "SliceBroker.admitted_names",
+        ]
+        assert all("pure read" in f.message for f in found)
+
+    def test_snapshot_read_sneaking_the_admission_lock_back_in_fires(self):
+        """"Check the view, else take the lock" parks the reader behind a
+        whole solve when an epoch starts in between; so does the decorator."""
+        found = findings_for(
+            LockDisciplineChecker(), {BROKER_PATH: RA01_SNAPSHOT_READ_LOCKS}
+        )
+        assert [f.symbol for f in found] == [
+            "SliceBroker.status",
+            "SliceBroker.slice_count",
+        ]
+        assert all("snapshot read" in f.message for f in found)
 
     def test_clean_broker_passes(self):
         assert findings_for(LockDisciplineChecker(), {BROKER_PATH: RA01_CLEAN}) == []

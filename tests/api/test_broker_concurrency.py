@@ -4,6 +4,7 @@ validation, and the incremental replay-cache eviction."""
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ from repro.api import (
     CapacityError,
     SliceBroker,
     SliceRequestV1,
+    SolverError,
     ValidationError,
 )
 from repro.api.broker import _evict_oldest
@@ -297,3 +299,609 @@ class TestMixedTraffic:
         assert errors == []
         released = sum(1 for index in range(48) if index % 3 == 0)
         assert broker.pending_count == 48 - released
+
+    def test_stress_reads_stay_whole_while_writers_and_epochs_run(self):
+        """More threads than cores and a 10 us switch interval: writers
+        submit, an epoch thread decides, readers read throughout.  Mid-epoch
+        a collected request is for a moment in neither the queue nor the
+        registry, so a read torn across the live tables would report a
+        submitted name as unknown, or a total that is not the page's."""
+        broker = make_broker()
+        known: list[str] = []
+        errors: list[BaseException] = []
+        writing = threading.Event()
+        epochs = 8
+
+        def guarded(work):
+            def run(*args):
+                try:
+                    work(*args)
+                except BaseException as error:  # noqa: BLE001 -- asserted below
+                    errors.append(error)
+
+            return run
+
+        def writer(index):
+            for count in range(12):
+                name = f"w{index}-{count}"
+                broker.submit(request(name, arrival=count % epochs, duration=1))
+                known.append(name)
+
+        def decider():
+            for epoch in range(epochs):
+                broker.advance_epoch(epoch)
+
+        def reader():
+            while writing.is_set():
+                names = list(known)
+                for name in names:
+                    broker.status(name)
+                page = broker.list_slices()
+                assert page.total == len(page) >= len(names)
+                assert broker.slice_count() >= page.total
+
+        writers = [
+            threading.Thread(target=guarded(writer), args=(index,)) for index in range(3)
+        ]
+        writers.append(threading.Thread(target=guarded(decider)))
+        readers = [threading.Thread(target=guarded(reader)) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writing.set()
+            for thread in writers + readers:
+                thread.start()
+            for thread in writers:
+                thread.join(GUARD_S)
+            writing.clear()
+            for thread in readers:
+                thread.join(GUARD_S)
+        finally:
+            writing.clear()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers + readers)
+        assert errors == []
+        assert broker.slice_count() == 36
+
+
+# --------------------------------------------------------------------- #
+# Snapshot reads never wait for an epoch
+# --------------------------------------------------------------------- #
+#: Hang guard for every wait/join below.  Nothing is asserted about time:
+#: a run either reaches the awaited state or fails at the guard.
+GUARD_S = 60.0
+
+
+class GateSolver:
+    """Parks every solve on an Event until the test opens the gate.
+
+    While it is parked, the epoch's thread sits exactly where a real epoch
+    spends its time: inside the solver, holding the admission lock, with
+    HiGHS having let go of the GIL.
+    """
+
+    def __init__(self, *, fail: bool = False):
+        self._inner = DirectMILPSolver()
+        self.fail = fail
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def solve(self, problem):
+        self.entered.set()
+        assert self.gate.wait(GUARD_S), "gate never opened"
+        if self.fail:
+            raise RuntimeError("injected solver fault")
+        return self._inner.solve(problem)
+
+    def rearm(self, *, fail: bool = False) -> None:
+        self.fail = fail
+        self.entered.clear()
+        self.gate.clear()
+
+
+class EpochInFlight:
+    """``advance(epoch)`` on a thread of its own, parked inside the solver."""
+
+    def __init__(self, solver: GateSolver, advance, epoch: int, *, fail: bool = False):
+        solver.rearm(fail=fail)
+        self.solver = solver
+        self.outcome: list = []
+        self._thread = threading.Thread(target=self._run, args=(advance, epoch))
+        self._thread.start()
+
+    def _run(self, advance, epoch):
+        try:
+            self.outcome.append(advance(epoch))
+        except Exception as error:  # noqa: BLE001 -- handed to the test
+            self.outcome.append(error)
+
+    def parked(self) -> "EpochInFlight":
+        assert self.solver.entered.wait(GUARD_S), "epoch never reached the solver"
+        return self
+
+    def finish(self):
+        self.solver.gate.set()
+        self._thread.join(GUARD_S)
+        assert not self._thread.is_alive(), "epoch never returned"
+        return self.outcome[0]
+
+
+def on_thread(function, *args):
+    """Run ``function`` on another thread; fail instead of hanging if it blocks."""
+    box: list = []
+    thread = threading.Thread(target=lambda: box.append(function(*args)))
+    thread.start()
+    thread.join(GUARD_S)
+    assert not thread.is_alive(), f"{function} blocked behind the epoch"
+    return box[0]
+
+
+def states(page) -> dict[str, tuple[str, int]]:
+    return {status.name: (status.state, status.renewal_count) for status in page}
+
+
+def gated_broker(**kwargs) -> tuple[SliceBroker, GateSolver]:
+    solver = GateSolver()
+    broker = SliceBroker(topology=operators.testbed_topology(), solver=solver, **kwargs)
+    return broker, solver
+
+
+class TestReadsDuringEpoch:
+    def test_in_process_reads_return_pre_epoch_state_while_solver_is_held(self):
+        broker, solver = gated_broker()
+        broker.submit(request("s1"))
+        broker.submit(request("late", arrival=5))
+        epoch = EpochInFlight(solver, broker.advance_epoch, 0).parked()
+        assert broker.epoch_in_flight
+        # The live tables have moved on (s1 left the queue and is registered)
+        # but every read from another thread is ordered before the epoch.
+        assert on_thread(broker.status, "s1").state == "queued"
+        assert states(on_thread(broker.list_slices)) == {
+            "s1": ("queued", 0),
+            "late": ("queued", 0),
+        }
+        assert on_thread(broker.slice_count) == 2
+        assert on_thread(lambda: broker.pending_count) == 2
+        report = epoch.finish()
+        assert report.accepted == ("s1",)
+        assert not broker.epoch_in_flight
+        assert broker.status("s1").state == "admitted"
+        assert states(broker.list_slices()) == {
+            "s1": ("admitted", 0),
+            "late": ("queued", 0),
+        }
+        assert broker.pending_count == 1
+
+    def test_wire_reads_return_pre_epoch_state_while_solver_is_held(self):
+        broker, solver = gated_broker()
+        with BrokerServer(broker) as server:
+            with BrokerClient(server.host, server.port) as lead, BrokerClient(
+                server.host, server.port
+            ) as reader:
+                lead.submit(request("s1"))
+                lead.submit(request("late", arrival=5))
+                epoch = EpochInFlight(solver, lead.advance_epoch, 0).parked()
+                assert on_thread(reader.status, "s1").state == "queued"
+                page = on_thread(reader.list_slices)
+                assert states(page) == {"s1": ("queued", 0), "late": ("queued", 0)}
+                assert page.total == 2
+                health = on_thread(reader.health)
+                assert health["epoch_in_flight"] is True
+                assert health["pending_requests"] == 2
+                report = epoch.finish()
+                assert report.accepted == ("s1",)
+                assert reader.status("s1").state == "admitted"
+                health = reader.health()
+                assert health["epoch_in_flight"] is False
+                assert health["pending_requests"] == 1
+
+    @pytest.mark.parametrize("over_the_wire", [False, True])
+    def test_rolled_back_epoch_reads_pre_epoch_state_before_and_after(self, over_the_wire):
+        broker, solver = gated_broker()
+        checkpoints = []
+        publish = broker._publish_epoch_view
+
+        def recording_publish(checkpoint):
+            checkpoints.append(checkpoint)
+            publish(checkpoint)
+
+        broker._publish_epoch_view = recording_publish
+        with BrokerServer(broker) as server, BrokerClient(server.host, server.port) as client:
+            surface = client if over_the_wire else broker
+            broker.submit(request("s1", duration=1))
+            solver.gate.set()
+            broker.advance_epoch(0)
+            broker.submit(request("s2", arrival=1))
+            before = states(surface.list_slices())
+            assert before == {"s1": ("admitted", 0), "s2": ("queued", 0)}
+            epoch = EpochInFlight(solver, broker.advance_epoch, 1, fail=True).parked()
+            # Mid-epoch the live registry already expired s1 and registered
+            # s2; the reader is still served the checkpoint.
+            assert states(on_thread(surface.list_slices)) == before
+            assert on_thread(surface.status, "s1").state == "admitted"
+            error = epoch.finish()
+            assert isinstance(error, SolverError)
+            assert not broker.epoch_in_flight
+            # Rolled back: the live tables equal the checkpoint again, so the
+            # two sources of the one status function agree name for name.
+            assert states(surface.list_slices()) == before
+            for name in before:
+                assert broker._status_from(checkpoints[-1], name) == broker.status(name)
+            # ... and a clean retry commits.
+            report = EpochInFlight(solver, broker.advance_epoch, 1).parked().finish()
+            assert report.expired == ("s1",)
+            assert states(surface.list_slices()) == {
+                "s1": ("expired", 0),
+                "s2": ("admitted", 0),
+            }
+
+    def test_epoch_starting_mid_read_cannot_trap_the_reader(self):
+        """The start race: a reader that found no epoch running and is about
+        to read the live tables, an epoch that starts right then.  The epoch
+        must wait the few microseconds for that read (it cannot mutate what
+        is being read), and the reader must come back with the pre-epoch
+        state while the solve is still parked -- not queue behind it."""
+        broker, solver = gated_broker()
+        broker.submit(request("s1"))
+        reader_chose = threading.Event()
+        reader_go = threading.Event()
+        epoch_at_publish = threading.Event()
+        read_source = broker._read_source
+        publish = broker._publish_epoch_view
+        reader_ident: list[int] = []
+
+        def parked_read_source():
+            source = read_source()
+            if threading.get_ident() in reader_ident and not reader_chose.is_set():
+                reader_chose.set()
+                assert reader_go.wait(GUARD_S)
+            return source
+
+        def announced_publish(checkpoint):
+            epoch_at_publish.set()
+            publish(checkpoint)
+
+        broker._read_source = parked_read_source
+        broker._publish_epoch_view = announced_publish
+        observed: list = []
+
+        def read():
+            reader_ident.append(threading.get_ident())
+            observed.append(broker.status("s1").state)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        assert reader_chose.wait(GUARD_S)  # chose the live tables, not read yet
+        epoch = EpochInFlight(solver, broker.advance_epoch, 0)
+        # The epoch holds the admission lock and has its checkpoint; it now
+        # needs the state mutex the reader is holding.
+        assert epoch_at_publish.wait(GUARD_S)
+        assert not solver.entered.is_set()
+        reader_go.set()
+        reader.join(GUARD_S)
+        assert not reader.is_alive(), "reader trapped behind the epoch"
+        assert observed == ["queued"]
+        epoch.parked()  # only now can the epoch have reached the solver
+        assert epoch.finish().accepted == ("s1",)
+        assert broker.status("s1").state == "admitted"
+
+    def test_subscriber_inside_publish_sees_post_epoch_state(self):
+        broker, solver = gated_broker()
+        solver.gate.set()
+        seen = []
+
+        def probe(event):
+            seen.append(
+                (
+                    event.kind.value,
+                    broker.epoch_in_flight,
+                    states(broker.list_slices()),
+                    broker.slice_count(),
+                    broker.pending_count,
+                )
+            )
+
+        broker.events.subscribe(probe)
+        broker.submit(request("s1"))
+        broker.submit(request("late", arrival=5))
+        broker.advance_epoch(0)
+        assert seen == [
+            ("admitted", False, {"s1": ("admitted", 0), "late": ("queued", 0)}, 2, 1)
+        ]
+
+    def test_epochs_own_thread_reads_live_mid_epoch(self):
+        """A fault hook (here: the solver itself) runs on the epoch's thread
+        and must see the tables the epoch is mutating, not the checkpoint."""
+        broker, solver = gated_broker()
+        solver.gate.set()
+        inner_solve = solver.solve
+        mid_epoch = []
+
+        def solve(problem):
+            mid_epoch.append((broker.status("s1").state, broker.pending_count))
+            return inner_solve(problem)
+
+        solver.solve = solve
+        broker.submit(request("s1"))
+        broker.advance_epoch(0)
+        assert mid_epoch == [("requested", 0)]
+
+    def test_one_checkpoint_copy_per_epoch_serves_rollback_and_reads(self):
+        broker, solver = gated_broker()
+        solver.gate.set()
+        orchestrator = broker.orchestrator
+        registry_snapshot = orchestrator.registry.snapshot
+        manager_snapshot = orchestrator.slice_manager.snapshot
+        registry_copies = []
+        manager_copies = []
+
+        def counted_registry_snapshot():
+            registry_copies.append(registry_snapshot())
+            return registry_copies[-1]
+
+        def counted_manager_snapshot():
+            manager_copies.append(manager_snapshot())
+            return manager_copies[-1]
+
+        orchestrator.registry.snapshot = counted_registry_snapshot
+        orchestrator.slice_manager.snapshot = counted_manager_snapshot
+        broker.submit(request("s1"))
+        seen_view = []
+        inner_solve = solver.solve
+
+        def solve(problem):
+            seen_view.append(broker._epoch_view)
+            return inner_solve(problem)
+
+        solver.solve = solve
+        for epoch in range(3):
+            broker.advance_epoch(epoch)
+        assert (len(registry_copies), len(manager_copies)) == (3, 3)
+        # The published view *is* the orchestrator's checkpoint, not a copy.
+        for view, registry, manager in zip(seen_view, registry_copies, manager_copies):
+            assert view.registry is registry
+            assert view.slice_manager is manager
+
+    def test_list_total_comes_from_the_same_state_as_the_page(self):
+        """``GET /v1/slices`` used to take the page and the total in two
+        critical sections; a submit landing between them tore the two."""
+        broker, solver = gated_broker()
+        solver.gate.set()
+        for index in range(5):
+            broker.submit(request(f"s{index}", arrival=9))
+        names_in = broker._names_in
+        racers = []
+
+        def racing_names_in(source):
+            names = names_in(source)
+            if not racers:
+                # What a concurrent tenant would do right after the page's
+                # critical section: with one section there is no "after".
+                racers.append(
+                    threading.Thread(
+                        target=broker.submit, args=(request("racer", arrival=9),)
+                    )
+                )
+                racers[0].start()
+            return names
+
+        broker._names_in = racing_names_in
+        with BrokerServer(broker) as server, BrokerClient(server.host, server.port) as client:
+            page = client.list_slices(limit=2)
+            assert [status.name for status in page] == ["s0", "s1"]
+            assert page.total == 5
+            racers[0].join(GUARD_S)
+            assert not racers[0].is_alive()
+            in_process = broker.list_slices(offset=1, limit=2)
+            assert (in_process.total, in_process.offset) == (broker.slice_count(), 1) == (6, 1)
+
+
+# --------------------------------------------------------------------- #
+# History check against the sequential lifecycle model
+# --------------------------------------------------------------------- #
+class LifecycleModel:
+    """The broker's slice lifecycle as a sequential state machine.
+
+    Admission outcomes are an input (the accepted set of the real epoch's
+    report): the model pins the lifecycle, not the solver.
+    """
+
+    LEGAL = {
+        None: {"queued"},
+        "queued": {"requested", "admitted", "rejected", "released"},
+        "requested": {"admitted", "rejected"},
+        "admitted": {"expired", "released"},
+        "rejected": {"queued"},
+        "expired": {"queued"},
+        "released": {"queued"},
+    }
+
+    def __init__(self):
+        self.queue: dict[str, tuple[int, int]] = {}
+        self.records: dict[str, dict] = {}
+        self.withdrawn: set[str] = set()
+
+    def submit(self, name, arrival, duration):
+        self.queue[name] = (arrival, duration)
+        self.withdrawn.discard(name)
+
+    def release(self, name):
+        record = self.records.get(name)
+        if record is not None and record["state"] == "admitted":
+            record["state"] = "released"
+        else:
+            del self.queue[name]
+            if record is None:
+                self.withdrawn.add(name)
+
+    def advance(self, epoch, accepted):
+        for record in self.records.values():
+            if record["state"] == "admitted" and epoch >= record["until"]:
+                record["state"] = "expired"
+        for name, (arrival, duration) in list(self.queue.items()):
+            if arrival <= epoch:
+                del self.queue[name]
+                previous = self.records.get(name)
+                self.records[name] = {
+                    "state": "requested",
+                    "duration": duration,
+                    "renewals": 0 if previous is None else previous["renewals"] + 1,
+                }
+        for name, record in self.records.items():
+            if record["state"] == "requested":
+                admitted = name in accepted
+                record["state"] = "admitted" if admitted else "rejected"
+                record["until"] = epoch + record["duration"]
+
+    def view(self) -> dict[str, tuple[str, int]]:
+        view = {name: ("released", 0) for name in self.withdrawn}
+        for name, record in self.records.items():
+            view[name] = (record["state"], record["renewals"])
+        for name in self.queue:
+            record = self.records.get(name)
+            if record is None or record["state"] != "admitted":
+                view[name] = ("queued", 0 if record is None else record["renewals"])
+        return view
+
+
+class TestHistoryAgainstSequentialModel:
+    def test_every_read_is_one_model_state_and_readers_only_move_forward(self):
+        """One driver thread runs a scripted lifecycle (submits, releases,
+        gated epochs, one rolled-back epoch) and steps the model beside it;
+        reader threads -- in process and over the wire -- list the broker
+        the whole time and stamp every read with the logical window it
+        overlapped: ``lo`` = operations completed when it began, ``hi`` =
+        operations started when it ended.  Each read must equal the model
+        after exactly ``v`` operations for some ``lo <= v <= hi`` -- whole,
+        never a mix of two versions -- and the ``v`` of one reader's
+        successive reads never decreases.  While an epoch is parked, ``hi -
+        lo`` is 1: the read is the state before or after that epoch."""
+        broker, solver = gated_broker()
+        model = LifecycleModel()
+        versions = [model.view()]
+        clock = {"started": 0, "completed": 0}
+        progress = threading.Condition()
+        reads_done = [0, 0, 0]
+        stop = threading.Event()
+        histories: list[list] = [[], [], []]
+
+        def reader(index, list_slices):
+            while not stop.is_set():
+                lo = clock["completed"]
+                page = list_slices()
+                hi = clock["started"]
+                histories[index].append((lo, hi, states(page), page.total))
+                with progress:
+                    reads_done[index] += 1
+                    progress.notify_all()
+
+        def step(operation, apply_to_model):
+            clock["started"] += 1
+            result = operation()
+            apply_to_model(result)
+            versions.append(model.view())
+            clock["completed"] += 1
+            return result
+
+        def submit(name, arrival, duration):
+            # eMBB: three fit the testbed at once, so the script sees
+            # admissions and rejections side by side.
+            payload = SliceRequestV1.of(
+                name, "eMBB", duration_epochs=duration, arrival_epoch=arrival
+            )
+            step(
+                lambda: broker.submit(payload),
+                lambda _: model.submit(name, arrival, duration),
+            )
+
+        def release(name, epoch):
+            step(lambda: broker.release(name, epoch=epoch), lambda _: model.release(name))
+
+        def gated_epoch(epoch, *, fail=False):
+            def operation():
+                in_flight = EpochInFlight(solver, broker.advance_epoch, epoch, fail=fail)
+                in_flight.parked()
+                # Hold the solver until every reader has completed two more
+                # reads: at least one began and ended inside this epoch.
+                target = [count + 2 for count in reads_done]
+                with progress:
+                    assert progress.wait_for(
+                        lambda: all(d >= t for d, t in zip(reads_done, target)), GUARD_S
+                    ), "a reader stalled while the solver was held"
+                return in_flight.finish()
+
+            def apply(outcome):
+                if fail:
+                    assert isinstance(outcome, SolverError)
+                else:
+                    model.advance(epoch, set(outcome.accepted))
+
+            step(operation, apply)
+
+        with BrokerServer(broker) as server, BrokerClient(server.host, server.port) as client:
+            threads = [
+                threading.Thread(target=reader, args=(0, broker.list_slices)),
+                threading.Thread(target=reader, args=(1, broker.list_slices)),
+                threading.Thread(target=reader, args=(2, client.list_slices)),
+            ]
+            for thread in threads:
+                thread.start()
+            try:
+                for name, arrival, duration in (
+                    ("a", 0, 2), ("b", 0, 3), ("x", 0, 2), ("y", 0, 2),
+                    ("c", 1, 2), ("gone", 7, 1),
+                ):
+                    submit(name, arrival, duration)
+                gated_epoch(0)  # a, b, y admitted; x rejected
+                release("gone", 0)  # cancelled while queued
+                submit("d", 1, 1)
+                gated_epoch(1)  # c, d rejected
+                release("b", 1)  # early release of an admitted slice
+                submit("a", 2, 2)  # renewal booked for a's expiry epoch
+                gated_epoch(2, fail=True)  # rolled back
+                gated_epoch(2)  # a expires and renews; y expires
+                submit("b", 3, 1)  # renewal of the released name
+                gated_epoch(3)
+                submit("c", 4, 1)  # renewal of a rejected name
+                gated_epoch(4)  # a, b expire
+            finally:
+                stop.set()
+                solver.gate.set()
+                for thread in threads:
+                    thread.join(GUARD_S)
+            assert not any(thread.is_alive() for thread in threads)
+
+        # The model itself walks the lifecycle: per name, every change of
+        # state is a legal transition, and renewals only count up.
+        for name in versions[-1]:
+            walk = [version.get(name, (None, 0)) for version in versions]
+            for (before, renewals_before), (after, renewals_after) in zip(walk, walk[1:]):
+                assert renewals_after >= renewals_before
+                if (before, renewals_before) != (after, renewals_after):
+                    hops = LifecycleModel.LEGAL[before]
+                    # One epoch can carry queued -> requested -> admitted or
+                    # admitted -> expired -> (renewal) requested -> admitted.
+                    two_hops = {s for hop in hops for s in LifecycleModel.LEGAL[hop]}
+                    three_hops = {s for hop in two_hops for s in LifecycleModel.LEGAL[hop]}
+                    assert after in hops | two_hops | three_hops, (name, before, after)
+        seen_states = {state for version in versions for state, _ in version.values()}
+        assert seen_states == {"queued", "admitted", "rejected", "expired", "released"}
+        assert max(renewals for _, renewals in versions[-1].values()) == 1
+
+        # Every read is one whole model version inside its window, and each
+        # reader's versions are monotone.
+        inside_an_epoch = 0
+        for history in histories:
+            assert history, "a reader never ran"
+            floor = 0
+            for lo, hi, observed, total in history:
+                matching = [
+                    v
+                    for v in range(max(lo, floor), hi + 1)
+                    if versions[v] == observed
+                ]
+                assert matching, (lo, hi, observed, versions[lo : hi + 1])
+                assert total == len(observed)
+                floor = matching[0]
+                inside_an_epoch += hi - lo == 1
+        assert inside_an_epoch >= 6 * len(histories)
