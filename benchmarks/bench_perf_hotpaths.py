@@ -218,7 +218,9 @@ def test_benders_master_with_accumulated_cuts(benchmark):
     solver = BendersSolver()
     slave = SlaveProblem(problem)
     master = _MasterState(
-        problem, problem.objective_x(), slave.objective_lower_bound()
+        problem,
+        problem.objective_x(),
+        [block.theta_lower for block in slave.blocks()],
     )
     rng = np.random.default_rng(11)
     num_cuts = 60

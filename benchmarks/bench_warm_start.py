@@ -107,21 +107,6 @@ def test_cold_sweep_latency(benchmark):
     )
 
 
-def test_fast_path_resolve_latency(benchmark):
-    """Marginal cost of replaying a byte-identical instance (one slave LP)."""
-    instances = perturbed_sweep()
-    warm_solver = solver(True)
-    warm_solver.solve(instances[0])
-
-    def resolve():
-        return warm_solver.solve(instances[0])
-
-    decision = benchmark.pedantic(resolve, rounds=5, iterations=2)
-    assert decision.stats.cuts_warm > 0
-    assert decision.stats.iterations == 0
-    benchmark.extra_info["backing_cuts"] = decision.stats.cuts_warm
-
-
 # --------------------------------------------------------------------- #
 # Monitoring layer
 # --------------------------------------------------------------------- #

@@ -79,18 +79,15 @@ TIMING_CALLS = frozenset({"time.perf_counter", "time.monotonic", "perf_counter",
 TIMING_ALLOWLIST = frozenset(
     {
         # SolveStats.runtime_s of the Benders master loop, the wall-clock
-        # time-limit guard, and the warm-start fast paths: all feed the
+        # time-limit guard, and the warm-start fast path: all feed the
         # reported runtime/time_truncated stats, never the decision or any
         # hashed content.
         ("repro/core/benders.py", "BendersSolver.solve"),
         ("repro/core/benders.py", "BendersSolver._warm_fast_path"),
-        ("repro/core/benders.py", "BendersSolver._replay_identical_instance"),
         # SolveStats.runtime_s of the exact MILP reference solver.
         ("repro/core/milp_solver.py", "DirectMILPSolver.solve"),
         # SolveStats.runtime_s of the KAC heuristic solver.
         ("repro/core/kac.py", "KACSolver.solve"),
-        # Partitioned-admission wall time reported in the merged SolveStats.
-        ("repro/controlplane/orchestrator.py", "E2EOrchestrator._solve_maybe_partitioned"),
     }
 )
 

@@ -49,7 +49,6 @@ EXECUTOR_FACTORIES = frozenset(
         "default_executor",
         "SerialExecutor",
         "ProcessPoolRunExecutor",
-        "ThreadPoolRunExecutor",
     }
 )
 

@@ -19,7 +19,6 @@ trace replayer, the bundled simulator) gets the same behaviour.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -42,7 +41,7 @@ from repro.core.problem import (
     topology_signature,
 )
 from repro.core.slices import SliceRequest
-from repro.core.solution import OrchestrationDecision, SolverStats
+from repro.core.solution import OrchestrationDecision
 from repro.forecasting import (
     DoubleExponentialForecaster,
     Forecaster,
@@ -52,7 +51,6 @@ from repro.forecasting import (
 from repro.topology.generators import degrade_link_capacities
 from repro.topology.network import NetworkTopology
 from repro.topology.paths import PathSet, compute_path_sets
-from repro.utils.executors import SerialExecutor, ThreadPoolRunExecutor
 
 
 @dataclass(frozen=True)
@@ -66,20 +64,6 @@ class OrchestratorConfig:
     returns the unchanged decision.  Steady-state simulations (the Fig. 5 /
     Fig. 6 oracle scenarios) hit this on every epoch after the admission
     settles; disable it when benchmarking raw solver latency.
-
-    ``partition_admission`` splits each epoch's joint admission problem
-    into topology-disjoint footprints (tenant groups no *contendable*
-    capacity row couples, see :meth:`ACRRProblem.tenant_partition`) and
-    solves the independent sub-problems concurrently, merging the decisions
-    deterministically in joint request order.  The partition is exact for
-    exact solvers -- every cross-group capacity row has room for the worst
-    case on both sides, so the concatenation of group optima is a joint
-    optimum.  Epochs whose options enable the per-domain deficit variables
-    are never partitioned (the deficit columns are global to a domain, so
-    independent sub-solves would buy the slack twice).
-    ``partition_workers`` sizes the thread pool for the concurrent group
-    solves (``None``/``<=1`` means serial; results are bit-identical either
-    way).
     """
 
     epochs_per_day: int = 24
@@ -88,8 +72,6 @@ class OrchestratorConfig:
     allow_deficit_for_committed: bool = True
     deficit_cost: float = 1.0e4
     reuse_unchanged_decisions: bool = True
-    partition_admission: bool = False
-    partition_workers: int | None = None
 
 
 @dataclass
@@ -529,7 +511,6 @@ class E2EOrchestrator:
             # Full metadata, not just the fields today's solvers read: any
             # metadata change must invalidate the reuse.
             tuple(tuple(sorted(request.metadata.items())) for request in requests),
-            self.config.partition_admission,
         )
         if (
             self.config.reuse_unchanged_decisions
@@ -552,134 +533,9 @@ class E2EOrchestrator:
                 ),
                 deficits=cached.deficits,
             )
-        decision = self._solve_maybe_partitioned(problem, forecasts)
+        decision = self.solver.solve(problem)
         self._last_solve = (solve_key, decision)
         return decision
-
-    # Weakest-tier ordering for merging partitioned decisions; mirrors
-    # repro.faults.safeguard.TIER_ORDER without importing the faults layer.
-    _TIER_RANK = {"primary": 0, "warm_replay": 1, "no_overbooking": 2, "reject_all": 3}
-
-    def _solve_maybe_partitioned(
-        self, problem: ACRRProblem, forecasts: dict[str, ForecastInput]
-    ) -> OrchestrationDecision:
-        """Solve the epoch problem, split by disjoint footprint when enabled.
-
-        The split is exact (see :class:`OrchestratorConfig`): a capacity row
-        that can absorb every tenant's SLA worst case simultaneously never
-        binds, so tenants coupled only through such rows optimise
-        independently.  Deficit-enabled problems are never split -- the
-        per-domain deficit variables are global, and two sub-problems would
-        each buy the same slack.
-        """
-        if (
-            not self.config.partition_admission
-            or problem.options.allow_deficit
-            or len(problem.requests) <= 1
-        ):
-            return self.solver.solve(problem)
-        groups = problem.tenant_partition()
-        if len(groups) <= 1:
-            return self.solver.solve(problem)
-
-        started = time.perf_counter()
-        sub_problems = [
-            ACRRProblem(
-                problem.topology,
-                problem.path_set,
-                [problem.requests[t] for t in group],
-                {
-                    problem.requests[t].name: forecasts[problem.requests[t].name]
-                    for t in group
-                },
-                options=problem.options,
-            )
-            for group in groups
-        ]
-        workers = self.config.partition_workers
-        executor = (
-            ThreadPoolRunExecutor(max_workers=workers)
-            if workers is not None and workers > 1
-            else SerialExecutor()
-        )
-        decisions = executor.map(self.solver.solve, sub_problems)
-        runtime = time.perf_counter() - started
-        return self._merge_partitioned(problem, groups, decisions, runtime)
-
-    def _merge_partitioned(
-        self,
-        problem: ACRRProblem,
-        groups: list[tuple[int, ...]],
-        decisions: list[OrchestrationDecision],
-        runtime_s: float,
-    ) -> OrchestrationDecision:
-        """Merge per-footprint decisions back into one joint decision.
-
-        Deterministic by construction: allocations are emitted in the joint
-        problem's request order and scalars are folded in group-index order,
-        so the merged decision is bit-identical for any worker count.
-        """
-        by_name = {
-            name: allocation
-            for decision in decisions
-            for name, allocation in decision.allocations.items()
-        }
-        allocations = {
-            request.name: by_name[request.name] for request in problem.requests
-        }
-        deficits: dict[str, float] = {}
-        for decision in decisions:
-            deficits.update(decision.deficits)
-        stats_list = [decision.stats for decision in decisions]
-        weakest = max(
-            stats_list,
-            key=lambda stats: self._TIER_RANK.get(stats.tier, len(self._TIER_RANK)),
-        )
-        reasons = [stats.fallback_reason for stats in stats_list if stats.fallback_reason]
-        merged_stats = SolverStats(
-            solver=stats_list[0].solver,
-            iterations=sum(stats.iterations for stats in stats_list),
-            runtime_s=runtime_s,
-            optimal=all(stats.optimal for stats in stats_list),
-            gap=max(stats.gap for stats in stats_list),
-            cuts_optimality=sum(stats.cuts_optimality for stats in stats_list),
-            cuts_feasibility=sum(stats.cuts_feasibility for stats in stats_list),
-            cuts_warm=sum(stats.cuts_warm for stats in stats_list),
-            message=(
-                f"partitioned into {len(groups)} disjoint footprints; "
-                + "; ".join(
-                    f"[{index}] {stats.message}" if stats.message else f"[{index}] ok"
-                    for index, stats in enumerate(stats_list)
-                )
-            ),
-            tier=weakest.tier,
-            retries=sum(stats.retries for stats in stats_list),
-            fallback_reason="; ".join(dict.fromkeys(reasons)),
-            time_truncated=any(stats.time_truncated for stats in stats_list),
-        )
-        # Re-evaluate the objective on the *joint* problem instead of summing
-        # the group objectives: the sum is mathematically equal but not
-        # bit-equal (different float accumulation order), and the merged
-        # decision should be indistinguishable from a joint solve.
-        x = np.zeros(problem.num_items)
-        z = np.zeros(problem.num_items)
-        for tenant_index, request in enumerate(problem.requests):
-            allocation = allocations[request.name]
-            if not allocation.accepted:
-                continue
-            for item in problem.items_of_tenant(tenant_index):
-                path = allocation.paths.get(item.path.base_station)
-                if path is not None and path.nodes == item.path.nodes:
-                    x[item.index] = 1.0
-                    z[item.index] = allocation.reservations_mbps[
-                        item.path.base_station
-                    ]
-        return OrchestrationDecision(
-            allocations=allocations,
-            objective_value=problem.evaluate_objective(x, z),
-            stats=merged_stats,
-            deficits=deficits,
-        )
 
     def _problem_options(self, has_committed: bool) -> ProblemOptions:
         allow_deficit = has_committed and self.config.allow_deficit_for_committed

@@ -34,8 +34,6 @@ differential warm-start sweep).
 
 from __future__ import annotations
 
-import hashlib
-import struct
 import time
 from dataclasses import dataclass, field
 
@@ -69,10 +67,9 @@ class _MasterState:
     a master solve that follows k new cuts pays one conversion and one
     ``vstack`` whatever k is.
 
-    ``theta_lowers`` carries one lower bound per surrogate: the classic
-    single-cut master has exactly one surrogate, the multi-cut master one
-    per slave block, with the *sum* of the surrogates standing in for the
-    slave cost in the objective.
+    ``theta_lowers`` carries one lower bound per surrogate, one surrogate
+    per slave block (:class:`SlaveBlock.theta_lower`); the *sum* of the
+    surrogates stands in for the slave cost in the objective.
     """
 
     def __init__(
@@ -82,7 +79,7 @@ class _MasterState:
         theta_lowers: np.ndarray,
     ):
         n = problem.num_items
-        theta_lowers = np.atleast_1d(np.asarray(theta_lowers, dtype=float))
+        theta_lowers = np.asarray(theta_lowers, dtype=float)
         num_thetas = len(theta_lowers)
         self.num_items = n
         self.num_thetas = num_thetas
@@ -150,22 +147,21 @@ class _MasterState:
         coefficients: np.ndarray,
         rhs: float,
         is_optimality: bool,
-        theta_indices: tuple[int, ...] | None = None,
+        block_id: int | None = None,
     ) -> None:
         """Append one cut ``coeff' x (+ sum of thetas) >= rhs`` to the pool.
 
-        ``theta_indices`` selects which surrogates an optimality cut bounds:
-        ``None`` means all of them (the aggregate cut; the classic single-cut
-        master has exactly one), a single index means a per-block cut.
-        Feasibility cuts never involve the surrogates.  The row is only
-        *queued* here; stacking happens lazily in :meth:`cut_rows`.
+        ``block_id`` selects which surrogates an optimality cut bounds:
+        ``None`` means all of them (the aggregate cut), a block index that
+        block's own.  Feasibility cuts never involve the surrogates.  The
+        row is only *queued* here; stacking happens lazily in :meth:`cut_rows`.
         """
         theta_part = np.zeros(self.num_thetas)
         if is_optimality:
-            if theta_indices is None:
+            if block_id is None:
                 theta_part[:] = 1.0
             else:
-                theta_part[list(theta_indices)] = 1.0
+                theta_part[block_id] = 1.0
         self._pending_rows.append(np.concatenate([coefficients, theta_part]))
         self._cut_rhs.append(rhs)
 
@@ -198,8 +194,8 @@ def warm_start_key(problem: ACRRProblem) -> tuple:
     *renewed* slice warm-starts from the cuts of its previous life) plus the
     topology content signature.  Correctness never rests on this key: every
     stored multiplier is re-validated against the new instance before it
-    seeds a cut (see :meth:`CutPool.seed_master`), and stored incumbents are
-    replayed only on a byte-level instance-token match, so a key collision
+    seeds a cut (see :meth:`CutPool.seed_master`), and a stored incumbent is
+    returned only once re-certified on the new instance, so a key collision
     can only cost work, not accuracy.
     """
     return (
@@ -215,19 +211,13 @@ class _PoolEntry:
     num_rows: int
     #: Dual multipliers of past cuts as ``(mu, is_optimality, block_id)``
     #: triples; ``block_id`` is ``None`` for aggregate (full-system) cuts
-    #: and a slave block index for multi-cut block cuts, whose multipliers
-    #: span only that block's rows and re-validate against the block system.
+    #: and a slave block index for block cuts, whose multipliers span only
+    #: that block's rows and re-validate against the block system.
     multipliers: list[tuple[np.ndarray, bool, int | None]] = field(
         default_factory=list
     )
     #: Admission vector of the last incumbent under this structure.
     best_x: np.ndarray | None = None
-    #: Byte-level fingerprint of the exact instance ``best_x`` came from:
-    #: equal tokens mean a cold solve would deterministically reproduce it.
-    instance_token: bytes | None = None
-    #: Stats of the solve that produced ``best_x`` (replayed verbatim --
-    #: minus runtime -- when an identical instance is re-solved).
-    best_stats: SolverStats | None = None
 
 
 class CutPool:
@@ -284,22 +274,21 @@ class CutPool:
 
     def seed_master(
         self, key: tuple, master: "_MasterState", slave: SlaveProblem
-    ) -> tuple[int, np.ndarray | None, bytes | None]:
+    ) -> tuple[int, np.ndarray | None]:
         """Re-validate the stored cuts of ``key`` and add the survivors.
 
         Returns ``(number of cuts seeded, stored incumbent admission vector
-        or None, instance token of that incumbent)``.  Cuts are seeded in
-        their original order so repeated solves of an identical instance
-        build identical master problems.
+        or None)``.  Cuts are seeded in their original order so repeated
+        solves of an identical instance build identical master problems.
         """
         entry = self.entry(key)
         if entry is None:
-            return 0, None, None
+            return 0, None
         num_rows = slave.g_matrix.shape[0]
         if entry.num_rows != num_rows or not entry.multipliers:
             if entry.num_rows == num_rows:
-                return 0, entry.best_x, entry.instance_token
-            return 0, None, None
+                return 0, entry.best_x
+            return 0, None
 
         # Implied bounds of any feasible slave point: 0 <= (y, z) <= sla.
         sla = np.array([item.sla_mbps for item in slave.problem.items])
@@ -308,7 +297,7 @@ class CutPool:
         # Block cuts re-validate against their block's own system (its
         # row/column range of the stacked block system); they are only
         # seedable into a master that actually carries that block's
-        # surrogate (a multi-cut master over the same block structure).
+        # surrogate (a master over the same block structure).
         blocks = stack = None
         if any(block_id is not None for _, _, block_id in entry.multipliers):
             candidate = slave.block_stack()
@@ -373,27 +362,19 @@ class CutPool:
             if repair > self.max_relative_slack * cut_scale:
                 self.dropped_total += 1
                 continue
-            theta_indices = None if block_id is None else (block_id,)
-            master.add_cut(coeff, rhs_value, is_optimality, theta_indices)
+            master.add_cut(coeff, rhs_value, is_optimality, block_id)
             seeded += 1
         self.seeded_total += seeded
-        return seeded, entry.best_x, entry.instance_token
+        return seeded, entry.best_x
 
     def record(
         self,
         key: tuple,
         num_rows: int,
-        new_multipliers: "list[tuple]",
+        new_multipliers: list[tuple[np.ndarray, bool, int | None]],
         best_x: np.ndarray | None,
-        instance_token: bytes | None = None,
-        stats: SolverStats | None = None,
     ) -> None:
-        """Append one solve's freshly generated multipliers and incumbent.
-
-        Multipliers are ``(mu, is_optimality)`` pairs (aggregate cuts) or
-        ``(mu, is_optimality, block_id)`` triples; pairs normalise to an
-        aggregate ``block_id`` of ``None``.
-        """
+        """Append one solve's freshly generated multipliers and incumbent."""
         entry = self._entries.get(key)
         if entry is None or entry.num_rows != num_rows:
             entry = _PoolEntry(num_rows=num_rows)
@@ -402,15 +383,13 @@ class CutPool:
             while len(self._entries) > self.max_structures:
                 self._entries.pop(next(iter(self._entries)))
         entry.multipliers.extend(
-            (np.array(item[0]), item[1], item[2] if len(item) > 2 else None)
-            for item in new_multipliers
+            (np.array(mu), is_optimality, block_id)
+            for mu, is_optimality, block_id in new_multipliers
         )
         if len(entry.multipliers) > self.max_cuts_per_structure:
             del entry.multipliers[: len(entry.multipliers) - self.max_cuts_per_structure]
         if best_x is not None:
             entry.best_x = np.array(best_x)
-            entry.instance_token = instance_token
-            entry.best_stats = stats
 
     def clear(self) -> None:
         self._entries.clear()
@@ -432,8 +411,6 @@ class CutPool:
                     num_rows=entry.num_rows,
                     multipliers=list(entry.multipliers),
                     best_x=entry.best_x,
-                    instance_token=entry.instance_token,
-                    best_stats=entry.best_stats,
                 )
                 for key, entry in self._entries.items()
             },
@@ -452,8 +429,6 @@ class CutPool:
                 num_rows=entry.num_rows,
                 multipliers=list(entry.multipliers),
                 best_x=entry.best_x,
-                instance_token=entry.instance_token,
-                best_stats=entry.best_stats,
             )
             for key, entry in snapshot["entries"].items()
         }
@@ -468,8 +443,36 @@ class CutPool:
 _EXACT_CERTIFICATE_REL = 1e-6
 
 
+@dataclass
+class _LoopState:
+    """Bounds, incumbent and cut bookkeeping of one run of Algorithm 1."""
+
+    upper_bound: float = float("inf")
+    lower_bound: float = -float("inf")
+    best_x: np.ndarray | None = None
+    best_z: np.ndarray | None = None
+    iterations: int = 0
+    optimality_cuts: int = 0
+    feasibility_cuts: int = 0
+    time_truncated: bool = False
+    #: ``(mu, is_optimality, block_id)`` behind every cut, in master order;
+    #: what the :class:`CutPool` stores for the next structurally equal solve.
+    multipliers: list[tuple[np.ndarray, bool, int | None]] = field(
+        default_factory=list
+    )
+
+
 class BendersSolver:
-    """Optimal AC-RR solver based on Benders decomposition."""
+    """Optimal AC-RR solver based on Benders decomposition.
+
+    The slave is disaggregated by per-tenant resource block (see
+    :meth:`SlaveProblem.blocks`): every master round prices each block
+    independently and adds one optimality cut per block on its own surrogate
+    ``theta_b`` *in addition to* the classic aggregate cut, so the master
+    lower bound tightens fast while keeping the exact certificate the
+    aggregate cut carries.  The blocks of a round are priced together by one
+    block-diagonal LP (:meth:`SlaveProblem.evaluate_blocks`).
+    """
 
     def __init__(
         self,
@@ -479,8 +482,7 @@ class BendersSolver:
         master_time_limit_s: float | None = 60.0,
         time_limit_s: float | None = 120.0,
         warm_start: bool = True,
-        cut_pool: CutPool | None = None,
-        multi_cut: bool = False,
+        multi_cut: bool = True,
     ):
         """Configure the decomposition.
 
@@ -492,22 +494,17 @@ class BendersSolver:
         bounds the total wall-clock time; the incumbent found so far is
         returned (and flagged as non-optimal) when it is exceeded.
 
-        ``warm_start`` keeps a :class:`CutPool` on the solver instance so
-        consecutive solves of structurally matching instances (the
-        orchestrator's steady-state epochs) re-seed each other's cuts; pass
-        an explicit ``cut_pool`` to share one pool between solver instances.
-        Warm starts only ever add *valid* inequalities and an incumbent
-        bound, so decisions are identical to cold solves (asserted by the
-        differential warm-start sweep); disable for raw-latency baselines.
+        ``warm_start`` keeps a :class:`CutPool` on the solver instance
+        (:attr:`cut_pool`) so consecutive solves of structurally matching
+        instances (the orchestrator's steady-state epochs) re-seed each
+        other's cuts.  Warm starts only ever add *valid* inequalities and an
+        incumbent bound, so decisions are identical to cold solves (asserted
+        by the differential warm-start sweep); disable for raw-latency
+        baselines.
 
-        ``multi_cut`` disaggregates the slave by per-tenant resource block
-        (see :meth:`SlaveProblem.blocks`): every master round prices each
-        block independently and adds one optimality cut per block on its own
-        surrogate ``theta_b`` *in addition to* the classic aggregate cut, so
-        the master lower bound tightens much faster while keeping the exact
-        certificate the aggregate cut carries.  The blocks of a round are
-        priced together by one block-diagonal LP
-        (:meth:`SlaveProblem.evaluate_blocks`).
+        ``multi_cut`` is inert: the per-block master is the only master.
+        The keyword is accepted (``True`` only) because
+        ``benchmarks/e2e/workloads.py`` still passes it.
         """
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
@@ -515,16 +512,14 @@ class BendersSolver:
             raise ValueError("relative_tolerance must be non-negative")
         if max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
+        if not multi_cut:
+            raise ValueError("multi_cut=False: the single-cut master was deleted")
         self.tolerance = tolerance
         self.relative_tolerance = relative_tolerance
         self.max_iterations = max_iterations
         self.master_time_limit_s = master_time_limit_s
         self.time_limit_s = time_limit_s
-        self.multi_cut = multi_cut
-        if cut_pool is not None:
-            self.cut_pool: CutPool | None = cut_pool
-        else:
-            self.cut_pool = CutPool() if warm_start else None
+        self.cut_pool: CutPool | None = CutPool() if warm_start else None
 
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict | None:
@@ -543,15 +538,13 @@ class BendersSolver:
         start = time.perf_counter()
         slave = SlaveProblem(problem)
         cost_x = problem.objective_x()
-        theta_lowers = self._theta_lowers(slave)
+        theta_lowers = np.array([block.theta_lower for block in slave.blocks()])
 
         pool_key: tuple | None = None
-        instance_token: bytes | None = None
         if self.cut_pool is not None:
             pool_key = warm_start_key(problem)
-            instance_token = self._instance_token(slave, cost_x, theta_lowers)
             fast = self._warm_fast_path(
-                problem, slave, cost_x, theta_lowers, pool_key, instance_token, start
+                problem, slave, cost_x, theta_lowers, pool_key, start
             )
             if fast is not None:
                 return fast
@@ -559,182 +552,140 @@ class BendersSolver:
         # Cold path.  Deliberately untouched by warm-start state: when the
         # fast path misses, the trajectory below is bit-identical to a
         # ``warm_start=False`` solver, cuts, candidates, incumbent and all.
-        master_state = _MasterState(problem, cost_x, theta_lowers)
-        blocks = slave.blocks() if self.multi_cut else []
-        upper_bound = float("inf")
-        lower_bound = -float("inf")
-        best_x: np.ndarray | None = None
-        best_z: np.ndarray | None = None
-        optimality_cuts = 0
-        feasibility_cuts = 0
-        iterations = 0
-        time_truncated = False
-        new_multipliers: list[tuple[np.ndarray, bool, int | None]] = []
-
+        master = _MasterState(problem, cost_x, theta_lowers)
+        state = _LoopState()
         for iteration in range(1, self.max_iterations + 1):
-            iterations = iteration
-            master = self._solve_master(master_state)
-            if master is None:
-                raise InfeasibleProblemError(
-                    "Benders master problem became infeasible; the committed "
-                    "slices cannot be accommodated (enable allow_deficit)"
-                )
-            x_candidate, _thetas, master_objective = master
-            lower_bound = master_objective
-
-            outcome = slave.evaluate(x_candidate)
-            if outcome.feasible:
-                candidate_upper = float(np.dot(cost_x, x_candidate)) + outcome.objective
-                if candidate_upper < upper_bound - 1e-12:
-                    upper_bound = candidate_upper
-                    best_x = x_candidate
-                    best_z = outcome.z
-                coeff, rhs = slave.cut_from_multipliers(outcome.duals)
-                master_state.add_cut(coeff, rhs, is_optimality=True)
-                new_multipliers.append((outcome.duals, True, None))
-                optimality_cuts += 1
-            else:
-                coeff, rhs = slave.cut_from_multipliers(outcome.ray)
-                master_state.add_cut(coeff, rhs, is_optimality=False)
-                new_multipliers.append((outcome.ray, False, None))
-                feasibility_cuts += 1
-
-            if self.multi_cut:
-                # Per-block strengthening cuts on the same candidate.  Each
-                # block prices the tenant's relaxed sub-LP, so its cut is a
-                # valid lower bound on theta_b (q(x) >= sum_b q_b(x), see
-                # SlaveBlock); the aggregate cut above keeps the certificate
-                # exact where blocks compete for shared capacity.
-                block_outcomes = slave.evaluate_blocks(x_candidate)
-                for block, block_outcome in zip(blocks, block_outcomes):
-                    if block_outcome.feasible:
-                        if not outcome.feasible:
-                            # Block bounds are only recorded alongside a
-                            # successful aggregate solve; an infeasible
-                            # aggregate keeps the round's focus on the
-                            # feasibility cut.
-                            continue
-                        coeff, rhs = slave.cut_from_block_multipliers(
-                            block, block_outcome.duals
-                        )
-                        master_state.add_cut(
-                            coeff, rhs, is_optimality=True,
-                            theta_indices=(block.index,),
-                        )
-                        new_multipliers.append(
-                            (block_outcome.duals, True, block.index)
-                        )
-                        optimality_cuts += 1
-                    else:
-                        # A block-infeasible candidate is infeasible for the
-                        # joint slave too; the block ray excludes it.
-                        coeff, rhs = slave.cut_from_block_multipliers(
-                            block, block_outcome.ray
-                        )
-                        master_state.add_cut(coeff, rhs, is_optimality=False)
-                        new_multipliers.append(
-                            (block_outcome.ray, False, block.index)
-                        )
-                        feasibility_cuts += 1
-
-            if np.isfinite(upper_bound):
-                gap_target = max(
-                    self.tolerance, self.relative_tolerance * abs(upper_bound)
-                )
-                if upper_bound - lower_bound <= gap_target:
-                    break
+            state.iterations = iteration
+            x_candidate, state.lower_bound = self._master_step(master)
+            outcome, block_outcomes = self._price(slave, cost_x, x_candidate, state)
+            self._add_cuts(master, slave, state, outcome, block_outcomes)
+            if self._converged(state):
+                break
             if (
                 self.time_limit_s is not None
                 and time.perf_counter() - start > self.time_limit_s
-                and best_x is not None
+                and state.best_x is not None
             ):
-                time_truncated = True
+                state.time_truncated = True
                 break
 
-        if best_x is None:
+        if state.best_x is None:
             raise InfeasibleProblemError(
                 "Benders decomposition found no feasible admission vector within "
                 f"{self.max_iterations} iterations"
             )
-
-        runtime = time.perf_counter() - start
-        gap = max(0.0, upper_bound - lower_bound)
-        message = f"UB={upper_bound:.6f} LB={lower_bound:.6f}"
-        if time_truncated:
-            message += " (time limit reached; incumbent not certified)"
-        stats = SolverStats(
-            solver="benders",
-            iterations=iterations,
-            runtime_s=runtime,
-            optimal=not time_truncated
-            and gap
-            <= max(self.tolerance, self.relative_tolerance * abs(upper_bound)),
-            gap=gap,
-            cuts_optimality=optimality_cuts,
-            cuts_feasibility=feasibility_cuts,
-            message=message,
-            time_truncated=time_truncated,
-        )
-        if self.cut_pool is not None and pool_key is not None:
+        stats = self._loop_stats(state, runtime_s=time.perf_counter() - start)
+        if self.cut_pool is not None:
             self.cut_pool.record(
-                pool_key,
-                slave.g_matrix.shape[0],
-                new_multipliers,
-                best_x,
-                # A wall-clock-truncated incumbent is machine-dependent, not
-                # the deterministic cold result of this instance: withhold
-                # the token so the replay tier can never canonise it.
-                instance_token=None if time_truncated else instance_token,
-                stats=stats,
+                pool_key, slave.g_matrix.shape[0], state.multipliers, state.best_x
             )
-        return decision_from_vectors(problem, best_x, best_z, stats)
+        return decision_from_vectors(problem, state.best_x, state.best_z, stats)
+
+    # ------------------------------------------------------------------ #
+    # The steps of one round
+    # ------------------------------------------------------------------ #
+    def _master_step(self, master: _MasterState) -> tuple[np.ndarray, float]:
+        """Solve the master: the next candidate and a valid lower bound."""
+        solution = self._solve_master(master)
+        if solution is None:
+            raise InfeasibleProblemError(
+                "Benders master problem became infeasible: the committed "
+                "slices cannot be accommodated, and the decomposition does not "
+                "model the Section 3.4 deficit relaxation (options.allow_deficit "
+                "is read by DirectMILPSolver only)"
+            )
+        x_candidate, _thetas, master_objective = solution
+        return x_candidate, master_objective
+
+    @staticmethod
+    def _price(
+        slave: SlaveProblem, cost_x: np.ndarray, x_candidate: np.ndarray, state: _LoopState
+    ):
+        """Price the candidate: the joint slave LP, then every block with
+        one stacked LP.  A feasible candidate that improves on the incumbent
+        becomes the incumbent (and the upper bound)."""
+        outcome = slave.evaluate(x_candidate)
+        if outcome.feasible:
+            candidate_upper = float(np.dot(cost_x, x_candidate)) + outcome.objective
+            if candidate_upper < state.upper_bound - 1e-12:
+                state.upper_bound = candidate_upper
+                state.best_x = x_candidate
+                state.best_z = outcome.z
+        return outcome, slave.evaluate_blocks(x_candidate)
+
+    @staticmethod
+    def _add_cuts(
+        master: _MasterState, slave: SlaveProblem, state: _LoopState, outcome, block_outcomes
+    ) -> None:
+        """Cut the candidate off: the aggregate cut, then the block cuts in
+        block order -- the order the master and the pool both see."""
+
+        def add(coeff_rhs, mu, is_optimality, block_id) -> None:
+            master.add_cut(*coeff_rhs, is_optimality, block_id)
+            state.multipliers.append((mu, is_optimality, block_id))
+            if is_optimality:
+                state.optimality_cuts += 1
+            else:
+                state.feasibility_cuts += 1
+
+        # The aggregate cut keeps the certificate exact where blocks compete
+        # for shared capacity: optimality (21) from the duals of a feasible
+        # slave, feasibility (22) from the phase-1 ray of an infeasible one.
+        mu = outcome.duals if outcome.feasible else outcome.ray
+        add(slave.cut_from_multipliers(mu), mu, outcome.feasible, None)
+
+        # Per-block strengthening cuts on the same candidate.  Each block
+        # prices the tenant's relaxed sub-LP, so its cut is a valid lower
+        # bound on theta_b (q(x) >= sum_b q_b(x), see SlaveBlock).
+        for block, block_outcome in zip(slave.blocks(), block_outcomes):
+            if block_outcome.feasible:
+                if not outcome.feasible:
+                    # Block bounds are only recorded alongside a successful
+                    # aggregate solve; an infeasible aggregate keeps the
+                    # round's focus on the feasibility cut.
+                    continue
+                mu = block_outcome.duals
+            else:
+                # A block-infeasible candidate is infeasible for the joint
+                # slave too; the block ray excludes it.
+                mu = block_outcome.ray
+            add(
+                slave.cut_from_block_multipliers(block, mu),
+                mu,
+                block_outcome.feasible,
+                block.index,
+            )
+
+    def _gap_target(self, upper_bound: float) -> float:
+        return max(self.tolerance, self.relative_tolerance * abs(upper_bound))
+
+    def _converged(self, state: _LoopState) -> bool:
+        """The stopping rule: an incumbent exists and the bounds have met."""
+        return bool(
+            np.isfinite(state.upper_bound)
+            and state.upper_bound - state.lower_bound
+            <= self._gap_target(state.upper_bound)
+        )
+
+    def _loop_stats(self, state: _LoopState, runtime_s: float) -> SolverStats:
+        message = f"UB={state.upper_bound:.6f} LB={state.lower_bound:.6f}"
+        if state.time_truncated:
+            message += " (time limit reached; incumbent not certified)"
+        return SolverStats(
+            solver="benders",
+            iterations=state.iterations,
+            runtime_s=runtime_s,
+            optimal=not state.time_truncated and self._converged(state),
+            gap=max(0.0, state.upper_bound - state.lower_bound),
+            cuts_optimality=state.optimality_cuts,
+            cuts_feasibility=state.feasibility_cuts,
+            message=message,
+            time_truncated=state.time_truncated,
+        )
 
     # ------------------------------------------------------------------ #
     # Warm start
     # ------------------------------------------------------------------ #
-    def _theta_lowers(self, slave: SlaveProblem) -> np.ndarray:
-        """Per-surrogate lower bounds: one per block, or one aggregate."""
-        if self.multi_cut:
-            return np.array(
-                [block.theta_lower for block in slave.blocks()], dtype=float
-            )
-        return np.array([slave.objective_lower_bound()], dtype=float)
-
-    def _instance_token(
-        self, slave: SlaveProblem, cost_x: np.ndarray, theta_lowers: np.ndarray
-    ) -> bytes:
-        """Byte-level fingerprint of everything a cold solve of this
-        instance reads: the admission objective, the slave system (matrix
-        values cover the forecast-dependent floors), the surrogate bounds,
-        the cut-generation mode and this solver's stopping parameters.
-        Equal tokens mean a cold solve would replay the exact same
-        deterministic trajectory (the multi-cut flag and block count are
-        folded in because they change the cut sequence, hence the
-        trajectory)."""
-        theta_lowers = np.atleast_1d(np.asarray(theta_lowers, dtype=float))
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(cost_x).tobytes())
-        digest.update(np.ascontiguousarray(slave.d).tobytes())
-        digest.update(np.ascontiguousarray(slave.h0).tobytes())
-        digest.update(np.ascontiguousarray(slave.h_matrix.data).tobytes())
-        digest.update(np.ascontiguousarray(slave.g_matrix.data).tobytes())
-        digest.update(np.ascontiguousarray(theta_lowers).tobytes())
-        digest.update(
-            struct.pack(
-                "ddiddd",
-                self.tolerance,
-                self.relative_tolerance,
-                self.max_iterations,
-                float(np.sum(theta_lowers)),
-                -1.0 if self.time_limit_s is None else float(self.time_limit_s),
-                -1.0
-                if self.master_time_limit_s is None
-                else float(self.master_time_limit_s),
-            )
-        )
-        digest.update(struct.pack("ii", int(self.multi_cut), len(theta_lowers)))
-        return digest.digest()
-
     def _warm_fast_path(
         self,
         problem: ACRRProblem,
@@ -742,7 +693,6 @@ class BendersSolver:
         cost_x: np.ndarray,
         theta_lowers: np.ndarray,
         pool_key: tuple,
-        instance_token: bytes,
         start: float,
     ) -> OrchestrationDecision | None:
         """One-iteration re-certification of the previous epoch's optimum.
@@ -763,34 +713,20 @@ class BendersSolver:
         accuracy for speed: a hit carries the same optimality certificate a
         cold termination carries.
 
-        Two tiers:
-
-        * **replay** -- the new instance is byte-identical to the one the
-          stored optimum came from (token match): a cold solve would replay
-          the exact same deterministic trajectory, so the stored decision is
-          returned after a single slave evaluation (bit-identity is rigorous
-          here, no certificate needed);
-        * **re-certification** -- the instance is perturbed: seed the
-          re-validated cuts, solve the seeded master once for a valid lower
-          bound, price the previous optimum with one slave evaluation, and
-          accept only if the cold stopping rule closes *and* the master
-          corroborates the previous optimum (re-proposes it, proves it
-          attains the master optimum, or the certificate is essentially
-          exact) -- a guard against "certified ties" inside a loose relative
-          stopping band, where cold could settle on a different, equally
-          certified vertex.
+        Closing the stopping rule is not enough on its own: the hit is
+        accepted only if the master also *corroborates* the previous optimum
+        (re-proposes it, proves it attains the master optimum, or the
+        certificate is essentially exact) -- a guard against "certified
+        ties" inside a loose relative stopping band, where cold could settle
+        on a different, equally certified vertex.  A byte-identical re-solve
+        (a renewal the orchestrator's decision reuse did not catch) takes
+        this same path: it re-certifies or runs cold, same decision.
         """
         if self.cut_pool.entry(pool_key) is None:
-            # Structurally unknown instance: nothing to replay or seed.
+            # Structurally unknown instance: nothing to seed.
             return None
-        replay = self._replay_identical_instance(
-            problem, slave, pool_key, instance_token, start
-        )
-        if replay is not None:
-            return replay
-
         seeded_master = _MasterState(problem, cost_x, theta_lowers)
-        seeded, previous_x, _token = self.cut_pool.seed_master(
+        seeded, previous_x = self.cut_pool.seed_master(
             pool_key, seeded_master, slave
         )
         if not seeded or previous_x is None:
@@ -805,8 +741,7 @@ class BendersSolver:
             return None
         upper_bound = float(np.dot(cost_x, previous_x)) + outcome.objective
         gap = upper_bound - master_objective
-        gap_target = max(self.tolerance, self.relative_tolerance * abs(upper_bound))
-        if not np.isfinite(gap) or gap > gap_target:
+        if not np.isfinite(gap) or gap > self._gap_target(upper_bound):
             return None
         if not np.array_equal(x_proposed, previous_x):
             corroborated = gap <= max(
@@ -844,55 +779,10 @@ class BendersSolver:
         self.cut_pool.record(
             pool_key,
             slave.g_matrix.shape[0],
-            [(outcome.duals, True)],
+            [(outcome.duals, True, None)],
             x_candidate,
-            instance_token=instance_token,
-            stats=stats,
         )
         return decision_from_vectors(problem, x_candidate, outcome.z, stats)
-
-    def _replay_identical_instance(
-        self,
-        problem: ACRRProblem,
-        slave: SlaveProblem,
-        pool_key: tuple,
-        instance_token: bytes,
-        start: float,
-    ) -> OrchestrationDecision | None:
-        """Replay tier: return the stored optimum of a byte-identical instance.
-
-        Costs one slave LP (to re-derive the reservations, which is itself
-        deterministic given the admission vector and instance).  The stored
-        solve's optimality/gap diagnostics are replayed verbatim -- this
-        path must not claim a better certificate than the solve it shadows.
-        """
-        entry = self.cut_pool.entry(pool_key)
-        if (
-            entry is None
-            or entry.best_x is None
-            or entry.instance_token != instance_token
-            or entry.num_rows != slave.g_matrix.shape[0]
-        ):
-            return None
-        outcome = slave.evaluate(entry.best_x)
-        if not outcome.feasible:
-            return None
-        previous_stats = entry.best_stats
-        stats = SolverStats(
-            solver="benders",
-            iterations=0,
-            runtime_s=time.perf_counter() - start,
-            optimal=previous_stats.optimal if previous_stats else True,
-            gap=previous_stats.gap if previous_stats else 0.0,
-            cuts_optimality=0,
-            cuts_feasibility=0,
-            cuts_warm=len(entry.multipliers),
-            message=(
-                "replayed identical instance from the warm-start pool"
-                + (f" ({previous_stats.message})" if previous_stats else "")
-            ),
-        )
-        return decision_from_vectors(problem, entry.best_x, outcome.z, stats)
 
     @staticmethod
     def _master_hint(master: _MasterState, previous_x: np.ndarray) -> np.ndarray | None:

@@ -75,6 +75,11 @@ class SlaveBlock:
     item_indices: tuple[int, ...]
     rows: slice
     cols: slice
+    #: Valid lower bound on the block optimum for any admission vector: the
+    #: linearisation variable y never exceeds the SLA bitrate and its
+    #: objective coefficients are non-positive, so the block objective is
+    #: bounded below by the sum of c_y[i] * Lambda_i over the block's items.
+    #: Bounds the master's surrogate theta_b before any optimality cut exists.
     theta_lower: float
 
     @property
@@ -199,18 +204,6 @@ class SlaveProblem:
         """h(x) = h0 + H x for a given admission vector."""
         x = np.asarray(x, dtype=float)
         return self.h0 + self.h_matrix.dot(x)
-
-    def objective_lower_bound(self) -> float:
-        """A valid lower bound on the slave optimum for any admission vector.
-
-        The linearisation variable y never exceeds the SLA bitrate, and its
-        objective coefficients are non-positive, so the slave objective is
-        bounded below by sum_i c_y[i] * Lambda_i.  Used to bound the master's
-        surrogate variable theta before any optimality cut exists.
-        """
-        sla = np.array([item.sla_mbps for item in self.problem.items])
-        c_y = self.problem.objective_y()
-        return float(np.sum(np.minimum(c_y * sla, 0.0)))
 
     def evaluate(self, x: np.ndarray) -> SlaveSolveOutcome:
         """Solve the slave LP at ``x``; fall back to the phase-1 certificate."""

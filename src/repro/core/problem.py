@@ -460,9 +460,7 @@ class ACRRProblem:
                 "selection",
                 "signature",
                 "warm_signature",
-                "contendable",
                 "resource_blocks",
-                "tenant_partition",
             )
         }
         return clone
@@ -762,26 +760,8 @@ class ACRRProblem:
         return lower, upper
 
     # ------------------------------------------------------------------ #
-    # Block structure (multi-cut disaggregation, batch partitioning)
+    # Block structure (multi-cut disaggregation)
     # ------------------------------------------------------------------ #
-    def contendable_capacity_rows(self) -> np.ndarray:
-        """Boolean mask over capacity rows that could possibly bind.
-
-        A row whose worst-case load -- every candidate item admitted and
-        reserving its full SLA -- still fits the capacity can never be
-        active in any feasible solution, so it exerts no coupling between
-        tenants.  The mask depends only on structure and SLAs (not on
-        forecasts), so it is cached across :meth:`with_forecasts` clones.
-        """
-        return self._cached("contendable", self._build_contendable_rows)
-
-    def _build_contendable_rows(self) -> np.ndarray:
-        capacity = self.capacity_block()
-        sla = np.array([item.sla_mbps for item in self.items], dtype=float)
-        worst = capacity.a_x @ np.ones(self.num_items) + capacity.a_z @ sla
-        slack = 1e-9 * np.maximum(1.0, np.abs(capacity.upper))
-        return np.asarray(worst > capacity.upper + slack)
-
     def resource_blocks(self) -> list[ResourceBlock]:
         """Per-tenant slave blocks, in tenant order (deterministic).
 
@@ -813,50 +793,6 @@ class ACRRProblem:
                 )
             )
         return blocks
-
-    def tenant_partition(self) -> list[tuple[int, ...]]:
-        """Partition tenants into groups no *contendable* capacity row couples.
-
-        Two tenants end up in the same group iff they are connected through
-        capacity rows that could actually bind (see
-        :meth:`contendable_capacity_rows`).  Groups are exact: solving each
-        group's sub-problem independently and concatenating the decisions
-        yields a joint optimum, because every cross-group row has enough
-        capacity for the worst case on both sides.  Deterministic: groups
-        ordered by smallest tenant index, tenants ascending within a group.
-        """
-        return self._cached("tenant_partition", self._build_tenant_partition)
-
-    def _build_tenant_partition(self) -> list[tuple[int, ...]]:
-        parent = list(range(self.num_tenants))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        capacity = self.capacity_block()
-        touched = (
-            capacity.a_x.astype(bool) + capacity.a_z.astype(bool)
-        ).tocsr()
-        for row in np.flatnonzero(self.contendable_capacity_rows()):
-            start, stop = touched.indptr[row], touched.indptr[row + 1]
-            tenants = sorted(
-                {self.items[int(c)].tenant_index for c in touched.indices[start:stop]}
-            )
-            for other in tenants[1:]:
-                union(tenants[0], other)
-
-        groups: dict[int, list[int]] = {}
-        for tenant in range(self.num_tenants):
-            groups.setdefault(find(tenant), []).append(tenant)
-        return [tuple(groups[root]) for root in sorted(groups)]
 
 
 class ProblemStructureCache:

@@ -30,8 +30,8 @@ class SolverStats:
     gap: float = 0.0
     cuts_optimality: int = 0
     cuts_feasibility: int = 0
-    #: Stored warm-start cuts backing this solve (seeded into the master,
-    #: or vouching for a replayed identical instance); 0 on cold solves.
+    #: Stored warm-start cuts seeded into the master that re-certified this
+    #: decision; 0 on cold solves.
     cuts_warm: int = 0
     message: str = ""
     #: Safeguard-chain tier that produced this decision ("primary" when the
@@ -43,7 +43,7 @@ class SolverStats:
     fallback_reason: str = ""
     #: True when the solver stopped on its wall-clock budget before closing
     #: the optimality gap: the decision is the best incumbent, not a
-    #: certificate (the warm pool already withholds its replay token).
+    #: certificate.
     time_truncated: bool = False
 
 

@@ -73,9 +73,10 @@ def _snapshot_payload(snapshot) -> object:
         entries = []
         for key, entry in sorted(snapshot["entries"].items(), key=lambda kv: repr(kv[0])):
             digest = hashlib.sha256()
-            for mu, is_optimality in entry.multipliers:
+            for mu, is_optimality, block_id in entry.multipliers:
                 digest.update(mu.tobytes())
                 digest.update(b"\x01" if is_optimality else b"\x00")
+                digest.update(repr(block_id).encode())
             entries.append(
                 [
                     repr(key),
@@ -85,10 +86,6 @@ def _snapshot_payload(snapshot) -> object:
                     _digest_bytes(entry.best_x.tobytes())
                     if entry.best_x is not None
                     else None,
-                    entry.instance_token.hex()
-                    if entry.instance_token is not None
-                    else None,
-                    repr(entry.best_stats),
                 ]
             )
         return {

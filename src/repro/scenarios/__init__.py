@@ -34,11 +34,9 @@ from repro.scenarios.generator import (
 )
 from repro.scenarios.oracle import (
     DifferentialOutcome,
-    MultiCutOutcome,
     WarmStartOutcome,
     decision_fingerprint,
     differential_check,
-    multi_cut_check,
     problem_for_scenario,
     warm_start_check,
 )
@@ -49,13 +47,11 @@ __all__ = [
     "DifferentialOutcome",
     "FAILURE_FAMILY",
     "FAMILIES",
-    "MultiCutOutcome",
     "SEASONAL_ONLINE_FAMILY",
     "ScenarioFamily",
     "WarmStartOutcome",
     "decision_fingerprint",
     "differential_check",
-    "multi_cut_check",
     "problem_for_scenario",
     "warm_start_check",
     "sample_scenario",

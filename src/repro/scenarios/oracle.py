@@ -326,82 +326,6 @@ def warm_start_check(
     )
 
 
-@dataclass(frozen=True)
-class MultiCutOutcome:
-    """Multi-cut-vs-single-cut-vs-MILP verdict on one scenario's instance."""
-
-    scenario_name: str
-    milp_net_revenue: float
-    single_cut_net_revenue: float
-    multi_cut_net_revenue: float
-    single_cut_iterations: int
-    multi_cut_iterations: int
-    num_blocks: int
-    rel_tolerance: float
-
-    def _close(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.rel_tolerance * max(abs(b), 1.0)
-
-    @property
-    def multi_cut_matches_milp(self) -> bool:
-        """Exactness: the disaggregated master reaches the MILP optimum."""
-        return self._close(self.multi_cut_net_revenue, self.milp_net_revenue)
-
-    @property
-    def matches_single_cut(self) -> bool:
-        """The disaggregation changes the trajectory, not the optimum."""
-        return self._close(self.multi_cut_net_revenue, self.single_cut_net_revenue)
-
-    def describe(self) -> str:
-        return (
-            f"{self.scenario_name}: milp={self.milp_net_revenue:.9f} "
-            f"single={self.single_cut_net_revenue:.9f} "
-            f"multi={self.multi_cut_net_revenue:.9f} "
-            f"({self.num_blocks} blocks, iterations "
-            f"single={self.single_cut_iterations} multi={self.multi_cut_iterations})"
-        )
-
-
-def multi_cut_check(
-    scenario: Scenario,
-    epoch: int = 0,
-    rel_tolerance: float = 1e-6,
-    benders_max_iterations: int = _BENDERS_MAX_ITERATIONS,
-) -> MultiCutOutcome:
-    """Differential oracle for the multi-cut Benders master.
-
-    Solves one scenario's epoch instance with the exact MILP, single-cut
-    Benders and multi-cut Benders.  The harness asserts exactness on the
-    outcome: the multi-cut optimum equals the MILP (and hence the
-    single-cut) optimum within ``rel_tolerance``.
-    """
-    problem = problem_for_scenario(scenario, epoch=epoch)
-    milp = DirectMILPSolver(time_limit_s=None, mip_rel_gap=1e-9).solve(problem)
-
-    def make_solver(multi_cut: bool) -> BendersSolver:
-        return BendersSolver(
-            tolerance=_BENDERS_TOLERANCE,
-            relative_tolerance=_BENDERS_TOLERANCE,
-            max_iterations=benders_max_iterations,
-            master_time_limit_s=None,
-            time_limit_s=None,
-            multi_cut=multi_cut,
-        )
-
-    single = make_solver(False).solve(problem)
-    multi = make_solver(True).solve(problem)
-    return MultiCutOutcome(
-        scenario_name=scenario.name,
-        milp_net_revenue=milp.expected_net_reward,
-        single_cut_net_revenue=single.expected_net_reward,
-        multi_cut_net_revenue=multi.expected_net_reward,
-        single_cut_iterations=single.stats.iterations,
-        multi_cut_iterations=multi.stats.iterations,
-        num_blocks=len(problem.resource_blocks()),
-        rel_tolerance=rel_tolerance,
-    )
-
-
 def differential_check(
     scenario: Scenario,
     epoch: int = 0,

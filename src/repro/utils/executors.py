@@ -1,11 +1,10 @@
 """Pluggable executors for fanning out independent runs.
 
-The campaign layer (:mod:`repro.experiments.campaign`), the policy
-comparison helper (:func:`repro.simulation.runner.compare_policies`), and
-the multi-cut Benders slave fan-out (:mod:`repro.core.benders`) all need to
-map a pure function over a list of independent work items.  The executor
-contract is deliberately tiny so tests can run serially while the default
-path fans out over a pool:
+The campaign layer (:mod:`repro.experiments.campaign`) and the policy
+comparison helper (:func:`repro.simulation.runner.compare_policies`) both
+need to map a pure function over a list of independent work items.  The
+executor contract is deliberately tiny so tests can run serially while the
+default path fans out over a pool:
 
 * ``map(fn, items, on_result=None)`` applies ``fn`` to every item and
   returns the results **in item order**; ``on_result`` is invoked with each
@@ -53,7 +52,7 @@ def _drain_pool(
 ) -> list[R]:
     """Drain ``futures`` in completion order, then return results in order.
 
-    Failure semantics shared by the pool executors: every finished result
+    Failure semantics of the pool executor: every finished result
     still reaches ``on_result`` before a failure propagates; the first *run*
     failure takes precedence over a failure raised by ``on_result`` itself;
     either kind of failure cancels futures that have not started yet so the
@@ -140,39 +139,6 @@ class ProcessPoolRunExecutor:
         return f"ProcessPoolRunExecutor(max_workers={self.max_workers})"
 
 
-class ThreadPoolRunExecutor:
-    """Fan items out over a :class:`concurrent.futures.ThreadPoolExecutor`.
-
-    Same contract and failure semantics as :class:`ProcessPoolRunExecutor`
-    but without the pickling requirement, so closures and bound methods
-    work.  This is the executor of choice for workloads that release the
-    GIL (HiGHS LP solves) or that need shared in-process state (the Benders
-    cut pool).
-    """
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive (or None for the default)")
-        self.max_workers = max_workers
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        on_result: Callable[[R], None] | None = None,
-    ) -> list[R]:
-        items = list(items)
-        if len(items) <= 1:  # not worth a pool
-            return _consume((fn(item) for item in items), on_result)
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_workers
-        ) as pool:
-            return _drain_pool([pool.submit(fn, item) for item in items], on_result)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadPoolRunExecutor(max_workers={self.max_workers})"
-
-
 def default_executor(workers: int | None) -> SerialExecutor | ProcessPoolRunExecutor:
     """Executor selection used by the CLI: ``0``/``1``/``None`` mean serial."""
     if workers is None or workers <= 1:
@@ -181,7 +147,7 @@ def default_executor(workers: int | None) -> SerialExecutor | ProcessPoolRunExec
 
 
 def resolve_executor(
-    executor: "SerialExecutor | ProcessPoolRunExecutor | ThreadPoolRunExecutor | None",
+    executor: "SerialExecutor | ProcessPoolRunExecutor | None",
     workers: int | None = None,
 ):
     """Resolve the ``executor``/``workers`` pair accepted by the sweep APIs.
@@ -197,7 +163,6 @@ def resolve_executor(
 __all__ = [
     "SerialExecutor",
     "ProcessPoolRunExecutor",
-    "ThreadPoolRunExecutor",
     "default_executor",
     "resolve_executor",
 ]

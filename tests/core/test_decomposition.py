@@ -57,11 +57,15 @@ class TestSlaveEvaluation:
             else:
                 assert outcome.z[item.index] == pytest.approx(0.0, abs=1e-6)
 
-    def test_objective_lower_bound_is_valid(self, embb_problem):
+    def test_block_theta_lowers_are_valid(self, embb_problem):
+        # The surrogate bounds the master starts from: each underestimates
+        # its block's optimum, and their sum the joint slave optimum.
         slave = SlaveProblem(embb_problem)
-        bound = slave.objective_lower_bound()
-        outcome = slave.evaluate(accept_all_edge(embb_problem))
-        assert outcome.objective >= bound - 1e-9
+        x = accept_all_edge(embb_problem)
+        for block, outcome in zip(slave.blocks(), slave.evaluate_blocks(x)):
+            assert outcome.objective >= block.theta_lower - 1e-9
+        bound = sum(block.theta_lower for block in slave.blocks())
+        assert slave.evaluate(x).objective >= bound - 1e-9
 
 
 class TestCuts:

@@ -181,7 +181,6 @@ class TestBackendEqualsScipyWrappers:
             master_time_limit_s=None,
             time_limit_s=None,
             warm_start=False,
-            multi_cut=True,
         ).solve(problem)
         # The certificate MILP, one master per round, and per distinct
         # candidate the slave LP plus the stacked block LP.
@@ -191,7 +190,7 @@ class TestBackendEqualsScipyWrappers:
 
     def test_warm_started_sequences_with_hints(self, shadowed_backend):
         # Warm fast path: seeded masters carry the objective-cutoff row of a
-        # validated hint, replayed instances re-price one slave LP.
+        # validated hint.
         counts, disagreements = shadowed_backend
         for seed in SEEDS[:6]:
             outcome = warm_start_check(
@@ -276,8 +275,7 @@ class TestCompiledLP:
         assert same_lp(got, linprog_reference(*args))
 
     def test_two_threads_give_the_serial_results(self, embb_problem, mixed_problem):
-        # (e) the partition_admission thread executor's situation: one
-        # compiled model per thread, solved concurrently.
+        # (e) one compiled model per thread, solved concurrently.
         slaves = [SlaveProblem(embb_problem), SlaveProblem(mixed_problem)]
         models = [(s.d, s.g_matrix, s.u_lower, s.u_upper) for s in slaves]
         rhs = [
@@ -437,7 +435,7 @@ class TestNothingCompiledCrossesAProcessBoundary:
     def test_problem_solver_and_pool_still_pickle(self, mixed_problem):
         # (e) RA05: compiled models hold native HiGHS handles, so they hang
         # only off objects that live for one solve.
-        solver = BendersSolver(multi_cut=True)
+        solver = BendersSolver()
         before = solver.solve(mixed_problem)
         for thing in (mixed_problem, solver, solver.cut_pool, CutPool()):
             pickle.loads(pickle.dumps(thing))

@@ -17,8 +17,8 @@ import pytest
 #: scenario seed and echoed in failure messages.
 BASE_SEED = int(os.environ.get("REPRO_TEST_SEED", "0"))
 
-#: How many scenarios the solver-differential sweep samples (the acceptance
-#: bar is >= 25; a few extra cover the generator knobs more densely).
+#: How many scenarios the warm-start and LP-backend sweeps sample (the
+#: exactness sweep in ``test_differential_solvers.py`` runs its own 128).
 NUM_DIFFERENTIAL_SCENARIOS = 28
 
 

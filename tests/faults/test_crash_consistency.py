@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.api import BrokerError, SliceBroker, SliceRequestV1, SolverError
 from repro.core.baseline import NoOverbookingSolver
+from repro.core.benders import BendersSolver
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.milp_solver import DirectMILPSolver
 from repro.faults import (
@@ -66,9 +67,9 @@ def make_spec(hook: str, kind: FaultKind, epoch: int, times: int = 1) -> FaultSp
     return FaultSpec(hook=hook, epoch=epoch, kind=kind, times=times, params=params)
 
 
-def make_chaos_broker(plan: FaultPlan) -> SliceBroker:
+def make_chaos_broker(plan: FaultPlan, solver=None) -> SliceBroker:
     broker = SliceBroker(
-        topology=operators.testbed_topology(), solver=DirectMILPSolver()
+        topology=operators.testbed_topology(), solver=solver or DirectMILPSolver()
     )
     broker.enable_chaos(plan)
     broker.submit(SliceRequestV1.of("u1", "uRLLC", duration_epochs=6))
@@ -180,6 +181,24 @@ class TestFastFaultMatrix:
         assert broker.advance_epoch(1).health == "degraded"
         states = [broker.advance_epoch(epoch).health for epoch in range(2, 5)]
         assert states[-1] == "healthy", states
+
+
+class TestWarmStartStateRollsBack:
+    def test_cut_pool_is_fingerprinted_and_restored(self):
+        # The fingerprint must digest a *populated* cut pool (its multipliers
+        # are (mu, is_optimality, block_id) triples) and a rolled-back epoch
+        # must leave the pool exactly as the previous epoch recorded it.
+        plan = FaultPlan.of(make_spec(HOOK_CLOUD_APPLY, FaultKind.CRASH, epoch=1))
+        solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
+        broker = make_chaos_broker(plan, solver=solver)
+        broker.advance_epoch(0)
+        assert any(entry.multipliers for entry in solver.cut_pool._entries.values())
+        before = control_plane_fingerprint(broker.orchestrator)
+        with pytest.raises(SolverError):
+            broker.advance_epoch(1)  # solved (the pool grew), then crashed
+        assert control_plane_fingerprint(broker.orchestrator) == before
+        broker.advance_epoch(1)
+        assert control_plane_fingerprint(broker.orchestrator) != before
 
 
 class TestZeroFaultIdentity:

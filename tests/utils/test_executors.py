@@ -22,12 +22,11 @@ import pytest
 from repro.utils.executors import (
     ProcessPoolRunExecutor,
     SerialExecutor,
-    ThreadPoolRunExecutor,
     default_executor,
     resolve_executor,
 )
 
-POOLED = [ThreadPoolRunExecutor, ProcessPoolRunExecutor]
+POOLED = [ProcessPoolRunExecutor]
 
 
 class RunError(RuntimeError):
@@ -49,9 +48,12 @@ def _fail_on_negative(item):
     return item
 
 
-def _fail_fast_then_sleep(item):
+def _fail_fast_then_sleep(work):
     # Item 0 fails immediately; the rest are slow, so the drain sees the
-    # failure while most of the queue is still pending.
+    # failure while most of the queue is still pending.  Every run leaves a
+    # marker file behind so the parent can count what actually started.
+    directory, item = work
+    (directory / f"started-{item}").touch()
     if item == 0:
         raise RunError("doomed sweep")
     time.sleep(0.05)
@@ -104,7 +106,7 @@ class TestOrdering:
 
     def test_serial_matches_pool(self):
         items = list(range(6))
-        assert SerialExecutor().map(_identity, items) == ThreadPoolRunExecutor(
+        assert SerialExecutor().map(_identity, items) == ProcessPoolRunExecutor(
             max_workers=3
         ).map(_identity, items)
 
@@ -124,37 +126,13 @@ class TestFailurePrecedence:
                 _slow_success_fast_failure, [-1, 1, 2], on_result=broken_consumer
             )
 
-    def test_late_run_failure_wins_over_earlier_consumer_failure(self):
-        # Ordering 2: the consumer breaks on the first success while the
-        # failing run is still executing.  The run failure discovered later
-        # must still win -- this is the masking bug the fix pins down.  An
-        # event makes the ordering deterministic: the success only returns
-        # once the failing run is in flight, so cancellation cannot
-        # (correctly) drop the failure before it happens.
-        import threading
-
-        failure_started = threading.Event()
-
-        def work(item):
-            if item < 0:
-                failure_started.set()
-                time.sleep(0.1)
-                raise RunError(f"run failed on {item}")
-            assert failure_started.wait(timeout=5.0)
-            return item
-
-        def broken_consumer(result):
-            raise ConsumerError("persistence broke")
-
-        with pytest.raises(RunError):
-            ThreadPoolRunExecutor(max_workers=2).map(
-                work, [1, -1], on_result=broken_consumer
-            )
-
     @pytest.mark.slow
     def test_late_run_failure_wins_in_process_pool(self):
-        # Same ordering through the process pool, where closures cannot
-        # carry an event: generous sleeps stand in for the rendezvous.
+        # Ordering 2: the consumer breaks on the first success while the
+        # failing run is still executing.  The run failure discovered later
+        # must still win -- this is the masking bug the fix pins down.
+        # Closures cannot carry an event into a worker process: generous
+        # sleeps stand in for the rendezvous.
         def broken_consumer(result):
             raise ConsumerError("persistence broke")
 
@@ -199,32 +177,32 @@ class TestFailurePrecedence:
 
 
 class TestCancellation:
-    def test_pending_futures_are_cancelled_on_run_failure(self):
+    # Running all 12 items would leave 12 markers; cancellation keeps it to
+    # the first item plus what the pool had already handed to its one worker
+    # (the process pool pre-queues one call beyond the running one).
+    def test_pending_futures_are_cancelled_on_run_failure(self, tmp_path):
         # One worker, a fast failure, then a queue of slow items: after the
         # failure is observed, the still-pending futures must be cancelled,
         # so only the item(s) already grabbed by the worker can still run.
-        started = time.perf_counter()
         with pytest.raises(RunError):
-            ThreadPoolRunExecutor(max_workers=1).map(
-                _fail_fast_then_sleep, list(range(12))
+            ProcessPoolRunExecutor(max_workers=1).map(
+                _fail_fast_then_sleep, [(tmp_path, item) for item in range(12)]
             )
-        elapsed = time.perf_counter() - started
-        # Running all 11 slow items would take >= 0.55 s; cancellation keeps
-        # it to the failure plus at most a couple of in-flight items.
-        assert elapsed < 0.45, f"pending work was not cancelled ({elapsed:.2f}s)"
+        started = len(list(tmp_path.iterdir()))
+        assert 1 <= started <= 6, f"pending work was not cancelled ({started} ran)"
 
-    def test_pending_futures_are_cancelled_on_consumer_failure(self):
+    def test_pending_futures_are_cancelled_on_consumer_failure(self, tmp_path):
         def broken_consumer(result):
             raise ConsumerError("persistence broke")
 
-        started = time.perf_counter()
         with pytest.raises(ConsumerError):
-            ThreadPoolRunExecutor(max_workers=1).map(
-                _fail_fast_then_sleep, [99] + list(range(1, 12)),
+            ProcessPoolRunExecutor(max_workers=1).map(
+                _fail_fast_then_sleep,
+                [(tmp_path, item) for item in [99] + list(range(1, 12))],
                 on_result=broken_consumer,
             )
-        elapsed = time.perf_counter() - started
-        assert elapsed < 0.45, f"pending work was not cancelled ({elapsed:.2f}s)"
+        started = len(list(tmp_path.iterdir()))
+        assert 1 <= started <= 6, f"pending work was not cancelled ({started} ran)"
 
 
 class TestResolution:
@@ -236,7 +214,7 @@ class TestResolution:
         assert pooled.max_workers == 3
 
     def test_resolve_executor_prefers_explicit_object(self):
-        explicit = ThreadPoolRunExecutor(max_workers=2)
+        explicit = ProcessPoolRunExecutor(max_workers=2)
         assert resolve_executor(explicit, workers=8) is explicit
         assert isinstance(resolve_executor(None, workers=None), SerialExecutor)
 
