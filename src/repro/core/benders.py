@@ -38,10 +38,15 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from repro.core.decomposition import SlaveProblem
-from repro.core.lpsolver import solve_milp, stack_constraints, validate_milp_hint
+from repro.core.lpsolver import (
+    dense_rows_to_csc,
+    solve_milp,
+    stack_columns,
+    validate_milp_hint,
+)
 from repro.core.problem import (
     ACRRProblem,
     InfeasibleProblemError,
@@ -60,12 +65,11 @@ class _MasterState:
     The master MILP of Problem 5 changes between iterations only by the cuts
     appended at the bottom, so the per-problem structure -- the objective
     over ``(x, theta_0..theta_{B-1})``, the bounds/integrality vectors and
-    the hstacked path-selection block -- is assembled exactly once.  Cut rows
-    are queued as plain dense arrays and folded lazily: ``cut_rows()`` /
-    ``constraints()`` turn the pending batch into CSR once and append it to
-    the cached cut matrix, so ``add_cut`` builds no sparse object at all and
-    a master solve that follows k new cuts pays one conversion and one
-    ``vstack`` whatever k is.
+    the static rows (capacity surrogate, then path selection) -- is
+    assembled exactly once, column-major and canonical: the layout HiGHS
+    takes.  Cut rows are queued as plain dense arrays, so ``add_cut`` builds
+    no sparse object at all; ``constraints()`` merges the rows queued since
+    the last call into the columns, one pass whatever their number.
 
     ``theta_lowers`` carries one lower bound per surrogate, one surrogate
     per slave block (:class:`SlaveBlock.theta_lower`); the *sum* of the
@@ -89,17 +93,6 @@ class _MasterState:
         self.upper = np.concatenate([np.ones(n), np.full(num_thetas, np.inf)])
         self.integrality = np.concatenate([np.ones(n), np.zeros(num_thetas)])
 
-        selection = problem.selection_block()
-        selection_rows: list[optimize.LinearConstraint] = []
-        if selection.num_rows:
-            sel_matrix = sparse.hstack(
-                [selection.a_x, sparse.csr_matrix((selection.num_rows, num_thetas))],
-                format="csr",
-            )
-            selection_rows.append(
-                optimize.LinearConstraint(sel_matrix, selection.lower, selection.upper)
-            )
-
         # Floor-footprint capacity surrogates.  Every admitted item must
         # reserve at least its floor (constraint (9): z >= lambda_hat x, or
         # the full SLA without overbooking) and the capacity coefficients are
@@ -113,30 +106,21 @@ class _MasterState:
         # capacity where the incumbent never appeared within hundreds of
         # iterations.
         capacity = problem.capacity_block()
-        floor = np.array(
+        selection = problem.selection_block()
+        self.num_static_rows = capacity.num_rows + selection.num_rows
+        # Neither block changes within a solve: stacked once, so a master
+        # round only merges its cut rows in.
+        self._rows = stack_columns(
             [
-                item.lambda_hat_mbps if problem.options.overbooking else item.sla_mbps
-                for item in problem.items
+                [problem.floor_footprint(), selection.x],
+                [(self.num_static_rows, num_thetas)],
             ]
         )
-        footprint = capacity.a_x + capacity.a_z.multiply(floor[np.newaxis, :])
-        capacity_surrogate = optimize.LinearConstraint(
-            sparse.hstack(
-                [footprint, sparse.csr_matrix((capacity.num_rows, num_thetas))],
-                format="csr",
-            ),
-            capacity.lower,
-            capacity.upper,
-        )
-        # Neither block changes within a solve: stacked once, so a master
-        # round only appends its cut rows.
-        self.static_rows = stack_constraints(
-            [capacity_surrogate, *selection_rows], n + num_thetas
-        )
-
-        self._cut_matrix: sparse.csr_matrix | None = None
-        self._pending_rows: list[np.ndarray] = []
+        self._static_lower = np.concatenate([capacity.lower, selection.lower])
+        self._static_upper = np.concatenate([capacity.upper, selection.upper])
+        self._cut_rows: list[np.ndarray] = []
         self._cut_rhs: list[float] = []
+        self._merged_cuts = 0
 
     @property
     def num_cuts(self) -> int:
@@ -154,7 +138,7 @@ class _MasterState:
         ``block_id`` selects which surrogates an optimality cut bounds:
         ``None`` means all of them (the aggregate cut), a block index that
         block's own.  Feasibility cuts never involve the surrogates.  The
-        row is only *queued* here; stacking happens lazily in :meth:`cut_rows`.
+        row is only *queued* here; :meth:`constraints` merges it in.
         """
         theta_part = np.zeros(self.num_thetas)
         if is_optimality:
@@ -162,28 +146,28 @@ class _MasterState:
                 theta_part[:] = 1.0
             else:
                 theta_part[block_id] = 1.0
-        self._pending_rows.append(np.concatenate([coefficients, theta_part]))
+        self._cut_rows.append(np.concatenate([coefficients, theta_part]))
         self._cut_rhs.append(rhs)
 
-    def cut_rows(self) -> tuple[sparse.csr_matrix | None, np.ndarray]:
-        """The accumulated cut matrix over (x, thetas) and its RHS vector."""
-        if self._pending_rows:
-            folded = sparse.csr_matrix(np.vstack(self._pending_rows))
-            if self._cut_matrix is not None:
-                folded = sparse.vstack([self._cut_matrix, folded], format="csr")
-            self._cut_matrix = folded
-            self._pending_rows = []
-        return self._cut_matrix, np.asarray(self._cut_rhs)
+    def cut_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cuts as a dense ``(cuts, x + thetas)`` array, and their RHS."""
+        cuts = np.array(self._cut_rows).reshape(-1, self.num_items + self.num_thetas)
+        return cuts, np.asarray(self._cut_rhs)
 
     def constraints(self) -> list[optimize.LinearConstraint]:
-        """Capacity surrogate, path selection, then the cuts in insertion order."""
-        constraints = [self.static_rows]
-        cut_matrix, cut_rhs = self.cut_rows()
-        if cut_matrix is not None:
-            constraints.append(
-                optimize.LinearConstraint(cut_matrix, lb=cut_rhs, ub=np.inf)
+        """Capacity surrogate, path selection, then the cuts in insertion
+        order: one canonical column-major block."""
+        if self._merged_cuts < len(self._cut_rows):
+            queued = np.vstack(self._cut_rows[self._merged_cuts :])
+            self._rows = stack_columns([[self._rows, dense_rows_to_csc(queued)]])
+            self._merged_cuts = len(self._cut_rows)
+        return [
+            optimize.LinearConstraint(
+                self._rows,
+                np.concatenate([self._static_lower, self._cut_rhs]),
+                np.concatenate([self._static_upper, np.full(self.num_cuts, np.inf)]),
             )
-        return constraints
+        ]
 
 
 def warm_start_key(problem: ACRRProblem) -> tuple:
@@ -284,25 +268,21 @@ class CutPool:
         entry = self.entry(key)
         if entry is None:
             return 0, None
-        num_rows = slave.g_matrix.shape[0]
+        num_rows = len(slave.h0)
         if entry.num_rows != num_rows or not entry.multipliers:
             if entry.num_rows == num_rows:
                 return 0, entry.best_x
             return 0, None
 
-        # Implied bounds of any feasible slave point: 0 <= (y, z) <= sla.
-        sla = np.array([item.sla_mbps for item in slave.problem.items])
-        u_bound = np.concatenate([sla, sla])
-
         # Block cuts re-validate against their block's own system (its
         # row/column range of the stacked block system); they are only
         # seedable into a master that actually carries that block's
         # surrogate (a master over the same block structure).
-        blocks = stack = None
+        stack = None
         if any(block_id is not None for _, _, block_id in entry.multipliers):
             candidate = slave.block_stack()
             if master.num_thetas == len(candidate.blocks):
-                blocks, stack = candidate.blocks, candidate
+                stack = candidate
 
         # Batch the re-validation linear algebra per system (the aggregate
         # system and each referenced block), then emit cuts in their
@@ -312,42 +292,38 @@ class CutPool:
         for position, (_, _, block_id) in enumerate(entry.multipliers):
             groups.setdefault(block_id, []).append(position)
 
-        prepared: dict[int, tuple[np.ndarray, np.ndarray, float] | None] = {}
+        prepared: dict[int, tuple[np.ndarray, float, float]] = {}
+        g_transposed = {
+            id(system): system.g_columns.T for system in (slave, stack) if system is not None
+        }
         for block_id, positions in groups.items():
+            # A block is its row/column range of the stacked system; its
+            # multipliers are zero-padded into those rows, so the stack's
+            # other blocks contribute exact zeros to the products below.
             if block_id is None:
-                system_d, system_g = slave.d, slave.g_matrix
-                system_h, system_h0, bound = slave.h_matrix, slave.h0, u_bound
-                expected_rows = num_rows
-            elif blocks is not None and 0 <= block_id < len(blocks):
-                rows, cols = blocks[block_id].rows, blocks[block_id].cols
-                system_d, system_g = stack.d[cols], stack.g_matrix[rows, cols]
-                system_h, system_h0 = stack.h_matrix[rows], stack.h0[rows]
-                bound = stack.u_bound[cols]
-                expected_rows = blocks[block_id].num_rows
+                system, rows, cols = slave, slice(None), slice(None)
+            elif stack is not None and 0 <= block_id < len(stack.blocks):
+                system, rows, cols = stack, stack.blocks[block_id].rows, stack.blocks[block_id].cols
             else:
-                for position in positions:
-                    prepared[position] = None
-                continue
-            usable = [
-                p for p in positions if len(entry.multipliers[p][0]) == expected_rows
-            ]
-            for position in set(positions) - set(usable):
-                prepared[position] = None
+                continue  # dropped below
+            h0 = system.h0[rows]
+            usable = [p for p in positions if len(entry.multipliers[p][0]) == len(h0)]
             if not usable:
                 continue
             mu_matrix = np.stack([entry.multipliers[p][0] for p in usable])
-            # (k x cols) dual slack basis: row i is G' mu_i.
-            gt_mu = np.asarray((system_g.T.dot(mu_matrix.T)).T)
-            coeffs = np.asarray((system_h.T.dot(mu_matrix.T)).T)
-            rhs = -mu_matrix.dot(system_h0)
-            for row, position in enumerate(usable):
-                _, is_optimality, _ = entry.multipliers[position]
-                violation = np.maximum(
-                    0.0,
-                    -(gt_mu[row] + system_d) if is_optimality else -gt_mu[row],
-                )
-                repair = float(np.dot(violation, bound))
-                prepared[position] = (coeffs[row], float(rhs[row]) - repair, repair)
+            padded = np.zeros((len(system.h0), len(usable)))
+            padded[rows] = mu_matrix.T
+            # Column i: G' mu_i (the dual slack basis) and H' mu_i.
+            gt_mu = g_transposed[id(system)].dot(padded)[cols]
+            coeffs = system.h_transposed.dot(padded)
+            rhs = -mu_matrix.dot(h0)
+            for column, position in enumerate(usable):
+                is_optimality = entry.multipliers[position][1]
+                slack = gt_mu[:, column]
+                violation = np.maximum(0.0, -(slack + system.d[cols]) if is_optimality else -slack)
+                # Implied bounds of any feasible slave point: 0 <= u <= sla.
+                repair = float(np.dot(violation, system.u_bound[cols]))
+                prepared[position] = (coeffs[:, column], float(rhs[column]) - repair, repair)
 
         seeded = 0
         for position, (_, is_optimality, block_id) in enumerate(entry.multipliers):
@@ -390,9 +366,6 @@ class CutPool:
             del entry.multipliers[: len(entry.multipliers) - self.max_cuts_per_structure]
         if best_x is not None:
             entry.best_x = np.array(best_x)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     # ------------------------------------------------------------------ #
     # Crash-consistent epochs (snapshot / restore)
@@ -577,7 +550,7 @@ class BendersSolver:
         stats = self._loop_stats(state, runtime_s=time.perf_counter() - start)
         if self.cut_pool is not None:
             self.cut_pool.record(
-                pool_key, slave.g_matrix.shape[0], state.multipliers, state.best_x
+                pool_key, len(slave.h0), state.multipliers, state.best_x
             )
         return decision_from_vectors(problem, state.best_x, state.best_z, stats)
 
@@ -594,8 +567,7 @@ class BendersSolver:
                 "model the Section 3.4 deficit relaxation (options.allow_deficit "
                 "is read by DirectMILPSolver only)"
             )
-        x_candidate, _thetas, master_objective = solution
-        return x_candidate, master_objective
+        return solution
 
     @staticmethod
     def _price(
@@ -636,25 +608,19 @@ class BendersSolver:
 
         # Per-block strengthening cuts on the same candidate.  Each block
         # prices the tenant's relaxed sub-LP, so its cut is a valid lower
-        # bound on theta_b (q(x) >= sum_b q_b(x), see SlaveBlock).
-        for block, block_outcome in zip(slave.blocks(), block_outcomes):
-            if block_outcome.feasible:
-                if not outcome.feasible:
-                    # Block bounds are only recorded alongside a successful
-                    # aggregate solve; an infeasible aggregate keeps the
-                    # round's focus on the feasibility cut.
-                    continue
-                mu = block_outcome.duals
-            else:
-                # A block-infeasible candidate is infeasible for the joint
-                # slave too; the block ray excludes it.
-                mu = block_outcome.ray
-            add(
-                slave.cut_from_block_multipliers(block, mu),
-                mu,
-                block_outcome.feasible,
-                block.index,
-            )
+        # bound on theta_b (q(x) >= sum_b q_b(x), see SlaveBlock).  Block
+        # bounds are only recorded alongside a successful aggregate solve
+        # (an infeasible aggregate keeps the round's focus on the
+        # feasibility cut); a block-infeasible candidate is infeasible for
+        # the joint slave too and the block ray excludes it.
+        priced = [
+            (block, result.duals if result.feasible else result.ray, result.feasible)
+            for block, result in zip(slave.blocks(), block_outcomes)
+            if outcome.feasible or not result.feasible
+        ]
+        cuts = slave.cuts_from_block_multipliers([(block, mu) for block, mu, _ in priced])
+        for cut, (block, mu, is_optimality) in zip(cuts, priced):
+            add(cut, mu, is_optimality, block.index)
 
     def _gap_target(self, upper_bound: float) -> float:
         return max(self.tolerance, self.relative_tolerance * abs(upper_bound))
@@ -726,16 +692,14 @@ class BendersSolver:
             # Structurally unknown instance: nothing to seed.
             return None
         seeded_master = _MasterState(problem, cost_x, theta_lowers)
-        seeded, previous_x = self.cut_pool.seed_master(
-            pool_key, seeded_master, slave
-        )
+        seeded, previous_x = self.cut_pool.seed_master(pool_key, seeded_master, slave)
         if not seeded or previous_x is None:
             return None
         hint = self._master_hint(seeded_master, previous_x)
         master = self._solve_master(seeded_master, hint=hint)
         if master is None:
             return None
-        x_proposed, _thetas, master_objective = master
+        x_proposed, master_objective = master
         outcome = slave.evaluate(previous_x)
         if not outcome.feasible:
             return None
@@ -760,12 +724,10 @@ class BendersSolver:
                 )
             if not corroborated:
                 return None
-        x_candidate = previous_x
-        runtime = time.perf_counter() - start
         stats = SolverStats(
             solver="benders",
             iterations=1,
-            runtime_s=runtime,
+            runtime_s=time.perf_counter() - start,
             optimal=True,
             gap=max(0.0, gap),
             cuts_optimality=1,
@@ -777,12 +739,9 @@ class BendersSolver:
             ),
         )
         self.cut_pool.record(
-            pool_key,
-            slave.g_matrix.shape[0],
-            [(outcome.duals, True, None)],
-            x_candidate,
+            pool_key, len(slave.h0), [(outcome.duals, True, None)], previous_x
         )
-        return decision_from_vectors(problem, x_candidate, outcome.z, stats)
+        return decision_from_vectors(problem, previous_x, outcome.z, stats)
 
     @staticmethod
     def _master_hint(master: _MasterState, previous_x: np.ndarray) -> np.ndarray | None:
@@ -800,13 +759,15 @@ class BendersSolver:
             return None
         n = master.num_items
         thetas = master.theta_lowers.copy()
-        cut_matrix, cut_rhs = master.cut_rows()
-        if cut_matrix is not None:
-            base = np.asarray(cut_matrix[:, :n].dot(previous_x)).ravel()
-            theta_coeff = np.asarray(cut_matrix[:, n:].todense())
-            needed = cut_rhs - base
-            for row in range(cut_matrix.shape[0]):
-                support = np.flatnonzero(theta_coeff[row] > 0.5)
+        cuts, cut_rhs = master.cut_rows()
+        if len(cuts):
+            # Row activities at (previous_x, thetas = 0), summed per row in
+            # column order -- the order the sparse rows are stored in.
+            (rows,) = master.constraints()
+            activity = rows.A.dot(np.concatenate([previous_x, np.zeros(master.num_thetas)]))
+            needed = cut_rhs - activity[master.num_static_rows :]
+            for row, theta_coeff in enumerate(cuts[:, n:]):
+                support = np.flatnonzero(theta_coeff > 0.5)
                 if not len(support):
                     # A feasibility cut previous_x violates makes the hint
                     # invalid; solve_milp's validation rejects it then.
@@ -818,20 +779,11 @@ class BendersSolver:
 
     def _solve_master(
         self, master: _MasterState, hint: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """Solve the current master MILP; returns (x, thetas, objective)."""
-        result = solve_milp(
-            cost=master.cost,
-            constraints=master.constraints(),
-            integrality=master.integrality,
-            lower=master.lower,
-            upper=master.upper,
-            time_limit_s=self.master_time_limit_s,
-            hint=hint,
-        )
-        if not result.success and result.hint_applied:
-            # Paranoia: a numerically borderline objective cutoff must never
-            # turn a feasible master infeasible.  Retry cold.
+    ) -> tuple[np.ndarray, float] | None:
+        """Solve the current master MILP; returns (x, objective)."""
+        # A numerically borderline objective cutoff must never turn a
+        # feasible master infeasible: a failed hinted solve is retried cold.
+        for attempt in (hint, None):
             result = solve_milp(
                 cost=master.cost,
                 constraints=master.constraints(),
@@ -839,10 +791,10 @@ class BendersSolver:
                 lower=master.lower,
                 upper=master.upper,
                 time_limit_s=self.master_time_limit_s,
+                hint=attempt,
             )
+            if result.success or not result.hint_applied:
+                break
         if not result.success:
             return None
-        n = master.num_items
-        x = np.round(result.values[:n])
-        thetas = np.asarray(result.values[n:], dtype=float)
-        return x, thetas, float(result.objective)
+        return np.round(result.values[: master.num_items]), float(result.objective)

@@ -18,11 +18,19 @@ are also exactly the knapsack weights (27)-(28) used by the KAC heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from repro.core.lpsolver import CompiledLP, LPSolution, Phase1Problem
+from repro.core.lpsolver import (
+    CompiledLP,
+    LPSolution,
+    Phase1Problem,
+    canonical_csc,
+    gather_slices,
+    stack_columns,
+)
 from repro.core.problem import ACRRProblem
 
 #: Numerical tolerance below which a phase-1 optimum counts as "feasible".
@@ -109,7 +117,8 @@ class BlockStack:
 
     blocks: list[SlaveBlock]
     d: np.ndarray
-    g_matrix: sparse.csr_matrix
+    #: ``diag(G_b)`` column-major and canonical: what HiGHS is handed.
+    g_columns: sparse.csc_matrix
     h0: np.ndarray
     h_matrix: sparse.csr_matrix
     #: ``H'`` over the same arrays, for cut coefficients ``H' mu``.
@@ -118,6 +127,11 @@ class BlockStack:
     u_upper: np.ndarray
     #: Implied bounds of any feasible slave point: 0 <= (y, z) <= sla.
     u_bound: np.ndarray
+
+    @cached_property
+    def g_matrix(self) -> sparse.csr_matrix:
+        """``g_columns`` row-major, for slicing single blocks out."""
+        return self.g_columns.tocsr()
 
 
 @dataclass(frozen=True)
@@ -165,24 +179,25 @@ class SlaveProblem:
         capacity = problem.capacity_block()
         coupling = problem.coupling_block()
 
-        # Constraint matrix over u = [y, z].
-        g_capacity = sparse.hstack([capacity.a_y, capacity.a_z], format="csr")
-        g_coupling = sparse.hstack([coupling.a_y, coupling.a_z], format="csr")
-        self.g_matrix: sparse.csr_matrix = sparse.vstack(
-            [g_capacity, g_coupling], format="csr"
+        # Constraint matrix over u = [y, z], column-major and canonical:
+        # HiGHS is handed these arrays as they are.
+        self.g_columns: sparse.csc_matrix = stack_columns(
+            [[capacity.y, coupling.y], [capacity.z, coupling.z]]
         )
         # Right-hand side h(x) = h0 + H x.
         self.h0: np.ndarray = np.concatenate([capacity.upper, coupling.upper])
-        self.h_matrix: sparse.csr_matrix = sparse.vstack(
-            [-capacity.a_x, -coupling.a_x], format="csr"
-        )
-        self.row_labels: list[str] = list(capacity.labels) + list(coupling.labels)
+        h_columns = stack_columns([[capacity.x, coupling.x]])
+        np.negative(h_columns.data, out=h_columns.data)
+        self.h_matrix: sparse.csr_matrix = h_columns.tocsr()
+        self.h_transposed: sparse.csc_matrix = self.h_matrix.T
         self.num_capacity_rows = capacity.num_rows
 
         # Slave objective: only the y-part of Psi is decided by the slave.
         self.d: np.ndarray = np.concatenate([problem.objective_y(), np.zeros(n)])
         self.u_lower = np.zeros(2 * n)
         self.u_upper = np.full(2 * n, np.inf)
+        #: Implied bounds of any feasible slave point: 0 <= (y, z) <= sla.
+        self.u_bound = np.concatenate([problem.sla_mbps, problem.sla_mbps])
         # Compiled on first use, re-solved per right-hand side afterwards:
         # the slave LP, its phase-1 certificate problem (first infeasible
         # evaluate) and the stacked block LP.  They hold native HiGHS
@@ -198,6 +213,11 @@ class SlaveProblem:
         # byte-identical LPs.
         self._last_outcome: tuple[bytes, SlaveSolveOutcome] | None = None
         self._last_block_outcomes: tuple[bytes, list[BlockSolveOutcome]] | None = None
+
+    @cached_property
+    def g_matrix(self) -> sparse.csr_matrix:
+        """``g_columns`` row-major."""
+        return self.g_columns.tocsr()
 
     # ------------------------------------------------------------------ #
     def rhs(self, x: np.ndarray) -> np.ndarray:
@@ -215,7 +235,7 @@ class SlaveProblem:
     def _evaluate(self, x: np.ndarray) -> SlaveSolveOutcome:
         b = self.rhs(x)
         if self._lp is None:
-            self._lp = CompiledLP(self.d, self.g_matrix, self.u_lower, self.u_upper)
+            self._lp = CompiledLP(self.d, self.g_columns, self.u_lower, self.u_upper)
         solution: LPSolution = self._lp.solve(b)
         n = self.num_items
         if solution.success:
@@ -229,7 +249,7 @@ class SlaveProblem:
                 ray=np.zeros(len(b)),
             )
         if self._phase1 is None:
-            self._phase1 = Phase1Problem(self.g_matrix, self.u_lower, self.u_upper)
+            self._phase1 = Phase1Problem(self.g_columns, self.u_lower, self.u_upper)
         infeasibility, ray = self._phase1.certificate(b)
         if infeasibility <= FEASIBILITY_TOLERANCE:
             # The LP failed for numerical reasons but is essentially feasible,
@@ -268,84 +288,81 @@ class SlaveProblem:
     def _build_block_stack(self) -> BlockStack:
         """Assemble the stacked block system straight from the slave arrays.
 
-        One row gather, one entry filter and one column renumbering build
-        ``diag(G_b)`` for every tenant at once; no per-tenant sparse slicing.
+        Items are tenant-contiguous, so block ``b``'s columns are the
+        tenant's ``y`` columns then its ``z`` columns, and ``diag(G_b)`` is
+        ``G`` with its columns in that order and its rows renumbered: every
+        entry of a slave column lies in a row of the column's own block.
+        ``H`` keeps its full width, so its rows are gathered instead
+        (shared capacity rows once per block that touches them).
         """
-        n = self.num_items
+        n, num_capacity = self.num_items, self.num_capacity_rows
         resource_blocks = self.problem.resource_blocks()
-        coupling_offsets = np.arange(5)
-        sla = np.array([item.sla_mbps for item in self.problem.items], dtype=float)
-        theta_floor = np.minimum(self.problem.objective_y() * sla, 0.0)
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        theta_lowers: list[float] = []
-        for block in resource_blocks:
-            items = np.asarray(block.item_indices, dtype=np.intp)
-            theta_lowers.append(float(np.sum(theta_floor[items])))
-            coupling_rows = self.num_capacity_rows + (
-                5 * items[:, np.newaxis] + coupling_offsets
-            ).ravel()
-            row_parts.append(
-                np.concatenate(
-                    [np.asarray(block.capacity_rows, dtype=np.intp), coupling_rows]
-                )
-            )
-            col_parts.append(np.concatenate([items, n + items]))
-        row_counts = [len(part) for part in row_parts]
-        col_counts = [len(part) for part in col_parts]
-        row_offsets = np.cumsum([0, *row_counts]).tolist()
-        col_offsets = np.cumsum([0, *col_counts]).tolist()
-        rows = np.concatenate(row_parts)
-        cols = np.concatenate(col_parts)
         block_ids = np.arange(len(resource_blocks))
+        sizes = np.array([len(block.item_indices) for block in resource_blocks])
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        block_of_item = np.repeat(block_ids, sizes)
+        touched = np.zeros((len(resource_blocks), num_capacity), dtype=bool)
+        for block in resource_blocks:
+            touched[block.index, list(block.capacity_rows)] = True
+        # Block rows: the capacity rows it touches, then 5 per item.
+        position = np.cumsum(touched, axis=1)
+        row_offsets = np.concatenate([[0], np.cumsum(position[:, -1] + 5 * sizes)])
 
-        # Every slave column belongs to exactly one tenant: its block and
-        # its position in the stacked column order.
-        col_block = np.full(2 * n, -1, dtype=np.intp)
-        col_block[cols] = np.repeat(block_ids, col_counts)
-        col_position = np.zeros(2 * n, dtype=np.intp)
-        col_position[cols] = np.arange(len(cols))
+        # Stacked row of a slave row: a capacity row by its position among
+        # the rows its block touches; coupling row 5i + k of item i right
+        # after its own block's capacity rows (no other block holds it).
+        capacity_map = row_offsets[:-1, np.newaxis] + position - 1
+        shift = (row_offsets[:-1] + position[:, -1] - 5 * starts[:-1])[block_of_item]
+        coupling_map = np.repeat(shift, 5) + np.arange(5 * n)
+        rows = np.empty(row_offsets[-1], dtype=np.intp)  # and back
+        rows[coupling_map] = num_capacity + np.arange(5 * n)
+        toucher, capacity_row = np.nonzero(touched)
+        rows[capacity_map[toucher, capacity_row]] = capacity_row
 
-        # Gather the stacked rows, keep only the entries in the row's own
-        # block (the other tenants' terms of a shared capacity row drop out)
-        # and renumber the columns.  Positions grow with the column index
-        # inside a block, so the rows stay sorted.
-        gathered = self.g_matrix[rows]
-        entry_row = np.repeat(np.arange(len(rows)), np.diff(gathered.indptr))
-        keep = col_block[gathered.indices] == np.repeat(block_ids, row_counts)[entry_row]
-        indptr = np.zeros(len(rows) + 1, dtype=gathered.indptr.dtype)
-        np.cumsum(np.bincount(entry_row[keep], minlength=len(rows)), out=indptr[1:])
-        g_stack = sparse.csr_matrix(
-            (
-                gathered.data[keep],
-                col_position[gathered.indices[keep]].astype(gathered.indices.dtype),
-                indptr,
-            ),
-            shape=(len(rows), len(cols)),
+        # Stacked column order: y_i sits at i + (first item of its block),
+        # z_i one block size further.
+        cols = np.empty(2 * n, dtype=np.intp)
+        cols[np.arange(n) + starts[:-1][block_of_item]] = np.arange(n)
+        cols[np.arange(n) + starts[1:][block_of_item]] = n + np.arange(n)
+        g = self.g_columns
+        indptr, entry = gather_slices(g.indptr, cols)
+        block_of_entry = np.repeat(np.repeat(block_ids, 2 * sizes), indptr[1:] - indptr[:-1])
+        row = g.indices[entry]
+        in_capacity = row < num_capacity
+        row = np.where(
+            in_capacity,
+            capacity_map[block_of_entry, np.where(in_capacity, row, 0)],
+            coupling_map[np.maximum(row - num_capacity, 0)],
+        )
+        g_stack = canonical_csc(indptr, row, g.data[entry], (len(rows), 2 * n))
+        h = self.h_matrix
+        indptr, entry = gather_slices(h.indptr, rows)
+        h_stack = sparse.csr_matrix(
+            (h.data[entry], h.indices[entry], indptr), shape=(len(rows), n)
         )
 
+        theta_floor = np.minimum(self.problem.objective_y() * self.problem.sla_mbps, 0.0)
         blocks = [
             SlaveBlock(
                 index=block.index,
                 tenant_index=block.tenant_index,
-                item_indices=tuple(block.item_indices),
-                rows=slice(row_offsets[b], row_offsets[b + 1]),
-                cols=slice(col_offsets[b], col_offsets[b + 1]),
-                theta_lower=theta_lowers[b],
+                item_indices=block.item_indices,
+                rows=slice(int(row_offsets[b]), int(row_offsets[b + 1])),
+                cols=slice(2 * int(starts[b]), 2 * int(starts[b + 1])),
+                theta_lower=float(np.sum(theta_floor[starts[b] : starts[b + 1]])),
             )
             for b, block in enumerate(resource_blocks)
         ]
-        h_stack = self.h_matrix[rows]
         return BlockStack(
             blocks=blocks,
             d=self.d[cols],
-            g_matrix=g_stack,
+            g_columns=g_stack,
             h0=self.h0[rows],
             h_matrix=h_stack,
             h_transposed=h_stack.T,
-            u_lower=np.zeros(len(cols)),
-            u_upper=np.full(len(cols), np.inf),
-            u_bound=np.concatenate([sla, sla])[cols],
+            u_lower=np.zeros(2 * n),
+            u_upper=np.full(2 * n, np.inf),
+            u_bound=self.u_bound[cols],
         )
 
     def evaluate_block(self, block: SlaveBlock, x: np.ndarray) -> BlockSolveOutcome:
@@ -409,7 +426,7 @@ class SlaveProblem:
         b = stack.h0 + stack.h_matrix.dot(x)
         if self._stack_lp is None:
             self._stack_lp = CompiledLP(
-                stack.d, stack.g_matrix, stack.u_lower, stack.u_upper
+                stack.d, stack.g_columns, stack.u_lower, stack.u_upper
             )
         solution: LPSolution = self._stack_lp.solve(b)
         if not solution.success:
@@ -433,24 +450,27 @@ class SlaveProblem:
             )
         return outcomes
 
-    def cut_from_block_multipliers(
-        self, block: SlaveBlock, mu: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Like :meth:`cut_from_multipliers` but over one block's rows.
+    def cuts_from_block_multipliers(
+        self, pairs: list[tuple[SlaveBlock, np.ndarray]]
+    ) -> list[tuple[np.ndarray, float]]:
+        """Like :meth:`cut_from_multipliers`, for a round's block multipliers.
 
         The returned coefficients span the full admission vector (shared
-        capacity rows carry other tenants' baseline terms); the cut reads
+        capacity rows carry other tenants' baseline terms); each cut reads
         ``theta_b + (H_b' mu)' x >= -h0_b' mu``.
         """
         stack = self.block_stack()
-        mu = np.asarray(mu, dtype=float)
-        # Zero outside the block's rows: the other blocks' rows add exact
-        # zeros, so this is H_b' mu without slicing H_b out of the stack.
-        padded = np.zeros(len(stack.h0))
-        padded[block.rows] = mu
-        coeff = stack.h_transposed.dot(padded)
-        rhs = -float(np.dot(stack.h0[block.rows], mu))
-        return coeff, rhs
+        # Zero outside each block's rows: the other blocks' rows add exact
+        # zeros, so one product over the cached transpose is every H_b' mu
+        # without slicing any H_b out of the stack.
+        padded = np.zeros((len(stack.h0), len(pairs)))
+        for column, (block, mu) in enumerate(pairs):
+            padded[block.rows, column] = mu
+        coeffs = stack.h_transposed.dot(padded) if pairs else padded
+        return [
+            (coeffs[:, column], -float(np.dot(stack.h0[block.rows], mu)))
+            for column, (block, mu) in enumerate(pairs)
+        ]
 
     # ------------------------------------------------------------------ #
     # Cut generation
@@ -467,7 +487,7 @@ class SlaveProblem:
         Returns ``(coefficients over x, right-hand side)`` of that inequality.
         """
         mu = np.asarray(mu, dtype=float)
-        coeff = np.asarray(self.h_matrix.T.dot(mu)).ravel()
+        coeff = self.h_transposed.dot(mu)
         rhs = -float(np.dot(self.h0, mu))
         return coeff, rhs
 

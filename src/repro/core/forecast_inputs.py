@@ -56,4 +56,6 @@ class ForecastInput:
         lam = min(self.lambda_hat_mbps, sla_mbps * MAX_LAMBDA_FRACTION)
         lam = max(lam, 0.0)
         sigma = min(max(self.sigma_hat, MIN_SIGMA_HAT), 1.0)
+        if lam == self.lambda_hat_mbps and sigma == self.sigma_hat:
+            return self  # already in range (the value is immutable)
         return ForecastInput(lambda_hat_mbps=lam, sigma_hat=sigma)

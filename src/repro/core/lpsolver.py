@@ -20,11 +20,19 @@ HiGHS does not:
 A :class:`CompiledLP` (and the :class:`Phase1Problem` built on it) owns a
 native HiGHS instance: keep it on objects that live for one solve, never on
 anything that is cached across epochs or crosses a process boundary.
+
+HiGHS takes its constraint matrix column-major, so that is the layout the
+model builders assemble in (:func:`stack_columns`): a ``csc_matrix`` in
+*canonical* form -- rows ascending within each column, no duplicates -- is
+handed to HiGHS as it is, array for array.  Canonical form is unique, which
+is what makes "the solver sees the same model" checkable by comparing bytes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy
@@ -34,7 +42,7 @@ try:
     # The single import site of the private bindings (see DESIGN.md).
     from scipy.optimize._highspy import _core as _highs
 
-    _Highs, _HighsLp, _HighsOptions = _highs._Highs, _highs.HighsLp, _highs.HighsOptions
+    _Highs, _HighsOptions = _highs._Highs, _highs.HighsOptions
 except (ImportError, AttributeError) as error:
     raise ImportError(
         "repro.core.lpsolver drives HiGHS through the highspy bindings that "
@@ -80,11 +88,125 @@ class MILPSolution:
 
 
 # --------------------------------------------------------------------- #
+# Column-major assembly
+# --------------------------------------------------------------------- #
+def canonical_csc(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    shape: tuple[int, int],
+    keep: np.ndarray | None = None,
+) -> sparse.csc_matrix:
+    """Wrap a column-major triple the caller built in canonical form.
+
+    The promise -- rows ascending within each column, no duplicates -- is
+    recorded on the matrix, not re-checked: every consumer down to HiGHS
+    takes the arrays as they are.  ``keep`` (one flag per entry) drops the
+    entries it does not select, e.g. exact zeros of a scaled stencil.
+    """
+    if keep is not None and not keep.all():
+        kept_before = np.zeros(len(keep) + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept_before[1:])
+        indptr, indices, data = kept_before[indptr], indices[keep], data[keep]
+    matrix = sparse.csc_matrix((data, indices, indptr), shape=shape)
+    matrix.has_canonical_format = True
+    return matrix
+
+
+def is_canonical_csc(matrix) -> bool:
+    return (
+        isinstance(matrix, sparse.csc_matrix)
+        and matrix.dtype == np.float64
+        and matrix.has_canonical_format
+    )
+
+
+def gather_slices(indptr: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bookkeeping of taking the major slices ``which`` (columns of a CSC,
+    rows of a CSR layout) in that order: the new ``indptr`` and, for every
+    entry taken, its position in the source arrays."""
+    counts = (indptr[1:] - indptr[:-1])[which]
+    taken = np.zeros(len(which) + 1, dtype=np.int32)
+    np.cumsum(counts, out=taken[1:])
+    return taken, np.arange(taken[-1]) + np.repeat(indptr[which] - taken[:-1], counts)
+
+
+def dense_rows_to_csc(rows: np.ndarray) -> sparse.csc_matrix:
+    """The non-zeros of a dense ``(k, n)`` array, column-major."""
+    by_column = np.ascontiguousarray(rows.T)
+    nonzero = by_column != 0
+    indptr = np.zeros(rows.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
+    return canonical_csc(
+        indptr, np.nonzero(nonzero)[1].astype(np.int32), by_column[nonzero], rows.shape
+    )
+
+
+def stack_columns(
+    grid: Sequence[Sequence[sparse.csc_matrix | tuple[int, int]]],
+) -> sparse.csc_matrix:
+    """Assemble a block matrix column-major, in one pass, into canonical CSC.
+
+    ``grid`` lists the block *columns* left to right; each block column
+    lists its blocks top to bottom.  A block is a canonical ``csc_matrix``
+    or, for an all-zero block, just its ``(rows, cols)`` shape.  Column
+    ``c`` of the result is the concatenation of column ``c`` of the blocks
+    above one another with their row offsets added, so it is canonical by
+    construction; nothing is validated, converted or routed through COO.
+    """
+    plan, heights, widths = [], set(), []
+    for blocks in grid:
+        shapes = [b if isinstance(b, tuple) else b.shape for b in blocks]
+        if len({cols for _, cols in shapes}) != 1:
+            raise ValueError(f"blocks of one block column differ in width: {shapes}")
+        heights.add(sum(rows for rows, _ in shapes))
+        # (row offset, block, entries per column) of every block with entries.
+        filled, row_offset = [], 0
+        for block, (rows, _) in zip(blocks, shapes):
+            if not isinstance(block, tuple) and block.nnz:
+                filled.append((row_offset, block, block.indptr[1:] - block.indptr[:-1]))
+            row_offset += rows
+        plan.append(filled)
+        widths.append(shapes[0][1])
+    if len(heights) != 1:
+        raise ValueError(f"block columns differ in height: {sorted(heights)}")
+    indptr = np.zeros(sum(widths) + 1, dtype=np.int32)
+    first_col = 0
+    for filled, width in zip(plan, widths):
+        if filled:
+            counts = sum(per_col for _, _, per_col in filled[1:]) + filled[0][2]
+            np.cumsum(counts, out=indptr[first_col + 1 : first_col + width + 1])
+            indptr[first_col + 1 : first_col + width + 1] += indptr[first_col]
+        else:
+            indptr[first_col + 1 : first_col + width + 1] = indptr[first_col]
+        first_col += width
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    first_col = 0
+    for filled, width in zip(plan, widths):
+        start = indptr[first_col]
+        if len(filled) == 1:
+            # A lone block keeps its layout: one copy, rows shifted.
+            row_offset, block, _ = filled[0]
+            np.add(block.indices, row_offset, out=indices[start : start + block.nnz])
+            data[start : start + block.nnz] = block.data
+        elif filled:
+            # Next free slot of every column of this block column.
+            cursor = indptr[first_col : first_col + width].astype(np.int64)
+            for row_offset, block, per_col in filled:
+                slots = np.arange(block.nnz) + np.repeat(cursor - block.indptr[:-1], per_col)
+                indices[slots] = block.indices + row_offset
+                data[slots] = block.data
+                cursor += per_col
+        first_col += width
+    return canonical_csc(indptr, indices, data, (heights.pop(), first_col))
+
+
+# --------------------------------------------------------------------- #
 # HiGHS plumbing shared by the LP and MILP entry points
 # --------------------------------------------------------------------- #
 _ModelStatus = _highs.HighsModelStatus
 _ERROR = _highs.HighsStatus.kError
-_VAR_TYPES = tuple(_highs.HighsVarType(kind) for kind in range(4))
 
 #: SciPy's status number and wording per HiGHS model status; the wording
 #: travels in typed errors and ``EpochReport.solver_message``, so it stays
@@ -149,8 +271,14 @@ def _checked_vector(name: str, values: np.ndarray, size: int, finite: bool = Fal
 
 
 def _checked_matrix(name: str, matrix, num_cols: int) -> sparse.csc_matrix:
-    """``matrix`` column-major (what HiGHS takes) with finite entries."""
-    csc = sparse.csc_matrix(matrix, dtype=float)
+    """``matrix`` column-major (what HiGHS takes) with finite entries.
+
+    A canonical ``csc_matrix`` of floats passes through untouched.
+    """
+    if is_canonical_csc(matrix):
+        csc = matrix
+    else:
+        csc = sparse.csc_matrix(matrix, dtype=float)
     if csc.shape[1] != num_cols:
         raise ValueError(f"{name} must have {num_cols} columns, got shape {csc.shape}")
     if not np.isfinite(csc.data).all():
@@ -158,39 +286,78 @@ def _checked_matrix(name: str, matrix, num_cols: int) -> sparse.csc_matrix:
     return csc
 
 
+@dataclass
+class _Model:
+    """What HiGHS is handed: one field per ``passModel`` argument.
+
+    The arrays cross the binding as buffers -- no per-element conversion,
+    no intermediate ``HighsLp`` -- and HiGHS copies them on ``passModel``.
+    ``integrality`` holds ``HighsVarType`` codes, all zero for an LP.
+    """
+
+    col_cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    matrix: sparse.csc_matrix
+    integrality: np.ndarray
+
+
 def _highs_model(
-    cost: np.ndarray, matrix: sparse.csc_matrix, lower: np.ndarray, upper: np.ndarray
-) -> "_highs.HighsLp":
-    """A ``HighsLp`` with everything but its row bounds filled in."""
-    num_cols = len(cost)
-    cost = _checked_vector("cost", cost, num_cols, finite=True)
-    model = _HighsLp()
-    model.num_col_ = num_cols
-    model.num_row_ = matrix.shape[0]
-    model.a_matrix_.num_col_ = num_cols
-    model.a_matrix_.num_row_ = matrix.shape[0]
-    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    # The bindings take index vectors element by element, which is 2.5x
-    # faster from a list than from an integer array.
-    model.a_matrix_.start_ = matrix.indptr.tolist()
-    model.a_matrix_.index_ = matrix.indices.tolist()
-    model.a_matrix_.value_ = matrix.data
-    model.col_cost_ = cost
-    model.col_lower_ = _checked_vector("lower", lower, num_cols)
-    model.col_upper_ = _checked_vector("upper", upper, num_cols)
-    return model
+    cost: np.ndarray,
+    matrix: sparse.csc_matrix,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    integrality: np.ndarray | None = None,
+) -> _Model:
+    """A checked :class:`_Model`; ``matrix`` went through :func:`_checked_matrix`."""
+    num_cols, num_rows = len(cost), matrix.shape[0]
+    return _Model(
+        col_cost=_checked_vector("cost", cost, num_cols, finite=True),
+        col_lower=_checked_vector("lower", lower, num_cols),
+        col_upper=_checked_vector("upper", upper, num_cols),
+        row_lower=_checked_vector("constraint lb", row_lower, num_rows),
+        row_upper=_checked_vector("constraint ub", row_upper, num_rows),
+        matrix=matrix,
+        integrality=np.zeros(num_cols, dtype=np.int32) if integrality is None else integrality,
+    )
 
 
-def _run(highs: "_highs._Highs", model: "_highs.HighsLp", is_mip: bool):
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+
+
+def _run(highs: "_highs._Highs", model: _Model, is_mip: bool):
     """Load and solve ``model``; returns ``(scipy status, message, info, solution)``.
 
     ``passModel`` drops any basis and solution the instance holds, so every
     run is a cold solve.  ``solution`` is ``None`` unless there is something
     safe to read: an optimum, or a MIP incumbent at a limit.
     """
+    matrix = model.matrix
+    passed = highs.passModel(
+        matrix.shape[1],
+        matrix.shape[0],
+        matrix.nnz,
+        _COLWISE,
+        _MINIMIZE,
+        0.0,
+        model.col_cost,
+        model.col_lower,
+        model.col_upper,
+        model.row_lower,
+        model.row_upper,
+        matrix.indptr,
+        matrix.indices,
+        matrix.data,
+        model.integrality,
+    )
     status = _ModelStatus.kModelError
     described = info = solution = None
-    if highs.passModel(model) != _ERROR:
+    if passed != _ERROR:
         ran = highs.run() != _ERROR
         status = highs.getModelStatus()
         if ran:
@@ -234,8 +401,8 @@ class CompiledLP:
         self.num_cols = len(cost)
         matrix = _checked_matrix("a_ub", a_ub, self.num_cols)
         self.num_rows = matrix.shape[0]
-        self._model = _highs_model(cost, matrix, lower, upper)
-        self._model.row_lower_ = np.full(self.num_rows, -np.inf)
+        unbounded = np.full(self.num_rows, np.inf)
+        self._model = _highs_model(cost, matrix, lower, upper, -unbounded, unbounded)
         self._highs = _Highs()
         self._highs.passOptions(_LP_OPTIONS)
 
@@ -246,7 +413,7 @@ class CompiledLP:
         numbers ``mu`` such that the dual objective is ``-b' mu`` (the sign
         convention used by the Benders derivation in the paper).
         """
-        self._model.row_upper_ = _checked_vector("b_ub", b_ub, self.num_rows)
+        self._model.row_upper = _checked_vector("b_ub", b_ub, self.num_rows)
         code, message, info, solution = _run(self._highs, self._model, is_mip=False)
         if solution is None:
             return LPSolution(
@@ -258,12 +425,12 @@ class CompiledLP:
                 infeasible=code == 2,
             )
         # HiGHS row duals are <= 0 for <= constraints in a minimisation.
-        duals = np.clip(-np.array(solution.row_dual), 0.0, None)
+        duals = np.clip(-np.array(solution.row_dual, dtype=float), 0.0, None)
         return LPSolution(
             success=True,
             status=message,
             objective=float(info.objective_function_value),
-            primal=np.array(solution.col_value),
+            primal=np.array(solution.col_value, dtype=float),
             duals_upper=duals,
             infeasible=False,
         )
@@ -298,12 +465,19 @@ class Phase1Problem:
         upper: np.ndarray,
     ):
         num_rows, num_vars = a_ub.shape
-        a_ext = sparse.hstack(
-            [a_ub, -sparse.identity(num_rows, format="csr")], format="csr"
+        columns = _checked_matrix("a_ub", a_ub, num_vars)
+        if not columns.has_canonical_format:  # hand-built input: canonicalise a copy
+            columns = columns.copy()
+            columns.sum_duplicates()
+        minus_identity = canonical_csc(
+            np.arange(num_rows + 1, dtype=np.int32),
+            np.arange(num_rows, dtype=np.int32),
+            np.full(num_rows, -1.0),
+            (num_rows, num_rows),
         )
         self._lp = CompiledLP(
             np.concatenate([np.zeros(num_vars), np.ones(num_rows)]),
-            a_ext,
+            stack_columns([[columns], [minus_identity]]),
             np.concatenate([lower, np.zeros(num_rows)]),
             np.concatenate([upper, np.full(num_rows, np.inf)]),
         )
@@ -372,33 +546,55 @@ def validate_milp_hint(
 def stack_constraints(
     constraints: list[optimize.LinearConstraint], num_cols: int
 ) -> optimize.LinearConstraint:
-    """Fold ``constraints`` into one row-major block, rows in order.
+    """Fold ``constraints`` into one block, rows in order.
 
-    Row-major because appending rows to CSR is a concatenation: stacking the
-    blocks this way and converting to HiGHS's column-major form once was
-    measured twice as fast as stacking column-major blocks, which SciPy
-    routes through COO.  Scalar bounds are broadcast over their rows; a
-    bound or block that does not fit raises ``ValueError``.
+    Blocks that are all canonical column-major already (the model builders')
+    are stacked column-major in one pass and a single one passes through as
+    it is.  Anything else is stacked row-major -- appending rows to CSR is a
+    concatenation, measured twice as fast as stacking arbitrary CSC blocks,
+    which SciPy routes through COO -- and converted once by the caller.
+    Scalar bounds are broadcast over their rows; a bound or block that does
+    not fit raises ``ValueError``.
     """
+    column_major = all(is_canonical_csc(constraint.A) for constraint in constraints)
     matrices, lowers, uppers = [], [], []
     for constraint in constraints:
-        matrix = sparse.csr_matrix(constraint.A)
+        matrix = constraint.A if column_major else sparse.csr_matrix(constraint.A)
         matrices.append(matrix)
         for bound, parts in ((constraint.lb, lowers), (constraint.ub, uppers)):
-            parts.append(
-                np.broadcast_to(np.asarray(bound, dtype=float), (matrix.shape[0],))
-            )
+            bound = np.asarray(bound, dtype=float)
+            if bound.shape != (matrix.shape[0],):
+                bound = np.broadcast_to(bound, (matrix.shape[0],))
+            parts.append(bound)
     if not matrices:
         return optimize.LinearConstraint(
             sparse.csr_matrix((0, num_cols)), np.empty(0), np.empty(0)
         )
     if len(matrices) == 1:
+        (only,) = constraints
+        if column_major and lowers[0] is only.lb and uppers[0] is only.ub:
+            return only  # already one canonical block with full bound vectors
         return optimize.LinearConstraint(matrices[0], lowers[0], uppers[0])
     return optimize.LinearConstraint(
-        sparse.vstack(matrices, format="csr"),
+        stack_columns([matrices]) if column_major else sparse.vstack(matrices, format="csr"),
         np.concatenate(lowers),
         np.concatenate(uppers),
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _milp_options(mip_rel_gap: float, time_limit_s: float | None) -> "_highs.HighsOptions":
+    """What ``milp`` sets: its own log off, the gap, the optional time limit.
+
+    Option objects are only ever read (``passOptions`` copies them), so one
+    per distinct setting serves every solve.
+    """
+    options = _HighsOptions()
+    options.log_to_console = False
+    options.mip_rel_gap = mip_rel_gap
+    if time_limit_s is not None:
+        options.time_limit = time_limit_s
+    return options
 
 
 def solve_milp(
@@ -434,29 +630,22 @@ def solve_milp(
         slack = 1e-9 * max(1.0, abs(hint_value))
         constraints = list(constraints) + [
             optimize.LinearConstraint(
-                sparse.csr_matrix(cost.reshape(1, -1)), -np.inf, hint_value + slack
+                dense_rows_to_csc(cost.reshape(1, -1)), -np.inf, hint_value + slack
             )
         ]
         hint_applied = True
     rows = stack_constraints(constraints, len(cost))
     matrix = _checked_matrix("constraint matrix", rows.A, len(cost))
-    model = _highs_model(cost, matrix, lower, upper)
-    model.row_lower_ = _checked_vector("constraint lb", rows.lb, matrix.shape[0])
-    model.row_upper_ = _checked_vector("constraint ub", rows.ub, matrix.shape[0])
     kinds = np.asarray(integrality)
     if kinds.shape != cost.shape or ((kinds < 0) | (kinds > 3)).any():
         raise ValueError(f"integrality must hold {len(cost)} values in 0..3")
-    kinds = kinds.astype(np.uint8)
-    model.integrality_ = [_VAR_TYPES[kind] for kind in kinds.tolist()]
+    model = _highs_model(
+        cost, matrix, lower, upper, rows.lb, rows.ub, kinds.astype(np.int32)
+    )
 
-    # What ``milp`` sets: its own log off, the gap, the optional time limit.
-    options = _HighsOptions()
-    options.log_to_console = False
-    options.mip_rel_gap = float(mip_rel_gap)
-    if time_limit_s is not None:
-        options.time_limit = float(time_limit_s)
     highs = _Highs()
-    if highs.passOptions(options) == _ERROR:
+    limit = None if time_limit_s is None else float(time_limit_s)
+    if highs.passOptions(_milp_options(float(mip_rel_gap), limit)) == _ERROR:
         raise ValueError(
             f"HiGHS refused mip_rel_gap={mip_rel_gap!r} / time_limit_s={time_limit_s!r}"
         )
@@ -475,7 +664,7 @@ def solve_milp(
         success=code == 0,
         status=message,
         objective=float(info.objective_function_value),
-        values=np.array(solution.col_value),
+        values=np.array(solution.col_value, dtype=float),
         mip_gap=float(info.mip_gap) if is_mip else 0.0,
         hint_applied=hint_applied,
     )

@@ -17,7 +17,7 @@ import time
 import numpy as np
 from scipy import optimize, sparse
 
-from repro.core.lpsolver import solve_milp
+from repro.core.lpsolver import canonical_csc, solve_milp, stack_columns
 from repro.core.problem import ACRRProblem, InfeasibleProblemError
 from repro.core.solution import (
     OrchestrationDecision,
@@ -57,46 +57,24 @@ class DirectMILPSolver:
             ]
         )
 
-        constraints = []
-        capacity = problem.capacity_block()
-        cap_matrix = sparse.hstack(
-            [capacity.a_x, capacity.a_z, capacity.a_y], format="csr"
-        )
+        # Rows: capacity, selection, coupling; columns: x, z, y, deficits.
+        # One canonical column-major matrix, straight from the blocks.
+        blocks = (problem.capacity_block(), problem.selection_block(), problem.coupling_block())
+        columns = [[block.x for block in blocks], [block.z for block in blocks],
+                   [block.y for block in blocks]]
         if use_deficit:
-            cap_matrix = sparse.hstack(
-                [cap_matrix, -self._deficit_columns(problem)], format="csr"
+            columns.append(
+                [self._deficit_columns(problem), *((block.num_rows, num_deficit) for block in blocks[1:])]
             )
-        constraints.append(
-            optimize.LinearConstraint(cap_matrix, capacity.lower, capacity.upper)
-        )
+        constraints = [
+            optimize.LinearConstraint(
+                stack_columns(columns),
+                np.concatenate([block.lower for block in blocks]),
+                np.concatenate([block.upper for block in blocks]),
+            )
+        ]
 
-        selection = problem.selection_block()
-        if selection.num_rows:
-            sel_matrix = sparse.hstack(
-                [
-                    selection.a_x,
-                    sparse.csr_matrix((selection.num_rows, 2 * n + num_deficit)),
-                ],
-                format="csr",
-            )
-            constraints.append(
-                optimize.LinearConstraint(sel_matrix, selection.lower, selection.upper)
-            )
-
-        coupling = problem.coupling_block()
-        coup_matrix = sparse.hstack(
-            [coupling.a_x, coupling.a_z, coupling.a_y], format="csr"
-        )
-        if use_deficit:
-            coup_matrix = sparse.hstack(
-                [coup_matrix, sparse.csr_matrix((coupling.num_rows, num_deficit))],
-                format="csr",
-            )
-        constraints.append(
-            optimize.LinearConstraint(coup_matrix, coupling.lower, coupling.upper)
-        )
-
-        sla = np.array([item.sla_mbps for item in problem.items])
+        sla = problem.sla_mbps
         lower = np.zeros(num_vars)
         upper = np.concatenate(
             [np.ones(n), sla, sla, np.full(num_deficit, np.inf)]
@@ -138,17 +116,15 @@ class DirectMILPSolver:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _deficit_columns(problem: ACRRProblem) -> sparse.csr_matrix:
-        """One column per deficit domain, hitting that domain's capacity rows."""
-        domains = problem.deficit_domains()
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for row, domain in enumerate(domains):
-            col = _DEFICIT_DOMAINS.index(domain)
-            rows.append(row)
-            cols.append(col)
-            vals.append(1.0)
-        return sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(domains), len(_DEFICIT_DOMAINS))
+    def _deficit_columns(problem: ACRRProblem) -> sparse.csc_matrix:
+        """One column per deficit domain, relaxing that domain's capacity rows."""
+        domains = np.array(problem.deficit_domains())
+        rows = [np.flatnonzero(domains == domain) for domain in _DEFICIT_DOMAINS]
+        indptr = np.zeros(len(_DEFICIT_DOMAINS) + 1, dtype=np.int32)
+        np.cumsum([len(part) for part in rows], out=indptr[1:])
+        return canonical_csc(
+            indptr,
+            np.concatenate(rows).astype(np.int32),
+            np.full(len(domains), -1.0),
+            (len(domains), len(_DEFICIT_DOMAINS)),
         )

@@ -33,17 +33,27 @@ worth calling out (all documented in DESIGN.md):
   anchored at the same CU") is implemented as per-CU equality chains between
   consecutive base stations, which is equivalent to the paper's all-pairs
   formulation with O(B) instead of O(B^2) rows.
+
+Every column of the model is the same fixed stencil, so the instance is held
+as a *table of columns* (:class:`_ItemTable`: one row per (tenant, path)
+pair, one array per attribute) and every vector and matrix is index
+arithmetic on it, assembled column-major in canonical form -- the layout
+HiGHS takes (see DESIGN.md, "Incremental solver layer").  The per-item
+:class:`ProblemItem` objects survive as a lazily materialised view.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property, partial, wraps
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.forecast_inputs import ForecastInput
+from repro.core.lpsolver import canonical_csc, gather_slices
 from repro.core.risk import deficit_probability_proxy
 from repro.core.slices import SliceRequest
 from repro.topology.network import NetworkTopology
@@ -146,8 +156,8 @@ def _normalized_forecasts(
 ) -> dict[str, ForecastInput]:
     """Per-request forecasts with the pessimistic fallback and clamping."""
     return {
-        request.name: forecasts.get(
-            request.name, ForecastInput.pessimistic(request.sla_mbps)
+        request.name: (
+            forecasts.get(request.name) or ForecastInput.pessimistic(request.sla_mbps)
         ).clamped(request.sla_mbps)
         for request in requests
     }
@@ -171,18 +181,44 @@ def topology_signature(topology: NetworkTopology) -> tuple:
 
 @dataclass
 class _ConstraintBlock:
-    """A block of sparse linear constraints ``lb <= A_x x + A_z z + A_y y <= ub``."""
+    """A block of sparse linear constraints ``lb <= A_x x + A_z z + A_y y <= ub``.
 
-    a_x: sparse.csr_matrix
-    a_z: sparse.csr_matrix
-    a_y: sparse.csr_matrix
+    Held column-major (``x`` / ``z`` / ``y``: canonical CSC, or just the
+    ``(rows, cols)`` shape of a part without entries -- what
+    :func:`~repro.core.lpsolver.stack_columns` takes); the row-major
+    ``a_x`` / ``a_z`` / ``a_y`` and the row labels are derived on first use.
+    """
+
+    x: sparse.csc_matrix | tuple[int, int]
+    z: sparse.csc_matrix | tuple[int, int]
+    y: sparse.csc_matrix | tuple[int, int]
     lower: np.ndarray
     upper: np.ndarray
-    labels: list[str] = field(default_factory=list)
+    make_labels: Callable[[], list[str]]
 
     @property
     def num_rows(self) -> int:
-        return self.a_x.shape[0]
+        return len(self.upper)
+
+    @cached_property
+    def a_x(self) -> sparse.csr_matrix:
+        return _row_major(self.x)
+
+    @cached_property
+    def a_z(self) -> sparse.csr_matrix:
+        return _row_major(self.z)
+
+    @cached_property
+    def a_y(self) -> sparse.csr_matrix:
+        return _row_major(self.y)
+
+    @cached_property
+    def labels(self) -> list[str]:
+        return self.make_labels()
+
+
+def _row_major(part: sparse.csc_matrix | tuple[int, int]) -> sparse.csr_matrix:
+    return sparse.csr_matrix(part) if isinstance(part, tuple) else part.tocsr()
 
 
 @dataclass(frozen=True)
@@ -203,11 +239,170 @@ class ResourceBlock:
     capacity_rows: tuple[int, ...]
 
 
-def _csr(rows: list[int], cols: list[int], values: list[float], shape: tuple[int, int]) -> sparse.csr_matrix:
-    return sparse.csr_matrix(
-        (np.asarray(values, dtype=float), (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))),
-        shape=shape,
+def _capacity_labels(cu_names, link_keys, bs_names) -> list[str]:
+    return (
+        [f"compute:{cu}" for cu in cu_names]
+        + [f"transport:{a}--{b}" for a, b in link_keys]
+        + [f"radio:{bs}" for bs in bs_names]
     )
+
+
+def _selection_labels(names, bs_names, cu_names, present, chained) -> list[str]:
+    return [f"select:{names[t]}:{bs_names[b]}" for t, b in np.argwhere(present)] + [
+        f"same-cu:{names[t]}:{cu_names[c]}:{bs_names[b]}~{bs_names[b + 1]}"
+        for t, c, b in np.argwhere(chained)
+    ]
+
+
+def _coupling_labels(num_items: int) -> list[str]:
+    rows = ("z-le-sla", "z-ge-floor", "y-le-slax", "y-le-z", "y-ge-bilinear")
+    return [f"{row}:{i}" for i in range(num_items) for row in rows]
+
+
+def _coupling_columns(num_items: int, offsets: list[int], values) -> sparse.csc_matrix:
+    """One part of the coupling block: column ``i`` owns rows ``5i .. 5i + 4``
+    (constraints (8)-(12)) and holds ``values`` -- one row for every column,
+    or one row per column -- at ``offsets``.  A zero coefficient (a forecast
+    of zero in row (9)) is no entry."""
+    rows = 5 * np.arange(num_items, dtype=np.int32)[:, np.newaxis] + np.array(offsets, np.int32)
+    values = np.broadcast_to(values, rows.shape).ravel()
+    indptr = len(offsets) * np.arange(num_items + 1, dtype=np.int32)
+    return canonical_csc(indptr, rows.ravel(), values, (5 * num_items, num_items), values != 0)
+
+
+@dataclass(frozen=True, eq=False)
+class _ItemTable:
+    """The (tenant, path) columns of one request set, one array per attribute.
+
+    Everything here is fixed by the request set, the options, the path set
+    and the topology -- not by the forecasts -- so :meth:`ACRRProblem.
+    with_forecasts` clones share one table.  Items are tenant-contiguous:
+    tenant ``t`` owns ``tenant_start[t]:tenant_start[t + 1]``.
+    """
+
+    #: The path set's flat path tuple; ``path`` indexes it.
+    paths: tuple[Path, ...]
+    path: np.ndarray
+    tenant: np.ndarray
+    tenant_start: np.ndarray
+    #: Positions in the topology's base-station / compute-unit order.
+    base_station: np.ndarray
+    compute_unit: np.ndarray
+    #: CSR over items: the transport-link rows a column loads, ascending,
+    #: and the load per reserved Mb/s (overhead times multiplicity).
+    link_indptr: np.ndarray
+    link_row: np.ndarray
+    link_load: np.ndarray
+    sla: np.ndarray
+    reward: np.ndarray
+    penalty: np.ndarray
+    compute_baseline: np.ndarray
+    compute_per_mbps: np.ndarray
+    radio_mhz_per_mbps: np.ndarray
+    transport_overhead: np.ndarray
+
+
+def _eligible_paths(table, tolerance_ms: float, cap: int | None) -> np.ndarray:
+    """Rows of the path table a tenant may use: delay filtering (constraint
+    (7)), then at most ``cap`` paths per (BS, CU) pair in rank order."""
+    mask = table.delay_ms <= tolerance_ms
+    if cap is not None:
+        rank = np.cumsum(mask)
+        mask &= rank - (rank - mask)[table.pair_start] <= cap
+    return np.flatnonzero(mask)
+
+
+def _build_item_table(
+    topology: NetworkTopology,
+    path_set: PathSet,
+    requests: list[SliceRequest],
+    options: ProblemOptions,
+) -> _ItemTable:
+    table = path_set.table()
+    # One delay mask per distinct tolerance, not per request.
+    eligible = {
+        tolerance: _eligible_paths(table, tolerance, options.max_paths_per_tenant_pair)
+        for tolerance in dict.fromkeys(request.latency_tolerance_ms for request in requests)
+    }
+    chosen = [eligible[request.latency_tolerance_ms] for request in requests]
+    path = np.concatenate(chosen)
+    if not len(path):
+        raise InfeasibleProblemError(
+            "no admissible (tenant, path) pair: every candidate path violates "
+            "the latency tolerances of every request"
+        )
+    counts = [len(paths) for paths in chosen]
+    tenant = np.repeat(np.arange(len(requests)), counts)
+
+    # Bind the path table's interned names to the (mutable) topology, once
+    # per element: a name the topology does not know is a KeyError.
+    bs_order = {name: i for i, name in enumerate(topology.base_station_names)}
+    cu_order = {name: i for i, name in enumerate(topology.compute_unit_names)}
+    link_order = {link.key: i for i, link in enumerate(topology.links)}
+    bs_of_path = table.base_station[path]
+    radio = np.array(
+        [topology.base_station(name).mhz_for_bitrate(1.0) for name in table.base_stations]
+    )
+    # Link rows per item: gather the paths' link lists, then order each
+    # item's rows (the topology, not the path, fixes the row order).
+    link_indptr, entry = gather_slices(table.link_indptr, path)
+    link_row = np.array([link_order[key] for key in table.link_keys])[table.link[entry]]
+    item_of_entry = np.repeat(np.arange(len(path)), np.diff(link_indptr))
+    order = np.lexsort((link_row, item_of_entry))
+    # A link listed k times by its path is loaded k times: overhead added
+    # up k times over, the sum the duplicate COO entries used to produce.
+    overhead = table.max_overhead[path]
+    repeats = table.link_count[entry][order]
+    link_load = overhead[item_of_entry]
+    for extra in range(1, int(repeats.max(initial=1))):
+        link_load = np.where(repeats > extra, link_load + overhead[item_of_entry], link_load)
+
+    num_bs = max(1, len(bs_order))
+    per_tenant = np.array(
+        [
+            (r.sla_mbps, r.reward / num_bs, r.penalty_rate_per_mbps / num_bs,
+             r.compute_baseline_cpus, r.compute_cpus_per_mbps)
+            for r in requests
+        ],
+        dtype=float,
+    )
+    return _ItemTable(
+        table.paths,
+        path,
+        tenant,
+        np.concatenate([[0], np.cumsum(counts)]),
+        np.array([bs_order[name] for name in table.base_stations])[bs_of_path],
+        np.array([cu_order[name] for name in table.compute_units])[table.compute_unit[path]],
+        link_indptr,
+        link_row[order],
+        link_load,
+        *(np.ascontiguousarray(column) for column in per_tenant[tenant].T),
+        radio[bs_of_path],
+        overhead,
+    )
+
+
+def _memoized(cache_name: str):
+    """Build once per cache: ``_structure_cache`` holds what the structure
+    alone fixes and is shared by every :meth:`ACRRProblem.with_forecasts`
+    clone; ``_forecast_cache`` holds what the forecasts enter."""
+
+    def decorate(build):
+        @wraps(build)
+        def cached(self):
+            cache = getattr(self, cache_name)
+            value = cache.get(build.__name__)
+            if value is None:
+                value = cache[build.__name__] = build(self)
+            return value
+
+        return cached
+
+    return decorate
+
+
+_structural = _memoized("_structure_cache")
+_per_forecast = _memoized("_forecast_cache")
 
 
 class ACRRProblem:
@@ -230,109 +425,37 @@ class ACRRProblem:
         self.path_set = path_set
         self.requests = list(requests)
         self.options = options or ProblemOptions()
-        self._forecasts = _normalized_forecasts(self.requests, forecasts)
         self._base_station_names = topology.base_station_names
         self._compute_unit_names = topology.compute_unit_names
         self._link_keys = [link.key for link in topology.links]
         self._capacities = topology.capacities()
-        self.items: list[ProblemItem] = []
-        self._build_items()
-        self._index_items()
-        self._block_cache: dict[str, object] = {}
+        self._table = _build_item_table(topology, path_set, self.requests, self.options)
+        #: What only the structure fixes (shared with every
+        #: :meth:`with_forecasts` clone) and what the forecasts enter.
+        self._structure_cache: dict[str, object] = {}
+        self._forecast_cache: dict[str, object] = {}
+        self._bind_forecasts(forecasts)
 
-    # ------------------------------------------------------------------ #
-    # Item construction
-    # ------------------------------------------------------------------ #
-    def _admissible_paths(self, request: SliceRequest) -> list[Path]:
-        """Candidate paths of one tenant after delay filtering (constraint (7))."""
-        admissible: list[Path] = []
-        for (bs, cu), paths in self.path_set.items():
-            eligible = [p for p in paths if p.delay_ms <= request.latency_tolerance_ms]
-            cap = self.options.max_paths_per_tenant_pair
-            if cap is not None:
-                eligible = eligible[:cap]
-            admissible.extend(eligible)
-        return admissible
-
-    def _forecast_item_fields(
-        self, request: SliceRequest, forecast: ForecastInput
-    ) -> dict[str, float]:
-        """The :class:`ProblemItem` fields that depend on the forecast.
-
-        Shared by the cold build and :meth:`with_forecasts` so the two can
-        never derive the item risk inputs differently.
-        """
-        duration_days = request.duration_epochs / self.options.epochs_per_day
-        return {
-            "lambda_hat_mbps": forecast.lambda_hat_mbps,
-            "sigma_hat": forecast.sigma_hat,
-            "xi": forecast.sigma_hat * duration_days,
-        }
-
-    def _build_items(self) -> None:
-        index = 0
-        for tenant_index, request in enumerate(self.requests):
-            forecast = self._forecasts[request.name]
-            num_bs = max(1, len(self._base_station_names))
-            reward_per_path = request.reward / num_bs
-            penalty_per_path = request.penalty_rate_per_mbps / num_bs
-            forecast_fields = self._forecast_item_fields(request, forecast)
-            for path in self._admissible_paths(request):
-                bs = self.topology.base_station(path.base_station)
-                overhead = max((link.overhead for link in path.links), default=1.0)
-                self.items.append(
-                    ProblemItem(
-                        index=index,
-                        tenant_index=tenant_index,
-                        tenant=request,
-                        path=path,
-                        sla_mbps=request.sla_mbps,
-                        **forecast_fields,
-                        reward_per_path=reward_per_path,
-                        penalty_rate_per_path=penalty_per_path,
-                        compute_baseline_cpus=request.compute_baseline_cpus,
-                        compute_cpus_per_mbps=request.compute_cpus_per_mbps,
-                        radio_mhz_per_mbps=bs.mhz_for_bitrate(1.0),
-                        transport_overhead=overhead,
-                    )
-                )
-                index += 1
-        if not self.items:
-            raise InfeasibleProblemError(
-                "no admissible (tenant, path) pair: every candidate path violates "
-                "the latency tolerances of every request"
-            )
-
-    def _index_items(self) -> None:
-        self._items_by_cu: dict[str, list[int]] = {cu: [] for cu in self._compute_unit_names}
-        self._items_by_bs: dict[str, list[int]] = {bs: [] for bs in self._base_station_names}
-        self._items_by_link: dict[tuple[str, str], list[int]] = {
-            key: [] for key in self._link_keys
-        }
-        self._items_by_tenant_bs: dict[tuple[int, str], list[int]] = {}
-        self._items_by_tenant_cu_bs: dict[tuple[int, str, str], list[int]] = {}
-        self._items_by_tenant: dict[int, list[int]] = {
-            t: [] for t in range(len(self.requests))
-        }
-        for item in self.items:
-            self._items_by_cu[item.path.compute_unit].append(item.index)
-            self._items_by_bs[item.path.base_station].append(item.index)
-            for link in item.path.links:
-                self._items_by_link[link.key].append(item.index)
-            self._items_by_tenant_bs.setdefault(
-                (item.tenant_index, item.path.base_station), []
-            ).append(item.index)
-            self._items_by_tenant_cu_bs.setdefault(
-                (item.tenant_index, item.path.compute_unit, item.path.base_station), []
-            ).append(item.index)
-            self._items_by_tenant[item.tenant_index].append(item.index)
+    def _bind_forecasts(self, forecasts: dict[str, ForecastInput]) -> None:
+        """Fill the three forecast columns; shared by the cold build and
+        :meth:`with_forecasts` so the two can never derive the item risk
+        inputs differently."""
+        self._forecasts = _normalized_forecasts(self.requests, forecasts)
+        per_tenant = [self._forecasts[request.name] for request in self.requests]
+        tenant = self._table.tenant
+        sigma_hat = np.array([forecast.sigma_hat for forecast in per_tenant])
+        # xi = sigma_hat * L, the slice duration L in seasonal cycles (days).
+        days = [r.duration_epochs / self.options.epochs_per_day for r in self.requests]
+        self._lambda_hat = np.array([f.lambda_hat_mbps for f in per_tenant])[tenant]
+        self._sigma_hat = sigma_hat[tenant]
+        self._xi = (sigma_hat * days)[tenant]
 
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
     @property
     def num_items(self) -> int:
-        return len(self.items)
+        return len(self._table.path)
 
     @property
     def num_tenants(self) -> int:
@@ -349,14 +472,48 @@ class ACRRProblem:
     def forecast(self, tenant_name: str) -> ForecastInput:
         return self._forecasts[tenant_name]
 
-    def items_of_tenant(self, tenant_index: int) -> list[ProblemItem]:
-        return [self.items[i] for i in self._items_by_tenant[tenant_index]]
+    @property
+    @_per_forecast
+    def items(self) -> list[ProblemItem]:
+        """The columns as objects: a view for heuristics and tests,
+        materialised on first use.  The solvers read the table."""
+        table = self._table
+        columns = zip(
+            *(
+                column.tolist()
+                for column in (
+                    table.tenant, table.path, table.sla, self._lambda_hat, self._sigma_hat,
+                    self._xi, table.reward, table.penalty, table.compute_baseline,
+                    table.compute_per_mbps, table.radio_mhz_per_mbps, table.transport_overhead,
+                )
+            )
+        )
+        return [
+            ProblemItem(index, tenant, self.requests[tenant], table.paths[path], *values)
+            for index, (tenant, path, *values) in enumerate(columns)
+        ]
 
-    def tenant_index(self, name: str) -> int:
-        for index, request in enumerate(self.requests):
-            if request.name == name:
-                return index
-        raise KeyError(f"unknown tenant {name!r}")
+    def items_of_tenant(self, tenant_index: int) -> list[ProblemItem]:
+        start, stop = self._table.tenant_start[tenant_index : tenant_index + 2]
+        return self.items[start:stop]
+
+    def selected(self, x: np.ndarray) -> list[tuple[int, int, Path]]:
+        """``(column, tenant index, path)`` of every column ``x`` selects
+        (``x > 0.5``), in column order."""
+        table = self._table
+        chosen = np.flatnonzero(np.asarray(x) > 0.5)
+        columns = (chosen.tolist(), table.tenant[chosen].tolist(), table.path[chosen].tolist())
+        return [(index, tenant, table.paths[path]) for index, tenant, path in zip(*columns)]
+
+    @property
+    def sla_mbps(self) -> np.ndarray:
+        """SLA bitrate of every column (read-only)."""
+        return self._table.sla
+
+    def reservation_floor(self) -> np.ndarray:
+        """Least bitrate an admitted column must reserve (constraint (9)):
+        the forecast, or the full SLA without overbooking (read-only)."""
+        return self._lambda_hat if self.options.overbooking else self._table.sla
 
     def without_overbooking(self) -> "ACRRProblem":
         """A copy of this instance configured as the no-overbooking baseline."""
@@ -371,6 +528,7 @@ class ACRRProblem:
     # ------------------------------------------------------------------ #
     # Structure reuse (see DESIGN.md, "Control-plane structure cache")
     # ------------------------------------------------------------------ #
+    @_structural
     def structure_signature(self) -> tuple:
         """Hashable key of everything that shapes the items and constraint
         sparsity: the request set (names, templates, durations, penalties,
@@ -378,10 +536,9 @@ class ACRRProblem:
         are deliberately excluded -- two problems with equal signatures built
         against the same topology and path set share their skeleton.  The
         tuple is memoized per instance."""
-        return self._cached(
-            "signature", lambda: _structure_signature(self.requests, self.options)
-        )
+        return _structure_signature(self.requests, self.options)
 
+    @_structural
     def warm_start_signature(self) -> tuple:
         """Like :meth:`structure_signature`, minus the arrival epochs.
 
@@ -392,21 +549,18 @@ class ACRRProblem:
         renewals inherit the cuts of their previous life; see
         :func:`repro.core.benders.warm_start_key`.  Memoized per instance.
         """
-        return self._cached(
-            "warm_signature",
-            lambda: (
-                tuple(
-                    (
-                        request.name,
-                        request.template,
-                        request.duration_epochs,
-                        request.penalty_factor,
-                        request.committed,
-                    )
-                    for request in self.requests
-                ),
-                self.options,
+        return (
+            tuple(
+                (
+                    request.name,
+                    request.template,
+                    request.duration_epochs,
+                    request.penalty_factor,
+                    request.committed,
+                )
+                for request in self.requests
             ),
+            self.options,
         )
 
     def with_forecasts(
@@ -419,11 +573,13 @@ class ACRRProblem:
         ``requests`` must be structurally identical to this instance's (same
         :func:`structure_signature`); the freshly supplied objects are swapped
         in so request metadata (e.g. the preferred compute unit recorded by
-        the orchestrator) stays current.  Items are re-derived by rewriting
-        only the forecast-dependent fields; the item indices and the
-        forecast-independent capacity/selection constraint blocks are shared
-        with this instance, so cached and cold builds yield identical
-        matrices.
+        the orchestrator) stays current.  The clone shares the item table and
+        everything built from it alone (capacity and selection blocks, the
+        capacity stencil, resource blocks, signatures); only the three
+        forecast columns are rewritten, and what they enter -- the
+        objective, the coupling block, the floor footprint --
+        rebuilds lazily on the clone, so cached and cold builds yield
+        identical matrices.
         """
         expected = [_request_structure_key(r) for r in self.requests]
         provided = [_request_structure_key(r) for r in requests]
@@ -432,160 +588,142 @@ class ACRRProblem:
                 "with_forecasts requires a structurally identical request set"
             )
         # Shallow copy: every structural attribute (topology, path set,
-        # capacities, item indices, ...) is shared automatically, including
-        # any attribute added to __init__ in the future.
+        # capacities, the table, the structure cache, ...) is shared
+        # automatically, including any attribute added to __init__ later.
         clone = copy.copy(self)
         clone.requests = list(requests)
-        clone._forecasts = _normalized_forecasts(clone.requests, forecasts)
-        clone.items = []
-        for item in self.items:
-            request = requests[item.tenant_index]
-            forecast = clone._forecasts[request.name]
-            clone.items.append(
-                replace(
-                    item,
-                    tenant=request,
-                    **clone._forecast_item_fields(request, forecast),
-                )
-            )
-        # Capacity and selection constraints (and the structure signature)
-        # do not depend on forecasts; the coupling block and the objective
-        # vectors do, so those rebuild lazily on the clone.
-        clone._block_cache = {
-            key: value
-            for key, value in self._block_cache.items()
-            if key
-            in (
-                "capacity",
-                "selection",
-                "signature",
-                "warm_signature",
-                "resource_blocks",
-            )
-        }
+        clone._forecast_cache = {}
+        clone._bind_forecasts(forecasts)
         return clone
-
-    def _cached(self, key: str, build):
-        value = self._block_cache.get(key)
-        if value is None:
-            value = build()
-            self._block_cache[key] = value
-        return value
 
     # ------------------------------------------------------------------ #
     # Objective
     # ------------------------------------------------------------------ #
+    def _risk_slope(self) -> np.ndarray:
+        """xi * K / (Lambda - lambda_hat) per column."""
+        table = self._table
+        return self._xi * table.penalty / (table.sla - self._lambda_hat)
+
+    @_per_forecast
     def objective_x(self) -> np.ndarray:
         """Coefficients of x in the (minimised) linearised objective Psi.
 
         The returned array is cached on the instance; treat it as read-only.
         """
-        return self._cached("objective_x", self._build_objective_x)
+        table = self._table
+        if not self.options.overbooking:
+            return -table.reward
+        return table.sla * self._risk_slope() - table.reward
 
-    def _build_objective_x(self) -> np.ndarray:
-        coeffs = np.zeros(self.num_items)
-        for item in self.items:
-            if self.options.overbooking:
-                coeffs[item.index] = (
-                    item.sla_mbps * item.risk_slope - item.reward_per_path
-                )
-            else:
-                coeffs[item.index] = -item.reward_per_path
-        return coeffs
-
+    @_per_forecast
     def objective_y(self) -> np.ndarray:
         """Coefficients of y in the (minimised) linearised objective Psi.
 
         The returned array is cached on the instance; treat it as read-only.
         """
-        return self._cached("objective_y", self._build_objective_y)
-
-    def _build_objective_y(self) -> np.ndarray:
-        coeffs = np.zeros(self.num_items)
         if not self.options.overbooking:
-            return coeffs
-        for item in self.items:
-            coeffs[item.index] = -item.risk_slope
-        return coeffs
+            return np.zeros(self.num_items)
+        return -self._risk_slope()
 
     def evaluate_objective(self, x: np.ndarray, z: np.ndarray) -> float:
         """Evaluate the original (non-linearised) objective Psi(x, z)."""
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
+        table = self._table
+        chosen = np.flatnonzero(~(x < 0.5))
         total = 0.0
-        for item in self.items:
-            if x[item.index] < 0.5:
-                continue
+        # Summed column by column, left to right: the value is compared
+        # bit for bit across solvers and epochs.
+        for reservation, lambda_hat, sla, xi, penalty, reward in zip(
+            *(
+                column[chosen].tolist()
+                for column in (z, self._lambda_hat, table.sla, self._xi, table.penalty, table.reward)
+            )
+        ):
             if self.options.overbooking:
-                rho = item.xi * deficit_probability_proxy(
-                    reservation_mbps=z[item.index],
-                    lambda_hat_mbps=item.lambda_hat_mbps,
-                    sla_mbps=item.sla_mbps,
+                rho = xi * deficit_probability_proxy(
+                    reservation_mbps=reservation, lambda_hat_mbps=lambda_hat, sla_mbps=sla
                 )
-                total += item.penalty_rate_per_path * rho - item.reward_per_path
+                total += penalty * rho - reward
             else:
-                total += -item.reward_per_path
+                total += -reward
         return total
 
     # ------------------------------------------------------------------ #
     # Constraint blocks
     # ------------------------------------------------------------------ #
+    @_structural
+    def _capacity_stencil(self) -> tuple[np.ndarray, ...]:
+        """Every capacity entry of every column, column-major, with its x
+        and its z coefficient side by side: ``(indptr, rows, a_x, a_z,
+        column of each entry)``.  A column's stencil is its CU row (if the
+        tenant needs CPU at all), its link rows, its BS row -- ascending by
+        construction, since the rows are laid out CUs, links, BSs."""
+        table = self._table
+        n = self.num_items
+        num_cu, num_links = len(self._compute_unit_names), len(self._link_keys)
+        has_cu = (table.compute_baseline != 0) | (table.compute_per_mbps != 0)
+        hops = np.diff(table.link_indptr)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(has_cu + hops + 1, out=indptr[1:])
+        rows = np.empty(indptr[-1], dtype=np.int32)
+        a_x = np.zeros(indptr[-1])
+        a_z = np.empty(indptr[-1])
+        first = indptr[:-1]
+        cu_slot = first[has_cu]
+        rows[cu_slot] = table.compute_unit[has_cu]
+        a_x[cu_slot] = table.compute_baseline[has_cu]
+        a_z[cu_slot] = table.compute_per_mbps[has_cu]
+        link_slot = np.arange(len(table.link_row)) + np.repeat(
+            first + has_cu - table.link_indptr[:-1], hops
+        )
+        rows[link_slot] = num_cu + table.link_row
+        a_z[link_slot] = table.link_load
+        bs_slot = indptr[1:] - 1
+        rows[bs_slot] = num_cu + num_links + table.base_station
+        a_z[bs_slot] = table.radio_mhz_per_mbps
+        return indptr, rows, a_x, a_z, np.repeat(np.arange(n), np.diff(indptr))
+
+    @_structural
     def capacity_block(self) -> _ConstraintBlock:
         """Capacity constraints (2)-(4): one row per CU, link and BS."""
-        return self._cached("capacity", self._build_capacity_block)
-
-    def _build_capacity_block(self) -> _ConstraintBlock:
-        n = self.num_items
-        rows_x: list[int] = []
-        cols_x: list[int] = []
-        vals_x: list[float] = []
-        rows_z: list[int] = []
-        cols_z: list[int] = []
-        vals_z: list[float] = []
-        upper: list[float] = []
-        labels: list[str] = []
-        row = 0
-        for cu in self._compute_unit_names:
-            for i in self._items_by_cu[cu]:
-                item = self.items[i]
-                if item.compute_baseline_cpus:
-                    rows_x.append(row)
-                    cols_x.append(i)
-                    vals_x.append(item.compute_baseline_cpus)
-                if item.compute_cpus_per_mbps:
-                    rows_z.append(row)
-                    cols_z.append(i)
-                    vals_z.append(item.compute_cpus_per_mbps)
-            upper.append(self._capacities.compute_cpus[cu])
-            labels.append(f"compute:{cu}")
-            row += 1
-        for key in self._link_keys:
-            for i in self._items_by_link[key]:
-                item = self.items[i]
-                rows_z.append(row)
-                cols_z.append(i)
-                vals_z.append(item.transport_overhead)
-            upper.append(self._capacities.transport_mbps[key])
-            labels.append(f"transport:{key[0]}--{key[1]}")
-            row += 1
-        for bs in self._base_station_names:
-            for i in self._items_by_bs[bs]:
-                item = self.items[i]
-                rows_z.append(row)
-                cols_z.append(i)
-                vals_z.append(item.radio_mhz_per_mbps)
-            upper.append(self._capacities.radio_mhz[bs])
-            labels.append(f"radio:{bs}")
-            row += 1
-        num_rows = row
-        return _ConstraintBlock(
-            a_x=_csr(rows_x, cols_x, vals_x, (num_rows, n)),
-            a_z=_csr(rows_z, cols_z, vals_z, (num_rows, n)),
-            a_y=_csr([], [], [], (num_rows, n)),
-            lower=np.full(num_rows, -np.inf),
-            upper=np.asarray(upper, dtype=float),
-            labels=labels,
+        indptr, rows, a_x, a_z, _ = self._capacity_stencil()
+        capacities = self._capacities
+        upper = np.array(
+            [capacities.compute_cpus[cu] for cu in self._compute_unit_names]
+            + [capacities.transport_mbps[key] for key in self._link_keys]
+            + [capacities.radio_mhz[bs] for bs in self._base_station_names],
+            dtype=float,
         )
+        shape = (len(upper), self.num_items)
+        # Zero compute coefficients are dropped (a tenant with no baseline
+        # has no x entry); link and radio entries are kept as they come.
+        is_cu = rows < len(self._compute_unit_names)
+        return _ConstraintBlock(
+            x=canonical_csc(indptr, rows, a_x, shape, a_x != 0),
+            z=canonical_csc(indptr, rows, a_z, shape, ~is_cu | (a_z != 0)),
+            y=shape,
+            lower=np.full(len(upper), -np.inf),
+            upper=upper,
+            # Not a bound method: the block outlives this instance in the
+            # shared structure cache and must not pin its forecast cache.
+            make_labels=partial(
+                _capacity_labels,
+                self._compute_unit_names,
+                self._link_keys,
+                self._base_station_names,
+            ),
+        )
+
+    @_per_forecast
+    def floor_footprint(self) -> sparse.csc_matrix:
+        """``A_x + A_z diag(floor)`` over the capacity rows, column-major:
+        what a column loads when admitted at its reservation floor.  Exact
+        zeros are dropped.  Cached; treat as read-only."""
+        indptr, rows, a_x, a_z, column = self._capacity_stencil()
+        load = a_x + a_z * self.reservation_floor()[column]
+        shape = (self.capacity_block().num_rows, self.num_items)
+        return canonical_csc(indptr, rows, load, shape, load != 0)
 
     def deficit_domains(self) -> list[str]:
         """Domain of each capacity row ('compute', 'transport' or 'radio').
@@ -593,175 +731,104 @@ class ACRRProblem:
         Used to attach the per-domain deficit variables of Section 3.4 to the
         right capacity rows.
         """
-        domains: list[str] = []
-        domains.extend("compute" for _ in self._compute_unit_names)
-        domains.extend("transport" for _ in self._link_keys)
-        domains.extend("radio" for _ in self._base_station_names)
-        return domains
+        return (
+            ["compute"] * len(self._compute_unit_names)
+            + ["transport"] * len(self._link_keys)
+            + ["radio"] * len(self._base_station_names)
+        )
 
+    @_structural
     def selection_block(self) -> _ConstraintBlock:
         """Path-selection constraints (5), (6) and (13), on x only."""
-        return self._cached("selection", self._build_selection_block)
-
-    def _build_selection_block(self) -> _ConstraintBlock:
+        table = self._table
         n = self.num_items
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        lower: list[float] = []
-        upper: list[float] = []
-        labels: list[str] = []
-        row = 0
+        requests, bs_names, cu_names = (
+            self.requests, self._base_station_names, self._compute_unit_names
+        )
+        tenant, bs, cu = table.tenant, table.base_station, table.compute_unit
 
-        # (5) + (13): at most one path per (tenant, BS); exactly one for
-        # committed tenants (they must stay admitted).
-        for tenant_index, request in enumerate(self.requests):
-            for bs in self._base_station_names:
-                indices = self._items_by_tenant_bs.get((tenant_index, bs), [])
-                if not indices:
-                    if request.committed:
-                        raise InfeasibleProblemError(
-                            f"committed slice {request.name!r} has no admissible path "
-                            f"from base station {bs!r}"
-                        )
-                    continue
-                for i in indices:
-                    rows.append(row)
-                    cols.append(i)
-                    vals.append(1.0)
-                lower.append(1.0 if request.committed else 0.0)
-                upper.append(1.0)
-                labels.append(f"select:{request.name}:{bs}")
-                row += 1
+        # (5) + (13): at most one path per (tenant, BS) that has any; exactly
+        # one for committed tenants (they must stay admitted).
+        present = np.zeros((len(requests), len(bs_names)), dtype=bool)
+        present[tenant, bs] = True
+        committed = np.array([request.committed for request in requests])
+        stranded = np.argwhere(committed[:, np.newaxis] & ~present)
+        if len(stranded):
+            raise InfeasibleProblemError(
+                f"committed slice {requests[stranded[0][0]].name!r} has no admissible "
+                f"path from base station {bs_names[stranded[0][1]]!r}"
+            )
+        select_row = np.cumsum(present.ravel()).reshape(present.shape) - 1
+        num_select = int(present.sum())
 
         # (6): per (tenant, CU), the number of selected paths must be equal at
-        # every base station (chain of equalities over consecutive BSs).
-        for tenant_index, request in enumerate(self.requests):
-            for cu in self._compute_unit_names:
-                per_bs = [
-                    self._items_by_tenant_cu_bs.get((tenant_index, cu, bs), [])
-                    for bs in self._base_station_names
-                ]
-                for first, second, bs_first, bs_second in zip(
-                    per_bs, per_bs[1:], self._base_station_names, self._base_station_names[1:]
-                ):
-                    if not first and not second:
-                        continue
-                    for i in first:
-                        rows.append(row)
-                        cols.append(i)
-                        vals.append(1.0)
-                    for i in second:
-                        rows.append(row)
-                        cols.append(i)
-                        vals.append(-1.0)
-                    lower.append(0.0)
-                    upper.append(0.0)
-                    labels.append(f"same-cu:{request.name}:{cu}:{bs_first}~{bs_second}")
-                    row += 1
+        # every base station: one equality per consecutive BS pair either
+        # side of which the tenant has a path to that CU.
+        anchored = np.zeros((len(requests), len(cu_names), len(bs_names)), dtype=bool)
+        anchored[tenant, cu, bs] = True
+        chained = anchored[:, :, :-1] | anchored[:, :, 1:]
+        chain_row = num_select + np.cumsum(chained.ravel()).reshape(chained.shape) - 1
+        num_rows = num_select + int(chained.sum())
+
+        # Column stencil: +1 in its (tenant, BS) row, -1 in the chain row to
+        # the previous BS, +1 in the chain row to the next -- ascending.
+        has_previous, has_next = bs > 0, bs < len(bs_names) - 1
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(1 + has_previous + has_next, out=indptr[1:])
+        rows = np.empty(indptr[-1], dtype=np.int32)
+        data = np.ones(indptr[-1])
+        first = indptr[:-1]
+        rows[first] = select_row[tenant, bs]
+        slot = first[has_previous] + 1
+        rows[slot] = chain_row[tenant[has_previous], cu[has_previous], bs[has_previous] - 1]
+        data[slot] = -1.0
+        rows[indptr[1:][has_next] - 1] = chain_row[tenant[has_next], cu[has_next], bs[has_next]]
+
+        lower = np.zeros(num_rows)
+        lower[:num_select] = np.repeat(committed, present.sum(axis=1))
+        upper = np.zeros(num_rows)
+        upper[:num_select] = 1.0
 
         return _ConstraintBlock(
-            a_x=_csr(rows, cols, vals, (row, n)),
-            a_z=_csr([], [], [], (row, n)),
-            a_y=_csr([], [], [], (row, n)),
-            lower=np.asarray(lower, dtype=float),
-            upper=np.asarray(upper, dtype=float),
-            labels=labels,
+            x=canonical_csc(indptr, rows, data, (num_rows, n)),
+            z=(num_rows, n),
+            y=(num_rows, n),
+            lower=lower,
+            upper=upper,
+            make_labels=partial(
+                _selection_labels,
+                [request.name for request in requests],
+                bs_names,
+                cu_names,
+                present,
+                chained,
+            ),
         )
 
+    @_per_forecast
     def coupling_block(self) -> _ConstraintBlock:
         """Coupling constraints (8)-(12) linking x, z and y."""
-        return self._cached("coupling", self._build_coupling_block)
-
-    def _build_coupling_block(self) -> _ConstraintBlock:
         n = self.num_items
-        rows_x: list[int] = []
-        cols_x: list[int] = []
-        vals_x: list[float] = []
-        rows_z: list[int] = []
-        cols_z: list[int] = []
-        vals_z: list[float] = []
-        rows_y: list[int] = []
-        cols_y: list[int] = []
-        vals_y: list[float] = []
-        upper: list[float] = []
-        labels: list[str] = []
-        row = 0
-
-        def add(
-            x_coeff: float | None,
-            z_coeff: float | None,
-            y_coeff: float | None,
-            item_index: int,
-            ub: float,
-            label: str,
-        ) -> None:
-            nonlocal row
-            if x_coeff:
-                rows_x.append(row)
-                cols_x.append(item_index)
-                vals_x.append(x_coeff)
-            if z_coeff:
-                rows_z.append(row)
-                cols_z.append(item_index)
-                vals_z.append(z_coeff)
-            if y_coeff:
-                rows_y.append(row)
-                cols_y.append(item_index)
-                vals_y.append(y_coeff)
-            upper.append(ub)
-            labels.append(label)
-            row += 1
-
-        for item in self.items:
-            i = item.index
-            lam = item.sla_mbps
-            floor = item.lambda_hat_mbps if self.options.overbooking else item.sla_mbps
-            # (8)  z <= Lambda x
-            add(-lam, 1.0, None, i, 0.0, f"z-le-sla:{i}")
-            # (9)  lambda_hat x <= z   (or Lambda x <= z without overbooking)
-            add(floor, -1.0, None, i, 0.0, f"z-ge-floor:{i}")
-            # (10) y <= Lambda x
-            add(-lam, None, 1.0, i, 0.0, f"y-le-slax:{i}")
-            # (11) y <= z
-            add(None, -1.0, 1.0, i, 0.0, f"y-le-z:{i}")
-            # (12) z + Lambda x - y <= Lambda
-            add(lam, 1.0, -1.0, i, lam, f"y-ge-bilinear:{i}")
-
-        num_rows = row
+        sla = self._table.sla
+        upper = np.zeros(5 * n)
+        upper[4::5] = sla
         return _ConstraintBlock(
-            a_x=_csr(rows_x, cols_x, vals_x, (num_rows, n)),
-            a_z=_csr(rows_z, cols_z, vals_z, (num_rows, n)),
-            a_y=_csr(rows_y, cols_y, vals_y, (num_rows, n)),
-            lower=np.full(num_rows, -np.inf),
-            upper=np.asarray(upper, dtype=float),
-            labels=labels,
+            # (8) z <= Lambda x, (9) floor x <= z, (10) y <= Lambda x,
+            # (11) y <= z, (12) z + Lambda x - y <= Lambda.
+            x=_coupling_columns(
+                n, [0, 1, 2, 4], np.column_stack([-sla, self.reservation_floor(), -sla, sla])
+            ),
+            z=_coupling_columns(n, [0, 1, 3, 4], [1.0, -1.0, -1.0, 1.0]),
+            y=_coupling_columns(n, [2, 3, 4], [1.0, 1.0, -1.0]),
+            lower=np.full(5 * n, -np.inf),
+            upper=upper,
+            make_labels=partial(_coupling_labels, n),
         )
-
-    # ------------------------------------------------------------------ #
-    # Reservation bounds helper
-    # ------------------------------------------------------------------ #
-    def reservation_bounds(self, accepted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper bounds on z for a *fixed* admission vector.
-
-        Admitted items must reserve between the forecast and the SLA (or
-        exactly the SLA without overbooking); rejected items reserve nothing.
-        """
-        accepted = np.asarray(accepted, dtype=float)
-        lower = np.zeros(self.num_items)
-        upper = np.zeros(self.num_items)
-        for item in self.items:
-            if accepted[item.index] > 0.5:
-                floor = (
-                    item.lambda_hat_mbps if self.options.overbooking else item.sla_mbps
-                )
-                lower[item.index] = floor
-                upper[item.index] = item.sla_mbps
-        return lower, upper
 
     # ------------------------------------------------------------------ #
     # Block structure (multi-cut disaggregation)
     # ------------------------------------------------------------------ #
+    @_structural
     def resource_blocks(self) -> list[ResourceBlock]:
         """Per-tenant slave blocks, in tenant order (deterministic).
 
@@ -770,29 +837,19 @@ class ACRRProblem:
         construction.  Used by the multi-cut Benders slave
         (:mod:`repro.core.decomposition`) to price blocks independently.
         """
-        return self._cached("resource_blocks", self._build_resource_blocks)
-
-    def _build_resource_blocks(self) -> list[ResourceBlock]:
-        capacity = self.capacity_block()
-        touched = (
-            capacity.a_x.astype(bool) + capacity.a_z.astype(bool)
-        ).tocsc()
-        blocks: list[ResourceBlock] = []
-        for tenant in range(self.num_tenants):
-            item_indices = tuple(self._items_by_tenant[tenant])
-            rows: set[int] = set()
-            for i in item_indices:
-                start, stop = touched.indptr[i], touched.indptr[i + 1]
-                rows.update(int(r) for r in touched.indices[start:stop])
-            blocks.append(
-                ResourceBlock(
-                    index=tenant,
-                    tenant_index=tenant,
-                    item_indices=item_indices,
-                    capacity_rows=tuple(sorted(rows)),
-                )
+        _, rows, _, _, column = self._capacity_stencil()
+        touched = np.zeros((self.num_tenants, self.capacity_block().num_rows), dtype=bool)
+        touched[self._table.tenant[column], rows] = True
+        starts = self._table.tenant_start.tolist()
+        return [
+            ResourceBlock(
+                index=tenant,
+                tenant_index=tenant,
+                item_indices=tuple(range(starts[tenant], starts[tenant + 1])),
+                capacity_rows=tuple(np.flatnonzero(touched[tenant]).tolist()),
             )
-        return blocks
+            for tenant in range(self.num_tenants)
+        ]
 
 
 class ProblemStructureCache:

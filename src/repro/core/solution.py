@@ -191,16 +191,18 @@ def decision_from_vectors(
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
+    chosen: dict[int, list[tuple[int, Path]]] = {}
+    for index, tenant_index, path in problem.selected(x):
+        chosen.setdefault(tenant_index, []).append((index, path))
     allocations: dict[str, TenantAllocation] = {}
     for tenant_index, request in enumerate(problem.requests):
         paths: dict[str, Path] = {}
         reservations: dict[str, float] = {}
         compute_unit: str | None = None
-        for item in problem.items_of_tenant(tenant_index):
-            if x[item.index] > 0.5:
-                paths[item.path.base_station] = item.path
-                reservations[item.path.base_station] = float(z[item.index])
-                compute_unit = item.path.compute_unit
+        for index, path in chosen.get(tenant_index, ()):
+            paths[path.base_station] = path
+            reservations[path.base_station] = float(z[index])
+            compute_unit = path.compute_unit
         accepted = bool(paths)
         allocations[request.name] = TenantAllocation(
             request=request,

@@ -14,6 +14,7 @@ from itertools import islice
 from typing import Mapping
 
 import networkx as nx
+import numpy as np
 
 from repro.topology.delay import link_delay_us
 from repro.topology.elements import TransportLink
@@ -50,11 +51,84 @@ class Path:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class PathTable:
+    """A :class:`PathSet` as columns: what its immutable paths fix, as arrays.
+
+    Row ``p`` is the ``p``-th path in :meth:`PathSet.items` order (pair by
+    pair, each pair's paths in rank order).  Names are interned per table
+    (``base_stations[base_station[p]]`` is the path's BS) so a problem build
+    maps each *distinct* element to its row in the (mutable) topology once
+    and gathers; capacities are deliberately not here.  A link a path lists
+    more than once appears once, with its multiplicity in ``link_count``.
+    """
+
+    paths: tuple[Path, ...]
+    delay_ms: np.ndarray
+    #: Flat index of the first path of each path's (BS, CU) pair.
+    pair_start: np.ndarray
+    base_stations: tuple[str, ...]
+    base_station: np.ndarray
+    compute_units: tuple[str, ...]
+    compute_unit: np.ndarray
+    link_keys: tuple[tuple[str, str], ...]
+    #: CSR over paths of indices into ``link_keys`` (first-seen order).
+    link_indptr: np.ndarray
+    link: np.ndarray
+    link_count: np.ndarray
+    #: Largest protocol overhead along the path (1.0 for a link-less path).
+    max_overhead: np.ndarray
+
+
+def _build_path_table(pairs: Mapping[tuple[str, str], list[Path]]) -> PathTable:
+    paths: list[Path] = []
+    pair_start: list[int] = []
+    base_stations: dict[str, int] = {}
+    compute_units: dict[str, int] = {}
+    link_keys: dict[tuple[str, str], int] = {}
+    base_station: list[int] = []
+    compute_unit: list[int] = []
+    link_indptr = [0]
+    link: list[int] = []
+    link_count: list[int] = []
+    for members in pairs.values():
+        first = len(paths)
+        for path in members:
+            paths.append(path)
+            pair_start.append(first)
+            base_station.append(base_stations.setdefault(path.base_station, len(base_stations)))
+            compute_unit.append(compute_units.setdefault(path.compute_unit, len(compute_units)))
+            multiplicity: dict[int, int] = {}
+            for hop in path.links:
+                index = link_keys.setdefault(hop.key, len(link_keys))
+                multiplicity[index] = multiplicity.get(index, 0) + 1
+            link.extend(multiplicity)
+            link_count.extend(multiplicity.values())
+            link_indptr.append(len(link))
+    return PathTable(
+        paths=tuple(paths),
+        delay_ms=np.array([path.delay_ms for path in paths], dtype=float),
+        pair_start=np.array(pair_start, dtype=np.intp),
+        base_stations=tuple(base_stations),
+        base_station=np.array(base_station, dtype=np.intp),
+        compute_units=tuple(compute_units),
+        compute_unit=np.array(compute_unit, dtype=np.intp),
+        link_keys=tuple(link_keys),
+        link_indptr=np.array(link_indptr, dtype=np.intp),
+        link=np.array(link, dtype=np.intp),
+        link_count=np.array(link_count, dtype=np.intp),
+        max_overhead=np.array(
+            [max((hop.overhead for hop in path.links), default=1.0) for path in paths],
+            dtype=float,
+        ),
+    )
+
+
 class PathSet:
     """All candidate paths of a topology, indexed by (base station, CU).
 
     This is the ``P_{b,c}`` family of the paper.  The AC-RR problem builder
-    iterates over :meth:`items` to create one decision variable per
+    reads it through :meth:`table` to create one decision variable per
     (tenant, path) pair.
     """
 
@@ -62,6 +136,20 @@ class PathSet:
         self._paths: dict[tuple[str, str], list[Path]] = {
             key: list(value) for key, value in paths.items()
         }
+        self._table: PathTable | None = None
+
+    def table(self) -> PathTable:
+        """The paths as a :class:`PathTable`, built on first use.
+
+        A path set never changes after construction, so the table is built
+        once and kept.  Building is idempotent and the result is published
+        with one attribute store: two threads that race here both build an
+        equal table and either store is a complete one.
+        """
+        table = self._table
+        if table is None:
+            table = self._table = _build_path_table(self._paths)
+        return table
 
     def paths(self, base_station: str, compute_unit: str) -> list[Path]:
         """Candidate paths between one BS and one CU (may be empty)."""

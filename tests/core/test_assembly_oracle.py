@@ -1,0 +1,293 @@
+"""The array assembly must simulate the loop-built model byte for byte.
+
+``tests/core/assembly_oracle.py`` keeps the retired per-item builders
+verbatim.  Every matrix, bound, cost and label the item table produces is
+compared with what those loops produce for the same instance --
+``np.array_equal`` on ``indptr`` / ``indices`` / ``data``, never
+``allclose`` -- because HiGHS must be handed the same bytes: every vertex,
+dual, digest and golden rests on that.  Canonical CSC/CSR is unique, so
+equal arrays *are* equal matrices and any difference is a real one.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.core.benders import _MasterState
+from repro.core.decomposition import SlaveProblem
+from repro.core.forecast_inputs import ForecastInput
+from repro.core.milp_solver import DirectMILPSolver
+from repro.core.problem import ACRRProblem, ProblemOptions
+from repro.core.slices import (
+    EMBB_TEMPLATE,
+    MMTC_TEMPLATE,
+    URLLC_TEMPLATE,
+    SliceRequest,
+    SliceTemplate,
+    make_requests,
+)
+from repro.scenarios import DIFFERENTIAL_FAMILY, sample_scenario
+from repro.scenarios.oracle import problem_for_scenario
+from repro.topology.operators import romanian_topology
+from repro.topology.paths import Path, PathSet, compute_path_sets
+from tests.conftest import build_tiny_topology, low_load_forecasts
+from tests.core.assembly_oracle import (
+    LoopBuiltMaster,
+    LoopBuiltProblem,
+    LoopBuiltSlave,
+    direct_milp_model,
+    same_sparse,
+)
+from tests.differential.conftest import (
+    BASE_SEED,
+    NUM_DIFFERENTIAL_SCENARIOS,
+    seed_note,
+)
+
+SEEDS = [BASE_SEED + index for index in range(NUM_DIFFERENTIAL_SCENARIOS)]
+
+
+def direct_model_handed_to_the_solver(problem: ACRRProblem, monkeypatch):
+    """What ``DirectMILPSolver`` passes to ``solve_milp`` for ``problem``."""
+    handed = {}
+
+    class Handed(Exception):
+        pass
+
+    def record(**kwargs):
+        handed.update(kwargs)
+        raise Handed
+
+    with monkeypatch.context() as patch, pytest.raises(Handed):
+        patch.setattr("repro.core.milp_solver.solve_milp", record)
+        DirectMILPSolver().solve(problem)
+    (rows,) = handed["constraints"]
+    return (
+        handed["cost"], rows.A, rows.lb, rows.ub,
+        handed["lower"], handed["upper"], handed["integrality"],
+    )
+
+
+def assert_assembly_equals_the_oracle(problem: ACRRProblem, monkeypatch, note: str = ""):
+    """Every array the solvers are built from, against the loop builders."""
+    oracle = LoopBuiltProblem(problem)
+    assert np.array_equal(problem.objective_x(), oracle.objective_x()), note
+    assert np.array_equal(problem.objective_y(), oracle.objective_y()), note
+    for name in ("capacity_block", "selection_block", "coupling_block"):
+        got, want = getattr(problem, name)(), getattr(oracle, name)()
+        for part in ("a_x", "a_z", "a_y"):
+            assert same_sparse(getattr(got, part), getattr(want, part)), f"{name}.{part} {note}"
+        assert got.num_rows == want.num_rows
+        assert np.array_equal(got.lower, want.lower), f"{name}.lower {note}"
+        assert np.array_equal(got.upper, want.upper), f"{name}.upper {note}"
+        assert got.labels == want.labels, f"{name}.labels {note}"
+    assert [
+        (block.item_indices, block.capacity_rows) for block in problem.resource_blocks()
+    ] == oracle.resource_blocks(), note
+
+    slave, want = SlaveProblem(problem), LoopBuiltSlave(problem)
+    assert slave.g_columns.has_canonical_format
+    assert same_sparse(slave.g_columns, want.g_matrix.tocsc()), f"G {note}"
+    assert same_sparse(slave.g_matrix, want.g_matrix), f"G row-major {note}"
+    assert same_sparse(slave.h_matrix, want.h_matrix), f"H {note}"
+    assert np.array_equal(slave.h0, want.h0) and np.array_equal(slave.d, want.d), note
+    assert slave.num_capacity_rows == want.num_capacity_rows
+
+    stack = slave.block_stack()
+    assert stack.g_columns.has_canonical_format
+    assert same_sparse(stack.g_columns, want.stack_g.tocsc()), f"stacked G {note}"
+    assert same_sparse(stack.g_matrix, want.stack_g), f"stacked G row-major {note}"
+    assert same_sparse(stack.h_matrix, want.stack_h), f"stacked H {note}"
+    assert same_sparse(stack.h_transposed, want.stack_h.T.tocsc()), note
+    assert np.array_equal(stack.d, want.stack_d), note
+    assert np.array_equal(stack.h0, want.stack_h0), note
+    assert np.array_equal(stack.u_bound, want.stack_u_bound), note
+    assert [block.theta_lower for block in stack.blocks] == want.theta_lowers, note
+    assert [b.rows.start for b in stack.blocks] + [stack.blocks[-1].rows.stop] == want.row_offsets
+    assert [b.cols.start for b in stack.blocks] + [stack.blocks[-1].cols.stop] == want.col_offsets
+
+    lowers = [block.theta_lower for block in stack.blocks]
+    master = _MasterState(problem, problem.objective_x(), lowers)
+    want_master = LoopBuiltMaster(problem, oracle.objective_x(), lowers)
+    (rows,) = master.constraints()
+    assert rows.A.has_canonical_format
+    assert same_sparse(rows.A, want_master.static_matrix.tocsc()), f"master rows {note}"
+    assert np.array_equal(rows.lb, want_master.static_lower), note
+    assert np.array_equal(rows.ub, want_master.static_upper), note
+    for vector in ("cost", "lower", "upper", "integrality"):
+        assert np.array_equal(getattr(master, vector), getattr(want_master, vector)), note
+
+    got = direct_model_handed_to_the_solver(problem, monkeypatch)
+    want_direct = direct_milp_model(problem)
+    assert got[1].has_canonical_format
+    assert same_sparse(got[1], want_direct[1].tocsc()), f"direct MILP matrix {note}"
+    for position in (0, 2, 3, 4, 5, 6):
+        assert np.array_equal(got[position], want_direct[position]), f"direct MILP {position} {note}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_differential_sweep_assembles_the_oracles_bytes(seed, monkeypatch):
+    problem = problem_for_scenario(sample_scenario(DIFFERENTIAL_FAMILY, seed=seed))
+    assert_assembly_equals_the_oracle(problem, monkeypatch, seed_note(seed))
+
+
+# --------------------------------------------------------------------- #
+# The corners the sweep does not reach
+# --------------------------------------------------------------------- #
+CPU_HUNGRY = SliceTemplate(
+    name="cpu-hungry",
+    reward=2.5,
+    latency_tolerance_ms=30.0,
+    sla_mbps=20.0,
+    compute_baseline_cpus=1.5,
+    compute_cpus_per_mbps=0.3,
+)
+BASELINE_ONLY = dataclasses.replace(CPU_HUNGRY, name="baseline-only", compute_cpus_per_mbps=0.0)
+UNREACHABLE = dataclasses.replace(EMBB_TEMPLATE, name="unreachable", latency_tolerance_ms=1e-6)
+
+
+def mixed_requests() -> list[SliceRequest]:
+    return (
+        make_requests(EMBB_TEMPLATE, 2)  # no CPU at all: no compute entries
+        + make_requests(MMTC_TEMPLATE, 2)  # per-Mb/s CPU only: no x entry
+        + make_requests(URLLC_TEMPLATE, 2)  # delay-filtered off the core CU
+        + make_requests(CPU_HUNGRY, 2)  # both compute coefficients
+        + make_requests(BASELINE_ONLY, 1)  # x entry only: a row G never sees
+    )
+
+
+def corner_problem(requests=None, options=None, forecasts=None, num_base_stations=3, k=3):
+    topology = build_tiny_topology(num_base_stations=num_base_stations)
+    requests = mixed_requests() if requests is None else requests
+    return ACRRProblem(
+        topology,
+        compute_path_sets(topology, k=k),
+        requests,
+        low_load_forecasts(requests) if forecasts is None else forecasts,
+        options,
+    )
+
+
+class TestCorners:
+    def test_mixed_compute_models(self, monkeypatch):
+        assert_assembly_equals_the_oracle(corner_problem(), monkeypatch)
+
+    def test_without_overbooking(self, monkeypatch):
+        problem = corner_problem(options=ProblemOptions(overbooking=False))
+        assert not problem.objective_y().any()
+        assert_assembly_equals_the_oracle(problem, monkeypatch)
+
+    def test_deficit_relaxation_columns(self, monkeypatch):
+        problem = corner_problem(options=ProblemOptions(allow_deficit=True, deficit_cost=123.0))
+        assert_assembly_equals_the_oracle(problem, monkeypatch)
+        assert direct_model_handed_to_the_solver(problem, monkeypatch)[1].shape[1] == (
+            3 * problem.num_items + 3
+        )
+
+    def test_zero_forecast_drops_the_row_9_entry(self, monkeypatch):
+        requests = mixed_requests()
+        forecasts = low_load_forecasts(requests)
+        for request in requests[::2]:
+            forecasts[request.name] = ForecastInput(lambda_hat_mbps=0.0, sigma_hat=0.3)
+        problem = corner_problem(requests, forecasts=forecasts)
+        coupling = problem.coupling_block()
+        assert coupling.x.nnz < 4 * problem.num_items  # the pattern really changed
+        assert_assembly_equals_the_oracle(problem, monkeypatch)
+
+    def test_tenant_without_any_admissible_path(self, monkeypatch):
+        requests = mixed_requests()
+        requests.insert(3, SliceRequest(name="nowhere", template=UNREACHABLE))
+        problem = corner_problem(requests)
+        assert problem.items_of_tenant(3) == []
+        assert problem.resource_blocks()[3].item_indices == ()
+        # Its block of the stack is empty: no rows, no columns, no surrogate floor.
+        empty = SlaveProblem(problem).blocks()[3]
+        assert (empty.num_rows, empty.cols.stop - empty.cols.start, empty.theta_lower) == (0, 0, 0.0)
+        assert_assembly_equals_the_oracle(problem, monkeypatch)
+
+    def test_path_cap_after_delay_filtering(self, monkeypatch):
+        # Three ranked paths per (BS, CU) pair; uRLLC loses the slow ones to
+        # its delay budget *before* the cap counts.
+        topology = romanian_topology(num_base_stations=3, seed=0)
+        path_set = compute_path_sets(topology, k=3)
+        requests = mixed_requests()
+        forecasts = low_load_forecasts(requests)
+        sizes = {}
+        for cap in (None, 1, 2):
+            problem = ACRRProblem(
+                topology, path_set, requests, forecasts,
+                ProblemOptions(max_paths_per_tenant_pair=cap),
+            )
+            sizes[cap] = problem.num_items
+            assert_assembly_equals_the_oracle(problem, monkeypatch)
+        assert sizes[1] < sizes[2] < sizes[None]
+
+    def test_committed_tenants(self, monkeypatch):
+        requests = [
+            request.as_committed() if index % 2 else request
+            for index, request in enumerate(mixed_requests())
+        ]
+        problem = corner_problem(requests)
+        assert set(problem.selection_block().lower) == {0.0, 1.0}
+        assert_assembly_equals_the_oracle(problem, monkeypatch)
+
+    def test_single_base_station_has_no_chain_rows(self, monkeypatch):
+        assert_assembly_equals_the_oracle(corner_problem(num_base_stations=1), monkeypatch)
+
+    def test_with_forecasts_clone_equals_a_cold_build(self, monkeypatch):
+        base = corner_problem()
+        SlaveProblem(base).block_stack()  # prime every shared structure
+        requests = mixed_requests()
+        forecasts = low_load_forecasts(requests, fraction=0.55, sigma=0.4)
+        forecasts[requests[0].name] = ForecastInput(lambda_hat_mbps=0.0, sigma_hat=0.2)
+        clone = base.with_forecasts(requests, forecasts)
+        assert_assembly_equals_the_oracle(clone, monkeypatch)
+        cold = ACRRProblem(base.topology, base.path_set, requests, forecasts)
+        for name in ("capacity_block", "selection_block", "coupling_block"):
+            for part in ("a_x", "a_z", "a_y"):
+                assert same_sparse(
+                    getattr(getattr(clone, name)(), part), getattr(getattr(cold, name)(), part)
+                )
+        assert same_sparse(clone.floor_footprint(), cold.floor_footprint())
+        assert clone.items == cold.items
+
+
+# --------------------------------------------------------------------- #
+# The path table seam
+# --------------------------------------------------------------------- #
+def path_listing_a_link_twice(topology) -> PathSet:
+    """The tiny topology's paths, one of them hand-built to traverse its
+    first link twice (out and back): that link is loaded twice."""
+    paths = dict(compute_path_sets(topology, k=2).items())
+    key = ("bs-0", "edge-cu")
+    original = paths[key][0]
+    detour = Path(
+        base_station=original.base_station,
+        compute_unit=original.compute_unit,
+        nodes=original.nodes,
+        links=(original.links[0], *original.links, original.links[0]),
+        delay_us=original.delay_us,
+        capacity_mbps=original.capacity_mbps,
+    )
+    paths[key] = [detour, *paths[key][1:]]
+    return PathSet(paths)
+
+
+def test_a_link_listed_twice_is_loaded_twice_in_one_canonical_entry(monkeypatch):
+    topology = build_tiny_topology()
+    requests = make_requests(MMTC_TEMPLATE, 2) + make_requests(CPU_HUNGRY, 1)
+    problem = ACRRProblem(
+        topology, path_listing_a_link_twice(topology), requests, low_load_forecasts(requests)
+    )
+    capacity = problem.capacity_block()
+    link_row = len(topology.compute_unit_names) + [
+        link.key for link in topology.links
+    ].index(problem.items[0].path.links[0].key)
+    assert problem.items[0].path.links.count(problem.items[0].path.links[0]) == 3
+    assert capacity.z.has_canonical_format
+    assert capacity.z[link_row, 0] == 3 * problem.items[0].transport_overhead
+    assert capacity.z.nnz == capacity.z.tocsr().tocsc().nnz  # one entry, no duplicate index
+    assert_assembly_equals_the_oracle(problem, monkeypatch)

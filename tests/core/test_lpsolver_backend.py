@@ -35,7 +35,9 @@ from repro.core.lpsolver import (
 )
 from repro.core.milp_solver import DirectMILPSolver
 from repro.scenarios import DIFFERENTIAL_FAMILY, sample_scenario, warm_start_check
-from repro.scenarios.oracle import problem_for_scenario
+from repro.scenarios.oracle import _perturbed_forecast_sequence, problem_for_scenario
+from repro.utils.rng import derive_seed
+from tests.core.assembly_oracle import direct_milp_model, retire_the_array_assembly
 from tests.differential.conftest import (
     BASE_SEED,
     NUM_DIFFERENTIAL_SCENARIOS,
@@ -199,6 +201,170 @@ class TestBackendEqualsScipyWrappers:
             assert not outcome.mismatched_instances, seed_note(seed)
             assert not disagreements, f"{disagreements[0]} {seed_note(seed)}"
         assert counts["milp_hinted"] > 0
+
+
+# --------------------------------------------------------------------- #
+# HiGHS-input shadow: the models themselves, not only their results
+# --------------------------------------------------------------------- #
+MODEL_FIELDS = (
+    "start_", "index_", "value_", "col_cost_", "col_lower_", "col_upper_",
+    "row_lower_", "row_upper_", "integrality_",
+)
+
+
+@pytest.fixture
+def handed_to_highs(monkeypatch):
+    """Record every model ``lpsolver._run`` loads into HiGHS, field by field
+    under the names ``HighsLp`` gives them."""
+    import repro.core.lpsolver as lpsolver
+
+    models: list[dict] = []
+    real_run = lpsolver._run
+
+    def recording_run(highs, model, is_mip):
+        models.append(
+            {
+                "is_mip": is_mip,
+                "shape": model.matrix.shape,
+                "start_": model.matrix.indptr.copy(),
+                "index_": model.matrix.indices.copy(),
+                "value_": model.matrix.data.copy(),
+                "col_cost_": model.col_cost.copy(),
+                "col_lower_": model.col_lower.copy(),
+                "col_upper_": model.col_upper.copy(),
+                "row_lower_": model.row_lower.copy(),
+                "row_upper_": model.row_upper.copy(),
+                "integrality_": model.integrality.copy(),
+            }
+        )
+        return real_run(highs, model, is_mip)
+
+    monkeypatch.setattr(lpsolver, "_run", recording_run)
+    return models
+
+
+def model_differences(got: list[dict], want: list[dict]) -> list[str]:
+    differences = []
+    if len(got) != len(want):
+        differences.append(f"{len(got)} models handed over, the oracle hands over {len(want)}")
+    for position, (a, b) in enumerate(zip(got, want)):
+        if (a["is_mip"], a["shape"]) != (b["is_mip"], b["shape"]):
+            differences.append(f"model {position}: kind/shape {a['shape']} != {b['shape']}")
+        for field in MODEL_FIELDS:
+            # Bytes, not closeness: equal dtype-normalised arrays, NaN-free.
+            if not np.array_equal(a[field], b[field]):
+                differences.append(f"model {position}: {field} differs")
+    return differences
+
+
+def exact_benders(warm_start: bool) -> BendersSolver:
+    return BendersSolver(
+        tolerance=1e-9,
+        relative_tolerance=1e-9,
+        max_iterations=12,
+        master_time_limit_s=None,
+        time_limit_s=None,
+        warm_start=warm_start,
+    )
+
+
+class TestHighsIsHandedTheOraclesModels:
+    """Satellite: same instance, shipped assembly vs the retired one
+    (``tests/core/assembly_oracle.py``) -- every model loaded into HiGHS
+    along the way must be the same model, array for array."""
+
+    @pytest.mark.parametrize("seed", SEEDS[:10])
+    def test_cold_multi_cut_solve(self, seed, handed_to_highs, monkeypatch):
+        problem = problem_for_scenario(sample_scenario(DIFFERENTIAL_FAMILY, seed=seed))
+        shipped = exact_benders(warm_start=False).solve(problem)
+        got = list(handed_to_highs)
+        handed_to_highs.clear()
+        retire_the_array_assembly(monkeypatch)
+        retired = exact_benders(warm_start=False).solve(problem)
+        assert shipped.stats.iterations == retired.stats.iterations
+        # One master per round, the slave LP and the stacked block LP per
+        # distinct candidate (plus phase-1 certificates of infeasible ones).
+        assert sum(model["is_mip"] for model in got) == shipped.stats.iterations
+        assert len(got) >= shipped.stats.iterations + 2
+        assert model_differences(got, handed_to_highs) == [], seed_note(seed)
+
+    def test_warm_fast_path_hit_with_a_hint(self, handed_to_highs, monkeypatch):
+        import repro.core.benders as benders
+
+        hinted = []
+        real_milp = benders.solve_milp
+
+        def noting_milp(*args, **kwargs):
+            result = real_milp(*args, **kwargs)
+            hinted.append(result.hint_applied)
+            return result
+
+        monkeypatch.setattr(benders, "solve_milp", noting_milp)
+        sequences = []
+        for seed in SEEDS[:6]:
+            scenario = sample_scenario(DIFFERENTIAL_FAMILY, seed=seed)
+            base = problem_for_scenario(scenario)
+            sequences.append(
+                [base]
+                + _perturbed_forecast_sequence(
+                    base,
+                    count=2,
+                    spread=0.02,
+                    seed=derive_seed(scenario.seed, "warm-start-oracle", scenario.name),
+                )
+            )
+
+        def run():
+            handed_to_highs.clear()
+            hinted.clear()
+            hits = 0
+            for instances in sequences:
+                solver = BendersSolver(
+                    max_iterations=12, master_time_limit_s=None, time_limit_s=None
+                )
+                hits += sum(solver.solve(p).stats.cuts_warm > 0 for p in instances)
+            return list(handed_to_highs), list(hinted), hits
+
+        got, got_hinted, hits = run()
+        assert hits > 0 and any(got_hinted)  # fast-path hits, cut-off rows applied
+        retire_the_array_assembly(monkeypatch)
+        want, want_hinted, want_hits = run()
+        assert (got_hinted, hits) == (want_hinted, want_hits)
+        assert model_differences(got, want) == []
+
+    @pytest.mark.parametrize("allow_deficit", [False, True])
+    def test_direct_milp_solve(self, allow_deficit, handed_to_highs):
+        from repro.core.problem import ACRRProblem, ProblemOptions
+
+        for seed in SEEDS[:10]:
+            problem = problem_for_scenario(sample_scenario(DIFFERENTIAL_FAMILY, seed=seed))
+            if allow_deficit:
+                problem = ACRRProblem(
+                    problem.topology,
+                    problem.path_set,
+                    problem.requests,
+                    {r.name: problem.forecast(r.name) for r in problem.requests},
+                    ProblemOptions(allow_deficit=True),
+                )
+            handed_to_highs.clear()
+            DirectMILPSolver(time_limit_s=None, mip_rel_gap=1e-9).solve(problem)
+            cost, matrix, row_lower, row_upper, lower, upper, kinds = direct_milp_model(problem)
+            # The retired path: row-major blocks, one conversion on the way in.
+            columns = sparse.csc_matrix(matrix, dtype=float)
+            want = {
+                "is_mip": True,
+                "shape": columns.shape,
+                "start_": columns.indptr,
+                "index_": columns.indices,
+                "value_": columns.data,
+                "col_cost_": cost,
+                "col_lower_": lower,
+                "col_upper_": upper,
+                "row_lower_": row_lower,
+                "row_upper_": row_upper,
+                "integrality_": kinds,
+            }
+            assert model_differences(list(handed_to_highs), [want]) == [], seed_note(seed)
 
 
 def feasible_and_infeasible_rhs(slave: SlaveProblem):

@@ -107,7 +107,7 @@ class TestResourceBlocks:
         x = accept_all_edge(embb_problem)
         for block, outcome in zip(slave.blocks(), slave.evaluate_blocks(x)):
             assert outcome.feasible
-            coeff, rhs = slave.cut_from_block_multipliers(block, outcome.duals)
+            ((coeff, rhs),) = slave.cuts_from_block_multipliers([(block, outcome.duals)])
             # theta_b + coeff' x >= rhs holds with theta_b = q_b(x): LP
             # duality makes it tight at the generating point.
             assert outcome.objective + float(coeff @ x) >= rhs - 1e-8
@@ -253,89 +253,97 @@ class TestLazyCutAccumulation:
 
     def test_add_cut_does_not_stack(self, embb_problem):
         master = self._master(embb_problem)
+        static = master._rows
         for k in range(10):
             master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
         assert master.num_cuts == 10
-        assert master._cut_matrix is None
-        assert len(master._pending_rows) == 10
+        assert master._rows is static  # nothing merged yet
+        assert master._merged_cuts == 0
 
-    def test_cut_rows_folds_pending_once_and_caches(self, embb_problem):
+    def test_constraints_merges_queued_rows_once_and_caches(self, embb_problem):
         master = self._master(embb_problem)
         for k in range(5):
             master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
-        matrix, rhs = master.cut_rows()
-        assert matrix.shape == (5, embb_problem.num_items + master.num_thetas)
-        assert list(rhs) == [-float(k) for k in range(5)]
-        assert not master._pending_rows
-        # No new cuts: the folded matrix is returned as-is, no re-stacking.
-        again, _ = master.cut_rows()
-        assert again is matrix
-        # New cuts stack on top of the cached matrix, preserving row order.
+        (rows,) = master.constraints()
+        num_static = master.num_static_rows
+        assert rows.A.shape == (num_static + 5, embb_problem.num_items + master.num_thetas)
+        assert list(rows.lb[num_static:]) == [-float(k) for k in range(5)]
+        assert np.all(rows.ub[num_static:] == np.inf)
+        assert master._merged_cuts == 5
+        # No new cuts: the merged matrix is handed out as-is, no re-stacking.
+        (again,) = master.constraints()
+        assert again.A is rows.A
+        # New cuts are merged below the rows already there, order preserved.
         master.add_cut(np.zeros(embb_problem.num_items), -99.0, True)
-        grown, rhs = master.cut_rows()
-        assert grown.shape[0] == 6
+        (grown,) = master.constraints()
+        assert grown.A.shape[0] == num_static + 6
+        assert grown.lb[-1] == -99.0
+        cuts, rhs = master.cut_rows()
+        assert cuts.shape == (6, embb_problem.num_items + master.num_thetas)
         assert rhs[-1] == -99.0
 
-    def test_add_cut_builds_nothing_sparse_and_cut_rows_folds_once(
+    def test_add_cut_builds_nothing_sparse_and_constraints_merges_once(
         self, embb_problem, monkeypatch
     ):
         # The invariant behind the lazy store: zero sparse constructions per
-        # add_cut, at most one fold (one CSR conversion, one vstack onto the
-        # cached matrix) per cut_rows().
-        conversions, stacks = [], []
-        real_csr, real_vstack = sparse.csr_matrix, sparse.vstack
+        # add_cut; per constraints() call with rows queued, one conversion of
+        # the queued batch and one merge into the columns, whatever the
+        # batch size; none with nothing queued.
+        built = []
+        real = sparse.csc_matrix
 
-        def counting_csr(*args, **kwargs):
-            conversions.append(1)
-            return real_csr(*args, **kwargs)
-
-        def counting_vstack(blocks, *args, **kwargs):
-            stacks.append(len(blocks))
-            return real_vstack(blocks, *args, **kwargs)
+        class CountingCSC(real):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
 
         master = self._master(embb_problem)
-        monkeypatch.setattr("repro.core.benders.sparse.csr_matrix", counting_csr)
-        monkeypatch.setattr("repro.core.benders.sparse.vstack", counting_vstack)
+        monkeypatch.setattr("repro.core.lpsolver.sparse.csc_matrix", CountingCSC)
         for k in range(50):
             master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
-        assert (conversions, stacks) == ([], [])  # queueing is sparse-free
-        master.cut_rows()
-        assert (len(conversions), stacks) == (1, [])  # one fold, nothing to stack on
-        master.cut_rows()
-        assert (len(conversions), stacks) == (1, [])  # nothing pending: no work
+        assert built == []  # queueing is sparse-free
+        master.constraints()
+        assert len(built) == 2  # the batch, and its merge
+        master.constraints()
+        assert len(built) == 2  # nothing queued: no work
         for k in range(50):
             master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
-        assert (len(conversions), stacks) == (1, [])
-        matrix, _ = master.cut_rows()
-        assert (len(conversions), stacks) == (2, [2])  # cached matrix + one batch
-        assert matrix.shape[0] == 100
+        assert len(built) == 2
+        (rows,) = master.constraints()
+        assert len(built) == 4
+        assert rows.A.shape[0] == master.num_static_rows + 100
 
-    def test_folded_cut_matrix_equals_per_row_csr_stacking(self, embb_problem):
-        # Same CSR content, bit for bit, as one csr_matrix per cut would give.
+    def test_merged_matrix_equals_per_row_csr_stacking(self, embb_problem):
+        # Same content, bit for bit, as stacking one csr_matrix per cut under
+        # the static rows and converting -- what the master used to do.
         rng = np.random.default_rng(3)
         n = embb_problem.num_items
         coefficients = rng.normal(size=(12, n)) * (rng.random((12, n)) < 0.3)
         master = self._master(embb_problem)
+        (static,) = master.constraints()
+        static = static.A.copy()
         for row in coefficients[:7]:
             master.add_cut(row, 0.0, True)
-        master.cut_rows()
+        master.constraints()
         for row in coefficients[7:]:
             master.add_cut(row, 0.0, False)
-        folded, _ = master.cut_rows()
+        (rows,) = master.constraints()
         # Aggregate optimality cuts bound every surrogate, feasibility cuts none.
         theta = np.outer(
             np.concatenate([np.ones(7), np.zeros(5)]), np.ones(master.num_thetas)
         )
         expected = sparse.vstack(
-            [
+            [static.tocsr()]
+            + [
                 sparse.csr_matrix(np.concatenate([row, t]).reshape(1, -1))
                 for row, t in zip(coefficients, theta)
             ],
             format="csr",
-        )
-        assert np.array_equal(folded.indptr, expected.indptr)
-        assert np.array_equal(folded.indices, expected.indices)
-        assert np.array_equal(folded.data, expected.data)
+        ).tocsc()
+        assert rows.A.has_canonical_format
+        assert np.array_equal(rows.A.indptr, expected.indptr)
+        assert np.array_equal(rows.A.indices, expected.indices)
+        assert np.array_equal(rows.A.data, expected.data)
 
     def test_multi_theta_master_pads_cuts_correctly(self, mixed_problem):
         slave = SlaveProblem(mixed_problem)
@@ -346,8 +354,10 @@ class TestLazyCutAccumulation:
         master.add_cut(np.zeros(n), 0.0, True)  # aggregate: all surrogates
         master.add_cut(np.zeros(n), 0.0, True, block_id=2)
         master.add_cut(np.zeros(n), 0.0, False)  # feasibility: none
-        matrix, _ = master.cut_rows()
-        theta_part = matrix.toarray()[:, n:]
+        cuts, _ = master.cut_rows()
+        (rows,) = master.constraints()
+        assert np.array_equal(rows.A.toarray()[master.num_static_rows :], cuts)
+        theta_part = cuts[:, n:]
         assert list(theta_part[0]) == [1.0] * master.num_thetas
         assert theta_part[1].sum() == 1.0 and theta_part[1][2] == 1.0
         assert not theta_part[2].any()

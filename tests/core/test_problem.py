@@ -143,23 +143,6 @@ class TestConstraintBlocks:
         assert block.num_rows == 5 * embb_problem.num_items
 
 
-class TestReservationBounds:
-    def test_bounds_for_accepted_and_rejected(self, embb_problem):
-        accepted = np.zeros(embb_problem.num_items)
-        accepted[0] = 1.0
-        lower, upper = embb_problem.reservation_bounds(accepted)
-        item = embb_problem.items[0]
-        assert lower[0] == pytest.approx(item.lambda_hat_mbps)
-        assert upper[0] == pytest.approx(item.sla_mbps)
-        assert lower[1] == upper[1] == 0.0
-
-    def test_no_overbooking_bounds_pin_to_sla(self, embb_problem):
-        baseline = embb_problem.without_overbooking()
-        accepted = np.ones(baseline.num_items)
-        lower, upper = baseline.reservation_bounds(accepted)
-        assert np.allclose(lower, upper)
-
-
 class TestInfeasibleConstruction:
     def test_unreachable_latency_raises(self):
         from repro.core.slices import SliceRequest, SliceTemplate

@@ -144,8 +144,15 @@ class TestProblemStructureCache:
             options=options,
         )
         assert_equivalent_problems(second, cold)
-        # The skeleton is genuinely shared, not rebuilt.
-        assert second._items_by_tenant is first._items_by_tenant
+        # The skeleton is genuinely shared, not rebuilt: one item table,
+        # hence the very same structural columns, and one structure cache.
+        assert second._table is first._table
+        assert second._table.sla is first._table.sla
+        assert second._table.link_row is first._table.link_row
+        assert second._structure_cache is first._structure_cache
+        assert second.capacity_block() is first.capacity_block()
+        # ... while the three forecast columns are the clone's own.
+        assert second._lambda_hat is not first._lambda_hat
 
     def test_invalidated_by_request_set_change(self, topology, path_set, requests):
         cache = ProblemStructureCache()
