@@ -144,15 +144,22 @@ class MonitoringService:
         if cached is not None and cached[0] == stamp:
             return cached[1]
 
-        merged: dict[int, float] = {}
-        for bs in stations:
-            epochs, peaks = self.store.peak_series(
-                _LOAD_SERIES, tags={"slice": slice_name, "bs": bs}
-            )
-            for epoch, value in zip(epochs, peaks):
-                epoch = int(epoch)
-                merged[epoch] = max(merged.get(epoch, 0.0), float(value))
-        history = np.array([merged[e] for e in sorted(merged)])
+        tracks = [
+            self.store.peak_series(_LOAD_SERIES, tags={"slice": slice_name, "bs": bs})
+            for bs in stations
+        ]
+        if tracks and all(np.array_equal(epochs, tracks[0][0]) for epochs, _ in tracks[1:]):
+            # One epoch axis for every station (the steady state): the merge
+            # is an element-wise maximum, floored at 0.0 like the one below.
+            history = np.maximum(np.maximum.reduce([peaks for _, peaks in tracks]), 0.0)
+        else:
+            # Ragged axes (a station that joined late, pruned or skipped an
+            # epoch): merge epoch by epoch.
+            merged: dict[int, float] = {}
+            for epochs, peaks in tracks:
+                for epoch, value in zip(epochs.tolist(), peaks.tolist()):
+                    merged[epoch] = max(merged.get(epoch, 0.0), value)
+            history = np.array([merged[e] for e in sorted(merged)])
         self._peak_cache[slice_name] = (stamp, history)
         return history
 

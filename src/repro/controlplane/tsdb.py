@@ -50,6 +50,17 @@ class _RingBuffer:
         self._data[self._end] = value
         self._end += 1
 
+    def extend(self, values: np.ndarray) -> None:
+        """Append a block with one slice copy."""
+        end = self._end + len(values)
+        while end > len(self._data):
+            # Compacts first when the front is mostly dead space, then
+            # doubles until the block fits -- append's policy, per block.
+            self._compact_or_grow()
+            end = self._end + len(values)
+        self._data[self._end : end] = values
+        self._end = end
+
     def drop_front(self, count: int) -> None:
         self._start += count
         if self._start > len(self._data) // 2:
@@ -75,10 +86,11 @@ class _Series:
     """One (name, tags) series: raw samples plus the incremental peak track.
 
     ``peak_epochs``/``peak_values`` hold one entry per distinct epoch, in
-    epoch order; appending another sample for the latest epoch updates the
+    epoch order; appending more samples for the latest epoch updates the
     trailing peak in place, so the per-epoch maximum is always current
     without ever re-scanning the raw samples.  ``version`` increments on
-    every mutation (append or prune) and is what downstream caches key on.
+    every mutation (a written block or a prune) and is what downstream
+    caches key on.
     """
 
     __slots__ = ("epochs", "values", "peak_epochs", "peak_values", "version")
@@ -90,23 +102,29 @@ class _Series:
         self.peak_values = _RingBuffer(np.float64)
         self.version = 0
 
-    def append(self, epoch: int, value: float) -> None:
+    def extend(self, epoch: int, values) -> None:
+        """Append a block of samples sharing one epoch: one epoch-order
+        check, one slice copy per buffer, one ``max`` into the peak track,
+        one version bump.  An empty block changes nothing."""
         epoch = int(epoch)
-        value = float(value)
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if not len(values):
+            return
         if len(self.epochs) and epoch < self.epochs.view()[-1]:
             raise ValueError(
                 f"samples must be appended in epoch order (got {epoch} after {self.epochs.view()[-1]})"
             )
-        self.epochs.append(epoch)
-        self.values.append(value)
+        self.epochs.extend(np.full(len(values), epoch, dtype=np.int64))
+        self.values.extend(values)
+        peak = values.max()
         peaks = self.peak_epochs
         if len(peaks) and peaks.view()[-1] == epoch:
             tail = self.peak_values.view()
-            if value > tail[-1]:
-                tail[-1] = value
+            if peak > tail[-1]:
+                tail[-1] = peak
         else:
             self.peak_epochs.append(epoch)
-            self.peak_values.append(value)
+            self.peak_values.append(peak)
         self.version += 1
 
     def prune_before(self, min_epoch: int) -> None:
@@ -168,7 +186,7 @@ class TimeSeriesStore:
         """Append one sample to a series (created on first write)."""
         key = _series_key(name, tags)
         series = self._series.setdefault(key, _Series())
-        series.append(epoch, value)
+        series.extend(epoch, (value,))
         if self.retention_epochs is not None:
             series.prune_before(int(epoch) - self.retention_epochs + 1)
 
@@ -182,8 +200,7 @@ class TimeSeriesStore:
         """Append several samples sharing the same epoch (monitoring samples)."""
         key = _series_key(name, tags)
         series = self._series.setdefault(key, _Series())
-        for value in values:
-            series.append(epoch, float(value))
+        series.extend(epoch, values)
         if self.retention_epochs is not None:
             series.prune_before(int(epoch) - self.retention_epochs + 1)
 

@@ -26,22 +26,24 @@ instance -- the slave constraint matrix ``G`` is forecast-independent, so a
 stored ``mu >= 0`` yields a provably valid inequality for the new master
 once its right-hand side is re-derived from the new ``(h0, H)`` and relaxed
 by the (computable) dual-infeasibility slack against the new objective.
-Stale cuts whose slack grew too large are dropped; the surviving ones
-re-seed the master, which typically converges in a fraction of the cold
-iteration count while returning bit-identical decisions (enforced by the
-differential warm-start sweep).
+Stale cuts whose slack grew too large are skipped, cuts that stopped
+binding age out of the pool; the surviving ones re-seed the master, which
+typically certifies the previous optimum in one round -- the decision a cold
+solve returns, up to a certified tie inside the stopping band (the
+differential warm-start sweeps pin which of the two holds where).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
 
 from repro.core.decomposition import SlaveProblem
 from repro.core.lpsolver import (
+    HINT_FEASIBILITY_TOL,
     dense_rows_to_csc,
     solve_milp,
     stack_columns,
@@ -202,6 +204,17 @@ class _PoolEntry:
     )
     #: Admission vector of the last incumbent under this structure.
     best_x: np.ndarray | None = None
+    #: Per stored multiplier, how many consecutive seeded master solves it
+    #: was slack in (or skipped at seeding); see :meth:`CutPool.age`.
+    idle: list[int] = field(default_factory=list)
+    #: Positions in ``multipliers`` behind the cut rows of the master seeded
+    #: last, in row order: scratch between ``seed_master`` and ``age``.
+    seeded: list[int] = field(default_factory=list, init=False)
+
+    def copy(self) -> "_PoolEntry":
+        """Multiplier arrays and incumbents are never mutated in place once
+        recorded, so copying the lists is a mutation-independent copy."""
+        return replace(self, multipliers=list(self.multipliers), idle=list(self.idle))
 
 
 class CutPool:
@@ -222,7 +235,13 @@ class CutPool:
     right-hand side by ``sum_j max(0, violation_j) * sla_j`` restores a
     mathematically valid inequality.  Cuts whose repair slack exceeds
     ``max_relative_slack`` of the cut's own scale carry no information
-    anymore and are dropped as stale.
+    anymore and are skipped as stale.
+
+    The pool is a *working set*, not an archive (:meth:`age`): a multiplier
+    whose cut was slack at the seeded master's optimum, or skipped at
+    seeding, :data:`_MAX_IDLE_SOLVES` + 1 solves running is dropped.
+    Eviction cannot cost validity -- every seeded cut is still re-proven and
+    a miss still runs the cold loop -- only, at worst, a certification.
     """
 
     def __init__(
@@ -325,7 +344,7 @@ class CutPool:
                 repair = float(np.dot(violation, system.u_bound[cols]))
                 prepared[position] = (coeffs[:, column], float(rhs[column]) - repair, repair)
 
-        seeded = 0
+        entry.seeded = []
         for position, (_, is_optimality, block_id) in enumerate(entry.multipliers):
             ready = prepared.get(position)
             if ready is None:
@@ -339,9 +358,28 @@ class CutPool:
                 self.dropped_total += 1
                 continue
             master.add_cut(coeff, rhs_value, is_optimality, block_id)
-            seeded += 1
-        self.seeded_total += seeded
-        return seeded, entry.best_x
+            entry.seeded.append(position)
+        self.seeded_total += len(entry.seeded)
+        return len(entry.seeded), entry.best_x
+
+    def age(self, key: tuple, master: "_MasterState", values: np.ndarray) -> None:
+        """Age the multipliers of ``key`` after its seeded ``master`` was
+        solved to ``values`` (over ``x`` and the surrogates).
+
+        A seeded cut that is tight there starts over at zero; one that is
+        slack -- by the relative tolerance hint validation uses -- and every
+        multiplier :meth:`seed_master` skipped is one solve older, and past
+        :data:`_MAX_IDLE_SOLVES` it leaves the pool.
+        """
+        entry = self._entries[key]
+        cuts, rhs = master.cut_rows()
+        activity = cuts.dot(values)
+        tight = activity - rhs <= HINT_FEASIBILITY_TOL * np.maximum(1.0, np.abs(activity))
+        idle = np.array(entry.idle) + 1
+        idle[np.array(entry.seeded, dtype=int)[tight]] = 0
+        keep = np.flatnonzero(idle <= _MAX_IDLE_SOLVES).tolist()
+        entry.multipliers = [entry.multipliers[position] for position in keep]
+        entry.idle = idle[keep].tolist()
 
     def record(
         self,
@@ -362,8 +400,9 @@ class CutPool:
             (np.array(mu), is_optimality, block_id)
             for mu, is_optimality, block_id in new_multipliers
         )
-        if len(entry.multipliers) > self.max_cuts_per_structure:
-            del entry.multipliers[: len(entry.multipliers) - self.max_cuts_per_structure]
+        entry.idle.extend([0] * len(new_multipliers))
+        excess = max(0, len(entry.multipliers) - self.max_cuts_per_structure)
+        del entry.multipliers[:excess], entry.idle[:excess]
         if best_x is not None:
             entry.best_x = np.array(best_x)
 
@@ -371,22 +410,10 @@ class CutPool:
     # Crash-consistent epochs (snapshot / restore)
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """Capture the pool for epoch-level rollback.
-
-        Multiplier arrays and incumbents are never mutated in place once
-        recorded (``record`` stores fresh copies), so a structural copy --
-        new entry objects with copied multiplier lists -- is a complete,
-        mutation-independent snapshot.
-        """
+        """Capture the pool -- multipliers, their idle counters, incumbents
+        -- for epoch-level rollback (see :meth:`_PoolEntry.copy`)."""
         return {
-            "entries": {
-                key: _PoolEntry(
-                    num_rows=entry.num_rows,
-                    multipliers=list(entry.multipliers),
-                    best_x=entry.best_x,
-                )
-                for key, entry in self._entries.items()
-            },
+            "entries": {key: entry.copy() for key, entry in self._entries.items()},
             "seeded_total": self.seeded_total,
             "dropped_total": self.dropped_total,
         }
@@ -397,14 +424,7 @@ class CutPool:
         Entries are re-copied so the same snapshot can be restored more
         than once; the pool object itself (and its limits) is preserved.
         """
-        self._entries = {
-            key: _PoolEntry(
-                num_rows=entry.num_rows,
-                multipliers=list(entry.multipliers),
-                best_x=entry.best_x,
-            )
-            for key, entry in snapshot["entries"].items()
-        }
+        self._entries = {key: entry.copy() for key, entry in snapshot["entries"].items()}
         self.seeded_total = snapshot["seeded_total"]
         self.dropped_total = snapshot["dropped_total"]
 
@@ -414,6 +434,12 @@ class CutPool:
 #: to call two optima equal.  A certificate this tight cannot hide a
 #: materially different cold incumbent.
 _EXACT_CERTIFICATE_REL = 1e-6
+
+#: How many consecutive seeded master solves a stored multiplier may sit
+#: idle (slack, or skipped) before :meth:`CutPool.age` drops it.  0 to 4
+#: certify the same `online_week` epochs; 8 seeds enough dead rows to cost
+#: a millisecond per solve.
+_MAX_IDLE_SOLVES = 2
 
 
 @dataclass
@@ -471,9 +497,9 @@ class BendersSolver:
         (:attr:`cut_pool`) so consecutive solves of structurally matching
         instances (the orchestrator's steady-state epochs) re-seed each
         other's cuts.  Warm starts only ever add *valid* inequalities and an
-        incumbent bound, so decisions are identical to cold solves (asserted
-        by the differential warm-start sweep); disable for raw-latency
-        baselines.
+        incumbent bound, so a warm decision carries the certificate a cold
+        one does (asserted by the differential warm-start sweeps); disable
+        for raw-latency baselines.
 
         ``multi_cut`` is inert: the per-block master is the only master.
         The keyword is accepted (``True`` only) because
@@ -567,7 +593,8 @@ class BendersSolver:
                 "model the Section 3.4 deficit relaxation (options.allow_deficit "
                 "is read by DirectMILPSolver only)"
             )
-        return solution
+        values, lower_bound = solution
+        return np.round(values[: master.num_items]), lower_bound
 
     @staticmethod
     def _price(
@@ -699,7 +726,9 @@ class BendersSolver:
         master = self._solve_master(seeded_master, hint=hint)
         if master is None:
             return None
-        x_proposed, master_objective = master
+        values, master_objective = master
+        x_proposed = np.round(values[: seeded_master.num_items])
+        self.cut_pool.age(pool_key, seeded_master, values)
         outcome = slave.evaluate(previous_x)
         if not outcome.feasible:
             return None
@@ -780,7 +809,8 @@ class BendersSolver:
     def _solve_master(
         self, master: _MasterState, hint: np.ndarray | None = None
     ) -> tuple[np.ndarray, float] | None:
-        """Solve the current master MILP; returns (x, objective)."""
+        """Solve the current master MILP; returns (values over x and the
+        surrogates -- x not yet rounded --, objective)."""
         # A numerically borderline objective cutoff must never turn a
         # feasible master infeasible: a failed hinted solve is retried cold.
         for attempt in (hint, None):
@@ -797,4 +827,4 @@ class BendersSolver:
                 break
         if not result.success:
             return None
-        return np.round(result.values[: master.num_items]), float(result.objective)
+        return result.values, float(result.objective)

@@ -179,13 +179,21 @@ class SlaveProblem:
         capacity = problem.capacity_block()
         coupling = problem.coupling_block()
 
-        # Constraint matrix over u = [y, z], column-major and canonical:
-        # HiGHS is handed these arrays as they are.
-        self.g_columns: sparse.csc_matrix = stack_columns(
-            [[capacity.y, coupling.y], [capacity.z, coupling.z]]
+        # No forecast enters G, h0 or the implied bounds: built once per
+        # structure and shared by the slaves of every with_forecasts clone.
+        # G is over u = [y, z], column-major and canonical (HiGHS is handed
+        # these arrays as they are); any feasible slave point satisfies
+        # 0 <= (y, z) <= sla.
+        self.g_columns, self.h0, self.u_bound = problem.per_structure(
+            "slave",
+            lambda: (
+                stack_columns([[capacity.y, coupling.y], [capacity.z, coupling.z]]),
+                np.concatenate([capacity.upper, coupling.upper]),
+                np.concatenate([problem.sla_mbps, problem.sla_mbps]),
+            ),
         )
-        # Right-hand side h(x) = h0 + H x.
-        self.h0: np.ndarray = np.concatenate([capacity.upper, coupling.upper])
+        # Right-hand side h(x) = h0 + H x.  H's pattern follows the forecast
+        # (row (9) has no entry at a forecast of zero): rebuilt, not patched.
         h_columns = stack_columns([[capacity.x, coupling.x]])
         np.negative(h_columns.data, out=h_columns.data)
         self.h_matrix: sparse.csr_matrix = h_columns.tocsr()
@@ -196,8 +204,6 @@ class SlaveProblem:
         self.d: np.ndarray = np.concatenate([problem.objective_y(), np.zeros(n)])
         self.u_lower = np.zeros(2 * n)
         self.u_upper = np.full(2 * n, np.inf)
-        #: Implied bounds of any feasible slave point: 0 <= (y, z) <= sla.
-        self.u_bound = np.concatenate([problem.sla_mbps, problem.sla_mbps])
         # Compiled on first use, re-solved per right-hand side afterwards:
         # the slave LP, its phase-1 certificate problem (first infeasible
         # evaluate) and the stacked block LP.  They hold native HiGHS
@@ -285,15 +291,16 @@ class SlaveProblem:
             self._block_stack = self._build_block_stack()
         return self._block_stack
 
-    def _build_block_stack(self) -> BlockStack:
-        """Assemble the stacked block system straight from the slave arrays.
+    def _block_stack_frame(self) -> tuple:
+        """The stacked block system's forecast-free half, straight from the
+        slave arrays: per block its identity and row / column range, the
+        item ranges, the row and column maps, ``diag(G_b)``, ``h0`` and the
+        implied bounds in stack order.
 
         Items are tenant-contiguous, so block ``b``'s columns are the
         tenant's ``y`` columns then its ``z`` columns, and ``diag(G_b)`` is
         ``G`` with its columns in that order and its rows renumbered: every
         entry of a slave column lies in a row of the column's own block.
-        ``H`` keeps its full width, so its rows are gathered instead
-        (shared capacity rows once per block that touches them).
         """
         n, num_capacity = self.num_items, self.num_capacity_rows
         resource_blocks = self.problem.resource_blocks()
@@ -335,34 +342,46 @@ class SlaveProblem:
             coupling_map[np.maximum(row - num_capacity, 0)],
         )
         g_stack = canonical_csc(indptr, row, g.data[entry], (len(rows), 2 * n))
-        h = self.h_matrix
-        indptr, entry = gather_slices(h.indptr, rows)
-        h_stack = sparse.csr_matrix(
-            (h.data[entry], h.indices[entry], indptr), shape=(len(rows), n)
-        )
-
-        theta_floor = np.minimum(self.problem.objective_y() * self.problem.sla_mbps, 0.0)
         blocks = [
-            SlaveBlock(
-                index=block.index,
-                tenant_index=block.tenant_index,
-                item_indices=block.item_indices,
-                rows=slice(int(row_offsets[b]), int(row_offsets[b + 1])),
-                cols=slice(2 * int(starts[b]), 2 * int(starts[b + 1])),
-                theta_lower=float(np.sum(theta_floor[starts[b] : starts[b + 1]])),
+            (
+                block.index,
+                block.tenant_index,
+                block.item_indices,
+                slice(int(row_offsets[b]), int(row_offsets[b + 1])),
+                slice(2 * int(starts[b]), 2 * int(starts[b + 1])),
             )
             for b, block in enumerate(resource_blocks)
         ]
+        return blocks, starts, rows, cols, g_stack, self.h0[rows], self.u_bound[cols]
+
+    def _build_block_stack(self) -> BlockStack:
+        """Bind the forecast to the per-structure frame: ``d`` in stack
+        order, the surrogate floors, and ``H``, which keeps its full width,
+        so its rows are gathered (shared capacity rows once per block that
+        touches them)."""
+        blocks, starts, rows, cols, g_stack, h0, u_bound = self.problem.per_structure(
+            "block stack", self._block_stack_frame
+        )
+        h = self.h_matrix
+        indptr, entry = gather_slices(h.indptr, rows)
+        h_stack = sparse.csr_matrix(
+            (h.data[entry], h.indices[entry], indptr), shape=(len(rows), self.num_items)
+        )
+        theta_floor = np.minimum(self.problem.objective_y() * self.problem.sla_mbps, 0.0)
         return BlockStack(
-            blocks=blocks,
+            blocks=[
+                # np.sum over the block's own slice: pairwise, as ever.
+                SlaveBlock(*block, float(np.sum(theta_floor[starts[b] : starts[b + 1]])))
+                for b, block in enumerate(blocks)
+            ],
             d=self.d[cols],
             g_columns=g_stack,
-            h0=self.h0[rows],
+            h0=h0,
             h_matrix=h_stack,
             h_transposed=h_stack.T,
-            u_lower=np.zeros(2 * n),
-            u_upper=np.full(2 * n, np.inf),
-            u_bound=self.u_bound[cols],
+            u_lower=np.zeros(len(cols)),
+            u_upper=np.full(len(cols), np.inf),
+            u_bound=u_bound,
         )
 
     def evaluate_block(self, block: SlaveBlock, x: np.ndarray) -> BlockSolveOutcome:

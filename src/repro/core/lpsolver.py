@@ -502,8 +502,10 @@ class Phase1Problem:
 # --------------------------------------------------------------------- #
 # Mixed-integer programs
 # --------------------------------------------------------------------- #
-#: Tolerances used to validate a warm-start hint before trusting it.
-_HINT_FEASIBILITY_TOL = 1e-7
+#: Tolerances used to validate a warm-start hint before trusting it.  The
+#: feasibility one (relative to a row's activity) is also what the cut pool
+#: calls "slack" when it ages its working set.
+HINT_FEASIBILITY_TOL = 1e-7
 _HINT_INTEGRALITY_TOL = 1e-7
 
 
@@ -524,8 +526,8 @@ def validate_milp_hint(
     hint = np.asarray(hint, dtype=float)
     if hint.shape != np.asarray(lower).shape:
         return False
-    if np.any(hint < lower - _HINT_FEASIBILITY_TOL) or np.any(
-        hint > upper + _HINT_FEASIBILITY_TOL
+    if np.any(hint < lower - HINT_FEASIBILITY_TOL) or np.any(
+        hint > upper + HINT_FEASIBILITY_TOL
     ):
         return False
     integral = np.asarray(integrality) > 0.5
@@ -536,8 +538,8 @@ def validate_milp_hint(
         lb = np.broadcast_to(np.asarray(constraint.lb, dtype=float), row_values.shape)
         ub = np.broadcast_to(np.asarray(constraint.ub, dtype=float), row_values.shape)
         scale = np.maximum(1.0, np.abs(row_values))
-        if np.any(row_values < lb - _HINT_FEASIBILITY_TOL * scale) or np.any(
-            row_values > ub + _HINT_FEASIBILITY_TOL * scale
+        if np.any(row_values < lb - HINT_FEASIBILITY_TOL * scale) or np.any(
+            row_values > ub + HINT_FEASIBILITY_TOL * scale
         ):
             return False
     return True

@@ -596,6 +596,15 @@ class ACRRProblem:
         clone._bind_forecasts(forecasts)
         return clone
 
+    def per_structure(self, name: str, build: Callable[[], object]):
+        """``build()`` once per structure: a solver's own forecast-free
+        arrays, shared with every :meth:`with_forecasts` clone like the rest
+        of the structure cache.  Arrays only -- what is cached here outlives
+        the epoch, so nothing that holds a native solver instance belongs."""
+        if name not in self._structure_cache:
+            self._structure_cache[name] = build()
+        return self._structure_cache[name]
+
     # ------------------------------------------------------------------ #
     # Objective
     # ------------------------------------------------------------------ #
@@ -805,24 +814,33 @@ class ACRRProblem:
             ),
         )
 
-    @_per_forecast
-    def coupling_block(self) -> _ConstraintBlock:
-        """Coupling constraints (8)-(12) linking x, z and y."""
+    @_structural
+    def _coupling_frame(self) -> dict[str, object]:
+        """The coupling block minus its x part: no forecast enters it."""
         n = self.num_items
-        sla = self._table.sla
         upper = np.zeros(5 * n)
-        upper[4::5] = sla
-        return _ConstraintBlock(
-            # (8) z <= Lambda x, (9) floor x <= z, (10) y <= Lambda x,
-            # (11) y <= z, (12) z + Lambda x - y <= Lambda.
-            x=_coupling_columns(
-                n, [0, 1, 2, 4], np.column_stack([-sla, self.reservation_floor(), -sla, sla])
-            ),
+        upper[4::5] = self._table.sla
+        return dict(
             z=_coupling_columns(n, [0, 1, 3, 4], [1.0, -1.0, -1.0, 1.0]),
             y=_coupling_columns(n, [2, 3, 4], [1.0, 1.0, -1.0]),
             lower=np.full(5 * n, -np.inf),
             upper=upper,
             make_labels=partial(_coupling_labels, n),
+        )
+
+    @_per_forecast
+    def coupling_block(self) -> _ConstraintBlock:
+        """Coupling constraints (8)-(12) linking x, z and y."""
+        sla = self._table.sla
+        return _ConstraintBlock(
+            # (8) z <= Lambda x, (9) floor x <= z, (10) y <= Lambda x,
+            # (11) y <= z, (12) z + Lambda x - y <= Lambda.
+            x=_coupling_columns(
+                self.num_items,
+                [0, 1, 2, 4],
+                np.column_stack([-sla, self.reservation_floor(), -sla, sla]),
+            ),
+            **self._coupling_frame(),
         )
 
     # ------------------------------------------------------------------ #

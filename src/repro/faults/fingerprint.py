@@ -77,6 +77,7 @@ def _snapshot_payload(snapshot) -> object:
                 digest.update(mu.tobytes())
                 digest.update(b"\x01" if is_optimality else b"\x00")
                 digest.update(repr(block_id).encode())
+            digest.update(repr(entry.idle).encode())  # the pool's ageing state
             entries.append(
                 [
                     repr(key),

@@ -103,6 +103,77 @@ class TestPeakCache:
         assert monitoring.peak_history("s").tolist() == [9.0]
 
 
+def merged_epoch_by_epoch(monitoring: MonitoringService, slice_name: str) -> np.ndarray:
+    """The cross-station merge as it was before the aligned-axis shortcut:
+    every epoch of every station through a dict.  The reference."""
+    merged: dict[int, float] = {}
+    for bs in monitoring.observed_base_stations(slice_name):
+        epochs, peaks = monitoring.store.peak_series(
+            "slice_load_mbps", tags={"slice": slice_name, "bs": bs}
+        )
+        for epoch, value in zip(epochs, peaks):
+            merged[int(epoch)] = max(merged.get(int(epoch), 0.0), float(value))
+    return np.array([merged[e] for e in sorted(merged)])
+
+
+class TestCrossStationMerge:
+    """Aligned epoch axes take an element-wise maximum, ragged ones the
+    epoch-by-epoch merge: the same array bit for bit either way."""
+
+    @staticmethod
+    def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def record(self, monitoring, slice_name, stations, epochs, seed=0):
+        rng = np.random.default_rng(seed)
+        for epoch in epochs:
+            for bs in stations:
+                monitoring.record_samples(slice_name, bs, epoch, rng.uniform(0.0, 50.0, 12))
+
+    def test_aligned_axes(self):
+        monitoring = MonitoringService()
+        self.record(monitoring, "s", ["bs-0", "bs-1", "bs-2"], range(40))
+        history = monitoring.peak_history("s")
+        assert history.shape == (40,)
+        assert self.same_bits(history, merged_epoch_by_epoch(monitoring, "s"))
+        # A copy, not a window onto the store's ring buffer: the next write
+        # bumps the trailing peak in place.
+        monitoring.record_samples("s", "bs-0", 39, [999.0])
+        assert history[-1] != 999.0
+        assert monitoring.peak_history("s")[-1] == 999.0
+
+    def test_single_station_and_the_floor_at_zero(self):
+        monitoring = MonitoringService()
+        monitoring.record_samples("s", "bs-0", 0, [-3.0, -1.0])
+        monitoring.record_samples("s", "bs-0", 1, [2.0])
+        assert self.same_bits(monitoring.peak_history("s"), np.array([0.0, 2.0]))
+        assert self.same_bits(monitoring.peak_history("s"), merged_epoch_by_epoch(monitoring, "s"))
+
+    def test_slice_that_reaches_one_station_an_epoch_late(self):
+        monitoring = MonitoringService()
+        self.record(monitoring, "s", ["bs-0", "bs-1"], range(3))
+        self.record(monitoring, "s", ["bs-0", "bs-1", "bs-2"], range(3, 9), seed=1)
+        history = monitoring.peak_history("s")  # bs-2's axis starts at 3: ragged
+        assert history.shape == (9,)
+        assert self.same_bits(history, merged_epoch_by_epoch(monitoring, "s"))
+
+    def test_station_that_skips_an_epoch(self):
+        # Same length, same first and last epoch, different axis.
+        monitoring = MonitoringService()
+        for epoch, stations in enumerate([("a", "b"), ("a",), ("a", "b"), ("b",), ("a", "b")]):
+            self.record(monitoring, "s", stations, [epoch], seed=epoch)
+        history = monitoring.peak_history("s")
+        assert history.shape == (5,)
+        assert self.same_bits(history, merged_epoch_by_epoch(monitoring, "s"))
+
+    def test_retention_keeps_the_axes_aligned(self):
+        monitoring = MonitoringService(retention_epochs=5)
+        self.record(monitoring, "s", ["bs-0", "bs-1"], range(30))
+        history = monitoring.peak_history("s")
+        assert history.shape == (5,)
+        assert self.same_bits(history, merged_epoch_by_epoch(monitoring, "s"))
+
+
 class TestRetention:
     def test_peak_history_covers_the_retained_window_only(self):
         monitoring = MonitoringService(retention_epochs=4)

@@ -138,6 +138,75 @@ class TestIncrementalPeaks:
         assert peaks.tolist() == [float(e) for e in range(495, 500)]
 
 
+class TestBlockWrites:
+    """``write_many`` appends its block at once; what it leaves behind is
+    what one ``write`` per sample leaves behind."""
+
+    @staticmethod
+    def sample_by_sample(blocks, retention=None) -> TimeSeriesStore:
+        store = TimeSeriesStore(retention_epochs=retention)
+        for epoch, values in blocks:
+            for value in values:
+                store.write("load", epoch, value)
+        return store
+
+    def test_empty_block_changes_nothing(self):
+        store = TimeSeriesStore()
+        store.write_many("load", 0, [2.0, 1.0])
+        version = store.series_version("load")
+        store.write_many("load", 1, [])
+        store.write_many("load", 1, np.array([]))
+        assert store.series_version("load") == version
+        assert store.values("load").tolist() == [2.0, 1.0]
+        assert store.peak_series("load")[0].tolist() == [0]
+        # ... not even the order check: an empty block carries no sample.
+        store.write_many("load", -5, [])
+        # A block that opens a series with nothing leaves an empty series.
+        store.write_many("other", 3, [])
+        assert store.values("other").size == 0 and store.peak_series("other")[1].size == 0
+
+    def test_block_crossing_a_buffer_growth(self):
+        # The sample buffers start at 16 slots: the first block fills them
+        # to the brim, the second crosses one doubling, the third needs two
+        # more at once, the fourth lands in the epoch the third opened.
+        blocks = [
+            (0, np.arange(16.0)),
+            (1, np.arange(20.0, 0.0, -1.0)),
+            (2, np.arange(100.0)),
+            (2, [250.0, 3.0]),
+        ]
+        store = TimeSeriesStore()
+        for epoch, values in blocks:
+            store.write_many("load", epoch, values)
+        want = self.sample_by_sample(blocks)
+        assert store.values("load").tolist() == want.values("load").tolist()
+        assert store.values("load", start_epoch=1, end_epoch=1).tolist() == blocks[1][1].tolist()
+        for got, expected in zip(store.peak_series("load"), want.peak_series("load")):
+            assert got.tolist() == expected.tolist()
+        assert store.peak_series("load")[1].tolist() == [15.0, 20.0, 250.0]
+
+    def test_blocks_compact_under_retention_like_single_writes(self):
+        # Front drops leave dead space the next block must compact away
+        # before it grows anything: a rolling window of uneven blocks.
+        rng = np.random.default_rng(3)
+        blocks = [(epoch, rng.uniform(0.0, 9.0, int(rng.integers(1, 40)))) for epoch in range(60)]
+        store = TimeSeriesStore(retention_epochs=3)
+        for epoch, values in blocks:
+            store.write_many("load", epoch, values)
+        want = self.sample_by_sample(blocks, retention=3)
+        assert store.values("load").tolist() == want.values("load").tolist()
+        for got, expected in zip(store.peak_series("load"), want.peak_series("load")):
+            assert got.tolist() == expected.tolist()
+        assert len(store._series[("load", ())].values._data) <= 4 * 3 * 40
+
+    def test_out_of_order_block_is_rejected_whole(self):
+        store = TimeSeriesStore()
+        store.write_many("load", 5, [1.0])
+        with pytest.raises(ValueError, match="epoch order"):
+            store.write_many("load", 4, [9.0, 9.0])
+        assert store.values("load").tolist() == [1.0]
+
+
 class TestVersions:
     def test_version_starts_at_zero_for_missing_series(self):
         assert TimeSeriesStore().series_version("nope") == 0

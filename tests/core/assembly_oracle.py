@@ -664,7 +664,7 @@ def oracle_seed_master(self: CutPool, key, master, slave):
             repair = float(np.dot(violation, bound))
             prepared[position] = (coeffs[row], float(rhs[row]) - repair, repair)
 
-    seeded = 0
+    entry.seeded = []  # the one thing added since: which multiplier is which row
     for position, (_, is_optimality, block_id) in enumerate(entry.multipliers):
         ready = prepared.get(position)
         if ready is None:
@@ -676,9 +676,9 @@ def oracle_seed_master(self: CutPool, key, master, slave):
             self.dropped_total += 1
             continue
         master.add_cut(coeff, rhs_value, is_optimality, block_id)
-        seeded += 1
-    self.seeded_total += seeded
-    return seeded, entry.best_x
+        entry.seeded.append(position)
+    self.seeded_total += len(entry.seeded)
+    return len(entry.seeded), entry.best_x
 
 
 def retire_the_array_assembly(monkeypatch) -> None:

@@ -255,6 +255,58 @@ class TestCorners:
         assert clone.items == cold.items
 
 
+    def test_slave_of_a_clone_equals_the_slave_of_a_cold_build(self):
+        # G, h0, the implied bounds, the stacked diag(G_b) and its maps live
+        # in the structure cache the clones share; d, H and the surrogate
+        # floors are bound per forecast.  A zero forecast drops H's row (9)
+        # entry, so H is re-gathered: zero and non-zero clones in turn, off
+        # a non-zero original, each against a slave built from nothing.
+        requests = mixed_requests()
+        base = corner_problem(requests)
+        base_slave = SlaveProblem(base)
+        base_slave.block_stack()
+        sequence = []
+        for fraction, zeroed in ((0.55, requests[::2]), (0.2, ()), (0.7, requests[1::3])):
+            forecasts = low_load_forecasts(requests, fraction=fraction, sigma=0.4)
+            for request in zeroed:
+                forecasts[request.name] = ForecastInput(lambda_hat_mbps=0.0, sigma_hat=0.2)
+            sequence.append(forecasts)
+        patterns = set()
+        for forecasts in sequence:
+            slave = SlaveProblem(base.with_forecasts(requests, forecasts))
+            cold = SlaveProblem(ACRRProblem(base.topology, base.path_set, requests, forecasts))
+            stack, cold_stack = slave.block_stack(), cold.block_stack()
+            assert slave.g_columns is base_slave.g_columns  # shared, not rebuilt
+            assert stack.g_columns is base_slave.block_stack().g_columns
+            assert cold.g_columns is not base_slave.g_columns
+            for got, want in ((slave, cold), (stack, cold_stack)):
+                for matrix in ("g_columns", "g_matrix", "h_matrix", "h_transposed"):
+                    assert same_sparse(getattr(got, matrix), getattr(want, matrix)), matrix
+                for vector in ("d", "h0", "u_lower", "u_upper", "u_bound"):
+                    assert np.array_equal(getattr(got, vector), getattr(want, vector)), vector
+            assert slave.num_capacity_rows == cold.num_capacity_rows
+            assert stack.blocks == cold_stack.blocks  # ranges and theta_lower, exactly
+            patterns.add(slave.h_matrix.nnz)
+        assert len(patterns) == 3  # H's pattern really moved with the forecasts
+        # Arrays only: nothing the clones share holds a native HiGHS instance.
+        from repro.core.lpsolver import CompiledLP, Phase1Problem
+
+        def leaves(value):
+            if isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from leaves(item)
+            elif isinstance(value, dict):
+                yield from leaves(list(value.values()))
+            else:
+                yield value
+
+        assert {"slave", "block stack"} <= set(base._structure_cache)
+        assert not any(
+            isinstance(leaf, (CompiledLP, Phase1Problem, SlaveProblem))
+            for leaf in leaves(base._structure_cache)
+        )
+
+
 # --------------------------------------------------------------------- #
 # The path table seam
 # --------------------------------------------------------------------- #

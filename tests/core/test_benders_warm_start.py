@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.benders import BendersSolver, CutPool, _MasterState, warm_start_key
+from repro.core.benders import (
+    _MAX_IDLE_SOLVES,
+    BendersSolver,
+    CutPool,
+    _MasterState,
+    warm_start_key,
+)
 from repro.core.decomposition import SlaveProblem
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.problem import ACRRProblem
@@ -145,6 +151,99 @@ class TestCutPool:
             CutPool(max_structures=0)
         with pytest.raises(ValueError):
             CutPool(max_relative_slack=-0.1)
+
+
+class _SolvedMaster:
+    """What :meth:`CutPool.age` reads off a seeded master: its cut rows."""
+
+    def __init__(self, cuts, rhs):
+        self._cuts, self._rhs = np.asarray(cuts, dtype=float), np.asarray(rhs, dtype=float)
+
+    def cut_rows(self):
+        return self._cuts, self._rhs
+
+
+class TestWorkingSet:
+    """The pool keeps the multipliers that do something (``CutPool.age``)."""
+
+    def test_tight_cuts_start_over_slack_and_skipped_ones_age_out(self):
+        pool = CutPool()
+        key = ("k",)
+        pool.record(key, 4, [(np.full(4, float(i)), True, None) for i in range(5)], None)
+        entry = pool.entry(key)
+        assert entry.idle == [0] * 5
+        # Multipliers 1 and 4 were skipped at seeding; of the three seeded
+        # cuts the first is tight, the second slack, the third tight within
+        # the relative tolerance (1e-7 of an activity of 1e3).
+        master = _SolvedMaster([[1.0, 0.0], [0.0, 1.0], [1000.0, 0.0]], [2.0, 1.0, 2000.0 - 5e-5])
+        values = np.array([2.0, 3.0])
+        survivors = []
+        for solve in range(1, _MAX_IDLE_SOLVES + 2):
+            entry.seeded = [0, 2, 3][: len(entry.multipliers)]
+            pool.age(key, master, values)
+            survivors.append([mu[0] for mu, _, _ in entry.multipliers])
+            if solve <= _MAX_IDLE_SOLVES:
+                assert entry.idle == [0, solve, solve, 0, solve]
+        assert survivors[-2] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert survivors[-1] == [0.0, 3.0]  # slack one and both skipped ones left
+        assert entry.idle == [0, 0]
+        # What is recorded next starts at zero, behind the survivors.
+        pool.record(key, 4, [(np.full(4, 9.0), True, None)], None)
+        assert entry.idle == [0, 0, 0] and entry.multipliers[-1][0][0] == 9.0
+
+    def test_hard_cap_still_evicts_oldest_first_with_their_counters(self):
+        pool = CutPool(max_cuts_per_structure=3)
+        key = ("k",)
+        pool.record(key, 4, [(np.full(4, float(i)), True, None) for i in range(3)], None)
+        entry = pool.entry(key)
+        entry.idle[:] = [2, 1, 0]
+        pool.record(key, 4, [(np.full(4, 3.0), True, None)], None)
+        assert [mu[0] for mu, _, _ in entry.multipliers] == [1.0, 2.0, 3.0]
+        assert entry.idle == [1, 0, 0]
+
+    def test_snapshot_carries_the_idle_counters(self):
+        pool = CutPool()
+        key = ("k",)
+        pool.record(key, 4, [(np.full(4, float(i)), True, None) for i in range(3)], None)
+        pool.entry(key).idle[:] = [2, 0, 1]
+        snapshot = pool.snapshot_state()
+        entry = pool.entry(key)
+        entry.seeded = [0, 1, 2]
+        pool.age(key, _SolvedMaster(np.eye(3), np.zeros(3)), np.ones(3))  # all slack
+        assert entry.idle == [1, 2]
+        for _ in range(2):  # the same snapshot restores more than once
+            pool.restore_state(snapshot)
+            assert pool.entry(key).idle == [2, 0, 1]
+            assert len(pool.entry(key).multipliers) == 3
+            pool.entry(key).idle[0] = 7  # ... and is independent of the live pool
+        assert snapshot["entries"][key].idle == [2, 0, 1]
+
+    def test_a_multiplier_that_can_never_seed_leaves_the_pool(self):
+        """Wrong length, no such block: skipped at every seeding.  It used
+        to be re-validated and skipped every epoch for the life of the pool."""
+        base = small_problem()
+        solver = BendersSolver(warm_start=True)
+        solver.solve(base)
+        key = warm_start_key(base)
+        entry = solver.cut_pool.entry(key)
+        junk = [(np.ones(3), True, None), (np.ones(len(SlaveProblem(base).h0)), True, 99)]
+        solver.cut_pool.record(key, entry.num_rows, junk, None)
+
+        def junk_left() -> int:
+            return sum(len(mu) == 3 or block == 99 for mu, _, block in entry.multipliers)
+
+        assert junk_left() == 2
+        rng = np.random.default_rng(1)
+        for seeded_solve in range(1, _MAX_IDLE_SOLVES + 2):
+            dropped_before = solver.cut_pool.dropped_total
+            decision = solver.solve(perturbed(base, 1.0 + float(rng.uniform(-0.02, 0.02))))
+            assert decision.stats.optimal
+            assert solver.cut_pool.dropped_total - dropped_before >= 2  # skipped at seeding
+            assert junk_left() == (2 if seeded_solve <= _MAX_IDLE_SOLVES else 0)
+        dropped_before = solver.cut_pool.dropped_total
+        solver.solve(perturbed(base, 1.01))
+        assert solver.cut_pool.dropped_total == dropped_before  # nothing left to skip
+        assert len(entry.idle) == len(entry.multipliers) > 0
 
 
 class TestWarmStartKey:

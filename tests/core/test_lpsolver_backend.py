@@ -308,7 +308,9 @@ class TestHighsIsHandedTheOraclesModels:
                 [base]
                 + _perturbed_forecast_sequence(
                     base,
-                    count=2,
+                    # Long enough for the pool to age cuts out and seed the
+                    # masters after that from what is left.
+                    count=benders._MAX_IDLE_SOLVES + 3,
                     spread=0.02,
                     seed=derive_seed(scenario.seed, "warm-start-oracle", scenario.name),
                 )
@@ -317,19 +319,25 @@ class TestHighsIsHandedTheOraclesModels:
         def run():
             handed_to_highs.clear()
             hinted.clear()
-            hits = 0
+            hits, pools = 0, []
             for instances in sequences:
                 solver = BendersSolver(
                     max_iterations=12, master_time_limit_s=None, time_limit_s=None
                 )
-                hits += sum(solver.solve(p).stats.cuts_warm > 0 for p in instances)
-            return list(handed_to_highs), list(hinted), hits
+                stats = [solver.solve(p).stats for p in instances]
+                hits += sum(s.cuts_warm > 0 for s in stats)
+                (entry,) = solver.cut_pool._entries.values()
+                recorded = sum(s.cuts_optimality + s.cuts_feasibility for s in stats)
+                pools.append((recorded, [s.cuts_warm for s in stats], entry.idle))
+            return list(handed_to_highs), list(hinted), hits, pools
 
-        got, got_hinted, hits = run()
+        got, got_hinted, hits, pools = run()
         assert hits > 0 and any(got_hinted)  # fast-path hits, cut-off rows applied
+        # ... and evictions: pools smaller than everything ever recorded.
+        assert any(len(idle) < recorded for recorded, _, idle in pools)
         retire_the_array_assembly(monkeypatch)
-        want, want_hinted, want_hits = run()
-        assert (got_hinted, hits) == (want_hinted, want_hits)
+        want, want_hinted, want_hits, want_pools = run()
+        assert (got_hinted, hits, pools) == (want_hinted, want_hits, want_pools)
         assert model_differences(got, want) == []
 
     @pytest.mark.parametrize("allow_deficit", [False, True])

@@ -1,19 +1,39 @@
 """Warm-vs-cold differential checking of the Benders warm-start layer.
 
-For every sampled scenario, a warm-started Benders solver carried across a
-sequence of steady-state forecast drifts must produce decisions that are
-*bit-identical* to fresh cold solves of the same instances: the warm fast
+Two regimes, two contracts.
+
+*Short, narrow drift* (spread 0.02 x 2 epochs, the 28-scenario sweep): the
+decisions of a warm-started solver carried across the sequence are
+*bit-identical* to fresh cold solves of the same instances -- the warm fast
 path either certifies the previous optimum under the solver's own stopping
-rule or falls back to the exact cold trajectory, so any fingerprint
-difference is a warm-start bug.  Warm starts must also never cost extra
-master iterations.
+rule, corroborated by the master, or falls back to the exact cold
+trajectory.  Pinned as equality of fingerprints: a difference here is a
+regression.  Warm starts must also never cost extra master iterations.
+
+*Long, wide drift* (spread 0.05 x 12 epochs): fingerprints are NOT always
+equal, and were not before the pool aged its cuts either -- about one
+decision in a hundred is a *certified tie*: the same accepted set, another
+reservation or path whose objective lies inside the 1 % stopping band, which
+the corroboration guard does not rule out.  What holds there, and is
+asserted, is what the certificate promises: equal accepted sets, a warm
+objective no worse than the cold one by more than the gap target, every
+solve ``optimal``.  The count of path-level differences is reported per PR
+in CHANGES.md, not asserted.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.scenarios import DIFFERENTIAL_FAMILY, sample_scenario, warm_start_check
+from repro.core.benders import BendersSolver
+from repro.scenarios import (
+    DIFFERENTIAL_FAMILY,
+    decision_fingerprint,
+    sample_scenario,
+    warm_start_check,
+)
+from repro.scenarios.oracle import _perturbed_forecast_sequence, problem_for_scenario
+from repro.utils.rng import derive_seed
 from tests.differential.conftest import (
     BASE_SEED,
     NUM_DIFFERENTIAL_SCENARIOS,
@@ -77,3 +97,49 @@ def test_warm_start_check_is_reproducible():
     first = warm_start_check(scenario, num_perturbations=1)
     second = warm_start_check(scenario, num_perturbations=1)
     assert first == second
+
+
+# --------------------------------------------------------------------- #
+# Long, wide drift: the contract that actually holds
+# --------------------------------------------------------------------- #
+#: 48 scenarios x (1 + 12) instances, each solved cold and warm: ~12 s.  The
+#: window holds the seeds whose fingerprints differ (32, 35, 46, 79 at base
+#: seed 0) as well as ones that never do.
+_DRIFT_SEEDS = [BASE_SEED + 32 + index for index in range(48)]
+_DRIFT_EPOCHS = 12
+_DRIFT_SPREAD = 0.05
+
+
+def _drift_solver(warm: bool) -> BendersSolver:
+    return BendersSolver(
+        max_iterations=60, master_time_limit_s=None, time_limit_s=None, warm_start=warm
+    )
+
+
+@pytest.mark.parametrize("seed", _DRIFT_SEEDS)
+def test_long_wide_drift_returns_certified_decisions(seed):
+    scenario = sample_scenario(DIFFERENTIAL_FAMILY, seed=seed)
+    base = problem_for_scenario(scenario)
+    instances = [base] + _perturbed_forecast_sequence(
+        base,
+        count=_DRIFT_EPOCHS,
+        spread=_DRIFT_SPREAD,
+        seed=derive_seed(scenario.seed, "warm-start-oracle", scenario.name),
+    )
+    warm_solver = _drift_solver(True)
+    for epoch, instance in enumerate(instances):
+        cold = _drift_solver(False).solve(instance)
+        warm = warm_solver.solve(instance)
+        note = f"epoch {epoch}: warm {warm.stats.message} / cold {cold.stats.message} {seed_note(seed)}"
+        assert cold.stats.optimal and warm.stats.optimal, note
+        assert warm.stats.iterations <= cold.stats.iterations, note
+        accepted = [
+            sorted(name for name, allocation in decision.allocations.items() if allocation.accepted)
+            for decision in (warm, cold)
+        ]
+        assert accepted[0] == accepted[1], note
+        gap_target = warm_solver._gap_target(cold.objective_value)
+        assert warm.objective_value <= cold.objective_value + gap_target, note
+        if warm.stats.cuts_warm == 0:
+            # A miss is the cold loop from a virgin master: same bytes.
+            assert decision_fingerprint(warm) == decision_fingerprint(cold), note

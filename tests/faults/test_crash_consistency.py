@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 
 from repro.api import BrokerError, SliceBroker, SliceRequestV1, SolverError
 from repro.core.baseline import NoOverbookingSolver
-from repro.core.benders import BendersSolver
+from repro.core.benders import BendersSolver, CutPool
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.milp_solver import DirectMILPSolver
+from repro.core.slices import EMBB_TEMPLATE, URLLC_TEMPLATE
 from repro.faults import (
     HOOK_CLOUD_APPLY,
     HOOK_FORECAST,
@@ -199,6 +200,91 @@ class TestWarmStartStateRollsBack:
         assert control_plane_fingerprint(broker.orchestrator) == before
         broker.advance_epoch(1)
         assert control_plane_fingerprint(broker.orchestrator) != before
+
+    def test_pool_ageing_rolls_back_and_the_retry_seeds_what_a_twin_seeds(self):
+        # Steady structure, drifting forecasts: from epoch 2 on every epoch
+        # is a fast-path hit whose seeded master ages the pool -- counters
+        # move, idle multipliers leave, one cut is recorded -- *before* the
+        # controllers apply.  A crash there must put all of that back, and
+        # the retry must then seed exactly what a never-faulted twin seeds.
+        slas = {"u0": URLLC_TEMPLATE.sla_mbps, "u1": URLLC_TEMPLATE.sla_mbps,
+                "e0": EMBB_TEMPLATE.sla_mbps, "e1": EMBB_TEMPLATE.sla_mbps}
+        crash_epoch = 4  # the first epoch whose ageing evicts
+
+        def build(plan: FaultPlan):
+            solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
+            broker = SliceBroker(topology=operators.testbed_topology(), solver=solver)
+            broker.enable_chaos(plan)
+            broker.submit_batch(
+                [SliceRequestV1.of(name, "uRLLC" if name[0] == "u" else "eMBB", duration_epochs=12)
+                 for name in slas]
+            )
+            return broker, solver
+
+        def advance(broker: SliceBroker, epoch: int):
+            broker.set_forecast_overrides(
+                {
+                    name: ForecastInput(
+                        lambda_hat_mbps=(0.30 + 0.01 * ((3 * epoch + index) % 5)) * sla,
+                        sigma_hat=0.2,
+                    )
+                    for index, (name, sla) in enumerate(slas.items())
+                }
+            )
+            return broker.advance_epoch(epoch)
+
+        def pool_state(solver: BendersSolver):
+            return [
+                (len(entry.multipliers), entry.idle)
+                for entry in solver.cut_pool.snapshot_state()["entries"].values()
+            ]
+
+        plan = FaultPlan.of(make_spec(HOOK_CLOUD_APPLY, FaultKind.CRASH, epoch=crash_epoch))
+        (broker, solver), (twin, twin_solver) = build(plan), build(FaultPlan.empty())
+        for epoch in range(crash_epoch):
+            report, twin_report = advance(broker, epoch), advance(twin, epoch)
+        assert "warm fast path" in report.solver_message == twin_report.solver_message
+        before, pool_before = control_plane_fingerprint(broker.orchestrator), pool_state(solver)
+        assert before == control_plane_fingerprint(twin.orchestrator)
+        assert any(any(idle) for _, idle in pool_before)  # counters are live state
+
+        aged_to = []
+        real_age = CutPool.age
+
+        def noting_age(pool, key, master, values):
+            real_age(pool, key, master, values)
+            aged_to.append(list(pool._entries[key].idle))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CutPool, "age", noting_age)
+            with pytest.raises(SolverError):
+                advance(broker, crash_epoch)  # certified, aged, recorded -- then crashed
+        assert len(aged_to) == 1 and aged_to[0] not in [idle for _, idle in pool_before]
+        assert control_plane_fingerprint(broker.orchestrator) == before
+        assert pool_state(solver) == pool_before
+
+        report, twin_report = advance(broker, crash_epoch), advance(twin, crash_epoch)
+        assert "warm fast path" in report.solver_message
+        assert report.solver_message == twin_report.solver_message  # same seeded cuts
+        assert solver.cut_pool.seeded_total == twin_solver.cut_pool.seeded_total
+        assert pool_state(solver) == pool_state(twin_solver) != pool_before
+        assert control_plane_fingerprint(broker.orchestrator) == control_plane_fingerprint(
+            twin.orchestrator
+        )
+        assert decision_fingerprint(broker.last_decision) == decision_fingerprint(
+            twin.last_decision
+        )
+
+    def test_idle_counters_enter_the_fingerprint(self):
+        solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
+        broker = make_chaos_broker(FaultPlan.empty(), solver=solver)
+        broker.advance_epoch(0)
+        before = control_plane_fingerprint(broker.orchestrator)
+        entry = next(e for e in solver.cut_pool._entries.values() if e.multipliers)
+        entry.idle[0] += 1
+        assert control_plane_fingerprint(broker.orchestrator) != before
+        entry.idle[0] -= 1
+        assert control_plane_fingerprint(broker.orchestrator) == before
 
 
 class TestZeroFaultIdentity:
