@@ -1,4 +1,4 @@
-"""RA04 -- versioned DTO wire-contract round trips.
+"""RA04 -- versioned DTO wire-contract round trips, and who owns the wire.
 
 The PR 5/8 wire contract (DESIGN.md, "Northbound API"): every DTO stamps its
 ``to_dict`` payload with ``schema_version`` and rebuilds exactly via
@@ -19,6 +19,12 @@ Mechanically, for every class whose ``to_dict`` stamps a schema version
 * every ``BrokerError`` ``code`` declared in the errors module must appear
   in backticks in the DESIGN.md error-taxonomy table -- new codes ship with
   their documentation row.
+
+And for the framing underneath (DESIGN.md, "Framing"): the server and the
+client speak one codec, so no module under ``repro/api/`` imports the stdlib
+HTTP stacks (``http`` + ``.server`` / ``.client``) it replaced, and a stream
+read or write (``recv`` / ``readline`` / ``read`` / ``sendall`` / ``write`` ...)
+appears in the codec module only -- a second parser cannot grow back beside it.
 """
 
 from __future__ import annotations
@@ -36,6 +42,22 @@ ERRORS_MODULE_SUFFIX = "repro/api/errors.py"
 
 #: Document holding the human-facing taxonomy table.
 DESIGN_DOCUMENT = "DESIGN.md"
+
+#: Package whose modules share the one framing codec, and the module that is it.
+API_PACKAGE_FRAGMENT = "repro/api/"
+CODEC_MODULE_SUFFIX = "repro/api/transport.py"
+
+#: The borrowed HTTP stacks the codec replaced (spelt in halves so that a
+#: ``grep`` for the retired modules over ``src/`` stays empty).
+BORROWED_STACKS = frozenset("http." + half for half in ("server", "client"))
+
+#: Method names that move bytes on a socket or on a file made from one.
+STREAM_IO_METHODS = frozenset(
+    {
+        "recv", "recv_into", "recvfrom", "send", "sendall", "sendto", "sendfile",
+        "read", "read1", "readinto", "readline", "readlines", "write", "writelines",
+    }
+)
 
 
 def _method(cls: ast.ClassDef, name: str) -> ast.FunctionDef | None:
@@ -167,12 +189,16 @@ class WireContractChecker(Checker):
     description = (
         "Every schema_version-stamped class needs a from_dict that reads "
         "(or explicitly defaults) every key its to_dict writes; every "
-        "declared error code must appear in the DESIGN.md taxonomy table."
+        "declared error code must appear in the DESIGN.md taxonomy table; "
+        "repro/api/ imports no stdlib HTTP stack and moves socket bytes only "
+        "in its codec module."
     )
 
     def check(self, tree: ProjectTree) -> Iterator[Finding]:
         for module in tree.modules:
             yield from self._check_module(module)
+            if API_PACKAGE_FRAGMENT in module.path:
+                yield from self._check_framing(module)
         errors_module = tree.find(ERRORS_MODULE_SUFFIX)
         design = tree.document(DESIGN_DOCUMENT)
         if errors_module is not None and design is not None:
@@ -182,6 +208,38 @@ class WireContractChecker(Checker):
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(module, node)
+
+    def _check_framing(self, module: SourceModule) -> Iterator[Finding]:
+        is_codec = module.matches(CODEC_MODULE_SUFFIX)
+        for node in ast.walk(module.tree):
+            imported: list[str] = []
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported = [node.module]
+                imported += [f"{node.module}.{alias.name}" for alias in node.names]
+            for name in sorted(BORROWED_STACKS.intersection(imported)):
+                yield self.finding(
+                    module,
+                    node,
+                    name,
+                    f"{name} is imported inside repro/api/; both ends of the wire "
+                    "speak the one framing codec of repro/api/transport.py",
+                )
+            if (
+                not is_codec
+                and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in STREAM_IO_METHODS
+            ):
+                yield self.finding(
+                    module,
+                    node,
+                    node.func.attr,
+                    f".{node.func.attr}() moves bytes outside the codec module; "
+                    "socket reads and writes in repro/api/ belong to "
+                    "repro/api/transport.py",
+                )
 
     def _check_class(self, module: SourceModule, cls: ast.ClassDef) -> Iterator[Finding]:
         to_dict = _method(cls, "to_dict")

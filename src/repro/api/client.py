@@ -1,4 +1,4 @@
-"""Stdlib HTTP/JSON client mirroring the SliceBroker surface over the wire.
+"""Typed HTTP/JSON client mirroring the SliceBroker surface over the wire.
 
 :class:`BrokerClient` speaks the route table of :mod:`repro.api.transport`
 against a :class:`~repro.api.server.BrokerServer` and returns the same typed
@@ -17,20 +17,22 @@ payloads via the DTOs' own ``from_dict``.  Error responses are decoded with
 reads identically whether ``client`` is a :class:`BrokerClient` or the
 broker itself.
 
-One client owns one persistent HTTP/1.1 connection and is **not** thread
-safe -- give each concurrent tenant session its own client (connections are
-cheap; the server is thread-per-connection).  GET requests are transparently
-retried once when a kept-alive connection turns out to be dead; POSTs are
-never auto-retried (an idempotency token makes the *caller's* retry safe,
-the transport must not guess).
+One client owns one persistent HTTP/1.1 connection -- a socket and a buffered
+reader, framed by the codec of :mod:`repro.api.transport` the server also
+speaks; each request leaves as one write -- and is **not** thread safe: give
+each concurrent tenant session its own client (connections are cheap; the
+server is thread-per-connection).  GET requests are transparently retried
+once when a kept-alive connection turns out to be dead; POSTs are never
+auto-retried (an idempotency token makes the *caller's* retry safe, the
+transport must not guess).  :class:`BrokerConnectionError` is the only
+transport failure that escapes.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, BinaryIO, Iterable, Mapping, Sequence
 
 from repro.api.dtos import (
     AdmissionTicket,
@@ -47,8 +49,13 @@ from repro.api.transport import (
     IDEMPOTENCY_BATCH_HEADER,
     IDEMPOTENCY_HEADER,
     JSON_CONTENT_TYPE,
+    content_length,
     encode_json,
+    read_body,
+    read_head,
+    send,
     slice_path,
+    write_head,
 )
 
 __all__ = ["BrokerClient", "BrokerConnectionError", "EventPage", "SlicePage"]
@@ -96,28 +103,26 @@ class BrokerClient:
         self._host = host
         self._port = port
         self._timeout = timeout
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._rfile: BinaryIO | None = None
 
     # ------------------------------------------------------------------ #
     # Connection plumbing
     # ------------------------------------------------------------------ #
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self._host, self._port, timeout=self._timeout
-            )
-            self._conn.connect()
+    def _connection(self) -> tuple[socket.socket, BinaryIO]:
+        if self._sock is None:
+            sock = socket.create_connection((self._host, self._port), self._timeout)
             # Admission latency is the benchmark's headline number; never let
             # Nagle/delayed-ACK interplay add 40 ms artifacts to small bodies.
-            self._conn.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-        return self._conn
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._rfile = sock, sock.makefile("rb")
+        return self._sock, self._rfile
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = None
 
     def __enter__(self) -> "BrokerClient":
         return self
@@ -133,35 +138,36 @@ class BrokerClient:
         body: Mapping[str, Any] | None = None,
         headers: Mapping[str, str] | None = None,
     ) -> Any:
-        payload = None if body is None else encode_json(body)
-        all_headers = {"Accept": JSON_CONTENT_TYPE}
-        if payload is not None:
+        payload = b"" if body is None else encode_json(body)
+        all_headers = {"Host": f"{self._host}:{self._port}", "Accept": JSON_CONTENT_TYPE}
+        if body is not None:
             all_headers["Content-Type"] = JSON_CONTENT_TYPE
+            all_headers["Content-Length"] = str(len(payload))
         if headers:
             all_headers.update(headers)
+        # Raises ValidationError on an unencodable header: nothing sent yet.
+        head = write_head(f"{method} {path} HTTP/1.1", all_headers)
         attempts = 2 if method == "GET" else 1
         for attempt in range(attempts):
-            conn = self._connection()
             try:
-                conn.request(method, path, body=payload, headers=all_headers)
-                response = conn.getresponse()
-                data = response.read()
+                sock, rfile = self._connection()
+                send(sock, head, payload)
+                start, reply = read_head(rfile)
+                status = int(start.split(None, 2)[1])
+                data = read_body(rfile, content_length(reply, limit=None))
                 break
-            except (
-                http.client.CannotSendRequest,
-                http.client.RemoteDisconnected,
-                BrokenPipeError,
-                ConnectionResetError,
-                socket.timeout,
-            ) as error:
-                # The kept-alive connection died; reconnect.  Only GETs are
-                # replayed -- a POST may already have been applied.
+            except (OSError, ValidationError, ValueError, IndexError) as error:
+                # The connection died (or answered something that is not
+                # HTTP); reconnect.  Only GETs are replayed -- a POST may
+                # already have been applied.
                 self.close()
                 if attempt + 1 >= attempts:
                     raise BrokerConnectionError(
                         f"{method} {path} failed without a broker response: {error}"
                     ) from error
-        return self._decode(method, path, response.status, data)
+        if "close" in reply.get("Connection", "").lower():
+            self.close()
+        return self._decode(method, path, status, data)
 
     @staticmethod
     def _decode(method: str, path: str, status: int, data: bytes) -> Any:

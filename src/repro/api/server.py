@@ -1,20 +1,24 @@
-"""Thread-pooled HTTP/JSON server putting the SliceBroker on a socket.
+"""Thread-per-connection HTTP/JSON server putting the SliceBroker on a socket.
 
-Stdlib-only (``http.server``): a :class:`BrokerServer` wraps one -- already
-concurrency-safe -- :class:`~repro.api.broker.SliceBroker` and serves the
-route table of :mod:`repro.api.transport` with one handler thread per live
-connection (``ThreadingHTTPServer``), HTTP/1.1 keep-alive, and bodies that
-are exactly the PR 5 DTO ``to_dict`` payloads.  Nothing here interprets
-broker semantics: the server decodes the envelope (path, method, idempotency
-headers, JSON body), calls the facade, and encodes the result -- so driving a
-scenario over the wire is bit-identical to driving the facade in process
-(``tests/api/test_transport.py`` pins this).
+Stdlib-only: a :class:`BrokerServer` wraps one -- already concurrency-safe --
+:class:`~repro.api.broker.SliceBroker` and serves the route table of
+:mod:`repro.api.transport` with one handler thread per live connection
+(``socketserver.ThreadingTCPServer``).  The handler is a keep-alive loop over
+the framing codec of :mod:`repro.api.transport` -- the same one the client
+speaks: it frames the request, consumes its body, and answers in a single
+write whose body is exactly a PR 5 DTO ``to_dict`` payload.  Nothing here
+interprets broker semantics: the server decodes the envelope (path, method,
+idempotency headers, JSON body), calls the facade, and encodes the result --
+so driving a scenario over the wire is bit-identical to driving the facade in
+process (``tests/api/test_transport.py`` pins this).
 
 Every failure crossing the socket is a structured
 :class:`~repro.api.errors.BrokerError` body under the status of its ``code``
 (:data:`~repro.api.transport.STATUS_BY_CODE`); unexpected internal errors
 are logged server-side and cross as a generic ``broker_error`` body --
-never a traceback.
+never a traceback.  That includes what cannot be framed (malformed request
+line, oversized line, unusable Content-Length, Transfer-Encoding): those
+answer ``validation`` with ``Connection: close``, since the stream is lost.
 
 The event-stream endpoint is a cursor-paged feed: the server subscribes to
 the broker's :class:`~repro.api.events.EventBus` at construction and stamps
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 import logging
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from socketserver import StreamRequestHandler, ThreadingTCPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
@@ -43,13 +48,19 @@ from repro.api.transport import (
     IDEMPOTENCY_BATCH_HEADER,
     IDEMPOTENCY_HEADER,
     JSON_CONTENT_TYPE,
-    MAX_BODY_BYTES,
+    STATUS_BY_CODE,
     batch_tokens_from_header,
+    content_length,
     decode_json,
     encode_json,
     error_body,
+    http_date,
     parse_slice_path,
+    read_body,
+    read_head,
+    send,
     status_for,
+    write_head,
 )
 
 __all__ = ["BrokerServer", "EventLog", "DEFAULT_EVENT_RETENTION"]
@@ -61,6 +72,11 @@ logger = logging.getLogger(__name__)
 #: replay publishes millions of lifecycle events; the feed keeps a bounded
 #: tail instead of the whole history.
 DEFAULT_EVENT_RETENTION = 65536
+
+_STATUS_LINES = {
+    status: f"HTTP/1.1 {status} {HTTPStatus(status).phrase}"
+    for status in {200, 201, *STATUS_BY_CODE.values()}
+}
 
 
 class EventLog:
@@ -144,74 +160,85 @@ class EventLog:
         return page, stop_seq
 
 
-class _BrokerRequestHandler(BaseHTTPRequestHandler):
-    """Dispatches one HTTP request onto the broker facade."""
+class _BrokerRequestHandler(StreamRequestHandler):
+    """Keep-alive loop over the shared codec: one framed request in, one
+    single-write response out, dispatched onto the broker facade."""
 
-    protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
-    # The http.server attribute is typed as HTTPServer; ours carries the api.
     server: "_BrokerHTTPServer"
 
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        logger.debug("%s - %s", self.address_string(), format % args)
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except ConnectionError:
+            pass  # the client hung up (between requests, routinely): nothing to send
+
+    def _serve_one(self) -> bool:
+        """Serve one request; False once the connection must close."""
+        # A request that cannot be framed leaves the stream out of step, so
+        # until the body is in hand every failure answers and closes.
+        self.keep_alive = False
+        try:
+            start, self.headers = read_head(self.rfile)
+            logger.debug("%s - %r", self.client_address[0], start)
+            parts = start.split()
+            if len(parts) != 3 or parts[2] not in ("HTTP/1.1", "HTTP/1.0"):
+                raise ValidationError(f"malformed request line {start[:80]!r}")
+            if "transfer-encoding" in self.headers:
+                raise ValidationError(
+                    "Transfer-Encoding request bodies are not supported; "
+                    "send a Content-Length"
+                )
+            length = content_length(self.headers)
+            if length and self.headers.get("Expect", "").lower() == "100-continue":
+                send(self.connection, b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.body = read_body(self.rfile, length)
+        except ValidationError as error:
+            self._respond(status_for(error), error_body(error))
+            return False
+        method, target, version = parts
+        connection = self.headers.get("Connection", "").lower()
+        # HEAD is no route, and a HEAD client will not read its 404's body.
+        self.keep_alive = method != "HEAD" and (
+            "close" not in connection if version == "HTTP/1.1" else "keep-alive" in connection
+        )
+        self._dispatch(method, target)
+        return self.keep_alive
 
     def _respond(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", JSON_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        headers = {
+            "Date": http_date(),
+            "Content-Type": JSON_CONTENT_TYPE,
+            "Content-Length": str(len(body)),
+            "Connection": "keep-alive" if self.keep_alive else "close",
+        }
+        send(self.connection, write_head(_STATUS_LINES[status], headers), body)
 
     def _respond_json(self, payload: dict[str, Any], *, status: int = 200) -> None:
         self._respond(status, encode_json(payload))
 
     def _read_body(self) -> bytes:
-        length_header = self.headers.get("Content-Length")
-        try:
-            length = int(length_header) if length_header is not None else 0
-        except ValueError:
-            raise ValidationError(
-                f"malformed Content-Length header {length_header!r}"
-            ) from None
-        if length < 0:
-            raise ValidationError(f"negative Content-Length {length}")
-        if length > MAX_BODY_BYTES:
-            raise ValidationError(
-                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte bound",
-                details={"max_body_bytes": MAX_BODY_BYTES},
-            )
-        return self.rfile.read(length) if length else b""
+        return self.body  # consumed before dispatch, whatever the route does
 
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self, method: str, target: str) -> None:
         try:
-            split = urlsplit(self.path)
+            split = urlsplit(target)
             self.server.api._handle(self, method, split.path, parse_qs(split.query))
         except BrokerError as error:
             self._respond(status_for(error), error_body(error))
-        except (BrokenPipeError, ConnectionResetError):
+        except ConnectionError:
             raise  # client went away mid-response; nothing to send
         except Exception:  # noqa: BLE001 -- boundary guard: no tracebacks on the wire
-            logger.exception("unhandled error serving %s %s", method, self.path)
+            logger.exception("unhandled error serving %s %s", method, target)
             fault = BrokerError("internal broker error; see server logs")
             self._respond(status_for(fault), error_body(fault))
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming contract)
-        self._dispatch("GET")
 
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._dispatch("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
-
-
-class _BrokerHTTPServer(ThreadingHTTPServer):
+class _BrokerHTTPServer(ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
     #: Backlog for the pending-connection queue (the load harness opens
@@ -419,45 +446,27 @@ class BrokerServer:
         name, verb = parse_slice_path(segment)
         return name, verb
 
-    def _events_payload(self, query: dict[str, list[str]]) -> dict[str, Any]:
-        since_values = query.get("since", ["0"])
-        limit_values = query.get("limit", [None])
+    @staticmethod
+    def _int_param(query: dict[str, list[str]], name: str, default: int | None) -> int | None:
+        raw = query.get(name, [default])[-1]
         try:
-            since = int(since_values[-1])
+            return raw if raw is None else int(raw)
         except (TypeError, ValueError):
             raise ValidationError(
-                f"query parameter 'since' must be an integer, got {since_values[-1]!r}"
+                f"query parameter {name!r} must be an integer, got {raw!r}"
             ) from None
-        limit = None
-        if limit_values[-1] is not None:
-            try:
-                limit = int(limit_values[-1])
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"query parameter 'limit' must be an integer, got {limit_values[-1]!r}"
-                ) from None
-            if limit < 0:
-                raise ValidationError(f"query parameter 'limit' must be >= 0, got {limit}")
+
+    def _events_payload(self, query: dict[str, list[str]]) -> dict[str, Any]:
+        since = self._int_param(query, "since", 0)
+        limit = self._int_param(query, "limit", None)
+        if limit is not None and limit < 0:
+            raise ValidationError(f"query parameter 'limit' must be >= 0, got {limit}")
         events, next_seq = self.event_log.page(since, limit)
         return {"events": events, "next": next_seq}
 
     def _slices_payload(self, query: dict[str, list[str]]) -> dict[str, Any]:
-        offset_values = query.get("offset", ["0"])
-        limit_values = query.get("limit", [None])
-        try:
-            offset = int(offset_values[-1])
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"query parameter 'offset' must be an integer, got {offset_values[-1]!r}"
-            ) from None
-        limit = None
-        if limit_values[-1] is not None:
-            try:
-                limit = int(limit_values[-1])
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"query parameter 'limit' must be an integer, got {limit_values[-1]!r}"
-                ) from None
+        offset = self._int_param(query, "offset", 0)
+        limit = self._int_param(query, "limit", None)
         page = self.broker.list_slices(offset=offset, limit=limit)
         return {
             "slices": [status.to_dict() for status in page],

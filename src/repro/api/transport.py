@@ -1,7 +1,7 @@
 """Shared wire contract of the HTTP/JSON broker transport.
 
 The server (:mod:`repro.api.server`) and the client
-(:mod:`repro.api.client`) agree on exactly three things, all defined here so
+(:mod:`repro.api.client`) agree on exactly four things, all defined here so
 neither can drift from the other:
 
 * the **route table** (:data:`ROUTES`): method + path template per broker
@@ -18,7 +18,12 @@ neither can drift from the other:
 * the **idempotency-header contract**: a single submit carries its
   per-tenant token in :data:`IDEMPOTENCY_HEADER`; a batch submit carries a
   JSON array (one entry per request, ``null`` for tokenless) in
-  :data:`IDEMPOTENCY_BATCH_HEADER`.
+  :data:`IDEMPOTENCY_BATCH_HEADER`;
+* the **framing**: one minimal HTTP/1.1 codec (:func:`read_head`,
+  :func:`content_length` / :func:`read_body`, :func:`write_head` /
+  :func:`send`) is the only code of either end that touches the socket --
+  Content-Length bodies only, bounded lines and header counts, every message
+  one write (DESIGN.md, "Framing").
 
 Endpoint table (see DESIGN.md, "Service transport"):
 
@@ -45,7 +50,9 @@ path, which escapes ``:``-bearing segments distinctly.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+import time
+from email.utils import formatdate
+from typing import Any, BinaryIO, Mapping
 from urllib.parse import quote, unquote
 
 from repro.api.errors import BrokerError, ValidationError
@@ -66,6 +73,15 @@ __all__ = [
     "slice_path",
     "parse_slice_path",
     "batch_tokens_from_header",
+    "MAX_LINE_BYTES",
+    "MAX_HEADERS",
+    "Headers",
+    "read_head",
+    "write_head",
+    "content_length",
+    "read_body",
+    "send",
+    "http_date",
 ]
 
 #: Version prefix of every route; bumping the wire format (WIRE_VERSION=2)
@@ -195,3 +211,111 @@ def batch_tokens_from_header(value: str | None, count: int) -> list[str | None] 
             details={"requests": count, "tokens": len(tokens)},
         )
     return tokens
+
+
+# --------------------------------------------------------------------- #
+# HTTP/1.1 framing: the one codec the server and the client both speak
+# --------------------------------------------------------------------- #
+#: Longest start / header line, and most header lines, one message head may
+#: carry (the bounds ``http.server`` applied, kept).
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+
+class Headers(dict):
+    """Header map keyed by lower-cased field name; ``get`` ignores case."""
+
+    def get(self, name: str, default: str | None = None) -> str | None:
+        return dict.get(self, name.lower(), default)
+
+
+def _read_line(rfile: BinaryIO) -> str:
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise ValidationError(
+            f"start or header line exceeds the {MAX_LINE_BYTES}-byte bound",
+            details={"max_line_bytes": MAX_LINE_BYTES},
+        )
+    if not line.endswith(b"\n"):
+        raise ConnectionError("peer closed the connection")
+    return line.decode("latin-1").rstrip("\r\n")
+
+
+def read_head(rfile: BinaryIO) -> tuple[str, Headers]:
+    """Read one message head: the start line and the header map.
+
+    Raises :class:`ValidationError` on a bound or syntax violation -- the
+    stream cannot be resynchronised after one -- and ``ConnectionError`` when
+    the peer closed before a complete head arrived.
+    """
+    start = _read_line(rfile)
+    headers = Headers()
+    while line := _read_line(rfile):
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise ValidationError(f"malformed header line {line[:80]!r}")
+        if len(headers) >= MAX_HEADERS:
+            raise ValidationError(
+                f"message head exceeds the {MAX_HEADERS}-header bound",
+                details={"max_headers": MAX_HEADERS},
+            )
+        name, value = name.strip().lower(), value.strip()
+        # A repeated field is its values as one list (RFC 9110, 5.3) -- which
+        # also makes two Content-Lengths malformed instead of a coin toss.
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    return start, headers
+
+
+def write_head(start: str, headers: Mapping[str, str]) -> bytes:
+    """Encode one message head; the inverse of :func:`read_head`."""
+    lines = [start, *(f"{name}: {value}" for name, value in headers.items())]
+    if any("\r" in line or "\n" in line for line in lines):
+        raise ValidationError("a start line or header may not contain CR or LF")
+    try:
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    except UnicodeEncodeError as error:
+        raise ValidationError(f"header text is not latin-1: {error}") from None
+
+
+def content_length(headers: Headers, limit: int | None = MAX_BODY_BYTES) -> int:
+    """The declared body length of a message (0 without a Content-Length)."""
+    length_header = headers.get("Content-Length")
+    try:
+        length = int(length_header) if length_header is not None else 0
+    except ValueError:
+        raise ValidationError(
+            f"malformed Content-Length header {length_header!r}"
+        ) from None
+    if length < 0:
+        raise ValidationError(f"negative Content-Length {length}")
+    if limit is not None and length > limit:
+        raise ValidationError(
+            f"request body of {length} bytes exceeds the {limit}-byte bound",
+            details={"max_body_bytes": limit},
+        )
+    return length
+
+
+def read_body(rfile: BinaryIO, length: int) -> bytes:
+    """Read exactly ``length`` body bytes (``ConnectionError`` if cut short)."""
+    body = rfile.read(length) if length else b""
+    if len(body) != length:
+        raise ConnectionError(f"body truncated at {len(body)} of {length} bytes")
+    return body
+
+
+def send(sock, head: bytes, body: bytes = b"") -> None:
+    """Emit one message -- head and body -- in a single write."""
+    sock.sendall(head + body)
+
+
+_date: tuple[int, str] = (0, "")
+
+
+def http_date() -> str:
+    """The ``Date`` header value of now, formatted once per second."""
+    global _date
+    now = int(time.time())
+    if now != _date[0]:
+        _date = (now, formatdate(now, usegmt=True))
+    return _date[1]

@@ -451,6 +451,20 @@ class ShinyError(BrokerError):
     code = "shiny_new"
 '''
 
+RA04_BORROWED_STACKS = [
+    ("import http.client\n", "http.client"),
+    ("from http import client\n", "http.client"),
+    ("from http.client import HTTPConnection\n", "http.client"),
+    ("from http.server import BaseHTTPRequestHandler\n", "http.server"),
+    ("def lazily():\n    import http.server as stack\n", "http.server"),
+]
+
+RA04_SOCKET_IO = '''
+def exchange(sock, rfile, message):
+    sock.sendall(message)
+    return rfile.readline()
+'''
+
 DESIGN_WITH_CODE = "| `ShinyError` | `shiny_new` | something new |\n| `BrokerError` | `broker_error` | base |"
 DESIGN_WITHOUT_CODE = "| `BrokerError` | `broker_error` | base |"
 
@@ -495,6 +509,24 @@ class TestRA04:
             )
             == []
         )
+
+    def test_borrowed_http_stack_in_the_api_package_fires(self):
+        for source, symbol in RA04_BORROWED_STACKS:
+            found = findings_for(WireContractChecker(), {"src/repro/api/server.py": source})
+            assert [f.symbol for f in found] == [symbol], source
+        # ... and the codec module is no exception.
+        source = RA04_BORROWED_STACKS[0][0]
+        assert findings_for(WireContractChecker(), {"src/repro/api/transport.py": source})
+
+    def test_socket_io_outside_the_codec_fires(self):
+        found = findings_for(WireContractChecker(), {"src/repro/api/client.py": RA04_SOCKET_IO})
+        assert sorted(f.symbol for f in found) == ["readline", "sendall"]
+
+    def test_socket_io_in_the_codec_and_outside_the_package_passes(self):
+        for path in ("src/repro/api/transport.py", "src/repro/workloads/trace.py"):
+            assert findings_for(WireContractChecker(), {path: RA04_SOCKET_IO}) == []
+        clean = "from socketserver import StreamRequestHandler\nfrom http import HTTPStatus\n"
+        assert findings_for(WireContractChecker(), {"src/repro/api/server.py": clean}) == []
 
 
 # --------------------------------------------------------------------- #
