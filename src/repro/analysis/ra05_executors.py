@@ -23,6 +23,12 @@ Mechanically, for every ``<something>executor-ish<.map(fn, ...)`` call site
 
 ``functools.partial(module_fn, ...)`` passes (the partial pins arguments,
 not ambient state); a partial over a lambda or bound method does not.
+
+Second, every thread we start is listed: under ``src/repro/`` a
+``threading.Thread(...)`` or ``ThreadPoolExecutor(...)`` may be constructed
+only at a :data:`DECLARED_THREAD_SITES` scope -- the HTTP server's accept
+loop and the Benders pricing helper.  A new site is a design decision
+(DESIGN.md, "Overlapped pricing"), added here, not to the baseline.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from repro.analysis.core import (
     ProjectTree,
     ScopedVisitor,
     SourceModule,
+    dotted_name,
     module_level_names,
 )
 
@@ -49,6 +56,17 @@ EXECUTOR_FACTORIES = frozenset(
         "default_executor",
         "SerialExecutor",
         "ProcessPoolRunExecutor",
+    }
+)
+
+#: Constructors that start a thread (or a pool that owns one).
+THREAD_CONSTRUCTORS = frozenset({"Thread", "ThreadPoolExecutor"})
+
+#: The only ``(module path, enclosing scope)`` pairs that may construct one.
+DECLARED_THREAD_SITES = frozenset(
+    {
+        ("src/repro/api/server.py", "BrokerServer.start"),
+        ("src/repro/core/benders.py", "_helper"),
     }
 )
 
@@ -76,7 +94,7 @@ def _attribute_root(node: ast.expr) -> ast.expr:
     return node
 
 
-class _MapScanner(ScopedVisitor):
+class _Scanner(ScopedVisitor):
     def __init__(self, module: SourceModule, checker: "ExecutorSafetyChecker") -> None:
         super().__init__()
         self.module = module
@@ -104,7 +122,7 @@ class _MapScanner(ScopedVisitor):
     def _is_local_def(self, name: str) -> bool:
         return any(name in scope for scope in self._local_defs)
 
-    # -- the rule -------------------------------------------------------- #
+    # -- the rules ------------------------------------------------------- #
     def visit_Call(self, node: ast.Call) -> None:
         if (
             isinstance(node.func, ast.Attribute)
@@ -113,6 +131,21 @@ class _MapScanner(ScopedVisitor):
             and _receiver_is_executor(node.func.value)
         ):
             self._check_fn(node, node.args[0])
+        callee = (dotted_name(node.func) or "").rpartition(".")[2]
+        if (
+            callee in THREAD_CONSTRUCTORS
+            and self.module.path.startswith("src/repro/")
+            and (self.module.path, self.symbol) not in DECLARED_THREAD_SITES
+        ):
+            self.findings.append(
+                self.checker.finding(
+                    self.module,
+                    node,
+                    self.symbol,
+                    f"{callee}(...) at an undeclared site; threads under src/repro/ "
+                    "start only at ra05_executors.DECLARED_THREAD_SITES",
+                )
+            )
         self.generic_visit(node)
 
     def _report(self, node: ast.AST, why: str) -> None:
@@ -180,11 +213,12 @@ class ExecutorSafetyChecker(Checker):
     description = (
         "Callables handed to utils/executors pools (.map) must be "
         "module-level functions -- no lambdas, closures or bound methods "
-        "over solver/controller mutable state."
+        "over solver/controller mutable state -- and threads under "
+        "src/repro/ start only at the declared sites."
     )
 
     def check(self, tree: ProjectTree) -> Iterator[Finding]:
         for module in tree.modules:
-            scanner = _MapScanner(module, self)
+            scanner = _Scanner(module, self)
             scanner.visit(module.tree)
             yield from scanner.findings

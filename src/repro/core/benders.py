@@ -35,7 +35,9 @@ differential warm-start sweeps pin which of the two holds where).
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent import futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -441,6 +443,47 @@ _EXACT_CERTIFICATE_REL = 1e-6
 #: a millisecond per solve.
 _MAX_IDLE_SOLVES = 2
 
+#: This process's pricing helper as ``(pid, worker)``; see :func:`_helper`.
+_pricing_helper: tuple[int, futures.ThreadPoolExecutor | None] = (-1, None)
+
+
+def _helper() -> futures.ThreadPoolExecutor | None:
+    """The one worker thread a round's second HiGHS solve runs on, or None
+    where the process has a single usable CPU (two threads there only take
+    turns).  Rebuilt when the pid changes: a forked child inherits the
+    executor but not its thread.  Unlocked on purpose: two threads racing
+    here build at most one spare worker, which exits once dropped, while a
+    lock caught by a fork would hang the child."""
+    global _pricing_helper
+    if _pricing_helper[0] != os.getpid():
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        worker = None
+        if cpus > 1:
+            worker = futures.ThreadPoolExecutor(1, thread_name_prefix="benders-pricing")
+        _pricing_helper = (os.getpid(), worker)
+    return _pricing_helper[1]
+
+
+class _Overlapped:
+    """A solve started on the :func:`_helper` while the caller runs another
+    (DESIGN.md, "Overlapped pricing").  Without a helper the call is
+    deferred to :meth:`result`, which is then the serial order."""
+
+    def __init__(self, call, *args):
+        self._call, self._args = call, args
+        helper = _helper()
+        self._future = None if helper is None else helper.submit(call, *args)
+
+    def result(self):
+        return self._call(*self._args) if self._future is None else self._future.result()
+
+    def settle(self) -> None:
+        """Wait for the call and drop its outcome (a deferred one never
+        runs).  Every exit of a round passes here: no work outlives it."""
+        if self._future is not None:
+            self._future.exception()
+
 
 @dataclass
 class _LoopState:
@@ -470,7 +513,8 @@ class BendersSolver:
     ``theta_b`` *in addition to* the classic aggregate cut, so the master
     lower bound tightens fast while keeping the exact certificate the
     aggregate cut carries.  The blocks of a round are priced together by one
-    block-diagonal LP (:meth:`SlaveProblem.evaluate_blocks`).
+    block-diagonal LP (:meth:`SlaveProblem.evaluate_blocks`), solved on a
+    helper thread beside the joint slave LP (:class:`_Overlapped`).
     """
 
     def __init__(
@@ -537,6 +581,7 @@ class BendersSolver:
         start = time.perf_counter()
         slave = SlaveProblem(problem)
         cost_x = problem.objective_x()
+        # Builds the block stack before any round hands the slave to a helper.
         theta_lowers = np.array([block.theta_lower for block in slave.blocks()])
 
         pool_key: tuple | None = None
@@ -600,17 +645,23 @@ class BendersSolver:
     def _price(
         slave: SlaveProblem, cost_x: np.ndarray, x_candidate: np.ndarray, state: _LoopState
     ):
-        """Price the candidate: the joint slave LP, then every block with
-        one stacked LP.  A feasible candidate that improves on the incumbent
-        becomes the incumbent (and the upper bound)."""
-        outcome = slave.evaluate(x_candidate)
-        if outcome.feasible:
-            candidate_upper = float(np.dot(cost_x, x_candidate)) + outcome.objective
-            if candidate_upper < state.upper_bound - 1e-12:
-                state.upper_bound = candidate_upper
-                state.best_x = x_candidate
-                state.best_z = outcome.z
-        return outcome, slave.evaluate_blocks(x_candidate)
+        """Price the candidate: the joint slave LP here while the helper
+        prices every block with one stacked LP.  A feasible candidate that
+        improves on the incumbent becomes the incumbent (and the upper
+        bound).  The joint LP's error wins; a block error surfaces after a
+        successful joint solve -- the order of pricing them one by one."""
+        blocks = _Overlapped(slave.evaluate_blocks, x_candidate)
+        try:
+            outcome = slave.evaluate(x_candidate)
+            if outcome.feasible:
+                candidate_upper = float(np.dot(cost_x, x_candidate)) + outcome.objective
+                if candidate_upper < state.upper_bound - 1e-12:
+                    state.upper_bound = candidate_upper
+                    state.best_x = x_candidate
+                    state.best_z = outcome.z
+            return outcome, blocks.result()
+        finally:
+            blocks.settle()
 
     @staticmethod
     def _add_cuts(
@@ -722,14 +773,20 @@ class BendersSolver:
         seeded, previous_x = self.cut_pool.seed_master(pool_key, seeded_master, slave)
         if not seeded or previous_x is None:
             return None
-        hint = self._master_hint(seeded_master, previous_x)
-        master = self._solve_master(seeded_master, hint=hint)
-        if master is None:
-            return None
-        values, master_objective = master
-        x_proposed = np.round(values[: seeded_master.num_items])
-        self.cut_pool.age(pool_key, seeded_master, values)
-        outcome = slave.evaluate(previous_x)
+        # The previous decision is priced on the helper while the seeded
+        # master is solved here: the two share no state.
+        pricing = _Overlapped(slave.evaluate, previous_x)
+        try:
+            hint = self._master_hint(seeded_master, previous_x)
+            master = self._solve_master(seeded_master, hint=hint)
+            if master is None:
+                return None
+            values, master_objective = master
+            x_proposed = np.round(values[: seeded_master.num_items])
+            self.cut_pool.age(pool_key, seeded_master, values)
+            outcome = pricing.result()
+        finally:
+            pricing.settle()
         if not outcome.feasible:
             return None
         upper_bound = float(np.dot(cost_x, previous_x)) + outcome.objective

@@ -566,6 +566,34 @@ def unrelated(mapping, items):
     return mapping.map(lambda item: item, items)
 '''
 
+RA05_THREADS = '''
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+def background(work):
+    threading.Thread(target=work).start()
+
+class Pricing:
+    def start(self):
+        return ThreadPoolExecutor(max_workers=1)
+'''
+
+RA05_DECLARED_THREADS = {
+    "src/repro/api/server.py": '''
+import threading
+
+class BrokerServer:
+    def start(self):
+        self._thread = threading.Thread(target=self.serve, daemon=True)
+''',
+    "src/repro/core/benders.py": '''
+from concurrent import futures
+
+def _helper():
+    return futures.ThreadPoolExecutor(1, thread_name_prefix="benders-pricing")
+''',
+}
+
 
 class TestRA05:
     def test_lambda_fires(self):
@@ -582,3 +610,15 @@ class TestRA05:
 
     def test_module_level_and_partial_pass(self):
         assert findings_for(ExecutorSafetyChecker(), {"src/repro/x.py": RA05_CLEAN}) == []
+
+    def test_thread_at_an_undeclared_site_fires(self):
+        found = findings_for(ExecutorSafetyChecker(), {"src/repro/core/solver.py": RA05_THREADS})
+        assert [(f.symbol, f.message.split("(")[0]) for f in found] == [
+            ("background", "Thread"),
+            ("Pricing.start", "ThreadPoolExecutor"),
+        ]
+
+    def test_declared_thread_sites_and_code_outside_the_package_pass(self):
+        for path, source in RA05_DECLARED_THREADS.items():
+            assert findings_for(ExecutorSafetyChecker(), {path: source}) == []
+        assert findings_for(ExecutorSafetyChecker(), {"tests/core/t.py": RA05_THREADS}) == []

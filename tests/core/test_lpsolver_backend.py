@@ -16,6 +16,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -212,13 +213,34 @@ MODEL_FIELDS = (
 )
 
 
+class HandedModels:
+    """The models handed to HiGHS, one call-order sequence per handing
+    thread: ``calling`` (masters and joint slave LPs) and ``helper`` (the
+    Benders pricing helper: stacked block LPs, the fast path's slave LP).
+    The two threads interleave freely, each sequence is deterministic."""
+
+    def __init__(self):
+        self.calling_thread = threading.get_ident()
+        self.clear()
+
+    def clear(self) -> None:
+        self.by_thread: dict[str, list[dict]] = {"calling": [], "helper": []}
+
+    def append(self, model: dict) -> None:
+        calling = threading.get_ident() == self.calling_thread
+        self.by_thread["calling" if calling else "helper"].append(model)
+
+    def snapshot(self) -> dict[str, list[dict]]:
+        return {thread: list(models) for thread, models in self.by_thread.items()}
+
+
 @pytest.fixture
 def handed_to_highs(monkeypatch):
     """Record every model ``lpsolver._run`` loads into HiGHS, field by field
     under the names ``HighsLp`` gives them."""
     import repro.core.lpsolver as lpsolver
 
-    models: list[dict] = []
+    models = HandedModels()
     real_run = lpsolver._run
 
     def recording_run(highs, model, is_mip):
@@ -257,6 +279,15 @@ def model_differences(got: list[dict], want: list[dict]) -> list[str]:
     return differences
 
 
+def thread_differences(got: dict[str, list[dict]], want: dict[str, list[dict]]) -> list[str]:
+    """:func:`model_differences` per handing thread, array for array."""
+    return [
+        f"{thread} thread, {difference}"
+        for thread in sorted(got.keys() | want.keys())
+        for difference in model_differences(got.get(thread, []), want.get(thread, []))
+    ]
+
+
 def exact_benders(warm_start: bool) -> BendersSolver:
     return BendersSolver(
         tolerance=1e-9,
@@ -275,18 +306,25 @@ class TestHighsIsHandedTheOraclesModels:
 
     @pytest.mark.parametrize("seed", SEEDS[:10])
     def test_cold_multi_cut_solve(self, seed, handed_to_highs, monkeypatch):
+        import repro.core.benders as benders
+
         problem = problem_for_scenario(sample_scenario(DIFFERENTIAL_FAMILY, seed=seed))
         shipped = exact_benders(warm_start=False).solve(problem)
-        got = list(handed_to_highs)
+        got = handed_to_highs.snapshot()
         handed_to_highs.clear()
         retire_the_array_assembly(monkeypatch)
         retired = exact_benders(warm_start=False).solve(problem)
         assert shipped.stats.iterations == retired.stats.iterations
         # One master per round, the slave LP and the stacked block LP per
-        # distinct candidate (plus phase-1 certificates of infeasible ones).
-        assert sum(model["is_mip"] for model in got) == shipped.stats.iterations
-        assert len(got) >= shipped.stats.iterations + 2
-        assert model_differences(got, handed_to_highs) == [], seed_note(seed)
+        # distinct candidate (plus phase-1 certificates of infeasible ones);
+        # every master is solved on the calling thread.
+        models = got["calling"] + got["helper"]
+        assert sum(model["is_mip"] for model in got["calling"]) == shipped.stats.iterations
+        assert not any(model["is_mip"] for model in got["helper"])
+        # Without a helper (one usable CPU) nothing leaves the calling thread.
+        assert bool(got["helper"]) == (benders._helper() is not None)
+        assert len(models) >= shipped.stats.iterations + 2
+        assert thread_differences(got, handed_to_highs.snapshot()) == [], seed_note(seed)
 
     def test_warm_fast_path_hit_with_a_hint(self, handed_to_highs, monkeypatch):
         import repro.core.benders as benders
@@ -329,7 +367,7 @@ class TestHighsIsHandedTheOraclesModels:
                 (entry,) = solver.cut_pool._entries.values()
                 recorded = sum(s.cuts_optimality + s.cuts_feasibility for s in stats)
                 pools.append((recorded, [s.cuts_warm for s in stats], entry.idle))
-            return list(handed_to_highs), list(hinted), hits, pools
+            return handed_to_highs.snapshot(), list(hinted), hits, pools
 
         got, got_hinted, hits, pools = run()
         assert hits > 0 and any(got_hinted)  # fast-path hits, cut-off rows applied
@@ -338,7 +376,7 @@ class TestHighsIsHandedTheOraclesModels:
         retire_the_array_assembly(monkeypatch)
         want, want_hinted, want_hits, want_pools = run()
         assert (got_hinted, hits, pools) == (want_hinted, want_hits, want_pools)
-        assert model_differences(got, want) == []
+        assert thread_differences(got, want) == []
 
     @pytest.mark.parametrize("allow_deficit", [False, True])
     def test_direct_milp_solve(self, allow_deficit, handed_to_highs):
@@ -372,7 +410,9 @@ class TestHighsIsHandedTheOraclesModels:
                 "row_upper_": row_upper,
                 "integrality_": kinds,
             }
-            assert model_differences(list(handed_to_highs), [want]) == [], seed_note(seed)
+            assert thread_differences(
+                handed_to_highs.snapshot(), {"calling": [want], "helper": []}
+            ) == [], seed_note(seed)
 
 
 def feasible_and_infeasible_rhs(slave: SlaveProblem):

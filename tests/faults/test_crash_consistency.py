@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.api import BrokerError, SliceBroker, SliceRequestV1, SolverError
 from repro.core.baseline import NoOverbookingSolver
 from repro.core.benders import BendersSolver, CutPool
+from repro.core.decomposition import SlaveProblem
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.milp_solver import DirectMILPSolver
 from repro.core.slices import EMBB_TEMPLATE, URLLC_TEMPLATE
@@ -184,6 +185,53 @@ class TestFastFaultMatrix:
         assert states[-1] == "healthy", states
 
 
+#: Four slices whose structure stays put while their forecasts drift.
+STEADY_SLAS = {
+    "u0": URLLC_TEMPLATE.sla_mbps,
+    "u1": URLLC_TEMPLATE.sla_mbps,
+    "e0": EMBB_TEMPLATE.sla_mbps,
+    "e1": EMBB_TEMPLATE.sla_mbps,
+}
+
+
+def steady_broker(plan: FaultPlan) -> tuple[SliceBroker, BendersSolver]:
+    """From epoch 2 on every epoch is a warm fast-path hit."""
+    solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
+    broker = SliceBroker(topology=operators.testbed_topology(), solver=solver)
+    broker.enable_chaos(plan)
+    broker.submit_batch(
+        [
+            SliceRequestV1.of(name, "uRLLC" if name[0] == "u" else "eMBB", duration_epochs=12)
+            for name in STEADY_SLAS
+        ]
+    )
+    return broker, solver
+
+
+def advance_drifting(broker: SliceBroker, epoch: int):
+    broker.set_forecast_overrides(
+        {
+            name: ForecastInput(
+                lambda_hat_mbps=(0.30 + 0.01 * ((3 * epoch + index) % 5)) * sla,
+                sigma_hat=0.2,
+            )
+            for index, (name, sla) in enumerate(STEADY_SLAS.items())
+        }
+    )
+    return broker.advance_epoch(epoch)
+
+
+def pool_state(solver: BendersSolver) -> list:
+    return [
+        (len(entry.multipliers), entry.idle)
+        for entry in solver.cut_pool.snapshot_state()["entries"].values()
+    ]
+
+
+class MidRoundCrash(Exception):
+    """Not a solver error the safeguard chain absorbs: it fails the epoch."""
+
+
 class TestWarmStartStateRollsBack:
     def test_cut_pool_is_fingerprinted_and_restored(self):
         # The fingerprint must digest a *populated* cut pool (its multipliers
@@ -207,42 +255,12 @@ class TestWarmStartStateRollsBack:
         # move, idle multipliers leave, one cut is recorded -- *before* the
         # controllers apply.  A crash there must put all of that back, and
         # the retry must then seed exactly what a never-faulted twin seeds.
-        slas = {"u0": URLLC_TEMPLATE.sla_mbps, "u1": URLLC_TEMPLATE.sla_mbps,
-                "e0": EMBB_TEMPLATE.sla_mbps, "e1": EMBB_TEMPLATE.sla_mbps}
         crash_epoch = 4  # the first epoch whose ageing evicts
-
-        def build(plan: FaultPlan):
-            solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
-            broker = SliceBroker(topology=operators.testbed_topology(), solver=solver)
-            broker.enable_chaos(plan)
-            broker.submit_batch(
-                [SliceRequestV1.of(name, "uRLLC" if name[0] == "u" else "eMBB", duration_epochs=12)
-                 for name in slas]
-            )
-            return broker, solver
-
-        def advance(broker: SliceBroker, epoch: int):
-            broker.set_forecast_overrides(
-                {
-                    name: ForecastInput(
-                        lambda_hat_mbps=(0.30 + 0.01 * ((3 * epoch + index) % 5)) * sla,
-                        sigma_hat=0.2,
-                    )
-                    for index, (name, sla) in enumerate(slas.items())
-                }
-            )
-            return broker.advance_epoch(epoch)
-
-        def pool_state(solver: BendersSolver):
-            return [
-                (len(entry.multipliers), entry.idle)
-                for entry in solver.cut_pool.snapshot_state()["entries"].values()
-            ]
-
         plan = FaultPlan.of(make_spec(HOOK_CLOUD_APPLY, FaultKind.CRASH, epoch=crash_epoch))
-        (broker, solver), (twin, twin_solver) = build(plan), build(FaultPlan.empty())
+        broker, solver = steady_broker(plan)
+        twin, twin_solver = steady_broker(FaultPlan.empty())
         for epoch in range(crash_epoch):
-            report, twin_report = advance(broker, epoch), advance(twin, epoch)
+            report, twin_report = advance_drifting(broker, epoch), advance_drifting(twin, epoch)
         assert "warm fast path" in report.solver_message == twin_report.solver_message
         before, pool_before = control_plane_fingerprint(broker.orchestrator), pool_state(solver)
         assert before == control_plane_fingerprint(twin.orchestrator)
@@ -258,16 +276,62 @@ class TestWarmStartStateRollsBack:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CutPool, "age", noting_age)
             with pytest.raises(SolverError):
-                advance(broker, crash_epoch)  # certified, aged, recorded -- then crashed
+                # Certified, aged, recorded -- then crashed.
+                advance_drifting(broker, crash_epoch)
         assert len(aged_to) == 1 and aged_to[0] not in [idle for _, idle in pool_before]
         assert control_plane_fingerprint(broker.orchestrator) == before
         assert pool_state(solver) == pool_before
 
-        report, twin_report = advance(broker, crash_epoch), advance(twin, crash_epoch)
+        report = advance_drifting(broker, crash_epoch)
+        twin_report = advance_drifting(twin, crash_epoch)
         assert "warm fast path" in report.solver_message
         assert report.solver_message == twin_report.solver_message  # same seeded cuts
         assert solver.cut_pool.seeded_total == twin_solver.cut_pool.seeded_total
         assert pool_state(solver) == pool_state(twin_solver) != pool_before
+        assert control_plane_fingerprint(broker.orchestrator) == control_plane_fingerprint(
+            twin.orchestrator
+        )
+        assert decision_fingerprint(broker.last_decision) == decision_fingerprint(
+            twin.last_decision
+        )
+
+    def test_a_solve_crash_in_the_middle_of_a_round_rolls_back(self):
+        # A fast-path round overlaps two solves: the seeded master here (it
+        # then ages the pool) and the previous decision's slave LP on the
+        # pricing helper.  That LP crashing surfaces after the ageing, from
+        # inside solver.solve: the epoch must still roll back byte for byte,
+        # and its retry must equal a never-faulted twin's epoch.
+        crash_epoch = 3
+        broker, solver = steady_broker(FaultPlan.empty())
+        twin, _ = steady_broker(FaultPlan.empty())
+        for epoch in range(crash_epoch):
+            advance_drifting(broker, epoch)
+            advance_drifting(twin, epoch)
+        before, pool_before = control_plane_fingerprint(broker.orchestrator), pool_state(solver)
+
+        aged, priced = [], []
+        real_age = CutPool.age
+
+        def noting_age(pool, key, master, values):
+            real_age(pool, key, master, values)
+            aged.append(key)
+
+        def crashing_evaluate(slave, x):
+            priced.append(x)
+            raise MidRoundCrash("the slave LP died mid-round")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CutPool, "age", noting_age)
+            patch.setattr(SlaveProblem, "evaluate", crashing_evaluate)
+            with pytest.raises(MidRoundCrash):
+                advance_drifting(broker, crash_epoch)
+        assert len(aged) == len(priced) == 1  # master solved, pool aged, pricing crashed
+        assert control_plane_fingerprint(broker.orchestrator) == before
+        assert pool_state(solver) == pool_before
+
+        report = advance_drifting(broker, crash_epoch)
+        twin_report = advance_drifting(twin, crash_epoch)
+        assert "warm fast path" in report.solver_message == twin_report.solver_message
         assert control_plane_fingerprint(broker.orchestrator) == control_plane_fingerprint(
             twin.orchestrator
         )

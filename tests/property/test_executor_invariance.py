@@ -9,10 +9,14 @@ per-process hash salting) and run kinds are pure functions of their spec.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
+from repro.core.benders import BendersSolver
 from repro.experiments.campaign import Campaign
 from repro.experiments.fig5_homogeneous import fig5_campaign
+from repro.scenarios import DIFFERENTIAL_FAMILY, problem_for_scenario, sample_scenario
 from repro.utils.executors import ProcessPoolRunExecutor, SerialExecutor
 
 pytestmark = pytest.mark.slow
@@ -22,14 +26,14 @@ def _record_dicts(result):
     return [record.as_dict() for record in result.records]
 
 
-def small_grid_campaign() -> Campaign:
+def small_grid_campaign(policies: tuple[str, ...] = ("optimal",)) -> Campaign:
     return fig5_campaign(
         operators=("romanian",),
         slice_types=("eMBB", "mMTC"),
         alphas=(0.2, 0.6),
         relative_stds=(0.25,),
         penalty_factors=(1.0,),
-        policies=("optimal",),
+        policies=policies,
         num_base_stations=3,
         num_tenants={"romanian": 4},
         num_epochs=2,
@@ -68,4 +72,17 @@ class TestExecutorInvariance:
         )
         serial = derived.run(executor=SerialExecutor())
         pooled = derived.run(executor=ProcessPoolRunExecutor(max_workers=2))
+        assert _record_dicts(serial) == _record_dicts(pooled)
+
+    def test_benders_campaign_forked_after_a_parent_solve(self):
+        # A Benders solve in the parent starts its pricing helper thread.  A
+        # forked worker inherits that executor but not its thread, so it
+        # must build its own helper instead of queueing work nobody runs.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pins what a forked child inherits")
+        problem = problem_for_scenario(sample_scenario(DIFFERENTIAL_FAMILY, seed=0))
+        BendersSolver().solve(problem)
+        campaign = small_grid_campaign(policies=("benders",))
+        serial = campaign.run(executor=SerialExecutor())
+        pooled = campaign.run(executor=ProcessPoolRunExecutor(max_workers=2))
         assert _record_dicts(serial) == _record_dicts(pooled)
