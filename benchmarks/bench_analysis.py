@@ -2,8 +2,8 @@
 
 The AST checker suite runs in CI on every push and (via the golden test)
 inside the default pytest suite, so its cost is paid constantly: this
-benchmark pins the full-tree RA01-RA05 run -- load + parse of every module
-under ``src/`` plus all five checkers plus baseline matching -- under a
+benchmark pins the full-tree RA01-RA06 run -- load + parse of every module
+under ``src/`` plus all six checkers plus baseline matching -- under a
 hard wall-clock budget so the tool stays cheap enough to gate commits.
 
 Record/compare a baseline with::

@@ -1,9 +1,10 @@
-"""AST-based invariant checker suite (rules RA01-RA05).
+"""AST-based invariant checker suite (rules RA01-RA06).
 
 Mechanically enforces the repo's load-bearing conventions -- broker lock
 discipline, the stable error taxonomy, byte-determinism of hashed paths,
-versioned DTO wire round-trips and executor submission safety -- over the
-parsed source tree.  See DESIGN.md, "Static analysis & enforced invariants".
+versioned DTO wire round-trips, executor submission safety and the one HiGHS
+entry point -- over the parsed source tree.  See DESIGN.md, "Static analysis
+& enforced invariants".
 
 CLI: ``python -m repro.analysis check`` (non-zero exit on un-baselined
 findings) and ``python -m repro.analysis list-rules``.

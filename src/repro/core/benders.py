@@ -41,15 +41,16 @@ from concurrent import futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
+from scipy import sparse
 
 from repro.core.decomposition import SlaveProblem
 from repro.core.lpsolver import (
-    HINT_FEASIBILITY_TOL,
+    FEASIBILITY_TOL,
+    MILPSolution,
     dense_rows_to_csc,
+    is_feasible_point,
     solve_milp,
     stack_columns,
-    validate_milp_hint,
 )
 from repro.core.problem import (
     ACRRProblem,
@@ -72,8 +73,8 @@ class _MasterState:
     the static rows (capacity surrogate, then path selection) -- is
     assembled exactly once, column-major and canonical: the layout HiGHS
     takes.  Cut rows are queued as plain dense arrays, so ``add_cut`` builds
-    no sparse object at all; ``constraints()`` merges the rows queued since
-    the last call into the columns, one pass whatever their number.
+    no sparse object at all; ``rows()`` merges the rows queued since the
+    last call into the columns, one pass whatever their number.
 
     ``theta_lowers`` carries one lower bound per surrogate, one surrogate
     per slave block (:class:`SlaveBlock.theta_lower`); the *sum* of the
@@ -142,7 +143,7 @@ class _MasterState:
         ``block_id`` selects which surrogates an optimality cut bounds:
         ``None`` means all of them (the aggregate cut), a block index that
         block's own.  Feasibility cuts never involve the surrogates.  The
-        row is only *queued* here; :meth:`constraints` merges it in.
+        row is only *queued* here; :meth:`rows` merges it in.
         """
         theta_part = np.zeros(self.num_thetas)
         if is_optimality:
@@ -158,20 +159,18 @@ class _MasterState:
         cuts = np.array(self._cut_rows).reshape(-1, self.num_items + self.num_thetas)
         return cuts, np.asarray(self._cut_rhs)
 
-    def constraints(self) -> list[optimize.LinearConstraint]:
+    def rows(self) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray]:
         """Capacity surrogate, path selection, then the cuts in insertion
-        order: one canonical column-major block."""
+        order: one canonical column-major matrix and its row bounds."""
         if self._merged_cuts < len(self._cut_rows):
             queued = np.vstack(self._cut_rows[self._merged_cuts :])
             self._rows = stack_columns([[self._rows, dense_rows_to_csc(queued)]])
             self._merged_cuts = len(self._cut_rows)
-        return [
-            optimize.LinearConstraint(
-                self._rows,
-                np.concatenate([self._static_lower, self._cut_rhs]),
-                np.concatenate([self._static_upper, np.full(self.num_cuts, np.inf)]),
-            )
-        ]
+        return (
+            self._rows,
+            np.concatenate([self._static_lower, self._cut_rhs]),
+            np.concatenate([self._static_upper, np.full(self.num_cuts, np.inf)]),
+        )
 
 
 def warm_start_key(problem: ACRRProblem) -> tuple:
@@ -369,14 +368,14 @@ class CutPool:
         solved to ``values`` (over ``x`` and the surrogates).
 
         A seeded cut that is tight there starts over at zero; one that is
-        slack -- by the relative tolerance hint validation uses -- and every
+        slack -- by the relative :data:`FEASIBILITY_TOL` -- and every
         multiplier :meth:`seed_master` skipped is one solve older, and past
         :data:`_MAX_IDLE_SOLVES` it leaves the pool.
         """
         entry = self._entries[key]
         cuts, rhs = master.cut_rows()
         activity = cuts.dot(values)
-        tight = activity - rhs <= HINT_FEASIBILITY_TOL * np.maximum(1.0, np.abs(activity))
+        tight = activity - rhs <= FEASIBILITY_TOL * np.maximum(1.0, np.abs(activity))
         idle = np.array(entry.idle) + 1
         idle[np.array(entry.seeded, dtype=int)[tight]] = 0
         keep = np.flatnonzero(idle <= _MAX_IDLE_SOLVES).tolist()
@@ -630,16 +629,17 @@ class BendersSolver:
     # ------------------------------------------------------------------ #
     def _master_step(self, master: _MasterState) -> tuple[np.ndarray, float]:
         """Solve the master: the next candidate and a valid lower bound."""
-        solution = self._solve_master(master)
-        if solution is None:
+        result = self._solve_master(master)
+        if result.infeasible:
             raise InfeasibleProblemError(
                 "Benders master problem became infeasible: the committed "
                 "slices cannot be accommodated, and the decomposition does not "
                 "model the Section 3.4 deficit relaxation (options.allow_deficit "
                 "is read by DirectMILPSolver only)"
             )
-        values, lower_bound = solution
-        return np.round(values[: master.num_items]), lower_bound
+        if not result.success:
+            raise RuntimeError(f"Benders master MILP not solved: {result.status}")
+        return np.round(result.values[: master.num_items]), float(result.objective)
 
     @staticmethod
     def _price(
@@ -777,13 +777,12 @@ class BendersSolver:
         # master is solved here: the two share no state.
         pricing = _Overlapped(slave.evaluate, previous_x)
         try:
-            hint = self._master_hint(seeded_master, previous_x)
-            master = self._solve_master(seeded_master, hint=hint)
-            if master is None:
+            solved = self._solve_master(seeded_master)
+            if not solved.success:
                 return None
-            values, master_objective = master
-            x_proposed = np.round(values[: seeded_master.num_items])
-            self.cut_pool.age(pool_key, seeded_master, values)
+            master_objective = float(solved.objective)
+            x_proposed = np.round(solved.values[: seeded_master.num_items])
+            self.cut_pool.age(pool_key, seeded_master, solved.values)
             outcome = pricing.result()
         finally:
             pricing.settle()
@@ -797,13 +796,16 @@ class BendersSolver:
             corroborated = gap <= max(
                 self.tolerance, _EXACT_CERTIFICATE_REL * abs(upper_bound)
             )
-            if not corroborated and hint is not None:
+            if not corroborated:
+                # Attainment: the previous decision, lifted into the seeded
+                # master, is a feasible point at the master optimum.
+                lifted = self._lift_previous(seeded_master, previous_x)
                 attainment_tol = 1e-9 * max(1.0, abs(master_objective))
                 corroborated = float(
-                    np.dot(seeded_master.cost, hint)
-                ) <= master_objective + attainment_tol and validate_milp_hint(
-                    hint,
-                    seeded_master.constraints(),
+                    np.dot(seeded_master.cost, lifted)
+                ) <= master_objective + attainment_tol and is_feasible_point(
+                    lifted,
+                    *seeded_master.rows(),
                     seeded_master.integrality,
                     seeded_master.lower,
                     seeded_master.upper,
@@ -830,58 +832,43 @@ class BendersSolver:
         return decision_from_vectors(problem, previous_x, outcome.z, stats)
 
     @staticmethod
-    def _master_hint(master: _MasterState, previous_x: np.ndarray) -> np.ndarray | None:
-        """Lift a previous admission vector into a full master-variable hint.
+    def _lift_previous(master: _MasterState, previous_x: np.ndarray) -> np.ndarray:
+        """Lift a previous admission vector into a full master vector.
 
         The surrogate variables are raised to the smallest values the seeded
         optimality cuts allow at ``previous_x`` (walking the cut rows in
         order and charging any shortfall to the lowest-index surrogate a row
         involves -- raising a surrogate never breaks an earlier row, the
-        coefficients are non-negative), so the hint is feasible for the
-        freshly seeded master whenever ``previous_x`` itself still is
-        (``solve_milp`` re-validates before trusting it either way).
+        coefficients are non-negative), so the lifted point is feasible for
+        the seeded master whenever ``previous_x`` itself still is.
         """
-        if previous_x.shape != (master.num_items,):
-            return None
         n = master.num_items
         thetas = master.theta_lowers.copy()
         cuts, cut_rhs = master.cut_rows()
-        if len(cuts):
-            # Row activities at (previous_x, thetas = 0), summed per row in
-            # column order -- the order the sparse rows are stored in.
-            (rows,) = master.constraints()
-            activity = rows.A.dot(np.concatenate([previous_x, np.zeros(master.num_thetas)]))
-            needed = cut_rhs - activity[master.num_static_rows :]
-            for row, theta_coeff in enumerate(cuts[:, n:]):
-                support = np.flatnonzero(theta_coeff > 0.5)
-                if not len(support):
-                    # A feasibility cut previous_x violates makes the hint
-                    # invalid; solve_milp's validation rejects it then.
-                    continue
-                shortfall = needed[row] - float(np.sum(thetas[support]))
-                if shortfall > 0.0:
-                    thetas[support[0]] += shortfall
+        # Row activities at (previous_x, thetas = 0), summed per row in
+        # column order -- the order the sparse rows are stored in.
+        matrix, _, _ = master.rows()
+        activity = matrix.dot(np.concatenate([previous_x, np.zeros(master.num_thetas)]))
+        needed = cut_rhs - activity[master.num_static_rows :]
+        for row, theta_coeff in enumerate(cuts[:, n:]):
+            support = np.flatnonzero(theta_coeff > 0.5)
+            if not len(support):
+                # A feasibility cut previous_x violates leaves the lifted
+                # point infeasible; is_feasible_point rejects it then.
+                continue
+            shortfall = needed[row] - float(np.sum(thetas[support]))
+            if shortfall > 0.0:
+                thetas[support[0]] += shortfall
         return np.concatenate([previous_x, thetas])
 
-    def _solve_master(
-        self, master: _MasterState, hint: np.ndarray | None = None
-    ) -> tuple[np.ndarray, float] | None:
-        """Solve the current master MILP; returns (values over x and the
-        surrogates -- x not yet rounded --, objective)."""
-        # A numerically borderline objective cutoff must never turn a
-        # feasible master infeasible: a failed hinted solve is retried cold.
-        for attempt in (hint, None):
-            result = solve_milp(
-                cost=master.cost,
-                constraints=master.constraints(),
-                integrality=master.integrality,
-                lower=master.lower,
-                upper=master.upper,
-                time_limit_s=self.master_time_limit_s,
-                hint=attempt,
-            )
-            if result.success or not result.hint_applied:
-                break
-        if not result.success:
-            return None
-        return result.values, float(result.objective)
+    def _solve_master(self, master: _MasterState) -> MILPSolution:
+        """Solve the current master MILP (values over x and the surrogates,
+        x not yet rounded)."""
+        return solve_milp(
+            master.cost,
+            *master.rows(),
+            master.integrality,
+            master.lower,
+            master.upper,
+            time_limit_s=self.master_time_limit_s,
+        )

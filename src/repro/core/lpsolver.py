@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-from scipy import optimize, sparse
+from scipy import sparse
 
 try:
     # The single import site of the private bindings (see DESIGN.md).
@@ -82,9 +82,8 @@ class MILPSolution:
     objective: float
     values: np.ndarray
     mip_gap: float
-    #: True when a warm-start hint was supplied, validated and turned into
-    #: an objective cutoff for the branch-and-bound (see :func:`solve_milp`).
-    hint_applied: bool = False
+    #: HiGHS proved the model infeasible -- not a limit, not an error.
+    infeasible: bool
 
 
 # --------------------------------------------------------------------- #
@@ -111,14 +110,6 @@ def canonical_csc(
     matrix = sparse.csc_matrix((data, indices, indptr), shape=shape)
     matrix.has_canonical_format = True
     return matrix
-
-
-def is_canonical_csc(matrix) -> bool:
-    return (
-        isinstance(matrix, sparse.csc_matrix)
-        and matrix.dtype == np.float64
-        and matrix.has_canonical_format
-    )
 
 
 def gather_slices(indptr: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,10 +266,12 @@ def _checked_matrix(name: str, matrix, num_cols: int) -> sparse.csc_matrix:
 
     A canonical ``csc_matrix`` of floats passes through untouched.
     """
-    if is_canonical_csc(matrix):
-        csc = matrix
-    else:
-        csc = sparse.csc_matrix(matrix, dtype=float)
+    canonical = (
+        isinstance(matrix, sparse.csc_matrix)
+        and matrix.dtype == np.float64
+        and matrix.has_canonical_format
+    )
+    csc = matrix if canonical else sparse.csc_matrix(matrix, dtype=float)
     if csc.shape[1] != num_cols:
         raise ValueError(f"{name} must have {num_cols} columns, got shape {csc.shape}")
     if not np.isfinite(csc.data).all():
@@ -319,8 +312,8 @@ def _highs_model(
         col_cost=_checked_vector("cost", cost, num_cols, finite=True),
         col_lower=_checked_vector("lower", lower, num_cols),
         col_upper=_checked_vector("upper", upper, num_cols),
-        row_lower=_checked_vector("constraint lb", row_lower, num_rows),
-        row_upper=_checked_vector("constraint ub", row_upper, num_rows),
+        row_lower=_checked_vector("row_lower", row_lower, num_rows),
+        row_upper=_checked_vector("row_upper", row_upper, num_rows),
         matrix=matrix,
         integrality=np.zeros(num_cols, dtype=np.int32) if integrality is None else integrality,
     )
@@ -436,17 +429,6 @@ class CompiledLP:
         )
 
 
-def solve_lp(
-    cost: np.ndarray,
-    a_ub: sparse.csr_matrix,
-    b_ub: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> LPSolution:
-    """One-shot :class:`CompiledLP` solve, for LPs that are not re-priced."""
-    return CompiledLP(cost, a_ub, lower, upper).solve(b_ub)
-
-
 class Phase1Problem:
     """Parametric phase-1 feasibility LP, compiled once.
 
@@ -502,85 +484,37 @@ class Phase1Problem:
 # --------------------------------------------------------------------- #
 # Mixed-integer programs
 # --------------------------------------------------------------------- #
-#: Tolerances used to validate a warm-start hint before trusting it.  The
-#: feasibility one (relative to a row's activity) is also what the cut pool
-#: calls "slack" when it ages its working set.
-HINT_FEASIBILITY_TOL = 1e-7
-_HINT_INTEGRALITY_TOL = 1e-7
+#: Tolerance of :func:`is_feasible_point` on bounds, integrality and rows
+#: (relative to a row's activity); also what the cut pool calls "slack" when
+#: it ages its working set.
+FEASIBILITY_TOL = 1e-7
 
 
-def validate_milp_hint(
-    hint: np.ndarray,
-    constraints: list[optimize.LinearConstraint],
+def is_feasible_point(
+    values: np.ndarray,
+    matrix: sparse.csc_matrix,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
     integrality: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> bool:
-    """Check that a candidate vector is (near-)feasible and integral.
-
-    The hint must respect the variable bounds, take integer values on the
-    integral variables and satisfy every linear constraint within a small
-    tolerance; anything else is rejected (a stale hint must never constrain
-    the solve).
-    """
-    hint = np.asarray(hint, dtype=float)
-    if hint.shape != np.asarray(lower).shape:
+    """Whether ``values`` is a point of the MILP ``row_lower <= matrix v <=
+    row_upper``, ``lower <= v <= upper``, integral where ``integrality`` says
+    so -- each within :data:`FEASIBILITY_TOL`."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != np.asarray(lower).shape:
         return False
-    if np.any(hint < lower - HINT_FEASIBILITY_TOL) or np.any(
-        hint > upper + HINT_FEASIBILITY_TOL
-    ):
+    if np.any(values < lower - FEASIBILITY_TOL) or np.any(values > upper + FEASIBILITY_TOL):
         return False
     integral = np.asarray(integrality) > 0.5
-    if np.any(np.abs(hint[integral] - np.round(hint[integral])) > _HINT_INTEGRALITY_TOL):
+    if np.any(np.abs(values[integral] - np.round(values[integral])) > FEASIBILITY_TOL):
         return False
-    for constraint in constraints:
-        row_values = np.asarray(constraint.A.dot(hint)).ravel()
-        lb = np.broadcast_to(np.asarray(constraint.lb, dtype=float), row_values.shape)
-        ub = np.broadcast_to(np.asarray(constraint.ub, dtype=float), row_values.shape)
-        scale = np.maximum(1.0, np.abs(row_values))
-        if np.any(row_values < lb - HINT_FEASIBILITY_TOL * scale) or np.any(
-            row_values > ub + HINT_FEASIBILITY_TOL * scale
-        ):
-            return False
-    return True
-
-
-def stack_constraints(
-    constraints: list[optimize.LinearConstraint], num_cols: int
-) -> optimize.LinearConstraint:
-    """Fold ``constraints`` into one block, rows in order.
-
-    Blocks that are all canonical column-major already (the model builders')
-    are stacked column-major in one pass and a single one passes through as
-    it is.  Anything else is stacked row-major -- appending rows to CSR is a
-    concatenation, measured twice as fast as stacking arbitrary CSC blocks,
-    which SciPy routes through COO -- and converted once by the caller.
-    Scalar bounds are broadcast over their rows; a bound or block that does
-    not fit raises ``ValueError``.
-    """
-    column_major = all(is_canonical_csc(constraint.A) for constraint in constraints)
-    matrices, lowers, uppers = [], [], []
-    for constraint in constraints:
-        matrix = constraint.A if column_major else sparse.csr_matrix(constraint.A)
-        matrices.append(matrix)
-        for bound, parts in ((constraint.lb, lowers), (constraint.ub, uppers)):
-            bound = np.asarray(bound, dtype=float)
-            if bound.shape != (matrix.shape[0],):
-                bound = np.broadcast_to(bound, (matrix.shape[0],))
-            parts.append(bound)
-    if not matrices:
-        return optimize.LinearConstraint(
-            sparse.csr_matrix((0, num_cols)), np.empty(0), np.empty(0)
-        )
-    if len(matrices) == 1:
-        (only,) = constraints
-        if column_major and lowers[0] is only.lb and uppers[0] is only.ub:
-            return only  # already one canonical block with full bound vectors
-        return optimize.LinearConstraint(matrices[0], lowers[0], uppers[0])
-    return optimize.LinearConstraint(
-        stack_columns([matrices]) if column_major else sparse.vstack(matrices, format="csr"),
-        np.concatenate(lowers),
-        np.concatenate(uppers),
+    activity = np.asarray(matrix.dot(values)).ravel()
+    scale = np.maximum(1.0, np.abs(activity))
+    return not (
+        np.any(activity < row_lower - FEASIBILITY_TOL * scale)
+        or np.any(activity > row_upper + FEASIBILITY_TOL * scale)
     )
 
 
@@ -601,48 +535,29 @@ def _milp_options(mip_rel_gap: float, time_limit_s: float | None) -> "_highs.Hig
 
 def solve_milp(
     cost: np.ndarray,
-    constraints: list[optimize.LinearConstraint],
+    matrix: sparse.csc_matrix,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
     integrality: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     time_limit_s: float | None = None,
     mip_rel_gap: float = 1e-6,
-    hint: np.ndarray | None = None,
 ) -> MILPSolution:
-    """Solve a mixed-integer linear program with HiGHS.
-
-    ``hint`` is an optional warm-start candidate (a full variable vector,
-    e.g. the previous epoch's optimum).  A native MIP start would change the
-    incumbent HiGHS lands on, so a *validated* hint is turned into the next
-    best thing: an objective-cutoff constraint ``c' v <= c' hint`` that is
-    guaranteed to keep the optimum (the hint is feasible, so the optimum can
-    only be at least as good) while letting branch-and-bound prune every
-    node whose relaxation is worse than the incumbent the hint represents.
-    Invalid hints are ignored.
+    """Solve ``min cost' v  s.t.  row_lower <= matrix v <= row_upper,
+    lower <= v <= upper`` with HiGHS, the variables ``integrality`` marks
+    integral.  A canonical ``csc_matrix`` is handed over as it is.
 
     A solve stopped by ``time_limit_s`` with an incumbent returns
     ``success=False`` with the incumbent in ``values`` and its ``mip_gap``.
     """
     cost = np.asarray(cost, dtype=float)
-    hint_applied = False
-    if hint is not None and validate_milp_hint(hint, constraints, integrality, lower, upper):
-        hint_value = float(np.dot(cost, np.asarray(hint, dtype=float)))
-        # Slack keeps the hint itself (and any exact optimum) strictly inside
-        # the cutoff despite floating-point noise in A v recomputation.
-        slack = 1e-9 * max(1.0, abs(hint_value))
-        constraints = list(constraints) + [
-            optimize.LinearConstraint(
-                dense_rows_to_csc(cost.reshape(1, -1)), -np.inf, hint_value + slack
-            )
-        ]
-        hint_applied = True
-    rows = stack_constraints(constraints, len(cost))
-    matrix = _checked_matrix("constraint matrix", rows.A, len(cost))
+    matrix = _checked_matrix("matrix", matrix, len(cost))
     kinds = np.asarray(integrality)
     if kinds.shape != cost.shape or ((kinds < 0) | (kinds > 3)).any():
         raise ValueError(f"integrality must hold {len(cost)} values in 0..3")
     model = _highs_model(
-        cost, matrix, lower, upper, rows.lb, rows.ub, kinds.astype(np.int32)
+        cost, matrix, lower, upper, row_lower, row_upper, kinds.astype(np.int32)
     )
 
     highs = _Highs()
@@ -660,7 +575,7 @@ def solve_milp(
             objective=float("nan"),
             values=np.zeros(len(cost)),
             mip_gap=0.0,
-            hint_applied=hint_applied,
+            infeasible=highs.getModelStatus() == _ModelStatus.kInfeasible,
         )
     return MILPSolution(
         success=code == 0,
@@ -668,5 +583,5 @@ def solve_milp(
         objective=float(info.objective_function_value),
         values=np.array(solution.col_value, dtype=float),
         mip_gap=float(info.mip_gap) if is_mip else 0.0,
-        hint_applied=hint_applied,
+        infeasible=False,
     )

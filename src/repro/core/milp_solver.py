@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 
 from repro.core.lpsolver import canonical_csc, solve_milp, stack_columns
 from repro.core.problem import ACRRProblem, InfeasibleProblemError
@@ -66,13 +66,6 @@ class DirectMILPSolver:
             columns.append(
                 [self._deficit_columns(problem), *((block.num_rows, num_deficit) for block in blocks[1:])]
             )
-        constraints = [
-            optimize.LinearConstraint(
-                stack_columns(columns),
-                np.concatenate([block.lower for block in blocks]),
-                np.concatenate([block.upper for block in blocks]),
-            )
-        ]
 
         sla = problem.sla_mbps
         lower = np.zeros(num_vars)
@@ -85,7 +78,9 @@ class DirectMILPSolver:
 
         result = solve_milp(
             cost=cost,
-            constraints=constraints,
+            matrix=stack_columns(columns),
+            row_lower=np.concatenate([block.lower for block in blocks]),
+            row_upper=np.concatenate([block.upper for block in blocks]),
             integrality=integrality,
             lower=lower,
             upper=upper,

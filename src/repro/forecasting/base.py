@@ -23,7 +23,6 @@ class ForecastOutcome:
 
     predictions: tuple[float, ...]
     sigma_hat: float
-    fitted: tuple[float, ...] = ()
 
     @property
     def next_value(self) -> float:

@@ -31,11 +31,7 @@ class SingleExponentialForecaster(Forecaster):
             fitted.append(level)
             level = self.alpha * value + (1.0 - self.alpha) * level
         sigma = self._sigma_from_errors(history, np.asarray(fitted))
-        return ForecastOutcome(
-            predictions=tuple([float(level)] * horizon),
-            sigma_hat=sigma,
-            fitted=tuple(float(v) for v in fitted),
-        )
+        return ForecastOutcome(predictions=tuple([float(level)] * horizon), sigma_hat=sigma)
 
 
 class DoubleExponentialForecaster(Forecaster):
@@ -61,8 +57,4 @@ class DoubleExponentialForecaster(Forecaster):
         sigma = self._sigma_from_errors(history, np.asarray(fitted))
         predictions = [float(level + (h + 1) * trend) for h in range(horizon)]
         predictions = [max(0.0, p) for p in predictions]
-        return ForecastOutcome(
-            predictions=tuple(predictions),
-            sigma_hat=sigma,
-            fitted=tuple(float(v) for v in fitted),
-        )
+        return ForecastOutcome(predictions=tuple(predictions), sigma_hat=sigma)

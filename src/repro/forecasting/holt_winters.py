@@ -70,7 +70,7 @@ class HoltWintersForecaster(Forecaster):
         m = self.season_length
         level, trend, season = self._initial_state(observations)
         seasonals = list(season)
-        fitted: list[float] = list(observations[:m])
+        fitted: list[float] = []  # one-step-ahead fit from the second season on
 
         for t in range(m, observations.size):
             value = observations[t]
@@ -90,9 +90,5 @@ class HoltWintersForecaster(Forecaster):
             seasonal = seasonals[len(seasonals) - m + ((h - 1) % m)]
             predictions.append(max(0.0, (level + h * trend) * seasonal))
 
-        sigma = self._sigma_from_errors(observations[m:], np.asarray(fitted[m:]))
-        return ForecastOutcome(
-            predictions=tuple(predictions),
-            sigma_hat=sigma,
-            fitted=tuple(float(v) for v in fitted),
-        )
+        sigma = self._sigma_from_errors(observations[m:], np.asarray(fitted))
+        return ForecastOutcome(predictions=tuple(predictions), sigma_hat=sigma)

@@ -23,11 +23,7 @@ class NaiveForecaster(Forecaster):
         fitted = np.concatenate([[history[0]], history[:-1]])
         sigma = self._sigma_from_errors(history, fitted)
         value = float(history[-1])
-        return ForecastOutcome(
-            predictions=tuple([value] * horizon),
-            sigma_hat=sigma,
-            fitted=tuple(float(v) for v in fitted),
-        )
+        return ForecastOutcome(predictions=tuple([value] * horizon), sigma_hat=sigma)
 
 
 class MeanForecaster(Forecaster):
@@ -43,11 +39,7 @@ class MeanForecaster(Forecaster):
         fitted = np.concatenate([[history[0]], fitted[:-1]])
         sigma = self._sigma_from_errors(history, fitted)
         value = float(np.mean(history))
-        return ForecastOutcome(
-            predictions=tuple([value] * horizon),
-            sigma_hat=sigma,
-            fitted=tuple(float(v) for v in fitted),
-        )
+        return ForecastOutcome(predictions=tuple([value] * horizon), sigma_hat=sigma)
 
 
 class PeakForecaster(Forecaster):
@@ -67,8 +59,4 @@ class PeakForecaster(Forecaster):
         fitted = np.concatenate([[history[0]], fitted[:-1]])
         sigma = self._sigma_from_errors(history, fitted)
         value = float(np.max(history))
-        return ForecastOutcome(
-            predictions=tuple([value] * horizon),
-            sigma_hat=sigma,
-            fitted=tuple(float(v) for v in fitted),
-        )
+        return ForecastOutcome(predictions=tuple([value] * horizon), sigma_hat=sigma)

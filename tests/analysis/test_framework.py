@@ -122,13 +122,14 @@ class TestReportShapes:
 
 
 class TestDefaultCheckers:
-    def test_all_five_rules_registered_in_order(self):
+    def test_all_rules_registered_in_order(self):
         assert [c.rule for c in default_checkers()] == [
             "RA01",
             "RA02",
             "RA03",
             "RA04",
             "RA05",
+            "RA06",
         ]
 
     def test_rules_carry_title_and_description(self):
@@ -170,5 +171,5 @@ class TestCli:
     def test_list_rules(self):
         result = self._run("list-rules")
         assert result.returncode == 0
-        for rule in ("RA01", "RA02", "RA03", "RA04", "RA05"):
+        for rule in ("RA01", "RA02", "RA03", "RA04", "RA05", "RA06"):
             assert rule in result.stdout

@@ -1,4 +1,4 @@
-"""Fixture-driven tests per rule: each RA01-RA05 checker must fire on its
+"""Fixture-driven tests per rule: each RA01-RA06 checker must fire on its
 minimal offending snippet and stay silent on the minimal clean one.
 
 Fixtures are compiled from strings into in-memory :class:`ProjectTree`
@@ -13,6 +13,7 @@ from repro.analysis.ra02_errors import ErrorTaxonomyChecker
 from repro.analysis.ra03_determinism import DeterminismChecker
 from repro.analysis.ra04_wire import WireContractChecker
 from repro.analysis.ra05_executors import ExecutorSafetyChecker
+from repro.analysis.ra06_solver import SolverEntryPointChecker
 
 
 def findings_for(checker, sources, documents=None):
@@ -622,3 +623,69 @@ class TestRA05:
         for path, source in RA05_DECLARED_THREADS.items():
             assert findings_for(ExecutorSafetyChecker(), {path: source}) == []
         assert findings_for(ExecutorSafetyChecker(), {"tests/core/t.py": RA05_THREADS}) == []
+
+
+# --------------------------------------------------------------------- #
+# RA06 -- one HiGHS entry point
+# --------------------------------------------------------------------- #
+ENTRY_POINT = "src/repro/core/lpsolver.py"
+
+RA06_SOLVER_IMPORTS = [
+    "from scipy import optimize\n",
+    "import scipy.optimize\n",
+    "from scipy.optimize import milp\n",
+    "from scipy.optimize._highspy import _core\n",
+    "import scipy\n\ndef solve(c):\n    return scipy.optimize.linprog(c)\n",
+    "def lazily():\n    import scipy.optimize as solvers\n",
+]
+
+RA06_NATIVE = '''
+from repro.core import lpsolver
+
+def fresh():
+    return lpsolver._highs._Highs()
+'''
+
+RA06_CURRENCY = '''
+from scipy.optimize import LinearConstraint
+
+def rows(matrix, lower, upper):
+    return [LinearConstraint(matrix, lower, upper)]
+'''
+
+RA06_CLEAN = '''
+import numpy as np
+from scipy import sparse
+
+from repro.core.lpsolver import solve_milp
+
+def solve(cost, matrix, lower, upper):
+    return solve_milp(cost, sparse.csc_matrix(matrix), lower, upper, np.ones(2), 0, 1)
+'''
+
+
+class TestRA06:
+    def test_solver_package_outside_the_entry_point_fires(self):
+        for source in RA06_SOLVER_IMPORTS:
+            found = findings_for(SolverEntryPointChecker(), {"src/repro/core/kac.py": source})
+            assert [f.symbol for f in found] == ["scipy.optimize"], source
+
+    def test_native_instance_outside_the_entry_point_fires(self):
+        found = findings_for(SolverEntryPointChecker(), {"src/repro/core/benders.py": RA06_NATIVE})
+        assert [(f.symbol, f.line) for f in found] == [("_Highs", 5)]
+
+    def test_linear_constraint_fires_everywhere_the_entry_point_included(self):
+        for path in ("src/repro/core/milp_solver.py", ENTRY_POINT):
+            found = findings_for(SolverEntryPointChecker(), {path: RA06_CURRENCY})
+            currency = [f.line for f in found if f.symbol == "LinearConstraint"]
+            assert sorted(currency) == [2, 5], path  # the import and the call
+        attribute = "from scipy import optimize\nrows = optimize.LinearConstraint\n"
+        found = findings_for(SolverEntryPointChecker(), {ENTRY_POINT: attribute})
+        assert [(f.symbol, f.line) for f in found] == [("LinearConstraint", 2)]
+
+    def test_the_entry_point_and_code_outside_the_package_pass(self):
+        for source in [*RA06_SOLVER_IMPORTS, RA06_NATIVE]:
+            assert findings_for(SolverEntryPointChecker(), {ENTRY_POINT: source}) == []
+            assert findings_for(SolverEntryPointChecker(), {"tests/core/t.py": source}) == []
+        assert findings_for(SolverEntryPointChecker(), {"tests/core/t.py": RA06_CURRENCY}) == []
+        assert findings_for(SolverEntryPointChecker(), {"src/repro/core/kac.py": RA06_CLEAN}) == []

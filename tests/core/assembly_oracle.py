@@ -553,17 +553,15 @@ class OracleSlave(SlaveProblem):
 
 class OracleMaster(_MasterState):
     """A master that stacks its static rows row-major and folds its cuts
-    through CSR, as it did: ``constraints()`` is the static block followed
-    by the cut block, stacked and converted inside ``solve_milp``."""
+    through CSR, as it did: ``rows()`` is the static block with the cut
+    block stacked under it row-major, converted inside ``solve_milp``."""
 
     def __init__(self, problem: ACRRProblem, cost_x: np.ndarray, theta_lowers):
         super().__init__(problem, cost_x, theta_lowers)
         built = LoopBuiltMaster(problem, cost_x, theta_lowers)
         for vector in ("cost", "lower", "upper", "integrality"):
             assert np.array_equal(getattr(self, vector), getattr(built, vector))
-        self.static_rows = optimize.LinearConstraint(
-            built.static_matrix, built.static_lower, built.static_upper
-        )
+        self.static = (built.static_matrix, built.static_lower, built.static_upper)
         self._cut_matrix = None
         self._folded = 0
 
@@ -576,18 +574,20 @@ class OracleMaster(_MasterState):
             self._folded = len(self._cut_rows)
         return self._cut_matrix, np.asarray(self._cut_rhs)
 
-    def constraints(self):
-        constraints = [self.static_rows]
+    def rows(self):
         cut_matrix, cut_rhs = self.csr_cut_rows()
-        if cut_matrix is not None:
-            constraints.append(optimize.LinearConstraint(cut_matrix, lb=cut_rhs, ub=np.inf))
-        return constraints
+        if cut_matrix is None:
+            return self.static
+        static_matrix, static_lower, static_upper = self.static
+        return (
+            sparse.vstack([static_matrix, cut_matrix], format="csr"),
+            np.concatenate([static_lower, cut_rhs]),
+            np.concatenate([static_upper, np.full(len(cut_rhs), np.inf)]),
+        )
 
 
-def oracle_master_hint(master: OracleMaster, previous_x: np.ndarray):
-    """``BendersSolver._master_hint`` as it was (sparse cut rows, ``todense``)."""
-    if previous_x.shape != (master.num_items,):
-        return None
+def oracle_lift_previous(master: OracleMaster, previous_x: np.ndarray):
+    """``BendersSolver._lift_previous`` as it was (sparse cut rows, ``todense``)."""
     n = master.num_items
     thetas = master.theta_lowers.copy()
     cut_matrix, cut_rhs = master.csr_cut_rows()
@@ -688,5 +688,5 @@ def retire_the_array_assembly(monkeypatch) -> None:
     monkeypatch.setattr("repro.core.benders._MasterState", OracleMaster)
     monkeypatch.setattr("repro.core.benders.CutPool.seed_master", oracle_seed_master)
     monkeypatch.setattr(
-        "repro.core.benders.BendersSolver._master_hint", staticmethod(oracle_master_hint)
+        "repro.core.benders.BendersSolver._lift_previous", staticmethod(oracle_lift_previous)
     )

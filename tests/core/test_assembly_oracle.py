@@ -64,10 +64,9 @@ def direct_model_handed_to_the_solver(problem: ACRRProblem, monkeypatch):
     with monkeypatch.context() as patch, pytest.raises(Handed):
         patch.setattr("repro.core.milp_solver.solve_milp", record)
         DirectMILPSolver().solve(problem)
-    (rows,) = handed["constraints"]
-    return (
-        handed["cost"], rows.A, rows.lb, rows.ub,
-        handed["lower"], handed["upper"], handed["integrality"],
+    return tuple(
+        handed[name]
+        for name in ("cost", "matrix", "row_lower", "row_upper", "lower", "upper", "integrality")
     )
 
 
@@ -112,11 +111,11 @@ def assert_assembly_equals_the_oracle(problem: ACRRProblem, monkeypatch, note: s
     lowers = [block.theta_lower for block in stack.blocks]
     master = _MasterState(problem, problem.objective_x(), lowers)
     want_master = LoopBuiltMaster(problem, oracle.objective_x(), lowers)
-    (rows,) = master.constraints()
-    assert rows.A.has_canonical_format
-    assert same_sparse(rows.A, want_master.static_matrix.tocsc()), f"master rows {note}"
-    assert np.array_equal(rows.lb, want_master.static_lower), note
-    assert np.array_equal(rows.ub, want_master.static_upper), note
+    matrix, row_lower, row_upper = master.rows()
+    assert matrix.has_canonical_format
+    assert same_sparse(matrix, want_master.static_matrix.tocsc()), f"master rows {note}"
+    assert np.array_equal(row_lower, want_master.static_lower), note
+    assert np.array_equal(row_upper, want_master.static_upper), note
     for vector in ("cost", "lower", "upper", "integrality"):
         assert np.array_equal(getattr(master, vector), getattr(want_master, vector)), note
 

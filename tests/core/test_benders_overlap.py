@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -189,13 +190,13 @@ class TestFastPathMiss:
             finally:
                 finished.set()
 
-        def failing_seeded_master(self, master, hint=None):
-            masters.append(hint is not None)
+        def failing_seeded_master(self, master):
+            masters.append(master.num_cuts)
             if len(masters) == 1:  # the fast path's seeded master
                 assert parked.wait(HANG_GUARD_S)  # previous x is being priced
                 released.set()
-                return None
-            return real_master(self, master, hint)
+                return replace(real_master(self, master), success=False)
+            return real_master(self, master)
 
         def noting_fast_path(self, *args):
             result = real_fast_path(self, *args)
@@ -206,7 +207,7 @@ class TestFastPathMiss:
         monkeypatch.setattr(BendersSolver, "_solve_master", failing_seeded_master)
         monkeypatch.setattr(BendersSolver, "_warm_fast_path", noting_fast_path)
         decision = solver.solve(drifted)
-        assert masters[0] is True  # the hinted, seeded master failed
+        assert masters[0] > 0 and masters[1] == 0  # the seeded master failed, cold ran
         assert pending_at_miss == [(None, True)]
 
         # The cold loop then priced on the slave the helper had used.

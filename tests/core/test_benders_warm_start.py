@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.core.benders as benders
 from repro.core.benders import (
+    _EXACT_CERTIFICATE_REL,
     _MAX_IDLE_SOLVES,
     BendersSolver,
     CutPool,
@@ -14,8 +16,12 @@ from repro.core.decomposition import SlaveProblem
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.problem import ACRRProblem
 from repro.core.slices import EMBB_TEMPLATE, make_requests
+from repro.scenarios import DIFFERENTIAL_FAMILY, sample_scenario
+from repro.scenarios.oracle import _perturbed_forecast_sequence, problem_for_scenario
 from repro.topology.paths import compute_path_sets
+from repro.utils.rng import derive_seed
 from tests.conftest import build_tiny_topology
+from tests.differential.conftest import BASE_SEED
 
 
 def small_problem(load_fraction=0.3, num_tenants=4, edge_cpus=12.0):
@@ -340,3 +346,75 @@ class TestWarmStartedSolver:
         cold = BendersSolver(warm_start=False).solve(shrunk)
         warm = solver.solve(shrunk)
         assert fingerprint(cold) == fingerprint(warm)
+
+
+class TestLazyLift:
+    """The previous decision is lifted into the master only where it is
+    read: the attainment check of a fast path whose master proposed
+    another vector and whose certificate is not essentially exact."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the lifts, the rounded master candidates and the admission
+        vectors solves return, in call order."""
+        seen = {"lifted": [], "proposed": [], "returned": []}
+        lift, master = BendersSolver._lift_previous, BendersSolver._solve_master
+        decide = benders.decision_from_vectors
+
+        def lifting(seeded_master, previous_x):
+            seen["lifted"].append(previous_x)
+            return lift(seeded_master, previous_x)
+
+        def solving(solver, master_state):
+            result = master(solver, master_state)
+            seen["proposed"].append(np.round(result.values[: master_state.num_items]))
+            return result
+
+        def deciding(problem, x, *args):
+            seen["returned"].append(np.asarray(x))
+            return decide(problem, x, *args)
+
+        monkeypatch.setattr(BendersSolver, "_lift_previous", staticmethod(lifting))
+        monkeypatch.setattr(BendersSolver, "_solve_master", solving)
+        monkeypatch.setattr(benders, "decision_from_vectors", deciding)
+        return seen
+
+    @staticmethod
+    def drift(index: int, count: int, tag: str):
+        """A differential instance and ``count`` steady-state drifts of it."""
+        scenario = sample_scenario(DIFFERENTIAL_FAMILY, seed=BASE_SEED + index)
+        base = problem_for_scenario(scenario)
+        return base, _perturbed_forecast_sequence(
+            base, count=count, spread=0.02, seed=derive_seed(scenario.seed, tag, scenario.name)
+        )
+
+    def test_same_vector_steady_state_never_lifts(self, monkeypatch):
+        base, drifted = self.drift(0, count=6, tag="steady")
+        solver = BendersSolver(max_iterations=12, master_time_limit_s=None, time_limit_s=None)
+        solver.solve(base)
+        seen = self.spy(monkeypatch)
+        for problem in drifted:
+            decision = solver.solve(problem)
+            assert decision.stats.cuts_warm > 0 and decision.stats.iterations == 1
+        # One seeded master per solve, each re-proposing the decision kept.
+        assert len(seen["proposed"]) == len(seen["returned"]) == 6
+        for proposed, returned in zip(seen["proposed"], seen["returned"]):
+            assert np.array_equal(proposed, returned)
+        assert seen["lifted"] == []
+
+    def test_a_drift_hit_corroborated_by_attainment(self, monkeypatch):
+        base, (drifted,) = self.drift(32, count=1, tag="overlap")
+        solver = BendersSolver(max_iterations=12, master_time_limit_s=None, time_limit_s=None)
+        solver.solve(base)
+        seen = self.spy(monkeypatch)
+        decision = solver.solve(drifted)
+        # A hit: one seeded master, its candidate not the previous decision.
+        assert decision.stats.cuts_warm > 0 and decision.stats.iterations == 1
+        (previous_x,), (proposed,) = seen["lifted"], seen["proposed"]
+        assert not np.array_equal(proposed, previous_x)
+        # The certificate is outside the exact tier: attainment decided.
+        upper_bound = float(decision.stats.message.split("UB=")[1].split()[0])
+        assert decision.stats.gap > max(solver.tolerance, _EXACT_CERTIFICATE_REL * abs(upper_bound))
+        # ... and the previous decision is what the solve returns.
+        (returned,) = seen["returned"]
+        assert np.array_equal(returned, previous_x)

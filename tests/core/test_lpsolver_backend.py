@@ -30,9 +30,8 @@ from repro.core.lpsolver import (
     LPSolution,
     MILPSolution,
     Phase1Problem,
-    solve_lp,
+    is_feasible_point,
     solve_milp,
-    validate_milp_hint,
 )
 from repro.core.milp_solver import DirectMILPSolver
 from repro.scenarios import DIFFERENTIAL_FAMILY, sample_scenario, warm_start_check
@@ -49,7 +48,7 @@ SEEDS = [BASE_SEED + index for index in range(NUM_DIFFERENTIAL_SCENARIOS)]
 
 
 # --------------------------------------------------------------------- #
-# The oracle: the wrapper-era ``solve_lp`` / ``solve_milp``, verbatim
+# The oracle: the wrapper-era ``linprog`` / ``milp`` calls
 # --------------------------------------------------------------------- #
 def linprog_reference(cost, a_ub, b_ub, lower, upper) -> LPSolution:
     result = optimize.linprog(
@@ -73,26 +72,16 @@ def linprog_reference(cost, a_ub, b_ub, lower, upper) -> LPSolution:
 
 
 def milp_reference(
-    cost, constraints, integrality, lower, upper,
-    time_limit_s=None, mip_rel_gap=1e-6, hint=None,
+    cost, matrix, row_lower, row_upper, integrality, lower, upper,
+    time_limit_s=None, mip_rel_gap=1e-6,
 ) -> MILPSolution:
     cost = np.asarray(cost, dtype=float)
-    hint_applied = False
-    if hint is not None and validate_milp_hint(hint, constraints, integrality, lower, upper):
-        hint_value = float(np.dot(cost, np.asarray(hint, dtype=float)))
-        slack = 1e-9 * max(1.0, abs(hint_value))
-        constraints = list(constraints) + [
-            optimize.LinearConstraint(
-                sparse.csr_matrix(cost.reshape(1, -1)), -np.inf, hint_value + slack
-            )
-        ]
-        hint_applied = True
     options = {"mip_rel_gap": mip_rel_gap}
     if time_limit_s is not None:
         options["time_limit"] = float(time_limit_s)
     result = optimize.milp(
         c=cost,
-        constraints=constraints,
+        constraints=[optimize.LinearConstraint(matrix, row_lower, row_upper)],
         integrality=np.asarray(integrality),
         bounds=optimize.Bounds(lb=lower, ub=upper),
         options=options,
@@ -103,8 +92,13 @@ def milp_reference(
         objective=float(result.fun) if result.fun is not None else float("nan"),
         values=np.asarray(result.x, dtype=float) if result.x is not None else np.zeros(len(cost)),
         mip_gap=float(result.mip_gap) if result.mip_gap is not None else 0.0,
-        hint_applied=hint_applied,
+        infeasible=result.status == 2,
     )
+
+
+def compiled_once(cost, a_ub, b_ub, lower, upper) -> LPSolution:
+    """One solve of a freshly compiled LP."""
+    return CompiledLP(cost, a_ub, lower, upper).solve(b_ub)
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -122,8 +116,8 @@ def same_lp(got: LPSolution, want: LPSolution) -> bool:
 
 def same_milp(got: MILPSolution, want: MILPSolution) -> bool:
     return (
-        (got.success, got.status, got.hint_applied)
-        == (want.success, want.status, want.hint_applied)
+        (got.success, got.status, got.infeasible)
+        == (want.success, want.status, want.infeasible)
         and _same_float(got.objective, want.objective)
         and got.mip_gap == want.mip_gap
         and np.array_equal(got.values, want.values)
@@ -136,7 +130,7 @@ def shadowed_backend(monkeypatch):
 
     Returns ``(call counts by kind, descriptions of every disagreement)``.
     """
-    counts = {"lp": 0, "milp": 0, "milp_hinted": 0}
+    counts = {"lp": 0, "milp": 0}
     disagreements: list[str] = []
     real_init, real_solve = CompiledLP.__init__, CompiledLP.solve
 
@@ -157,7 +151,6 @@ def shadowed_backend(monkeypatch):
         got = solve_milp(*args, **kwargs)
         want = milp_reference(*args, **kwargs)
         counts["milp"] += 1
-        counts["milp_hinted"] += got.hint_applied
         if not same_milp(got, want):
             disagreements.append(f"MILP {counts['milp']}: backend {got} != milp {want}")
         return got
@@ -191,17 +184,18 @@ class TestBackendEqualsScipyWrappers:
         assert 2 <= counts["lp"] <= 2 * decision.stats.iterations
         assert not disagreements, f"{disagreements[0]} {seed_note(seed)}"
 
-    def test_warm_started_sequences_with_hints(self, shadowed_backend):
-        # Warm fast path: seeded masters carry the objective-cutoff row of a
-        # validated hint.
-        counts, disagreements = shadowed_backend
+    def test_warm_started_sequences(self, shadowed_backend):
+        # Warm fast path: seeded masters, then the cold loop on a miss.
+        _, disagreements = shadowed_backend
+        hits = 0
         for seed in SEEDS[:6]:
             outcome = warm_start_check(
                 sample_scenario(DIFFERENTIAL_FAMILY, seed=seed), num_perturbations=2
             )
+            hits += outcome.fast_path_hits
             assert not outcome.mismatched_instances, seed_note(seed)
             assert not disagreements, f"{disagreements[0]} {seed_note(seed)}"
-        assert counts["milp_hinted"] > 0
+        assert hits > 0
 
 
 # --------------------------------------------------------------------- #
@@ -326,18 +320,27 @@ class TestHighsIsHandedTheOraclesModels:
         assert len(models) >= shipped.stats.iterations + 2
         assert thread_differences(got, handed_to_highs.snapshot()) == [], seed_note(seed)
 
-    def test_warm_fast_path_hit_with_a_hint(self, handed_to_highs, monkeypatch):
+    def test_warm_fast_path_hit(self, handed_to_highs, monkeypatch):
         import repro.core.benders as benders
 
-        hinted = []
-        real_milp = benders.solve_milp
+        # Where each seeded master lands among the calling thread's models,
+        # and the rows it must have there: static rows plus seeded cuts.
+        fast_path = []
+        real_seed, real_master = CutPool.seed_master, BendersSolver._solve_master
 
-        def noting_milp(*args, **kwargs):
-            result = real_milp(*args, **kwargs)
-            hinted.append(result.hint_applied)
-            return result
+        def noting_seed(pool, key, master, slave):
+            seeded, previous_x = real_seed(pool, key, master, slave)
+            master.seeded_rows = master.num_static_rows + seeded
+            return seeded, previous_x
 
-        monkeypatch.setattr(benders, "solve_milp", noting_milp)
+        def noting_master(solver, master):
+            if hasattr(master, "seeded_rows"):
+                position = len(handed_to_highs.by_thread["calling"])
+                fast_path.append((position, master.seeded_rows))
+            return real_master(solver, master)
+
+        monkeypatch.setattr(CutPool, "seed_master", noting_seed)
+        monkeypatch.setattr(BendersSolver, "_solve_master", noting_master)
         sequences = []
         for seed in SEEDS[:6]:
             scenario = sample_scenario(DIFFERENTIAL_FAMILY, seed=seed)
@@ -356,7 +359,7 @@ class TestHighsIsHandedTheOraclesModels:
 
         def run():
             handed_to_highs.clear()
-            hinted.clear()
+            fast_path.clear()
             hits, pools = 0, []
             for instances in sequences:
                 solver = BendersSolver(
@@ -367,15 +370,19 @@ class TestHighsIsHandedTheOraclesModels:
                 (entry,) = solver.cut_pool._entries.values()
                 recorded = sum(s.cuts_optimality + s.cuts_feasibility for s in stats)
                 pools.append((recorded, [s.cuts_warm for s in stats], entry.idle))
-            return handed_to_highs.snapshot(), list(hinted), hits, pools
+            return handed_to_highs.snapshot(), hits, pools
 
-        got, got_hinted, hits, pools = run()
-        assert hits > 0 and any(got_hinted)  # fast-path hits, cut-off rows applied
+        got, hits, pools = run()
+        assert hits > 0 and len(fast_path) >= hits
+        # Every seeded master reaches HiGHS as it is: no cutoff row below it.
+        for position, rows in fast_path:
+            model = got["calling"][position]
+            assert model["is_mip"] and model["shape"][0] == rows
         # ... and evictions: pools smaller than everything ever recorded.
         assert any(len(idle) < recorded for recorded, _, idle in pools)
         retire_the_array_assembly(monkeypatch)
-        want, want_hinted, want_hits, want_pools = run()
-        assert (got_hinted, hits, pools) == (want_hinted, want_hits, want_pools)
+        want, want_hits, want_pools = run()
+        assert (hits, pools) == (want_hits, want_pools)
         assert thread_differences(got, want) == []
 
     @pytest.mark.parametrize("allow_deficit", [False, True])
@@ -453,13 +460,13 @@ class TestCompiledLP:
         assert same_lp(solutions[2], solutions[0])
         for x, solution in zip(xs, solutions):
             b = stack.h0 + stack.h_matrix.dot(x)
-            assert same_lp(solution, solve_lp(model[0], model[1], b, *model[2:]))
+            assert same_lp(solution, compiled_once(model[0], model[1], b, *model[2:]))
 
     def test_infeasible_lp_and_phase1_ray_equal_the_oracle(self, mixed_problem):
         # (c)
         slave = SlaveProblem(mixed_problem)
         _, b2 = feasible_and_infeasible_rhs(slave)
-        got = solve_lp(slave.d, slave.g_matrix, b2, slave.u_lower, slave.u_upper)
+        got = compiled_once(slave.d, slave.g_matrix, b2, slave.u_lower, slave.u_upper)
         want = linprog_reference(slave.d, slave.g_matrix, b2, slave.u_lower, slave.u_upper)
         assert not got.success and got.infeasible
         assert same_lp(got, want)
@@ -484,7 +491,7 @@ class TestCompiledLP:
     def test_unbounded_lp_reports_scipys_wording(self):
         matrix = sparse.csr_matrix(np.array([[1.0, -1.0]]))
         args = (np.array([-1.0, -1.0]), matrix, np.array([1.0]), np.zeros(2), np.full(2, np.inf))
-        got = solve_lp(*args)
+        got = compiled_once(*args)
         assert not got.success and not got.infeasible
         assert same_lp(got, linprog_reference(*args))
 
@@ -524,18 +531,18 @@ class TestInputChecks:
         args = self.lp_args()
         args[0] = np.array([bad, 1.0])
         with pytest.raises(ValueError, match="cost"):
-            solve_lp(*args)
+            compiled_once(*args)
         args = self.lp_args()
         args[1] = sparse.csr_matrix(np.array([[1.0, bad], [1.0, -1.0]]))
         with pytest.raises(ValueError, match="a_ub"):
-            solve_lp(*args)
+            compiled_once(*args)
 
     @pytest.mark.parametrize("position, name", [(2, "b_ub"), (3, "lower"), (4, "upper")])
     def test_nan_bound_or_rhs(self, position, name):
         args = self.lp_args()
         args[position] = np.array([np.nan, 1.0])
         with pytest.raises(ValueError, match=name):
-            solve_lp(*args)
+            compiled_once(*args)
 
     def test_shape_mismatches(self):
         for position, value in (
@@ -547,13 +554,13 @@ class TestInputChecks:
             args = self.lp_args()
             args[position] = value
             with pytest.raises(ValueError):
-                solve_lp(*args)
+                compiled_once(*args)
 
     def test_infinite_bounds_and_rhs_mean_unbounded(self):
         args = self.lp_args()
         args[2] = np.array([4.0, np.inf])  # second row never binds
         args[4] = np.full(2, np.inf)
-        got = solve_lp(*args)
+        got = compiled_once(*args)
         assert got.success
         assert got.objective == pytest.approx(-8.0)
         assert got.duals_upper[1] == 0.0
@@ -563,10 +570,11 @@ class TestInputChecks:
         row = sparse.csr_matrix(np.array([[2.0, 3.0, 1.0]]))
         ones, zeros = np.ones(3), np.zeros(3)
 
-        def solve(cost=cost, matrix=row, lb=-np.inf, ub=4.0, kinds=ones, lower=zeros, upper=ones):
-            return solve_milp(
-                cost, [optimize.LinearConstraint(matrix, lb, ub)], kinds, lower, upper
-            )
+        def solve(
+            cost=cost, matrix=row, lb=np.array([-np.inf]), ub=np.array([4.0]),
+            kinds=ones, lower=zeros, upper=ones,
+        ):
+            return solve_milp(cost, matrix, lb, ub, kinds, lower, upper)
 
         assert solve().objective == pytest.approx(-8.0)
         for broken in (
@@ -574,7 +582,8 @@ class TestInputChecks:
             {"cost": np.array([np.inf, 0.0, 0.0])},
             {"matrix": sparse.csr_matrix(np.array([[2.0, np.nan, 1.0]]))},
             {"matrix": sparse.csr_matrix(np.array([[2.0, 3.0]]))},
-            {"ub": np.nan},
+            {"ub": np.array([np.nan])},
+            {"ub": np.array([4.0, 4.0])},
             {"lb": np.array([np.nan])},
             {"lower": np.array([0.0, np.nan, 0.0])},
             {"upper": np.ones(2)},
@@ -588,25 +597,28 @@ class TestInputChecks:
 class TestMilpStatuses:
     @staticmethod
     def knapsack(num_items=60, seed=5):
+        """``(cost, matrix, row lower, row upper, integrality, lower, upper)``."""
         rng = np.random.default_rng(seed)
         weights = rng.integers(10, 60, num_items).astype(float)
         cost = -(weights + rng.integers(0, 10, num_items))
-        rows = [
-            optimize.LinearConstraint(
-                sparse.csr_matrix(weights.reshape(1, -1)), -np.inf, weights.sum() / 2
-            )
-        ]
-        return cost, rows, np.ones(num_items), np.zeros(num_items), np.ones(num_items)
+        row = sparse.csr_matrix(weights.reshape(1, -1))
+        ones = np.ones(num_items)
+        bounds = np.array([-np.inf]), np.array([weights.sum() / 2])
+        return cost, row, *bounds, ones, np.zeros(num_items), ones
 
     def test_infeasible_milp_equals_the_oracle(self):
-        cost, rows, kinds, lower, upper = self.knapsack(5)
-        rows = rows + [
-            optimize.LinearConstraint(sparse.csr_matrix(np.ones((1, 5))), 6.0, np.inf)
-        ]
-        got = solve_milp(cost, rows, kinds, lower, upper)
-        assert not got.success
+        cost, row, row_lower, row_upper, kinds, lower, upper = self.knapsack(5)
+        args = (
+            cost,
+            sparse.vstack([row, sparse.csr_matrix(np.ones((1, 5)))], format="csr"),
+            np.append(row_lower, 6.0),
+            np.append(row_upper, np.inf),
+            kinds, lower, upper,
+        )
+        got = solve_milp(*args)
+        assert not got.success and got.infeasible
         assert got.status.startswith("The problem is infeasible. (HiGHS Status 8: ")
-        assert same_milp(got, milp_reference(cost, rows, kinds, lower, upper))
+        assert same_milp(got, milp_reference(*args))
 
     def test_time_limit_without_incumbent(self):
         args = self.knapsack()
@@ -616,6 +628,7 @@ class TestMilpStatuses:
             "Time limit reached. (HiGHS Status 13: model_status is Time limit reached; "
         )
         assert not got.values.any() and np.isnan(got.objective) and got.mip_gap == 0.0
+        assert not got.infeasible
         assert same_milp(got, milp_reference(*args, time_limit_s=0.0))
 
     def test_time_limit_with_incumbent_hands_it_back_unsuccessful(self):
@@ -625,24 +638,24 @@ class TestMilpStatuses:
         rng = np.random.default_rng(5)
         weights = rng.integers(10**5, 10**6, 60).astype(float) * 2 + 1
         capacity = weights.sum() / 2 // 2 * 2
-        rows = [
-            optimize.LinearConstraint(
-                sparse.csr_matrix(weights.reshape(1, -1)), -np.inf, capacity
-            )
-        ]
-        args = (-weights, rows, np.ones(60), np.zeros(60), np.ones(60))
+        row = sparse.csr_matrix(weights.reshape(1, -1))
+        args = (
+            -weights, row, np.array([-np.inf]), np.array([capacity]),
+            np.ones(60), np.zeros(60), np.ones(60),
+        )
         got = solve_milp(*args, time_limit_s=0.1, mip_rel_gap=0.0)
         assert not got.success
         assert got.status == "Time limit reached. (HiGHS Status 13: Time limit reached)"
-        assert validate_milp_hint(got.values, *args[1:])
+        assert is_feasible_point(got.values, *args[1:])
         assert got.objective == pytest.approx(float(args[0] @ got.values))
         assert 0.0 < got.mip_gap < 1e-3
 
     def test_relaxed_lp_through_solve_milp_equals_the_oracle(self):
-        cost, rows, kinds, lower, upper = self.knapsack(8)
-        got = solve_milp(cost, rows, np.zeros(8), lower, upper)
+        cost, row, row_lower, row_upper, _, lower, upper = self.knapsack(8)
+        args = (cost, row, row_lower, row_upper, np.zeros(8), lower, upper)
+        got = solve_milp(*args)
         assert got.success and got.mip_gap == 0.0
-        assert same_milp(got, milp_reference(cost, rows, np.zeros(8), lower, upper))
+        assert same_milp(got, milp_reference(*args))
 
 
 class TestNothingCompiledCrossesAProcessBoundary:

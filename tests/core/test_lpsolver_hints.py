@@ -1,87 +1,31 @@
-"""Tests for the MILP warm-start hint in the lpsolver wrapper."""
+"""Tests for the MILP feasible-point check in the lpsolver wrapper."""
 
 import numpy as np
-import pytest
-from scipy import optimize, sparse
+from scipy import sparse
 
-from repro.core.lpsolver import solve_milp, validate_milp_hint
+from repro.core.lpsolver import is_feasible_point
 
 
-def knapsack(values=(5.0, 4.0, 3.0), weights=(2.0, 3.0, 1.0), capacity=4.0):
-    """max v'x s.t. w'x <= capacity, x binary -- as a minimisation."""
-    cost = -np.asarray(values)
-    constraints = [
-        optimize.LinearConstraint(
-            sparse.csr_matrix(np.asarray(weights).reshape(1, -1)), -np.inf, capacity
-        )
-    ]
-    n = len(values)
-    return cost, constraints, np.ones(n), np.zeros(n), np.ones(n)
+def knapsack(weights=(2.0, 3.0, 1.0), capacity=4.0):
+    """``w'x <= capacity``, x binary: the model after the point, in
+    :func:`is_feasible_point`'s argument order."""
+    n = len(weights)
+    matrix = sparse.csc_matrix(np.asarray(weights).reshape(1, -1))
+    return matrix, np.array([-np.inf]), np.array([capacity]), np.ones(n), np.zeros(n), np.ones(n)
 
 
 class TestValidateHint:
     def test_feasible_integral_hint_accepted(self):
-        cost, constraints, integrality, lower, upper = knapsack()
-        assert validate_milp_hint(
-            np.array([1.0, 0.0, 1.0]), constraints, integrality, lower, upper
-        )
+        assert is_feasible_point(np.array([1.0, 0.0, 1.0]), *knapsack())
 
     def test_capacity_violation_rejected(self):
-        cost, constraints, integrality, lower, upper = knapsack()
-        assert not validate_milp_hint(
-            np.array([1.0, 1.0, 1.0]), constraints, integrality, lower, upper
-        )
+        assert not is_feasible_point(np.array([1.0, 1.0, 1.0]), *knapsack())
 
     def test_fractional_hint_rejected(self):
-        cost, constraints, integrality, lower, upper = knapsack()
-        assert not validate_milp_hint(
-            np.array([0.5, 0.0, 1.0]), constraints, integrality, lower, upper
-        )
+        assert not is_feasible_point(np.array([0.5, 0.0, 1.0]), *knapsack())
 
     def test_out_of_bounds_hint_rejected(self):
-        cost, constraints, integrality, lower, upper = knapsack()
-        assert not validate_milp_hint(
-            np.array([2.0, 0.0, 0.0]), constraints, integrality, lower, upper
-        )
+        assert not is_feasible_point(np.array([2.0, 0.0, 0.0]), *knapsack())
 
     def test_wrong_shape_rejected(self):
-        cost, constraints, integrality, lower, upper = knapsack()
-        assert not validate_milp_hint(
-            np.array([1.0, 0.0]), constraints, integrality, lower, upper
-        )
-
-
-class TestSolveWithHint:
-    def test_valid_hint_is_applied_and_optimum_unchanged(self):
-        cost, constraints, integrality, lower, upper = knapsack()
-        cold = solve_milp(cost, constraints, integrality, lower, upper)
-        warm = solve_milp(
-            cost, constraints, integrality, lower, upper,
-            hint=np.array([1.0, 0.0, 1.0]),  # the true optimum (value 8)
-        )
-        assert warm.hint_applied
-        assert warm.success
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-        assert np.allclose(warm.values, cold.values)
-
-    def test_suboptimal_hint_keeps_the_optimum_reachable(self):
-        cost, constraints, integrality, lower, upper = knapsack()
-        warm = solve_milp(
-            cost, constraints, integrality, lower, upper,
-            hint=np.array([0.0, 1.0, 1.0]),  # feasible, value 7 < 8
-        )
-        assert warm.hint_applied
-        assert warm.objective == pytest.approx(-8.0, abs=1e-9)
-
-    def test_invalid_hint_is_ignored(self):
-        cost, constraints, integrality, lower, upper = knapsack()
-        warm = solve_milp(
-            cost, constraints, integrality, lower, upper,
-            hint=np.array([1.0, 1.0, 1.0]),  # violates the capacity
-        )
-        assert not warm.hint_applied
-        assert warm.objective == pytest.approx(-8.0, abs=1e-9)
-
-    def test_no_hint_field_defaults_false(self):
-        cost, constraints, integrality, lower, upper = knapsack()
-        assert not solve_milp(cost, constraints, integrality, lower, upper).hint_applied
+        assert not is_feasible_point(np.array([1.0, 0.0]), *knapsack())

@@ -21,8 +21,10 @@ from scipy import sparse
 
 from repro.core.benders import BendersSolver, _MasterState
 from repro.core.decomposition import SlaveNumericalError, SlaveProblem
-from repro.core.lpsolver import CompiledLP, LPSolution
+from repro.core.lpsolver import CompiledLP, LPSolution, MILPSolution
 from repro.core.milp_solver import DirectMILPSolver
+from repro.core.problem import InfeasibleProblemError
+from repro.faults import TIER_PRIMARY, SafeguardedSolver
 from repro.scenarios import decision_fingerprint
 
 
@@ -264,20 +266,20 @@ class TestLazyCutAccumulation:
         master = self._master(embb_problem)
         for k in range(5):
             master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
-        (rows,) = master.constraints()
+        matrix, lower, upper = master.rows()
         num_static = master.num_static_rows
-        assert rows.A.shape == (num_static + 5, embb_problem.num_items + master.num_thetas)
-        assert list(rows.lb[num_static:]) == [-float(k) for k in range(5)]
-        assert np.all(rows.ub[num_static:] == np.inf)
+        assert matrix.shape == (num_static + 5, embb_problem.num_items + master.num_thetas)
+        assert list(lower[num_static:]) == [-float(k) for k in range(5)]
+        assert np.all(upper[num_static:] == np.inf)
         assert master._merged_cuts == 5
         # No new cuts: the merged matrix is handed out as-is, no re-stacking.
-        (again,) = master.constraints()
-        assert again.A is rows.A
+        again, _, _ = master.rows()
+        assert again is matrix
         # New cuts are merged below the rows already there, order preserved.
         master.add_cut(np.zeros(embb_problem.num_items), -99.0, True)
-        (grown,) = master.constraints()
-        assert grown.A.shape[0] == num_static + 6
-        assert grown.lb[-1] == -99.0
+        grown, grown_lower, _ = master.rows()
+        assert grown.shape[0] == num_static + 6
+        assert grown_lower[-1] == -99.0
         cuts, rhs = master.cut_rows()
         assert cuts.shape == (6, embb_problem.num_items + master.num_thetas)
         assert rhs[-1] == -99.0
@@ -286,7 +288,7 @@ class TestLazyCutAccumulation:
         self, embb_problem, monkeypatch
     ):
         # The invariant behind the lazy store: zero sparse constructions per
-        # add_cut; per constraints() call with rows queued, one conversion of
+        # add_cut; per rows() call with rows queued, one conversion of
         # the queued batch and one merge into the columns, whatever the
         # batch size; none with nothing queued.
         built = []
@@ -302,16 +304,16 @@ class TestLazyCutAccumulation:
         for k in range(50):
             master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
         assert built == []  # queueing is sparse-free
-        master.constraints()
+        master.rows()
         assert len(built) == 2  # the batch, and its merge
-        master.constraints()
+        master.rows()
         assert len(built) == 2  # nothing queued: no work
         for k in range(50):
             master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
         assert len(built) == 2
-        (rows,) = master.constraints()
+        matrix, _, _ = master.rows()
         assert len(built) == 4
-        assert rows.A.shape[0] == master.num_static_rows + 100
+        assert matrix.shape[0] == master.num_static_rows + 100
 
     def test_merged_matrix_equals_per_row_csr_stacking(self, embb_problem):
         # Same content, bit for bit, as stacking one csr_matrix per cut under
@@ -320,14 +322,13 @@ class TestLazyCutAccumulation:
         n = embb_problem.num_items
         coefficients = rng.normal(size=(12, n)) * (rng.random((12, n)) < 0.3)
         master = self._master(embb_problem)
-        (static,) = master.constraints()
-        static = static.A.copy()
+        static = master.rows()[0].copy()
         for row in coefficients[:7]:
             master.add_cut(row, 0.0, True)
-        master.constraints()
+        master.rows()
         for row in coefficients[7:]:
             master.add_cut(row, 0.0, False)
-        (rows,) = master.constraints()
+        rows, _, _ = master.rows()
         # Aggregate optimality cuts bound every surrogate, feasibility cuts none.
         theta = np.outer(
             np.concatenate([np.ones(7), np.zeros(5)]), np.ones(master.num_thetas)
@@ -340,10 +341,10 @@ class TestLazyCutAccumulation:
             ],
             format="csr",
         ).tocsc()
-        assert rows.A.has_canonical_format
-        assert np.array_equal(rows.A.indptr, expected.indptr)
-        assert np.array_equal(rows.A.indices, expected.indices)
-        assert np.array_equal(rows.A.data, expected.data)
+        assert rows.has_canonical_format
+        assert np.array_equal(rows.indptr, expected.indptr)
+        assert np.array_equal(rows.indices, expected.indices)
+        assert np.array_equal(rows.data, expected.data)
 
     def test_multi_theta_master_pads_cuts_correctly(self, mixed_problem):
         slave = SlaveProblem(mixed_problem)
@@ -355,8 +356,8 @@ class TestLazyCutAccumulation:
         master.add_cut(np.zeros(n), 0.0, True, block_id=2)
         master.add_cut(np.zeros(n), 0.0, False)  # feasibility: none
         cuts, _ = master.cut_rows()
-        (rows,) = master.constraints()
-        assert np.array_equal(rows.A.toarray()[master.num_static_rows :], cuts)
+        rows, _, _ = master.rows()
+        assert np.array_equal(rows.toarray()[master.num_static_rows :], cuts)
         theta_part = cuts[:, n:]
         assert list(theta_part[0]) == [1.0] * master.num_thetas
         assert theta_part[1].sum() == 1.0 and theta_part[1][2] == 1.0
@@ -480,6 +481,47 @@ class TestTimeTruncation:
         ).solve(mixed_problem)
         assert not decision.stats.time_truncated
         assert "time limit" not in decision.stats.message
+
+
+class TestUnsolvedMaster:
+    """Bugfix: a master HiGHS did not solve is called infeasible only when
+    HiGHS proved it infeasible; a time limit says what it is."""
+
+    TIME_LIMIT = (
+        "Time limit reached. (HiGHS Status 13: model_status is Time limit reached; "
+        "primal_status is None)"
+    )
+
+    @staticmethod
+    def unsolved_masters(monkeypatch, status: str, infeasible: bool) -> None:
+        def unsolved(cost, *args, **kwargs):
+            return MILPSolution(
+                success=False,
+                status=status,
+                objective=float("nan"),
+                values=np.zeros(len(cost)),
+                mip_gap=0.0,
+                infeasible=infeasible,
+            )
+
+        monkeypatch.setattr("repro.core.benders.solve_milp", unsolved)
+
+    def test_a_timed_out_master_is_not_reported_infeasible(self, mixed_problem, monkeypatch):
+        self.unsolved_masters(monkeypatch, self.TIME_LIMIT, infeasible=False)
+        with pytest.raises(RuntimeError, match="Time limit reached") as raised:
+            BendersSolver(warm_start=False).solve(mixed_problem)
+        assert not isinstance(raised.value, InfeasibleProblemError)
+        # ... nor in the reason the safeguard chain records for the fallback.
+        decision = SafeguardedSolver(BendersSolver(warm_start=False)).solve(mixed_problem)
+        assert decision.stats.tier != TIER_PRIMARY
+        assert "Time limit reached" in decision.stats.fallback_reason
+        assert "infeasible" not in decision.stats.fallback_reason
+
+    def test_an_infeasible_master_still_says_so(self, mixed_problem, monkeypatch):
+        status = "The problem is infeasible. (HiGHS Status 8: Infeasible)"
+        self.unsolved_masters(monkeypatch, status, infeasible=True)
+        with pytest.raises(InfeasibleProblemError, match="master problem became infeasible"):
+            BendersSolver(warm_start=False).solve(mixed_problem)
 
 
 class TestMultiCutSolver:

