@@ -10,12 +10,15 @@ continuous reservation variables ``z`` (and the linearisation variables
 * a **slave problem** (Problem 3) over ``(y, z)`` for a fixed ``x``,
   containing the capacity and coupling constraints.
 
-Feasible slave solves contribute *optimality cuts* (21) built from the dual
-multipliers; infeasible slave solves contribute *feasibility cuts* (22) built
-from a phase-1 infeasibility certificate (the "extreme rays" of the dual
-slave).  The loop terminates when the master lower bound and the incumbent
-upper bound meet, which Theorem 2 guarantees happens after finitely many
-iterations.
+Every slave solve contributes *optimality cuts* (21) built from its dual
+multipliers.  The feasibility cuts (22) of the paper's Algorithm 1 are never
+needed: the master carries the floor-footprint capacity surrogate, an exact
+projection of slave feasibility onto ``x`` (see :class:`_MasterState`), so
+every master candidate has a feasible slave.  A candidate whose slave comes
+back infeasible anyway is a numerical failure and raises
+:class:`SlaveNumericalError`.  The loop terminates when the master lower
+bound and the incumbent upper bound meet, which Theorem 2 guarantees happens
+after finitely many iterations.
 
 Cross-epoch warm start (see DESIGN.md, "Warm-started solver layer"): the
 orchestrator re-solves a nearly identical instance every decision epoch, so
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from repro.core.decomposition import SlaveProblem
+from repro.core.decomposition import SlaveNumericalError, SlaveProblem
 from repro.core.lpsolver import (
     FEASIBILITY_TOL,
     MILPSolution,
@@ -104,12 +107,12 @@ class _MasterState:
         # non-negative, so the minimal capacity usage of an admission vector
         # x is A_x x + A_z (floor . x).  Projecting the capacity rows onto x
         # this way is therefore *exact*: a master candidate satisfies the
-        # surrogate iff its slave LP is feasible.  Without it, the master
-        # explores the (exponentially symmetric) space of overloaded path
-        # combinations one weak phase-1 feasibility cut at a time -- the
-        # differential harness caught instances with binding transport
-        # capacity where the incumbent never appeared within hundreds of
-        # iterations.
+        # surrogate iff its slave LP is feasible, which is why the loop needs
+        # optimality cuts only.  Without it, the master explored the
+        # (exponentially symmetric) space of overloaded path combinations
+        # one weak phase-1 feasibility cut at a time -- the differential
+        # harness caught instances with binding transport capacity where the
+        # incumbent never appeared within hundreds of iterations.
         capacity = problem.capacity_block()
         selection = problem.selection_block()
         self.num_static_rows = capacity.num_rows + selection.num_rows
@@ -132,25 +135,19 @@ class _MasterState:
         return len(self._cut_rhs)
 
     def add_cut(
-        self,
-        coefficients: np.ndarray,
-        rhs: float,
-        is_optimality: bool,
-        block_id: int | None = None,
+        self, coefficients: np.ndarray, rhs: float, block_id: int | None = None
     ) -> None:
-        """Append one cut ``coeff' x (+ sum of thetas) >= rhs`` to the pool.
+        """Append one optimality cut ``coeff' x + thetas >= rhs`` to the pool.
 
-        ``block_id`` selects which surrogates an optimality cut bounds:
-        ``None`` means all of them (the aggregate cut), a block index that
-        block's own.  Feasibility cuts never involve the surrogates.  The
-        row is only *queued* here; :meth:`rows` merges it in.
+        ``block_id`` selects which surrogates the cut bounds: ``None`` means
+        all of them (the aggregate cut), a block index that block's own.
+        The row is only *queued* here; :meth:`rows` merges it in.
         """
         theta_part = np.zeros(self.num_thetas)
-        if is_optimality:
-            if block_id is None:
-                theta_part[:] = 1.0
-            else:
-                theta_part[block_id] = 1.0
+        if block_id is None:
+            theta_part[:] = 1.0
+        else:
+            theta_part[block_id] = 1.0
         self._cut_rows.append(np.concatenate([coefficients, theta_part]))
         self._cut_rhs.append(rhs)
 
@@ -196,13 +193,11 @@ class _PoolEntry:
     """Stored warm-start state of one problem structure."""
 
     num_rows: int
-    #: Dual multipliers of past cuts as ``(mu, is_optimality, block_id)``
-    #: triples; ``block_id`` is ``None`` for aggregate (full-system) cuts
-    #: and a slave block index for block cuts, whose multipliers span only
-    #: that block's rows and re-validate against the block system.
-    multipliers: list[tuple[np.ndarray, bool, int | None]] = field(
-        default_factory=list
-    )
+    #: Dual multipliers of past cuts as ``(mu, block_id)`` pairs, no two
+    #: equal; ``block_id`` is ``None`` for aggregate (full-system) cuts and
+    #: a slave block index for block cuts, whose multipliers span only that
+    #: block's rows and re-validate against the block system.
+    multipliers: list[tuple[np.ndarray, int | None]] = field(default_factory=list)
     #: Admission vector of the last incumbent under this structure.
     best_x: np.ndarray | None = None
     #: Per stored multiplier, how many consecutive seeded master solves it
@@ -225,20 +220,17 @@ class CutPool:
     than the cut coefficients themselves: coefficients ``(H' mu, -h0' mu)``
     are cheap to re-derive and doing so automatically adapts each cut to the
     new epoch's right-hand side.  Validity of a re-derived cut for the new
-    instance is then proven, not assumed:
+    instance is then proven, not assumed: an optimality cut needs dual
+    feasibility ``G' mu >= -d``, and where that fails by a margin, the cut
+    is *repaired* instead of trusted: every feasible slave point satisfies
+    the implied bounds ``0 <= (y, z) <= sla`` (constraints (8)/(10)), so
+    relaxing the right-hand side by ``sum_j max(0, violation_j) * sla_j``
+    restores a mathematically valid inequality.  Cuts whose repair slack
+    exceeds ``max_relative_slack`` of the cut's own scale carry no
+    information anymore and are skipped as stale.
 
-    * a feasibility cut needs ``G' mu >= 0``;
-    * an optimality cut needs dual feasibility ``G' mu >= -d``;
-
-    and where either condition fails by a margin, the cut is *repaired*
-    instead of trusted: every feasible slave point satisfies the implied
-    bounds ``0 <= (y, z) <= sla`` (constraints (8)/(10)), so relaxing the
-    right-hand side by ``sum_j max(0, violation_j) * sla_j`` restores a
-    mathematically valid inequality.  Cuts whose repair slack exceeds
-    ``max_relative_slack`` of the cut's own scale carry no information
-    anymore and are skipped as stale.
-
-    The pool is a *working set*, not an archive (:meth:`age`): a multiplier
+    The pool stores each ``(mu, block_id)`` once (:meth:`record`), and it is
+    a *working set*, not an archive (:meth:`age`): a multiplier
     whose cut was slack at the seeded master's optimum, or skipped at
     seeding, :data:`_MAX_IDLE_SOLVES` + 1 solves running is dropped.
     Eviction cannot cost validity -- every seeded cut is still re-proven and
@@ -299,7 +291,7 @@ class CutPool:
         # seedable into a master that actually carries that block's
         # surrogate (a master over the same block structure).
         stack = None
-        if any(block_id is not None for _, _, block_id in entry.multipliers):
+        if any(block_id is not None for _, block_id in entry.multipliers):
             candidate = slave.block_stack()
             if master.num_thetas == len(candidate.blocks):
                 stack = candidate
@@ -309,7 +301,7 @@ class CutPool:
         # original storage order so repeated solves of an identical
         # instance build identical master problems.
         groups: dict[int | None, list[int]] = {}
-        for position, (_, _, block_id) in enumerate(entry.multipliers):
+        for position, (_, block_id) in enumerate(entry.multipliers):
             groups.setdefault(block_id, []).append(position)
 
         prepared: dict[int, tuple[np.ndarray, float, float]] = {}
@@ -338,15 +330,13 @@ class CutPool:
             coeffs = system.h_transposed.dot(padded)
             rhs = -mu_matrix.dot(h0)
             for column, position in enumerate(usable):
-                is_optimality = entry.multipliers[position][1]
-                slack = gt_mu[:, column]
-                violation = np.maximum(0.0, -(slack + system.d[cols]) if is_optimality else -slack)
+                violation = np.maximum(0.0, -(gt_mu[:, column] + system.d[cols]))
                 # Implied bounds of any feasible slave point: 0 <= u <= sla.
                 repair = float(np.dot(violation, system.u_bound[cols]))
                 prepared[position] = (coeffs[:, column], float(rhs[column]) - repair, repair)
 
         entry.seeded = []
-        for position, (_, is_optimality, block_id) in enumerate(entry.multipliers):
+        for position, (_, block_id) in enumerate(entry.multipliers):
             ready = prepared.get(position)
             if ready is None:
                 self.dropped_total += 1
@@ -358,7 +348,7 @@ class CutPool:
             if repair > self.max_relative_slack * cut_scale:
                 self.dropped_total += 1
                 continue
-            master.add_cut(coeff, rhs_value, is_optimality, block_id)
+            master.add_cut(coeff, rhs_value, block_id)
             entry.seeded.append(position)
         self.seeded_total += len(entry.seeded)
         return len(entry.seeded), entry.best_x
@@ -386,10 +376,14 @@ class CutPool:
         self,
         key: tuple,
         num_rows: int,
-        new_multipliers: list[tuple[np.ndarray, bool, int | None]],
+        new_multipliers: list[tuple[np.ndarray, int | None]],
         best_x: np.ndarray | None,
     ) -> None:
-        """Append one solve's freshly generated multipliers and incumbent."""
+        """Append one solve's freshly generated multipliers and incumbent.
+
+        A multiplier already stored for the structure -- same block, same
+        bytes -- is skipped: it would only seed a duplicate row.
+        """
         entry = self._entries.get(key)
         if entry is None or entry.num_rows != num_rows:
             entry = _PoolEntry(num_rows=num_rows)
@@ -397,11 +391,14 @@ class CutPool:
             self._entries[key] = entry
             while len(self._entries) > self.max_structures:
                 self._entries.pop(next(iter(self._entries)))
-        entry.multipliers.extend(
-            (np.array(mu), is_optimality, block_id)
-            for mu, is_optimality, block_id in new_multipliers
-        )
-        entry.idle.extend([0] * len(new_multipliers))
+        stored = {(block_id, mu.tobytes()) for mu, block_id in entry.multipliers}
+        for mu, block_id in new_multipliers:
+            mu = np.array(mu)
+            identity = (block_id, mu.tobytes())
+            if identity not in stored:
+                stored.add(identity)
+                entry.multipliers.append((mu, block_id))
+                entry.idle.append(0)
         excess = max(0, len(entry.multipliers) - self.max_cuts_per_structure)
         del entry.multipliers[:excess], entry.idle[:excess]
         if best_x is not None:
@@ -494,13 +491,10 @@ class _LoopState:
     best_z: np.ndarray | None = None
     iterations: int = 0
     optimality_cuts: int = 0
-    feasibility_cuts: int = 0
     time_truncated: bool = False
-    #: ``(mu, is_optimality, block_id)`` behind every cut, in master order;
-    #: what the :class:`CutPool` stores for the next structurally equal solve.
-    multipliers: list[tuple[np.ndarray, bool, int | None]] = field(
-        default_factory=list
-    )
+    #: ``(mu, block_id)`` behind every cut, in master order; what the
+    #: :class:`CutPool` stores for the next structurally equal solve.
+    multipliers: list[tuple[np.ndarray, int | None]] = field(default_factory=list)
 
 
 class BendersSolver:
@@ -646,19 +640,26 @@ class BendersSolver:
         slave: SlaveProblem, cost_x: np.ndarray, x_candidate: np.ndarray, state: _LoopState
     ):
         """Price the candidate: the joint slave LP here while the helper
-        prices every block with one stacked LP.  A feasible candidate that
-        improves on the incumbent becomes the incumbent (and the upper
-        bound).  The joint LP's error wins; a block error surfaces after a
-        successful joint solve -- the order of pricing them one by one."""
+        prices every block with one stacked LP.  A candidate that improves on
+        the incumbent becomes the incumbent (and the upper bound).  The joint
+        LP's error wins; a block error surfaces after a successful joint
+        solve -- the order of pricing them one by one.
+
+        The master's floor-footprint surrogate is exact, so every candidate
+        has a feasible slave: an infeasible one is a numerical failure."""
         blocks = _Overlapped(slave.evaluate_blocks, x_candidate)
         try:
             outcome = slave.evaluate(x_candidate)
-            if outcome.feasible:
-                candidate_upper = float(np.dot(cost_x, x_candidate)) + outcome.objective
-                if candidate_upper < state.upper_bound - 1e-12:
-                    state.upper_bound = candidate_upper
-                    state.best_x = x_candidate
-                    state.best_z = outcome.z
+            if not outcome.feasible:
+                raise SlaveNumericalError(
+                    "slave LP infeasible at a master candidate that satisfies the "
+                    f"exact capacity surrogate (phase-1 infeasibility {outcome.infeasibility!r})"
+                )
+            candidate_upper = float(np.dot(cost_x, x_candidate)) + outcome.objective
+            if candidate_upper < state.upper_bound - 1e-12:
+                state.upper_bound = candidate_upper
+                state.best_x = x_candidate
+                state.best_z = outcome.z
             return outcome, blocks.result()
         finally:
             blocks.settle()
@@ -667,38 +668,22 @@ class BendersSolver:
     def _add_cuts(
         master: _MasterState, slave: SlaveProblem, state: _LoopState, outcome, block_outcomes
     ) -> None:
-        """Cut the candidate off: the aggregate cut, then the block cuts in
-        block order -- the order the master and the pool both see."""
+        """Cut the candidate off with optimality cuts (21): the aggregate
+        cut, then one per block in block order -- the order the master and
+        the pool both see.
 
-        def add(coeff_rhs, mu, is_optimality, block_id) -> None:
-            master.add_cut(*coeff_rhs, is_optimality, block_id)
-            state.multipliers.append((mu, is_optimality, block_id))
-            if is_optimality:
-                state.optimality_cuts += 1
-            else:
-                state.feasibility_cuts += 1
-
-        # The aggregate cut keeps the certificate exact where blocks compete
-        # for shared capacity: optimality (21) from the duals of a feasible
-        # slave, feasibility (22) from the phase-1 ray of an infeasible one.
-        mu = outcome.duals if outcome.feasible else outcome.ray
-        add(slave.cut_from_multipliers(mu), mu, outcome.feasible, None)
-
-        # Per-block strengthening cuts on the same candidate.  Each block
-        # prices the tenant's relaxed sub-LP, so its cut is a valid lower
-        # bound on theta_b (q(x) >= sum_b q_b(x), see SlaveBlock).  Block
-        # bounds are only recorded alongside a successful aggregate solve
-        # (an infeasible aggregate keeps the round's focus on the
-        # feasibility cut); a block-infeasible candidate is infeasible for
-        # the joint slave too and the block ray excludes it.
-        priced = [
-            (block, result.duals if result.feasible else result.ray, result.feasible)
-            for block, result in zip(slave.blocks(), block_outcomes)
-            if outcome.feasible or not result.feasible
-        ]
-        cuts = slave.cuts_from_block_multipliers([(block, mu) for block, mu, _ in priced])
-        for cut, (block, mu, is_optimality) in zip(cuts, priced):
-            add(cut, mu, is_optimality, block.index)
+        The aggregate cut keeps the certificate exact where blocks compete
+        for shared capacity.  Each block prices the tenant's relaxed sub-LP,
+        so its cut is a valid lower bound on theta_b (q(x) >= sum_b q_b(x),
+        see SlaveBlock)."""
+        priced = [(block, result.duals) for block, result in zip(slave.blocks(), block_outcomes)]
+        cuts = [slave.cut_from_multipliers(outcome.duals)]
+        cuts += slave.cuts_from_block_multipliers(priced)
+        multipliers = [(outcome.duals, None)] + [(mu, block.index) for block, mu in priced]
+        for (coeff, rhs), (_, block_id) in zip(cuts, multipliers):
+            master.add_cut(coeff, rhs, block_id)
+        state.multipliers += multipliers
+        state.optimality_cuts += len(multipliers)
 
     def _gap_target(self, upper_bound: float) -> float:
         return max(self.tolerance, self.relative_tolerance * abs(upper_bound))
@@ -722,7 +707,6 @@ class BendersSolver:
             optimal=not state.time_truncated and self._converged(state),
             gap=max(0.0, state.upper_bound - state.lower_bound),
             cuts_optimality=state.optimality_cuts,
-            cuts_feasibility=state.feasibility_cuts,
             message=message,
             time_truncated=state.time_truncated,
         )
@@ -819,16 +803,13 @@ class BendersSolver:
             optimal=True,
             gap=max(0.0, gap),
             cuts_optimality=1,
-            cuts_feasibility=0,
             cuts_warm=seeded,
             message=(
                 f"UB={upper_bound:.6f} LB={master_objective:.6f} "
                 f"(warm fast path, {seeded} seeded cuts)"
             ),
         )
-        self.cut_pool.record(
-            pool_key, len(slave.h0), [(outcome.duals, True, None)], previous_x
-        )
+        self.cut_pool.record(pool_key, len(slave.h0), [(outcome.duals, None)], previous_x)
         return decision_from_vectors(problem, previous_x, outcome.z, stats)
 
     @staticmethod
@@ -852,10 +833,6 @@ class BendersSolver:
         needed = cut_rhs - activity[master.num_static_rows :]
         for row, theta_coeff in enumerate(cuts[:, n:]):
             support = np.flatnonzero(theta_coeff > 0.5)
-            if not len(support):
-                # A feasibility cut previous_x violates leaves the lifted
-                # point infeasible; is_feasible_point rejects it then.
-                continue
             shortfall = needed[row] - float(np.sum(thetas[support]))
             if shortfall > 0.0:
                 thetas[support[0]] += shortfall

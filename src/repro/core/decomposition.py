@@ -11,8 +11,9 @@ builds that LP once, in the parametric form
 
 so that solving it for a new ``x`` only changes the right-hand side.  The
 dual multipliers of a feasible solve yield Benders *optimality cuts*; the
-phase-1 certificate of an infeasible solve yields *feasibility cuts*, which
-are also exactly the knapsack weights (27)-(28) used by the KAC heuristic.
+phase-1 certificate of an infeasible solve yields the knapsack weights
+(27)-(28) used by the KAC heuristic.  Benders never asks for a feasibility
+cut: its master's capacity surrogate keeps every candidate slave-feasible.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class SlaveNumericalError(RuntimeError):
 
     Deterministic numerical breakdown, not a transient fault: the phase-1
     certificate proves the instance is feasible (within
-    :data:`FEASIBILITY_TOLERANCE`) yet the LP solver refused it.  Subclasses
+    :data:`FEASIBILITY_TOLERANCE`) yet the LP solver refused it, a block LP
+    was not solved, or a Benders candidate -- slave-feasible by the master's
+    exact capacity surrogate -- came back infeasible.  Subclasses
     ``RuntimeError`` so the safeguard chain's fall-through tier
     (:mod:`repro.faults.safeguard`) catches it and degrades instead of
     retrying -- retrying a deterministic solve reproduces the failure.
@@ -139,11 +142,8 @@ class BlockSolveOutcome:
     """Result of pricing one :class:`SlaveBlock` at a fixed admission vector."""
 
     block_index: int
-    feasible: bool
     objective: float
     duals: np.ndarray
-    infeasibility: float
-    ray: np.ndarray
 
 
 #: Relative strong-duality residual above which block multipliers are refused.
@@ -385,54 +385,32 @@ class SlaveProblem:
         )
 
     def evaluate_block(self, block: SlaveBlock, x: np.ndarray) -> BlockSolveOutcome:
-        """Price one block at ``x`` with its own LP.
-
-        The reference :meth:`evaluate_blocks` is tested against and its
-        fallback: this is where a block that cannot be priced is told apart
-        as infeasible (phase-1 ray) or numerically broken (typed error).
-        """
+        """Price one block at ``x`` with its own LP: the reference
+        :meth:`evaluate_blocks` is tested against."""
         stack = self.block_stack()
-        g_block = stack.g_matrix[block.rows, block.cols]
         b = stack.h0[block.rows] + stack.h_matrix[block.rows].dot(
             np.asarray(x, dtype=float)
         )
-        u_lower, u_upper = stack.u_lower[block.cols], stack.u_upper[block.cols]
         solution: LPSolution = CompiledLP(
-            stack.d[block.cols], g_block, u_lower, u_upper
+            stack.d[block.cols],
+            stack.g_matrix[block.rows, block.cols],
+            stack.u_lower[block.cols],
+            stack.u_upper[block.cols],
         ).solve(b)
-        if solution.success:
-            _check_strong_duality(block.index, solution.objective, b, solution.duals_upper)
-            return BlockSolveOutcome(
-                block_index=block.index,
-                feasible=True,
-                objective=solution.objective,
-                duals=solution.duals_upper,
-                infeasibility=0.0,
-                ray=np.zeros(len(b)),
-            )
-        infeasibility, ray = Phase1Problem(g_block, u_lower, u_upper).certificate(b)
-        if infeasibility <= FEASIBILITY_TOLERANCE:
-            raise SlaveNumericalError(
-                f"block {block.index} LP solver failure despite a feasible "
-                f"phase-1 problem: {solution.status}"
-            )
-        return BlockSolveOutcome(
-            block_index=block.index,
-            feasible=False,
-            objective=float("inf"),
-            duals=np.zeros(len(b)),
-            infeasibility=infeasibility,
-            ray=ray,
-        )
+        if not solution.success:
+            raise SlaveNumericalError(f"block {block.index} LP not solved: {solution.status}")
+        _check_strong_duality(block.index, solution.objective, b, solution.duals_upper)
+        return BlockSolveOutcome(block.index, solution.objective, solution.duals_upper)
 
     def evaluate_blocks(self, x: np.ndarray) -> list[BlockSolveOutcome]:
         """Price every block at ``x`` with one LP call on the stacked system.
 
         The stacked LP is block-diagonal, so its optimal primal and dual
         split by row/column range into the per-block optima (measured
-        bit-identical to :meth:`evaluate_block`'s duals).  If the stacked
-        call does not succeed -- some block is infeasible at ``x``, or the
-        solver broke down -- every block is priced on its own instead.
+        bit-identical to :meth:`evaluate_block`'s duals).  Each block
+        relaxes the joint slave, which the Benders master's exact capacity
+        surrogate keeps feasible at every candidate, so a stacked call that
+        does not succeed is numerical: it raises :class:`SlaveNumericalError`.
         """
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
@@ -449,7 +427,7 @@ class SlaveProblem:
             )
         solution: LPSolution = self._stack_lp.solve(b)
         if not solution.success:
-            return [self.evaluate_block(block, x) for block in stack.blocks]
+            raise SlaveNumericalError(f"stacked block LP not solved: {solution.status}")
         outcomes = []
         for block in stack.blocks:
             duals = solution.duals_upper[block.rows]
@@ -457,16 +435,7 @@ class SlaveProblem:
                 np.dot(stack.d[block.cols], solution.primal[block.cols])
             )
             _check_strong_duality(block.index, objective, b[block.rows], duals)
-            outcomes.append(
-                BlockSolveOutcome(
-                    block_index=block.index,
-                    feasible=True,
-                    objective=objective,
-                    duals=duals,
-                    infeasibility=0.0,
-                    ray=np.zeros(len(duals)),
-                )
-            )
+            outcomes.append(BlockSolveOutcome(block.index, objective, duals))
         return outcomes
 
     def cuts_from_block_multipliers(

@@ -15,7 +15,8 @@ HiGHS does not:
 * dual values (Lagrange multipliers) of inequality constraints, needed for
   Benders optimality cuts, and
 * Farkas-style infeasibility certificates, obtained from a phase-1 LP, needed
-  for Benders feasibility cuts and for the KAC heuristic.
+  for the KAC heuristic (Benders takes optimality cuts only: its master's
+  capacity surrogate keeps every candidate slave-feasible).
 
 A :class:`CompiledLP` (and the :class:`Phase1Problem` built on it) owns a
 native HiGHS instance: keep it on objects that live for one solve, never on
@@ -436,8 +437,11 @@ class Phase1Problem:
     upper`` only depends on the right-hand side ``b`` between solves, so the
     extended matrix ``[A | -I]``, the cost vector and the extended bounds are
     assembled and compiled once here and reused for every certificate (see
-    DESIGN.md, "Incremental solver layer").  The Benders and KAC slave
-    problems hit this on every infeasible evaluate.
+    DESIGN.md, "Incremental solver layer").  The slave problem
+    (:class:`~repro.core.decomposition.SlaveProblem`, the one place that
+    builds it) hits this on every infeasible evaluate: KAC's, and the
+    Benders warm fast path's when the previous decision no longer fits --
+    never a Benders round, whose candidates are all slave-feasible.
     """
 
     def __init__(
@@ -471,7 +475,7 @@ class Phase1Problem:
         When it is positive, the dual multipliers of the relaxed rows form a
         certificate ``mu >= 0`` with ``b' mu < 0`` on any violated
         combination; used as the "extreme ray" of the dual slave problem in
-        Algorithm 1 / Algorithm 3.
+        Algorithm 3 (KAC).
         """
         solution = self._lp.solve(b_ub)
         if not solution.success:

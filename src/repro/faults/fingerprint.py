@@ -73,9 +73,8 @@ def _snapshot_payload(snapshot) -> object:
         entries = []
         for key, entry in sorted(snapshot["entries"].items(), key=lambda kv: repr(kv[0])):
             digest = hashlib.sha256()
-            for mu, is_optimality, block_id in entry.multipliers:
+            for mu, block_id in entry.multipliers:
                 digest.update(mu.tobytes())
-                digest.update(b"\x01" if is_optimality else b"\x00")
                 digest.update(repr(block_id).encode())
             digest.update(repr(entry.idle).encode())  # the pool's ageing state
             entries.append(

@@ -653,6 +653,13 @@ def rows(matrix, lower, upper):
     return [LinearConstraint(matrix, lower, upper)]
 '''
 
+RA06_PHASE1 = '''
+from repro.core import lpsolver
+
+def certificate(g, lower, upper, b):
+    return lpsolver.Phase1Problem(g, lower, upper).certificate(b)
+'''
+
 RA06_CLEAN = '''
 import numpy as np
 from scipy import sparse
@@ -689,3 +696,12 @@ class TestRA06:
             assert findings_for(SolverEntryPointChecker(), {"tests/core/t.py": source}) == []
         assert findings_for(SolverEntryPointChecker(), {"tests/core/t.py": RA06_CURRENCY}) == []
         assert findings_for(SolverEntryPointChecker(), {"src/repro/core/kac.py": RA06_CLEAN}) == []
+
+    def test_phase1_problem_outside_the_slave_fires(self):
+        for path in ("src/repro/core/benders.py", ENTRY_POINT):
+            found = findings_for(SolverEntryPointChecker(), {path: RA06_PHASE1})
+            assert [(f.symbol, f.line) for f in found] == [("Phase1Problem", 5)], path
+
+    def test_phase1_problem_in_the_slave_and_outside_the_package_passes(self):
+        for path in ("src/repro/core/decomposition.py", "tests/core/t.py"):
+            assert findings_for(SolverEntryPointChecker(), {path: RA06_PHASE1}) == [], path

@@ -621,13 +621,13 @@ def oracle_seed_master(self: CutPool, key, master, slave):
     u_bound = np.concatenate([sla, sla])
 
     blocks = stack = None
-    if any(block_id is not None for _, _, block_id in entry.multipliers):
+    if any(block_id is not None for _, block_id in entry.multipliers):
         candidate = slave.block_stack()
         if master.num_thetas == len(candidate.blocks):
             blocks, stack = candidate.blocks, candidate
 
     groups: dict = {}
-    for position, (_, _, block_id) in enumerate(entry.multipliers):
+    for position, (_, block_id) in enumerate(entry.multipliers):
         groups.setdefault(block_id, []).append(position)
 
     prepared: dict = {}
@@ -656,16 +656,12 @@ def oracle_seed_master(self: CutPool, key, master, slave):
         coeffs = np.asarray((system_h.T.dot(mu_matrix.T)).T)
         rhs = -mu_matrix.dot(system_h0)
         for row, position in enumerate(usable):
-            _, is_optimality, _ = entry.multipliers[position]
-            violation = np.maximum(
-                0.0,
-                -(gt_mu[row] + system_d) if is_optimality else -gt_mu[row],
-            )
+            violation = np.maximum(0.0, -(gt_mu[row] + system_d))
             repair = float(np.dot(violation, bound))
             prepared[position] = (coeffs[row], float(rhs[row]) - repair, repair)
 
     entry.seeded = []  # the one thing added since: which multiplier is which row
-    for position, (_, is_optimality, block_id) in enumerate(entry.multipliers):
+    for position, (_, block_id) in enumerate(entry.multipliers):
         ready = prepared.get(position)
         if ready is None:
             self.dropped_total += 1
@@ -675,7 +671,7 @@ def oracle_seed_master(self: CutPool, key, master, slave):
         if repair > self.max_relative_slack * cut_scale:
             self.dropped_total += 1
             continue
-        master.add_cut(coeff, rhs_value, is_optimality, block_id)
+        master.add_cut(coeff, rhs_value, block_id)
         entry.seeded.append(position)
     self.seeded_total += len(entry.seeded)
     return len(entry.seeded), entry.best_x

@@ -134,18 +134,34 @@ class TestCutPool:
     def test_cut_cap_evicts_oldest(self):
         pool = CutPool(max_cuts_per_structure=3)
         key = ("k",)
-        mus = [(np.full(4, float(i)), True, None) for i in range(5)]
+        mus = [(np.full(4, float(i)), None) for i in range(5)]
         pool.record(key, 4, mus, best_x=None)
         entry = pool.entry(key)
         assert len(entry.multipliers) == 3
         assert entry.multipliers[0][0][0] == 2.0  # oldest two evicted
 
+    def test_record_skips_a_multiplier_already_stored(self):
+        pool = CutPool()
+        key = ("k",)
+        pool.record(key, 4, [(np.zeros(4), None), (np.ones(4), 0)], None)
+        entry = pool.entry(key)
+        entry.idle[:] = [2, 1]
+        # Same block and bytes: skipped, in the pool or earlier in the batch;
+        # the same mu on another block is another cut.
+        pool.record(key, 4, [(np.zeros(4), None), (np.ones(4), 1), (np.ones(4), 1)], None)
+        assert [(mu.tolist(), block) for mu, block in entry.multipliers] == [
+            ([0.0] * 4, None),
+            ([1.0] * 4, 0),
+            ([1.0] * 4, 1),
+        ]
+        assert entry.idle == [2, 1, 0]  # a skipped duplicate keeps its age
+
     def test_structure_cap_evicts_least_recently_used(self):
         pool = CutPool(max_structures=2)
-        pool.record(("a",), 4, [(np.zeros(4), True, None)], None)
-        pool.record(("b",), 4, [(np.zeros(4), True, None)], None)
+        pool.record(("a",), 4, [(np.zeros(4), None)], None)
+        pool.record(("b",), 4, [(np.zeros(4), None)], None)
         assert pool.entry(("a",)) is not None  # touch: "a" becomes most recent
-        pool.record(("c",), 4, [(np.zeros(4), True, None)], None)
+        pool.record(("c",), 4, [(np.zeros(4), None)], None)
         assert len(pool) == 2
         assert pool.entry(("b",)) is None
         assert pool.entry(("a",)) is not None
@@ -175,7 +191,7 @@ class TestWorkingSet:
     def test_tight_cuts_start_over_slack_and_skipped_ones_age_out(self):
         pool = CutPool()
         key = ("k",)
-        pool.record(key, 4, [(np.full(4, float(i)), True, None) for i in range(5)], None)
+        pool.record(key, 4, [(np.full(4, float(i)), None) for i in range(5)], None)
         entry = pool.entry(key)
         assert entry.idle == [0] * 5
         # Multipliers 1 and 4 were skipped at seeding; of the three seeded
@@ -187,30 +203,30 @@ class TestWorkingSet:
         for solve in range(1, _MAX_IDLE_SOLVES + 2):
             entry.seeded = [0, 2, 3][: len(entry.multipliers)]
             pool.age(key, master, values)
-            survivors.append([mu[0] for mu, _, _ in entry.multipliers])
+            survivors.append([mu[0] for mu, _ in entry.multipliers])
             if solve <= _MAX_IDLE_SOLVES:
                 assert entry.idle == [0, solve, solve, 0, solve]
         assert survivors[-2] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert survivors[-1] == [0.0, 3.0]  # slack one and both skipped ones left
         assert entry.idle == [0, 0]
         # What is recorded next starts at zero, behind the survivors.
-        pool.record(key, 4, [(np.full(4, 9.0), True, None)], None)
+        pool.record(key, 4, [(np.full(4, 9.0), None)], None)
         assert entry.idle == [0, 0, 0] and entry.multipliers[-1][0][0] == 9.0
 
     def test_hard_cap_still_evicts_oldest_first_with_their_counters(self):
         pool = CutPool(max_cuts_per_structure=3)
         key = ("k",)
-        pool.record(key, 4, [(np.full(4, float(i)), True, None) for i in range(3)], None)
+        pool.record(key, 4, [(np.full(4, float(i)), None) for i in range(3)], None)
         entry = pool.entry(key)
         entry.idle[:] = [2, 1, 0]
-        pool.record(key, 4, [(np.full(4, 3.0), True, None)], None)
-        assert [mu[0] for mu, _, _ in entry.multipliers] == [1.0, 2.0, 3.0]
+        pool.record(key, 4, [(np.full(4, 3.0), None)], None)
+        assert [mu[0] for mu, _ in entry.multipliers] == [1.0, 2.0, 3.0]
         assert entry.idle == [1, 0, 0]
 
     def test_snapshot_carries_the_idle_counters(self):
         pool = CutPool()
         key = ("k",)
-        pool.record(key, 4, [(np.full(4, float(i)), True, None) for i in range(3)], None)
+        pool.record(key, 4, [(np.full(4, float(i)), None) for i in range(3)], None)
         pool.entry(key).idle[:] = [2, 0, 1]
         snapshot = pool.snapshot_state()
         entry = pool.entry(key)
@@ -232,11 +248,11 @@ class TestWorkingSet:
         solver.solve(base)
         key = warm_start_key(base)
         entry = solver.cut_pool.entry(key)
-        junk = [(np.ones(3), True, None), (np.ones(len(SlaveProblem(base).h0)), True, 99)]
+        junk = [(np.ones(3), None), (np.ones(len(SlaveProblem(base).h0)), 99)]
         solver.cut_pool.record(key, entry.num_rows, junk, None)
 
         def junk_left() -> int:
-            return sum(len(mu) == 3 or block == 99 for mu, _, block in entry.multipliers)
+            return sum(len(mu) == 3 or block == 99 for mu, block in entry.multipliers)
 
         assert junk_left() == 2
         rng = np.random.default_rng(1)

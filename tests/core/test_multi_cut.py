@@ -45,14 +45,8 @@ def assert_same_outcomes(stacked, reference):
     assert len(stacked) == len(reference)
     for a, b in zip(stacked, reference):
         assert a.block_index == b.block_index
-        assert a.feasible == b.feasible
         assert np.array_equal(a.duals, b.duals)  # bit-identical, not approx
-        assert np.array_equal(a.ray, b.ray)
-        assert a.infeasibility == b.infeasibility
-        if a.feasible:
-            assert abs(a.objective - b.objective) <= 1e-12
-        else:
-            assert a.objective == b.objective == float("inf")
+        assert abs(a.objective - b.objective) <= 1e-12
 
 
 def patch_slave_lp(monkeypatch, solve) -> None:
@@ -101,14 +95,12 @@ class TestResourceBlocks:
         joint = slave.evaluate(x)
         assert joint.feasible
         outcomes = slave.evaluate_blocks(x)
-        assert all(outcome.feasible for outcome in outcomes)
         assert sum(o.objective for o in outcomes) <= joint.objective + 1e-8
 
     def test_block_cuts_are_valid_at_their_generating_point(self, embb_problem):
         slave = SlaveProblem(embb_problem)
         x = accept_all_edge(embb_problem)
         for block, outcome in zip(slave.blocks(), slave.evaluate_blocks(x)):
-            assert outcome.feasible
             ((coeff, rhs),) = slave.cuts_from_block_multipliers([(block, outcome.duals)])
             # theta_b + coeff' x >= rhs holds with theta_b = q_b(x): LP
             # duality makes it tight at the generating point.
@@ -146,26 +138,23 @@ class TestStackedPricing:
             accept_all_edge(mixed_problem),
             np.ones(mixed_problem.num_items),
         ):
-            stacked = slave.evaluate_blocks(x)
-            assert all(outcome.feasible for outcome in stacked)
-            assert_same_outcomes(stacked, per_block_reference(slave, x))
+            assert_same_outcomes(slave.evaluate_blocks(x), per_block_reference(slave, x))
 
-    def test_infeasible_block_returns_exactly_the_reference_list(self, mixed_problem):
+    def test_failed_stacked_call_raises_the_typed_error(self, mixed_problem, monkeypatch):
         # Doubling one tenant's admission variables breaks its coupling rows
-        # (12), so the stacked LP is infeasible and every block is priced on
-        # its own: the infeasible one yields its phase-1 ray, the others
-        # their duals, in block order.
+        # (12), so the stacked LP is infeasible.  No master candidate gets
+        # here (the capacity surrogate keeps every block feasible), so the
+        # failure is numerical: the typed error, not a per-block fallback.
+        calls = counting_slave_lp(monkeypatch)
         slave = SlaveProblem(mixed_problem)
         broken = slave.blocks()[1]
         x = np.zeros(mixed_problem.num_items)
         x[list(broken.item_indices)] = 2.0
-        stacked = slave.evaluate_blocks(x)
-        assert [o.feasible for o in stacked] == [
-            block.index != broken.index for block in slave.blocks()
-        ]
-        assert stacked[broken.index].infeasibility > 0.0
-        assert stacked[broken.index].ray.any()
-        assert_same_outcomes(stacked, per_block_reference(slave, x))
+        with pytest.raises(SlaveNumericalError, match="stacked block LP not solved"):
+            slave.evaluate_blocks(x)
+        assert len(calls) == 1  # the stacked call, and no block priced on its own
+        with pytest.raises(SlaveNumericalError, match=f"block {broken.index} LP not solved"):
+            slave.evaluate_block(broken, x)
 
     def test_feasible_round_makes_two_lp_calls_whatever_the_tenant_count(
         self, embb_problem, mixed_problem, monkeypatch
@@ -257,7 +246,7 @@ class TestLazyCutAccumulation:
         master = self._master(embb_problem)
         static = master._rows
         for k in range(10):
-            master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
+            master.add_cut(np.zeros(embb_problem.num_items), -float(k))
         assert master.num_cuts == 10
         assert master._rows is static  # nothing merged yet
         assert master._merged_cuts == 0
@@ -265,7 +254,7 @@ class TestLazyCutAccumulation:
     def test_constraints_merges_queued_rows_once_and_caches(self, embb_problem):
         master = self._master(embb_problem)
         for k in range(5):
-            master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
+            master.add_cut(np.zeros(embb_problem.num_items), -float(k))
         matrix, lower, upper = master.rows()
         num_static = master.num_static_rows
         assert matrix.shape == (num_static + 5, embb_problem.num_items + master.num_thetas)
@@ -276,7 +265,7 @@ class TestLazyCutAccumulation:
         again, _, _ = master.rows()
         assert again is matrix
         # New cuts are merged below the rows already there, order preserved.
-        master.add_cut(np.zeros(embb_problem.num_items), -99.0, True)
+        master.add_cut(np.zeros(embb_problem.num_items), -99.0)
         grown, grown_lower, _ = master.rows()
         assert grown.shape[0] == num_static + 6
         assert grown_lower[-1] == -99.0
@@ -302,14 +291,14 @@ class TestLazyCutAccumulation:
         master = self._master(embb_problem)
         monkeypatch.setattr("repro.core.lpsolver.sparse.csc_matrix", CountingCSC)
         for k in range(50):
-            master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
+            master.add_cut(np.zeros(embb_problem.num_items), -float(k))
         assert built == []  # queueing is sparse-free
         master.rows()
         assert len(built) == 2  # the batch, and its merge
         master.rows()
         assert len(built) == 2  # nothing queued: no work
         for k in range(50):
-            master.add_cut(np.zeros(embb_problem.num_items), -float(k), True)
+            master.add_cut(np.zeros(embb_problem.num_items), -float(k))
         assert len(built) == 2
         matrix, _, _ = master.rows()
         assert len(built) == 4
@@ -324,15 +313,14 @@ class TestLazyCutAccumulation:
         master = self._master(embb_problem)
         static = master.rows()[0].copy()
         for row in coefficients[:7]:
-            master.add_cut(row, 0.0, True)
+            master.add_cut(row, 0.0)
         master.rows()
-        for row in coefficients[7:]:
-            master.add_cut(row, 0.0, False)
+        block_ids = [k % master.num_thetas for k in range(5)]
+        for row, block_id in zip(coefficients[7:], block_ids):
+            master.add_cut(row, 0.0, block_id)
         rows, _, _ = master.rows()
-        # Aggregate optimality cuts bound every surrogate, feasibility cuts none.
-        theta = np.outer(
-            np.concatenate([np.ones(7), np.zeros(5)]), np.ones(master.num_thetas)
-        )
+        # Aggregate cuts bound every surrogate, block cuts their block's own.
+        theta = np.vstack([np.ones((7, master.num_thetas)), np.eye(master.num_thetas)[block_ids]])
         expected = sparse.vstack(
             [static.tocsr()]
             + [
@@ -352,16 +340,16 @@ class TestLazyCutAccumulation:
         master = _MasterState(mixed_problem, mixed_problem.objective_x(), lowers)
         assert master.num_thetas == len(lowers)
         n = mixed_problem.num_items
-        master.add_cut(np.zeros(n), 0.0, True)  # aggregate: all surrogates
-        master.add_cut(np.zeros(n), 0.0, True, block_id=2)
-        master.add_cut(np.zeros(n), 0.0, False)  # feasibility: none
+        master.add_cut(np.zeros(n), 0.0)  # aggregate: all surrogates
+        master.add_cut(np.zeros(n), 0.0, block_id=2)
+        master.add_cut(np.zeros(n), 0.0, block_id=0)
         cuts, _ = master.cut_rows()
         rows, _, _ = master.rows()
         assert np.array_equal(rows.toarray()[master.num_static_rows :], cuts)
         theta_part = cuts[:, n:]
         assert list(theta_part[0]) == [1.0] * master.num_thetas
         assert theta_part[1].sum() == 1.0 and theta_part[1][2] == 1.0
-        assert not theta_part[2].any()
+        assert theta_part[2].sum() == 1.0 and theta_part[2][0] == 1.0
 
 
 class TestSlaveNumericalError:
@@ -397,17 +385,16 @@ class TestSlaveNumericalError:
     ):
         patch_slave_lp(monkeypatch, self._failed_lp)
         slave = SlaveProblem(embb_problem)
-        with pytest.raises(SlaveNumericalError):
+        with pytest.raises(SlaveNumericalError, match="block 0 LP not solved: numerical"):
             slave.evaluate_block(slave.blocks()[0], np.zeros(embb_problem.num_items))
 
     def test_stacked_failure_on_a_feasible_instance_raises_the_typed_error(
         self, embb_problem, monkeypatch
     ):
-        # The stacked call fails, the per-block fallback fails the same way,
-        # and its phase-1 certificate says "feasible": typed error, no cut.
+        # The stacked call fails on a feasible instance: typed error, no cut.
         patch_slave_lp(monkeypatch, self._failed_lp)
         slave = SlaveProblem(embb_problem)
-        with pytest.raises(SlaveNumericalError, match="block 0 LP solver failure"):
+        with pytest.raises(SlaveNumericalError, match="stacked block LP not solved: numerical"):
             slave.evaluate_blocks(np.zeros(embb_problem.num_items))
 
     @pytest.mark.parametrize("entry_point", ["evaluate_blocks", "evaluate_block"])

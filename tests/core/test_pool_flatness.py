@@ -12,6 +12,7 @@ not asserted here.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.core.lpsolver as lpsolver
@@ -23,9 +24,8 @@ from repro.utils.rng import derive_seed
 DRIFT_EPOCHS = 150
 
 
-@pytest.fixture(scope="module")
-def instances():
-    scenario = sample_scenario(DIFFERENTIAL_FAMILY, seed=0)
+def drift_instances(seed: int) -> list:
+    scenario = sample_scenario(DIFFERENTIAL_FAMILY, seed=seed)
     base = problem_for_scenario(scenario, epoch=0)
     return [base] + _perturbed_forecast_sequence(
         base,
@@ -35,7 +35,25 @@ def instances():
     )
 
 
-def sweep(instances, ageing: bool):
+@pytest.fixture(scope="module")
+def instances():
+    return drift_instances(0)
+
+
+real_record = CutPool.record
+
+
+def record_every_multiplier(self, key, num_rows, new_multipliers, best_x):
+    """``CutPool.record`` without its deduplication: every multiplier stored."""
+    real_record(self, key, num_rows, [], best_x)
+    entry = self._entries[key]
+    entry.multipliers += [(np.array(mu), block_id) for mu, block_id in new_multipliers]
+    entry.idle += [0] * len(new_multipliers)
+    excess = max(0, len(entry.multipliers) - self.max_cuts_per_structure)
+    del entry.multipliers[:excess], entry.idle[:excess]
+
+
+def sweep(instances, ageing: bool, deduplicate: bool = True):
     """Per epoch ``(iterations, rows of the master handed to HiGHS, decision
     fingerprint)``, and the pool the sweep leaves behind."""
     master_rows: list[int] = []
@@ -50,6 +68,8 @@ def sweep(instances, ageing: bool):
         patch.setattr(lpsolver, "_run", recording_run)
         if not ageing:
             patch.setattr(CutPool, "age", lambda self, key, master, values: None)
+        if not deduplicate:
+            patch.setattr(CutPool, "record", record_every_multiplier)
         solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
         epochs = []
         for problem in instances:
@@ -93,3 +113,20 @@ def test_a_hoarding_pool_certifies_the_same_epochs_with_a_growing_master(instanc
     assert len(entry.multipliers) > 150
     # Same decisions, epoch for epoch: ageing changed the work, not the answer.
     assert [fp for _, _, fp in epochs] == [fp for _, _, fp in aged[0]]
+
+
+def test_the_pool_stores_each_multiplier_once():
+    """Seed 3 re-derives the same multipliers epoch after epoch: without
+    deduplication about half of what the pool holds is copies (150 of 78
+    distinct after 50 drifts, 204 of 105 after 150)."""
+    instances = drift_instances(3)[:51]
+    epochs, pool = sweep(instances, ageing=True)
+    (entry,) = pool._entries.values()
+    stored = [(block_id, mu.tobytes()) for mu, block_id in entry.multipliers]
+    assert len(set(stored)) == len(stored)
+    copies, copied_pool = sweep(instances, ageing=True, deduplicate=False)
+    (copied,) = copied_pool._entries.values()
+    assert len(copied.multipliers) > len(entry.multipliers)
+    # Same iterations and decisions, epoch for epoch: the copies seeded
+    # duplicate rows, nothing else.
+    assert [(it, fp) for it, _, fp in epochs] == [(it, fp) for it, _, fp in copies]

@@ -235,7 +235,7 @@ class MidRoundCrash(Exception):
 class TestWarmStartStateRollsBack:
     def test_cut_pool_is_fingerprinted_and_restored(self):
         # The fingerprint must digest a *populated* cut pool (its multipliers
-        # are (mu, is_optimality, block_id) triples) and a rolled-back epoch
+        # are (mu, block_id) pairs) and a rolled-back epoch
         # must leave the pool exactly as the previous epoch recorded it.
         plan = FaultPlan.of(make_spec(HOOK_CLOUD_APPLY, FaultKind.CRASH, epoch=1))
         solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
