@@ -24,6 +24,13 @@ directly: the broker adds intake validation, error translation and event
 derivation around the exact same call sequence, and never perturbs the solver
 path (the golden-run harness and the differential sweeps pin this).
 
+The orchestrator's registry is the only lifecycle record.  An epoch's events
+are the diff between the checkpoint ``run_epoch`` takes and the registry after
+it, and a tenant release is a flag on the released life's
+:class:`~repro.controlplane.state.SliceRecord`.  The broker itself keeps only
+intake bookkeeping: idempotency tokens and the markers of requests withdrawn
+before they ever reached the registry.
+
 In-process drivers (the simulation engine, benchmarks) additionally need the
 raw decision/problem objects of the last epoch; the broker exposes them as
 documented escape hatches (:attr:`last_decision`, :attr:`last_problem`,
@@ -63,6 +70,7 @@ from repro.controlplane.slice_manager import SliceDescriptor
 from repro.controlplane.state import (
     TERMINAL_STATES,
     SliceRecord,
+    SliceRegistry,
     SliceState,
     SliceStateError,
 )
@@ -104,27 +112,29 @@ def _request_fingerprint(request: SliceRequest) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _request_name_hint(
-    request: SliceRequestV1 | SliceRequest | Mapping[str, Any],
-) -> str | None:
-    """Best-effort slice name of an un-coerced request (None if malformed)."""
-    if isinstance(request, (SliceRequest, SliceRequestV1)):
-        return request.name
-    if isinstance(request, Mapping):
-        name = request.get("name")
-        return name if isinstance(name, str) else None
-    return None
+def _record_status(record: SliceRecord, renewal_count: int) -> SliceStatus:
+    """Status of one registry life (a released life reports "released")."""
+    return SliceStatus(
+        name=record.name,
+        state="released" if record.released else record.state.value,
+        arrival_epoch=record.request.arrival_epoch,
+        duration_epochs=record.request.duration_epochs,
+        admitted_epoch=record.admitted_epoch,
+        expires_at=record.expires_at(),
+        compute_unit=record.compute_unit,
+        reservations_mbps=dict(record.last_reservations_mbps),
+        renewal_count=renewal_count,
+    )
 
 
-#: Default bound on the idempotency-token and released/withdrawn-marker
-#: caches.  A long-running broker serving heavy multi-client traffic must not
-#: grow per-request state without limit; when a cache overflows, entries are
-#: evicted oldest-first with fail-safe exclusions (a still-queued
+#: Default bound on the idempotency-token cache and the withdrawal markers,
+#: the broker's only per-request tables.  A long-running broker serving heavy
+#: multi-client traffic must not grow them without limit; when one overflows,
+#: entries are evicted oldest-first with fail-safe exclusions (a still-queued
 #: submission's token is never dropped -- its retry contract stays intact).
-#: Evicting a marker only degrades how an *old, terminal* slice is reported:
-#: a released slice's status falls back to "expired", and a released
-#: never-registered (withdrawn-while-queued) name falls back to "unknown
-#: slice"; live state is never affected.
+#: Evicting a withdrawal marker only degrades how an *old* cancellation is
+#: reported: the withdrawn-while-queued, never-registered name falls back to
+#: "unknown slice"; live state is never affected.
 DEFAULT_CACHE_LIMIT = 65536
 
 
@@ -215,14 +225,13 @@ class SliceBroker:
         #: exactly that token's ticket, and no other.
         self._token_by_queued_name: dict[str, str] = {}
         self._ticket_counter = 0
-        #: name -> renewal count at release time, to report "released" (not
-        #: "expired") until the name is renewed into a fresh life.
-        self._released: dict[str, int] = {}
         #: Queued submissions withdrawn before ever reaching the registry:
         #: lets status() keep answering "released" for them instead of
-        #: claiming the name was never submitted.
+        #: claiming the name was never submitted.  Written at withdrawal and
+        #: never popped: status() answers from the queue or the registry
+        #: first, so the marker of a name submitted again is never read.
         self._withdrawn: dict[str, tuple[int, int]] = {}
-        #: FIFO bound applied to the token and released-marker caches.
+        #: FIFO bound applied to the token cache and the withdrawal markers.
         #: ``cache_limit < 1`` is rejected outright (a zero limit would
         #: busy-evict the entry a tokened submit just inserted, breaking
         #: same-call replay) rather than silently clamped.
@@ -242,30 +251,18 @@ class SliceBroker:
         #: ``submit_batch`` drives ``submit`` and error paths may re-enter.
         self._lock = threading.RLock()
         #: Guards the tables status reads consult (intake queue, registry,
-        #: released/withdrawn markers) and the choice of read view.  Plain
+        #: withdrawal markers) and the choice of read view.  Plain
         #: and short-held: never across a solve, never across event fan-out.
         #: Taken after ``_lock`` by writers, alone by readers.
         self._state_mutex = threading.Lock()
         #: The running epoch's checkpoint, published as the read view from
         #: the moment it is taken until the epoch commits or rolls back;
-        #: ``None`` between epochs (reads then see the live tables).
+        #: ``None`` between epochs (reads then see the live tables).  It is
+        #: also the "before" side of the epoch's event diff.
         self._epoch_view: EpochCheckpoint | None = None
         #: Thread running that epoch: its own reads (fault hooks) stay live.
         self._epoch_thread: int | None = None
         self._last_decision = None
-        #: Registry snapshot (state + renewal count per name) as of the last
-        #: *published* events.  Persisting it across a failed advance_epoch
-        #: means transitions the failed epoch already committed (e.g. an
-        #: expiry from expire_due before the solver raised) are still derived
-        #: -- and published -- on the next successful epoch instead of being
-        #: silently dropped.  Seeded from the wrapped orchestrator's registry
-        #: so wrapping an already-driven orchestrator does not replay its
-        #: whole history as spurious first-epoch events.
-        registry = self._orchestrator.registry
-        self._event_baseline: dict[str, tuple[SliceState, int]] = {
-            record.name: (record.state, registry.renewal_count(record.name))
-            for record in registry.all_records()
-        }
         #: Broker health state machine.  Shared with the orchestrator's
         #: solver when that is a :class:`SafeguardedSolver` (its chain gates
         #: safe-mode probes on the same monitor); otherwise broker-owned.
@@ -451,7 +448,6 @@ class SliceBroker:
         tokens: Sequence[str | None] = client_tokens or [None] * len(requests)
         tickets: list[AdmissionTicket] = []
         enqueued: list[tuple[str, str | None]] = []
-        withdrawn_markers: dict[str, tuple[int, int]] = {}
         completed = False
         # The state mutex is held across the whole batch: a concurrent
         # status read sees all of it or none of it, never a request that a
@@ -459,13 +455,6 @@ class SliceBroker:
         with self._lock, self._state_mutex:
             try:
                 for request, token in zip(requests, tokens):
-                    # Snapshot only this request's released-withdrawal marker
-                    # (popped by _enqueue) so a rollback can restore it;
-                    # copying the whole cache per batch would be
-                    # O(cache_limit).
-                    name_hint = _request_name_hint(request)
-                    if name_hint is not None and name_hint in self._withdrawn:
-                        withdrawn_markers.setdefault(name_hint, self._withdrawn[name_hint])
                     was_replay = token is not None and token in self._tickets_by_token
                     core_request, fingerprint = self._prepare(request, token)
                     ticket = self._submit_prepared(core_request, fingerprint, token)
@@ -490,12 +479,6 @@ class SliceBroker:
                         self._token_by_queued_name.pop(name, None)
                         if token is not None:
                             self._tickets_by_token.pop(token, None)
-                        if name in withdrawn_markers:
-                            # _enqueue popped the released-withdrawal marker;
-                            # the rollback must restore it so status() keeps
-                            # answering "released" exactly as before the
-                            # batch.
-                            self._withdrawn[name] = withdrawn_markers[name]
         return tickets
 
     def _enqueue(self, request: SliceRequest, client_token: str | None) -> AdmissionTicket:
@@ -552,7 +535,6 @@ class SliceBroker:
                 }
         else:
             self._token_by_queued_name.pop(request.name, None)
-        self._withdrawn.pop(request.name, None)
         self._ticket_counter += 1
         return AdmissionTicket(
             ticket_id=f"tkt-{self._ticket_counter:06d}",
@@ -679,26 +661,22 @@ class SliceBroker:
         """Run one decision epoch and return its report.
 
         Calls the orchestrator's AC-RR cycle (bit-identical to driving it
-        directly), derives the epoch's lifecycle events from the registry
-        transition, publishes them on :attr:`events` once the registry and
-        controllers are consistent, and returns the :class:`EpochReport` DTO.
-        Non-blocking from the caller's perspective: the report is plain data;
-        nothing needs to be polled afterwards.
+        directly), derives the epoch's lifecycle events by diffing the
+        registry against the checkpoint ``run_epoch`` took, publishes them on
+        :attr:`events` once the registry and controllers are consistent, and
+        returns the :class:`EpochReport` DTO.  Non-blocking from the caller's
+        perspective: the report is plain data; nothing needs to be polled
+        afterwards.
 
-        Events survive failed epochs: if an ``advance_epoch`` raises after
-        the registry committed some transitions (expiries run before the
-        solve), those transitions are derived and published by the next
-        successful epoch -- stamped with the epoch that published them.
+        A failed epoch publishes nothing: ``run_epoch`` rolls the registry
+        back to the checkpoint, so every transition it made is undone and the
+        retry derives them afresh against the same pre-epoch state.
 
         Status reads from other threads are not held up: from the
         orchestrator's checkpoint until the commit point below they are
         answered from that checkpoint, i.e. ordered before this epoch.
         """
         registry = self._orchestrator.registry
-        # Diff against the baseline of the last *published* events, not a
-        # fresh snapshot: if a previous advance_epoch failed after committing
-        # transitions (expiries run before the solve), those are derived now.
-        before = self._event_baseline
         events: list[LifecycleEvent] = []
         try:
             try:
@@ -730,20 +708,16 @@ class SliceBroker:
                 for name, token in self._token_by_queued_name.items()
                 if name in still_pending
             }
-            events = self._derive_events(epoch, before, decision)
-            # Advance the baseline *before* fan-out: delivery is at-most-once
-            # per transition, so a subscriber raising mid-publish (exceptions
-            # propagate by contract) cannot make the next epoch re-publish
-            # the same transitions under a later epoch stamp.
-            self._event_baseline = {
-                record.name: (record.state, registry.renewal_count(record.name))
-                for record in registry.all_records()
-            }
+            # Delivery is at-most-once per transition: the next epoch diffs
+            # against its own checkpoint, which already holds this epoch's
+            # outcome, so a subscriber raising mid-publish (exceptions
+            # propagate by contract) cannot make it re-publish them.
+            events = self._derive_events(epoch, self._epoch_view.registry, decision)
         finally:
             # Commit point (or rollback: the live tables then equal the
             # checkpoint again, so either source gives the same answer).
             # Readers switch to the live tables before any subscriber runs.
-            self._withdraw_epoch_view(events)
+            self._withdraw_epoch_view()
         # Registry + controllers are consistent here; only now fan out.
         self.events.publish(events)
         stats = decision.stats
@@ -830,20 +804,11 @@ class SliceBroker:
             self._epoch_thread = threading.get_ident()
             self._epoch_view = checkpoint
 
-    def _withdraw_epoch_view(self, events: Sequence[LifecycleEvent]) -> None:
-        """Point status reads back at the live tables.
-
-        The released markers of renewed names described the archived life
-        (the fresh record owns the name now); they are dropped in the same
-        critical section, so no read ever pairs a checkpoint record with a
-        post-epoch marker table or the reverse.
-        """
+    def _withdraw_epoch_view(self) -> None:
+        """Point status reads back at the live tables."""
         with self._state_mutex:
             self._epoch_view = None
             self._epoch_thread = None
-            for event in events:
-                if event.kind is LifecycleEventKind.RENEWED:
-                    self._released.pop(event.slice_name, None)
 
     def _read_source(self) -> _StateSource:
         """Where a status read looks right now; the caller holds the mutex.
@@ -857,12 +822,9 @@ class SliceBroker:
         return self._orchestrator
 
     def _derive_events(
-        self,
-        epoch: int,
-        before: Mapping[str, tuple[SliceState, int]],
-        decision,
+        self, epoch: int, before: SliceRegistry, decision
     ) -> list[LifecycleEvent]:
-        """Diff the registry against its pre-epoch snapshot into events.
+        """Diff the registry against its pre-epoch checkpoint into events.
 
         Order: EXPIRED, RENEWED, ADMITTED, REJECTED (the order the
         transitions happen inside ``run_epoch``), names sorted within each
@@ -886,9 +848,9 @@ class SliceBroker:
 
         for record in sorted(registry.all_records(), key=lambda r: r.name):
             name = record.name
-            prev_state, prev_renewals = before.get(name, (None, 0))
+            prev_state = before.record(name).state if name in before else None
             renewals = registry.renewal_count(name)
-            if renewals > prev_renewals:
+            if renewals > before.renewal_count(name):
                 old = registry.archived_records(name)[-1]
                 if prev_state is SliceState.ADMITTED and old.state is SliceState.EXPIRED:
                     expired.append(
@@ -1001,24 +963,7 @@ class SliceBroker:
                 f"unknown slice {slice_name!r}: never submitted to this broker",
                 details={"slice_name": slice_name},
             )
-        renewals = registry.renewal_count(slice_name)
-        state = record.state.value
-        if (
-            record.state is SliceState.EXPIRED
-            and self._released.get(slice_name) == renewals
-        ):
-            state = "released"
-        return SliceStatus(
-            name=slice_name,
-            state=state,
-            arrival_epoch=record.request.arrival_epoch,
-            duration_epochs=record.request.duration_epochs,
-            admitted_epoch=record.admitted_epoch,
-            expires_at=record.expires_at(),
-            compute_unit=record.compute_unit,
-            reservations_mbps=dict(record.last_reservations_mbps),
-            renewal_count=renewals,
-        )
+        return _record_status(record, registry.renewal_count(slice_name))
 
     def _names_in(self, source: _StateSource) -> set[str]:
         """Every name ``source`` can report a status for; caller holds the mutex."""
@@ -1137,26 +1082,11 @@ class SliceBroker:
             record = registry.release(slice_name)
         except SliceStateError as error:
             raise LifecycleError(str(error), details={"slice_name": slice_name}) from error
-        renewals = registry.renewal_count(slice_name)
-        self._released[slice_name] = renewals
-        _evict_oldest(self._released, self._cache_limit)
-        # The RELEASED event is the authoritative announcement of this
-        # transition; fold it into the baseline so the next epoch's diff does
-        # not re-derive it as a spurious EXPIRED event.
-        self._event_baseline[slice_name] = (record.state, renewals)
         # Describe the life that was just released (status() may already
-        # prefer a queued renewal waiting under the same name).
-        status = SliceStatus(
-            name=slice_name,
-            state="released",
-            arrival_epoch=record.request.arrival_epoch,
-            duration_epochs=record.request.duration_epochs,
-            admitted_epoch=record.admitted_epoch,
-            expires_at=record.expires_at(),
-            compute_unit=record.compute_unit,
-            reservations_mbps=dict(record.last_reservations_mbps),
-            renewal_count=renewals,
-        )
+        # prefer a queued renewal waiting under the same name).  The next
+        # epoch's checkpoint holds the EXPIRED state, so its event diff does
+        # not re-announce this transition as an expiry.
+        status = _record_status(record, registry.renewal_count(slice_name))
         metadata = {
             "stage": "admitted",
             "admitted_epoch": record.admitted_epoch,

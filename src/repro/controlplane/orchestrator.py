@@ -196,7 +196,7 @@ class E2EOrchestrator:
         #: if the epoch that applied the damage rolls back, the retry must
         #: re-run displacement detection (the damage itself persists).
         self._rehome_pending = False
-        #: Names re-homed (released + renewal re-submitted) by the last
+        #: Names re-homed (expired + renewal re-submitted) by the last
         #: committed epoch, for the broker's EpochReport.
         self.last_rehomed: tuple[str, ...] = ()
 
@@ -437,7 +437,7 @@ class E2EOrchestrator:
 
         A slice is displaced when it holds a transport reservation on a link
         whose reserved total now exceeds the (damaged) capacity.  Every
-        displaced slice is released (terminal EXPIRED, reservations
+        displaced slice expires early (terminal EXPIRED, reservations
         reclaimed by this epoch's decision) and a renewal request -- same
         name, remaining lifetime, arriving now -- is queued, so it is
         collected this very epoch and competes for admission on the damaged
@@ -467,7 +467,9 @@ class E2EOrchestrator:
             remaining = record.expires_at() - epoch
             if remaining <= 0:
                 continue
-            self.registry.release(name)
+            # The plain ADMITTED -> EXPIRED transition of a natural expiry,
+            # not a tenant release: the old life reports "expired".
+            record.state = SliceState.EXPIRED
             if self.slice_manager.pending_request(name) is not None:
                 # A renewal is already queued under this name (e.g. a tenant
                 # pre-booked one); it will compete for admission instead.

@@ -36,6 +36,9 @@ class SliceRecord:
     admitted_epoch: int | None = None
     compute_unit: str | None = None
     last_reservations_mbps: dict[str, float] = field(default_factory=dict)
+    #: True once the tenant ended this life early (:meth:`SliceRegistry.release`);
+    #: the state is then EXPIRED, and the broker reports it as "released".
+    released: bool = False
 
     @property
     def name(self) -> str:
@@ -155,10 +158,10 @@ class SliceRegistry:
 
         The record moves straight to EXPIRED (the same terminal state a
         natural expiry reaches, so renewals and re-submissions behave
-        identically afterwards); the reservations the controllers still hold
-        are reclaimed at the start of the next decision epoch, exactly as for
-        a natural expiry.  Releasing a slice that is not currently admitted is
-        a lifecycle error.
+        identically afterwards) and is flagged ``released``; the reservations
+        the controllers still hold are reclaimed at the start of the next
+        decision epoch, exactly as for a natural expiry.  Releasing a slice
+        that is not currently admitted is a lifecycle error.
         """
         record = self._records[name]
         if record.state is not SliceState.ADMITTED:
@@ -167,6 +170,7 @@ class SliceRegistry:
                 "only admitted slices can be released"
             )
         record.state = SliceState.EXPIRED
+        record.released = True
         return record
 
     def expire_due(self, epoch: int) -> list[SliceRecord]:

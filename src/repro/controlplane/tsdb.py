@@ -269,8 +269,13 @@ class TimeSeriesStore:
         return 0 if series is None else series.version
 
     def series_names(self) -> list[tuple[str, dict[str, str]]]:
-        """All stored series as (name, tags) pairs."""
-        return [(name, dict(tags)) for name, tags in self._series.keys()]
+        """All stored series as (name, tags) pairs.
+
+        The keys are copied in one C-level call before the loop: the broker's
+        lock-free ``quote`` reaches here while ``report_load`` may be opening
+        a new series, and iterating the live dict would then raise.
+        """
+        return [(name, dict(tags)) for name, tags in tuple(self._series)]
 
     def __len__(self) -> int:
         return len(self._series)

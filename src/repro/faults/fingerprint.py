@@ -55,6 +55,7 @@ def _record_payload(record) -> list:
         record.admitted_epoch,
         record.compute_unit,
         sorted(record.last_reservations_mbps.items()),
+        record.released,
     ]
 
 

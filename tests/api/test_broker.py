@@ -84,9 +84,9 @@ class TestSubmission:
         broker.release("x", epoch=0)
         assert broker.status("x").state == "released"
         with pytest.raises(Exception):
-            # 'x' re-enqueues (popping the released marker), then the
-            # duplicate 'y' fails the batch -- the rollback must restore
-            # the marker along with the queue.
+            # 'x' re-enqueues (its withdrawal marker stays, unread while
+            # 'x' is queued), then the duplicate 'y' fails the batch -- once
+            # the rollback withdraws 'x' again, the marker answers as before.
             broker.submit_batch(
                 [request("x", arrival=5), request("y", arrival=5), request("y", arrival=5)]
             )
@@ -271,6 +271,22 @@ class TestRelease:
         status = broker.status("s1")
         assert status.state == "admitted"
         assert status.renewal_count == 1
+
+    def test_released_slice_stays_released_past_the_cache_limit(self):
+        # Being released is a fact of the slice's registry record, not a
+        # bounded broker cache: later releases cannot evict it.
+        broker = SliceBroker(
+            topology=operators.testbed_topology(),
+            solver=DirectMILPSolver(),
+            cache_limit=1,
+        )
+        for epoch, name in enumerate(("first", "second", "third")):
+            broker.submit(request(name, arrival=epoch, duration=4))
+            assert broker.advance_epoch(epoch).accepted == (name,)
+            broker.release(name, epoch=epoch)
+        assert [broker.status(name).state for name in ("first", "second", "third")] == [
+            "released"
+        ] * 3
 
 
 class TestFacadeEquivalence:

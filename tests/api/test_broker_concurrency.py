@@ -363,6 +363,47 @@ class TestMixedTraffic:
         assert errors == []
         assert broker.slice_count() == 36
 
+    def test_lock_free_quote_races_report_load_opening_new_series(self):
+        """``quote`` takes no lock, and quoting a slice with no samples scans
+        every monitoring series for its base stations.  ``report_load``
+        opening a new ``(slice, bs)`` series during that scan used to raise
+        "dictionary changed size during iteration" out of ``quote``."""
+        broker = make_broker()
+        probe = request("never-reported")
+        errors: list[Exception] = []
+        writing = threading.Event()
+
+        def writer():
+            try:
+                for index in range(1000):
+                    broker.report_load(f"w{index}", f"bs-{index % 2}", 0, [1.0])
+            finally:
+                writing.clear()
+
+        def reader():
+            while writing.is_set():
+                try:
+                    broker.quote(probe)
+                except Exception as error:  # noqa: BLE001 -- asserted below
+                    errors.append(error)
+                    return
+
+        threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writing.set()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(GUARD_S)
+        finally:
+            writing.clear()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(broker.orchestrator.monitoring.store) == 1000
+
 
 # --------------------------------------------------------------------- #
 # Snapshot reads never wait for an epoch
@@ -654,13 +695,27 @@ class TestReadsDuringEpoch:
             return inner_solve(problem)
 
         solver.solve = solve
-        for epoch in range(3):
-            broker.advance_epoch(epoch)
+        derive_events = broker._derive_events
+        diffed = []
+
+        def recording_derive_events(epoch, before, decision):
+            diffed.append(before)
+            return derive_events(epoch, before, decision)
+
+        broker._derive_events = recording_derive_events
+        kinds = [
+            [event.kind.value for event in broker.advance_epoch(epoch).events]
+            for epoch in range(3)
+        ]
+        assert kinds == [["admitted"], [], ["expired"]]
         assert (len(registry_copies), len(manager_copies)) == (3, 3)
         # The published view *is* the orchestrator's checkpoint, not a copy.
         for view, registry, manager in zip(seen_view, registry_copies, manager_copies):
             assert view.registry is registry
             assert view.slice_manager is manager
+        # ... and that same copy is the "before" side of the event diff.
+        assert len(diffed) == 3
+        assert all(before is copy for before, copy in zip(diffed, registry_copies))
 
     def test_list_total_comes_from_the_same_state_as_the_page(self):
         """``GET /v1/slices`` used to take the page and the total in two

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import SliceBroker, SliceRequestV1
 from repro.api.events import EventBus, LifecycleEvent, LifecycleEventKind
+from repro.controlplane.state import SliceState
 from repro.core.milp_solver import DirectMILPSolver
 from repro.topology import operators
 
@@ -172,7 +173,7 @@ class TestEpochEventOrdering:
         assert report.events == ()
         assert seen == []
 
-    def test_transitions_committed_by_a_failed_epoch_are_published_later(self):
+    def test_a_failed_epoch_rolls_its_expiry_back_and_the_retry_publishes_it(self):
         from repro.api import SolverError
 
         class FlakySolver:
@@ -194,13 +195,18 @@ class TestEpochEventOrdering:
         broker.submit(request("late", arrival=2, duration=2))
         broker.advance_epoch(0)
         broker.advance_epoch(1)
+        registry = broker.orchestrator.registry
+        pre_epoch = registry.snapshot()
         # Epoch 2: 'a' expires inside run_epoch, then the solve for 'late'
-        # fails -- the expiry is committed but nothing is published.
+        # fails -- the epoch rolls back, expiry included, and publishes
+        # nothing.
         solver.fail_next = True
         with pytest.raises(SolverError):
             broker.advance_epoch(2)
         assert seen == [("admitted", "a")]
-        # The retry publishes the missed expiry along with the new admission.
+        assert registry.all_records() == pre_epoch.all_records()
+        assert registry.record("a").state is SliceState.ADMITTED
+        # The retry expires 'a' again and publishes it with the admission.
         broker.advance_epoch(3)
         assert seen == [
             ("admitted", "a"),

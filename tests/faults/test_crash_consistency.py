@@ -176,6 +176,25 @@ class TestFastFaultMatrix:
             oracle
         )
 
+    def test_a_rolled_back_renewal_restores_the_released_life(self):
+        # Whether a life was released lives on its registry record, so the
+        # epoch checkpoint carries it and the fingerprint covers it.
+        plan = FaultPlan.of(make_spec(HOOK_CLOUD_APPLY, FaultKind.CRASH, epoch=2))
+        broker = make_chaos_broker(plan)
+        broker.advance_epoch(0)
+        broker.release("u1", epoch=1)
+        broker.advance_epoch(1)
+        broker.submit(SliceRequestV1.of("u1", "uRLLC", duration_epochs=2, arrival_epoch=2))
+        orchestrator = broker.orchestrator
+        before = control_plane_fingerprint(orchestrator)
+        with pytest.raises(SolverError):
+            broker.advance_epoch(2)  # renews u1, solves, then the cloud apply crashes
+        assert control_plane_fingerprint(orchestrator) == before
+        assert orchestrator.registry.renewal_count("u1") == 0
+        assert broker.status("u1").state == "queued"  # the renewal is back at intake
+        broker.release("u1", epoch=2)  # cancel it
+        assert broker.status("u1").state == "released"
+
     def test_health_recovers_after_consecutive_clean_epochs(self):
         plan = FaultPlan.of(make_spec(HOOK_SOLVER, FaultKind.CRASH, epoch=1))
         broker = make_chaos_broker(plan)

@@ -52,6 +52,20 @@ class TestInjectedLinkFailure:
         # registry stays coherent and queryable.
         assert broker.status("u1").state in {"admitted", "rejected"}
 
+    def test_rehomed_slice_with_a_later_renewal_reports_expired(self):
+        # Re-homing ends the old life like a natural expiry, not like a
+        # tenant release; the renewal the tenant pre-booked keeps its slot.
+        broker = make_broker()
+        admit_one(broker)
+        broker.submit(SliceRequestV1.of("u1", "eMBB", duration_epochs=2, arrival_epoch=6))
+        broker.inject_link_failure(all_link_keys(broker), OUTAGE_FACTOR)
+        report = broker.advance_epoch(1)
+        assert report.rehomed == ("u1",)
+        assert broker.orchestrator.registry.renewal_count("u1") == 0
+        assert broker.status("u1").state == "queued"  # the booked renewal waits
+        broker.release("u1", epoch=1)  # cancel it
+        assert broker.status("u1").state == "expired"
+
     def test_mild_degradation_does_not_displace_anyone(self):
         broker = make_broker()
         admit_one(broker)
