@@ -5,8 +5,8 @@ Fig. 5/6/8 campaigns spend thousands of epochs in -- the warm-started
 Benders solver certifies the previous epoch's optimum in a single
 master/slave round, cutting master iterations by at least 2x against cold
 solves while returning bit-identical decisions.  The monitoring layer's
-incremental peak cache is tracked alongside, since the same steady-state
-epochs hit it once per slice per forecast.
+write-then-merge path is tracked alongside, since every steady-state epoch
+writes each slice's samples and then reads its merged peak history.
 
 Record/compare a baseline with::
 
@@ -122,28 +122,8 @@ def _loaded_monitoring(num_slices=8, num_bs=6, num_epochs=200, samples=12):
     return monitoring
 
 
-def test_peak_history_steady_state_queries(benchmark):
-    """Forecast-path reads between writes: served from the merged-peak cache."""
-    monitoring = _loaded_monitoring()
-    names = [f"slice-{s}" for s in range(8)]
-    for name in names:
-        monitoring.peak_history(name)  # populate the cache
-
-    def query_all():
-        return sum(monitoring.peak_history(name).size for name in names)
-
-    total = benchmark.pedantic(query_all, rounds=5, iterations=50)
-    assert total == 8 * 200
-    benchmark.extra_info["num_slices"] = 8
-    benchmark.extra_info["epochs_per_history"] = 200
-    if benchmark.stats is not None:
-        benchmark.extra_info["histories_per_s"] = (
-            len(names) / benchmark.stats.stats.mean
-        )
-
-
 def test_peak_history_after_write(benchmark):
-    """One epoch's write plus the invalidated re-merge it forces."""
+    """One epoch's write plus the cross-station merge the next read runs."""
     monitoring = _loaded_monitoring()
     monitoring.peak_history("slice-0")
     samples = np.full(12, 25.0)

@@ -6,15 +6,16 @@ The package is organised around the paper's architecture:
 * :mod:`repro.topology` -- the data-plane substrate (base stations, transport
   network, compute units) and the three synthetic operator networks used in
   the evaluation.
-* :mod:`repro.radio` -- spectrum / physical-resource-block models.
+* :mod:`repro.radio` -- RAN sharing: PRB shares of each base station, sized
+  with the base station's own spectral efficiency.
 * :mod:`repro.traffic` -- synthetic slice demand (Gaussian + diurnal traces).
 * :mod:`repro.forecasting` -- Holt-Winters and simpler forecasters used by the
   orchestrator's Forecasting block.
 * :mod:`repro.core` -- the paper's contribution: the AC-RR yield-management
   problem, the Benders decomposition solver, the KAC heuristic and the
   no-overbooking baseline.
-* :mod:`repro.dataplane` -- simulated data plane (rate-control middlebox,
-  network services, per-domain usage accounting).
+* :mod:`repro.dataplane` -- simulated data plane (work-conserving slice
+  multiplexing, per-domain usage accounting).
 * :mod:`repro.controlplane` -- slice manager, E2E orchestrator and domain
   controllers (the hierarchical control plane of Fig. 2).
 * :mod:`repro.api` -- the northbound SliceBroker service API (versioned DTOs,

@@ -27,8 +27,7 @@ class RanController:
     def __init__(self, topology: NetworkTopology):
         self.topology = topology
         self.enforcers: dict[str, RanSlicingEnforcer] = {
-            bs.name: RanSlicingEnforcer(base_station=bs.name, capacity_mhz=bs.capacity_mhz)
-            for bs in topology.base_stations
+            bs.name: RanSlicingEnforcer(bs) for bs in topology.base_stations
         }
 
     def apply(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
@@ -50,9 +49,7 @@ class RanController:
                 # Under the big-M deficit relaxation (Section 3.4) the decision
                 # may nominally exceed the carrier; the base station can only
                 # grant what physically exists, so clamp to the remaining PRBs.
-                grantable_mbps = enforcer.radio_model.mhz_to_bitrate(
-                    max(0.0, enforcer.free_prbs) / 5.0
-                )
+                grantable_mbps = enforcer.bitrate_for_prbs(max(0.0, enforcer.free_prbs))
                 enforcer.grant_bitrate(slice_name, min(mbps, grantable_mbps))
 
     def clear(self) -> None:

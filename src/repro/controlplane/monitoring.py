@@ -7,12 +7,11 @@ reserving for the peak minimises the under-allocation footprint.  This module
 stores the raw samples (per slice and base station) in the time-series store
 and exposes the per-slice peak history that feeds the Forecasting block.
 
-The peak history is served from an incremental cache: the store maintains
-per-epoch maxima as samples arrive (see :mod:`repro.controlplane.tsdb`), and
-the cross-base-station merge performed here is memoised against the backing
-series' version counters, so a steady-state epoch whose slices saw no new
-samples pays a handful of dictionary lookups instead of re-aggregating raw
-samples.
+The store maintains per-epoch maxima as samples arrive (see
+:mod:`repro.controlplane.tsdb`), so the peak history never re-aggregates raw
+samples.  The cross-base-station merge performed here runs on every call:
+a slice with load is written every epoch before it is read, so a memo keyed
+on writes would only ever hit empty histories.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ class MonitoringService:
         #: including ones written to the store directly).
         self._stations: dict[str, list[str]] = {}
         self._stations_series_count = 0
-        #: slice name -> (per-BS version stamp, merged peak-history array).
-        self._peak_cache: dict[str, tuple[tuple, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     # Ingestion (called by the controllers / simulation engine)
@@ -123,9 +120,8 @@ class MonitoringService:
 
         When ``base_station`` is None the peak is taken across every base
         station serving the slice, which is the (conservative) per-site load
-        the reservation must cover.  The merged history is cached per slice
-        and invalidated through the backing series' version counters, so
-        repeated forecasts between writes are O(#base stations).
+        the reservation must cover.  Either way the result is a fresh array,
+        never a window onto the store's ring buffer.
         """
         if base_station is not None:
             _, peaks = self.store.peak_series(
@@ -133,35 +129,21 @@ class MonitoringService:
             )
             return np.array(peaks)
 
-        stations = self.observed_base_stations(slice_name)
-        stamp = tuple(
-            self.store.series_version(
-                _LOAD_SERIES, tags={"slice": slice_name, "bs": bs}
-            )
-            for bs in stations
-        )
-        cached = self._peak_cache.get(slice_name)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-
         tracks = [
             self.store.peak_series(_LOAD_SERIES, tags={"slice": slice_name, "bs": bs})
-            for bs in stations
+            for bs in self.observed_base_stations(slice_name)
         ]
         if tracks and all(np.array_equal(epochs, tracks[0][0]) for epochs, _ in tracks[1:]):
             # One epoch axis for every station (the steady state): the merge
             # is an element-wise maximum, floored at 0.0 like the one below.
-            history = np.maximum(np.maximum.reduce([peaks for _, peaks in tracks]), 0.0)
-        else:
-            # Ragged axes (a station that joined late, pruned or skipped an
-            # epoch): merge epoch by epoch.
-            merged: dict[int, float] = {}
-            for epochs, peaks in tracks:
-                for epoch, value in zip(epochs.tolist(), peaks.tolist()):
-                    merged[epoch] = max(merged.get(epoch, 0.0), value)
-            history = np.array([merged[e] for e in sorted(merged)])
-        self._peak_cache[slice_name] = (stamp, history)
-        return history
+            return np.maximum(np.maximum.reduce([peaks for _, peaks in tracks]), 0.0)
+        # Ragged axes (a station that joined late, pruned or skipped an
+        # epoch): merge epoch by epoch.
+        merged: dict[int, float] = {}
+        for epochs, peaks in tracks:
+            for epoch, value in zip(epochs.tolist(), peaks.tolist()):
+                merged[epoch] = max(merged.get(epoch, 0.0), value)
+        return np.array([merged[e] for e in sorted(merged)])
 
     def num_observed_epochs(self, slice_name: str) -> int:
         return int(self.peak_history(slice_name).size)

@@ -6,12 +6,10 @@ per series, which this module provides without external dependencies.
 Series are identified by a name plus a tag dictionary, mirroring the
 measurement/tag model of the original store.
 
-Storage layout (see DESIGN.md, "Warm-started solver layer & monitoring
-caches"): each series keeps its samples in amortised-O(1) numpy ring
-buffers and maintains the per-epoch *peak* incrementally as samples arrive,
-so the forecasting path never re-groups raw samples.  A per-series version
-counter lets downstream caches (the monitoring service's merged peak
-history) detect writes and prunes without subscribing to the store.
+Storage layout (see DESIGN.md, "Monitoring cache invalidation"): each
+series keeps its samples in amortised-O(1) numpy ring buffers and maintains
+the per-epoch *peak* incrementally as samples arrive, so the forecasting
+path never re-groups raw samples.
 """
 
 from __future__ import annotations
@@ -88,24 +86,21 @@ class _Series:
     ``peak_epochs``/``peak_values`` hold one entry per distinct epoch, in
     epoch order; appending more samples for the latest epoch updates the
     trailing peak in place, so the per-epoch maximum is always current
-    without ever re-scanning the raw samples.  ``version`` increments on
-    every mutation (a written block or a prune) and is what downstream
-    caches key on.
+    without ever re-scanning the raw samples.
     """
 
-    __slots__ = ("epochs", "values", "peak_epochs", "peak_values", "version")
+    __slots__ = ("epochs", "values", "peak_epochs", "peak_values")
 
     def __init__(self) -> None:
         self.epochs = _RingBuffer(np.int64)
         self.values = _RingBuffer(np.float64)
         self.peak_epochs = _RingBuffer(np.int64)
         self.peak_values = _RingBuffer(np.float64)
-        self.version = 0
 
     def extend(self, epoch: int, values) -> None:
         """Append a block of samples sharing one epoch: one epoch-order
-        check, one slice copy per buffer, one ``max`` into the peak track,
-        one version bump.  An empty block changes nothing."""
+        check, one slice copy per buffer, one ``max`` into the peak track.
+        An empty block changes nothing."""
         epoch = int(epoch)
         values = np.asarray(values, dtype=np.float64).ravel()
         if not len(values):
@@ -125,7 +120,6 @@ class _Series:
         else:
             self.peak_epochs.append(epoch)
             self.peak_values.append(peak)
-        self.version += 1
 
     def prune_before(self, min_epoch: int) -> None:
         """Drop all samples with an epoch strictly below ``min_epoch``."""
@@ -140,7 +134,6 @@ class _Series:
         if peak_cutoff:
             self.peak_epochs.drop_front(peak_cutoff)
             self.peak_values.drop_front(peak_cutoff)
-        self.version += 1
 
     # ------------------------------------------------------------------ #
     def window(self, start_epoch: int | None, end_epoch: int | None) -> np.ndarray:
@@ -184,11 +177,7 @@ class TimeSeriesStore:
         self, name: str, epoch: int, value: float, tags: dict[str, str] | None = None
     ) -> None:
         """Append one sample to a series (created on first write)."""
-        key = _series_key(name, tags)
-        series = self._series.setdefault(key, _Series())
-        series.extend(epoch, (value,))
-        if self.retention_epochs is not None:
-            series.prune_before(int(epoch) - self.retention_epochs + 1)
+        self.write_many(name, epoch, [value], tags)
 
     def write_many(
         self,
@@ -230,11 +219,11 @@ class TimeSeriesStore:
         is maintained incrementally and served without touching the raw
         samples; 'mean' and 'sum' group the raw samples on demand.
         """
+        if aggregate not in ("max", "mean", "sum"):
+            raise ValueError(f"unsupported aggregate {aggregate!r}")
         series = self._series.get(_series_key(name, tags))
         if series is None:
             return {}
-        if aggregate not in ("max", "mean", "sum"):
-            raise ValueError(f"unsupported aggregate {aggregate!r}")
         if aggregate == "max":
             epochs, peaks = series.peaks()
             return {int(epoch): float(peak) for epoch, peak in zip(epochs, peaks)}
@@ -258,15 +247,6 @@ class TimeSeriesStore:
         if series is None:
             return np.array([], dtype=np.int64), np.array([])
         return series.peaks()
-
-    def series_version(self, name: str, tags: dict[str, str] | None = None) -> int:
-        """Monotonic mutation counter of one series (0 when it does not exist).
-
-        Downstream caches compare versions instead of data: any append or
-        retention prune bumps the counter.
-        """
-        series = self._series.get(_series_key(name, tags))
-        return 0 if series is None else series.version
 
     def series_names(self) -> list[tuple[str, dict[str, str]]]:
         """All stored series as (name, tags) pairs.

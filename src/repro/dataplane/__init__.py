@@ -1,28 +1,19 @@
-"""Simulated data plane: network services, rate-control middlebox and usage.
+"""Simulated data plane: statistical multiplexing and per-domain usage.
 
-The paper's data plane (Fig. 1) wraps each tenant's vertical service into an
-ETSI network service whose traffic traverses a rate-control middlebox before
-reaching the users.  The middlebox is what makes overbooking transparent: it
-forwards traffic that fits the reservation, buffers traffic that exceeds the
-reservation but respects the SLA, and drops traffic beyond the SLA.  This
-package simulates that behaviour and accounts for per-domain resource usage,
-which is what the testbed experiment (Fig. 8) measures.
+The paper's data plane (Fig. 1) shapes each slice's traffic with a
+rate-control middlebox, which is what makes overbooking transparent: traffic
+within the reservation is always forwarded, and only when a resource
+saturates is the overbooked excess clamped back.  The simulation models that
+per epoch in :mod:`repro.dataplane.multiplexing` (the SLA-conformant traffic
+each slice loses on saturated radio / transport / compute resources, which
+drives penalties) and accounts reservation vs. utilisation per domain with
+:class:`UsageAccountant`, which is what the testbed experiment (Fig. 8)
+measures.
 """
 
-from repro.dataplane.middlebox import RateControlMiddlebox, MiddleboxReport
-from repro.dataplane.network_service import (
-    NetworkFunction,
-    NetworkService,
-    build_network_service,
-)
 from repro.dataplane.usage import DomainUsage, UsageAccountant
 
 __all__ = [
-    "RateControlMiddlebox",
-    "MiddleboxReport",
-    "NetworkFunction",
-    "NetworkService",
-    "build_network_service",
     "DomainUsage",
     "UsageAccountant",
 ]

@@ -1,20 +1,13 @@
-"""Radio-domain models: spectrum, physical resource blocks and RAN sharing."""
+"""Radio domain: RAN sharing, i.e. PRB shares of a base station per slice.
 
-from repro.radio.spectral import (
-    RadioModel,
-    IDEAL_RADIO_MODEL,
-    prbs_per_mhz,
-    bitrate_to_mhz,
-    mhz_to_bitrate,
-)
+The bitrate-to-spectrum factor is the base station's own
+(:meth:`repro.topology.elements.BaseStation.mhz_for_bitrate`), the one the
+solver reserves with; this package only turns it into PRB shares.
+"""
+
 from repro.radio.ran_sharing import RanSlicingEnforcer, RadioShare
 
 __all__ = [
-    "RadioModel",
-    "IDEAL_RADIO_MODEL",
-    "prbs_per_mhz",
-    "bitrate_to_mhz",
-    "mhz_to_bitrate",
     "RanSlicingEnforcer",
     "RadioShare",
 ]

@@ -4,16 +4,18 @@ The paper's testbed uses commercial base stations whose proprietary interface
 grants shares of physical resource blocks (PRBs) to different mobile networks
 (one PLMN-id per slice).  This module reproduces that behaviour for the
 simulated data plane: the RAN controller converts the orchestrator's bitrate
-reservations into PRB shares, and the enforcer verifies they fit into the
-carrier and computes the per-slice radio utilisation shown in Fig. 8(b).
+reservations into PRB shares through the base station's own spectral
+efficiency (the eta_b the solver reserved with), and the enforcer verifies
+they fit into the carrier and computes the per-slice radio utilisation shown
+in Fig. 8(b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.radio.spectral import PRBS_PER_MHZ, RadioModel, IDEAL_RADIO_MODEL
-from repro.utils.validation import ensure_non_negative, ensure_positive
+from repro.topology.elements import PRBS_PER_MHZ, BaseStation
+from repro.utils.validation import ensure_non_negative
 
 
 @dataclass(frozen=True)
@@ -34,20 +36,15 @@ class RanSlicingEnforcer:
 
     Mirrors the base-station-local behaviour: the sum of the granted shares
     can never exceed the carrier size, and traffic beyond a slice's share is
-    reported as radio-limited (it will be shaped by the middlebox upstream).
+    reported as radio-limited.
     """
 
-    base_station: str
-    capacity_mhz: float
-    radio_model: RadioModel = IDEAL_RADIO_MODEL
+    base_station: BaseStation
     _shares: dict[str, RadioShare] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.capacity_mhz, "capacity_mhz")
 
     @property
     def capacity_prbs(self) -> float:
-        return self.capacity_mhz * PRBS_PER_MHZ
+        return self.base_station.capacity_prbs
 
     @property
     def allocated_prbs(self) -> float:
@@ -60,6 +57,14 @@ class RanSlicingEnforcer:
     def shares(self) -> dict[str, RadioShare]:
         return dict(self._shares)
 
+    def prbs_for_bitrate(self, mbps: float) -> float:
+        """Physical resource blocks needed to carry ``mbps`` of traffic."""
+        return self.base_station.mhz_for_bitrate(mbps) * PRBS_PER_MHZ
+
+    def bitrate_for_prbs(self, prbs: float) -> float:
+        """Traffic (Mb/s) that ``prbs`` physical resource blocks carry."""
+        return prbs / PRBS_PER_MHZ * self.base_station.spectral_efficiency_mbps_per_mhz
+
     def grant_bitrate(self, slice_name: str, mbps: float) -> RadioShare:
         """Grant (or update) a slice's share sized for ``mbps`` of traffic.
 
@@ -67,16 +72,15 @@ class RanSlicingEnforcer:
         remaining carrier capacity; the orchestrator's admission control is
         responsible for never issuing such a grant.
         """
-        ensure_non_negative(mbps, "mbps")
-        prbs = self.radio_model.bitrate_to_prbs(mbps)
+        prbs = self.prbs_for_bitrate(mbps)
         currently = self._shares.get(slice_name)
         available = self.free_prbs + (currently.prbs if currently else 0.0)
         if prbs > available + 1e-9:
             raise ValueError(
                 f"cannot grant {prbs:.1f} PRBs to {slice_name!r} on "
-                f"{self.base_station!r}: only {available:.1f} PRBs available"
+                f"{self.base_station.name!r}: only {available:.1f} PRBs available"
             )
-        share = RadioShare(slice_name=slice_name, base_station=self.base_station, prbs=prbs)
+        share = RadioShare(slice_name=slice_name, base_station=self.base_station.name, prbs=prbs)
         self._shares[slice_name] = share
         return share
 
@@ -94,14 +98,12 @@ class RanSlicingEnforcer:
         share = self._shares.get(slice_name)
         if share is None:
             return 0.0
-        share_mbps = self.radio_model.mhz_to_bitrate(share.prbs / PRBS_PER_MHZ)
-        return min(offered_mbps, share_mbps)
+        return min(offered_mbps, self.bitrate_for_prbs(share.prbs))
 
     def utilisation(self, offered_mbps: dict[str, float]) -> dict[str, float]:
         """Per-slice PRB usage given each slice's offered load (Fig. 8(b))."""
         usage: dict[str, float] = {}
-        for slice_name, share in self._shares.items():
-            offered = offered_mbps.get(slice_name, 0.0)
-            served = self.served_bitrate(slice_name, offered)
-            usage[slice_name] = self.radio_model.bitrate_to_prbs(served)
+        for slice_name in self._shares:
+            served = self.served_bitrate(slice_name, offered_mbps.get(slice_name, 0.0))
+            usage[slice_name] = self.prbs_for_bitrate(served)
         return usage

@@ -5,10 +5,11 @@ paper's architecture prescribes (Fig. 2): tenants' requests flow through the
 northbound :class:`~repro.api.broker.SliceBroker` into the control plane;
 every decision epoch the broker drives admission control & resource
 reservation and pushes the result to the domain controllers; the tenants'
-traffic is then pushed through the per-slice rate-control middleboxes;
-monitoring samples flow back through the broker into the time-series store
-and drive the next epoch's forecasts.  The revenue accountant keeps the
-score.
+traffic is then multiplexed over the admitted slices' resources
+(:class:`~repro.dataplane.multiplexing.SliceMultiplexer`), which decides
+what each slice loses on saturated resources; monitoring samples flow back
+through the broker into the time-series store and drive the next epoch's
+forecasts.  The revenue accountant keeps the score.
 
 The engine is one *driver* of the broker among several (examples, future
 trace replayers / RL environments): every control-plane mutation here goes
@@ -25,7 +26,6 @@ import numpy as np
 from repro.api.broker import SliceBroker
 from repro.controlplane.orchestrator import OrchestratorConfig
 from repro.core.forecast_inputs import ForecastInput
-from repro.dataplane.middlebox import RateControlMiddlebox
 from repro.dataplane.multiplexing import SliceMultiplexer
 from repro.dataplane.usage import DomainUsage, UsageAccountant
 from repro.simulation.revenue import RevenueAccountant, RevenueReport
@@ -130,7 +130,6 @@ class SimulationEngine:
         if scenario.forecast_mode == "oracle":
             self.broker.set_forecast_overrides(self._oracle_forecasts())
         self._demand_models: dict[tuple[str, str], DemandModel] = {}
-        self._middleboxes: dict[tuple[str, str], RateControlMiddlebox] = {}
         self.accountant = RevenueAccountant(
             num_base_stations=len(scenario.topology.base_station_names)
         )
@@ -148,16 +147,6 @@ class SimulationEngine:
                 label=f"{workload.name}:{base_station}",
             )
         return self._demand_models[key]
-
-    def _middlebox(self, workload: SliceWorkload, base_station: str) -> RateControlMiddlebox:
-        key = (workload.name, base_station)
-        if key not in self._middleboxes:
-            self._middleboxes[key] = RateControlMiddlebox(
-                slice_name=workload.name,
-                sla_mbps=workload.request.sla_mbps,
-                reservation_mbps=0.0,
-            )
-        return self._middleboxes[key]
 
     def _oracle_forecasts(self) -> dict[str, ForecastInput]:
         """Derive per-slice forecasts directly from the demand statistics.

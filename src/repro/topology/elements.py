@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 
 from repro.utils.validation import ensure_non_negative, ensure_positive
 
+#: LTE numerology: a 20 MHz carrier contains 100 physical resource blocks.
+PRBS_PER_MHZ = 5.0
+
 
 class LinkTechnology(str, enum.Enum):
     """Transport link technology, which drives capacity and propagation delay.
@@ -81,11 +84,8 @@ class BaseStation:
 
     @property
     def capacity_prbs(self) -> float:
-        """Radio capacity expressed in LTE physical resource blocks (PRBs).
-
-        A 20 MHz LTE channel has 100 PRBs, i.e. 5 PRBs per MHz.
-        """
-        return self.capacity_mhz * 5.0
+        """Radio capacity expressed in LTE physical resource blocks (PRBs)."""
+        return self.capacity_mhz * PRBS_PER_MHZ
 
     def mhz_for_bitrate(self, mbps: float) -> float:
         """Spectrum (MHz) needed to carry ``mbps`` of traffic (eta_{tau,b})."""

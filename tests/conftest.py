@@ -36,6 +36,7 @@ def build_tiny_topology(
     edge_cpus: float = 40.0,
     core_cpus: float = 200.0,
     core_latency_ms: float = 20.0,
+    bs_spectral_efficiency: float = 7.5,
 ) -> NetworkTopology:
     """A star topology: BSs -- switch -- {edge CU, core CU}."""
     topology = NetworkTopology(name="tiny")
@@ -53,7 +54,11 @@ def build_tiny_topology(
     )
     for i in range(num_base_stations):
         topology.add_base_station(
-            BaseStation(name=f"bs-{i}", capacity_mhz=bs_capacity_mhz)
+            BaseStation(
+                name=f"bs-{i}",
+                capacity_mhz=bs_capacity_mhz,
+                spectral_efficiency_mbps_per_mhz=bs_spectral_efficiency,
+            )
         )
         topology.add_link(
             TransportLink(

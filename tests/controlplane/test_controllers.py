@@ -4,6 +4,12 @@ import pytest
 
 from repro.controlplane.controllers import ControllerSet
 from repro.core.milp_solver import DirectMILPSolver
+from repro.core.problem import ACRRProblem
+from repro.core.slices import EMBB_TEMPLATE, make_requests
+from repro.core.solution import OrchestrationDecision, SolverStats, TenantAllocation
+from repro.topology.elements import PRBS_PER_MHZ
+from repro.topology.paths import compute_path_sets
+from tests.conftest import build_tiny_topology, low_load_forecasts
 
 
 @pytest.fixture
@@ -48,6 +54,83 @@ class TestRanController:
             assert controllers.ran.shares(bs) == {}
 
 
+class TestRanAgreesWithTheSolver:
+    """The RAN controller enforces the spectrum the solver reserved: PRB
+    shares come from the base station's own spectral efficiency (eta_b of
+    constraint (4)), not from a second radio model."""
+
+    def test_shares_are_the_reserved_spectrum_at_non_default_efficiency(self):
+        topology = build_tiny_topology(bs_spectral_efficiency=5.0)
+        requests = make_requests(EMBB_TEMPLATE, 2, duration_epochs=24)
+        problem = ACRRProblem(
+            topology=topology,
+            path_set=compute_path_sets(topology, k=3),
+            requests=requests,
+            forecasts=low_load_forecasts(requests),
+        )
+        decision = DirectMILPSolver().solve(problem)
+        controllers = ControllerSet.for_topology(topology)
+        controllers.apply(problem, decision)
+
+        reserved_mhz = decision.radio_reservations_mhz(problem)
+        assert len(decision.accepted_tenants) == 2
+        for bs in topology.base_station_names:
+            shares = controllers.ran.shares(bs)
+            assert set(shares) == set(reserved_mhz[bs]) == set(decision.accepted_tenants)
+            for name, mhz in reserved_mhz[bs].items():
+                assert mhz > 0.0
+                assert shares[name] == pytest.approx(PRBS_PER_MHZ * mhz, rel=1e-12)
+
+    @pytest.mark.parametrize("efficiency", [5.0, 7.5, 10.0])
+    def test_reserved_bitrate_is_served_in_full(self, efficiency):
+        topology = build_tiny_topology(bs_spectral_efficiency=efficiency)
+        requests = make_requests(EMBB_TEMPLATE, 2, duration_epochs=24)
+        problem = ACRRProblem(
+            topology=topology,
+            path_set=compute_path_sets(topology, k=3),
+            requests=requests,
+            forecasts=low_load_forecasts(requests),
+        )
+        decision = DirectMILPSolver().solve(problem)
+        controllers = ControllerSet.for_topology(topology)
+        controllers.apply(problem, decision)
+
+        assert len(decision.accepted_tenants) == 2
+        for name in decision.accepted_tenants:
+            for bs, mbps in decision.allocation(name).reservations_mbps.items():
+                # The air interface carries exactly the reservation: no more,
+                # and -- whatever eta_b is -- no less.
+                served = controllers.ran.served_bitrate(bs, name, 2 * mbps)
+                assert served == pytest.approx(mbps, rel=1e-12)
+
+    def test_grants_beyond_the_carrier_are_clamped(self, embb_problem):
+        # Under the deficit relaxation a decision may nominally reserve more
+        # than the carrier holds: 2 x 100 Mb/s on a 150 Mb/s (100-PRB) cell.
+        decision = OrchestrationDecision(
+            allocations={
+                request.name: TenantAllocation(
+                    request=request,
+                    accepted=True,
+                    compute_unit="edge-cu",
+                    reservations_mbps={"bs-0": 100.0},
+                )
+                for request in embb_problem.requests[:2]
+            },
+            objective_value=0.0,
+            stats=SolverStats(solver="test"),
+        )
+        controllers = ControllerSet.for_topology(embb_problem.topology)
+        controllers.ran.apply(embb_problem, decision)
+
+        first, second = (request.name for request in embb_problem.requests[:2])
+        shares = controllers.ran.shares("bs-0")
+        assert shares[first] == pytest.approx(100.0 / 7.5 * PRBS_PER_MHZ)
+        assert shares[second] == pytest.approx(50.0 / 7.5 * PRBS_PER_MHZ)
+        capacity = embb_problem.topology.base_station("bs-0").capacity_prbs
+        assert sum(shares.values()) == pytest.approx(capacity)
+        assert controllers.ran.shares("bs-1") == {}
+
+
 class TestTransportController:
     def test_link_reservation_and_headroom(self, applied_controllers):
         problem, decision, controllers = applied_controllers
@@ -68,6 +151,27 @@ class TestCloudController:
             assert controllers.cloud.cu_headroom(cu.name) == pytest.approx(
                 cu.capacity_cpus - reserved
             )
+
+    def test_each_slice_reserves_its_cpu_budget_on_its_anchor(self, applied_controllers):
+        problem, decision, controllers = applied_controllers
+        for name, alloc in decision.allocations.items():
+            for cu, per_slice in controllers.cloud.reservations_cpus.items():
+                if alloc.accepted and cu == alloc.compute_unit:
+                    assert per_slice[name] == pytest.approx(alloc.reserved_cpus)
+                else:
+                    assert name not in per_slice
+
+
+class TestClear:
+    def test_clear_releases_every_domain(self, applied_controllers):
+        problem, decision, controllers = applied_controllers
+        controllers.clear()
+        for bs in problem.topology.base_station_names:
+            assert controllers.ran.shares(bs) == {}
+        for link in problem.topology.links:
+            assert controllers.transport.link_reservation(link.key) == 0.0
+        for cu in problem.topology.compute_units:
+            assert controllers.cloud.cu_reservation(cu.name) == 0.0
 
 
 class TestAtomicApply:

@@ -47,26 +47,29 @@ class TestPeakHistory:
         assert monitoring.mean_load("ghost") == 0.0
 
 
-class TestPeakCache:
-    """The merged peak history is cached and invalidated by writes."""
+class TestPeakHistoryReads:
+    """The merged peak history is rebuilt on every call and reflects every
+    write, however it reached the store."""
 
-    def test_cached_history_is_returned_between_writes(self):
+    def test_each_call_returns_a_fresh_array(self):
         monitoring = MonitoringService()
         monitoring.record_samples("s", "bs-0", 0, [1.0, 2.0])
         first = monitoring.peak_history("s")
         second = monitoring.peak_history("s")
-        assert second is first  # served from the cache, no rebuild
+        assert second is not first
+        assert second.tolist() == first.tolist() == [2.0]
+        first[0] = -1.0  # a caller's edit does not leak into the next read
+        assert monitoring.peak_history("s").tolist() == [2.0]
 
-    def test_write_invalidates_the_cache(self):
+    def test_write_shows_in_the_next_read(self):
         monitoring = MonitoringService()
         monitoring.record_samples("s", "bs-0", 0, [1.0])
-        stale = monitoring.peak_history("s")
+        before = monitoring.peak_history("s")
         monitoring.record_samples("s", "bs-0", 1, [5.0])
-        fresh = monitoring.peak_history("s")
-        assert fresh is not stale
-        assert fresh.tolist() == [1.0, 5.0]
+        assert before.tolist() == [1.0]
+        assert monitoring.peak_history("s").tolist() == [1.0, 5.0]
 
-    def test_new_base_station_invalidates_the_cache(self):
+    def test_new_base_station_shows_in_the_next_read(self):
         monitoring = MonitoringService()
         monitoring.record_samples("s", "bs-0", 0, [1.0])
         monitoring.peak_history("s")
@@ -74,7 +77,7 @@ class TestPeakCache:
         assert monitoring.peak_history("s").tolist() == [9.0]
 
     def test_direct_store_writes_are_detected(self):
-        """Even bypassing record_samples, the version stamps catch writes."""
+        """Even bypassing record_samples, a write shows in the next read."""
         monitoring = MonitoringService()
         monitoring.record_samples("s", "bs-0", 0, [2.0])
         monitoring.peak_history("s")
@@ -83,13 +86,13 @@ class TestPeakCache:
         )
         assert monitoring.peak_history("s").tolist() == [2.0, 7.0]
 
-    def test_cache_is_per_slice(self):
+    def test_histories_are_per_slice(self):
         monitoring = MonitoringService()
         monitoring.record_samples("a", "bs-0", 0, [1.0])
         monitoring.record_samples("b", "bs-0", 0, [2.0])
-        cached_a = monitoring.peak_history("a")
         monitoring.record_samples("b", "bs-0", 1, [3.0])
-        assert monitoring.peak_history("a") is cached_a
+        assert monitoring.peak_history("a").tolist() == [1.0]
+        assert monitoring.peak_history("b").tolist() == [2.0, 3.0]
 
     def test_direct_store_write_to_a_new_base_station_is_detected(self):
         """A brand-new series written behind the service's back (shared

@@ -61,6 +61,15 @@ class TestAggregation:
         with pytest.raises(ValueError):
             store.per_epoch_aggregate("load", aggregate="median")
 
+    def test_unknown_aggregate_rejected_for_a_missing_series(self):
+        # The argument is validated before the lookup: a typo must not read
+        # as "no data" just because the series does not exist yet.
+        with pytest.raises(ValueError, match="median"):
+            TimeSeriesStore().per_epoch_aggregate("missing", aggregate="median")
+
+    def test_missing_series_aggregates_to_nothing(self):
+        assert TimeSeriesStore().per_epoch_aggregate("missing", aggregate="mean") == {}
+
     def test_series_names_and_clear(self):
         store = TimeSeriesStore()
         store.write("load", 0, 1.0, tags={"slice": "a"})
@@ -153,12 +162,11 @@ class TestBlockWrites:
     def test_empty_block_changes_nothing(self):
         store = TimeSeriesStore()
         store.write_many("load", 0, [2.0, 1.0])
-        version = store.series_version("load")
         store.write_many("load", 1, [])
         store.write_many("load", 1, np.array([]))
-        assert store.series_version("load") == version
         assert store.values("load").tolist() == [2.0, 1.0]
         assert store.peak_series("load")[0].tolist() == [0]
+        assert store.per_epoch_aggregate("load", aggregate="sum") == {0: 3.0}
         # ... not even the order check: an empty block carries no sample.
         store.write_many("load", -5, [])
         # A block that opens a series with nothing leaves an empty series.
@@ -199,31 +207,32 @@ class TestBlockWrites:
             assert got.tolist() == expected.tolist()
         assert len(store._series[("load", ())].values._data) <= 4 * 3 * 40
 
+    @pytest.mark.parametrize("retention", [None, 2])
+    def test_write_is_a_one_sample_block(self, retention):
+        blocks = [(0, [3.0]), (0, [7.0]), (1, [2.0]), (4, [5.0]), (4, [1.0])]
+        store = TimeSeriesStore(retention_epochs=retention)
+        for epoch, values in blocks:
+            store.write_many("load", epoch, values)
+        want = self.sample_by_sample(blocks, retention=retention)
+        assert store.values("load").tolist() == want.values("load").tolist()
+        for got, expected in zip(store.peak_series("load"), want.peak_series("load")):
+            assert got.tolist() == expected.tolist()
+        assert store.per_epoch_aggregate("load") == want.per_epoch_aggregate("load")
+
+    def test_out_of_order_write_leaves_the_series_unchanged(self):
+        store = TimeSeriesStore()
+        store.write_many("load", 5, [1.0, 4.0])
+        with pytest.raises(ValueError, match="epoch order"):
+            store.write("load", 4, 9.0)
+        assert store.values("load").tolist() == [1.0, 4.0]
+        assert store.per_epoch_aggregate("load") == {5: 4.0}
+
     def test_out_of_order_block_is_rejected_whole(self):
         store = TimeSeriesStore()
         store.write_many("load", 5, [1.0])
         with pytest.raises(ValueError, match="epoch order"):
             store.write_many("load", 4, [9.0, 9.0])
         assert store.values("load").tolist() == [1.0]
-
-
-class TestVersions:
-    def test_version_starts_at_zero_for_missing_series(self):
-        assert TimeSeriesStore().series_version("nope") == 0
-
-    def test_version_bumps_on_writes(self):
-        store = TimeSeriesStore()
-        store.write("load", 0, 1.0)
-        v1 = store.series_version("load")
-        store.write("load", 1, 1.0)
-        assert store.series_version("load") > v1
-
-    def test_version_bumps_on_retention_prune(self):
-        store = TimeSeriesStore(retention_epochs=1)
-        store.write("load", 0, 1.0)
-        v1 = store.series_version("load")
-        store.write("load", 5, 1.0)  # write + prune of epoch 0
-        assert store.series_version("load") >= v1 + 2
 
 
 class TestRetention:

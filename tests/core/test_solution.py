@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.milp_solver import DirectMILPSolver
-from repro.core.solution import SolverStats, decision_from_vectors
+from repro.core.slices import SliceRequest, SliceTemplate
+from repro.core.solution import SolverStats, TenantAllocation, decision_from_vectors
 
 
 class TestDecisionFromVectors:
@@ -85,3 +86,54 @@ class TestPerDomainReservations:
         compute = decision.compute_reservations_cpus(embb_problem)
         total = sum(sum(v.values()) for v in compute.values())
         assert total == pytest.approx(0.0)
+
+
+BASELINE_TEMPLATE = SliceTemplate(
+    name="baseline",
+    reward=2.0,
+    latency_tolerance_ms=30.0,
+    sla_mbps=40.0,
+    compute_baseline_cpus=1.5,
+    compute_cpus_per_mbps=0.5,
+)
+
+
+class TestTenantAllocation:
+    """A slice's CPU budget is ``TenantAllocation.reserved_cpus``: one
+    baseline plus the per-Mb/s share for every base station it serves."""
+
+    def test_reserved_cpus_count_a_baseline_per_base_station(self):
+        request = SliceRequest(name="s", template=BASELINE_TEMPLATE)
+        allocation = TenantAllocation(
+            request=request,
+            accepted=True,
+            compute_unit="edge-cu",
+            reservations_mbps={"bs-0": 10.0, "bs-1": 20.0},
+        )
+        assert allocation.total_reserved_mbps == pytest.approx(30.0)
+        assert allocation.reserved_cpus == pytest.approx(2 * 1.5 + 0.5 * 30.0)
+        assert allocation.reserved_cpus == pytest.approx(
+            request.compute_cpus(10.0) + request.compute_cpus(20.0)
+        )
+
+    def test_rejected_allocation_reserves_no_cpus(self):
+        allocation = TenantAllocation(
+            request=SliceRequest(name="s", template=BASELINE_TEMPLATE),
+            accepted=False,
+            compute_unit=None,
+            reservations_mbps={"bs-0": 10.0},
+        )
+        assert allocation.reserved_cpus == 0.0
+
+    def test_accepted_paths_run_from_each_base_station_to_the_anchor(self, mixed_problem):
+        decision = DirectMILPSolver().solve(mixed_problem)
+        assert decision.num_accepted > 0
+        for name, alloc in decision.allocations.items():
+            if not alloc.accepted:
+                assert alloc.compute_unit is None and not alloc.paths
+                continue
+            assert set(alloc.paths) == set(alloc.reservations_mbps)
+            assert set(alloc.paths) == set(mixed_problem.base_station_names)
+            for bs, path in alloc.paths.items():
+                assert path.base_station == bs
+                assert path.compute_unit == alloc.compute_unit

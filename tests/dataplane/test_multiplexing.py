@@ -72,6 +72,20 @@ class TestOverload:
             capacity = embb_problem.topology.base_station(bs).capacity_mbps
             assert served <= capacity + 1e-6
 
+    def test_unserved_is_exactly_the_radio_overload(self, embb_problem, admitted):
+        _decision, allocations = admitted
+        mux = SliceMultiplexer(embb_problem.topology, allocations)
+        # 6 x 40 = 240 Mb/s per BS on a 150 Mb/s cell; the 1 Gb/s links
+        # stay below capacity, so the radio is the only bottleneck and the
+        # traffic not carried is the cell's overload, no more and no less.
+        offered = uniform_samples(allocations, embb_problem.topology, 40.0, num_samples=3)
+        result = mux.unserved_traffic(offered)
+        assert all(r.startswith("radio:") for r in result.overloaded_resources)
+        for bs in embb_problem.topology.base_station_names:
+            capacity = embb_problem.topology.base_station(bs).capacity_mbps
+            unserved = sum(result.unserved_mbps[(name, bs)] for name in allocations)
+            assert unserved == pytest.approx(np.full(3, 6 * 40.0 - capacity))
+
     def test_slices_within_reservation_are_protected(self, embb_problem, admitted):
         _decision, allocations = admitted
         mux = SliceMultiplexer(embb_problem.topology, allocations)

@@ -9,7 +9,6 @@ reports.
 import pytest
 
 from repro.core.slices import EMBB_TEMPLATE, MMTC_TEMPLATE
-from repro.dataplane.network_service import build_network_service
 from repro.simulation.runner import compare_policies, run_scenario
 from repro.simulation.scenario import homogeneous_scenario, testbed_scenario as make_testbed_scenario
 from repro.utils.stats import relative_gain
@@ -89,16 +88,27 @@ class TestTestbedStory:
         # (matching Fig. 8 where uRLLC3 / mMTC3 / eMBB3 are rejected).
         assert "uRLLC3" not in overbooked.final_admitted
 
-    def test_network_services_can_be_built_for_all_admitted_slices(self):
-        scenario = make_testbed_scenario(num_epochs=6, seed=3)
+    def test_controllers_enforce_every_admitted_slice(self):
+        """Each admitted slice holds its CPU budget on its anchor CU and a
+        PRB share sized by its base station's spectral efficiency."""
+        from repro.radio.ran_sharing import RanSlicingEnforcer
         from repro.simulation.engine import SimulationEngine
         from repro.simulation.runner import make_solver
 
+        scenario = make_testbed_scenario(num_epochs=6, seed=3)
         engine = SimulationEngine(scenario, make_solver("optimal"), policy_name="optimal")
         engine.run()
-        decision = engine.orchestrator.last_decision
-        assert decision is not None
+        orchestrator = engine.orchestrator
+        decision = orchestrator.last_decision
+        assert decision is not None and decision.num_accepted > 0
+        controllers = orchestrator.controllers
         for name, alloc in decision.allocations.items():
-            if alloc.accepted:
-                service = build_network_service(alloc.request, alloc)
-                assert service.total_cpu_cores == pytest.approx(alloc.reserved_cpus)
+            if not alloc.accepted:
+                continue
+            cpus = controllers.cloud.reservations_cpus[alloc.compute_unit][name]
+            assert cpus == pytest.approx(alloc.reserved_cpus)
+            for bs, mbps in alloc.reservations_mbps.items():
+                reference = RanSlicingEnforcer(scenario.topology.base_station(bs))
+                assert controllers.ran.shares(bs)[name] == pytest.approx(
+                    reference.prbs_for_bitrate(mbps)
+                )

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.knapsack import KnapsackItem, solve_knapsack_ffd
 from repro.core.risk import deficit_probability_proxy, risk_cost
-from repro.dataplane.middlebox import RateControlMiddlebox
 from repro.forecasting.exponential import DoubleExponentialForecaster, SingleExponentialForecaster
 from repro.forecasting.naive import MeanForecaster, NaiveForecaster, PeakForecaster
+from repro.radio.ran_sharing import RanSlicingEnforcer
+from repro.topology.elements import BaseStation
 from repro.traffic.demand import GaussianDemand
 from repro.utils.stats import EmpiricalCDF
 
@@ -80,27 +81,27 @@ class TestEmpiricalCDFProperties:
         assert cdf.evaluate(min(samples) - 1.0) == 0.0
 
 
-class TestMiddleboxProperties:
+class TestRanEnforcerProperties:
     @given(
-        offered=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=30),
-        reservation=st.floats(0.0, 100.0),
+        grants=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=8),
+        offered=st.floats(0.0, 200.0),
+        efficiency=st.floats(1.0, 10.0),
     )
     @settings(max_examples=50)
-    def test_traffic_conservation_and_caps(self, offered, reservation):
-        middlebox = RateControlMiddlebox(
-            slice_name="s", sla_mbps=100.0, reservation_mbps=reservation
+    def test_shares_fit_the_carrier_and_cap_the_service(self, grants, offered, efficiency):
+        station = BaseStation(
+            name="bs", capacity_mhz=20.0, spectral_efficiency_mbps_per_mhz=efficiency
         )
-        for load in offered:
-            report = middlebox.process_sample(load, sample_seconds=60.0)
-            total = (
-                report.forwarded_mbps
-                + report.buffered_mbps
-                + report.dropped_beyond_sla_mbps
-                + report.dropped_overflow_mbps
-            )
-            assert total == pytest.approx(report.offered_mbps, abs=1e-6)
-            assert report.forwarded_mbps <= reservation + 1e-9
-            assert 0.0 <= report.violation_fraction <= 1.0
+        enforcer = RanSlicingEnforcer(station)
+        for index, mbps in enumerate(grants):
+            name = f"s{index}"
+            try:
+                share = enforcer.grant_bitrate(name, mbps)
+            except ValueError:
+                continue
+            assert enforcer.bitrate_for_prbs(share.prbs) == pytest.approx(mbps)
+            assert enforcer.served_bitrate(name, offered) == pytest.approx(min(offered, mbps))
+        assert enforcer.allocated_prbs <= station.capacity_prbs + 1e-9
 
 
 class TestForecasterProperties:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.topology.elements import (
     BaseStation,
+    PRBS_PER_MHZ,
     ComputeUnit,
     ComputeUnitKind,
     DomainCapacities,
@@ -36,6 +37,47 @@ class TestBaseStation:
         bs = BaseStation(name="bs", capacity_mhz=20.0)
         with pytest.raises(ValueError):
             bs.mhz_for_bitrate(-1.0)
+
+
+class TestBaseStationRadioModel:
+    """The base station is the only radio model: eta_b of constraint (4)
+    comes from its spectral efficiency, PRBs from the LTE numerology."""
+
+    def test_prbs_per_mhz_is_the_lte_numerology(self):
+        assert PRBS_PER_MHZ == 5.0
+        bs = BaseStation(name="bs", capacity_mhz=20.0)
+        assert bs.capacity_prbs == 20.0 * PRBS_PER_MHZ
+
+    @pytest.mark.parametrize("efficiency", [3.75, 5.0, 7.5])
+    def test_full_capacity_needs_the_whole_carrier(self, efficiency):
+        bs = BaseStation(
+            name="bs", capacity_mhz=20.0, spectral_efficiency_mbps_per_mhz=efficiency
+        )
+        assert bs.capacity_mbps == pytest.approx(20.0 * efficiency)
+        assert bs.mhz_for_bitrate(bs.capacity_mbps) == pytest.approx(bs.capacity_mhz)
+
+    def test_lower_spectral_efficiency_needs_more_spectrum(self):
+        ideal = BaseStation(name="bs", capacity_mhz=20.0)
+        degraded = BaseStation(
+            name="bs", capacity_mhz=20.0, spectral_efficiency_mbps_per_mhz=3.75
+        )
+        # Half the efficiency: the carrier holds half the traffic and every
+        # Mb/s needs twice the spectrum.
+        assert degraded.capacity_mbps == pytest.approx(ideal.capacity_mbps / 2)
+        assert degraded.mhz_for_bitrate(75.0) == pytest.approx(20.0)
+        assert degraded.mhz_for_bitrate(75.0) == pytest.approx(2 * ideal.mhz_for_bitrate(75.0))
+        # The carrier size in PRBs does not depend on the channel.
+        assert degraded.capacity_prbs == ideal.capacity_prbs
+
+    def test_zero_bitrate_needs_no_spectrum(self):
+        assert BaseStation(name="bs", capacity_mhz=20.0).mhz_for_bitrate(0.0) == 0.0
+
+    @pytest.mark.parametrize("efficiency", [0.0, -7.5])
+    def test_rejects_non_positive_spectral_efficiency(self, efficiency):
+        with pytest.raises(ValueError, match="spectral_efficiency_mbps_per_mhz"):
+            BaseStation(
+                name="bs", capacity_mhz=20.0, spectral_efficiency_mbps_per_mhz=efficiency
+            )
 
 
 class TestComputeUnit:
