@@ -11,7 +11,10 @@ The store maintains per-epoch maxima as samples arrive (see
 :mod:`repro.controlplane.tsdb`), so the peak history never re-aggregates raw
 samples.  The cross-base-station merge performed here runs on every call:
 a slice with load is written every epoch before it is read, so a memo keyed
-on writes would only ever hit empty histories.
+on writes would only ever hit empty histories.  The memo that pays lives one
+layer up, keyed on content: the Forecasting block keeps the history it last
+folded per slice and, while that is a prefix of the fresh one, folds only
+the new peaks.
 """
 
 from __future__ import annotations
@@ -144,17 +147,3 @@ class MonitoringService:
             for epoch, value in zip(epochs.tolist(), peaks.tolist()):
                 merged[epoch] = max(merged.get(epoch, 0.0), value)
         return np.array([merged[e] for e in sorted(merged)])
-
-    def num_observed_epochs(self, slice_name: str) -> int:
-        return int(self.peak_history(slice_name).size)
-
-    def mean_load(self, slice_name: str) -> float:
-        """Mean of all recorded samples of a slice (across BSs and epochs)."""
-        values = []
-        for bs in self.observed_base_stations(slice_name):
-            values.append(
-                self.store.values(_LOAD_SERIES, tags={"slice": slice_name, "bs": bs})
-            )
-        if not values:
-            return 0.0
-        return float(np.mean(np.concatenate(values)))

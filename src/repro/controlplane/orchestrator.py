@@ -20,7 +20,7 @@ trace replayer, the bundled simulator) gets the same behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -45,8 +45,10 @@ from repro.core.solution import OrchestrationDecision
 from repro.forecasting import (
     DoubleExponentialForecaster,
     Forecaster,
+    ForecastOutcome,
     HoltWintersForecaster,
     NaiveForecaster,
+    RecursiveForecaster,
 )
 from repro.topology.generators import degrade_link_capacities
 from repro.topology.network import NetworkTopology
@@ -91,6 +93,14 @@ class ForecastingBlock:
     #: Optional chaos hook, fired on entry of every per-slice forecast (hook
     #: point ``forecast.forecast_for``); ``None`` in production.
     fault_hook: Callable[[str], None] | None = None
+    #: Slice name -> ``(forecaster, history, state)``: the recursive tier
+    #: that last forecast the slice, the history it folded and the state it
+    #: reached.  A pure function of that history, so it needs no checkpoint;
+    #: entries are replaced whole, never edited (see DESIGN.md "Forecasting
+    #: as a filter").
+    _folds: dict[str, tuple[RecursiveForecaster, np.ndarray, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def forecast_for(self, request: SliceRequest, history: np.ndarray) -> ForecastInput:
         """Forecast one slice's next-epoch peak, never raising.
@@ -110,11 +120,42 @@ class ForecastingBlock:
         for forecaster in (self.primary, self.fallback, self.last_resort):
             try:
                 if forecaster.can_forecast(history):
-                    outcome = forecaster.forecast(history, horizon=1)
+                    if isinstance(forecaster, RecursiveForecaster):
+                        outcome = self._filter(request.name, forecaster, history)
+                    else:
+                        outcome = forecaster.forecast(history, horizon=1)
                     return outcome.as_forecast_input(request.sla_mbps)
             except Exception:
                 continue
         return ForecastInput.pessimistic(request.sla_mbps)
+
+    def _filter(
+        self, name: str, forecaster: RecursiveForecaster, history: np.ndarray
+    ) -> ForecastOutcome:
+        """``forecaster.forecast(history)``, folding only the peaks that
+        arrived since ``name`` was last forecast by the same tier.  Anything
+        else -- a rewritten old peak, a tier change, a sliding retention
+        window -- fails the prefix test and folds the history from scratch."""
+        observations = forecaster.observations(history)
+        entry = self._folds.get(name)
+        if entry is not None and entry[0] is forecaster and _is_prefix(entry[1], history):
+            state = forecaster.fold(entry[2], observations[entry[1].size :])
+        else:
+            state = forecaster.fit(observations)
+        self._folds[name] = (forecaster, history.copy(), state)
+        return forecaster.outcome(state, observations, 1)
+
+    def retain(self, names: Iterable[str]) -> None:
+        """Forget every slice but ``names``, the ones this epoch forecast.
+
+        Walks ``names``, never the memo: a lock-free quote may be adding to
+        the memo meanwhile, and the memo is replaced, not edited under it."""
+        folds = self._folds
+        self._folds = {name: folds[name] for name in names if name in folds}
+
+
+def _is_prefix(prefix: np.ndarray, array: np.ndarray) -> bool:
+    return prefix.size <= array.size and np.array_equal(prefix, array[: prefix.size])
 
 
 @dataclass(frozen=True)
@@ -349,6 +390,8 @@ class E2EOrchestrator:
             if record.state is SliceState.REQUESTED
         ]
         requests = committed_requests + candidate_new
+        forecasts = {request.name: self.forecast_for(request) for request in requests}
+        self.forecasting.retain(forecasts)
         if not requests:
             # Idle epoch: release every reservation (the last admitted slice
             # has expired; leaving the controllers enforcing its reservations
@@ -368,7 +411,6 @@ class E2EOrchestrator:
                 stats=_idle_stats(),
             )
 
-        forecasts = {request.name: self.forecast_for(request) for request in requests}
         options = self._problem_options(bool(committed_requests))
         topo_signature = topology_signature(self.topology)
         problem = self.problem_cache.build(

@@ -147,8 +147,14 @@ class _Series:
         return np.array(self.values.view()[lo:hi])
 
     def peaks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(epochs, per-epoch maxima), both in epoch order, as views."""
-        return self.peak_epochs.view(), self.peak_values.view()
+        """(epochs, per-epoch maxima), both in epoch order, as views.
+
+        A lock-free reader (the broker's ``quote``) can land between the two
+        appends of :meth:`extend`, so both views are cut to the entries
+        both tracks already hold."""
+        epochs, peaks = self.peak_epochs.view(), self.peak_values.view()
+        size = min(len(epochs), len(peaks))
+        return epochs[:size], peaks[:size]
 
 
 class TimeSeriesStore:

@@ -7,7 +7,7 @@ AC-RR objective.  The paper uses the multiplicative Holt-Winters method
 simpler methods are provided as baselines for the forecasting ablation.
 """
 
-from repro.forecasting.base import Forecaster, ForecastOutcome
+from repro.forecasting.base import Forecaster, ForecastOutcome, RecursiveForecaster
 from repro.forecasting.naive import NaiveForecaster, MeanForecaster, PeakForecaster
 from repro.forecasting.exponential import (
     SingleExponentialForecaster,
@@ -18,6 +18,7 @@ from repro.forecasting.holt_winters import HoltWintersForecaster
 __all__ = [
     "Forecaster",
     "ForecastOutcome",
+    "RecursiveForecaster",
     "NaiveForecaster",
     "MeanForecaster",
     "PeakForecaster",

@@ -5,12 +5,18 @@ produces the predicted peak for the next ``horizon`` epochs together with a
 normalised uncertainty ``sigma_hat`` in (0, 1].  The uncertainty is what the
 risk-cost function scales by, so every forecaster must report one; by default
 it is derived from the normalised in-sample one-step-ahead error.
+
+The smoothing methods are filters (:class:`RecursiveForecaster`): one step
+function over a small state, folded along the history.  ``forecast`` folds
+the whole history; a caller that keeps the state it reached can fold just
+the observations that arrived since, and gets the same bytes.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -65,17 +71,14 @@ class Forecaster(abc.ABC):
         if history.size == 0 or fitted.size == 0:
             return 1.0
         size = min(history.size, fitted.size)
-        errors = history[-size:] - fitted[-size:]
-        mean = float(np.mean(np.abs(history))) or 1.0
-        rmse = float(np.sqrt(np.mean(errors**2)))
-        return float(np.clip(rmse / mean, MIN_SIGMA_HAT, 1.0))
+        return normalised_rmse(history, history[-size:] - fitted[-size:])
 
     @staticmethod
     def _validate_history(history: np.ndarray) -> np.ndarray:
         arr = np.asarray(history, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("cannot forecast an empty history")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("load history must be non-negative")
         return arr
 
@@ -84,3 +87,53 @@ class Forecaster(abc.ABC):
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         return int(horizon)
+
+
+def normalised_rmse(observed: np.ndarray, errors: np.ndarray) -> float:
+    """RMS of the one-step ``errors`` over the mean of ``observed``, clipped
+    into (MIN_SIGMA_HAT, 1].  Both means are ``np.mean`` over whole arrays:
+    their summation order is part of the forecast's bytes."""
+    mean = float(np.mean(np.abs(observed))) or 1.0
+    rmse = float(np.sqrt(np.mean(errors**2)))
+    return min(max(rmse / mean, MIN_SIGMA_HAT), 1.0)
+
+
+class RecursiveForecaster(Forecaster):
+    """A forecaster that is a filter: one step folded along the history.
+
+    ``start`` reads the initial state off the head of the series, ``fold``
+    steps a state over further observations, ``outcome`` reads the forecast
+    off the state the whole series reached.  A state depends on the prefix
+    it has seen and nothing else, so folding a series in two pieces reaches
+    the state -- and the forecast -- that folding it in one does, byte for
+    byte.  States are immutable: ``fold`` returns a new one.
+    """
+
+    #: Leading observations ``start`` accounts for; ``fold`` steps over the
+    #: rest.  ``start`` may read further (Holt-Winters' initial trend does).
+    warm_up: int = 1
+
+    def observations(self, history: np.ndarray) -> np.ndarray:
+        """The validated series the recursion runs over."""
+        return self._validate_history(history)
+
+    @abc.abstractmethod
+    def start(self, observations: np.ndarray) -> Any:
+        """The state after the first :attr:`warm_up` observations."""
+
+    @abc.abstractmethod
+    def fold(self, state: Any, observations: np.ndarray) -> Any:
+        """The state after stepping ``state`` over ``observations``."""
+
+    @abc.abstractmethod
+    def outcome(self, state: Any, observations: np.ndarray, horizon: int) -> ForecastOutcome:
+        """The forecast from ``state``, the fold of all of ``observations``."""
+
+    def fit(self, observations: np.ndarray) -> Any:
+        """The state after the whole of ``observations``."""
+        return self.fold(self.start(observations), observations[self.warm_up :])
+
+    def forecast(self, history: np.ndarray, horizon: int = 1) -> ForecastOutcome:
+        observations = self.observations(history)
+        horizon = self._validate_horizon(horizon)
+        return self.outcome(self.fit(observations), observations, horizon)

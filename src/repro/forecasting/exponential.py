@@ -3,18 +3,34 @@
 The paper discusses (double) exponential smoothing as the common choice for
 cloud resource provisioning and rejects it because it cannot model the
 seasonality of mobile traffic; both are implemented here as comparison points
-for the forecasting ablation benchmark.
+for the forecasting ablation benchmark.  Double exponential smoothing is
+also the orchestrator's forecaster for slices younger than two seasons.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.forecasting.base import Forecaster, ForecastOutcome
+from repro.forecasting.base import ForecastOutcome, RecursiveForecaster, normalised_rmse
 from repro.utils.validation import ensure_in_range
 
 
-class SingleExponentialForecaster(Forecaster):
+class SingleExponentialState(NamedTuple):
+    level: float
+    #: One-step-ahead errors, the first observation's (zero) included.
+    errors: np.ndarray
+
+
+class DoubleExponentialState(NamedTuple):
+    level: float
+    trend: float
+    #: One-step-ahead errors, the first observation's (zero) included.
+    errors: np.ndarray
+
+
+class SingleExponentialForecaster(RecursiveForecaster):
     """Simple exponential smoothing (level only)."""
 
     min_history = 2
@@ -22,19 +38,29 @@ class SingleExponentialForecaster(Forecaster):
     def __init__(self, alpha: float = 0.4):
         self.alpha = ensure_in_range(alpha, 0.0, 1.0, "alpha")
 
-    def forecast(self, history: np.ndarray, horizon: int = 1) -> ForecastOutcome:
-        history = self._validate_history(history)
-        horizon = self._validate_horizon(horizon)
-        level = history[0]
-        fitted = [level]
-        for value in history[1:]:
-            fitted.append(level)
-            level = self.alpha * value + (1.0 - self.alpha) * level
-        sigma = self._sigma_from_errors(history, np.asarray(fitted))
-        return ForecastOutcome(predictions=tuple([float(level)] * horizon), sigma_hat=sigma)
+    def start(self, observations: np.ndarray) -> SingleExponentialState:
+        first = float(observations[0])
+        return SingleExponentialState(first, np.array([first - first]))
+
+    def fold(
+        self, state: SingleExponentialState, observations: np.ndarray
+    ) -> SingleExponentialState:
+        alpha = self.alpha
+        level = state.level
+        errors = []
+        for value in observations.tolist():
+            errors.append(value - level)
+            level = alpha * value + (1.0 - alpha) * level
+        return SingleExponentialState(level, np.concatenate((state.errors, errors)))
+
+    def outcome(
+        self, state: SingleExponentialState, observations: np.ndarray, horizon: int
+    ) -> ForecastOutcome:
+        sigma = normalised_rmse(observations, state.errors)
+        return ForecastOutcome(predictions=(state.level,) * horizon, sigma_hat=sigma)
 
 
-class DoubleExponentialForecaster(Forecaster):
+class DoubleExponentialForecaster(RecursiveForecaster):
     """Holt's linear method: level + trend smoothing."""
 
     min_history = 3
@@ -43,18 +69,27 @@ class DoubleExponentialForecaster(Forecaster):
         self.alpha = ensure_in_range(alpha, 0.0, 1.0, "alpha")
         self.beta = ensure_in_range(beta, 0.0, 1.0, "beta")
 
-    def forecast(self, history: np.ndarray, horizon: int = 1) -> ForecastOutcome:
-        history = self._validate_history(history)
-        horizon = self._validate_horizon(horizon)
-        level = history[0]
-        trend = history[1] - history[0]
-        fitted = [level]
-        for value in history[1:]:
-            fitted.append(level + trend)
+    def start(self, observations: np.ndarray) -> DoubleExponentialState:
+        first, second = observations[:2].tolist()
+        return DoubleExponentialState(first, second - first, np.array([first - first]))
+
+    def fold(
+        self, state: DoubleExponentialState, observations: np.ndarray
+    ) -> DoubleExponentialState:
+        alpha, beta = self.alpha, self.beta
+        level, trend = state.level, state.trend
+        errors = []
+        for value in observations.tolist():
+            errors.append(value - (level + trend))
             previous_level = level
-            level = self.alpha * value + (1.0 - self.alpha) * (level + trend)
-            trend = self.beta * (level - previous_level) + (1.0 - self.beta) * trend
-        sigma = self._sigma_from_errors(history, np.asarray(fitted))
-        predictions = [float(level + (h + 1) * trend) for h in range(horizon)]
-        predictions = [max(0.0, p) for p in predictions]
-        return ForecastOutcome(predictions=tuple(predictions), sigma_hat=sigma)
+            level = alpha * value + (1.0 - alpha) * (level + trend)
+            trend = beta * (level - previous_level) + (1.0 - beta) * trend
+        return DoubleExponentialState(level, trend, np.concatenate((state.errors, errors)))
+
+    def outcome(
+        self, state: DoubleExponentialState, observations: np.ndarray, horizon: int
+    ) -> ForecastOutcome:
+        level, trend = state.level, state.trend
+        predictions = tuple(max(0.0, level + (h + 1) * trend) for h in range(horizon))
+        sigma = normalised_rmse(observations, state.errors)
+        return ForecastOutcome(predictions=predictions, sigma_hat=sigma)

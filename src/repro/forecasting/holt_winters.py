@@ -17,15 +17,27 @@ almost-idle load).
 
 from __future__ import annotations
 
+from collections import deque
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.forecasting.base import Forecaster, ForecastOutcome
+from repro.forecasting.base import ForecastOutcome, RecursiveForecaster, normalised_rmse
 from repro.utils.validation import ensure_in_range
 
 _POSITIVE_FLOOR = 1e-6
 
 
-class HoltWintersForecaster(Forecaster):
+class HoltWintersState(NamedTuple):
+    level: float
+    trend: float
+    #: The last ``m`` seasonal factors, oldest (the next step's) first.
+    seasonals: tuple[float, ...]
+    #: One-step-ahead errors from the second season on.
+    errors: np.ndarray
+
+
+class HoltWintersForecaster(RecursiveForecaster):
     """Multiplicative Holt-Winters with a fixed seasonal period."""
 
     def __init__(
@@ -47,48 +59,55 @@ class HoltWintersForecaster(Forecaster):
         """Two full seasons are needed to initialise level, trend and season."""
         return 2 * self.season_length
 
-    # ------------------------------------------------------------------ #
-    def _initial_state(self, history: np.ndarray) -> tuple[float, float, np.ndarray]:
-        m = self.season_length
-        first_season = history[:m]
-        second_season = history[m : 2 * m]
-        level = float(np.mean(first_season))
-        trend = float((np.mean(second_season) - np.mean(first_season)) / m)
-        season = first_season / max(level, _POSITIVE_FLOOR)
-        season = np.clip(season, _POSITIVE_FLOOR, None)
-        return level, trend, season
+    @property
+    def warm_up(self) -> int:  # type: ignore[override]
+        """The first season initialises the state; the recursion starts after it."""
+        return self.season_length
 
-    def forecast(self, history: np.ndarray, horizon: int = 1) -> ForecastOutcome:
+    # ------------------------------------------------------------------ #
+    def observations(self, history: np.ndarray) -> np.ndarray:
         history = self._validate_history(history)
-        horizon = self._validate_horizon(horizon)
         if history.size < self.min_history:
             raise ValueError(
                 f"Holt-Winters needs at least {self.min_history} observations "
                 f"(two seasons of {self.season_length}), got {history.size}"
             )
-        observations = np.clip(history, _POSITIVE_FLOOR, None)
+        return np.maximum(history, _POSITIVE_FLOOR)
+
+    def start(self, observations: np.ndarray) -> HoltWintersState:
         m = self.season_length
-        level, trend, season = self._initial_state(observations)
-        seasonals = list(season)
-        fitted: list[float] = []  # one-step-ahead fit from the second season on
+        first_season = observations[:m]
+        second_season = observations[m : 2 * m]
+        level = float(np.mean(first_season))
+        trend = float((np.mean(second_season) - np.mean(first_season)) / m)
+        season = np.clip(first_season / max(level, _POSITIVE_FLOOR), _POSITIVE_FLOOR, None)
+        return HoltWintersState(level, trend, tuple(season.tolist()), np.empty(0))
 
-        for t in range(m, observations.size):
-            value = observations[t]
-            seasonal_index = t - m
-            seasonal = seasonals[seasonal_index]
-            fitted.append((level + trend) * seasonal)
+    def fold(self, state: HoltWintersState, observations: np.ndarray) -> HoltWintersState:
+        alpha, beta, gamma = self.alpha, self.beta, self.gamma
+        level, trend = state.level, state.trend
+        seasonals = deque(state.seasonals)
+        errors = []
+        for value in observations.tolist():
+            seasonal = seasonals.popleft()
+            errors.append(value - (level + trend) * seasonal)
             previous_level = level
-            level = self.alpha * (value / seasonal) + (1.0 - self.alpha) * (level + trend)
-            trend = self.beta * (level - previous_level) + (1.0 - self.beta) * trend
+            level = alpha * (value / seasonal) + (1.0 - alpha) * (level + trend)
+            trend = beta * (level - previous_level) + (1.0 - beta) * trend
             seasonals.append(
-                self.gamma * (value / max(level, _POSITIVE_FLOOR))
-                + (1.0 - self.gamma) * seasonal
+                gamma * (value / max(level, _POSITIVE_FLOOR)) + (1.0 - gamma) * seasonal
             )
+        return HoltWintersState(
+            level, trend, tuple(seasonals), np.concatenate((state.errors, errors))
+        )
 
-        predictions: list[float] = []
-        for h in range(1, horizon + 1):
-            seasonal = seasonals[len(seasonals) - m + ((h - 1) % m)]
-            predictions.append(max(0.0, (level + h * trend) * seasonal))
-
-        sigma = self._sigma_from_errors(observations[m:], np.asarray(fitted))
-        return ForecastOutcome(predictions=tuple(predictions), sigma_hat=sigma)
+    def outcome(
+        self, state: HoltWintersState, observations: np.ndarray, horizon: int
+    ) -> ForecastOutcome:
+        level, trend, seasonals = state.level, state.trend, state.seasonals
+        predictions = tuple(
+            max(0.0, (level + h * trend) * seasonals[(h - 1) % self.season_length])
+            for h in range(1, horizon + 1)
+        )
+        sigma = normalised_rmse(observations[self.season_length :], state.errors)
+        return ForecastOutcome(predictions=predictions, sigma_hat=sigma)

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -20,8 +22,12 @@ from repro.api import (
     ValidationError,
 )
 from repro.api.broker import _evict_oldest
+from repro.controlplane.orchestrator import ForecastingBlock, OrchestratorConfig
 from repro.controlplane.slice_manager import SliceManager
+from repro.core.forecast_inputs import ForecastInput
 from repro.core.milp_solver import DirectMILPSolver
+from repro.core.slices import SliceRequest
+from repro.forecasting import HoltWintersForecaster
 from repro.topology import operators
 
 pytestmark = pytest.mark.transport
@@ -403,6 +409,88 @@ class TestMixedTraffic:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(broker.orchestrator.monitoring.store) == 1000
+
+    def test_lock_free_quotes_race_the_forecast_memo(self):
+        """``quote`` forecasts through the same per-slice memo as the epoch,
+        without the lock: quotes land between the two base stations' reports
+        of an epoch (so the next read finds that epoch's peak raised) and
+        while the epoch prunes the memo.  Every forecast, from either side,
+        must equal a fresh block's forecast of the history it read."""
+        season = 4
+        broker = SliceBroker(
+            topology=operators.testbed_topology(),
+            solver=DirectMILPSolver(),
+            config=OrchestratorConfig(epochs_per_day=season),
+        )
+        seen: list[tuple[SliceRequest, np.ndarray, ForecastInput]] = []
+
+        class RecordingBlock(ForecastingBlock):
+            def forecast_for(self, request, history):
+                forecast = super().forecast_for(request, history)
+                seen.append((request, np.array(history), forecast))
+                return forecast
+
+        broker.set_forecasting(
+            RecordingBlock(primary=HoltWintersForecaster(season_length=season))
+        )
+        names = [f"u{index}" for index in range(3)]
+        for name in names:
+            broker.submit(request(name, duration=40))
+        errors: list[Exception] = []
+        deciding = threading.Event()
+        rng = np.random.default_rng(0)
+
+        def await_quotes(count):
+            target = len(seen) + count
+            for _ in range(int(GUARD_S / 1e-3)):
+                if len(seen) >= target:
+                    return
+                time.sleep(1e-3)
+
+        def decider():
+            try:
+                for epoch in range(6 * season):
+                    broker.advance_epoch(epoch)
+                    for bs in ("bs-0", "bs-1"):
+                        for name in names:
+                            broker.report_load(name, bs, epoch, rng.uniform(1.0, 9.0, 3))
+                        # Quotes read the half-reported epoch; bs-1 may then
+                        # raise the peak they consumed.
+                        await_quotes(2 * len(names))
+            except Exception as error:  # noqa: BLE001 -- asserted below
+                errors.append(error)
+            finally:
+                deciding.clear()
+
+        def quoter(index):
+            probe = request(names[index % len(names)])
+            while deciding.is_set():
+                try:
+                    broker.quote(probe)
+                except Exception as error:  # noqa: BLE001 -- asserted below
+                    errors.append(error)
+                    return
+
+        threads = [threading.Thread(target=decider)]
+        threads += [threading.Thread(target=quoter, args=(index,)) for index in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deciding.set()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(GUARD_S)
+        finally:
+            deciding.clear()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        recursive = [history for _, history, _ in seen if history.size >= 3]
+        assert len(recursive) > 6 * season and max(map(len, recursive)) >= 2 * season
+        for core_request, history, forecast in seen:
+            fresh = ForecastingBlock(primary=HoltWintersForecaster(season_length=season))
+            assert forecast == fresh.forecast_for(core_request, history)
 
 
 # --------------------------------------------------------------------- #

@@ -26,25 +26,12 @@ class TestPeakHistory:
     def test_unknown_slice_has_empty_history(self):
         assert MonitoringService().peak_history("ghost").size == 0
 
-    def test_num_observed_epochs(self):
-        monitoring = MonitoringService()
-        for epoch in range(3):
-            monitoring.record_samples("s", "bs-0", epoch, [1.0])
-        assert monitoring.num_observed_epochs("s") == 3
-
     def test_observed_base_stations(self):
         monitoring = MonitoringService()
         monitoring.record_samples("s", "bs-1", 0, [1.0])
         monitoring.record_samples("s", "bs-0", 0, [1.0])
         monitoring.record_samples("other", "bs-9", 0, [1.0])
         assert monitoring.observed_base_stations("s") == ["bs-0", "bs-1"]
-
-    def test_mean_load(self):
-        monitoring = MonitoringService()
-        monitoring.record_samples("s", "bs-0", 0, [1.0, 3.0])
-        monitoring.record_samples("s", "bs-1", 0, [5.0, 7.0])
-        assert monitoring.mean_load("s") == pytest.approx(4.0)
-        assert monitoring.mean_load("ghost") == 0.0
 
 
 class TestPeakHistoryReads:
@@ -184,7 +171,6 @@ class TestRetention:
             monitoring.record_samples("s", "bs-0", epoch, [float(epoch)])
         history = monitoring.peak_history("s", base_station="bs-0")
         assert history.tolist() == [6.0, 7.0, 8.0, 9.0]
-        assert monitoring.num_observed_epochs("s") == 4
 
     def test_explicit_store_and_retention_are_mutually_exclusive(self):
         with pytest.raises(ValueError, match="not both"):

@@ -126,6 +126,19 @@ class TestIncrementalPeaks:
         epochs, peaks = TimeSeriesStore().peak_series("nope")
         assert epochs.size == 0 and peaks.size == 0
 
+    def test_a_read_between_the_two_track_appends_sees_aligned_tracks(self):
+        """A lock-free reader can run after a new epoch's entry reached the
+        epoch track and before its peak reached the value track."""
+        store = TimeSeriesStore()
+        store.write_many("load", 0, [1.0, 5.0])
+        series = store._series[("load", ())]
+        series.peak_epochs.append(1)  # what extend does first for epoch 1
+        epochs, peaks = store.peak_series("load")
+        assert epochs.tolist() == [0] and peaks.tolist() == [5.0]
+        series.peak_values.append(2.0)  # ... and then
+        epochs, peaks = store.peak_series("load")
+        assert epochs.tolist() == [0, 1] and peaks.tolist() == [5.0, 2.0]
+
     def test_retention_prunes_the_peak_track(self):
         store = TimeSeriesStore(retention_epochs=2)
         for epoch in range(6):

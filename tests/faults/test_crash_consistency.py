@@ -15,11 +15,13 @@ sweeps are ``chaos``-marked and run in CI's time-capped chaos job.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import BrokerError, SliceBroker, SliceRequestV1, SolverError
+from repro.controlplane.orchestrator import OrchestratorConfig
 from repro.core.baseline import NoOverbookingSolver
 from repro.core.benders import BendersSolver, CutPool
 from repro.core.decomposition import SlaveProblem
@@ -368,6 +370,59 @@ class TestWarmStartStateRollsBack:
         assert control_plane_fingerprint(broker.orchestrator) != before
         entry.idle[0] -= 1
         assert control_plane_fingerprint(broker.orchestrator) == before
+
+
+class TestForecastsAcrossRollback:
+    def test_a_crash_after_forecasting_retries_with_a_twins_forecasts(self):
+        # The forecasting block's per-slice memo is not checkpointed: it is
+        # a function of the monitoring history, which a rolled-back epoch
+        # leaves alone.  The crashed attempt forecast (and memoised) every
+        # slice before the cloud apply died; the retry must still forecast
+        # what a never-faulted twin forecasts.
+        season = 4
+        crash_epoch = 3 * season
+        names = ("u0", "u1", "e0")
+
+        def build(plan: FaultPlan) -> SliceBroker:
+            broker = SliceBroker(
+                topology=operators.testbed_topology(),
+                solver=DirectMILPSolver(),
+                config=OrchestratorConfig(epochs_per_day=season),
+            )
+            broker.enable_chaos(plan)
+            broker.submit_batch(
+                [
+                    SliceRequestV1.of(name, "uRLLC" if name[0] == "u" else "eMBB", duration_epochs=40)
+                    for name in names
+                ]
+            )
+            return broker
+
+        broker = build(FaultPlan.of(make_spec(HOOK_CLOUD_APPLY, FaultKind.CRASH, epoch=crash_epoch)))
+        twin = build(FaultPlan.empty())
+        rng = np.random.default_rng(0)
+        for epoch in range(crash_epoch):
+            loads = {(name, bs): rng.uniform(1.0, 9.0, 3) for name in names for bs in ("bs-0", "bs-1")}
+            for each in (broker, twin):
+                each.advance_epoch(epoch)
+                for (name, bs), samples in loads.items():
+                    each.report_load(name, bs, epoch, samples)
+
+        before = control_plane_fingerprint(broker.orchestrator)
+        with pytest.raises(SolverError):
+            broker.advance_epoch(crash_epoch)
+        assert control_plane_fingerprint(broker.orchestrator) == before
+        broker.advance_epoch(crash_epoch)
+        twin.advance_epoch(crash_epoch)
+        assert broker.orchestrator.monitoring.peak_history("u0").size >= 2 * season
+        forecast_names = [request.name for request in broker.last_problem.requests]
+        assert forecast_names == [request.name for request in twin.last_problem.requests]
+        assert len(forecast_names) >= 2
+        for name in forecast_names:
+            forecast = broker.last_problem.forecast(name)
+            assert forecast == twin.last_problem.forecast(name)
+            template = URLLC_TEMPLATE if name[0] == "u" else EMBB_TEMPLATE
+            assert forecast.lambda_hat_mbps < 0.5 * template.sla_mbps  # learnt, not pessimistic
 
 
 class TestZeroFaultIdentity:
