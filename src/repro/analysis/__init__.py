@@ -1,9 +1,10 @@
-"""AST-based invariant checker suite (rules RA01-RA06).
+"""AST-based invariant checker suite (rules RA01-RA07).
 
 Mechanically enforces the repo's load-bearing conventions -- broker lock
 discipline, the stable error taxonomy, byte-determinism of hashed paths,
-versioned DTO wire round-trips, executor submission safety and the one HiGHS
-entry point -- over the parsed source tree.  See DESIGN.md, "Static analysis
+versioned DTO wire round-trips, executor submission safety, the one HiGHS
+entry point and the epoch journal's declared writers -- over the parsed
+source tree.  See DESIGN.md, "Static analysis
 & enforced invariants".
 
 CLI: ``python -m repro.analysis check`` (non-zero exit on un-baselined

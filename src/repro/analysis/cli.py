@@ -3,7 +3,7 @@
 Subcommands:
 
 ``check``
-    Run every rule (RA01-RA06) over the tree, apply the committed
+    Run every rule (RA01-RA07) over the tree, apply the committed
     ``analysis-baseline.toml`` allowlist, and print findings.  Exit status:
     0 when clean, 1 when any un-baselined finding or stale baseline entry
     remains, 2 on usage errors.  ``--format json`` emits the machine form
@@ -47,7 +47,7 @@ def _find_repo_root(start: Path) -> Path:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="AST-based invariant checker suite (rules RA01-RA06)",
+        description="AST-based invariant checker suite (rules RA01-RA07)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

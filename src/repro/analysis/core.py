@@ -4,7 +4,7 @@ The repo's load-bearing conventions -- broker lock discipline, the stable
 ``BrokerError`` taxonomy at the API boundary, byte-determinism of everything
 content-hashed, versioned DTO wire round-trips, executor submission safety --
 lived only in DESIGN.md prose and after-the-fact tests until this package.
-Each convention is now a *rule* (``RA01``..``RA06``) enforced mechanically
+Each convention is now a *rule* (``RA01``..``RA07``) enforced mechanically
 over the parsed source tree, in the spirit of refinement checking: the
 implementation is verified against its declared contract by a tool, not by
 reviewer inspection.
@@ -270,7 +270,7 @@ class Checker:
 
 
 def default_checkers() -> list[Checker]:
-    """The six repo-specific checkers, in rule order."""
+    """The seven repo-specific checkers, in rule order."""
     # Imported lazily so ``core`` stays import-cycle-free (each checker
     # module imports ``core``).
     from repro.analysis.ra01_locks import LockDisciplineChecker
@@ -279,6 +279,7 @@ def default_checkers() -> list[Checker]:
     from repro.analysis.ra04_wire import WireContractChecker
     from repro.analysis.ra05_executors import ExecutorSafetyChecker
     from repro.analysis.ra06_solver import SolverEntryPointChecker
+    from repro.analysis.ra07_journal import JournaledStateChecker
 
     return [
         LockDisciplineChecker(),
@@ -287,6 +288,7 @@ def default_checkers() -> list[Checker]:
         WireContractChecker(),
         ExecutorSafetyChecker(),
         SolverEntryPointChecker(),
+        JournaledStateChecker(),
     ]
 
 

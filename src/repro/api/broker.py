@@ -25,11 +25,13 @@ derivation around the exact same call sequence, and never perturbs the solver
 path (the golden-run harness and the differential sweeps pin this).
 
 The orchestrator's registry is the only lifecycle record.  An epoch's events
-are the diff between the checkpoint ``run_epoch`` takes and the registry after
-it, and a tenant release is a flag on the released life's
+come from the registry entries its write journal holds -- the names whose
+record the epoch replaced, each against its pre-epoch life -- and a tenant
+release is a flag on the released life's
 :class:`~repro.controlplane.state.SliceRecord`.  The broker itself keeps only
-intake bookkeeping: idempotency tokens and the markers of requests withdrawn
-before they ever reached the registry.
+intake bookkeeping: idempotency tokens, the markers of requests withdrawn
+before they ever reached the registry, and the sorted index of every name it
+can report a status for.
 
 In-process drivers (the simulation engine, benchmarks) additionally need the
 raw decision/problem objects of the last epoch; the broker exposes them as
@@ -40,6 +42,7 @@ the facade.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import threading
@@ -70,7 +73,6 @@ from repro.controlplane.slice_manager import SliceDescriptor
 from repro.controlplane.state import (
     TERMINAL_STATES,
     SliceRecord,
-    SliceRegistry,
     SliceState,
     SliceStateError,
 )
@@ -138,15 +140,19 @@ def _record_status(record: SliceRecord, renewal_count: int) -> SliceStatus:
 DEFAULT_CACHE_LIMIT = 65536
 
 
-def _evict_oldest(cache: dict, limit: int) -> None:
-    """FIFO-evict until ``cache`` fits ``limit`` (dicts preserve insertion order)."""
+def _evict_oldest(cache: dict, limit: int) -> list:
+    """FIFO-evict until ``cache`` fits ``limit`` (dicts preserve insertion
+    order); returns the evicted keys."""
     if limit < 1:
         # A zero/negative limit would busy-evict every entry including the
         # one just inserted, silently breaking same-call replay; the broker
         # constructor rejects such limits, this guard catches direct misuse.
         raise ValueError(f"cache limit must be >= 1, got {limit}")
+    evicted = []
     while len(cache) > limit:
-        del cache[next(iter(cache))]
+        evicted.append(next(iter(cache)))
+        del cache[evicted[-1]]
+    return evicted
 
 
 def _synchronized(method):
@@ -162,7 +168,8 @@ def _synchronized(method):
 
 #: What a status read consults for the intake queue and the registry
 #: (``.slice_manager`` / ``.registry``): the live orchestrator, or the
-#: checkpoint a running epoch took of it -- same attribute names and types.
+#: running epoch's checkpoint, whose two views read the pre-epoch state
+#: through the epoch's journal -- same attribute and query names.
 _StateSource = E2EOrchestrator | EpochCheckpoint
 
 
@@ -179,8 +186,9 @@ class SliceBroker:
     hold for their own table mutation and that ``advance_epoch`` holds just
     long enough to publish, and later withdraw, the epoch's checkpoint as
     the read view -- so a read that overlaps an epoch is answered from the
-    pre-epoch state (it is ordered before the epoch, which has not returned
-    yet) instead of waiting out the solve.  Lock order is admission lock,
+    pre-epoch state, the live tables overlaid with the values the epoch's
+    journal replaced (it is ordered before the epoch, which has not
+    returned yet), instead of waiting out the solve.  Lock order is admission lock,
     then state mutex, never the reverse.  *Pure reads*: ``quote`` takes no
     lock at all.  With ``max_pending`` set, intake applies backpressure: a
     submit that would grow the queue past the bound raises the 429-style
@@ -231,6 +239,14 @@ class SliceBroker:
         #: never popped: status() answers from the queue or the registry
         #: first, so the marker of a name submitted again is never read.
         self._withdrawn: dict[str, tuple[int, int]] = {}
+        #: Every name a status can be reported for -- queued, registered or
+        #: withdrawn-while-queued -- sorted, so a listing page is a slice of
+        #: it.  Kept by the intake writers; an epoch moves names from the
+        #: queue to the registry but never adds or removes one.
+        self._names: list[str] = sorted(
+            {request.name for request in orchestrator.slice_manager.pending_requests}
+            | {record.name for record in orchestrator.registry.all_records()}
+        )
         #: FIFO bound applied to the token cache and the withdrawal markers.
         #: ``cache_limit < 1`` is rejected outright (a zero limit would
         #: busy-evict the entry a tokened submit just inserted, breaking
@@ -256,9 +272,9 @@ class SliceBroker:
         #: Taken after ``_lock`` by writers, alone by readers.
         self._state_mutex = threading.Lock()
         #: The running epoch's checkpoint, published as the read view from
-        #: the moment it is taken until the epoch commits or rolls back;
-        #: ``None`` between epochs (reads then see the live tables).  It is
-        #: also the "before" side of the epoch's event diff.
+        #: the start of the epoch until it commits or rolls back; ``None``
+        #: between epochs (reads then see the live tables).  Its journal is
+        #: also where the epoch's events come from.
         self._epoch_view: EpochCheckpoint | None = None
         #: Thread running that epoch: its own reads (fault hooks) stay live.
         self._epoch_thread: int | None = None
@@ -476,6 +492,7 @@ class SliceBroker:
                 if not completed:
                     for name, token in reversed(enqueued):
                         self._orchestrator.slice_manager.withdraw(name)
+                        self._unindex_if_unknown(name)
                         self._token_by_queued_name.pop(name, None)
                         if token is not None:
                             self._tickets_by_token.pop(token, None)
@@ -514,6 +531,7 @@ class SliceBroker:
             raise LifecycleError(str(error), details={"slice_name": request.name}) from error
         except ValueError as error:
             raise ValidationError(str(error), details={"slice_name": request.name}) from error
+        self._index_name(request.name)
         if client_token is not None:
             self._token_by_queued_name[request.name] = client_token
             if len(self._token_by_queued_name) > max(
@@ -661,20 +679,21 @@ class SliceBroker:
         """Run one decision epoch and return its report.
 
         Calls the orchestrator's AC-RR cycle (bit-identical to driving it
-        directly), derives the epoch's lifecycle events by diffing the
-        registry against the checkpoint ``run_epoch`` took, publishes them on
+        directly), derives the epoch's lifecycle events from the registry
+        entries the epoch's journal holds, publishes them on
         :attr:`events` once the registry and controllers are consistent, and
         returns the :class:`EpochReport` DTO.  Non-blocking from the caller's
         perspective: the report is plain data; nothing needs to be polled
         afterwards.
 
-        A failed epoch publishes nothing: ``run_epoch`` rolls the registry
-        back to the checkpoint, so every transition it made is undone and the
-        retry derives them afresh against the same pre-epoch state.
+        A failed epoch publishes nothing: ``run_epoch`` rolls its journal
+        back, so every transition it made is undone and the retry makes and
+        derives them afresh against the same pre-epoch state.
 
-        Status reads from other threads are not held up: from the
-        orchestrator's checkpoint until the commit point below they are
-        answered from that checkpoint, i.e. ordered before this epoch.
+        Status reads from other threads are not held up: from the start of
+        the epoch until the commit point below they are answered from the
+        pre-epoch state read through the epoch's journal, i.e. ordered
+        before this epoch.
         """
         registry = self._orchestrator.registry
         events: list[LifecycleEvent] = []
@@ -708,11 +727,11 @@ class SliceBroker:
                 for name, token in self._token_by_queued_name.items()
                 if name in still_pending
             }
-            # Delivery is at-most-once per transition: the next epoch diffs
-            # against its own checkpoint, which already holds this epoch's
-            # outcome, so a subscriber raising mid-publish (exceptions
-            # propagate by contract) cannot make it re-publish them.
-            events = self._derive_events(epoch, self._epoch_view.registry, decision)
+            # Delivery is at-most-once per transition: the next epoch's
+            # journal only holds what that epoch changes, so a subscriber
+            # raising mid-publish (exceptions propagate by contract) cannot
+            # make it re-publish this epoch's transitions.
+            events = self._derive_events(epoch, self._epoch_view, decision)
         finally:
             # Commit point (or rollback: the live tables then equal the
             # checkpoint again, so either source gives the same answer).
@@ -796,9 +815,9 @@ class SliceBroker:
     def _publish_epoch_view(self, checkpoint: EpochCheckpoint) -> None:
         """Serve other threads' status reads from ``checkpoint`` from now on.
 
-        Runs on the epoch's thread between the checkpoint and the epoch's
-        first mutation; waits only for a reader or writer that is inside
-        its (short) critical section right now.
+        Runs on the epoch's thread before the epoch's first write; waits
+        only for a reader or writer that is inside its (short) critical
+        section right now.
         """
         with self._state_mutex:
             self._epoch_thread = threading.get_ident()
@@ -822,9 +841,14 @@ class SliceBroker:
         return self._orchestrator
 
     def _derive_events(
-        self, epoch: int, before: SliceRegistry, decision
+        self, epoch: int, checkpoint: EpochCheckpoint, decision
     ) -> list[LifecycleEvent]:
-        """Diff the registry against its pre-epoch checkpoint into events.
+        """The epoch's lifecycle events, from its journal's registry entries.
+
+        A transition or a renewal replaces a name's record, so the names
+        whose record the journal holds are the only ones that can have an
+        event; each is compared with its pre-epoch life, read through the
+        journal.  The work is the epoch's changes, not the registry.
 
         Order: EXPIRED, RENEWED, ADMITTED, REJECTED (the order the
         transitions happen inside ``run_epoch``), names sorted within each
@@ -833,6 +857,7 @@ class SliceBroker:
         RENEWED (+ admission outcome) events of the new one.
         """
         registry = self._orchestrator.registry
+        before = checkpoint.registry
         expired: list[LifecycleEvent] = []
         renewed: list[LifecycleEvent] = []
         admitted: list[LifecycleEvent] = []
@@ -846,8 +871,8 @@ class SliceBroker:
                 metadata["reserved_mbps_total"] = allocation.total_reserved_mbps
             return metadata
 
-        for record in sorted(registry.all_records(), key=lambda r: r.name):
-            name = record.name
+        for name in sorted(before.touched()):
+            record = registry.record(name)
             prev_state = before.record(name).state if name in before else None
             renewals = registry.renewal_count(name)
             if renewals > before.renewal_count(name):
@@ -965,24 +990,36 @@ class SliceBroker:
             )
         return _record_status(record, registry.renewal_count(slice_name))
 
-    def _names_in(self, source: _StateSource) -> set[str]:
-        """Every name ``source`` can report a status for; caller holds the mutex."""
-        names = {request.name for request in source.slice_manager.pending_requests}
-        names.update(record.name for record in source.registry.all_records())
-        names.update(self._withdrawn)
-        return names
+    def _index_name(self, name: str) -> None:
+        """Add ``name`` to the sorted name index; the caller holds both locks."""
+        position = bisect.bisect_left(self._names, name)
+        if self._names[position : position + 1] != [name]:
+            self._names.insert(position, name)
+
+    def _unindex_if_unknown(self, name: str) -> None:
+        """Drop ``name`` from the index once nothing reports a status for it
+        (not queued, registered or marked withdrawn); both locks held."""
+        if (
+            self._orchestrator.slice_manager.pending_request(name) is None
+            and name not in self._orchestrator.registry
+            and name not in self._withdrawn
+        ):
+            position = bisect.bisect_left(self._names, name)
+            if self._names[position : position + 1] == [name]:
+                del self._names[position]
 
     def list_slices(self, offset: int = 0, limit: int | None = None) -> SlicePage:
         """Status of the broker's slices, sorted by name, paged.
 
         Ordering is stable (lexicographic by slice name), so
         ``offset``/``limit`` windows tile the full listing consistently
-        across calls; status DTOs are only built for the requested page --
-        a sweep over a 100k-slice registry never materialises one giant
-        list per call.  ``limit=None`` returns everything from ``offset``.
-        The returned page is a list that also carries ``total`` (what
-        :meth:`slice_count` would say) taken from the same name set in the
-        same critical section, so the two can never disagree.
+        across calls; a page is a slice of the broker's sorted name index and
+        status DTOs are only built for it -- a sweep over a 100k-slice
+        registry never sorts or materialises every name per call.
+        ``limit=None`` returns everything from ``offset``.  The returned page
+        is a list that also carries ``total`` (what :meth:`slice_count`
+        would say) taken in the same critical section, so the two can never
+        disagree.
         """
         if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
             raise ValidationError(
@@ -997,17 +1034,16 @@ class SliceBroker:
         stop = None if limit is None else offset + limit
         with self._state_mutex:
             source = self._read_source()
-            names = self._names_in(source)
             return SlicePage(
-                [self._status_from(source, name) for name in sorted(names)[offset:stop]],
-                total=len(names),
+                [self._status_from(source, name) for name in self._names[offset:stop]],
+                total=len(self._names),
                 offset=offset,
             )
 
     def slice_count(self) -> int:
         """Total slices :meth:`list_slices` would page over."""
         with self._state_mutex:
-            return len(self._names_in(self._read_source()))
+            return len(self._names)
 
     @_synchronized
     def release(self, slice_name: str, *, epoch: int) -> SliceStatus:
@@ -1065,7 +1101,8 @@ class SliceBroker:
                     request.arrival_epoch,
                     request.duration_epochs,
                 )
-                _evict_oldest(self._withdrawn, self._cache_limit)
+                for evicted in _evict_oldest(self._withdrawn, self._cache_limit):
+                    self._unindex_if_unknown(evicted)
             status = SliceStatus(
                 name=slice_name,
                 state="released",
@@ -1083,9 +1120,8 @@ class SliceBroker:
         except SliceStateError as error:
             raise LifecycleError(str(error), details={"slice_name": slice_name}) from error
         # Describe the life that was just released (status() may already
-        # prefer a queued renewal waiting under the same name).  The next
-        # epoch's checkpoint holds the EXPIRED state, so its event diff does
-        # not re-announce this transition as an expiry.
+        # prefer a queued renewal waiting under the same name).  No epoch
+        # journals this write, so no epoch re-announces it as an expiry.
         status = _record_status(record, registry.renewal_count(slice_name))
         metadata = {
             "stage": "admitted",

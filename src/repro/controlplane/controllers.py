@@ -8,6 +8,10 @@ units -- exactly as the paper's prototype does with proprietary BS interfaces,
 Floodlight flow rules and OpenStack Heat templates.  The controllers are
 stateless between epochs apart from the currently enforced reservation, and
 they expose the utilisation numbers the monitoring block collects.
+
+Each controller's enforced state is one declared field (see
+:mod:`repro.utils.journal`), replaced whole: what a decision asks of a
+domain is computed first, then *enforced* in one write.
 """
 
 from __future__ import annotations
@@ -19,27 +23,36 @@ from repro.core.problem import ACRRProblem
 from repro.core.solution import OrchestrationDecision
 from repro.radio.ran_sharing import RanSlicingEnforcer
 from repro.topology.network import NetworkTopology
+from repro.utils.journal import assign
 
 
 class RanController:
     """Grants PRB shares of every base station to the admitted slices."""
 
+    JOURNALED = ("enforcers",)
+
     def __init__(self, topology: NetworkTopology):
         self.topology = topology
+        #: Base station -> its enforcer; replaced whole, never granted into.
         self.enforcers: dict[str, RanSlicingEnforcer] = {
             bs.name: RanSlicingEnforcer(bs) for bs in topology.base_stations
         }
 
     def apply(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
-        """Replace the current PRB shares with the new decision's reservations.
+        """Replace the current PRB shares with the new decision's reservations."""
+        self.enforce(self.plan(decision))
 
-        The previous epoch's shares are released first: a re-orchestration can
-        move capacity between slices, and granting the new shares on top of
-        the stale ones could transiently exceed the carrier size even though
-        the final allocation is feasible.
+    def plan(self, decision: OrchestrationDecision) -> dict[str, RanSlicingEnforcer]:
+        """Fresh enforcers holding exactly the decision's PRB shares.
+
+        Granted from empty carriers: a re-orchestration can move capacity
+        between slices, and granting the new shares on top of the stale ones
+        could transiently exceed the carrier size even though the final
+        allocation is feasible.
         """
-        self.clear()
-        for bs_name, enforcer in self.enforcers.items():
+        planned = {}
+        for bs_name, current in self.enforcers.items():
+            enforcer = RanSlicingEnforcer(current.base_station)
             for slice_name, alloc in decision.allocations.items():
                 if not alloc.accepted:
                     continue
@@ -51,12 +64,20 @@ class RanController:
                 # grant what physically exists, so clamp to the remaining PRBs.
                 grantable_mbps = enforcer.bitrate_for_prbs(max(0.0, enforcer.free_prbs))
                 enforcer.grant_bitrate(slice_name, min(mbps, grantable_mbps))
+            planned[bs_name] = enforcer
+        return planned
+
+    def enforce(self, enforcers: dict[str, RanSlicingEnforcer]) -> None:
+        assign(self, "enforcers", enforcers)
 
     def clear(self) -> None:
         """Revoke every PRB share (no slice is entitled to radio resources)."""
-        for enforcer in self.enforcers.values():
-            for slice_name in list(enforcer.shares()):
-                enforcer.revoke(slice_name)
+        self.enforce(
+            {
+                name: RanSlicingEnforcer(enforcer.base_station)
+                for name, enforcer in self.enforcers.items()
+            }
+        )
 
     def served_bitrate(self, base_station: str, slice_name: str, offered_mbps: float) -> float:
         """Traffic the air interface actually carries for a slice at one BS."""
@@ -69,18 +90,11 @@ class RanController:
             for name, share in self.enforcers[base_station].shares().items()
         }
 
-    def snapshot(self) -> dict:
-        """Per-BS granted shares (RadioShare objects are immutable)."""
-        return {name: enforcer.shares() for name, enforcer in self.enforcers.items()}
-
-    def restore(self, snapshot: dict) -> None:
-        """Re-grant exactly the shares of a :meth:`snapshot`."""
-        for name, enforcer in self.enforcers.items():
-            enforcer._shares = dict(snapshot.get(name, {}))
-
 
 class TransportController:
     """Programs per-slice bandwidth on every transport link (SDN paths)."""
+
+    JOURNALED = ("reservations_mbps",)
 
     def __init__(self, topology: NetworkTopology):
         self.topology = topology
@@ -89,17 +103,14 @@ class TransportController:
         }
 
     def apply(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
-        self.reservations_mbps = decision.transport_reservations_mbps(problem)
+        self.enforce(decision.transport_reservations_mbps(problem))
+
+    def enforce(self, reservations: dict[tuple[str, str], dict[str, float]]) -> None:
+        assign(self, "reservations_mbps", reservations)
 
     def clear(self) -> None:
         """Tear down every per-link bandwidth reservation."""
-        self.reservations_mbps = {link.key: {} for link in self.topology.links}
-
-    def snapshot(self) -> dict:
-        return {key: dict(slices) for key, slices in self.reservations_mbps.items()}
-
-    def restore(self, snapshot: dict) -> None:
-        self.reservations_mbps = {key: dict(slices) for key, slices in snapshot.items()}
+        self.enforce({link.key: {} for link in self.topology.links})
 
     def link_reservation(self, link_key: tuple[str, str]) -> float:
         key = tuple(sorted(link_key))
@@ -114,6 +125,8 @@ class TransportController:
 class CloudController:
     """Reserves CPU cores for each slice's network service on its compute unit."""
 
+    JOURNALED = ("reservations_cpus",)
+
     def __init__(self, topology: NetworkTopology):
         self.topology = topology
         self.reservations_cpus: dict[str, dict[str, float]] = {
@@ -121,17 +134,14 @@ class CloudController:
         }
 
     def apply(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
-        self.reservations_cpus = decision.compute_reservations_cpus(problem)
+        self.enforce(decision.compute_reservations_cpus(problem))
+
+    def enforce(self, reservations: dict[str, dict[str, float]]) -> None:
+        assign(self, "reservations_cpus", reservations)
 
     def clear(self) -> None:
         """Release every CPU reservation."""
-        self.reservations_cpus = {cu.name: {} for cu in self.topology.compute_units}
-
-    def snapshot(self) -> dict:
-        return {name: dict(slices) for name, slices in self.reservations_cpus.items()}
-
-    def restore(self, snapshot: dict) -> None:
-        self.reservations_cpus = {name: dict(slices) for name, slices in snapshot.items()}
+        self.enforce({cu.name: {} for cu in self.topology.compute_units})
 
     def cu_reservation(self, compute_unit: str) -> float:
         return float(sum(self.reservations_cpus.get(compute_unit, {}).values()))
@@ -153,6 +163,8 @@ class ControllerSet:
     #: production; a :class:`repro.faults.FaultInjector` under test.
     fault_hook: "Callable[[str], None] | None" = None
 
+    JOURNALED_PARTS = ("ran", "transport", "cloud")
+
     @classmethod
     def for_topology(cls, topology: NetworkTopology) -> "ControllerSet":
         return cls(
@@ -161,40 +173,24 @@ class ControllerSet:
             cloud=CloudController(topology),
         )
 
-    def snapshot(self) -> dict:
-        """Capture the enforced reservations of all three domains."""
-        return {
-            "ran": self.ran.snapshot(),
-            "transport": self.transport.snapshot(),
-            "cloud": self.cloud.snapshot(),
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Reset all three domains to a :meth:`snapshot` taken earlier."""
-        self.ran.restore(snapshot["ran"])
-        self.transport.restore(snapshot["transport"])
-        self.cloud.restore(snapshot["cloud"])
-
     def apply(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
         """Enforce one orchestration decision across all three domains.
 
-        All-or-nothing: if any domain apply raises, the domains that already
-        applied are rolled back to their pre-call reservations before the
-        exception propagates, so the controllers never enforce half of a
-        decision (e.g. RAN shares from the new decision with transport
-        reservations from the previous one).
+        All-or-nothing by construction: every domain's part is computed
+        first (a fault hook fires before each), and only then do the three
+        switch to it, in writes that cannot fail -- so the controllers
+        never enforce half of a decision (e.g. RAN shares from the new
+        decision with transport reservations from the previous one).
         """
-        before = self.snapshot()
-        try:
-            self._fire("controller.ran.apply")
-            self.ran.apply(problem, decision)
-            self._fire("controller.transport.apply")
-            self.transport.apply(problem, decision)
-            self._fire("controller.cloud.apply")
-            self.cloud.apply(problem, decision)
-        except BaseException:
-            self.restore(before)
-            raise
+        self._fire("controller.ran.apply")
+        shares = self.ran.plan(decision)
+        self._fire("controller.transport.apply")
+        links = decision.transport_reservations_mbps(problem)
+        self._fire("controller.cloud.apply")
+        cpus = decision.compute_reservations_cpus(problem)
+        self.ran.enforce(shares)
+        self.transport.enforce(links)
+        self.cloud.enforce(cpus)
 
     def _fire(self, hook: str) -> None:
         if self.fault_hook is not None:

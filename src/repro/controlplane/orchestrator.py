@@ -26,9 +26,10 @@ import numpy as np
 
 from repro.controlplane.controllers import ControllerSet
 from repro.controlplane.monitoring import MonitoringService
-from repro.controlplane.slice_manager import SliceManager
+from repro.controlplane.slice_manager import QueueView, SliceManager
 from repro.controlplane.state import (
     TERMINAL_STATES,
+    RegistryView,
     SliceRegistry,
     SliceState,
     SliceStateError,
@@ -53,6 +54,7 @@ from repro.forecasting import (
 from repro.topology.generators import degrade_link_capacities
 from repro.topology.network import NetworkTopology
 from repro.topology.paths import PathSet, compute_path_sets
+from repro.utils.journal import Journal, assign
 
 
 @dataclass(frozen=True)
@@ -160,30 +162,34 @@ def _is_prefix(prefix: np.ndarray, array: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class EpochCheckpoint:
-    """Pre-epoch copy of every mutable control-plane structure.
+    """What :meth:`E2EOrchestrator.run_epoch` hands its ``on_checkpoint``
+    caller: the epoch's write journal, and the pre-epoch registry and intake
+    queue read through it.
 
-    Taken once on entry of :meth:`E2EOrchestrator.run_epoch` and restored
-    byte-for-byte if the epoch raises.  Never mutated after it is taken
-    (``restore`` re-copies), which is what lets the broker answer
-    concurrent status reads from it while the epoch is still running:
-    :attr:`registry` and :attr:`slice_manager` carry the orchestrator's
-    attribute names and types, so code that reads them off the live
-    orchestrator reads them off the checkpoint unchanged.
+    Nothing is copied: the journal holds the values the epoch replaced, and
+    :attr:`registry` / :attr:`slice_manager` overlay them on the live state
+    (same query names as the live objects, so code reading them off the
+    orchestrator reads them off the checkpoint unchanged).  The views stay
+    the pre-epoch state while the epoch runs, commits or rolls back, until
+    the live state is next written outside this journal -- the broker
+    withdraws them at the commit point, before anything else can write.
     """
 
-    registry: SliceRegistry
-    slice_manager: SliceManager
-    controllers: dict
-    solver: Any
-    last_solve: tuple[tuple, OrchestrationDecision] | None
-    last_problem: ACRRProblem | None
-    last_decision: OrchestrationDecision | None
-    cache: Any
-    rehomed: tuple[str, ...]
+    journal: Journal
+    registry: RegistryView
+    slice_manager: QueueView
 
 
 class E2EOrchestrator:
-    """Hierarchical end-to-end orchestrator with overbooking support."""
+    """Hierarchical end-to-end orchestrator with overbooking support.
+
+    Its own epoch state is the last decision and what produced it
+    (``JOURNALED``); the rest lives in its declared parts.  Every write to
+    any of it goes through the epoch journal (:mod:`repro.utils.journal`).
+    """
+
+    JOURNALED = ("_last_solve", "last_problem", "last_decision", "last_rehomed")
+    JOURNALED_PARTS = ("registry", "slice_manager", "controllers", "solver", "problem_cache")
 
     def __init__(
         self,
@@ -233,7 +239,7 @@ class E2EOrchestrator:
         #: the start of the next epoch.
         self._scheduled_link_failures: list[tuple[list[tuple[str, str]], float]] = []
         #: True while a link-capacity loss still awaits a committed epoch's
-        #: re-homing pass.  Deliberately *not* part of the epoch checkpoint:
+        #: re-homing pass.  Deliberately *not* journaled state:
         #: if the epoch that applied the damage rolls back, the retry must
         #: re-run displacement detection (the damage itself persists).
         self._rehome_pending = False
@@ -321,31 +327,36 @@ class E2EOrchestrator:
     ) -> OrchestrationDecision:
         """Run the AC-RR cycle for one decision epoch and enforce the result.
 
-        Crash-consistent: every mutable control-plane structure (registry,
-        intake queue, controllers, the solver layer's warm-start state, the
-        decision-reuse pair and the problem-structure cache) is checkpointed
-        on entry, and any exception -- an injected fault, a solver error, a
-        controller apply failure -- restores the checkpoint byte-for-byte
-        before propagating.  The epoch either commits fully or did not
-        happen.  Topology damage applied by a link failure is *not* rolled
-        back: the network really is degraded, and the retry epoch re-detects
-        and re-homes the displaced slices.
+        Crash-consistent: every write the epoch makes to declared state --
+        registry, intake queue, controllers, the solver layer's warm-start
+        state, the decision-reuse pair and the problem-structure cache --
+        is journaled, and any exception -- an injected fault, a solver
+        error, a controller apply failure -- rolls the journal back before
+        propagating.  The epoch either commits fully or did not happen.
+        Topology damage applied by a link failure is *not* rolled back: the
+        network really is degraded, and the retry epoch re-detects and
+        re-homes the displaced slices.
 
-        ``on_checkpoint`` receives the checkpoint after it is taken and
-        before the first mutation of the epoch, so a caller serving reads
-        concurrently (the broker) can switch them over to the pre-epoch
-        copy in time; the checkpoint stays valid -- and equal to the live
-        state again after a rollback -- for as long as the caller keeps it.
+        ``on_checkpoint`` receives the :class:`EpochCheckpoint` before the
+        first write of the epoch, so a caller serving reads concurrently
+        (the broker) can switch them over to the pre-epoch view in time.
         """
         if self.fault_injector is not None:
             self.fault_injector.begin_epoch(epoch)
-        checkpoint = self._checkpoint()
+        journal = Journal()
         if on_checkpoint is not None:
-            on_checkpoint(checkpoint)
+            on_checkpoint(
+                EpochCheckpoint(
+                    journal=journal,
+                    registry=self.registry.before(journal),
+                    slice_manager=self.slice_manager.before(journal),
+                )
+            )
         try:
-            return self._run_epoch_inner(epoch)
+            with journal:
+                return self._run_epoch_inner(epoch)
         except BaseException:
-            self._restore_checkpoint(checkpoint)
+            journal.rollback()
             raise
 
     def _run_epoch_inner(self, epoch: int) -> OrchestrationDecision:
@@ -364,8 +375,8 @@ class E2EOrchestrator:
                 # for admission like any new arrival), a lifecycle error
                 # while the original slice is still live.  Intake already
                 # rejects live-name renewals, so this is defence in depth.
-                # The raise rolls the whole epoch back (run_epoch restores
-                # the checkpoint), returning every collected request --
+                # The raise rolls the whole epoch back (run_epoch rolls its
+                # journal back), returning every collected request --
                 # including the invalid one -- to the intake queue intact;
                 # withdrawing the poisoned request unblocks its batch mates.
                 self.registry.renew(request)
@@ -384,11 +395,7 @@ class E2EOrchestrator:
         # (all earlier ones were decided the epoch they arrived), but if a
         # previous epoch died mid-batch, its registered-but-undecided
         # requests are retried here instead of vanishing.
-        candidate_new = [
-            record.request
-            for record in self.registry.all_records()
-            if record.state is SliceState.REQUESTED
-        ]
+        candidate_new = [record.request for record in self.registry.requested_records()]
         requests = committed_requests + candidate_new
         forecasts = {request.name: self.forecast_for(request) for request in requests}
         self.forecasting.retain(forecasts)
@@ -400,10 +407,10 @@ class E2EOrchestrator:
             # problem-structure cache): if the same slices come back, the
             # solver layer resumes from where it left off instead of a cold
             # re-solve.
-            self.last_problem = None
-            self.last_decision = None
+            assign(self, "last_problem", None)
+            assign(self, "last_decision", None)
             self.controllers.clear()
-            self.last_rehomed = tuple(rehomed)
+            assign(self, "last_rehomed", tuple(rehomed))
             self._rehome_pending = False
             return OrchestrationDecision(
                 allocations={},
@@ -424,42 +431,15 @@ class E2EOrchestrator:
         decision = self._solve(problem, requests, forecasts, topo_signature)
         self._update_registry(epoch, decision)
         self.controllers.apply(problem, decision)
-        self.last_problem = problem
-        self.last_decision = decision
-        self.last_rehomed = tuple(rehomed)
+        assign(self, "last_problem", problem)
+        assign(self, "last_decision", decision)
+        assign(self, "last_rehomed", tuple(rehomed))
         self._rehome_pending = False
         return decision
 
     # ------------------------------------------------------------------ #
-    # Crash consistency and link-failure handling
+    # Link-failure handling
     # ------------------------------------------------------------------ #
-    def _checkpoint(self) -> EpochCheckpoint:
-        snapshot_state = getattr(self.solver, "snapshot_state", None)
-        return EpochCheckpoint(
-            registry=self.registry.snapshot(),
-            slice_manager=self.slice_manager.snapshot(),
-            controllers=self.controllers.snapshot(),
-            solver=snapshot_state() if snapshot_state is not None else None,
-            last_solve=self._last_solve,
-            last_problem=self.last_problem,
-            last_decision=self.last_decision,
-            cache=self.problem_cache.snapshot(),
-            rehomed=self.last_rehomed,
-        )
-
-    def _restore_checkpoint(self, checkpoint: EpochCheckpoint) -> None:
-        self.registry.restore(checkpoint.registry)
-        self.slice_manager.restore(checkpoint.slice_manager)
-        self.controllers.restore(checkpoint.controllers)
-        restore_state = getattr(self.solver, "restore_state", None)
-        if restore_state is not None:
-            restore_state(checkpoint.solver)
-        self._last_solve = checkpoint.last_solve
-        self.last_problem = checkpoint.last_problem
-        self.last_decision = checkpoint.last_decision
-        self.problem_cache.restore(checkpoint.cache)
-        self.last_rehomed = checkpoint.rehomed
-
     def _apply_link_failures(self, epoch: int) -> None:
         """Damage the topology per the injector and the scheduled failures."""
         failures: list[tuple[tuple[str, str], float]] = []
@@ -511,7 +491,7 @@ class E2EOrchestrator:
                 continue
             # The plain ADMITTED -> EXPIRED transition of a natural expiry,
             # not a tenant release: the old life reports "expired".
-            record.state = SliceState.EXPIRED
+            self.registry.expire(name)
             if self.slice_manager.pending_request(name) is not None:
                 # A renewal is already queued under this name (e.g. a tenant
                 # pre-booked one); it will compete for admission instead.
@@ -578,7 +558,7 @@ class E2EOrchestrator:
                 deficits=cached.deficits,
             )
         decision = self.solver.solve(problem)
-        self._last_solve = (solve_key, decision)
+        assign(self, "_last_solve", (solve_key, decision))
         return decision
 
     def _problem_options(self, has_committed: bool) -> ProblemOptions:

@@ -10,9 +10,10 @@ concrete artefact to consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.slices import SliceRequest
+from repro.utils.journal import Journal, assign, drop, put
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,11 @@ class SliceManager:
     under the same name may never sit in the intake queue at once.
     """
 
+    #: The queue is a field *and* a table: a collection replaces the whole
+    #: dict (its order is the submission order, which a rollback must give
+    #: back), single submissions and withdrawals write one entry.
+    JOURNALED = ("_pending",)
+
     # Keyed by slice name (unique in the queue by contract), insertion
     # ordered: name lookup and withdrawal are O(1) so broker intake of N
     # requests stays O(N) under heavy multi-client traffic.
@@ -102,7 +108,7 @@ class SliceManager:
         """Accept a tenant's slice request into the intake queue."""
         if request.name in self._pending:
             raise ValueError(f"a slice named {request.name!r} was already submitted")
-        self._pending[request.name] = request
+        put(self._pending, request.name, request)
         return SliceDescriptor.from_request(request)
 
     def submit_many(self, requests: list[SliceRequest]) -> list[SliceDescriptor]:
@@ -130,23 +136,9 @@ class SliceManager:
         by the northbound broker to cancel queued submissions and to roll
         back partially-enqueued batches.
         """
-        try:
-            return self._pending.pop(name)
-        except KeyError:
-            raise KeyError(f"no queued request named {name!r}") from None
-
-    def snapshot(self) -> "SliceManager":
-        """Capture the intake queue for epoch-level rollback.
-
-        The checkpoint is itself a :class:`SliceManager` (queryable like
-        the live one; never mutated).  Requests are immutable, so a shallow
-        copy of the (insertion-ordered) queue dict is a complete snapshot.
-        """
-        return replace(self, _pending=dict(self._pending))
-
-    def restore(self, snapshot: "SliceManager") -> None:
-        """Reset the queue to a :meth:`snapshot` taken earlier."""
-        self._pending = dict(snapshot._pending)
+        if name not in self._pending:
+            raise KeyError(f"no queued request named {name!r}")
+        return drop(self._pending, name)
 
     def collect_for_epoch(self, epoch: int) -> list[SliceRequest]:
         """Release the requests that the orchestrator should consider at ``epoch``.
@@ -160,9 +152,38 @@ class SliceManager:
             for request in self._pending.values()
             if request.arrival_epoch <= epoch
         ]
-        self._pending = {
-            name: request
-            for name, request in self._pending.items()
-            if request.arrival_epoch > epoch
-        }
+        if due:
+            assign(
+                self,
+                "_pending",
+                {
+                    name: request
+                    for name, request in self._pending.items()
+                    if request.arrival_epoch > epoch
+                },
+            )
         return due
+
+    def before(self, journal: Journal) -> "QueueView":
+        """The queue as it was before ``journal``'s epoch wrote to it."""
+        return QueueView(self, journal)
+
+
+class QueueView:
+    """A :class:`SliceManager`'s queue as it was before an epoch, read
+    through the epoch's journal (see
+    :class:`~repro.controlplane.state.RegistryView`)."""
+
+    def __init__(self, manager: SliceManager, journal: Journal) -> None:
+        self._manager = vars(manager)
+        self._journal = journal
+
+    def _queue(self) -> dict[str, SliceRequest]:
+        return self._journal.before(self._manager, "_pending")
+
+    def pending_request(self, name: str) -> SliceRequest | None:
+        return self._journal.before(self._queue(), name, None)
+
+    @property
+    def pending_count(self) -> int:
+        return len(self._journal.keys_before(self._queue()))

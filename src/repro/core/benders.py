@@ -65,6 +65,7 @@ from repro.core.solution import (
     SolverStats,
     decision_from_vectors,
 )
+from repro.utils.journal import assign, drop, put
 
 
 class _MasterState:
@@ -188,29 +189,28 @@ def warm_start_key(problem: ACRRProblem) -> tuple:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PoolEntry:
-    """Stored warm-start state of one problem structure."""
+    """Stored warm-start state of one problem structure.  Immutable: the
+    pool's writers replace an entry, so the epoch journal can keep the old
+    one without copying it."""
 
     num_rows: int
     #: Dual multipliers of past cuts as ``(mu, block_id)`` pairs, no two
     #: equal; ``block_id`` is ``None`` for aggregate (full-system) cuts and
     #: a slave block index for block cuts, whose multipliers span only that
     #: block's rows and re-validate against the block system.
-    multipliers: list[tuple[np.ndarray, int | None]] = field(default_factory=list)
+    multipliers: tuple[tuple[np.ndarray, int | None], ...] = ()
     #: Admission vector of the last incumbent under this structure.
     best_x: np.ndarray | None = None
     #: Per stored multiplier, how many consecutive seeded master solves it
     #: was slack in (or skipped at seeding); see :meth:`CutPool.age`.
-    idle: list[int] = field(default_factory=list)
+    idle: tuple[int, ...] = ()
     #: Positions in ``multipliers`` behind the cut rows of the master seeded
-    #: last, in row order: scratch between ``seed_master`` and ``age``.
-    seeded: list[int] = field(default_factory=list, init=False)
-
-    def copy(self) -> "_PoolEntry":
-        """Multiplier arrays and incumbents are never mutated in place once
-        recorded, so copying the lists is a mutation-independent copy."""
-        return replace(self, multipliers=list(self.multipliers), idle=list(self.idle))
+    #: last, in row order: scratch between ``seed_master`` and ``age``, not
+    #: state (``compare=False`` keeps it out of the fingerprint).  A plain
+    #: field, so every replacement carries it over.
+    seeded: tuple[int, ...] = field(default=(), compare=False)
 
 
 class CutPool:
@@ -237,6 +237,8 @@ class CutPool:
     a miss still runs the cold loop -- only, at worst, a certification.
     """
 
+    JOURNALED = ("_entries", "seeded_total", "dropped_total")
+
     def __init__(
         self,
         max_cuts_per_structure: int = 256,
@@ -252,6 +254,7 @@ class CutPool:
         self.max_cuts_per_structure = max_cuts_per_structure
         self.max_structures = max_structures
         self.max_relative_slack = max_relative_slack
+        #: In LRU order: eviction drops the first, a use moves one last.
         self._entries: dict[tuple, _PoolEntry] = {}
         #: Diagnostics: cuts seeded / dropped-as-stale over the pool's life.
         self.seeded_total = 0
@@ -264,8 +267,7 @@ class CutPool:
         entry = self._entries.get(key)
         if entry is not None:
             # LRU touch: re-insert so eviction drops the coldest structure.
-            self._entries.pop(key)
-            self._entries[key] = entry
+            put(self._entries, key, drop(self._entries, key))
         return entry
 
     def seed_master(
@@ -335,23 +337,23 @@ class CutPool:
                 repair = float(np.dot(violation, system.u_bound[cols]))
                 prepared[position] = (coeffs[:, column], float(rhs[column]) - repair, repair)
 
-        entry.seeded = []
+        seeded: list[int] = []
         for position, (_, block_id) in enumerate(entry.multipliers):
             ready = prepared.get(position)
             if ready is None:
-                self.dropped_total += 1
                 continue
             coeff, rhs_value, repair = ready
             cut_scale = max(
                 1.0, abs(rhs_value + repair), float(np.max(np.abs(coeff)))
             )
             if repair > self.max_relative_slack * cut_scale:
-                self.dropped_total += 1
                 continue
             master.add_cut(coeff, rhs_value, block_id)
-            entry.seeded.append(position)
-        self.seeded_total += len(entry.seeded)
-        return len(entry.seeded), entry.best_x
+            seeded.append(position)
+        put(self._entries, key, replace(entry, seeded=tuple(seeded)))
+        assign(self, "seeded_total", self.seeded_total + len(seeded))
+        assign(self, "dropped_total", self.dropped_total + len(entry.multipliers) - len(seeded))
+        return len(seeded), entry.best_x
 
     def age(self, key: tuple, master: "_MasterState", values: np.ndarray) -> None:
         """Age the multipliers of ``key`` after its seeded ``master`` was
@@ -369,8 +371,15 @@ class CutPool:
         idle = np.array(entry.idle) + 1
         idle[np.array(entry.seeded, dtype=int)[tight]] = 0
         keep = np.flatnonzero(idle <= _MAX_IDLE_SOLVES).tolist()
-        entry.multipliers = [entry.multipliers[position] for position in keep]
-        entry.idle = idle[keep].tolist()
+        put(
+            self._entries,
+            key,
+            replace(
+                entry,
+                multipliers=tuple(entry.multipliers[position] for position in keep),
+                idle=tuple(idle[keep].tolist()),
+            ),
+        )
 
     def record(
         self,
@@ -387,44 +396,31 @@ class CutPool:
         entry = self._entries.get(key)
         if entry is None or entry.num_rows != num_rows:
             entry = _PoolEntry(num_rows=num_rows)
-            self._entries.pop(key, None)
-            self._entries[key] = entry
+            if key in self._entries:
+                drop(self._entries, key)
+            put(self._entries, key, entry)
             while len(self._entries) > self.max_structures:
-                self._entries.pop(next(iter(self._entries)))
-        stored = {(block_id, mu.tobytes()) for mu, block_id in entry.multipliers}
+                drop(self._entries, next(iter(self._entries)))
+        multipliers, idle = list(entry.multipliers), list(entry.idle)
+        stored = {(block_id, mu.tobytes()) for mu, block_id in multipliers}
         for mu, block_id in new_multipliers:
             mu = np.array(mu)
             identity = (block_id, mu.tobytes())
             if identity not in stored:
                 stored.add(identity)
-                entry.multipliers.append((mu, block_id))
-                entry.idle.append(0)
-        excess = max(0, len(entry.multipliers) - self.max_cuts_per_structure)
-        del entry.multipliers[:excess], entry.idle[:excess]
-        if best_x is not None:
-            entry.best_x = np.array(best_x)
-
-    # ------------------------------------------------------------------ #
-    # Crash-consistent epochs (snapshot / restore)
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> dict:
-        """Capture the pool -- multipliers, their idle counters, incumbents
-        -- for epoch-level rollback (see :meth:`_PoolEntry.copy`)."""
-        return {
-            "entries": {key: entry.copy() for key, entry in self._entries.items()},
-            "seeded_total": self.seeded_total,
-            "dropped_total": self.dropped_total,
-        }
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Reset the pool to a :meth:`snapshot_state` taken earlier.
-
-        Entries are re-copied so the same snapshot can be restored more
-        than once; the pool object itself (and its limits) is preserved.
-        """
-        self._entries = {key: entry.copy() for key, entry in snapshot["entries"].items()}
-        self.seeded_total = snapshot["seeded_total"]
-        self.dropped_total = snapshot["dropped_total"]
+                multipliers.append((mu, block_id))
+                idle.append(0)
+        excess = max(0, len(multipliers) - self.max_cuts_per_structure)
+        put(
+            self._entries,
+            key,
+            replace(
+                entry,
+                multipliers=tuple(multipliers[excess:]),
+                idle=tuple(idle[excess:]),
+                best_x=entry.best_x if best_x is None else np.array(best_x),
+            ),
+        )
 
 
 #: Relative width of the "essentially exact" certificate tier of the warm
@@ -510,6 +506,8 @@ class BendersSolver:
     helper thread beside the joint slave LP (:class:`_Overlapped`).
     """
 
+    JOURNALED_PARTS = ("cut_pool",)
+
     def __init__(
         self,
         tolerance: float = 1e-4,
@@ -556,17 +554,6 @@ class BendersSolver:
         self.master_time_limit_s = master_time_limit_s
         self.time_limit_s = time_limit_s
         self.cut_pool: CutPool | None = CutPool() if warm_start else None
-
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> dict | None:
-        """Cross-epoch state (the cut pool) for epoch-level rollback."""
-        if self.cut_pool is None:
-            return None
-        return self.cut_pool.snapshot_state()
-
-    def restore_state(self, snapshot: dict | None) -> None:
-        if self.cut_pool is not None and snapshot is not None:
-            self.cut_pool.restore_state(snapshot)
 
     # ------------------------------------------------------------------ #
     def solve(self, problem: ACRRProblem) -> OrchestrationDecision:

@@ -58,6 +58,7 @@ from repro.core.risk import deficit_probability_proxy
 from repro.core.slices import SliceRequest
 from repro.topology.network import NetworkTopology
 from repro.topology.paths import Path, PathSet
+from repro.utils.journal import assign
 
 
 @dataclass(frozen=True)
@@ -883,6 +884,8 @@ class ProblemStructureCache:
     item construction and constraint-block assembly from scratch.
     """
 
+    JOURNALED = ("_problem", "_topology_signature", "hits", "misses")
+
     def __init__(self) -> None:
         self._problem: ACRRProblem | None = None
         self._topology_signature: tuple | None = None
@@ -915,10 +918,10 @@ class ProblemStructureCache:
             and self._topology_signature == topo_signature
             and cached.structure_signature() == signature
         ):
-            self.hits += 1
+            assign(self, "hits", self.hits + 1)
             problem = cached.with_forecasts(requests, forecasts)
         else:
-            self.misses += 1
+            assign(self, "misses", self.misses + 1)
             problem = ACRRProblem(
                 topology=topology,
                 path_set=path_set,
@@ -926,18 +929,10 @@ class ProblemStructureCache:
                 forecasts=forecasts,
                 options=options,
             )
-        self._problem = problem
-        self._topology_signature = topo_signature
+        assign(self, "_problem", problem)
+        assign(self, "_topology_signature", topo_signature)
         return problem
 
     def invalidate(self) -> None:
-        self._problem = None
-        self._topology_signature = None
-
-    def snapshot(self) -> tuple:
-        """Capture the cache for epoch-level rollback (problems are never
-        mutated once built, so references suffice)."""
-        return (self._problem, self._topology_signature, self.hits, self.misses)
-
-    def restore(self, snapshot: tuple) -> None:
-        self._problem, self._topology_signature, self.hits, self.misses = snapshot
+        assign(self, "_problem", None)
+        assign(self, "_topology_signature", None)

@@ -158,9 +158,11 @@ class ChaosSolver:
 
     Keeps the fault logic out of :class:`~repro.core.benders.BendersSolver`
     itself: production solves never pay for a chaos check, and any solver
-    implementing ``solve(problem)`` can be proxied.  Snapshot/restore of
-    cross-epoch warm-start state is delegated to the inner solver.
+    implementing ``solve(problem)`` can be proxied.  The proxy holds no
+    epoch state: the inner solver's is declared on the inner solver.
     """
+
+    JOURNALED_PARTS = ("inner",)
 
     def __init__(self, inner, injector: FaultInjector):
         self.inner = inner
@@ -169,15 +171,6 @@ class ChaosSolver:
     def solve(self, problem):
         self.injector.enact(HOOK_SOLVER)
         return self.inner.solve(problem)
-
-    def snapshot_state(self):
-        snapshot = getattr(self.inner, "snapshot_state", None)
-        return snapshot() if snapshot is not None else None
-
-    def restore_state(self, snapshot) -> None:
-        restore = getattr(self.inner, "restore_state", None)
-        if restore is not None:
-            restore(snapshot)
 
 
 def attach_injector(orchestrator, injector: FaultInjector) -> FaultInjector:

@@ -47,6 +47,7 @@ from repro.core.solution import (
     TenantAllocation,
 )
 from repro.faults.plan import SolverBudgetExceededError, TransientSolverError
+from repro.utils.journal import assign
 
 TIER_PRIMARY = "primary"
 TIER_WARM_REPLAY = "warm_replay"
@@ -130,6 +131,13 @@ class SafeguardedSolver:
 
     #: Exception types the retry tier treats as transient.
     TRANSIENT_TYPES = (TransientSolverError,)
+
+    #: The certified decision is epoch state (a rolled-back epoch must not
+    #: leave a decision certified that it never committed); the health
+    #: monitor deliberately is not (a fault that forced a rollback still
+    #: happened).
+    JOURNALED = ("_certified",)
+    JOURNALED_PARTS = ("primary",)
 
     def __init__(
         self,
@@ -222,29 +230,11 @@ class SafeguardedSolver:
         return decision
 
     # ------------------------------------------------------------------ #
-    # Cross-epoch state (duck-typed to the orchestrator's epoch checkpoint)
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> dict:
-        inner = getattr(self.primary, "snapshot_state", None)
-        return {
-            "primary": inner() if inner is not None else None,
-            "certified": self._certified,
-        }
-
-    def restore_state(self, snapshot: dict | None) -> None:
-        if snapshot is None:
-            return
-        restore = getattr(self.primary, "restore_state", None)
-        if restore is not None:
-            restore(snapshot["primary"])
-        self._certified = snapshot["certified"]
-
-    # ------------------------------------------------------------------ #
     def _certify(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
-        self._certified = (
-            problem.structure_signature(),
-            topology_signature(problem.topology),
-            decision,
+        assign(
+            self,
+            "_certified",
+            (problem.structure_signature(), topology_signature(problem.topology), decision),
         )
 
     def _warm_replay(self, problem: ACRRProblem) -> OrchestrationDecision | None:

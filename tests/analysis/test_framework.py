@@ -130,6 +130,7 @@ class TestDefaultCheckers:
             "RA04",
             "RA05",
             "RA06",
+            "RA07",
         ]
 
     def test_rules_carry_title_and_description(self):

@@ -1,4 +1,4 @@
-"""Fixture-driven tests per rule: each RA01-RA06 checker must fire on its
+"""Fixture-driven tests per rule: each RA01-RA07 checker must fire on its
 minimal offending snippet and stay silent on the minimal clean one.
 
 Fixtures are compiled from strings into in-memory :class:`ProjectTree`
@@ -14,6 +14,7 @@ from repro.analysis.ra03_determinism import DeterminismChecker
 from repro.analysis.ra04_wire import WireContractChecker
 from repro.analysis.ra05_executors import ExecutorSafetyChecker
 from repro.analysis.ra06_solver import SolverEntryPointChecker
+from repro.analysis.ra07_journal import JournaledStateChecker
 
 
 def findings_for(checker, sources, documents=None):
@@ -705,3 +706,193 @@ class TestRA06:
     def test_phase1_problem_in_the_slave_and_outside_the_package_passes(self):
         for path in ("src/repro/core/decomposition.py", "tests/core/t.py"):
             assert findings_for(SolverEntryPointChecker(), {path: RA06_PHASE1}) == [], path
+
+
+# --------------------------------------------------------------------- #
+# RA07 -- journaled state has declared writers
+# --------------------------------------------------------------------- #
+STATE_PATH = "src/repro/controlplane/state.py"
+POOL_PATH = "src/repro/core/benders.py"
+CONTROLLERS_PATH = "src/repro/controlplane/controllers.py"
+ORCHESTRATOR_PATH = "src/repro/controlplane/orchestrator.py"
+
+RA07_RECORDS = '''
+from dataclasses import dataclass, replace
+from repro.utils.journal import put
+
+@dataclass(frozen=True)
+class SliceRecord:
+    request: object
+    state: str = "requested"
+
+class SliceRegistry:
+    JOURNALED = ("_records",)
+
+    def __init__(self):
+        self._records = {}
+
+    def expire(self, name):
+        put(self._records, name, replace(self._records[name], state="expired"))
+'''
+
+RA07_RECORD_WRITES = '''
+def rehome(registry, name):
+    record = registry.record(name)
+    record.state = "expired"
+
+def smuggle(registry, name):
+    object.__setattr__(registry.record(name), "state", "expired")
+
+def backdoor(registry, record):
+    registry._records[record.name] = record
+'''
+
+RA07_RECORD_WRITERS = '''
+def rehome(registry, name):
+    registry.expire(name)
+
+class HealthMonitor:
+    def __init__(self):
+        self.state = "healthy"
+
+    def note(self, outcome: "Outcome", loop: "LoopState"):
+        self.state = outcome.state
+        loop.state = "done"
+'''
+
+RA07_POOL = '''
+from dataclasses import dataclass, field, replace
+from repro.utils.journal import put
+
+@dataclass(frozen=True)
+class _PoolEntry:
+    num_rows: int
+    idle: tuple = ()
+    multipliers: tuple = ()
+
+class CutPool:
+    JOURNALED = ("_entries",)
+
+    def __init__(self):
+        self._entries = {}
+
+    def age(self, key):
+        entry = self._entries[key]
+        put(self._entries, key, replace(entry, idle=tuple(i + 1 for i in entry.idle)))
+'''
+
+RA07_POOL_WRITES = '''
+def bump(pool, key):
+    entry = pool.entry(key)
+    entry.idle[0] += 1
+    entry.multipliers.append(None)
+    del pool._entries[key]
+'''
+
+RA07_POOL_WRITERS = '''
+from dataclasses import replace
+from repro.utils.journal import drop, put
+
+def bump(pool, key, state: "_LoopState"):
+    entry = pool.entry(key)
+    put(pool._entries, key, replace(entry, idle=(entry.idle[0] + 1, *entry.idle[1:])))
+    drop(pool._entries, key)
+    state.multipliers.append(None)
+    loop = _LoopState()
+    loop.idle = 0
+'''
+
+RA07_CONTROLLERS = '''
+from repro.utils.journal import assign
+
+class TransportController:
+    JOURNALED = ("reservations_mbps",)
+
+    def __init__(self, links):
+        self.links = links
+        self.reservations_mbps = {key: {} for key in links}
+
+    def clear(self):
+        assign(self, "reservations_mbps", {key: {} for key in self.links})
+'''
+
+RA07_CONTROLLER_WRITES = '''
+class TransportController:
+    JOURNALED = ("reservations_mbps",)
+
+    def __init__(self, links):
+        self.reservations_mbps = {}
+
+    def clear(self):
+        self.reservations_mbps = {}
+
+def reclaim(controllers, key, name):
+    controllers.transport.reservations_mbps[key].pop(name)
+    controllers.transport.reservations_mbps[key] = {}
+'''
+
+RA07_CONTROLLER_WRITERS = '''
+class Link:
+    def __init__(self):
+        self.load = 0.0
+
+    def reset(self):
+        self.reservations_mbps = {}
+
+def headroom(controllers, key):
+    return sum(controllers.transport.reservations_mbps[key].values())
+'''
+
+
+def ra07(sources):
+    return [
+        (f.path, f.symbol, f.message.split("'")[1])
+        for f in findings_for(JournaledStateChecker(), sources)
+    ]
+
+
+class TestRA07:
+    def test_record_fields_written_in_place_fire(self):
+        found = ra07({STATE_PATH: RA07_RECORDS, ORCHESTRATOR_PATH: RA07_RECORD_WRITES})
+        assert found == [
+            (ORCHESTRATOR_PATH, "rehome", "state"),
+            (ORCHESTRATOR_PATH, "smuggle", "state"),
+            (ORCHESTRATOR_PATH, "backdoor", "_records"),
+        ]
+
+    def test_record_transitions_through_the_registry_pass(self):
+        # Another class's own ``state`` and a receiver typed as another
+        # class are not record fields.
+        assert ra07({STATE_PATH: RA07_RECORDS, ORCHESTRATOR_PATH: RA07_RECORD_WRITERS}) == []
+
+    def test_pool_entry_fields_edited_in_place_fire(self):
+        found = ra07({POOL_PATH: RA07_POOL, "src/repro/core/kac.py": RA07_POOL_WRITES})
+        assert [(symbol, name) for _, symbol, name in found] == [
+            ("bump", "idle"),
+            ("bump", "multipliers"),
+            ("bump", "_entries"),
+        ]
+
+    def test_pool_entries_replaced_through_the_writers_pass(self):
+        assert ra07({POOL_PATH: RA07_POOL, "src/repro/core/kac.py": RA07_POOL_WRITERS}) == []
+
+    def test_controller_reservation_tables_written_directly_fire(self):
+        found = ra07({CONTROLLERS_PATH: RA07_CONTROLLER_WRITES})
+        assert [(symbol, name) for _, symbol, name in found] == [
+            ("TransportController.clear", "reservations_mbps"),
+            ("reclaim", "reservations_mbps"),
+            ("reclaim", "reservations_mbps"),
+        ]
+
+    def test_controller_tables_assigned_through_the_writer_pass(self):
+        # __init__ builds the state; a class that does not declare the name
+        # owns its own attribute; reads are reads.
+        sources = {
+            CONTROLLERS_PATH: RA07_CONTROLLERS,
+            "src/repro/topology/x.py": RA07_CONTROLLER_WRITERS,
+        }
+        assert ra07(sources) == []
+
+    def test_code_outside_the_package_is_ignored(self):
+        sources = {STATE_PATH: RA07_RECORDS, "tests/controlplane/t.py": RA07_RECORD_WRITES}
+        assert ra07(sources) == []

@@ -16,19 +16,23 @@ from repro.api import (
     BrokerClient,
     BrokerServer,
     CapacityError,
+    LifecycleError,
     SliceBroker,
     SliceRequestV1,
     SolverError,
     ValidationError,
 )
 from repro.api.broker import _evict_oldest
+import repro.controlplane.orchestrator as orchestrator_module
 from repro.controlplane.orchestrator import ForecastingBlock, OrchestratorConfig
 from repro.controlplane.slice_manager import SliceManager
+from repro.controlplane.state import SliceRecord
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.milp_solver import DirectMILPSolver
 from repro.core.slices import SliceRequest
 from repro.forecasting import HoltWintersForecaster
 from repro.topology import operators
+from repro.utils.journal import Journal
 
 pytestmark = pytest.mark.transport
 
@@ -755,40 +759,45 @@ class TestReadsDuringEpoch:
         broker.advance_epoch(0)
         assert mid_epoch == [("requested", 0)]
 
-    def test_one_checkpoint_copy_per_epoch_serves_rollback_and_reads(self):
+    def test_one_journal_per_epoch_serves_rollback_reads_and_events(self, monkeypatch):
         broker, solver = gated_broker()
         solver.gate.set()
         orchestrator = broker.orchestrator
-        registry_snapshot = orchestrator.registry.snapshot
-        manager_snapshot = orchestrator.slice_manager.snapshot
-        registry_copies = []
-        manager_copies = []
+        journals = []
 
-        def counted_registry_snapshot():
-            registry_copies.append(registry_snapshot())
-            return registry_copies[-1]
+        class CountedJournal(Journal):
+            def __init__(self):
+                super().__init__()
+                journals.append(self)
 
-        def counted_manager_snapshot():
-            manager_copies.append(manager_snapshot())
-            return manager_copies[-1]
+        monkeypatch.setattr(orchestrator_module, "Journal", CountedJournal)
+        # Twenty dormant lives the epochs below never touch.
+        for index in range(20):
+            orchestrator.registry.register(request(f"old{index}").to_request())
+            orchestrator.registry.mark_rejected(f"old{index}")
+        built = []
+        record_init = SliceRecord.__init__
 
-        orchestrator.registry.snapshot = counted_registry_snapshot
-        orchestrator.slice_manager.snapshot = counted_manager_snapshot
+        def counted_init(record, *args, **kwargs):
+            built.append(len(journals))
+            record_init(record, *args, **kwargs)
+
+        monkeypatch.setattr(SliceRecord, "__init__", counted_init)
         broker.submit(request("s1"))
-        seen_view = []
-        inner_solve = solver.solve
+        published = []
+        publish = broker._publish_epoch_view
 
-        def solve(problem):
-            seen_view.append(broker._epoch_view)
-            return inner_solve(problem)
+        def recording_publish(checkpoint):
+            published.append(checkpoint)
+            publish(checkpoint)
 
-        solver.solve = solve
+        broker._publish_epoch_view = recording_publish
         derive_events = broker._derive_events
-        diffed = []
+        derived_from = []
 
-        def recording_derive_events(epoch, before, decision):
-            diffed.append(before)
-            return derive_events(epoch, before, decision)
+        def recording_derive_events(epoch, checkpoint, decision):
+            derived_from.append(checkpoint)
+            return derive_events(epoch, checkpoint, decision)
 
         broker._derive_events = recording_derive_events
         kinds = [
@@ -796,14 +805,18 @@ class TestReadsDuringEpoch:
             for epoch in range(3)
         ]
         assert kinds == [["admitted"], [], ["expired"]]
-        assert (len(registry_copies), len(manager_copies)) == (3, 3)
-        # The published view *is* the orchestrator's checkpoint, not a copy.
-        for view, registry, manager in zip(seen_view, registry_copies, manager_copies):
-            assert view.registry is registry
-            assert view.slice_manager is manager
-        # ... and that same copy is the "before" side of the event diff.
-        assert len(diffed) == 3
-        assert all(before is copy for before, copy in zip(diffed, registry_copies))
+        assert len(journals) == 3
+        # The published view reads through the epoch's journal, and the
+        # same checkpoint is where the events come from.
+        assert [view.journal for view in published] == journals
+        assert derived_from == published
+        # No record copies: the only records built are the transitions of
+        # s1 (registered and admitted, maybe re-reserved, expired), never
+        # one of the twenty dormant ones.
+        per_epoch = [built.count(epoch) for epoch in (1, 2, 3)]
+        assert per_epoch[0] == 2 and per_epoch[1] <= 1 and per_epoch[2] == 1
+        records = orchestrator.registry._records
+        assert all(set(journal.touched(records)) <= {"s1"} for journal in journals)
 
     def test_list_total_comes_from_the_same_state_as_the_page(self):
         """``GET /v1/slices`` used to take the page and the total in two
@@ -812,11 +825,11 @@ class TestReadsDuringEpoch:
         solver.gate.set()
         for index in range(5):
             broker.submit(request(f"s{index}", arrival=9))
-        names_in = broker._names_in
+        read_source = broker._read_source
         racers = []
 
-        def racing_names_in(source):
-            names = names_in(source)
+        def racing_read_source():
+            source = read_source()
             if not racers:
                 # What a concurrent tenant would do right after the page's
                 # critical section: with one section there is no "after".
@@ -826,9 +839,9 @@ class TestReadsDuringEpoch:
                     )
                 )
                 racers[0].start()
-            return names
+            return source
 
-        broker._names_in = racing_names_in
+        broker._read_source = racing_read_source
         with BrokerServer(broker) as server, BrokerClient(server.host, server.port) as client:
             page = client.list_slices(limit=2)
             assert [status.name for status in page] == ["s0", "s1"]
@@ -1048,3 +1061,113 @@ class TestHistoryAgainstSequentialModel:
                 floor = matching[0]
                 inside_an_epoch += hi - lo == 1
         assert inside_an_epoch >= 6 * len(histories)
+
+
+class TestReadsRaceEveryTransition:
+    """Readers race epochs that register, renew, reject, expire and re-home,
+    with a release in between, parked after the last registry write of
+    each epoch: a status, listing or count is the state before the epoch
+    or the state after it, never a mix.  An epoch writes records by
+    replacing them; a writer editing a record in place would leak its
+    post-epoch state into the pre-epoch view, and these reads would see
+    it."""
+
+    NAMES = ("a", "b", "c", "x", "y", "d", "e", "nope")
+
+    def observe(self, broker: SliceBroker) -> dict:
+        """Every read the racers make, made sequentially."""
+        reads = {"list": self.read(broker, "list"), "count": broker.slice_count()}
+        for name in self.NAMES:
+            reads[name] = self.read(broker, name)
+        return reads
+
+    @staticmethod
+    def read(broker: SliceBroker, what: str):
+        if what == "list":
+            page = broker.list_slices()
+            return states(page), page.total
+        if what == "count":
+            return broker.slice_count()
+        try:
+            return broker.status(what).to_dict()
+        except LifecycleError:
+            return "unknown"
+
+    def test_every_read_is_the_state_before_or_after_the_epoch(self):
+        broker = SliceBroker(topology=operators.testbed_topology(), solver=DirectMILPSolver())
+        parked, resume = threading.Event(), threading.Event()
+
+        def park_after_the_registry_writes(hook: str) -> None:
+            if hook == "controller.cloud.apply":
+                parked.set()
+                assert resume.wait(GUARD_S), "the test never resumed the epoch"
+
+        broker.orchestrator.controllers.fault_hook = park_after_the_registry_writes
+        stop = threading.Event()
+        reads: list[tuple[str, object]] = []
+        done = [0, 0, 0]
+        kinds = ["list", "count", *self.NAMES]
+
+        def reader(index: int) -> None:
+            turn = index
+            while not stop.is_set():
+                what = kinds[turn % len(kinds)]
+                reads.append((what, self.read(broker, what)))
+                done[index] += 1
+                turn += 1
+
+        def raced_epoch(epoch: int):
+            before = self.observe(broker)
+            del reads[:]
+            parked.clear()
+            resume.clear()
+            outcome: list = []
+            epoch_thread = threading.Thread(
+                target=lambda: outcome.append(broker.advance_epoch(epoch))
+            )
+            epoch_thread.start()
+            assert parked.wait(GUARD_S), "the epoch never reached the controllers"
+            target = [count + 2 * len(kinds) for count in done]
+            deadline = time.monotonic() + GUARD_S
+            while any(d < t for d, t in zip(done, target)) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            resume.set()
+            epoch_thread.join(GUARD_S)
+            assert not epoch_thread.is_alive()
+            after = self.observe(broker)
+            assert before != after
+            for what, seen in list(reads):
+                assert seen in (before[what], after[what]), (epoch, what, seen)
+            return outcome[0]
+
+        threads = [threading.Thread(target=reader, args=(index,)) for index in range(3)]
+        for thread in threads:
+            thread.start()
+        try:
+            for name, duration in (("a", 1), ("b", 3), ("c", 3), ("x", 3), ("y", 3)):
+                broker.submit(SliceRequestV1.of(name, "eMBB", duration_epochs=duration))
+            first = raced_epoch(0)
+            assert first.accepted and first.rejected
+            # A release, a renewal of a rejected name, and a new arrival.
+            released = next(name for name in first.accepted if name != "a")
+            broker.release(released, epoch=0)
+            broker.submit(
+                SliceRequestV1.of(first.rejected[0], "eMBB", duration_epochs=3, arrival_epoch=1)
+            )
+            broker.submit(SliceRequestV1.of("d", "eMBB", duration_epochs=3, arrival_epoch=1))
+            second = raced_epoch(1)
+            # Cut a link that carries an admitted slice: the next epoch
+            # re-homes it.
+            transport = broker.orchestrator.controllers.transport
+            key = next(key for key, slices in transport.reservations_mbps.items() if slices)
+            broker.inject_link_failure([key], 0.001)
+            broker.submit(SliceRequestV1.of("e", "eMBB", duration_epochs=2, arrival_epoch=2))
+            third = raced_epoch(2)
+        finally:
+            stop.set()
+            resume.set()
+            for thread in threads:
+                thread.join(GUARD_S)
+        events = {event.kind.value for report in (first, second, third) for event in report.events}
+        assert {"admitted", "rejected", "expired", "renewed"} <= events
+        assert third.rehomed

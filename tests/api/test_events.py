@@ -196,7 +196,7 @@ class TestEpochEventOrdering:
         broker.advance_epoch(0)
         broker.advance_epoch(1)
         registry = broker.orchestrator.registry
-        pre_epoch = registry.snapshot()
+        pre_epoch = registry.all_records()  # records are immutable values
         # Epoch 2: 'a' expires inside run_epoch, then the solve for 'late'
         # fails -- the epoch rolls back, expiry included, and publishes
         # nothing.
@@ -204,7 +204,7 @@ class TestEpochEventOrdering:
         with pytest.raises(SolverError):
             broker.advance_epoch(2)
         assert seen == [("admitted", "a")]
-        assert registry.all_records() == pre_epoch.all_records()
+        assert registry.all_records() == pre_epoch
         assert registry.record("a").state is SliceState.ADMITTED
         # The retry expires 'a' again and publishes it with the admission.
         broker.advance_epoch(3)

@@ -7,10 +7,13 @@ exact admission counts and reservations.
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.problem import ACRRProblem, ProblemOptions
+from repro.core.solution import OrchestrationDecision, SolverStats, TenantAllocation
 from repro.core.slices import (
     EMBB_TEMPLATE,
     MMTC_TEMPLATE,
@@ -133,3 +136,21 @@ def mixed_problem(tiny_topology, tiny_path_set, mixed_requests) -> ACRRProblem:
 @pytest.fixture
 def problem_options() -> ProblemOptions:
     return ProblemOptions()
+
+
+class CoinSolver:
+    """Stub solver for lifecycle tests: keeps every committed slice and
+    admits a new request when a CRC of its name and arrival epoch is even.
+    No reservations, no LP: the control plane runs, the solver costs
+    nothing."""
+
+    def solve(self, problem: ACRRProblem) -> OrchestrationDecision:
+        allocations = {}
+        for request in problem.requests:
+            coin = zlib.crc32(f"{request.name}@{request.arrival_epoch}".encode()) % 2 == 0
+            allocations[request.name] = TenantAllocation(
+                request=request, accepted=request.committed or coin, compute_unit=None
+            )
+        return OrchestrationDecision(
+            allocations=allocations, objective_value=0.0, stats=SolverStats(solver="coin")
+        )

@@ -174,6 +174,15 @@ class TestClear:
             assert controllers.cloud.cu_reservation(cu.name) == 0.0
 
 
+def enforced_state(controllers: ControllerSet) -> tuple:
+    """What the three domains enforce: PRB shares, link and CPU reservations."""
+    return (
+        {bs: enforcer.shares() for bs, enforcer in controllers.ran.enforcers.items()},
+        controllers.transport.reservations_mbps,
+        controllers.cloud.reservations_cpus,
+    )
+
+
 class TestAtomicApply:
     """ControllerSet.apply is all-or-nothing across the three domains."""
 
@@ -197,12 +206,12 @@ class TestAtomicApply:
                 raise RuntimeError(f"injected crash before {name}")
 
         controllers.fault_hook = hook
-        before = controllers.snapshot()
+        before = enforced_state(controllers)
         with pytest.raises(RuntimeError, match="injected crash"):
             controllers.apply(mixed_problem, decision)
         # No domain keeps a partial enforcement: the domains that applied
         # before the crash were rolled back with the rest.
-        assert controllers.snapshot() == before
+        assert enforced_state(controllers) == before
 
         # A clean retry enforces the full decision.
         controllers.fault_hook = None
@@ -219,7 +228,7 @@ class TestAtomicApply:
         decision = DirectMILPSolver().solve(mixed_problem)
         controllers = ControllerSet.for_topology(mixed_problem.topology)
         controllers.apply(mixed_problem, decision)
-        enforced = controllers.snapshot()
+        enforced = enforced_state(controllers)
 
         import copy
 
@@ -234,4 +243,4 @@ class TestAtomicApply:
         controllers.fault_hook = crash_transport
         with pytest.raises(RuntimeError):
             controllers.apply(mixed_problem, empty)
-        assert controllers.snapshot() == enforced
+        assert enforced_state(controllers) == enforced

@@ -13,12 +13,13 @@ order and the scipy calls are the retired source's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize, sparse
 
 from repro.core.problem import ACRRProblem, InfeasibleProblemError
+from repro.utils.journal import put
 
 
 @dataclass
@@ -660,7 +661,7 @@ def oracle_seed_master(self: CutPool, key, master, slave):
             repair = float(np.dot(violation, bound))
             prepared[position] = (coeffs[row], float(rhs[row]) - repair, repair)
 
-    entry.seeded = []  # the one thing added since: which multiplier is which row
+    seeded = []  # the one thing added since: which multiplier is which row
     for position, (_, block_id) in enumerate(entry.multipliers):
         ready = prepared.get(position)
         if ready is None:
@@ -672,9 +673,11 @@ def oracle_seed_master(self: CutPool, key, master, slave):
             self.dropped_total += 1
             continue
         master.add_cut(coeff, rhs_value, block_id)
-        entry.seeded.append(position)
-    self.seeded_total += len(entry.seeded)
-    return len(entry.seeded), entry.best_x
+        seeded.append(position)
+    # ... kept on the pool's entry, which is replaced, not edited.
+    put(self._entries, key, replace(entry, seeded=tuple(seeded)))
+    self.seeded_total += len(seeded)
+    return len(seeded), entry.best_x
 
 
 def retire_the_array_assembly(monkeypatch) -> None:

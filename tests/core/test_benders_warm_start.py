@@ -1,5 +1,7 @@
 """Unit tests for the Benders cross-epoch warm-start layer (CutPool)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.slices import EMBB_TEMPLATE, make_requests
 from repro.scenarios import DIFFERENTIAL_FAMILY, sample_scenario
 from repro.scenarios.oracle import _perturbed_forecast_sequence, problem_for_scenario
 from repro.topology.paths import compute_path_sets
+from repro.utils.journal import Journal, put
 from repro.utils.rng import derive_seed
 from tests.conftest import build_tiny_topology
 from tests.differential.conftest import BASE_SEED
@@ -144,17 +147,17 @@ class TestCutPool:
         pool = CutPool()
         key = ("k",)
         pool.record(key, 4, [(np.zeros(4), None), (np.ones(4), 0)], None)
-        entry = pool.entry(key)
-        entry.idle[:] = [2, 1]
+        rewrite_entry(pool, key, idle=(2, 1))
         # Same block and bytes: skipped, in the pool or earlier in the batch;
         # the same mu on another block is another cut.
         pool.record(key, 4, [(np.zeros(4), None), (np.ones(4), 1), (np.ones(4), 1)], None)
+        entry = pool.entry(key)
         assert [(mu.tolist(), block) for mu, block in entry.multipliers] == [
             ([0.0] * 4, None),
             ([1.0] * 4, 0),
             ([1.0] * 4, 1),
         ]
-        assert entry.idle == [2, 1, 0]  # a skipped duplicate keeps its age
+        assert entry.idle == (2, 1, 0)  # a skipped duplicate keeps its age
 
     def test_structure_cap_evicts_least_recently_used(self):
         pool = CutPool(max_structures=2)
@@ -175,6 +178,12 @@ class TestCutPool:
             CutPool(max_relative_slack=-0.1)
 
 
+def rewrite_entry(pool: CutPool, key: tuple, **changes) -> None:
+    """Replace the pool entry of ``key`` with ``changes`` applied, the way
+    the pool's own writers do."""
+    put(pool._entries, key, replace(pool._entries[key], **changes))
+
+
 class _SolvedMaster:
     """What :meth:`CutPool.age` reads off a seeded master: its cut rows."""
 
@@ -192,8 +201,7 @@ class TestWorkingSet:
         pool = CutPool()
         key = ("k",)
         pool.record(key, 4, [(np.full(4, float(i)), None) for i in range(5)], None)
-        entry = pool.entry(key)
-        assert entry.idle == [0] * 5
+        assert pool.entry(key).idle == (0,) * 5
         # Multipliers 1 and 4 were skipped at seeding; of the three seeded
         # cuts the first is tight, the second slack, the third tight within
         # the relative tolerance (1e-7 of an activity of 1e3).
@@ -201,44 +209,46 @@ class TestWorkingSet:
         values = np.array([2.0, 3.0])
         survivors = []
         for solve in range(1, _MAX_IDLE_SOLVES + 2):
-            entry.seeded = [0, 2, 3][: len(entry.multipliers)]
+            rewrite_entry(pool, key, seeded=(0, 2, 3)[: len(pool.entry(key).multipliers)])
             pool.age(key, master, values)
+            entry = pool.entry(key)
             survivors.append([mu[0] for mu, _ in entry.multipliers])
             if solve <= _MAX_IDLE_SOLVES:
-                assert entry.idle == [0, solve, solve, 0, solve]
+                assert entry.idle == (0, solve, solve, 0, solve)
         assert survivors[-2] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert survivors[-1] == [0.0, 3.0]  # slack one and both skipped ones left
-        assert entry.idle == [0, 0]
+        assert pool.entry(key).idle == (0, 0)
         # What is recorded next starts at zero, behind the survivors.
         pool.record(key, 4, [(np.full(4, 9.0), None)], None)
-        assert entry.idle == [0, 0, 0] and entry.multipliers[-1][0][0] == 9.0
+        entry = pool.entry(key)
+        assert entry.idle == (0, 0, 0) and entry.multipliers[-1][0][0] == 9.0
 
     def test_hard_cap_still_evicts_oldest_first_with_their_counters(self):
         pool = CutPool(max_cuts_per_structure=3)
         key = ("k",)
         pool.record(key, 4, [(np.full(4, float(i)), None) for i in range(3)], None)
-        entry = pool.entry(key)
-        entry.idle[:] = [2, 1, 0]
+        rewrite_entry(pool, key, idle=(2, 1, 0))
         pool.record(key, 4, [(np.full(4, 3.0), None)], None)
+        entry = pool.entry(key)
         assert [mu[0] for mu, _ in entry.multipliers] == [1.0, 2.0, 3.0]
-        assert entry.idle == [1, 0, 0]
+        assert entry.idle == (1, 0, 0)
 
-    def test_snapshot_carries_the_idle_counters(self):
+    def test_a_rollback_restores_the_idle_counters(self):
         pool = CutPool()
         key = ("k",)
         pool.record(key, 4, [(np.full(4, float(i)), None) for i in range(3)], None)
-        pool.entry(key).idle[:] = [2, 0, 1]
-        snapshot = pool.snapshot_state()
-        entry = pool.entry(key)
-        entry.seeded = [0, 1, 2]
-        pool.age(key, _SolvedMaster(np.eye(3), np.zeros(3)), np.ones(3))  # all slack
-        assert entry.idle == [1, 2]
-        for _ in range(2):  # the same snapshot restores more than once
-            pool.restore_state(snapshot)
-            assert pool.entry(key).idle == [2, 0, 1]
-            assert len(pool.entry(key).multipliers) == 3
-            pool.entry(key).idle[0] = 7  # ... and is independent of the live pool
-        assert snapshot["entries"][key].idle == [2, 0, 1]
+        rewrite_entry(pool, key, idle=(2, 0, 1))
+        before = pool.entry(key)
+        journal = Journal()
+        with journal:
+            rewrite_entry(pool, key, seeded=(0, 1, 2))
+            pool.age(key, _SolvedMaster(np.eye(3), np.zeros(3)), np.ones(3))  # all slack
+            assert pool.entry(key).idle == (1, 2)
+        journal.rollback()
+        assert pool.entry(key).idle == (2, 0, 1)
+        assert len(pool.entry(key).multipliers) == 3
+        # The journal kept the replaced entry itself, not a copy of it.
+        assert pool.entry(key) is before
 
     def test_a_multiplier_that_can_never_seed_leaves_the_pool(self):
         """Wrong length, no such block: skipped at every seeding.  It used
@@ -247,12 +257,12 @@ class TestWorkingSet:
         solver = BendersSolver(warm_start=True)
         solver.solve(base)
         key = warm_start_key(base)
-        entry = solver.cut_pool.entry(key)
         junk = [(np.ones(3), None), (np.ones(len(SlaveProblem(base).h0)), 99)]
-        solver.cut_pool.record(key, entry.num_rows, junk, None)
+        solver.cut_pool.record(key, solver.cut_pool.entry(key).num_rows, junk, None)
 
         def junk_left() -> int:
-            return sum(len(mu) == 3 or block == 99 for mu, block in entry.multipliers)
+            multipliers = solver.cut_pool.entry(key).multipliers
+            return sum(len(mu) == 3 or block == 99 for mu, block in multipliers)
 
         assert junk_left() == 2
         rng = np.random.default_rng(1)
@@ -265,6 +275,7 @@ class TestWorkingSet:
         dropped_before = solver.cut_pool.dropped_total
         solver.solve(perturbed(base, 1.01))
         assert solver.cut_pool.dropped_total == dropped_before  # nothing left to skip
+        entry = solver.cut_pool.entry(key)
         assert len(entry.idle) == len(entry.multipliers) > 0
 
 

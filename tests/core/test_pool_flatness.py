@@ -12,6 +12,8 @@ not asserted here.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -47,10 +49,11 @@ def record_every_multiplier(self, key, num_rows, new_multipliers, best_x):
     """``CutPool.record`` without its deduplication: every multiplier stored."""
     real_record(self, key, num_rows, [], best_x)
     entry = self._entries[key]
-    entry.multipliers += [(np.array(mu), block_id) for mu, block_id in new_multipliers]
-    entry.idle += [0] * len(new_multipliers)
-    excess = max(0, len(entry.multipliers) - self.max_cuts_per_structure)
-    del entry.multipliers[:excess], entry.idle[:excess]
+    fresh = tuple((np.array(mu), block_id) for mu, block_id in new_multipliers)
+    multipliers = entry.multipliers + fresh
+    idle = entry.idle + (0,) * len(new_multipliers)
+    excess = max(0, len(multipliers) - self.max_cuts_per_structure)
+    self._entries[key] = replace(entry, multipliers=multipliers[excess:], idle=idle[excess:])
 
 
 def sweep(instances, ageing: bool, deduplicate: bool = True):

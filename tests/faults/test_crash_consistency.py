@@ -15,6 +15,8 @@ sweeps are ``chaos``-marked and run in CI's time-capped chaos job.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,7 @@ from repro.faults import (
 )
 from repro.scenarios import DIFFERENTIAL_FAMILY, decision_fingerprint, sample_scenario
 from repro.topology import operators
+from repro.utils.journal import Journal
 from tests.differential.conftest import BASE_SEED
 
 #: Every (hook, kind) pair the fault matrix covers.  LINK_DOWN gets a
@@ -243,10 +246,7 @@ def advance_drifting(broker: SliceBroker, epoch: int):
 
 
 def pool_state(solver: BendersSolver) -> list:
-    return [
-        (len(entry.multipliers), entry.idle)
-        for entry in solver.cut_pool.snapshot_state()["entries"].values()
-    ]
+    return [(len(entry.multipliers), entry.idle) for entry in solver.cut_pool._entries.values()]
 
 
 class MidRoundCrash(Exception):
@@ -292,7 +292,7 @@ class TestWarmStartStateRollsBack:
 
         def noting_age(pool, key, master, values):
             real_age(pool, key, master, values)
-            aged_to.append(list(pool._entries[key].idle))
+            aged_to.append(pool._entries[key].idle)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CutPool, "age", noting_age)
@@ -365,11 +365,36 @@ class TestWarmStartStateRollsBack:
         broker = make_chaos_broker(FaultPlan.empty(), solver=solver)
         broker.advance_epoch(0)
         before = control_plane_fingerprint(broker.orchestrator)
-        entry = next(e for e in solver.cut_pool._entries.values() if e.multipliers)
-        entry.idle[0] += 1
+        entries = solver.cut_pool._entries
+        key, entry = next((k, e) for k, e in entries.items() if e.multipliers)
+        entries[key] = replace(entry, idle=(entry.idle[0] + 1, *entry.idle[1:]))
         assert control_plane_fingerprint(broker.orchestrator) != before
-        entry.idle[0] -= 1
+        entries[key] = entry
         assert control_plane_fingerprint(broker.orchestrator) == before
+
+
+class TestFingerprintCoversTheDeclaredState:
+    def test_a_rollback_that_skips_the_structure_cache_is_caught(self, monkeypatch):
+        # The fingerprint is derived from what the journal declares, so
+        # state a hand-written section list once left out -- the problem
+        # structure cache -- is covered: a rollback that leaves the cache
+        # holding the failed epoch's problem must not pass for a restore.
+        plan = FaultPlan.of(make_spec(HOOK_CLOUD_APPLY, FaultKind.CRASH, epoch=1))
+        broker = make_chaos_broker(plan)
+        broker.advance_epoch(0)
+        cache = vars(broker.orchestrator.problem_cache)
+        rollback = Journal.rollback
+
+        def rollback_skipping_the_cache(journal):
+            journal._log = [(mapping, key) for mapping, key in journal._log if mapping is not cache]
+            rollback(journal)
+
+        monkeypatch.setattr(Journal, "rollback", rollback_skipping_the_cache)
+        before = control_plane_fingerprint(broker.orchestrator)
+        with pytest.raises(SolverError):
+            broker.advance_epoch(1)  # built and cached u1 + u2's problem, then crashed
+        assert broker.orchestrator.problem_cache.misses == 2  # the cache kept the write
+        assert control_plane_fingerprint(broker.orchestrator) != before
 
 
 class TestForecastsAcrossRollback:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.benders import BendersSolver, CutPool
 from repro.faults import (
     HOOK_FORECAST,
     HOOK_SOLVER,
@@ -17,6 +18,7 @@ from repro.faults import (
     SolverBudgetExceededError,
     TransientSolverError,
 )
+from repro.utils.journal import declared_state
 from tests.conftest import build_tiny_topology
 
 
@@ -156,17 +158,10 @@ class TestChaosSolver:
     class Recorder:
         def __init__(self):
             self.solved = []
-            self.restored = []
 
         def solve(self, problem):
             self.solved.append(problem)
             return "decision"
-
-        def snapshot_state(self):
-            return {"warm": 1}
-
-        def restore_state(self, snapshot):
-            self.restored.append(snapshot)
 
     def test_proxies_solve_and_injects_solver_faults(self):
         inner = self.Recorder()
@@ -179,18 +174,17 @@ class TestChaosSolver:
         assert proxy.solve("problem") == "decision"
         assert inner.solved == ["problem"]
 
-    def test_delegates_warm_start_snapshots(self):
-        inner = self.Recorder()
+    def test_the_inner_solvers_state_is_declared_through_the_proxy(self):
+        inner = BendersSolver()
         proxy = ChaosSolver(inner, FaultInjector(FaultPlan.empty()))
-        assert proxy.snapshot_state() == {"warm": 1}
-        proxy.restore_state({"warm": 2})
-        assert inner.restored == [{"warm": 2}]
+        paths = [path for path, _ in declared_state(proxy)]
+        assert paths == [f"inner.cut_pool.{name}" for name in CutPool.JOURNALED]
+        assert dict(declared_state(proxy))["inner.cut_pool._entries"] is inner.cut_pool._entries
 
-    def test_tolerates_inner_solvers_without_snapshot_support(self):
+    def test_tolerates_inner_solvers_without_declared_state(self):
         class Bare:
             def solve(self, problem):
                 return problem
 
         proxy = ChaosSolver(Bare(), FaultInjector(FaultPlan.empty()))
-        assert proxy.snapshot_state() is None
-        proxy.restore_state(None)  # must not raise
+        assert list(declared_state(proxy)) == []

@@ -24,6 +24,7 @@ from repro.faults import (
 from repro.scenarios import decision_fingerprint
 from repro.topology.generators import degrade_link_capacities
 from repro.topology.paths import compute_path_sets
+from repro.utils.journal import Journal, declared_state
 from tests.conftest import low_load_forecasts
 
 
@@ -195,24 +196,32 @@ class TestChainTiers:
             SafeguardedSolver(FlakyPrimary(), max_retries=-1)
 
 
-class TestSnapshotRestore:
-    def test_certified_decision_survives_a_snapshot_round_trip(self, mixed_problem):
+class TestCertifiedDecisionIsEpochState:
+    def test_a_rolled_back_epoch_leaves_the_earlier_certified_decision(self, mixed_problem):
         chain = SafeguardedSolver(FlakyPrimary())
         certified = chain.solve(mixed_problem)
-        snapshot = chain.snapshot_state()
-        assert snapshot["certified"] is not None
+        fewer = mixed_problem.requests[:-1]
+        other = ACRRProblem(
+            topology=mixed_problem.topology,
+            path_set=mixed_problem.path_set,
+            requests=fewer,
+            forecasts=low_load_forecasts(fewer, fraction=0.5, sigma=0.3),
+        )
+        journal = Journal()
+        with journal:
+            chain.solve(other)  # certifies another structure's decision ...
+        journal.rollback()  # ... in an epoch that did not happen
 
-        fresh = SafeguardedSolver(FlakyPrimary([RuntimeError("crash")]))
-        fresh.restore_state(snapshot)
-        replayed = fresh.solve(mixed_problem)
+        chain.primary.failures.append(RuntimeError("crash"))
+        replayed = chain.solve(mixed_problem)
         assert replayed.stats.tier == TIER_WARM_REPLAY
         assert decision_fingerprint(replayed) == decision_fingerprint(certified)
 
-    def test_restoring_none_is_a_no_op(self, mixed_problem):
+    def test_the_certified_decision_is_declared_beside_the_primarys_state(self, mixed_problem):
         chain = SafeguardedSolver(FlakyPrimary())
+        assert dict(declared_state(chain)) == {"_certified": None}
         chain.solve(mixed_problem)
-        chain.restore_state(None)
-        assert chain.snapshot_state()["certified"] is not None
+        assert dict(declared_state(chain))["_certified"] is not None
 
 
 class TestHealthMonitor:
