@@ -5,7 +5,9 @@ diurnal; this benchmark replays a seasonal workload with online forecasting
 under several forecasters and reports revenue and SLA footprint.
 """
 
-from repro.experiments.ablations import run_forecaster_ablation
+from dataclasses import asdict
+
+from repro.experiments.ablations import forecaster_ablation_campaign, reduce_forecaster_ablation
 
 
 def test_forecaster_ablation(benchmark, full_figures):
@@ -17,8 +19,11 @@ def test_forecaster_ablation(benchmark, full_figures):
         "epochs_per_day": 12,
         "seed": 13,
     }
-    rows = benchmark.pedantic(run_forecaster_ablation, kwargs=kwargs, rounds=1, iterations=1)
-    benchmark.extra_info["forecaster_ablation"] = [row.as_dict() for row in rows]
+    campaign = forecaster_ablation_campaign(**kwargs)
+    rows = benchmark.pedantic(
+        lambda: reduce_forecaster_ablation(campaign.run()), rounds=1, iterations=1
+    )
+    benchmark.extra_info["forecaster_ablation"] = [asdict(row) for row in rows]
     print()
     for row in rows:
         print(

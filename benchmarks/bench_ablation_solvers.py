@@ -6,18 +6,19 @@ convergence time ("a few hours" on CPLEX for the full networks) and KAC's
 instances.
 """
 
-from repro.experiments.ablations import run_solver_ablation
+from dataclasses import asdict
+
+from repro.experiments.ablations import reduce_solver_ablation, solver_ablation_campaign
 
 
 def test_solver_ablation(benchmark, full_figures):
     sizes = ((4, 4), (6, 6), (8, 8)) if not full_figures else ((6, 6), (10, 10), (14, 14))
+    solvers = ("optimal", "benders", "kac")
+    campaign = solver_ablation_campaign(sizes=sizes, solvers=solvers, seed=11)
     rows = benchmark.pedantic(
-        run_solver_ablation,
-        kwargs={"sizes": sizes, "solvers": ("optimal", "benders", "kac"), "seed": 11},
-        rounds=1,
-        iterations=1,
+        lambda: reduce_solver_ablation(campaign.run(), solvers=solvers), rounds=1, iterations=1
     )
-    benchmark.extra_info["solver_ablation"] = [row.as_dict() for row in rows]
+    benchmark.extra_info["solver_ablation"] = [asdict(row) for row in rows]
     print()
     for row in rows:
         print(

@@ -5,14 +5,14 @@ The full-size networks (198 / 197 / 200 base stations) are used when the
 whole benchmark suite stays fast.
 """
 
-from repro.experiments.fig4_topologies import run_fig4
+from repro.experiments.fig4_topologies import fig4_campaign, reduce_fig4
 
 
 def test_fig4_path_distributions(benchmark, full_figures):
     num_bs = None if full_figures else 40
+    campaign = fig4_campaign(num_base_stations=num_bs, k_paths=6, seed=1)
     result = benchmark.pedantic(
-        run_fig4, kwargs={"num_base_stations": num_bs, "k_paths": 6, "seed": 1},
-        rounds=1, iterations=1,
+        lambda: reduce_fig4(campaign.run()), rounds=1, iterations=1
     )
     rows = result.rows()
     assert {row["operator"] for row in rows} == {"romanian", "swiss", "italian"}

@@ -1,6 +1,13 @@
 """Benchmark / regeneration of Fig. 5: homogeneous-scenario revenue gains."""
 
-from repro.experiments.fig5_homogeneous import format_fig5, run_fig5
+from dataclasses import asdict
+
+from repro.experiments.fig5_homogeneous import (
+    DEFAULT_POLICIES,
+    fig5_campaign,
+    format_fig5,
+    reduce_fig5,
+)
 
 
 def test_fig5_homogeneous_gains(benchmark, full_figures):
@@ -19,9 +26,13 @@ def test_fig5_homogeneous_gains(benchmark, full_figures):
             "num_epochs": 2,
             "seed": 1,
         }
-    points = benchmark.pedantic(run_fig5, kwargs=kwargs, rounds=1, iterations=1)
+    campaign = fig5_campaign(**kwargs)
+    policies = kwargs.get("policies", DEFAULT_POLICIES)
+    points = benchmark.pedantic(
+        lambda: reduce_fig5(campaign.run(), policies=policies), rounds=1, iterations=1
+    )
     assert points, "Fig. 5 sweep returned no points"
-    benchmark.extra_info["fig5"] = [p.as_dict() for p in points]
+    benchmark.extra_info["fig5"] = [asdict(p) for p in points]
     print("\n" + format_fig5(points))
 
     # Shape checks mirroring the paper's observations.

@@ -1,6 +1,8 @@
 """Benchmark / regeneration of Fig. 6: heterogeneous-scenario net revenue."""
 
-from repro.experiments.fig6_heterogeneous import format_fig6, run_fig6
+from dataclasses import asdict
+
+from repro.experiments.fig6_heterogeneous import fig6_campaign, format_fig6, reduce_fig6
 
 
 def test_fig6_heterogeneous_revenue(benchmark, full_figures):
@@ -17,9 +19,10 @@ def test_fig6_heterogeneous_revenue(benchmark, full_figures):
             "num_epochs": 2,
             "seed": 1,
         }
-    points = benchmark.pedantic(run_fig6, kwargs=kwargs, rounds=1, iterations=1)
+    campaign = fig6_campaign(**kwargs)
+    points = benchmark.pedantic(lambda: reduce_fig6(campaign.run()), rounds=1, iterations=1)
     assert points, "Fig. 6 sweep returned no points"
-    benchmark.extra_info["fig6"] = [p.as_dict() for p in points]
+    benchmark.extra_info["fig6"] = [{**asdict(p), "mix": "+".join(p.mix)} for p in points]
     print("\n" + format_fig6(points))
 
     def revenue(operator, mix, beta, policy):

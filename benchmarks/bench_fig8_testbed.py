@@ -1,15 +1,11 @@
 """Benchmark / regeneration of Fig. 8: the dynamic testbed experiment."""
 
-from repro.experiments.fig8_testbed import run_fig8
+from repro.experiments.fig8_testbed import fig8_campaign, reduce_fig8
 
 
 def test_fig8_testbed_experiment(benchmark):
-    result = benchmark.pedantic(
-        run_fig8,
-        kwargs={"policies": ("optimal", "no-overbooking"), "num_epochs": 18, "seed": 3},
-        rounds=1,
-        iterations=1,
-    )
+    campaign = fig8_campaign(policies=("optimal", "no-overbooking"), num_epochs=18, seed=3)
+    result = benchmark.pedantic(lambda: reduce_fig8(campaign.run()), rounds=1, iterations=1)
     overbooked = result.final_revenue("optimal")
     baseline = result.final_revenue("no-overbooking")
     benchmark.extra_info["fig8"] = {

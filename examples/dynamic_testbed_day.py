@@ -10,12 +10,13 @@ baseline has to reject.
 Run with:  python examples/dynamic_testbed_day.py
 """
 
-from repro.experiments.fig8_testbed import run_fig8
+from repro.experiments.fig8_testbed import fig8_campaign, reduce_fig8
 
 
 def main(num_epochs: int = 18, seed: int = 3) -> None:
     """Replay the testbed day; ``num_epochs`` shrinks it for smoke tests."""
-    result = run_fig8(policies=("optimal", "no-overbooking"), num_epochs=num_epochs, seed=seed)
+    campaign = fig8_campaign(policies=("optimal", "no-overbooking"), num_epochs=num_epochs, seed=seed)
+    result = reduce_fig8(campaign.run())
 
     print("Admission outcome")
     print("-" * 60)

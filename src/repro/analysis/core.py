@@ -379,7 +379,7 @@ class CheckReport:
         for entry in self.stale_entries:
             lines.append(
                 f"{entry.path}: STALE-BASELINE {entry.rule} [{entry.symbol}] "
-                "no longer fires; remove the entry from analysis-baseline.toml"
+                "no longer fires; remove its baseline entry"
             )
         if not lines:
             lines.append(

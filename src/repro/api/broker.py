@@ -657,11 +657,6 @@ class SliceBroker:
         self._orchestrator.observe_load(slice_name, base_station, epoch, samples_mbps)
 
     @_synchronized
-    def set_forecast_override(self, slice_name: str, forecast: ForecastInput) -> None:
-        """Pin one slice's forecast (oracle mode), overriding the online block."""
-        self._orchestrator.forecast_overrides[slice_name] = forecast
-
-    @_synchronized
     def set_forecast_overrides(self, overrides: Mapping[str, ForecastInput]) -> None:
         """Replace the whole forecast-override table (oracle scenarios)."""
         self._orchestrator.forecast_overrides = dict(overrides)

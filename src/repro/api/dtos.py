@@ -269,11 +269,6 @@ class SliceStatus:
                 f"unknown slice status state {self.state!r}; expected one of {STATUS_STATES}"
             )
 
-    @property
-    def is_live(self) -> bool:
-        """True while the slice occupies (or is about to compete for) capacity."""
-        return self.state in ("queued", "requested", "admitted")
-
     def to_dict(self) -> dict[str, Any]:
         return stamp(
             {

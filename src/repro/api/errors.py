@@ -53,10 +53,6 @@ class BrokerError(Exception):
         #: Optional JSON-safe context for clients (offending field, state...).
         self.details: dict[str, Any] = dict(details or {})
 
-    @property
-    def message(self) -> str:
-        return str(self)
-
     def to_dict(self) -> dict[str, Any]:
         """Wire form of the error (what a transport shim would return)."""
         return {"error": self.code, "message": str(self), "details": dict(self.details)}

@@ -120,12 +120,6 @@ class EventLog:
         with self._lock:
             return self._total
 
-    @property
-    def dropped(self) -> int:
-        """Events evicted by retention (the oldest available seq minus 1)."""
-        with self._lock:
-            return self._total - (len(self._events) - self._start)
-
     def page(self, since: int, limit: int | None = None) -> tuple[list[dict[str, Any]], int]:
         """Events with seq > ``since`` (at most ``limit``), plus the next cursor.
 

@@ -38,10 +38,6 @@ class RanController:
             bs.name: RanSlicingEnforcer(bs) for bs in topology.base_stations
         }
 
-    def apply(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
-        """Replace the current PRB shares with the new decision's reservations."""
-        self.enforce(self.plan(decision))
-
     def plan(self, decision: OrchestrationDecision) -> dict[str, RanSlicingEnforcer]:
         """Fresh enforcers holding exactly the decision's PRB shares.
 
@@ -102,9 +98,6 @@ class TransportController:
             link.key: {} for link in topology.links
         }
 
-    def apply(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
-        self.enforce(decision.transport_reservations_mbps(problem))
-
     def enforce(self, reservations: dict[tuple[str, str], dict[str, float]]) -> None:
         assign(self, "reservations_mbps", reservations)
 
@@ -132,9 +125,6 @@ class CloudController:
         self.reservations_cpus: dict[str, dict[str, float]] = {
             cu.name: {} for cu in topology.compute_units
         }
-
-    def apply(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
-        self.enforce(decision.compute_reservations_cpus(problem))
 
     def enforce(self, reservations: dict[str, dict[str, float]]) -> None:
         assign(self, "reservations_cpus", reservations)

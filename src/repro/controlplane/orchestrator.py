@@ -73,8 +73,6 @@ class OrchestratorConfig:
     epochs_per_day: int = 24
     samples_per_epoch: int = 12
     candidate_paths_per_pair: int = 3
-    allow_deficit_for_committed: bool = True
-    deficit_cost: float = 1.0e4
     reuse_unchanged_decisions: bool = True
 
 
@@ -216,8 +214,7 @@ class E2EOrchestrator:
         self.registry = SliceRegistry()
         self.controllers = ControllerSet.for_topology(topology)
         self._base_problem_options = problem_options or ProblemOptions(
-            epochs_per_day=self.config.epochs_per_day,
-            deficit_cost=self.config.deficit_cost,
+            epochs_per_day=self.config.epochs_per_day
         )
         #: Per-slice forecasts that take precedence over the online
         #: forecasting block.  Used by the steady-state evaluation scenarios
@@ -562,10 +559,9 @@ class E2EOrchestrator:
         return decision
 
     def _problem_options(self, has_committed: bool) -> ProblemOptions:
-        allow_deficit = has_committed and self.config.allow_deficit_for_committed
-        if allow_deficit == self._base_problem_options.allow_deficit:
+        if has_committed == self._base_problem_options.allow_deficit:
             return self._base_problem_options
-        return replace(self._base_problem_options, allow_deficit=allow_deficit)
+        return replace(self._base_problem_options, allow_deficit=has_committed)
 
     def _update_registry(self, epoch: int, decision: OrchestrationDecision) -> None:
         for name, allocation in decision.allocations.items():
@@ -584,8 +580,9 @@ class E2EOrchestrator:
                 # could not fit it, the deficit variables should have absorbed
                 # the overload instead.  Surface this loudly.
                 raise RuntimeError(
-                    f"solver dropped committed slice {name!r}; "
-                    "run with allow_deficit_for_committed=True"
+                    f"solver {decision.stats.solver!r} dropped committed slice "
+                    f"{name!r}: constraint (13) keeps it, and the epoch's problem "
+                    "allows deficits to absorb the overload"
                 )
 
 

@@ -111,9 +111,6 @@ class SliceManager:
         put(self._pending, request.name, request)
         return SliceDescriptor.from_request(request)
 
-    def submit_many(self, requests: list[SliceRequest]) -> list[SliceDescriptor]:
-        return [self.submit(request) for request in requests]
-
     @property
     def pending_count(self) -> int:
         """Number of requests still queued (a property: it is a pure getter)."""

@@ -254,12 +254,6 @@ class SliceRegistry:
             if record.state is SliceState.REJECTED
         ]
 
-    def counts_by_state(self) -> dict[SliceState, int]:
-        counts = {state: 0 for state in SliceState}
-        for record in self._records.values():
-            counts[record.state] += 1
-        return counts
-
     def before(self, journal: Journal) -> "RegistryView":
         """The registry as it was before ``journal``'s epoch wrote to it."""
         return RegistryView(self, journal)

@@ -16,7 +16,7 @@ from repro.core.slices import (
     TEMPLATES,
 )
 from repro.core.forecast_inputs import ForecastInput
-from repro.core.risk import risk_cost, deficit_probability_proxy, uncertainty_scale
+from repro.core.risk import deficit_probability_proxy
 from repro.core.problem import ACRRProblem, ProblemOptions
 from repro.core.solution import OrchestrationDecision, SolverStats
 from repro.core.milp_solver import DirectMILPSolver
@@ -33,9 +33,7 @@ __all__ = [
     "URLLC_TEMPLATE",
     "TEMPLATES",
     "ForecastInput",
-    "risk_cost",
     "deficit_probability_proxy",
-    "uncertainty_scale",
     "ACRRProblem",
     "ProblemOptions",
     "OrchestrationDecision",

@@ -117,12 +117,6 @@ class ProblemItem:
     radio_mhz_per_mbps: float
     transport_overhead: float
 
-    @property
-    def risk_slope(self) -> float:
-        """xi * K / (Lambda - lambda_hat): marginal risk per Mb/s of under-provisioning."""
-        headroom = self.sla_mbps - self.lambda_hat_mbps
-        return self.xi * self.penalty_rate_per_path / headroom
-
 
 class InfeasibleProblemError(RuntimeError):
     """Raised when the AC-RR instance has no feasible solution."""
@@ -932,7 +926,3 @@ class ProblemStructureCache:
         assign(self, "_problem", problem)
         assign(self, "_topology_signature", topo_signature)
         return problem
-
-    def invalidate(self) -> None:
-        assign(self, "_problem", None)
-        assign(self, "_topology_signature", None)

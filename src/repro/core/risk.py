@@ -10,7 +10,9 @@ general, so the paper substitutes the proxy
 where ``P`` measures how aggressively the reservation under-provisions the
 SLA relative to the forecast and ``xi`` scales the risk by the forecast
 uncertainty and the slice duration.  The expected instantaneous cost of a
-slice is then ``K * rho - R``.
+slice is then ``K * rho - R``.  This module holds ``P``; ``xi`` (with ``L``
+in days) and the cost are the AC-RR problem's own
+(``ACRRProblem._bind_forecasts`` and ``evaluate_objective``).
 """
 
 from __future__ import annotations
@@ -33,40 +35,3 @@ def deficit_probability_proxy(
         return 0.0 if reservation_mbps >= sla_mbps else 1.0
     raw = (sla_mbps - reservation_mbps) / (sla_mbps - lambda_hat_mbps)
     return min(1.0, max(0.0, raw))
-
-
-def uncertainty_scale(sigma_hat: float, duration_epochs: float) -> float:
-    """The xi term: forecast uncertainty scaled by the slice duration."""
-    if not 0.0 < sigma_hat <= 1.0:
-        raise ValueError(f"sigma_hat must be in (0, 1], got {sigma_hat}")
-    ensure_positive(duration_epochs, "duration_epochs")
-    return sigma_hat * duration_epochs
-
-
-def risk_cost(
-    reservation_mbps: float,
-    lambda_hat_mbps: float,
-    sla_mbps: float,
-    sigma_hat: float,
-    duration_epochs: float,
-) -> float:
-    """rho(z, sigma_hat, L): the estimated SLA-violation risk of a reservation."""
-    p = deficit_probability_proxy(reservation_mbps, lambda_hat_mbps, sla_mbps)
-    xi = uncertainty_scale(sigma_hat, duration_epochs)
-    return p * xi
-
-
-def expected_slice_cost(
-    reservation_mbps: float,
-    lambda_hat_mbps: float,
-    sla_mbps: float,
-    sigma_hat: float,
-    duration_epochs: float,
-    reward: float,
-    penalty_rate: float,
-) -> float:
-    """K * rho - R: the slice's contribution to the objective Psi if admitted."""
-    rho = risk_cost(
-        reservation_mbps, lambda_hat_mbps, sla_mbps, sigma_hat, duration_epochs
-    )
-    return penalty_rate * rho - reward

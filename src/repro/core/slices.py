@@ -55,11 +55,6 @@ class SliceTemplate:
         ensure_non_negative(carried_mbps, "carried_mbps")
         return self.compute_baseline_cpus + self.compute_cpus_per_mbps * carried_mbps
 
-    @property
-    def max_compute_cpus(self) -> float:
-        """CPU cores needed at the full SLA bitrate."""
-        return self.compute_cpus(self.sla_mbps)
-
 
 def _template_reward(base: float, compute_cpus_per_mbps: float) -> float:
     """Table 1 expresses mMTC/uRLLC rewards as (1 + b) and (2 + b)."""

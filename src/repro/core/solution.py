@@ -102,9 +102,6 @@ class OrchestrationDecision:
         allocation = self.allocations.get(tenant_name)
         return bool(allocation and allocation.accepted)
 
-    def allocation(self, tenant_name: str) -> TenantAllocation:
-        return self.allocations[tenant_name]
-
     @property
     def expected_reward(self) -> float:
         """Total admission reward of the accepted tenants (per epoch)."""
@@ -165,15 +162,6 @@ class OrchestrationDecision:
                 continue
             reservations[alloc.compute_unit][name] = alloc.reserved_cpus
         return reservations
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "accepted": float(self.num_accepted),
-            "rejected": float(len(self.rejected_tenants)),
-            "expected_reward": self.expected_reward,
-            "objective": self.objective_value,
-            "total_deficit": self.total_deficit,
-        }
 
 
 def decision_from_vectors(

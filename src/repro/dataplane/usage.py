@@ -26,19 +26,6 @@ class DomainUsage:
     per_slice_reserved: dict[str, float] = field(default_factory=dict)
     per_slice_used: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def reserved_fraction(self) -> float:
-        return self.reserved / self.capacity if self.capacity else 0.0
-
-    @property
-    def used_fraction(self) -> float:
-        return self.used / self.capacity if self.capacity else 0.0
-
-    @property
-    def overbooked(self) -> bool:
-        """True when the sum of SLA demands exceeds what was reserved."""
-        return self.used > self.reserved + 1e-9
-
 
 class UsageAccountant:
     """Derives per-domain reservation/utilisation snapshots for one epoch."""

@@ -39,21 +39,18 @@ from repro.experiments.campaign import (
     expand_grid,
 )
 from repro.experiments.table1_templates import table1_rows
-from repro.experiments.fig4_topologies import Fig4Result, fig4_campaign, run_fig4
-from repro.experiments.fig5_homogeneous import Fig5Point, fig5_campaign, run_fig5
-from repro.experiments.fig6_heterogeneous import Fig6Point, fig6_campaign, run_fig6
+from repro.experiments.fig4_topologies import Fig4Result, fig4_campaign
+from repro.experiments.fig5_homogeneous import Fig5Point, fig5_campaign
+from repro.experiments.fig6_heterogeneous import Fig6Point, fig6_campaign
 from repro.experiments.sla_violations import (
     SlaViolationResult,
-    run_sla_violations,
     sla_violations_campaign,
 )
-from repro.experiments.fig8_testbed import Fig8Result, fig8_campaign, run_fig8
+from repro.experiments.fig8_testbed import Fig8Result, fig8_campaign
 from repro.experiments.ablations import (
     SolverAblationRow,
-    run_solver_ablation,
     solver_ablation_campaign,
     ForecasterAblationRow,
-    run_forecaster_ablation,
     forecaster_ablation_campaign,
 )
 
@@ -69,23 +66,16 @@ __all__ = [
     "table1_rows",
     "Fig4Result",
     "fig4_campaign",
-    "run_fig4",
     "Fig5Point",
     "fig5_campaign",
-    "run_fig5",
     "Fig6Point",
     "fig6_campaign",
-    "run_fig6",
     "SlaViolationResult",
     "sla_violations_campaign",
-    "run_sla_violations",
     "Fig8Result",
     "fig8_campaign",
-    "run_fig8",
     "SolverAblationRow",
     "solver_ablation_campaign",
-    "run_solver_ablation",
     "ForecasterAblationRow",
     "forecaster_ablation_campaign",
-    "run_forecaster_ablation",
 ]

@@ -3,12 +3,12 @@
 Two design choices of the system deserve quantification on their own:
 
 * **Solver choice** -- the paper motivates KAC by Benders' convergence time
-  ("a few hours" vs "a few seconds").  :func:`run_solver_ablation` solves the
+  ("a few hours" vs "a few seconds").  :func:`solver_ablation_campaign` solves the
   same AC-RR instances with the direct MILP, Benders decomposition and KAC
   and reports runtime, objective value and optimality gap.
 * **Forecaster choice** -- the paper selects multiplicative Holt-Winters over
   double exponential smoothing because mobile demand is seasonal.
-  :func:`run_forecaster_ablation` replays a seasonal-demand scenario with
+  :func:`forecaster_ablation_campaign` replays a seasonal-demand scenario with
   online forecasting under different forecasters and reports net revenue and
   SLA-violation footprint.
 
@@ -67,18 +67,6 @@ class SolverAblationRow:
     objective: float
     optimality_gap_percent: float
     num_admitted: int
-
-    def as_dict(self) -> dict[str, float | str]:
-        return {
-            "num_tenants": self.num_tenants,
-            "num_base_stations": self.num_base_stations,
-            "num_items": self.num_items,
-            "solver": self.solver,
-            "runtime_s": self.runtime_s,
-            "objective": self.objective,
-            "optimality_gap_percent": self.optimality_gap_percent,
-            "num_admitted": self.num_admitted,
-        }
 
 
 def _ablation_problem(
@@ -202,28 +190,6 @@ def reduce_solver_ablation(
     return rows
 
 
-def run_solver_ablation(
-    sizes: tuple[tuple[int, int], ...] = ((4, 4), (6, 6), (8, 8)),
-    solvers: tuple[str, ...] = ("optimal", "benders", "kac"),
-    seed: int | None = 11,
-    cache_dir=None,
-    executor=None,
-    workers: int | None = None,
-    force: bool = False,
-) -> list[SolverAblationRow]:
-    """Compare solver runtime and solution quality across instance sizes.
-
-    ``sizes`` is a sequence of (number of tenants, number of base stations).
-    The optimality gap of each solver is measured against the direct MILP
-    optimum of the same instance.
-    """
-    campaign = solver_ablation_campaign(sizes=sizes, solvers=solvers, seed=seed)
-    result = campaign.run(
-        cache_dir=cache_dir, executor=executor, workers=workers, force=force
-    )
-    return reduce_solver_ablation(result, solvers=solvers)
-
-
 # --------------------------------------------------------------------- #
 # Forecaster ablation
 # --------------------------------------------------------------------- #
@@ -236,15 +202,6 @@ class ForecasterAblationRow:
     violation_probability: float
     mean_drop_fraction: float
     num_admitted: int
-
-    def as_dict(self) -> dict[str, float | str]:
-        return {
-            "forecaster": self.forecaster,
-            "net_revenue": self.net_revenue,
-            "violation_probability": self.violation_probability,
-            "mean_drop_fraction": self.mean_drop_fraction,
-            "num_admitted": self.num_admitted,
-        }
 
 
 _FORECASTER_FACTORIES = {
@@ -347,32 +304,3 @@ def reduce_forecaster_ablation(result: CampaignResult) -> list[ForecasterAblatio
         )
         for record in result.records
     ]
-
-
-def run_forecaster_ablation(
-    forecasters: tuple[str, ...] = ("holt-winters", "double-exponential", "naive", "peak"),
-    num_tenants: int = 6,
-    num_base_stations: int | None = 4,
-    num_days: int = 3,
-    epochs_per_day: int = 12,
-    policy: str = "optimal",
-    seed: int | None = 13,
-    cache_dir=None,
-    executor=None,
-    workers: int | None = None,
-    force: bool = False,
-) -> list[ForecasterAblationRow]:
-    """Replay a seasonal workload with online forecasting under each forecaster."""
-    campaign = forecaster_ablation_campaign(
-        forecasters=forecasters,
-        num_tenants=num_tenants,
-        num_base_stations=num_base_stations,
-        num_days=num_days,
-        epochs_per_day=epochs_per_day,
-        policy=policy,
-        seed=seed,
-    )
-    result = campaign.run(
-        cache_dir=cache_dir, executor=executor, workers=workers, force=force
-    )
-    return reduce_forecaster_ablation(result)

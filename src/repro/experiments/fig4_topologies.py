@@ -158,31 +158,3 @@ def reduce_fig4(result: CampaignResult) -> Fig4Result:
             delay_cdf_us=EmpiricalCDF.from_samples(record.extras["delays_us"]),
         )
     return Fig4Result(operators=operators)
-
-
-def run_fig4(
-    num_base_stations: int | None = None,
-    k_paths: int = 6,
-    seed: int | None = None,
-    operators: tuple[str, ...] = ("romanian", "swiss", "italian"),
-    cache_dir=None,
-    executor=None,
-    workers: int | None = None,
-    force: bool = False,
-) -> Fig4Result:
-    """Regenerate Fig. 4 for the requested operators.
-
-    ``num_base_stations=None`` uses the full-size networks (198/197/200 base
-    stations); the benchmark harness passes a smaller number to keep its
-    runtime reasonable.
-    """
-    campaign = fig4_campaign(
-        num_base_stations=num_base_stations,
-        k_paths=k_paths,
-        seed=seed,
-        operators=operators,
-    )
-    result = campaign.run(
-        cache_dir=cache_dir, executor=executor, workers=workers, force=force
-    )
-    return reduce_fig4(result)

@@ -65,22 +65,6 @@ class Fig5Point:
     baseline_admitted: int
     violation_probability: float
 
-    def as_dict(self) -> dict[str, float | str]:
-        return {
-            "operator": self.operator,
-            "slice_type": self.slice_type,
-            "alpha": self.alpha,
-            "relative_std": self.relative_std,
-            "penalty_factor": self.penalty_factor,
-            "policy": self.policy,
-            "net_revenue": self.net_revenue,
-            "baseline_revenue": self.baseline_revenue,
-            "gain_percent": self.gain_percent,
-            "num_admitted": self.num_admitted,
-            "baseline_admitted": self.baseline_admitted,
-            "violation_probability": self.violation_probability,
-        }
-
 
 def fig5_campaign(
     operators: tuple[str, ...] = DEFAULT_OPERATORS,
@@ -180,47 +164,6 @@ def reduce_fig5(
                 )
             )
     return points
-
-
-def run_fig5(
-    operators: tuple[str, ...] = DEFAULT_OPERATORS,
-    slice_types: tuple[str, ...] = DEFAULT_TEMPLATES,
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
-    relative_stds: tuple[float, ...] = DEFAULT_RELATIVE_STDS,
-    penalty_factors: tuple[float, ...] = DEFAULT_PENALTY_FACTORS,
-    policies: tuple[str, ...] = DEFAULT_POLICIES,
-    num_base_stations: int | None = DEFAULT_NUM_BASE_STATIONS,
-    num_tenants: dict[str, int] | None = None,
-    num_epochs: int = DEFAULT_NUM_EPOCHS,
-    seed: int | None = 1,
-    cache_dir=None,
-    executor=None,
-    workers: int | None = None,
-    force: bool = False,
-) -> list[Fig5Point]:
-    """Regenerate (a sub-sampled version of) Fig. 5.
-
-    Expands the grid into a campaign, runs it (in parallel when ``workers``
-    or ``executor`` say so, resuming from ``cache_dir`` when given) and
-    returns one :class:`Fig5Point` per (operator, slice type, alpha, sigma,
-    penalty, policy) combination.
-    """
-    campaign = fig5_campaign(
-        operators=operators,
-        slice_types=slice_types,
-        alphas=alphas,
-        relative_stds=relative_stds,
-        penalty_factors=penalty_factors,
-        policies=policies,
-        num_base_stations=num_base_stations,
-        num_tenants=num_tenants,
-        num_epochs=num_epochs,
-        seed=seed,
-    )
-    result = campaign.run(
-        cache_dir=cache_dir, executor=executor, workers=workers, force=force
-    )
-    return reduce_fig5(result, policies=policies)
 
 
 def format_fig5(points: list[Fig5Point]) -> str:

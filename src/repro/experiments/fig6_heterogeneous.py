@@ -42,19 +42,6 @@ class Fig6Point:
     num_admitted: int
     violation_probability: float
 
-    def as_dict(self) -> dict[str, float | str]:
-        return {
-            "operator": self.operator,
-            "mix": f"{self.mix[0]}+{self.mix[1]}",
-            "beta": self.beta,
-            "relative_std": self.relative_std,
-            "penalty_factor": self.penalty_factor,
-            "policy": self.policy,
-            "net_revenue": self.net_revenue,
-            "num_admitted": self.num_admitted,
-            "violation_probability": self.violation_probability,
-        }
-
 
 def fig6_campaign(
     operators: tuple[str, ...] = DEFAULT_OPERATORS,
@@ -133,49 +120,6 @@ def reduce_fig6(result: CampaignResult) -> list[Fig6Point]:
             )
         )
     return points
-
-
-def run_fig6(
-    operators: tuple[str, ...] = DEFAULT_OPERATORS,
-    mixes: tuple[tuple[str, str], ...] = DEFAULT_MIXES,
-    betas: tuple[float, ...] = DEFAULT_BETAS,
-    policies: tuple[str, ...] = DEFAULT_POLICIES,
-    relative_std: float = 0.25,
-    penalty_factor: float = 1.0,
-    mean_load_fraction: float = DEFAULT_MEAN_LOAD_FRACTION,
-    num_base_stations: int | None = DEFAULT_NUM_BASE_STATIONS,
-    num_tenants: dict[str, int] | None = None,
-    num_epochs: int = DEFAULT_NUM_EPOCHS,
-    seed: int | None = 1,
-    include_baseline: bool = True,
-    cache_dir=None,
-    executor=None,
-    workers: int | None = None,
-    force: bool = False,
-) -> list[Fig6Point]:
-    """Regenerate (a sub-sampled version of) Fig. 6.
-
-    The no-overbooking baseline is included as its own policy row (the black
-    curve of the figure) when ``include_baseline`` is set.
-    """
-    campaign = fig6_campaign(
-        operators=operators,
-        mixes=mixes,
-        betas=betas,
-        policies=policies,
-        relative_std=relative_std,
-        penalty_factor=penalty_factor,
-        mean_load_fraction=mean_load_fraction,
-        num_base_stations=num_base_stations,
-        num_tenants=num_tenants,
-        num_epochs=num_epochs,
-        seed=seed,
-        include_baseline=include_baseline,
-    )
-    result = campaign.run(
-        cache_dir=cache_dir, executor=executor, workers=workers, force=force
-    )
-    return reduce_fig6(result)
 
 
 def format_fig6(points: list[Fig6Point]) -> str:

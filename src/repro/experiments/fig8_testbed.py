@@ -122,20 +122,3 @@ def reduce_fig8(result: CampaignResult) -> Fig8Result:
     return Fig8Result(
         records={record.spec.policy: record for record in result.records}
     )
-
-
-def run_fig8(
-    policies: tuple[str, ...] = ("optimal", "no-overbooking"),
-    num_epochs: int = 18,
-    seed: int | None = 3,
-    cache_dir=None,
-    executor=None,
-    workers: int | None = None,
-    force: bool = False,
-) -> Fig8Result:
-    """Run the testbed experiment under each policy and collect the results."""
-    campaign = fig8_campaign(policies=policies, num_epochs=num_epochs, seed=seed)
-    result = campaign.run(
-        cache_dir=cache_dir, executor=executor, workers=workers, force=force
-    )
-    return reduce_fig8(result)

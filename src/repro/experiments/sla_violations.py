@@ -29,18 +29,6 @@ class SlaViolationResult:
     max_drop_fraction: float
     net_revenue: float
 
-    def as_dict(self) -> dict[str, float | str]:
-        return {
-            "label": self.label,
-            "relative_std": self.relative_std,
-            "penalty_factor": self.penalty_factor,
-            "policy": self.policy,
-            "violation_probability": self.violation_probability,
-            "mean_drop_fraction": self.mean_drop_fraction,
-            "max_drop_fraction": self.max_drop_fraction,
-            "net_revenue": self.net_revenue,
-        }
-
 
 #: The two configurations quoted in the paper's text.
 PAPER_CONFIGURATIONS = (
@@ -103,36 +91,3 @@ def reduce_sla_violations(result: CampaignResult) -> list[SlaViolationResult]:
             )
         )
     return rows
-
-
-def run_sla_violations(
-    operator: str = "romanian",
-    slice_type: str = "eMBB",
-    alpha: float = 0.5,
-    policy: str = "optimal",
-    configurations: tuple[tuple[str, float, float], ...] = PAPER_CONFIGURATIONS,
-    num_base_stations: int | None = 8,
-    num_tenants: int = 10,
-    num_epochs: int = 8,
-    seed: int | None = 7,
-    cache_dir=None,
-    executor=None,
-    workers: int | None = None,
-    force: bool = False,
-) -> list[SlaViolationResult]:
-    """Measure the SLA-violation footprint in the paper's two configurations."""
-    campaign = sla_violations_campaign(
-        operator=operator,
-        slice_type=slice_type,
-        alpha=alpha,
-        policy=policy,
-        configurations=configurations,
-        num_base_stations=num_base_stations,
-        num_tenants=num_tenants,
-        num_epochs=num_epochs,
-        seed=seed,
-    )
-    result = campaign.run(
-        cache_dir=cache_dir, executor=executor, workers=workers, force=force
-    )
-    return reduce_sla_violations(result)

@@ -82,10 +82,6 @@ class FaultInjector:
         self._epoch = epoch
         self._attempt_mark = len(self.fired)
 
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
     def fire(self, hook: str) -> FaultSpec | None:
         """Record one invocation of ``hook``; return the covering spec if any.
 

@@ -8,9 +8,8 @@ simpler methods are provided as baselines for the forecasting ablation.
 """
 
 from repro.forecasting.base import Forecaster, ForecastOutcome, RecursiveForecaster
-from repro.forecasting.naive import NaiveForecaster, MeanForecaster, PeakForecaster
+from repro.forecasting.naive import NaiveForecaster, PeakForecaster
 from repro.forecasting.exponential import (
-    SingleExponentialForecaster,
     DoubleExponentialForecaster,
 )
 from repro.forecasting.holt_winters import HoltWintersForecaster
@@ -20,9 +19,7 @@ __all__ = [
     "ForecastOutcome",
     "RecursiveForecaster",
     "NaiveForecaster",
-    "MeanForecaster",
     "PeakForecaster",
-    "SingleExponentialForecaster",
     "DoubleExponentialForecaster",
     "HoltWintersForecaster",
 ]

@@ -26,22 +26,6 @@ class NaiveForecaster(Forecaster):
         return ForecastOutcome(predictions=tuple([value] * horizon), sigma_hat=sigma)
 
 
-class MeanForecaster(Forecaster):
-    """Predict the historical mean peak."""
-
-    min_history = 1
-
-    def forecast(self, history: np.ndarray, horizon: int = 1) -> ForecastOutcome:
-        history = self._validate_history(history)
-        horizon = self._validate_horizon(horizon)
-        # Expanding-window mean as the in-sample fit.
-        fitted = np.cumsum(history) / np.arange(1, history.size + 1)
-        fitted = np.concatenate([[history[0]], fitted[:-1]])
-        sigma = self._sigma_from_errors(history, fitted)
-        value = float(np.mean(history))
-        return ForecastOutcome(predictions=tuple([value] * horizon), sigma_hat=sigma)
-
-
 class PeakForecaster(Forecaster):
     """Predict the historical maximum (the most conservative predictor).
 

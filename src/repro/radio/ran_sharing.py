@@ -84,10 +84,6 @@ class RanSlicingEnforcer:
         self._shares[slice_name] = share
         return share
 
-    def revoke(self, slice_name: str) -> None:
-        """Release the share of a departed slice (no-op if it has none)."""
-        self._shares.pop(slice_name, None)
-
     def served_bitrate(self, slice_name: str, offered_mbps: float) -> float:
         """Traffic actually carried over the air for a slice.
 

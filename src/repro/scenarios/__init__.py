@@ -28,7 +28,6 @@ from repro.scenarios.family import (
 )
 from repro.scenarios.generator import (
     sample_scenario,
-    sample_scenarios,
     scenario_fingerprint,
     scenario_payload,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "problem_for_scenario",
     "warm_start_check",
     "sample_scenario",
-    "sample_scenarios",
     "scenario_fingerprint",
     "scenario_payload",
 ]

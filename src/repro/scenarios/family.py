@@ -26,7 +26,7 @@ Knob groups mirror the axes the paper's evaluation attributes its results to:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 from repro.core.slices import TEMPLATES
@@ -261,9 +261,6 @@ class ScenarioFamily:
     def family_hash(self) -> str:
         """Content hash of the declaration; folds into every derived seed."""
         return spec_hash(self.as_dict())
-
-    def with_name(self, name: str) -> "ScenarioFamily":
-        return replace(self, name=name)
 
 
 # --------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ differential harness and the campaign cache lean on:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -236,11 +236,6 @@ def sample_scenario(family: ScenarioFamily, seed: int = 0) -> Scenario:
         seed=derive_seed(seed, "generated-demand", family_hash),
         link_failures=link_failures,
     )
-
-
-def sample_scenarios(family: ScenarioFamily, seeds: Iterable[int]) -> list[Scenario]:
-    """Sample one scenario per seed (the scenario-family sweep unit)."""
-    return [sample_scenario(family, seed) for seed in seeds]
 
 
 # --------------------------------------------------------------------- #

@@ -83,16 +83,8 @@ class SimulationResult:
         return self.revenue.violation_probability
 
     @property
-    def mean_drop_fraction(self) -> float:
-        return self.revenue.mean_drop_fraction
-
-    @property
     def num_admitted(self) -> int:
         return len(self.final_admitted)
-
-    @property
-    def per_epoch_net_revenue(self) -> np.ndarray:
-        return self.revenue.per_epoch_net
 
     def summary(self) -> dict[str, float]:
         summary = self.revenue.summary()

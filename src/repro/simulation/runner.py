@@ -88,15 +88,6 @@ def compare_policies(
     return dict(zip(policies, results))
 
 
-def relative_revenue_gain(
-    result: SimulationResult, baseline: SimulationResult
-) -> float:
-    """Percentage net-revenue gain of a policy over a baseline (Fig. 5 y-axis)."""
-    from repro.utils.stats import relative_gain
-
-    return relative_gain(result.net_revenue, baseline.net_revenue)
-
-
 # --------------------------------------------------------------------- #
 # Result serialization (campaign persistence hooks)
 # --------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ evaluation set-ups:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.slices import (
     EMBB_TEMPLATE,
@@ -134,9 +134,6 @@ class Scenario:
             if candidate.name == name:
                 return candidate
         raise KeyError(f"unknown workload {name!r}")
-
-    def with_name(self, name: str) -> "Scenario":
-        return replace(self, name=name)
 
 
 # --------------------------------------------------------------------- #

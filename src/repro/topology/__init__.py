@@ -18,7 +18,7 @@ from repro.topology.elements import (
 )
 from repro.topology.network import NetworkTopology
 from repro.topology.paths import Path, PathSet, compute_path_sets
-from repro.topology.delay import link_delay_us, path_delay_us
+from repro.topology.delay import link_delay_us
 from repro.topology.generators import OperatorProfile, generate_operator_topology
 from repro.topology.operators import (
     romanian_topology,
@@ -40,7 +40,6 @@ __all__ = [
     "PathSet",
     "compute_path_sets",
     "link_delay_us",
-    "path_delay_us",
     "OperatorProfile",
     "generate_operator_topology",
     "romanian_topology",

@@ -15,8 +15,6 @@ All delays are expressed in microseconds; link capacities in Mb/s (so a
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.topology.elements import TransportLink
 
 FRAME_BITS = 12_000.0
@@ -28,14 +26,3 @@ def link_delay_us(link: TransportLink) -> float:
     transmission = FRAME_BITS / link.capacity_mbps  # Mb/s == bits/us
     propagation = link.length_km * link.technology.propagation_us_per_km
     return transmission + propagation + PER_HOP_PROCESSING_US
-
-
-def path_delay_us(links: Iterable[TransportLink], extra_latency_ms: float = 0.0) -> float:
-    """Total one-way delay of a path, in microseconds.
-
-    ``extra_latency_ms`` accounts for latency beyond the transport network
-    itself, e.g. the 20 ms emulated backhaul in front of the core compute
-    unit in the paper's evaluation.
-    """
-    total = sum(link_delay_us(link) for link in links)
-    return total + extra_latency_ms * 1000.0

@@ -158,14 +158,6 @@ class TransportLink:
         """Canonical (sorted) endpoint pair identifying the undirected link."""
         return tuple(sorted((self.endpoint_a, self.endpoint_b)))  # type: ignore[return-value]
 
-    def other_endpoint(self, node: str) -> str:
-        """Return the endpoint opposite to ``node``."""
-        if node == self.endpoint_a:
-            return self.endpoint_b
-        if node == self.endpoint_b:
-            return self.endpoint_a
-        raise KeyError(f"{node!r} is not an endpoint of link {self.key}")
-
 
 @dataclass
 class DomainCapacities:
@@ -179,10 +171,3 @@ class DomainCapacities:
     radio_mhz: dict[str, float] = field(default_factory=dict)
     transport_mbps: dict[tuple[str, str], float] = field(default_factory=dict)
     compute_cpus: dict[str, float] = field(default_factory=dict)
-
-    def copy(self) -> "DomainCapacities":
-        return DomainCapacities(
-            radio_mhz=dict(self.radio_mhz),
-            transport_mbps=dict(self.transport_mbps),
-            compute_cpus=dict(self.compute_cpus),
-        )

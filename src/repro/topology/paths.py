@@ -36,20 +36,6 @@ class Path:
     def delay_ms(self) -> float:
         return self.delay_us / 1000.0
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.links)
-
-    def uses_link(self, key: tuple[str, str]) -> bool:
-        """True if the (canonically keyed) link belongs to this path."""
-        return any(link.key == tuple(sorted(key)) for link in self.links)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Path({self.base_station}->{self.compute_unit}, hops={self.hop_count}, "
-            f"delay={self.delay_ms:.3f}ms, cap={self.capacity_mbps:.0f}Mb/s)"
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PathTable:
@@ -162,20 +148,6 @@ class PathSet:
         """Flat list of every candidate path in the topology."""
         return [path for paths in self._paths.values() for path in paths]
 
-    def paths_from(self, base_station: str) -> list[Path]:
-        """All candidate paths that originate at ``base_station``."""
-        return [p for (bs, _cu), paths in self._paths.items() if bs == base_station for p in paths]
-
-    def paths_to(self, compute_unit: str) -> list[Path]:
-        """All candidate paths that terminate at ``compute_unit``."""
-        return [p for (_bs, cu), paths in self._paths.items() if cu == compute_unit for p in paths]
-
-    def base_stations(self) -> list[str]:
-        return sorted({bs for bs, _cu in self._paths})
-
-    def compute_units(self) -> list[str]:
-        return sorted({cu for _bs, cu in self._paths})
-
     def mean_paths_per_pair(self) -> float:
         """Mean path redundancy (the paper reports 6.6 for N1 and 1.6 for N3)."""
         if not self._paths:
@@ -209,13 +181,11 @@ def k_shortest_paths(
     base_station: str,
     compute_unit: str,
     k: int,
-    weight: str = "delay",
 ) -> list[Path]:
     """Compute up to ``k`` loop-free shortest paths between a BS and a CU.
 
-    Paths are ranked by total store-and-forward delay (``weight="delay"``) or
-    by hop count (``weight="hops"``).  Returns an empty list when the two
-    nodes are disconnected.
+    Paths are ranked by total store-and-forward delay.  Returns an empty list
+    when the two nodes are disconnected.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -232,14 +202,8 @@ def k_shortest_paths(
     ]
     g.remove_nodes_from(other_base_stations)
 
-    if weight == "delay":
-        def edge_weight(u: str, v: str, _data: dict) -> float:
-            return link_delay_us(topology.link(u, v))
-    elif weight == "hops":
-        def edge_weight(u: str, v: str, _data: dict) -> float:
-            return 1.0
-    else:
-        raise ValueError(f"unknown weight {weight!r} (expected 'delay' or 'hops')")
+    def edge_weight(u: str, v: str, _data: dict) -> float:
+        return link_delay_us(topology.link(u, v))
 
     try:
         generator = nx.shortest_simple_paths(
@@ -254,9 +218,7 @@ def k_shortest_paths(
     ]
 
 
-def compute_path_sets(
-    topology: NetworkTopology, k: int = 4, weight: str = "delay"
-) -> PathSet:
+def compute_path_sets(topology: NetworkTopology, k: int = 4) -> PathSet:
     """Enumerate candidate paths for every (base station, compute unit) pair.
 
     This is the offline pre-computation step described in Section 2.1.2; the
@@ -265,7 +227,7 @@ def compute_path_sets(
     paths: dict[tuple[str, str], list[Path]] = {}
     for bs in topology.base_station_names:
         for cu in topology.compute_unit_names:
-            candidates = k_shortest_paths(topology, bs, cu, k=k, weight=weight)
+            candidates = k_shortest_paths(topology, bs, cu, k=k)
             if candidates:
                 paths[(bs, cu)] = candidates
     return PathSet(paths)

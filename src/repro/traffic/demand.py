@@ -31,10 +31,6 @@ class EpochDemand:
         """The per-epoch peak load lambda^(t) used by the AC-RR problem."""
         return max(self.samples_mbps) if self.samples_mbps else 0.0
 
-    @property
-    def mean_mbps(self) -> float:
-        return float(np.mean(self.samples_mbps)) if self.samples_mbps else 0.0
-
 
 class DemandModel(abc.ABC):
     """Interface of a slice demand generator.

@@ -55,9 +55,6 @@ class DiurnalProfile:
             + frac * self.hourly_multipliers[high]
         )
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.hourly_multipliers)
-
 
 #: A typical urban mobile-traffic daily shape: quiet at night, morning ramp,
 #: midday plateau and an evening peak.  Normalised to a mean of 1.

@@ -1,11 +1,10 @@
 """Shared utilities: seeded random streams, statistics helpers, validation."""
 
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 from repro.utils.stats import (
     EmpiricalCDF,
     mean_and_stderr,
     relative_gain,
-    running_mean,
 )
 from repro.utils.validation import (
     ensure_positive,
@@ -16,11 +15,9 @@ from repro.utils.validation import (
 
 __all__ = [
     "make_rng",
-    "spawn_rngs",
     "EmpiricalCDF",
     "mean_and_stderr",
     "relative_gain",
-    "running_mean",
     "ensure_positive",
     "ensure_non_negative",
     "ensure_in_range",

@@ -32,18 +32,6 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
-    """Create ``count`` statistically independent generators from one seed.
-
-    Used when several tenants (or several simulation repetitions) need
-    independent demand streams that are still jointly reproducible.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seed_seq = np.random.SeedSequence(_DEFAULT_SEED if seed is None else seed)
-    return [np.random.default_rng(child) for child in seed_seq.spawn(count)]
-
-
 def derive_seed(seed: int | None, *labels: int | str) -> int:
     """Derive a deterministic child seed from a base seed and labels.
 

@@ -24,9 +24,6 @@ class EmpiricalCDF:
             raise ValueError("cannot build a CDF from an empty sample")
         return cls(values=ordered)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def evaluate(self, x: float) -> float:
         """Return P[X <= x]."""
         return float(np.searchsorted(self.values, x, side="right")) / len(self.values)
@@ -42,17 +39,6 @@ class EmpiricalCDF:
         xs = np.asarray(self.values)
         ps = np.arange(1, len(xs) + 1) / len(xs)
         return xs, ps
-
-    def summary(self) -> dict[str, float]:
-        xs = np.asarray(self.values)
-        return {
-            "min": float(xs.min()),
-            "p25": float(np.quantile(xs, 0.25)),
-            "median": float(np.quantile(xs, 0.5)),
-            "p75": float(np.quantile(xs, 0.75)),
-            "max": float(xs.max()),
-            "mean": float(xs.mean()),
-        }
 
 
 def mean_and_stderr(samples: Sequence[float]) -> tuple[float, float]:
@@ -85,14 +71,6 @@ def relative_gain(value: float, baseline: float) -> float:
             return 0.0
         raise ZeroDivisionError("relative gain undefined for a zero baseline")
     return 100.0 * (value - baseline) / abs(baseline)
-
-
-def running_mean(samples: Sequence[float]) -> np.ndarray:
-    """Cumulative running mean of a sample sequence."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        return arr
-    return np.cumsum(arr) / np.arange(1, arr.size + 1)
 
 
 def standard_error_below(samples: Sequence[float], threshold_fraction: float) -> bool:

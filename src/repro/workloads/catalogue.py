@@ -93,12 +93,6 @@ class SliceClass:
         """The Table 1 template this class instantiates."""
         return TEMPLATES[self.template]
 
-    def demand_spec(self) -> DemandSpec:
-        """The class's demand statistics as a traffic-layer spec."""
-        return DemandSpec(
-            mean_fraction=self.mean_fraction, relative_std=self.relative_std
-        )
-
     def load_estimate_mbps(self, demand_fraction: float) -> float:
         """Admission load estimate for one arrival of this class.
 

@@ -606,6 +606,11 @@ class TestRA05:
         found = findings_for(ExecutorSafetyChecker(), {"src/repro/x.py": RA05_CLOSURE})
         assert any("closure 'run'" in f.message for f in found)
 
+    def test_local_closure_in_an_async_def_fires(self):
+        source = RA05_CLOSURE.replace("def sweep", "async def sweep")
+        found = findings_for(ExecutorSafetyChecker(), {"src/repro/x.py": source})
+        assert any("closure 'run'" in f.message for f in found)
+
     def test_bound_method_fires(self):
         found = findings_for(ExecutorSafetyChecker(), {"src/repro/x.py": RA05_BOUND_METHOD})
         assert any("bound method" in f.message for f in found)

@@ -141,7 +141,7 @@ class TestQuoteAndStatus:
         from repro.core.forecast_inputs import ForecastInput
 
         broker = make_broker()
-        broker.set_forecast_override("s1", ForecastInput(lambda_hat_mbps=4.0, sigma_hat=0.5))
+        broker.set_forecast_overrides({"s1": ForecastInput(lambda_hat_mbps=4.0, sigma_hat=0.5)})
         quote = broker.quote(request("s1"))
         assert quote.forecast_peak_mbps == pytest.approx(4.0)
         assert quote.forecast_sigma == pytest.approx(0.5)

@@ -254,6 +254,17 @@ class TestFramingFailuresAreTaxonomyErrors:
             if code == "validation":
                 assert conn.closed_by_peer()
 
+    def test_a_connection_error_is_logged_not_printed(self, server, caplog, capsys):
+        # socketserver calls handle_error when a handler thread raises; its
+        # default prints a traceback per dropped client to stderr.
+        with caplog.at_level("DEBUG", logger="repro.api.server"):
+            try:
+                raise ConnectionResetError("peer hung up")
+            except ConnectionResetError:
+                server._http.handle_error(None, ("127.0.0.1", 1))
+        assert capsys.readouterr().err == ""
+        assert [record.exc_info[0] for record in caplog.records] == [ConnectionResetError]
+
     def test_bounds_are_inclusive(self, server):
         longest = b"X-Long: " + b"a" * (MAX_LINE_BYTES - 10) + b"\r\n"
         assert len(longest) == MAX_LINE_BYTES

@@ -35,8 +35,8 @@ class TestRanController:
     def test_served_bitrate_clipped_to_share(self, applied_controllers):
         problem, decision, controllers = applied_controllers
         name = decision.accepted_tenants[0]
-        bs = next(iter(decision.allocation(name).reservations_mbps))
-        reservation = decision.allocation(name).reservations_mbps[bs]
+        bs = next(iter(decision.allocations[name].reservations_mbps))
+        reservation = decision.allocations[name].reservations_mbps[bs]
         assert controllers.ran.served_bitrate(bs, name, reservation * 2) == pytest.approx(
             reservation, rel=1e-6
         )
@@ -49,7 +49,7 @@ class TestRanController:
         empty = copy.deepcopy(decision)
         for alloc in empty.allocations.values():
             object.__setattr__(alloc, "accepted", False)
-        controllers.ran.apply(problem, empty)
+        controllers.ran.enforce(controllers.ran.plan(empty))
         for bs in problem.topology.base_station_names:
             assert controllers.ran.shares(bs) == {}
 
@@ -97,7 +97,7 @@ class TestRanAgreesWithTheSolver:
 
         assert len(decision.accepted_tenants) == 2
         for name in decision.accepted_tenants:
-            for bs, mbps in decision.allocation(name).reservations_mbps.items():
+            for bs, mbps in decision.allocations[name].reservations_mbps.items():
                 # The air interface carries exactly the reservation: no more,
                 # and -- whatever eta_b is -- no less.
                 served = controllers.ran.served_bitrate(bs, name, 2 * mbps)
@@ -120,7 +120,7 @@ class TestRanAgreesWithTheSolver:
             stats=SolverStats(solver="test"),
         )
         controllers = ControllerSet.for_topology(embb_problem.topology)
-        controllers.ran.apply(embb_problem, decision)
+        controllers.ran.enforce(controllers.ran.plan(decision))
 
         first, second = (request.name for request in embb_problem.requests[:2])
         shares = controllers.ran.shares("bs-0")

@@ -39,7 +39,7 @@ class TestAdmissionCycle:
         orchestrator.submit_request(urllc("u1"))
         decision = orchestrator.run_epoch(0)
         assert decision.is_accepted("u1")
-        alloc = decision.allocation("u1")
+        alloc = decision.allocations["u1"]
         for mbps in alloc.reservations_mbps.values():
             assert mbps == pytest.approx(URLLC_TEMPLATE.sla_mbps, rel=1e-2)
         assert orchestrator.registry.record("u1").state is SliceState.ADMITTED

@@ -56,12 +56,6 @@ class TestQueue:
         with pytest.raises(ValueError):
             manager.submit(request("a"))
 
-    def test_submit_many(self):
-        manager = SliceManager()
-        descriptors = manager.submit_many([request("a"), request("b")])
-        assert len(descriptors) == 2
-        assert manager.pending_count == 2
-
     def test_pending_count_is_a_property(self):
         # Regression guard: pending_count is a stateless getter exposed as a
         # property, not a method.

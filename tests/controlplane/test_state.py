@@ -83,9 +83,8 @@ class TestQueries:
         assert active == {"a", "b"}
         active_late = {r.name for r in registry.active_slices(6)}
         assert active_late == {"b"}
-        counts = registry.counts_by_state()
-        assert counts[SliceState.ADMITTED] == 2
-        assert counts[SliceState.REJECTED] == 1
+        states = [registry.record(name).state for name in ("a", "b", "c")]
+        assert states == [SliceState.ADMITTED, SliceState.ADMITTED, SliceState.REJECTED]
         assert registry.admitted_names() == ["a", "b"]
 
 

@@ -22,6 +22,11 @@ from repro.core.problem import ACRRProblem, InfeasibleProblemError
 from repro.utils.journal import put
 
 
+def _risk_slope(item) -> float:
+    """xi * K / (Lambda - lambda_hat): marginal risk per Mb/s of under-provisioning."""
+    return item.xi * item.penalty_rate_per_path / (item.sla_mbps - item.lambda_hat_mbps)
+
+
 @dataclass
 class OracleBlock:
     a_x: sparse.csr_matrix
@@ -85,7 +90,7 @@ class LoopBuiltProblem:
         for item in self.items:
             if self.options.overbooking:
                 coeffs[item.index] = (
-                    item.sla_mbps * item.risk_slope - item.reward_per_path
+                    item.sla_mbps * _risk_slope(item) - item.reward_per_path
                 )
             else:
                 coeffs[item.index] = -item.reward_per_path
@@ -96,7 +101,7 @@ class LoopBuiltProblem:
         if not self.options.overbooking:
             return coeffs
         for item in self.items:
-            coeffs[item.index] = -item.risk_slope
+            coeffs[item.index] = -_risk_slope(item)
         return coeffs
 
     # -- constraint blocks ----------------------------------------------- #

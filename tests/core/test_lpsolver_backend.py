@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy
 from scipy import optimize, sparse
 
 from repro.core.benders import BendersSolver, CutPool
@@ -30,6 +31,7 @@ from repro.core.lpsolver import (
     LPSolution,
     MILPSolution,
     Phase1Problem,
+    backend_version,
     is_feasible_point,
     solve_milp,
 )
@@ -160,6 +162,12 @@ def shadowed_backend(monkeypatch):
     monkeypatch.setattr("repro.core.benders.solve_milp", shadowed_milp)
     monkeypatch.setattr("repro.core.milp_solver.solve_milp", shadowed_milp)
     return counts, disagreements
+
+
+def test_backend_version_names_the_scipy_release_and_the_highs_build():
+    # CI prints this line before the suite, so a golden drift after an
+    # image bump can be traced to one of the two.
+    assert backend_version().startswith(f"scipy {scipy.__version__} | HiGHS ")
 
 
 class TestBackendEqualsScipyWrappers:

@@ -200,13 +200,6 @@ class TestProblemStructureCache:
         cache.build(second, paths_first, requests, low_load_forecasts(requests))
         assert (cache.hits, cache.misses) == (0, 2)
 
-    def test_invalidate_clears_the_cache(self, topology, path_set, requests):
-        cache = ProblemStructureCache()
-        cache.build(topology, path_set, requests, low_load_forecasts(requests))
-        cache.invalidate()
-        cache.build(topology, path_set, requests, low_load_forecasts(requests))
-        assert (cache.hits, cache.misses) == (0, 2)
-
 
 class TestSolverEquivalenceOnCachedProblems:
     def test_cached_problem_solves_to_the_same_decision(

@@ -1,14 +1,14 @@
 """Tests for the risk-cost function of Section 3.1."""
 
+import numpy as np
 import pytest
 
 from repro.core.forecast_inputs import ForecastInput
-from repro.core.risk import (
-    deficit_probability_proxy,
-    expected_slice_cost,
-    risk_cost,
-    uncertainty_scale,
-)
+from repro.core.problem import ACRRProblem
+from repro.core.risk import deficit_probability_proxy
+from repro.core.slices import EMBB_TEMPLATE, SliceRequest
+from repro.topology.paths import compute_path_sets
+from tests.conftest import build_tiny_topology
 
 
 class TestDeficitProbabilityProxy:
@@ -36,58 +36,77 @@ class TestDeficitProbabilityProxy:
             deficit_probability_proxy(1.0, 1.0, 0.0)
 
 
-class TestUncertaintyScale:
-    def test_product(self):
-        assert uncertainty_scale(0.5, 2.0) == pytest.approx(1.0)
+def _one_slice_problem(sigma_hat=0.5, duration_epochs=24, penalty_factor=1.0):
+    """One eMBB slice (SLA 50 Mb/s, forecast 10 Mb/s) on the tiny topology,
+    24 epochs per day: its xi is ``sigma_hat * duration_epochs / 24``."""
+    topology = build_tiny_topology()
+    request = SliceRequest(
+        name="s",
+        template=EMBB_TEMPLATE,
+        duration_epochs=duration_epochs,
+        penalty_factor=penalty_factor,
+    )
+    return ACRRProblem(
+        topology,
+        compute_path_sets(topology, k=3),
+        [request],
+        {"s": ForecastInput(lambda_hat_mbps=10.0, sigma_hat=sigma_hat)},
+    )
 
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            uncertainty_scale(0.0, 1.0)
-        with pytest.raises(ValueError):
-            uncertainty_scale(1.5, 1.0)
-        with pytest.raises(ValueError):
-            uncertainty_scale(0.5, 0.0)
+
+def _risk(problem, reservation_mbps):
+    """K * rho of column 0 at ``reservation_mbps``: Psi(x, z) + R."""
+    x = np.zeros(problem.num_items)
+    x[0] = 1.0
+    z = x * reservation_mbps
+    return problem.evaluate_objective(x, z) + problem.items[0].reward_per_path
 
 
-class TestRiskCost:
+class TestSolverRiskTerm:
+    """xi = sigma_hat * L as the solver uses it (L in days), through the
+    objective the solvers minimise."""
+
+    def test_xi_is_sigma_times_duration_in_days(self):
+        assert _one_slice_problem(0.5, duration_epochs=48).items[0].xi == pytest.approx(1.0)
+
     def test_monotone_decreasing_in_reservation(self):
-        costs = [
-            risk_cost(z, 10.0, 50.0, sigma_hat=0.5, duration_epochs=1.0)
-            for z in (10.0, 20.0, 30.0, 40.0, 50.0)
-        ]
+        problem = _one_slice_problem()
+        costs = [_risk(problem, z) for z in (10.0, 20.0, 30.0, 40.0, 50.0)]
         assert costs == sorted(costs, reverse=True)
         assert costs[-1] == 0.0
 
-    def test_scales_with_uncertainty(self):
-        low = risk_cost(20.0, 10.0, 50.0, sigma_hat=0.1, duration_epochs=1.0)
-        high = risk_cost(20.0, 10.0, 50.0, sigma_hat=0.9, duration_epochs=1.0)
-        assert high == pytest.approx(9 * low)
+    def test_bounded_by_penalty_times_xi(self):
+        problem = _one_slice_problem()
+        item = problem.items[0]
+        assert _risk(problem, 10.0) == pytest.approx(item.penalty_rate_per_path * item.xi)
+        assert _risk(problem, 0.0) == pytest.approx(item.penalty_rate_per_path * item.xi)
+        assert _risk(problem, 60.0) == 0.0
 
+    def test_scales_with_uncertainty_and_duration(self):
+        low = _risk(_one_slice_problem(sigma_hat=0.1), 20.0)
+        assert _risk(_one_slice_problem(sigma_hat=0.9), 20.0) == pytest.approx(9 * low)
+        assert _risk(_one_slice_problem(0.1, duration_epochs=48), 20.0) == pytest.approx(2 * low)
 
-class TestExpectedSliceCost:
+    def test_linearised_objective_equals_psi_between_forecast_and_sla(self):
+        problem = _one_slice_problem()
+        for z in (10.0, 25.0, 50.0):
+            x = np.zeros(problem.num_items)
+            x[0] = 1.0
+            linear = problem.objective_x()[0] + problem.objective_y()[0] * z
+            assert linear == pytest.approx(problem.evaluate_objective(x, x * z))
+
     def test_full_reservation_cost_is_minus_reward(self):
-        cost = expected_slice_cost(
-            reservation_mbps=50.0,
-            lambda_hat_mbps=10.0,
-            sla_mbps=50.0,
-            sigma_hat=0.3,
-            duration_epochs=1.0,
-            reward=2.0,
-            penalty_rate=0.04,
-        )
-        assert cost == pytest.approx(-2.0)
+        problem = _one_slice_problem(sigma_hat=0.3)
+        x = np.zeros(problem.num_items)
+        x[0] = 1.0
+        reward = problem.items[0].reward_per_path
+        assert problem.evaluate_objective(x, x * 50.0) == pytest.approx(-reward)
 
     def test_aggressive_reservation_can_be_unprofitable(self):
-        cost = expected_slice_cost(
-            reservation_mbps=10.0,
-            lambda_hat_mbps=10.0,
-            sla_mbps=50.0,
-            sigma_hat=1.0,
-            duration_epochs=10.0,
-            reward=1.0,
-            penalty_rate=1.0,
-        )
-        assert cost > 0.0
+        problem = _one_slice_problem(sigma_hat=1.0, duration_epochs=240, penalty_factor=16.0)
+        x = np.zeros(problem.num_items)
+        x[0] = 1.0
+        assert problem.evaluate_objective(x, x * 10.0) > 0.0
 
 
 class TestForecastInput:

@@ -30,7 +30,7 @@ class TestTable1Templates:
         assert URLLC_TEMPLATE.reward == pytest.approx(2.2)  # 2 + b with b = 0.2
         assert URLLC_TEMPLATE.latency_tolerance_ms == 5.0
         assert URLLC_TEMPLATE.sla_mbps == 25.0
-        assert URLLC_TEMPLATE.max_compute_cpus == pytest.approx(5.0)
+        assert URLLC_TEMPLATE.compute_cpus(URLLC_TEMPLATE.sla_mbps) == pytest.approx(5.0)
 
     def test_registry_contains_all_types(self):
         assert set(TEMPLATES) == {"eMBB", "mMTC", "uRLLC"}

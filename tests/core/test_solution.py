@@ -21,7 +21,7 @@ class TestDecisionFromVectors:
         )
         assert decision.num_accepted == 1
         name = embb_problem.requests[0].name
-        alloc = decision.allocation(name)
+        alloc = decision.allocations[name]
         assert alloc.compute_unit == "edge-cu"
         assert alloc.total_reserved_mbps == pytest.approx(60.0)
         assert decision.is_accepted(name)
@@ -36,17 +36,6 @@ class TestDecisionFromVectors:
         )
         assert decision.expected_reward == pytest.approx(expected)
 
-    def test_summary_keys(self, embb_problem):
-        decision = DirectMILPSolver().solve(embb_problem)
-        summary = decision.summary()
-        assert set(summary) == {
-            "accepted",
-            "rejected",
-            "expected_reward",
-            "objective",
-            "total_deficit",
-        }
-
 
 class TestPerDomainReservations:
     def test_radio_reservations_match_eta(self, embb_problem):
@@ -55,7 +44,7 @@ class TestPerDomainReservations:
         for bs_name, per_tenant in radio.items():
             bs = embb_problem.topology.base_station(bs_name)
             for tenant, mhz in per_tenant.items():
-                mbps = decision.allocation(tenant).reservations_mbps[bs_name]
+                mbps = decision.allocations[tenant].reservations_mbps[bs_name]
                 assert mhz == pytest.approx(bs.mhz_for_bitrate(mbps))
 
     def test_transport_reservations_cover_path_links(self, embb_problem):
@@ -74,7 +63,7 @@ class TestPerDomainReservations:
         compute = decision.compute_reservations_cpus(mixed_problem)
         for cu, per_tenant in compute.items():
             for tenant, cpus in per_tenant.items():
-                alloc = decision.allocation(tenant)
+                alloc = decision.allocations[tenant]
                 expected = sum(
                     alloc.request.compute_cpus(mbps)
                     for mbps in alloc.reservations_mbps.values()

@@ -17,9 +17,10 @@ from repro.core.benders import BendersSolver
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.kac import KACSolver
 from repro.core.milp_solver import DirectMILPSolver
-from repro.core.problem import ACRRProblem, ProblemOptions
+from repro.core.problem import ACRRProblem, InfeasibleProblemError, ProblemOptions
 from repro.core.slices import EMBB_TEMPLATE, MMTC_TEMPLATE, URLLC_TEMPLATE, make_requests
-from tests.conftest import low_load_forecasts
+from repro.topology.paths import compute_path_sets
+from tests.conftest import build_tiny_topology, low_load_forecasts
 
 
 def assert_decision_feasible(problem, decision):
@@ -154,6 +155,38 @@ class TestKAC:
         decision = KACSolver().solve(problem)
         for request in committed:
             assert decision.is_accepted(request.name)
+
+    @staticmethod
+    def _pinned_to_edge_problem(**capacities):
+        """One committed mMTC slice pinned to the edge CU (20 CPUs at its SLA,
+        8 at the forecast) on a tiny topology sized by ``capacities``."""
+        topology = build_tiny_topology(**capacities)
+        committed = make_requests(MMTC_TEMPLATE, 1)[0].as_committed()
+        committed.metadata["preferred_compute_unit"] = "edge-cu"
+        return ACRRProblem(
+            topology,
+            compute_path_sets(topology, k=3),
+            [committed],
+            low_load_forecasts([committed]),
+        )
+
+    def test_committed_slice_reanchored_off_a_saturated_compute_unit(self):
+        # Every knapsack round forces the slice onto the 2-CPU edge CU, so
+        # only the repair's re-anchoring moves it to the core CU.
+        problem = self._pinned_to_edge_problem(edge_cpus=2.0)
+        decision = KACSolver().solve(problem)
+        allocation = decision.allocations["mMTC-0"]
+        assert allocation.accepted
+        assert allocation.compute_unit == "core-cu"
+        assert decision.stats.cuts_feasibility == KACSolver().max_iterations
+        assert_decision_feasible(problem, decision)
+        for mbps in allocation.reservations_mbps.values():
+            assert 2.0 - 1e-9 <= mbps <= 10.0 + 1e-9
+
+    def test_committed_slice_that_fits_nowhere_is_infeasible(self):
+        problem = self._pinned_to_edge_problem(edge_cpus=2.0, core_cpus=2.0)
+        with pytest.raises(InfeasibleProblemError, match="committed slices alone"):
+            KACSolver().solve(problem)
 
     def test_stats_identify_heuristic(self, embb_problem):
         decision = KACSolver().solve(embb_problem)

@@ -32,7 +32,11 @@ from repro.scenarios import (
     sample_scenario,
     warm_start_check,
 )
-from repro.scenarios.oracle import _perturbed_forecast_sequence, problem_for_scenario
+from repro.scenarios.oracle import (
+    WarmStartOutcome,
+    _perturbed_forecast_sequence,
+    problem_for_scenario,
+)
 from repro.utils.rng import derive_seed
 from tests.differential.conftest import (
     BASE_SEED,
@@ -143,3 +147,11 @@ def test_long_wide_drift_returns_certified_decisions(seed):
         if warm.stats.cuts_warm == 0:
             # A miss is the cold loop from a virgin master: same bytes.
             assert decision_fingerprint(warm) == decision_fingerprint(cold), note
+
+
+def test_the_failure_message_names_the_mismatched_instances():
+    outcome = WarmStartOutcome("s", 4, (2,), cold_iterations=9, warm_iterations=7, fast_path_hits=1)
+    assert not outcome.identical
+    assert outcome.describe() == (
+        "s: 4 instances, 1 fast-path hits, iterations cold=9 warm=7, MISMATCH at [2]"
+    )

@@ -303,6 +303,10 @@ class TestExecutorSelection:
         with pytest.raises(ValueError):
             ProcessPoolRunExecutor(max_workers=0)
 
+    def test_pool_repr_names_its_size(self):
+        # The CLI prints the executor after a run.
+        assert repr(ProcessPoolRunExecutor(max_workers=3)) == "ProcessPoolRunExecutor(max_workers=3)"
+
 
 class TestCli:
     def test_list_names_all_campaigns(self):

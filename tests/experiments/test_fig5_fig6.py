@@ -1,14 +1,16 @@
 """Tests for the Fig. 5 / Fig. 6 experiment harnesses (tiny grids)."""
 
+from dataclasses import asdict
+
 import pytest
 
-from repro.experiments.fig5_homogeneous import format_fig5, run_fig5
-from repro.experiments.fig6_heterogeneous import format_fig6, run_fig6
+from repro.experiments.fig5_homogeneous import fig5_campaign, format_fig5, reduce_fig5
+from repro.experiments.fig6_heterogeneous import fig6_campaign, format_fig6, reduce_fig6
 
 
 @pytest.fixture(scope="module")
 def fig5_points():
-    return run_fig5(
+    campaign = fig5_campaign(
         operators=("romanian",),
         slice_types=("eMBB",),
         alphas=(0.2, 0.6),
@@ -20,6 +22,7 @@ def fig5_points():
         num_epochs=2,
         seed=1,
     )
+    return reduce_fig5(campaign.run(), policies=("optimal",))
 
 
 class TestFig5:
@@ -37,7 +40,7 @@ class TestFig5:
         assert high.gain_percent <= low.gain_percent + 1e-9
 
     def test_as_dict_and_format(self, fig5_points):
-        as_dict = fig5_points[0].as_dict()
+        as_dict = asdict(fig5_points[0])
         assert {"operator", "alpha", "gain_percent"} <= set(as_dict)
         text = format_fig5(fig5_points)
         assert "romanian" in text
@@ -45,7 +48,7 @@ class TestFig5:
 
 @pytest.fixture(scope="module")
 def fig6_points():
-    return run_fig6(
+    campaign = fig6_campaign(
         operators=("romanian",),
         mixes=(("eMBB", "mMTC"),),
         betas=(0.0, 0.5),
@@ -55,6 +58,7 @@ def fig6_points():
         num_epochs=2,
         seed=1,
     )
+    return reduce_fig6(campaign.run())
 
 
 class TestFig6:

@@ -2,15 +2,21 @@
 
 import pytest
 
-from repro.experiments.ablations import run_forecaster_ablation, run_solver_ablation
-from repro.experiments.fig8_testbed import TESTBED_CONFIG, run_fig8
-from repro.experiments.sla_violations import run_sla_violations
+from repro.experiments.ablations import (
+    forecaster_ablation_campaign,
+    reduce_forecaster_ablation,
+    reduce_solver_ablation,
+    solver_ablation_campaign,
+)
+from repro.experiments.fig8_testbed import TESTBED_CONFIG, fig8_campaign, reduce_fig8
+from repro.experiments.sla_violations import reduce_sla_violations, sla_violations_campaign
 
 
 class TestFig8:
     @pytest.fixture(scope="class")
     def fig8(self):
-        return run_fig8(policies=("optimal", "no-overbooking"), num_epochs=10, seed=3)
+        campaign = fig8_campaign(policies=("optimal", "no-overbooking"), num_epochs=10, seed=3)
+        return reduce_fig8(campaign.run())
 
     def test_policies_present(self, fig8):
         assert set(fig8.policies()) == {"optimal", "no-overbooking"}
@@ -44,9 +50,10 @@ class TestFig8:
 
 class TestSlaViolations:
     def test_violations_negligible(self):
-        results = run_sla_violations(
+        campaign = sla_violations_campaign(
             num_base_stations=4, num_tenants=6, num_epochs=4, seed=5
         )
+        results = reduce_sla_violations(campaign.run())
         assert len(results) == 2
         for result in results:
             # The paper reports <0.0001% and 0.043%; the reproduction target
@@ -57,7 +64,9 @@ class TestSlaViolations:
 
 class TestSolverAblation:
     def test_rows_and_optimality(self):
-        rows = run_solver_ablation(sizes=((3, 3),), solvers=("optimal", "kac"), seed=1)
+        solvers = ("optimal", "kac")
+        campaign = solver_ablation_campaign(sizes=((3, 3),), solvers=solvers, seed=1)
+        rows = reduce_solver_ablation(campaign.run(), solvers=solvers)
         assert len(rows) == 2
         by_solver = {row.solver: row for row in rows}
         assert by_solver["optimal"].optimality_gap_percent == pytest.approx(0.0, abs=1e-6)
@@ -67,7 +76,7 @@ class TestSolverAblation:
 
 class TestForecasterAblation:
     def test_rows_cover_requested_forecasters(self):
-        rows = run_forecaster_ablation(
+        campaign = forecaster_ablation_campaign(
             forecasters=("holt-winters", "naive"),
             num_tenants=3,
             num_base_stations=2,
@@ -75,6 +84,7 @@ class TestForecasterAblation:
             epochs_per_day=6,
             seed=2,
         )
+        rows = reduce_forecaster_ablation(campaign.run())
         assert {row.forecaster for row in rows} == {"holt-winters", "naive"}
         for row in rows:
             assert row.net_revenue >= 0.0

@@ -10,17 +10,14 @@ from repro.experiments.ablations import (
     forecaster_ablation_campaign,
     reduce_forecaster_ablation,
     reduce_solver_ablation,
-    run_forecaster_ablation,
-    run_solver_ablation,
     solver_ablation_campaign,
 )
-from repro.experiments.fig4_topologies import fig4_campaign, reduce_fig4, run_fig4
-from repro.experiments.fig5_homogeneous import fig5_campaign, reduce_fig5, run_fig5
-from repro.experiments.fig6_heterogeneous import fig6_campaign, reduce_fig6, run_fig6
-from repro.experiments.fig8_testbed import fig8_campaign, reduce_fig8, run_fig8
+from repro.experiments.fig4_topologies import fig4_campaign, reduce_fig4
+from repro.experiments.fig5_homogeneous import fig5_campaign, reduce_fig5
+from repro.experiments.fig6_heterogeneous import fig6_campaign, reduce_fig6
+from repro.experiments.fig8_testbed import fig8_campaign, reduce_fig8
 from repro.experiments.sla_violations import (
     reduce_sla_violations,
-    run_sla_violations,
     sla_violations_campaign,
 )
 
@@ -93,14 +90,11 @@ class TestFig4Reduce:
         assert cached.rows() == fresh.rows()
 
     def test_run_fig4_from_cache(self, tmp_path):
-        first = run_fig4(
-            num_base_stations=6, k_paths=2, seed=1, operators=("romanian",),
-            cache_dir=tmp_path,
+        campaign = fig4_campaign(
+            num_base_stations=6, k_paths=2, seed=1, operators=("romanian",)
         )
-        again = run_fig4(
-            num_base_stations=6, k_paths=2, seed=1, operators=("romanian",),
-            cache_dir=tmp_path,
-        )
+        first = reduce_fig4(campaign.run(cache_dir=tmp_path))
+        again = reduce_fig4(campaign.run(cache_dir=tmp_path))
         assert again.rows() == first.rows()
 
 
@@ -118,14 +112,16 @@ class TestFig5Reduce:
         assert reduce_fig5(second, policies=FIG5_GRID["policies"]) == points
 
     def test_run_fig5_cached_matches_fresh(self, tmp_path):
-        fresh = run_fig5(**FIG5_GRID)
-        cached_twice = run_fig5(**FIG5_GRID, cache_dir=tmp_path)
-        resumed = run_fig5(**FIG5_GRID, cache_dir=tmp_path)
+        campaign = fig5_campaign(**FIG5_GRID)
+        policies = FIG5_GRID["policies"]
+        fresh = reduce_fig5(campaign.run(), policies=policies)
+        cached_twice = reduce_fig5(campaign.run(cache_dir=tmp_path), policies=policies)
+        resumed = reduce_fig5(campaign.run(cache_dir=tmp_path), policies=policies)
         assert fresh == cached_twice == resumed
 
     def test_baseline_listed_as_policy_gets_zero_gain(self):
         grid = {**FIG5_GRID, "policies": ("optimal", "no-overbooking")}
-        points = run_fig5(**grid)
+        points = reduce_fig5(fig5_campaign(**grid).run(), policies=grid["policies"])
         baseline_points = [p for p in points if p.policy == "no-overbooking"]
         assert len(baseline_points) == 2
         for point in baseline_points:
@@ -147,9 +143,10 @@ class TestFig6Reduce:
         assert all(p.mix == ("eMBB", "mMTC") for p in points)
 
     def test_run_fig6_cached_matches_fresh(self, tmp_path):
-        fresh = run_fig6(**FIG6_GRID)
-        run_fig6(**FIG6_GRID, cache_dir=tmp_path)
-        resumed = run_fig6(**FIG6_GRID, cache_dir=tmp_path)
+        campaign = fig6_campaign(**FIG6_GRID)
+        fresh = reduce_fig6(campaign.run())
+        campaign.run(cache_dir=tmp_path)
+        resumed = reduce_fig6(campaign.run(cache_dir=tmp_path))
         assert resumed == fresh
 
 
@@ -167,12 +164,9 @@ class TestFig8Reduce:
         assert cached.admitted("optimal") == fresh.admitted("optimal")
 
     def test_domain_timelines_survive_persistence(self, tmp_path):
-        result = run_fig8(
-            policies=("optimal",), num_epochs=6, seed=3, cache_dir=tmp_path
-        )
-        resumed = run_fig8(
-            policies=("optimal",), num_epochs=6, seed=3, cache_dir=tmp_path
-        )
+        campaign = fig8_campaign(policies=("optimal",), num_epochs=6, seed=3)
+        result = reduce_fig8(campaign.run(cache_dir=tmp_path))
+        resumed = reduce_fig8(campaign.run(cache_dir=tmp_path))
         for domain, keys in (
             ("radio", {"bs-0", "bs-1"}),
             ("compute", {"edge-cu", "core-cu"}),
@@ -196,9 +190,10 @@ class TestSlaReduce:
         assert reduce_sla_violations(second) == rows
 
     def test_run_sla_violations_cached(self, tmp_path):
-        fresh = run_sla_violations(**SLA_GRID)
-        run_sla_violations(**SLA_GRID, cache_dir=tmp_path)
-        assert run_sla_violations(**SLA_GRID, cache_dir=tmp_path) == fresh
+        campaign = sla_violations_campaign(**SLA_GRID)
+        fresh = reduce_sla_violations(campaign.run())
+        campaign.run(cache_dir=tmp_path)
+        assert reduce_sla_violations(campaign.run(cache_dir=tmp_path)) == fresh
 
 
 class TestSolverAblationReduce:
@@ -220,7 +215,7 @@ class TestSolverAblationReduce:
         )
         solvers = {spec.params["solver"] for spec in campaign.specs}
         assert solvers == {"optimal", "kac"}
-        rows = run_solver_ablation(sizes=((3, 3),), solvers=("kac",), seed=1)
+        rows = reduce_solver_ablation(campaign.run(), solvers=("kac",))
         assert [row.solver for row in rows] == ["kac"]
 
 
@@ -235,6 +230,7 @@ class TestForecasterAblationReduce:
         assert reduce_forecaster_ablation(second) == rows
 
     def test_run_forecaster_ablation_cached(self, tmp_path):
-        fresh = run_forecaster_ablation(**FORECASTER_GRID)
-        run_forecaster_ablation(**FORECASTER_GRID, cache_dir=tmp_path)
-        assert run_forecaster_ablation(**FORECASTER_GRID, cache_dir=tmp_path) == fresh
+        campaign = forecaster_ablation_campaign(**FORECASTER_GRID)
+        fresh = reduce_forecaster_ablation(campaign.run())
+        campaign.run(cache_dir=tmp_path)
+        assert reduce_forecaster_ablation(campaign.run(cache_dir=tmp_path)) == fresh

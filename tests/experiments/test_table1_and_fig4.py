@@ -1,6 +1,6 @@
 """Tests for the Table 1 and Fig. 4 reproductions."""
 
-from repro.experiments.fig4_topologies import path_statistics, run_fig4
+from repro.experiments.fig4_topologies import fig4_campaign, path_statistics, reduce_fig4
 from repro.experiments.table1_templates import format_table1, table1_rows
 from repro.topology.operators import romanian_topology
 
@@ -25,7 +25,7 @@ class TestTable1:
 
 class TestFig4:
     def test_reduced_run_contains_all_operators(self):
-        result = run_fig4(num_base_stations=12, k_paths=4, seed=1)
+        result = reduce_fig4(fig4_campaign(num_base_stations=12, k_paths=4, seed=1).run())
         assert set(result.operators) == {"romanian", "swiss", "italian"}
         rows = result.rows()
         assert len(rows) == 3
@@ -33,14 +33,14 @@ class TestFig4:
             assert row["mean_paths_per_pair"] >= 1.0
 
     def test_romanian_more_redundant_than_italian(self):
-        result = run_fig4(num_base_stations=16, k_paths=6, seed=2)
+        result = reduce_fig4(fig4_campaign(num_base_stations=16, k_paths=6, seed=2).run())
         assert (
             result.operators["romanian"].mean_paths_per_pair
             > result.operators["italian"].mean_paths_per_pair
         )
 
     def test_swiss_paths_have_lower_capacity(self):
-        result = run_fig4(num_base_stations=16, k_paths=4, seed=2)
+        result = reduce_fig4(fig4_campaign(num_base_stations=16, k_paths=4, seed=2).run())
         swiss = result.operators["swiss"].capacity_cdf_gbps.quantile(0.5)
         romanian = result.operators["romanian"].capacity_cdf_gbps.quantile(0.5)
         assert swiss < romanian

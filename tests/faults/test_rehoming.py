@@ -23,8 +23,8 @@ def admit_one(broker: SliceBroker, duration: int = 6) -> None:
     request = SliceRequestV1.of("u1", "eMBB", duration_epochs=duration)
     broker.submit(request)
     sla = request.to_request().sla_mbps
-    broker.set_forecast_override(
-        "u1", ForecastInput(lambda_hat_mbps=0.2 * sla, sigma_hat=0.2)
+    broker.set_forecast_overrides(
+        {"u1": ForecastInput(lambda_hat_mbps=0.2 * sla, sigma_hat=0.2)}
     )
     report = broker.advance_epoch(0)
     assert report.accepted == ("u1",)

@@ -1,34 +1,10 @@
-"""Tests for single/double exponential smoothing."""
+"""Tests for double exponential smoothing."""
 
 import numpy as np
 import pytest
 
-from repro.forecasting.exponential import (
-    DoubleExponentialForecaster,
-    SingleExponentialForecaster,
-)
-
-
-class TestSingleExponential:
-    def test_constant_series_predicted_exactly(self):
-        outcome = SingleExponentialForecaster(alpha=0.5).forecast(np.full(20, 7.0))
-        assert outcome.next_value == pytest.approx(7.0)
-        assert outcome.sigma_hat <= 0.01
-
-    def test_prediction_between_min_and_max(self):
-        rng = np.random.default_rng(2)
-        history = np.abs(rng.normal(20, 3, size=40))
-        outcome = SingleExponentialForecaster().forecast(history)
-        assert history.min() <= outcome.next_value <= history.max()
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            SingleExponentialForecaster(alpha=1.5)
-
-    def test_min_history(self):
-        forecaster = SingleExponentialForecaster()
-        assert not forecaster.can_forecast(np.array([1.0]))
-        assert forecaster.can_forecast(np.array([1.0, 2.0]))
+from repro.core.forecast_inputs import MIN_SIGMA_HAT
+from repro.forecasting.exponential import DoubleExponentialForecaster
 
 
 class TestDoubleExponential:
@@ -51,3 +27,18 @@ class TestDoubleExponential:
     def test_beta_validated(self):
         with pytest.raises(ValueError):
             DoubleExponentialForecaster(beta=-0.1)
+
+    def test_alpha_validated(self):
+        with pytest.raises(ValueError):
+            DoubleExponentialForecaster(alpha=1.5)
+
+    def test_min_history(self):
+        forecaster = DoubleExponentialForecaster()
+        assert not forecaster.can_forecast(np.array([1.0, 2.0]))
+        assert forecaster.can_forecast(np.array([1.0, 2.0, 3.0]))
+
+    def test_a_straight_line_is_predicted_exactly(self):
+        # Holt's level + trend tracks a line with no one-step error at all.
+        outcome = DoubleExponentialForecaster().forecast(np.arange(2.0, 22.0, 2.0), horizon=2)
+        assert outcome.predictions == pytest.approx((22.0, 24.0))
+        assert outcome.sigma_hat == MIN_SIGMA_HAT

@@ -16,11 +16,7 @@ from hypothesis import strategies as st
 
 from repro.controlplane.orchestrator import ForecastingBlock
 from repro.core.slices import EMBB_TEMPLATE, SliceRequest
-from repro.forecasting import (
-    DoubleExponentialForecaster,
-    HoltWintersForecaster,
-    SingleExponentialForecaster,
-)
+from repro.forecasting import DoubleExponentialForecaster, HoltWintersForecaster
 
 SEASON = 4
 
@@ -30,7 +26,6 @@ FORECASTERS = {
         season_length=SEASON, alpha=1.0, beta=1.0, gamma=1.0
     ),
     "double-exponential": DoubleExponentialForecaster(),
-    "single-exponential": SingleExponentialForecaster(),
 }
 
 #: Peaks as monitoring produces them: non-negative, idle epochs included.

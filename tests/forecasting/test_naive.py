@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.forecasting.naive import MeanForecaster, NaiveForecaster, PeakForecaster
+from repro.forecasting.naive import NaiveForecaster, PeakForecaster
 
 
 class TestNaiveForecaster:
@@ -32,19 +32,6 @@ class TestNaiveForecaster:
     def test_horizon_validated(self):
         with pytest.raises(ValueError):
             NaiveForecaster().forecast(np.array([1.0]), horizon=0)
-
-
-class TestMeanForecaster:
-    def test_predicts_mean(self):
-        outcome = MeanForecaster().forecast(np.array([2.0, 4.0, 6.0]))
-        assert outcome.next_value == pytest.approx(4.0)
-
-    def test_fitted_series_has_history_length(self):
-        # sigma_hat is the error of an in-sample fit over the whole history:
-        # the expanding mean [1, 1, 1.5, 2] misses by [0, 1, 1.5, 2].
-        history = np.array([1.0, 2.0, 3.0, 4.0])
-        outcome = MeanForecaster().forecast(history)
-        assert outcome.sigma_hat == pytest.approx(np.sqrt(7.25 / 4) / 2.5)
 
 
 class TestPeakForecaster:

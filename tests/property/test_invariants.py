@@ -4,29 +4,49 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.forecast_inputs import ForecastInput
 from repro.core.knapsack import KnapsackItem, solve_knapsack_ffd
-from repro.core.risk import deficit_probability_proxy, risk_cost
-from repro.forecasting.exponential import DoubleExponentialForecaster, SingleExponentialForecaster
-from repro.forecasting.naive import MeanForecaster, NaiveForecaster, PeakForecaster
+from repro.core.problem import ACRRProblem
+from repro.core.risk import deficit_probability_proxy
+from repro.core.slices import EMBB_TEMPLATE, SliceRequest
+from repro.forecasting.exponential import DoubleExponentialForecaster
+from repro.forecasting.naive import NaiveForecaster, PeakForecaster
 from repro.radio.ran_sharing import RanSlicingEnforcer
 from repro.topology.elements import BaseStation
+from repro.topology.paths import compute_path_sets
 from repro.traffic.demand import GaussianDemand
 from repro.utils.stats import EmpiricalCDF
+from tests.conftest import build_tiny_topology
 
 finite_loads = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
+
+_TINY_TOPOLOGY = build_tiny_topology()
+_TINY_PATHS = compute_path_sets(_TINY_TOPOLOGY, k=3)
 
 
 class TestRiskFunctionProperties:
     @given(
-        z=st.floats(0.0, 100.0),
-        lam_hat=st.floats(0.0, 99.0),
+        z=st.floats(0.0, 50.0),
+        lam_hat=st.floats(0.0, 49.0),
         sigma=st.floats(0.001, 1.0),
-        duration=st.floats(0.01, 10.0),
+        duration=st.integers(1, 240),
     )
     def test_risk_bounded_and_nonnegative(self, z, lam_hat, sigma, duration):
-        sla = 100.0
-        rho = risk_cost(z, lam_hat, sla, sigma, duration)
-        assert 0.0 <= rho <= sigma * duration + 1e-12
+        # Psi(x, z) + R = K * rho of the one chosen column, rho = P * xi with
+        # xi = sigma_hat * L, L in days (24 epochs each).
+        request = SliceRequest("s", EMBB_TEMPLATE, duration_epochs=duration)
+        problem = ACRRProblem(
+            _TINY_TOPOLOGY,
+            _TINY_PATHS,
+            [request],
+            {"s": ForecastInput(lambda_hat_mbps=lam_hat, sigma_hat=sigma)},
+        )
+        item = problem.items[0]
+        assert item.xi == pytest.approx(sigma * duration / 24)
+        x = np.zeros(problem.num_items)
+        x[0] = 1.0
+        risk = problem.evaluate_objective(x, x * z) + item.reward_per_path
+        assert 0.0 <= risk <= item.penalty_rate_per_path * item.xi + 1e-12
 
     @given(
         lam_hat=st.floats(0.0, 90.0),
@@ -114,9 +134,7 @@ class TestForecasterProperties:
         arr = np.asarray(history)
         for forecaster in (
             NaiveForecaster(),
-            MeanForecaster(),
             PeakForecaster(),
-            SingleExponentialForecaster(),
             DoubleExponentialForecaster(),
         ):
             if not forecaster.can_forecast(arr):

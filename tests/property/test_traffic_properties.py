@@ -117,7 +117,7 @@ class TestCalibration:
         epoch_means = np.array([demand.mean_mbps(epoch) for epoch in range(24)])
         # The profile is normalised to an average multiplier of exactly 1.
         assert np.mean(epoch_means) == pytest.approx(base_mean, rel=1e-9)
-        profile = DEFAULT_DIURNAL_PROFILE.as_array()
+        profile = np.asarray(DEFAULT_DIURNAL_PROFILE.hourly_multipliers)
         assert np.min(epoch_means) == pytest.approx(base_mean * profile.min())
         assert np.max(epoch_means) == pytest.approx(base_mean * profile.max())
 
@@ -146,7 +146,7 @@ class TestDiurnalProfile:
     @settings(max_examples=50)
     def test_normalised_profile_interpolates_within_bounds(self, multipliers, hour):
         profile = DiurnalProfile.normalised(multipliers)
-        arr = profile.as_array()
+        arr = np.asarray(profile.hourly_multipliers)
         assert np.mean(arr) == pytest.approx(1.0)
         value = profile.multiplier(hour)
         assert arr.min() - 1e-9 <= value <= arr.max() + 1e-9

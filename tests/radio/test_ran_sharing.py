@@ -40,12 +40,6 @@ class TestGrants:
         enforcer.grant_bitrate("slice-a", 150.0)
         assert enforcer.free_prbs == pytest.approx(0.0)
 
-    def test_revoke(self, enforcer):
-        enforcer.grant_bitrate("slice-a", 75.0)
-        enforcer.revoke("slice-a")
-        assert enforcer.allocated_prbs == 0.0
-        enforcer.revoke("slice-a")  # idempotent
-
     def test_shares_is_a_copy(self, enforcer):
         enforcer.grant_bitrate("slice-a", 75.0)
         enforcer.shares().clear()
@@ -90,11 +84,6 @@ class TestServingTraffic:
 
     def test_unknown_slice_serves_nothing(self, enforcer):
         assert enforcer.served_bitrate("ghost", 10.0) == 0.0
-
-    def test_revoked_slice_serves_nothing(self, enforcer):
-        enforcer.grant_bitrate("slice-a", 50.0)
-        enforcer.revoke("slice-a")
-        assert enforcer.served_bitrate("slice-a", 10.0) == 0.0
 
     def test_negative_offered_load_rejected(self, enforcer):
         enforcer.grant_bitrate("slice-a", 50.0)

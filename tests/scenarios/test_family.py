@@ -64,9 +64,3 @@ class TestSerialisation:
         a = ScenarioFamily(name="a")
         b = ScenarioFamily(name="a", samples_per_epoch=9)
         assert a.family_hash != b.family_hash
-
-    def test_with_name_changes_hash_but_not_structure(self):
-        family = ScenarioFamily()
-        renamed = family.with_name("other")
-        assert renamed.name == "other"
-        assert renamed.num_tenants == family.num_tenants

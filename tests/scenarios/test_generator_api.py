@@ -1,10 +1,12 @@
 """Unit tests for the generator API surface and the campaign integration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.experiments.campaign import build_scenario
-from repro.scenarios import ScenarioFamily, sample_scenario, sample_scenarios
+from repro.scenarios import ScenarioFamily, sample_scenario
 from repro.scenarios.campaigns import (
     format_generated,
     generated_campaign,
@@ -30,13 +32,12 @@ TINY_FAMILY = ScenarioFamily(
 
 
 class TestSampling:
-    def test_sample_scenarios_is_one_per_seed(self):
-        scenarios = sample_scenarios(TINY_FAMILY, seeds=[1, 2, 3])
-        assert len(scenarios) == 3
+    def test_scenario_name_is_seed_specific(self):
+        scenarios = [sample_scenario(TINY_FAMILY, seed) for seed in (1, 2, 3)]
         assert len({scenario.name for scenario in scenarios}) == 3
 
     def test_scenario_seed_is_family_specific(self):
-        other = TINY_FAMILY.with_name("tiny-test-2")
+        other = replace(TINY_FAMILY, name="tiny-test-2")
         a = sample_scenario(TINY_FAMILY, seed=5)
         b = sample_scenario(other, seed=5)
         assert a.seed != b.seed

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.slices import EMBB_TEMPLATE
-from repro.simulation.runner import compare_policies, make_solver, relative_revenue_gain, run_scenario
+from repro.simulation.runner import compare_policies, make_solver, run_scenario
 from repro.simulation.scenario import homogeneous_scenario, testbed_scenario as make_testbed_scenario
 from repro.simulation.engine import SimulationEngine
+from repro.utils.stats import relative_gain
 from tests.conftest import build_tiny_topology
 
 
@@ -38,12 +39,12 @@ class TestSimulationRun:
         optimal, baseline = results["optimal"], results["no-overbooking"]
         assert optimal.num_admitted > baseline.num_admitted
         assert optimal.net_revenue > baseline.net_revenue
-        assert relative_revenue_gain(optimal, baseline) > 0.0
+        assert relative_gain(optimal.net_revenue, baseline.net_revenue) > 0.0
 
     def test_epoch_records_and_revenue_series(self, small_scenario):
         result = run_scenario(small_scenario, policy="optimal")
         assert len(result.epoch_records) == small_scenario.num_epochs
-        assert result.per_epoch_net_revenue.shape == (small_scenario.num_epochs,)
+        assert result.revenue.per_epoch_net.shape == (small_scenario.num_epochs,)
         assert result.summary()["num_admitted"] == result.num_admitted
 
     def test_reproducible_given_seed(self, small_scenario):

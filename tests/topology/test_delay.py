@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.topology.delay import FRAME_BITS, PER_HOP_PROCESSING_US, link_delay_us, path_delay_us
+from repro.topology.delay import FRAME_BITS, PER_HOP_PROCESSING_US, link_delay_us
 from repro.topology.elements import LinkTechnology, TransportLink
 
 
@@ -36,17 +36,3 @@ class TestLinkDelay:
         # A 12 000-bit frame on a 2 Gb/s link takes 6 us to serialise.
         link = make_link(capacity_mbps=2000.0, length_km=0.0)
         assert link_delay_us(link) == pytest.approx(6.0 + PER_HOP_PROCESSING_US)
-
-
-class TestPathDelay:
-    def test_sums_links(self):
-        links = [make_link(), make_link()]
-        assert path_delay_us(links) == pytest.approx(2 * link_delay_us(links[0]))
-
-    def test_extra_latency_in_ms(self):
-        links = [make_link()]
-        base = path_delay_us(links)
-        assert path_delay_us(links, extra_latency_ms=20.0) == pytest.approx(base + 20_000.0)
-
-    def test_empty_path_only_extra_latency(self):
-        assert path_delay_us([], extra_latency_ms=5.0) == pytest.approx(5000.0)

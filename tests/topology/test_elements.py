@@ -7,7 +7,6 @@ from repro.topology.elements import (
     PRBS_PER_MHZ,
     ComputeUnit,
     ComputeUnitKind,
-    DomainCapacities,
     LinkTechnology,
     TransportLink,
 )
@@ -100,13 +99,6 @@ class TestTransportLink:
         link = TransportLink(endpoint_a="b", endpoint_b="a", capacity_mbps=100.0)
         assert link.key == ("a", "b")
 
-    def test_other_endpoint(self):
-        link = TransportLink(endpoint_a="a", endpoint_b="b", capacity_mbps=100.0)
-        assert link.other_endpoint("a") == "b"
-        assert link.other_endpoint("b") == "a"
-        with pytest.raises(KeyError):
-            link.other_endpoint("c")
-
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             TransportLink(endpoint_a="a", endpoint_b="a", capacity_mbps=100.0)
@@ -119,11 +111,3 @@ class TestTransportLink:
         assert LinkTechnology.FIBER.propagation_us_per_km == 4.0
         assert LinkTechnology.COPPER.propagation_us_per_km == 4.0
         assert LinkTechnology.WIRELESS.propagation_us_per_km == 5.0
-
-
-class TestDomainCapacities:
-    def test_copy_is_independent(self):
-        caps = DomainCapacities(radio_mhz={"bs": 20.0})
-        clone = caps.copy()
-        clone.radio_mhz["bs"] = 40.0
-        assert caps.radio_mhz["bs"] == 20.0

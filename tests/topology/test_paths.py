@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.topology.delay import link_delay_us
 from repro.topology.elements import TransportLink, TransportSwitch
 from repro.topology.paths import compute_path_sets, k_shortest_paths
 from tests.conftest import build_tiny_topology
@@ -13,17 +14,12 @@ class TestKShortestPaths:
         paths = k_shortest_paths(topo, "bs-0", "edge-cu", k=3)
         assert len(paths) == 1
         assert paths[0].nodes == ("bs-0", "sw", "edge-cu")
-        assert paths[0].hop_count == 2
+        assert len(paths[0].links) == 2
 
     def test_k_must_be_positive(self):
         topo = build_tiny_topology()
         with pytest.raises(ValueError):
             k_shortest_paths(topo, "bs-0", "edge-cu", k=0)
-
-    def test_unknown_weight_rejected(self):
-        topo = build_tiny_topology()
-        with pytest.raises(ValueError):
-            k_shortest_paths(topo, "bs-0", "edge-cu", k=1, weight="hops-and-delay")
 
     def test_multiple_paths_with_redundant_switch(self):
         topo = build_tiny_topology()
@@ -50,13 +46,49 @@ class TestKShortestPaths:
         core = k_shortest_paths(topo, "bs-0", "core-cu", k=1)[0]
         assert core.delay_ms == pytest.approx(edge.delay_ms + 20.0, rel=0.05)
 
+    def test_delay_is_its_links_plus_the_cu_access_latency(self):
+        topo = build_tiny_topology(core_latency_ms=3.0)
+        path = k_shortest_paths(topo, "bs-0", "core-cu", k=1)[0]
+        expected = sum(link_delay_us(link) for link in path.links) + 3.0 * 1000.0
+        assert path.delay_us == pytest.approx(expected)
+
+    def test_unknown_endpoint_rejected(self):
+        topo = build_tiny_topology()
+        with pytest.raises(KeyError):
+            k_shortest_paths(topo, "bs-9", "edge-cu", k=1)
+
+    def test_disconnected_pair_has_no_paths(self):
+        topo = build_tiny_topology()
+        topo.add_switch(TransportSwitch(name="island"))
+        assert k_shortest_paths(topo, "bs-0", "island", k=2) == []
+
+    def test_paths_never_relay_through_another_base_station(self):
+        # bs-1 gets a direct link to the edge CU; bs-0 must still reach it
+        # through the switch only, not via sw -> bs-1 -> edge-cu.
+        topo = build_tiny_topology()
+        topo.add_link(TransportLink(endpoint_a="bs-1", endpoint_b="edge-cu", capacity_mbps=1000.0))
+        paths = k_shortest_paths(topo, "bs-0", "edge-cu", k=4)
+        assert [p.nodes for p in paths] == [("bs-0", "sw", "edge-cu")]
+        assert len(k_shortest_paths(topo, "bs-1", "edge-cu", k=4)) == 2
+
 
 class TestPathSet:
     def test_all_pairs_present(self, tiny_topology):
         path_set = compute_path_sets(tiny_topology, k=2)
-        assert set(path_set.base_stations()) == {"bs-0", "bs-1"}
-        assert set(path_set.compute_units()) == {"edge-cu", "core-cu"}
+        assert {pair for pair, _ in path_set.items()} == {
+            (bs, cu) for bs in ("bs-0", "bs-1") for cu in ("edge-cu", "core-cu")
+        }
         assert len(path_set.paths("bs-0", "edge-cu")) == 1
+
+    def test_every_path_runs_from_its_base_station_to_its_compute_unit(self, tiny_topology):
+        path_set = compute_path_sets(tiny_topology, k=2)
+        for (bs, cu), paths in path_set.items():
+            for path in paths:
+                assert (path.base_station, path.compute_unit) == (bs, cu)
+                assert path.nodes[0] == bs and path.nodes[-1] == cu
+                assert len(path.links) == len(path.nodes) - 1
+                for link, hop in zip(path.links, zip(path.nodes, path.nodes[1:])):
+                    assert {link.endpoint_a, link.endpoint_b} == set(hop)
 
     def test_len_counts_paths(self, tiny_topology):
         path_set = compute_path_sets(tiny_topology, k=2)
@@ -65,18 +97,6 @@ class TestPathSet:
     def test_mean_paths_per_pair(self, tiny_topology):
         path_set = compute_path_sets(tiny_topology, k=2)
         assert path_set.mean_paths_per_pair() == pytest.approx(1.0)
-
-    def test_paths_from_and_to(self, tiny_topology):
-        path_set = compute_path_sets(tiny_topology, k=2)
-        assert len(path_set.paths_from("bs-0")) == 2
-        assert len(path_set.paths_to("edge-cu")) == 2
-
-    def test_uses_link(self, tiny_topology):
-        path_set = compute_path_sets(tiny_topology, k=2)
-        path = path_set.paths("bs-0", "edge-cu")[0]
-        assert path.uses_link(("sw", "edge-cu"))
-        assert path.uses_link(("edge-cu", "sw"))
-        assert not path.uses_link(("sw", "core-cu"))
 
 
 class TestPathTable:

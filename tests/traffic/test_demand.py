@@ -17,7 +17,7 @@ class TestGaussianDemand:
     def test_mean_matches_configuration(self):
         demand = GaussianDemand(mean_mbps=20.0, std_mbps=2.0, sla_mbps=50.0, seed=2)
         epoch = demand.sample_epoch(0, 2000)
-        assert epoch.mean_mbps == pytest.approx(20.0, rel=0.05)
+        assert np.mean(epoch.samples_mbps) == pytest.approx(20.0, rel=0.05)
 
     def test_peak_is_max_of_samples(self):
         demand = GaussianDemand(mean_mbps=20.0, std_mbps=5.0, sla_mbps=50.0, seed=3)

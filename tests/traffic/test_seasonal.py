@@ -13,7 +13,7 @@ class TestDiurnalProfile:
 
     def test_normalised_mean_is_one(self):
         profile = DiurnalProfile.normalised([2.0] * 12 + [4.0] * 12)
-        assert np.mean(profile.as_array()) == pytest.approx(1.0)
+        assert np.mean(profile.hourly_multipliers) == pytest.approx(1.0)
 
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from repro.utils.stats import (
     EmpiricalCDF,
     mean_and_stderr,
     relative_gain,
-    running_mean,
     standard_error_below,
 )
 
@@ -35,16 +34,20 @@ class TestEmpiricalCDF:
         with pytest.raises(ValueError):
             cdf.quantile(1.5)
 
+    def test_evaluate_counts_every_tied_sample(self):
+        cdf = EmpiricalCDF.from_samples([1.0, 2.0, 2.0, 2.0, 3.0])
+        assert cdf.evaluate(2.0) == pytest.approx(0.8)
+        assert cdf.evaluate(1.999) == pytest.approx(0.2)
+
+    def test_median_of_an_odd_sample_is_its_middle_value(self):
+        cdf = EmpiricalCDF.from_samples([9.0, 1.0, 5.0, 3.0, 7.0])
+        assert cdf.quantile(0.5) == 5.0
+
     def test_as_arrays_shape(self):
         cdf = EmpiricalCDF.from_samples([5, 6, 7])
         xs, ps = cdf.as_arrays()
         assert xs.shape == ps.shape == (3,)
         assert ps[-1] == pytest.approx(1.0)
-
-    def test_summary_keys(self):
-        summary = EmpiricalCDF.from_samples([1, 2, 3]).summary()
-        assert set(summary) == {"min", "p25", "median", "p75", "max", "mean"}
-        assert summary["min"] == 1 and summary["max"] == 3
 
 
 class TestMeanAndStderr:
@@ -85,11 +88,6 @@ class TestRelativeGain:
 
 
 class TestRunningMeanAndConvergence:
-    def test_running_mean_values(self):
-        assert np.allclose(running_mean([1, 2, 3]), [1.0, 1.5, 2.0])
-
-    def test_running_mean_empty(self):
-        assert running_mean([]).size == 0
 
     def test_standard_error_below_converged(self):
         assert standard_error_below([10.0] * 20, 0.02)
