@@ -59,9 +59,7 @@ def test_city_scale_replay_throughput(benchmark):
     outcome = {}
 
     def replay():
-        engine = ColumnarReplayEngine(
-            spec, seed=1, retention_epochs=spec.epochs_per_day * 7
-        )
+        engine = ColumnarReplayEngine(spec, seed=1)
         started = time.perf_counter()
         result = engine.run()
         outcome["elapsed_s"] = time.perf_counter() - started
@@ -80,9 +78,7 @@ def test_city_scale_replay_throughput(benchmark):
     )
     # Determinism across engine instances: same (spec, seed) -> identical
     # per-epoch stream.
-    rerun = ColumnarReplayEngine(
-        spec, seed=1, retention_epochs=spec.epochs_per_day * 7
-    ).run()
+    rerun = ColumnarReplayEngine(spec, seed=1).run()
     assert rerun.stream_fingerprint == result.stream_fingerprint
 
     elapsed = outcome["elapsed_s"]
@@ -148,7 +144,7 @@ def _steady_epoch_seconds(spec: TraceSpec, warmup_epochs: int) -> tuple[float, i
             live_counts.append(metrics["live"])
         last = now
 
-    ColumnarReplayEngine(spec, seed=3, retention_epochs=24).run(on_epoch=on_epoch)
+    ColumnarReplayEngine(spec, seed=3).run(on_epoch=on_epoch)
     return sum(timings) / len(timings), int(sum(live_counts) / len(live_counts))
 
 

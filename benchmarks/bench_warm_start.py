@@ -5,8 +5,8 @@ Fig. 5/6/8 campaigns spend thousands of epochs in -- the warm-started
 Benders solver certifies the previous epoch's optimum in a single
 master/slave round, cutting master iterations by at least 2x against cold
 solves while returning bit-identical decisions.  The monitoring layer's
-write-then-merge path is tracked alongside, since every steady-state epoch
-writes each slice's samples and then reads its merged peak history.
+write-then-read path is tracked alongside, since every steady-state epoch
+reports each slice's samples and then reads its peak history.
 
 Record/compare a baseline with::
 
@@ -123,7 +123,7 @@ def _loaded_monitoring(num_slices=8, num_bs=6, num_epochs=200, samples=12):
 
 
 def test_peak_history_after_write(benchmark):
-    """One epoch's write plus the cross-station merge the next read runs."""
+    """One epoch's reports at six stations plus the next read."""
     monitoring = _loaded_monitoring()
     monitoring.peak_history("slice-0")
     samples = np.full(12, 25.0)

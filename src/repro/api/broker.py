@@ -653,8 +653,16 @@ class SliceBroker:
     def report_load(
         self, slice_name: str, base_station: str, epoch: int, samples_mbps
     ) -> None:
-        """Feed monitoring samples for one slice at one base station."""
-        self._orchestrator.observe_load(slice_name, base_station, epoch, samples_mbps)
+        """Feed monitoring samples for one slice at one base station.
+
+        A non-finite sample, or an epoch older than the slice's last report
+        (at any of its base stations), is a ``ValidationError`` and records
+        nothing.
+        """
+        try:
+            self._orchestrator.observe_load(slice_name, base_station, epoch, samples_mbps)
+        except ValueError as error:
+            raise ValidationError(str(error), details={"slice_name": slice_name}) from error
 
     @_synchronized
     def set_forecast_overrides(self, overrides: Mapping[str, ForecastInput]) -> None:

@@ -134,8 +134,8 @@ class ForecastingBlock:
     ) -> ForecastOutcome:
         """``forecaster.forecast(history)``, folding only the peaks that
         arrived since ``name`` was last forecast by the same tier.  Anything
-        else -- a rewritten old peak, a tier change, a sliding retention
-        window -- fails the prefix test and folds the history from scratch."""
+        else -- a raised last peak, a tier change, a renewal the memo forgot
+        -- fails the prefix test and folds the history from scratch."""
         observations = forecaster.observations(history)
         entry = self._folds.get(name)
         if entry is not None and entry[0] is forecaster and _is_prefix(entry[1], history):

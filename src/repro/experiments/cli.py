@@ -193,9 +193,7 @@ def _trace_replay_factory(full: bool):
     from repro.workloads import campaigns as workload_campaigns
 
     trace = workload_campaigns.CITY_TRACE if full else workload_campaigns.QUICK_TRACE
-    campaign = workload_campaigns.trace_replay_campaign(
-        trace, num_replays=2, retention_epochs=trace.epochs_per_day * 7
-    )
+    campaign = workload_campaigns.trace_replay_campaign(trace, num_replays=2)
 
     def render(result: CampaignResult) -> str:
         return workload_campaigns.format_trace_replay(

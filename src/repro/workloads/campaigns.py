@@ -78,12 +78,7 @@ CITY_TRACE = TraceSpec(
 def _run_trace_replay(spec: RunSpec) -> dict[str, Any]:
     """Replay the spec's trace through the columnar engine."""
     trace = TraceSpec.from_dict(spec.params["trace"])
-    retention = spec.params.get("retention_epochs")
-    engine = ColumnarReplayEngine(
-        trace,
-        seed=spec.seed if spec.seed is not None else 0,
-        retention_epochs=int(retention) if retention is not None else None,
-    )
+    engine = ColumnarReplayEngine(trace, seed=spec.seed if spec.seed is not None else 0)
     result = engine.run()
     return {
         "summary": result.summary(),
@@ -99,7 +94,6 @@ def _run_trace_replay(spec: RunSpec) -> dict[str, Any]:
 def trace_replay_campaign(
     trace: TraceSpec,
     num_replays: int = 2,
-    retention_epochs: int | None = None,
     base_seed: int = 23,
 ) -> Campaign:
     """Declare ``num_replays`` independent replays of one trace.
@@ -115,7 +109,6 @@ def trace_replay_campaign(
             kind="trace-replay",
             params={
                 "trace": trace.to_dict(),
-                "retention_epochs": retention_epochs,
                 "replay_index": index,
             },
         )

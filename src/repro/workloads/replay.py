@@ -23,11 +23,10 @@ Two tiers share the same byte-deterministic trace stream
   - live count, occupancy and revenue rate are incremental scalars,
     updated by the epoch's deltas only.
 
-  Per-epoch aggregates stream onto a ring-buffer
-  :class:`~repro.controlplane.tsdb.TimeSeriesStore` (bounded by its
-  ``retention_epochs``), and the digest of the per-epoch summary stream
-  (:attr:`ReplayResult.stream_fingerprint`) is bit-stable per
-  ``(spec, seed)``.
+  Every per-epoch metric is kept for the whole horizon in
+  :attr:`ReplayResult.history` (nine floats an epoch), and the digest of
+  the per-epoch summary stream (:attr:`ReplayResult.stream_fingerprint`)
+  is bit-stable per ``(spec, seed)``.
 """
 
 from __future__ import annotations
@@ -39,13 +38,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.controlplane.tsdb import TimeSeriesStore
 from repro.core.slices import TEMPLATES, SliceRequest
 from repro.workloads.trace import EpochBatch, TraceSpec, iter_trace
 
 __all__ = ["ReplayResult", "ColumnarReplayEngine", "BrokerReplayDriver"]
 
-#: Per-epoch metric series the columnar engine streams onto the TSDB.
+#: Per-epoch metric series the columnar engine records in its history.
 REPLAY_METRICS = (
     "arrivals",
     "admitted",
@@ -149,25 +147,9 @@ class _SliceTable:
 class ColumnarReplayEngine:
     """Replay a trace at city scale with O(churn) work per epoch."""
 
-    def __init__(
-        self,
-        spec: TraceSpec,
-        seed: int = 0,
-        *,
-        tsdb: TimeSeriesStore | None = None,
-        retention_epochs: int | None = None,
-    ) -> None:
+    def __init__(self, spec: TraceSpec, seed: int = 0) -> None:
         self.spec = spec
         self.seed = int(seed)
-        if tsdb is not None and retention_epochs is not None:
-            raise ValueError(
-                "pass either an existing tsdb or retention_epochs, not both"
-            )
-        self.tsdb = (
-            tsdb
-            if tsdb is not None
-            else TimeSeriesStore(retention_epochs=retention_epochs)
-        )
         classes = spec.catalogue.classes
         self._sla = np.array([cls.slice_template().sla_mbps for cls in classes])
         self._reward = np.array([cls.slice_template().reward for cls in classes])
@@ -186,7 +168,6 @@ class ColumnarReplayEngine:
         release_wheel: dict[int, list[np.ndarray]] = {}
         expire_wheel: dict[int, list[np.ndarray]] = {}
         renewals_due: dict[int, int] = {}
-        tags = {"trace": spec.name}
 
         live = 0
         occupancy = 0.0
@@ -255,7 +236,6 @@ class ColumnarReplayEngine:
             totals["expired"] += expired
             totals["renewed"] += renewed
             for name in REPLAY_METRICS:
-                self.tsdb.write(f"replay.{name}", epoch, metrics[name], tags=tags)
                 history[name].append(metrics[name])
             digest.update(
                 json.dumps(

@@ -169,6 +169,110 @@ class TestQuoteAndStatus:
         assert states == {"active": "admitted", "queued-later": "queued"}
 
 
+class TestReportLoad:
+    """A load report the monitoring track cannot take is a
+    ``ValidationError`` that records nothing."""
+
+    @staticmethod
+    def learnt_broker() -> SliceBroker:
+        """Eleven epochs of ``[5, 6]`` at one station: the quote has
+        learnt a 6 Mb/s peak with almost no spread."""
+        from repro.controlplane.orchestrator import OrchestratorConfig
+        from tests.conftest import build_tiny_topology
+
+        broker = SliceBroker(
+            topology=build_tiny_topology(),
+            solver=DirectMILPSolver(),
+            config=OrchestratorConfig(epochs_per_day=4),
+        )
+        for epoch in range(11):
+            broker.report_load("s", "bs-0", epoch, [5.0, 6.0])
+        return broker
+
+    @staticmethod
+    def embb(name: str = "s", arrival: int = 0) -> SliceRequestV1:
+        return SliceRequestV1.of(name, "eMBB", duration_epochs=5, arrival_epoch=arrival)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sample_leaves_the_forecast_learnt(self, bad):
+        """One NaN or inf used to enter the peak history and knock the
+        slice to the full-SLA forecast (49.95 Mb/s, sigma 1.0) for the
+        rest of its life."""
+        from repro.api.errors import ValidationError
+
+        broker = self.learnt_broker()
+        learnt = broker.quote(self.embb())
+        assert (learnt.forecast_peak_mbps, learnt.forecast_sigma) == (6.0, 0.001)
+        with pytest.raises(ValidationError, match="finite") as raised:
+            broker.report_load("s", "bs-0", 11, [5.0, bad])
+        assert raised.value.details == {"slice_name": "s"}
+        assert broker.quote(self.embb()) == learnt
+        history = broker.orchestrator.monitoring.peak_history("s")
+        assert history.tolist() == [6.0] * 11
+        # The epoch it refused is still open, and the next epoch forecasts
+        # the slice from what it learnt.
+        broker.report_load("s", "bs-0", 11, [5.0, 6.0])
+        broker.submit(self.embb(arrival=12))
+        broker.advance_epoch(12)
+        forecast = broker.last_problem.forecast("s")
+        assert (forecast.lambda_hat_mbps, forecast.sigma_hat) == (6.0, 0.001)
+
+    def test_older_epoch_is_a_validation_error(self):
+        from repro.api.errors import ValidationError
+
+        broker = self.learnt_broker()
+        before = broker.orchestrator.monitoring.peak_history("s")
+        for bs in ("bs-0", "bs-1"):  # at the station that reported it or not
+            with pytest.raises(ValidationError, match="epoch order"):
+                broker.report_load("s", bs, 9, [40.0])
+        assert broker.orchestrator.monitoring.peak_history("s").tolist() == before.tolist()
+        # The last epoch itself is still open at every station.
+        broker.report_load("s", "bs-1", 10, [7.0])
+        assert broker.orchestrator.monitoring.peak_history("s").tolist()[-1] == 7.0
+
+    def test_non_numeric_samples_are_a_validation_error(self):
+        from repro.api.errors import ValidationError
+
+        broker = self.learnt_broker()
+        with pytest.raises(ValidationError):
+            broker.report_load("s", "bs-0", 11, ["heavy"])
+        assert broker.orchestrator.monitoring.peak_history("s").size == 11
+
+    def test_empty_report_records_nothing(self):
+        broker = self.learnt_broker()
+        learnt = broker.quote(self.embb())
+        broker.report_load("s", "bs-0", 11, [])
+        broker.report_load("s", "bs-0", 3, [])  # not even the order is checked
+        assert broker.orchestrator.monitoring.peak_history("s").size == 11
+        assert broker.quote(self.embb()) == learnt
+
+    def test_quote_reads_the_peak_over_every_station(self):
+        broker = self.learnt_broker()
+        for epoch in range(11, 22):
+            broker.report_load("s", "bs-0", epoch, [5.0, 6.0])
+            broker.report_load("s", "bs-1", epoch, [8.0, 2.0])
+        history = broker.orchestrator.monitoring.peak_history("s")
+        assert history.tolist() == [6.0] * 11 + [8.0] * 11
+        assert broker.quote(self.embb()).forecast_peak_mbps > 6.0
+
+    def test_a_name_never_submitted_can_be_reported_and_quoted(self):
+        """Monitoring is keyed by slice name alone: load reported for a
+        name before any request carries it feeds that name's first quote."""
+        broker = self.learnt_broker()
+        assert broker.pending_count == 0 and broker.slice_count() == 0
+        quote = broker.quote(self.embb())
+        fresh = broker.quote(self.embb("never-reported"))
+        assert (quote.forecast_peak_mbps, quote.forecast_sigma) == (6.0, 0.001)
+        assert fresh.forecast_sigma == 1.0  # full-SLA pessimism: nothing learnt
+
+    def test_orchestrator_keeps_the_internal_value_error(self):
+        """Below the broker the track's refusal stays a ``ValueError``;
+        only the northbound boundary translates it."""
+        broker = self.learnt_broker()
+        with pytest.raises(ValueError, match="epoch order"):
+            broker.orchestrator.observe_load("s", "bs-0", 2, [1.0])
+
+
 class TestRelease:
     def test_release_of_queued_request_withdraws_it(self):
         broker = make_broker()

@@ -374,10 +374,11 @@ class TestMixedTraffic:
         assert broker.slice_count() == 36
 
     def test_lock_free_quote_races_report_load_opening_new_series(self):
-        """``quote`` takes no lock, and quoting a slice with no samples scans
-        every monitoring series for its base stations.  ``report_load``
-        opening a new ``(slice, bs)`` series during that scan used to raise
-        "dictionary changed size during iteration" out of ``quote``."""
+        """``quote`` takes no lock while ``report_load`` opens a new peak
+        track per slice.  When monitoring kept one series per ``(slice,
+        bs)``, quoting a slice with no samples scanned all of them, and a
+        series opened mid-scan raised "dictionary changed size during
+        iteration" out of ``quote``.  Each write must still land whole."""
         broker = make_broker()
         probe = request("never-reported")
         errors: list[Exception] = []
@@ -412,7 +413,10 @@ class TestMixedTraffic:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(broker.orchestrator.monitoring.store) == 1000
+        monitoring = broker.orchestrator.monitoring
+        for index in range(1000):
+            assert monitoring.peak_history(f"w{index}").tolist() == [1.0]
+        assert monitoring.peak_history("never-reported").size == 0
 
     def test_lock_free_quotes_race_the_forecast_memo(self):
         """``quote`` forecasts through the same per-slice memo as the epoch,

@@ -14,6 +14,9 @@ epoch:
   first forecast, renewal after a gap, double exponential handing over to
   Holt-Winters, or a rewritten old peak;
 * the memo holds exactly the slices the epoch forecast recursively.
+
+And after the 2000 epochs, monitoring holds one peak per (slice, reported
+epoch) -- not the raw samples behind it.
 """
 
 from __future__ import annotations
@@ -82,8 +85,42 @@ def tier(length: int) -> str | None:
     return None  # naive: no recursion
 
 
+def floats_held(root) -> int:
+    """Floating-point values reachable from ``root``: Python floats and the
+    elements of float arrays, through containers and object attributes."""
+    count = 0
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, float):
+            count += 1  # counted per reference: one float may fill many slots
+            continue
+        if isinstance(obj, (str, bytes, int, type(None))) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.base is not None:
+                stack.append(obj.base)  # a view: count what owns the memory
+            elif obj.dtype.kind == "f":
+                count += obj.size
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                for slot in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return count
+
+
 @pytest.fixture(scope="module")
-def soak():
+def soak_run():
     counts = Counts()
     monitoring = MonitoringService()
     orchestrator = E2EOrchestrator(
@@ -143,7 +180,12 @@ def soak():
             # A late report for this very epoch, after it was forecast on.
             monitoring.record_samples(live[0], "bs-0", epoch, [1000.0])
             bumped.add(live[0])
-    return rows
+    return {"rows": rows, "monitoring": monitoring, "reported": sum(lengths.values())}
+
+
+@pytest.fixture(scope="module")
+def soak(soak_run):
+    return soak_run["rows"]
 
 
 def test_each_epoch_folds_one_peak_per_continuing_slice(soak):
@@ -165,3 +207,14 @@ def test_the_steady_state_epoch_does_not_grow_with_age(soak):
     # First forecasts, hand-overs, renewals and bumps: ~1 in 100 forecasts.
     refolds = sum(row["fits"] for row in soak)
     assert 0 < refolds < 0.02 * sum(row["recursive"] for row in soak)
+
+
+def test_every_reported_epoch_has_one_peak(soak_run):
+    monitoring = soak_run["monitoring"]
+    peaks = sum(monitoring.peak_history(name).size for name in NAMES)
+    assert peaks == soak_run["reported"]
+
+
+def test_monitoring_holds_one_peak_per_reported_epoch(soak_run):
+    # Three samples went into every report; none of them is kept.
+    assert floats_held(soak_run["monitoring"]) == soak_run["reported"]

@@ -1,5 +1,6 @@
 """Tests for the simulation engine and policy runner."""
 
+import numpy as np
 import pytest
 
 from repro.core.slices import EMBB_TEMPLATE
@@ -71,6 +72,27 @@ class TestOnlineMode:
         # exceed the number of requests that have arrived (epoch 4 -> 3 reqs).
         assert "uRLLC1" in result.final_admitted
         assert 1 <= result.num_admitted <= 3
+
+    def test_every_report_lands_on_its_slice_peak_track(self):
+        """The engine reports each active slice at every base station each
+        epoch; monitoring keeps, per slice, the peak over all of them."""
+        scenario = make_testbed_scenario(num_epochs=6, seed=2)
+        engine = SimulationEngine(scenario, make_solver("optimal"))
+        reports: dict[str, dict[int, float]] = {}
+        report_load = engine.broker.report_load
+
+        def recording(name, bs, epoch, samples):
+            peaks = reports.setdefault(name, {})
+            peaks[epoch] = max(peaks.get(epoch, 0.0), float(np.max(samples)))
+            report_load(name, bs, epoch, samples)
+
+        engine.broker.report_load = recording
+        engine.run()
+        monitoring = engine.orchestrator.monitoring
+        assert reports
+        for name, peaks in reports.items():
+            want = [peaks[epoch] for epoch in sorted(peaks)]
+            assert monitoring.peak_history(name).tolist() == want, name
 
     def test_usage_recorded_when_requested(self):
         scenario = make_testbed_scenario(num_epochs=4, seed=2)

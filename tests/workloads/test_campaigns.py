@@ -43,7 +43,7 @@ class TestRunKind:
         spec = RunSpec(
             experiment="t",
             kind="trace-replay",
-            params={"trace": tiny_trace().to_dict(), "retention_epochs": None},
+            params={"trace": tiny_trace().to_dict()},
             seed=7,
         )
         record = execute_spec(spec)
@@ -59,7 +59,7 @@ class TestRunKind:
         spec = RunSpec(
             experiment="t",
             kind="trace-replay",
-            params={"trace": trace.to_dict(), "retention_epochs": None},
+            params={"trace": trace.to_dict()},
             seed=7,
         )
         record = execute_spec(spec)
@@ -77,6 +77,15 @@ class TestCampaign:
         assert (second.num_executed, second.num_cached) == (0, 2)
         assert [r.as_dict() for r in first.records] == [
             r.as_dict() for r in second.records
+        ]
+
+    def test_specs_carry_only_the_trace_and_the_replay_index(self):
+        # The cache key is a function of these params: a replay is
+        # determined by its trace and seed, and nothing else enters it.
+        trace = tiny_trace()
+        campaign = trace_replay_campaign(trace, num_replays=2)
+        assert [spec.params for spec in campaign.specs] == [
+            {"trace": trace.to_dict(), "replay_index": index} for index in range(2)
         ]
 
     def test_replays_draw_independent_seeds(self):
@@ -112,6 +121,13 @@ class TestCli:
     def test_full_profile_uses_city_trace(self):
         campaign, _ = CAMPAIGNS["trace-replay"].build(True)
         assert campaign.name == f"trace-replay-{CITY_TRACE.name}"
+
+    @pytest.mark.parametrize("full, trace", [(False, QUICK_TRACE), (True, CITY_TRACE)])
+    def test_each_profile_replays_its_trace_twice(self, full, trace):
+        campaign, _ = CAMPAIGNS["trace-replay"].build(full)
+        assert [spec.params for spec in campaign.specs] == [
+            {"trace": trace.to_dict(), "replay_index": index} for index in range(2)
+        ]
 
     def test_run_command_renders_summary(self, tmp_path):
         out = io.StringIO()

@@ -1,21 +1,23 @@
-"""Columnar replay engine tests: differential reference, invariants, TSDB.
+"""Columnar replay engine tests: differential reference, invariants, history.
 
 ``naive_replay`` re-implements the engine's semantics the slow, obvious
 way -- a Python list of live slices scanned every epoch -- and the
 differential tests require the wheel-based engine to match it metric for
 metric.  Conservation and capacity invariants then hold on the city
-catalogue, and the per-epoch aggregation is shown to land on a bounded
-ring-buffer TSDB.
+catalogue, and the per-epoch history is shown to hold every metric of
+every epoch: what the callback saw, what the totals sum and what the
+stream fingerprint digests.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from repro.controlplane.tsdb import TimeSeriesStore
 from repro.workloads.campaigns import QUICK_TRACE
 from repro.workloads.catalogue import CITY_CATALOGUE
 from repro.workloads.replay import REPLAY_METRICS, ColumnarReplayEngine
@@ -189,28 +191,39 @@ class TestDeterminismAndAggregation:
         assert first.stream_fingerprint == second.stream_fingerprint
         assert first.stream_fingerprint != other.stream_fingerprint
 
-    def test_tsdb_retention_bounds_series(self):
+    def test_history_holds_every_metric_of_every_epoch(self):
         spec = small_spec(horizon_epochs=48)
-        engine = ColumnarReplayEngine(spec, seed=1, retention_epochs=12)
-        engine.run()
-        series = engine.tsdb.per_epoch_aggregate(
-            "replay.live", tags={"trace": spec.name}
+        seen: list[dict[str, float]] = []
+        result = ColumnarReplayEngine(spec, seed=1).run(
+            on_epoch=lambda epoch, metrics: seen.append(dict(metrics))
         )
-        assert sorted(series) == list(range(36, 48))
-
-    def test_external_tsdb_receives_every_metric(self):
-        store = TimeSeriesStore()
-        spec = small_spec(horizon_epochs=10)
-        ColumnarReplayEngine(spec, seed=1, tsdb=store).run()
+        assert set(result.history) == set(REPLAY_METRICS)
         for name in REPLAY_METRICS:
-            values = store.values(f"replay.{name}", tags={"trace": spec.name})
-            assert len(values) == spec.horizon_epochs
+            assert result.history[name] == [metrics[name] for metrics in seen], name
 
-    def test_tsdb_and_retention_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            ColumnarReplayEngine(
-                small_spec(), tsdb=TimeSeriesStore(), retention_epochs=4
+    def test_history_is_what_the_stream_fingerprint_digests(self):
+        spec = small_spec(horizon_epochs=30)
+        result = ColumnarReplayEngine(spec, seed=2).run()
+        digest = hashlib.sha256()
+        for epoch in range(spec.horizon_epochs):
+            metrics = {name: result.history[name][epoch] for name in REPLAY_METRICS}
+            digest.update(
+                json.dumps(
+                    {"epoch": epoch, **metrics}, sort_keys=True, separators=(",", ":")
+                ).encode("utf-8")
             )
+        assert digest.hexdigest() == result.stream_fingerprint
+
+    @pytest.mark.parametrize("seed", [0, 8, 13])
+    def test_history_adds_up_to_the_totals(self, seed):
+        result = ColumnarReplayEngine(small_spec(), seed=seed).run()
+        history = result.history
+        for name in ("arrivals", "admitted", "rejected", "released", "expired", "renewed"):
+            assert sum(history[name]) == getattr(result, f"total_{name}"), name
+        assert max(history["live"]) == result.peak_live
+        assert history["live"][-1] == result.final_live
+        assert result.mean_live == sum(history["live"]) / result.epochs
+        assert max(history["occupancy_mbps"]) == result.peak_occupancy_mbps
 
     def test_on_epoch_callback_sees_every_epoch(self):
         seen: list[int] = []
