@@ -65,6 +65,7 @@ from repro.api.errors import (
 )
 from repro.api.events import EventBus, LifecycleEvent, LifecycleEventKind
 from repro.controlplane.orchestrator import (
+    REUSED_MESSAGE,
     E2EOrchestrator,
     EpochCheckpoint,
     OrchestratorConfig,
@@ -770,7 +771,7 @@ class SliceBroker:
             )
         degraded = bool(reasons)
         idle = stats.solver == "idle"
-        reused = stats.message == "reused unchanged decision from previous epoch"
+        reused = stats.message == REUSED_MESSAGE
         # Health bookkeeping: when the orchestrator's solver is the
         # safeguarded chain sharing this monitor, a real (non-reused) solve
         # already noted its tier outcome -- the broker only adds what the

@@ -35,14 +35,10 @@ from repro.controlplane.state import (
     SliceStateError,
 )
 from repro.core.forecast_inputs import ForecastInput
-from repro.core.problem import (
-    ACRRProblem,
-    ProblemOptions,
-    ProblemStructureCache,
-    topology_signature,
-)
+from repro.core.problem import ACRRProblem, ProblemOptions, ProblemStructureCache
 from repro.core.slices import SliceRequest
 from repro.core.solution import OrchestrationDecision
+from repro.faults.safeguard import TIER_PRIMARY
 from repro.forecasting import (
     DoubleExponentialForecaster,
     Forecaster,
@@ -56,6 +52,10 @@ from repro.topology.network import NetworkTopology
 from repro.topology.paths import PathSet, compute_path_sets
 from repro.utils.journal import Journal, assign
 
+#: ``stats.message`` of a decision the orchestrator reused instead of
+#: running the solver.
+REUSED_MESSAGE = "reused unchanged decision from previous epoch"
+
 
 @dataclass(frozen=True)
 class OrchestratorConfig:
@@ -63,11 +63,13 @@ class OrchestratorConfig:
 
     ``reuse_unchanged_decisions`` short-circuits the solver when the AC-RR
     problem of the current epoch is semantically identical to the previous
-    epoch's (same request set, options, forecasts and solver): every solver
-    in this codebase is deterministic, so re-solving an unchanged problem
-    returns the unchanged decision.  Steady-state simulations (the Fig. 5 /
-    Fig. 6 oracle scenarios) hit this on every epoch after the admission
-    settles; disable it when benchmarking raw solver latency.
+    epoch's (same :meth:`~repro.core.problem.ACRRProblem.identity`,
+    forecasts, metadata, topology, path set and solver) and the previous
+    decision came from the primary tier: every solver in this codebase is
+    deterministic, so re-solving an unchanged problem returns the unchanged
+    decision.  Steady-state simulations (the Fig. 5 / Fig. 6 oracle
+    scenarios) hit this on every epoch after the admission settles; disable
+    it when benchmarking raw solver latency.
     """
 
     epochs_per_day: int = 24
@@ -226,9 +228,9 @@ class E2EOrchestrator:
         #: Reuses the ACRRProblem skeleton across epochs with an unchanged
         #: request set and options (see DESIGN.md).
         self.problem_cache = ProblemStructureCache()
-        #: (solve key, decision) of the last actual solver run, stored as one
-        #: atomic pair so a failure later in run_epoch can never pair a stale
-        #: decision with a fresh key.
+        #: (reuse key, decision) of the last primary-tier solver run, stored
+        #: as one atomic pair so a failure later in run_epoch can never pair
+        #: a stale decision with a fresh key.
         self._last_solve: tuple[tuple, OrchestrationDecision] | None = None
         #: Optional :class:`repro.faults.FaultInjector` (chaos testing).
         self.fault_injector = None
@@ -416,16 +418,14 @@ class E2EOrchestrator:
             )
 
         options = self._problem_options(bool(committed_requests))
-        topo_signature = topology_signature(self.topology)
         problem = self.problem_cache.build(
             topology=self.topology,
             path_set=self.path_set,
             requests=requests,
             forecasts=forecasts,
             options=options,
-            topo_signature=topo_signature,
         )
-        decision = self._solve(problem, requests, forecasts, topo_signature)
+        decision = self._solve(problem)
         self._update_registry(epoch, decision)
         self.controllers.apply(problem, decision)
         assign(self, "last_problem", problem)
@@ -509,38 +509,33 @@ class E2EOrchestrator:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _solve(
-        self,
-        problem: ACRRProblem,
-        requests: list[SliceRequest],
-        forecasts: dict[str, ForecastInput],
-        topo_signature: tuple,
-    ) -> OrchestrationDecision:
+    def _solve(self, problem: ACRRProblem) -> OrchestrationDecision:
         """Solve the epoch's problem, reusing the previous decision when the
-        problem (and the solver) did not change since the last epoch."""
-        solve_key = (
-            # The topology, path set and solver objects themselves (not ids):
+        problem (and the solver) did not change since the last epoch.
+
+        Only a primary-tier decision is kept for reuse: a safeguard fallback
+        is no certificate, so the next epoch asks the solver again."""
+        key = (
+            # The solver, topology and path set objects themselves (not ids):
             # the strong references pin their identity even if the public
-            # attributes are later swapped for new objects.  The content
-            # signature additionally catches in-place topology mutation.
-            self.topology,
-            topo_signature,
-            self.path_set,
+            # attributes are later swapped for new objects.
             self.solver,
-            problem.structure_signature(),
-            tuple((request.name, forecasts[request.name]) for request in requests),
+            problem.topology,
+            problem.path_set,
+            problem.identity(),
+            tuple(problem.forecast(request.name) for request in problem.requests),
             # Full metadata, not just the fields today's solvers read: any
             # metadata change must invalidate the reuse.
-            tuple(tuple(sorted(request.metadata.items())) for request in requests),
+            tuple(tuple(sorted(request.metadata.items())) for request in problem.requests),
         )
         if (
             self.config.reuse_unchanged_decisions
             and self._last_solve is not None
-            and self._last_solve[0] == solve_key
+            and self._last_solve[0] == key
         ):
             cached = self._last_solve[1]
             # Same allocations and objective, but honest diagnostics: this
-            # epoch did no solver work.
+            # epoch did no solver work, so it retried and fell back nowhere.
             return OrchestrationDecision(
                 allocations=cached.allocations,
                 objective_value=cached.objective_value,
@@ -550,12 +545,15 @@ class E2EOrchestrator:
                     iterations=0,
                     cuts_optimality=0,
                     cuts_feasibility=0,
-                    message="reused unchanged decision from previous epoch",
+                    retries=0,
+                    fallback_reason="",
+                    message=REUSED_MESSAGE,
                 ),
                 deficits=cached.deficits,
             )
         decision = self.solver.solve(problem)
-        assign(self, "_last_solve", (solve_key, decision))
+        reusable = decision.stats.tier == TIER_PRIMARY
+        assign(self, "_last_solve", (key, decision) if reusable else None)
         return decision
 
     def _problem_options(self, has_committed: bool) -> ProblemOptions:

@@ -23,9 +23,9 @@ after finitely many iterations.
 Cross-epoch warm start (see DESIGN.md, "Warm-started solver layer"): the
 orchestrator re-solves a nearly identical instance every decision epoch, so
 the solver persists the dual multipliers behind every cut in a
-:class:`CutPool` keyed by problem structure.  On the next structurally
-matching solve the stored multipliers are *re-validated* against the new
-instance -- the slave constraint matrix ``G`` is forecast-independent, so a
+:class:`CutPool` keyed by :meth:`ACRRProblem.identity`.  On the next solve
+of the same identity the stored multipliers are *re-validated* against the
+new instance -- the slave constraint matrix ``G`` is forecast-independent, so a
 stored ``mu >= 0`` yields a provably valid inequality for the new master
 once its right-hand side is re-derived from the new ``(h0, H)`` and relaxed
 by the (computable) dual-infeasibility slack against the new objective.
@@ -55,11 +55,7 @@ from repro.core.lpsolver import (
     solve_milp,
     stack_columns,
 )
-from repro.core.problem import (
-    ACRRProblem,
-    InfeasibleProblemError,
-    topology_signature,
-)
+from repro.core.problem import ACRRProblem, InfeasibleProblemError
 from repro.core.solution import (
     OrchestrationDecision,
     SolverStats,
@@ -171,24 +167,6 @@ class _MasterState:
         )
 
 
-def warm_start_key(problem: ACRRProblem) -> tuple:
-    """Pool key: everything that shapes the slave system's sparsity.
-
-    Built from :meth:`ACRRProblem.warm_start_signature` (the request set
-    minus arrival epochs, which never enter the MILP matrices -- so a
-    *renewed* slice warm-starts from the cuts of its previous life) plus the
-    topology content signature.  Correctness never rests on this key: every
-    stored multiplier is re-validated against the new instance before it
-    seeds a cut (see :meth:`CutPool.seed_master`), and a stored incumbent is
-    returned only once re-certified on the new instance, so a key collision
-    can only cost work, not accuracy.
-    """
-    return (
-        problem.warm_start_signature(),
-        topology_signature(problem.topology),
-    )
-
-
 @dataclass(frozen=True)
 class _PoolEntry:
     """Stored warm-start state of one problem structure.  Immutable: the
@@ -214,7 +192,9 @@ class _PoolEntry:
 
 
 class CutPool:
-    """Cross-epoch persistence of Benders cuts, keyed by problem structure.
+    """Cross-epoch persistence of Benders cuts, keyed by
+    :meth:`ACRRProblem.identity` (no arrival epochs: a *renewed* slice
+    warm-starts from the cuts of its previous life).
 
     The pool stores the *dual multipliers* ``mu`` behind each cut rather
     than the cut coefficients themselves: coefficients ``(H' mu, -h0' mu)``
@@ -234,7 +214,8 @@ class CutPool:
     whose cut was slack at the seeded master's optimum, or skipped at
     seeding, :data:`_MAX_IDLE_SOLVES` + 1 solves running is dropped.
     Eviction cannot cost validity -- every seeded cut is still re-proven and
-    a miss still runs the cold loop -- only, at worst, a certification.
+    a miss still runs the cold loop -- only, at worst, a certification; nor
+    can a key collision, for the same reason.
     """
 
     JOURNALED = ("_entries", "seeded_total", "dropped_total")
@@ -564,12 +545,8 @@ class BendersSolver:
         # Builds the block stack before any round hands the slave to a helper.
         theta_lowers = np.array([block.theta_lower for block in slave.blocks()])
 
-        pool_key: tuple | None = None
         if self.cut_pool is not None:
-            pool_key = warm_start_key(problem)
-            fast = self._warm_fast_path(
-                problem, slave, cost_x, theta_lowers, pool_key, start
-            )
+            fast = self._warm_fast_path(problem, slave, cost_x, theta_lowers, start)
             if fast is not None:
                 return fast
 
@@ -601,7 +578,7 @@ class BendersSolver:
         stats = self._loop_stats(state, runtime_s=time.perf_counter() - start)
         if self.cut_pool is not None:
             self.cut_pool.record(
-                pool_key, len(slave.h0), state.multipliers, state.best_x
+                problem.identity(), len(slave.h0), state.multipliers, state.best_x
             )
         return decision_from_vectors(problem, state.best_x, state.best_z, stats)
 
@@ -707,7 +684,6 @@ class BendersSolver:
         slave: SlaveProblem,
         cost_x: np.ndarray,
         theta_lowers: np.ndarray,
-        pool_key: tuple,
         start: float,
     ) -> OrchestrationDecision | None:
         """One-iteration re-certification of the previous epoch's optimum.
@@ -737,8 +713,9 @@ class BendersSolver:
         (a renewal the orchestrator's decision reuse did not catch) takes
         this same path: it re-certifies or runs cold, same decision.
         """
+        pool_key = problem.identity()
         if self.cut_pool.entry(pool_key) is None:
-            # Structurally unknown instance: nothing to seed.
+            # An identity never solved: nothing to seed.
             return None
         seeded_master = _MasterState(problem, cost_x, theta_lowers)
         seeded, previous_x = self.cut_pool.seed_master(pool_key, seeded_master, slave)

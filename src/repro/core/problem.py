@@ -40,6 +40,13 @@ pair, one array per attribute) and every vector and matrix is index
 arithmetic on it, assembled column-major in canonical form -- the layout
 HiGHS takes (see DESIGN.md, "Incremental solver layer").  The per-item
 :class:`ProblemItem` objects survive as a lazily materialised view.
+
+An instance has one *identity* (:func:`problem_identity`, memoized as
+:meth:`ACRRProblem.identity`): the request fields the matrices read, the
+options and the capacity snapshot -- everything but the forecasts.  It is
+the one key of every reuse layer: the :class:`ProblemStructureCache`
+below, the Benders cut pool, the safeguard's certified decision and the
+orchestrator's decision reuse.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from repro.core.forecast_inputs import ForecastInput
 from repro.core.lpsolver import canonical_csc, gather_slices
 from repro.core.risk import deficit_probability_proxy
 from repro.core.slices import SliceRequest
+from repro.topology.elements import DomainCapacities
 from repro.topology.network import NetworkTopology
 from repro.topology.paths import Path, PathSet
 from repro.utils.journal import assign
@@ -122,27 +130,28 @@ class InfeasibleProblemError(RuntimeError):
     """Raised when the AC-RR instance has no feasible solution."""
 
 
-def _request_structure_key(request: SliceRequest) -> tuple:
-    """The fields of a request that shape the MILP structure.
+def problem_identity(
+    requests: list[SliceRequest], options: ProblemOptions, capacities: DomainCapacities
+) -> tuple:
+    """The one answer to "is this the same AC-RR problem?" (see DESIGN.md,
+    "Control-plane structure cache").
 
-    Metadata is excluded on purpose: it only steers heuristics (e.g. the
-    KAC compute-unit preference), never the constraint matrices.
+    Per request only the fields a matrix reads (name, template, duration,
+    penalty, committed flag) -- not the arrival epoch, which nothing here
+    reads, and not the metadata, which only steers heuristics -- then the
+    options and the capacity snapshot, sorted per domain.  Forecasts are
+    excluded: problems with equal identities built on the same topology and
+    path set differ in the forecast columns only.
     """
     return (
-        request.name,
-        request.template,
-        request.duration_epochs,
-        request.penalty_factor,
-        request.arrival_epoch,
-        request.committed,
-    )
-
-
-def _structure_signature(requests: list[SliceRequest], options: "ProblemOptions") -> tuple:
-    """Everything that shapes the items and constraint sparsity."""
-    return (
-        tuple(_request_structure_key(request) for request in requests),
+        tuple(
+            (r.name, r.template, r.duration_epochs, r.penalty_factor, r.committed)
+            for r in requests
+        ),
         options,
+        tuple(sorted(capacities.radio_mhz.items())),
+        tuple(sorted(capacities.transport_mbps.items())),
+        tuple(sorted(capacities.compute_cpus.items())),
     )
 
 
@@ -156,22 +165,6 @@ def _normalized_forecasts(
         ).clamped(request.sla_mbps)
         for request in requests
     }
-
-
-def topology_signature(topology: NetworkTopology) -> tuple:
-    """Content signature of everything the AC-RR problem reads off a topology.
-
-    The structure/decision caches key topologies by identity for speed, but
-    topologies are mutable (``add_base_station`` etc.); this cheap snapshot
-    of the element names and capacities catches in-place mutation between
-    epochs so a stale skeleton or decision is never reused.
-    """
-    capacities = topology.capacities()
-    return (
-        tuple(sorted(capacities.radio_mhz.items())),
-        tuple(sorted(capacities.transport_mbps.items())),
-        tuple(sorted(capacities.compute_cpus.items())),
-    )
 
 
 @dataclass
@@ -524,39 +517,11 @@ class ACRRProblem:
     # Structure reuse (see DESIGN.md, "Control-plane structure cache")
     # ------------------------------------------------------------------ #
     @_structural
-    def structure_signature(self) -> tuple:
-        """Hashable key of everything that shapes the items and constraint
-        sparsity: the request set (names, templates, durations, penalties,
-        arrival epochs, committed flags) and the problem options.  Forecasts
-        are deliberately excluded -- two problems with equal signatures built
-        against the same topology and path set share their skeleton.  The
-        tuple is memoized per instance."""
-        return _structure_signature(self.requests, self.options)
-
-    @_structural
-    def warm_start_signature(self) -> tuple:
-        """Like :meth:`structure_signature`, minus the arrival epochs.
-
-        Arrival epochs never enter the MILP matrices -- they only matter for
-        release timing -- so two instances that differ *only* in arrivals
-        (e.g. a renewed slice) pose byte-identical solver systems.  The
-        cross-epoch warm-start layer keys its cut pool on this signature so
-        renewals inherit the cuts of their previous life; see
-        :func:`repro.core.benders.warm_start_key`.  Memoized per instance.
-        """
-        return (
-            tuple(
-                (
-                    request.name,
-                    request.template,
-                    request.duration_epochs,
-                    request.penalty_factor,
-                    request.committed,
-                )
-                for request in self.requests
-            ),
-            self.options,
-        )
+    def identity(self) -> tuple:
+        """:func:`problem_identity` of this instance, against the capacity
+        snapshot taken at construction.  Memoized per structure: every
+        :meth:`with_forecasts` clone shares it."""
+        return problem_identity(self.requests, self.options, self._capacities)
 
     def with_forecasts(
         self,
@@ -565,22 +530,20 @@ class ACRRProblem:
     ) -> "ACRRProblem":
         """Clone this problem's skeleton with new forecast inputs.
 
-        ``requests`` must be structurally identical to this instance's (same
-        :func:`structure_signature`); the freshly supplied objects are swapped
+        ``requests`` must give this instance's :meth:`identity`; the freshly
+        supplied objects (arrival epochs, metadata and all) are swapped
         in so request metadata (e.g. the preferred compute unit recorded by
         the orchestrator) stays current.  The clone shares the item table and
         everything built from it alone (capacity and selection blocks, the
-        capacity stencil, resource blocks, signatures); only the three
+        capacity stencil, resource blocks, the identity); only the three
         forecast columns are rewritten, and what they enter -- the
         objective, the coupling block, the floor footprint --
         rebuilds lazily on the clone, so cached and cold builds yield
         identical matrices.
         """
-        expected = [_request_structure_key(r) for r in self.requests]
-        provided = [_request_structure_key(r) for r in requests]
-        if expected != provided:
+        if problem_identity(requests, self.options, self._capacities) != self.identity():
             raise ValueError(
-                "with_forecasts requires a structurally identical request set"
+                "with_forecasts requires a request set of the same identity"
             )
         # Shallow copy: every structural attribute (topology, path set,
         # capacities, the table, the structure cache, ...) is shared
@@ -871,18 +834,18 @@ class ProblemStructureCache:
     The orchestrator rebuilds the AC-RR problem every decision epoch, but in
     steady state only the forecasts change: the active request set, the path
     set and the options stay put for many consecutive epochs.  This cache
-    compares the structural signature of the incoming build request against
-    the previously built problem (topology and path set by identity, requests
-    and options by value) and, on a hit, clones the skeleton via
+    compares the incoming build against the previously built problem --
+    topology and path set by object, everything else by
+    :func:`problem_identity` over the topology's live capacities, which
+    catches in-place link damage -- and, on a hit, clones the skeleton via
     :meth:`ACRRProblem.with_forecasts` instead of re-running path filtering,
     item construction and constraint-block assembly from scratch.
     """
 
-    JOURNALED = ("_problem", "_topology_signature", "hits", "misses")
+    JOURNALED = ("_problem", "hits", "misses")
 
     def __init__(self) -> None:
         self._problem: ACRRProblem | None = None
-        self._topology_signature: tuple | None = None
         self.hits = 0
         self.misses = 0
 
@@ -893,24 +856,15 @@ class ProblemStructureCache:
         requests: list[SliceRequest],
         forecasts: dict[str, ForecastInput],
         options: ProblemOptions | None = None,
-        topo_signature: tuple | None = None,
     ) -> ACRRProblem:
-        """Build (or rebind) the AC-RR problem for one epoch.
-
-        ``topo_signature`` lets the caller pass an already-computed
-        :func:`topology_signature` so it is not derived twice per epoch.
-        """
+        """Build (or rebind) the AC-RR problem for one epoch."""
         options = options or ProblemOptions()
-        signature = _structure_signature(requests, options)
-        if topo_signature is None:
-            topo_signature = topology_signature(topology)
         cached = self._problem
         if (
             cached is not None
             and cached.topology is topology
             and cached.path_set is path_set
-            and self._topology_signature == topo_signature
-            and cached.structure_signature() == signature
+            and cached.identity() == problem_identity(requests, options, topology.capacities())
         ):
             assign(self, "hits", self.hits + 1)
             problem = cached.with_forecasts(requests, forecasts)
@@ -924,5 +878,4 @@ class ProblemStructureCache:
                 options=options,
             )
         assign(self, "_problem", problem)
-        assign(self, "_topology_signature", topo_signature)
         return problem

@@ -16,7 +16,7 @@ Values are rendered by type: tables in their insertion order (a rollback
 restores it), arrays by digest, frozen dataclasses field by field (scratch
 fields are ``compare=False`` and left out), decisions without their solver
 statistics (wall-clock runtimes differ between twins) and problems by their
-structure signature and forecasts.  Anything else is its ``repr`` with
+identity and forecasts.  Anything else is its ``repr`` with
 object addresses masked.
 
 Deliberately excluded, by being declared nowhere: monitoring history and
@@ -42,7 +42,7 @@ from repro.core.solution import OrchestrationDecision
 from repro.utils.journal import declared_state
 
 #: CPython reprs embed object addresses (``<PathSet object at 0x7f...>``);
-#: the decision-reuse signature holds such objects.  Masking the address
+#: the decision-reuse key holds such objects.  Masking the address
 #: keeps the digest stable across process runs and equal between twin
 #: brokers in the same state -- the objects' *content* is already covered by
 #: the other payload sections (capacities, requests, decisions).
@@ -74,7 +74,7 @@ def _payload(value) -> object:
         return _decision_payload(value)
     if isinstance(value, ACRRProblem):
         return [
-            _payload(value.structure_signature()),
+            _payload(value.identity()),
             [_payload(value.forecast(request.name)) for request in value.requests],
         ]
     if dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen:

@@ -11,11 +11,13 @@ when the primary path fails.  The tiers, strongest first:
     unsafeguarded run.
 ``warm_replay``
     Replay the last *certified* decision (produced by a successful primary
-    solve) -- only when the problem's structure signature, topology
-    signature and request set are unchanged, so the replayed reservations
-    are still capacity-feasible.  May be stale w.r.t. this epoch's
-    forecasts; never overbooks physical resources beyond what was
-    certified.
+    solve) -- only when the problem's identity
+    (:meth:`repro.core.problem.ACRRProblem.identity`: request set, options
+    and capacities) is unchanged, so the replayed reservations are still
+    capacity-feasible.
+    May be stale w.r.t. this epoch's forecasts; never overbooks physical
+    resources beyond what was certified.  A replay is a fallback, never a
+    certificate: it is reported as this tier and certifies nothing.
 ``no_overbooking``
     Solve the no-overbooking variant exactly (full-SLA reservations).
     Bit-identical to :class:`~repro.core.baseline.NoOverbookingSolver` on
@@ -40,7 +42,7 @@ import enum
 from dataclasses import replace
 
 from repro.core.baseline import NoOverbookingSolver
-from repro.core.problem import ACRRProblem, topology_signature
+from repro.core.problem import ACRRProblem
 from repro.core.solution import (
     OrchestrationDecision,
     SolverStats,
@@ -152,9 +154,9 @@ class SafeguardedSolver:
         self.baseline = baseline or NoOverbookingSolver()
         self.max_retries = max_retries
         self.health = health or HealthMonitor()
-        #: Last certified decision: (structure signature, topology
-        #: signature, decision) of the most recent successful primary solve.
-        self._certified: tuple[tuple, tuple, OrchestrationDecision] | None = None
+        #: Last certified decision: (problem identity, decision) of the
+        #: most recent successful primary solve.
+        self._certified: tuple[tuple, OrchestrationDecision] | None = None
 
     # ------------------------------------------------------------------ #
     def solve(self, problem: ACRRProblem) -> OrchestrationDecision:
@@ -231,29 +233,19 @@ class SafeguardedSolver:
 
     # ------------------------------------------------------------------ #
     def _certify(self, problem: ACRRProblem, decision: OrchestrationDecision) -> None:
-        assign(
-            self,
-            "_certified",
-            (problem.structure_signature(), topology_signature(problem.topology), decision),
-        )
+        assign(self, "_certified", (problem.identity(), decision))
 
     def _warm_replay(self, problem: ACRRProblem) -> OrchestrationDecision | None:
         """The last certified decision, if still provably capacity-feasible.
 
-        The structure signature pins the request set and options; the
-        topology signature pins every capacity.  With both unchanged, the
-        certified reservations still fit the network -- only the forecasts
-        may have moved, which affects optimality, never feasibility of a
-        fixed reservation vector.
+        The identity pins the request set, the options and every capacity:
+        with it unchanged, the certified reservations still fit the network
+        -- only the forecasts may have moved, which affects optimality,
+        never feasibility of a fixed reservation vector.
         """
-        if self._certified is None:
+        if self._certified is None or self._certified[0] != problem.identity():
             return None
-        structure, topo, decision = self._certified
-        if structure != problem.structure_signature():
-            return None
-        if topo != topology_signature(problem.topology):
-            return None
-        return decision
+        return self._certified[1]
 
     def _keeps_committed(
         self, problem: ACRRProblem, decision: OrchestrationDecision

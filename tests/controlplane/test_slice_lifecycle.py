@@ -207,6 +207,9 @@ class TestWarmStateSurvivesIdleEpochs:
         orchestrator.run_epoch(1)
         assert orchestrator._last_solve is not None
         key_before = orchestrator._last_solve[0]
+        # The reuse key carries the solver and the solved problem's identity.
+        assert orchestrator.solver in key_before
+        assert orchestrator.last_problem.identity() in key_before
         orchestrator.run_epoch(2)  # idle: u1 expired
         orchestrator.run_epoch(3)  # still idle
         assert orchestrator._last_solve is not None

@@ -12,7 +12,6 @@ from repro.core.benders import (
     BendersSolver,
     CutPool,
     _MasterState,
-    warm_start_key,
 )
 from repro.core.decomposition import SlaveProblem
 from repro.core.forecast_inputs import ForecastInput
@@ -86,7 +85,7 @@ class TestCutPool:
         pool = CutPool()
         slave = SlaveProblem(problem)
         master = fresh_master(problem, slave)
-        seeded, best_x = pool.seed_master(warm_start_key(problem), master, slave)
+        seeded, best_x = pool.seed_master(problem.identity(), master, slave)
         assert seeded == 0
         assert best_x is None
 
@@ -97,7 +96,7 @@ class TestCutPool:
         assert decision.stats.cuts_warm == 0  # first solve is cold
 
         pool = solver.cut_pool
-        key = warm_start_key(problem)
+        key = problem.identity()
         slave = SlaveProblem(problem)
         master = fresh_master(problem, slave)
         seeded, best_x = pool.seed_master(key, master, slave)
@@ -114,7 +113,7 @@ class TestCutPool:
         master = fresh_master(other, slave)
         # Force the wrong key on purpose: even then the shape check refuses.
         seeded, best_x = solver.cut_pool.seed_master(
-            warm_start_key(problem), master, slave
+            problem.identity(), master, slave
         )
         assert seeded == 0
         assert best_x is None
@@ -130,7 +129,7 @@ class TestCutPool:
         big = perturbed(problem, 3.0)
         slave = SlaveProblem(big)
         master = fresh_master(big, slave)
-        seeded, _ = pool.seed_master(warm_start_key(big), master, slave)
+        seeded, _ = pool.seed_master(big.identity(), master, slave)
         assert pool.dropped_total >= 1
         assert seeded + pool.dropped_total >= 1
 
@@ -256,7 +255,7 @@ class TestWorkingSet:
         base = small_problem()
         solver = BendersSolver(warm_start=True)
         solver.solve(base)
-        key = warm_start_key(base)
+        key = base.identity()
         junk = [(np.ones(3), None), (np.ones(len(SlaveProblem(base).h0)), 99)]
         solver.cut_pool.record(key, solver.cut_pool.entry(key).num_rows, junk, None)
 
@@ -279,8 +278,10 @@ class TestWorkingSet:
         assert len(entry.idle) == len(entry.multipliers) > 0
 
 
-class TestWarmStartKey:
-    def test_key_ignores_arrival_epoch(self):
+class TestIdentity:
+    """The cut pool keys on ``ACRRProblem.identity``."""
+
+    def test_identity_ignores_arrival_epoch(self):
         problem = small_problem()
         from dataclasses import replace
 
@@ -292,18 +293,24 @@ class TestWarmStartKey:
             forecasts={r.name: problem.forecast(r.name) for r in problem.requests},
             options=problem.options,
         )
-        assert warm_start_key(problem) == warm_start_key(other)
+        assert problem.identity() == other.identity()
 
-    def test_key_tracks_topology_mutation(self):
+    def test_a_problem_built_after_replace_link_has_another_identity(self):
         from dataclasses import replace
 
         problem = small_problem()
-        key_before = warm_start_key(problem)
         link = problem.topology.links[0]
         problem.topology.replace_link(
             replace(link, capacity_mbps=link.capacity_mbps * 0.5)
         )
-        assert warm_start_key(problem) != key_before
+        rebuilt = ACRRProblem(
+            topology=problem.topology,
+            path_set=problem.path_set,
+            requests=problem.requests,
+            forecasts={r.name: problem.forecast(r.name) for r in problem.requests},
+            options=problem.options,
+        )
+        assert rebuilt.identity() != problem.identity()
 
 
 class TestWarmStartedSolver:

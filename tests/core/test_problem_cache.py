@@ -5,10 +5,12 @@ when only the forecasts changed.  These tests pin down the two contracts
 that make that safe: (1) a cached build produces *identical* matrices,
 objectives and items to a cold build, and (2) any structural change --
 request set, committed flags, path set, options, topology -- invalidates
-the cache.
+the cache, while a change of arrival epochs alone does not.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +155,16 @@ class TestProblemStructureCache:
         assert second.capacity_block() is first.capacity_block()
         # ... while the three forecast columns are the clone's own.
         assert second._lambda_hat is not first._lambda_hat
+
+    def test_hit_when_only_arrival_epochs_differ(self, topology, path_set, requests):
+        """No matrix reads the arrival epoch: a renewal keeps the skeleton,
+        and the clone carries the fresh request objects."""
+        cache = ProblemStructureCache()
+        cache.build(topology, path_set, requests, low_load_forecasts(requests))
+        renewed = [replace(r, arrival_epoch=r.arrival_epoch + 5) for r in requests]
+        problem = cache.build(topology, path_set, renewed, low_load_forecasts(renewed))
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert problem.requests[0] is renewed[0]
 
     def test_invalidated_by_request_set_change(self, topology, path_set, requests):
         cache = ProblemStructureCache()

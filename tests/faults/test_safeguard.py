@@ -7,6 +7,7 @@ import copy
 import pytest
 
 from repro.core.baseline import NoOverbookingSolver
+from repro.core.forecast_inputs import ForecastInput
 from repro.core.milp_solver import DirectMILPSolver
 from repro.core.problem import ACRRProblem
 from repro.core.solution import OrchestrationDecision, SolverStats, TenantAllocation
@@ -292,3 +293,82 @@ class TestHealthMonitor:
         monitor.note_outcome(TIER_PRIMARY, degraded=False)
         monitor.note_failed_epoch()
         assert monitor.clean_streak == 0
+
+
+class FailsOnCall:
+    """DirectMILPSolver wrapper that raises ``error`` on call ``failing``."""
+
+    def __init__(self, failing: int, error: Exception):
+        self.inner = DirectMILPSolver()
+        self.failing = failing
+        self.error = error
+        self.calls = 0
+
+    def solve(self, problem):
+        self.calls += 1
+        if self.calls == self.failing:
+            raise self.error
+        return self.inner.solve(problem)
+
+
+class TestDecisionReuseUnderTheChain:
+    """The orchestrator reuses an unchanged decision only when the solver
+    certified it, and a reused epoch reports the work it did: none."""
+
+    def _broker(self, primary, recovery_epochs):
+        from repro.api import SliceBroker, SliceRequestV1
+        from tests.conftest import build_tiny_topology
+
+        chain = SafeguardedSolver(
+            primary, health=HealthMonitor(recovery_epochs=recovery_epochs, probe_interval=1)
+        )
+        # The core CU lies beyond the eMBB latency tolerance, so both slices
+        # stay on the edge CU and, with constant forecasts, every epoch from
+        # the second on poses the same problem.
+        topology = build_tiny_topology(core_latency_ms=40.0)
+        broker = SliceBroker(topology=topology, solver=chain)
+        for name in ("e1", "e2"):
+            broker.submit(SliceRequestV1.of(name, "eMBB", duration_epochs=24))
+        forecast = ForecastInput(lambda_hat_mbps=10.0, sigma_hat=0.2)
+        broker.set_forecast_overrides({"e1": forecast, "e2": forecast})
+        return broker
+
+    def test_a_fallback_decision_is_not_reused(self):
+        from repro.controlplane.orchestrator import REUSED_MESSAGE
+
+        primary = FailsOnCall(2, RuntimeError("boom"))
+        broker = self._broker(primary, recovery_epochs=1)
+        assert broker.advance_epoch(0).solver_tier == TIER_PRIMARY
+        fallback = broker.advance_epoch(1)  # committed now: nothing to replay
+        assert fallback.solver_tier == TIER_NO_OVERBOOKING
+        assert fallback.health == BrokerHealth.DEGRADED.value
+        resolved = broker.advance_epoch(2)  # same problem as epoch 1
+        assert primary.calls == 3  # the primary is asked again
+        assert resolved.solver_message != REUSED_MESSAGE
+        assert resolved.solver_tier == TIER_PRIMARY
+        assert resolved.health == BrokerHealth.HEALTHY.value
+        for epoch in (3, 4):  # the certified decision is reused
+            report = broker.advance_epoch(epoch)
+            assert report.solver_message == REUSED_MESSAGE
+            assert report.solver_tier == TIER_PRIMARY
+        assert primary.calls == 3
+
+    def test_a_reused_decision_reports_no_retries(self):
+        from repro.controlplane.orchestrator import REUSED_MESSAGE
+
+        primary = FailsOnCall(2, TransientSolverError("flaky"))
+        broker = self._broker(primary, recovery_epochs=2)
+        broker.advance_epoch(0)
+        retried = broker.advance_epoch(1)
+        assert primary.calls == 3
+        assert retried.solver_retries == 1
+        assert retried.degraded_reasons == ("primary solver needed 1 transient retries",)
+        reports = [broker.advance_epoch(epoch) for epoch in (2, 3)]
+        assert primary.calls == 3
+        for report in reports:
+            assert report.solver_message == REUSED_MESSAGE
+            assert report.solver_retries == 0
+            assert report.degraded_reasons == ()
+        assert [report.health for report in reports] == [
+            BrokerHealth.DEGRADED.value, BrokerHealth.HEALTHY.value,
+        ]
