@@ -10,7 +10,6 @@ directory asserts the resume path touches zero runs.
 import tempfile
 
 from repro.experiments.fig5_homogeneous import fig5_campaign
-from repro.utils.executors import SerialExecutor
 
 #: The reduced fig5 grid the throughput number refers to: 12 scenario points
 #: x (baseline + 2 policies) = 36 independent runs.
@@ -33,7 +32,7 @@ def test_campaign_sweep_throughput(benchmark):
 
     def sweep():
         with tempfile.TemporaryDirectory() as cache_dir:
-            result = campaign.run(cache_dir=cache_dir, executor=SerialExecutor())
+            result = campaign.run(cache_dir=cache_dir)
             assert result.num_executed == len(campaign.specs)
         return result
 
@@ -51,8 +50,8 @@ def test_campaign_sweep_throughput(benchmark):
 
     # Resume pass: a warm cache must execute nothing.
     with tempfile.TemporaryDirectory() as cache_dir:
-        cold = campaign.run(cache_dir=cache_dir, executor=SerialExecutor())
-        warm = campaign.run(cache_dir=cache_dir, executor=SerialExecutor())
+        cold = campaign.run(cache_dir=cache_dir)
+        warm = campaign.run(cache_dir=cache_dir)
         assert cold.num_executed == len(campaign.specs)
         assert warm.num_executed == 0
         assert warm.num_cached == len(campaign.specs)

@@ -10,7 +10,7 @@ in ``analysis-baseline.toml`` with their justification.
 
 Mechanically, for every ``<something>executor-ish<.map(fn, ...)`` call site
 (the receiver is named ``*executor*`` / ``*pool*``, or is a direct
-``resolve_executor(...)`` / ``default_executor(...)`` result):
+``default_executor(...)`` result):
 
 * ``fn`` as a ``lambda`` is a finding;
 * ``fn`` naming a function *defined inside the enclosing scope* (a closure)
@@ -52,7 +52,6 @@ EXECUTOR_NAME_FRAGMENTS = ("executor", "pool")
 #: Factory calls whose result is an executor even without the name.
 EXECUTOR_FACTORIES = frozenset(
     {
-        "resolve_executor",
         "default_executor",
         "SerialExecutor",
         "ProcessPoolRunExecutor",

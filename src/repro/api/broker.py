@@ -198,34 +198,14 @@ class SliceBroker:
 
     def __init__(
         self,
-        topology=None,
-        solver=None,
+        topology,
+        solver,
         *,
         config: OrchestratorConfig | None = None,
-        orchestrator: E2EOrchestrator | None = None,
         cache_limit: int = DEFAULT_CACHE_LIMIT,
         max_pending: int | None = None,
-        **orchestrator_kwargs,
     ):
-        if orchestrator is None:
-            if topology is None or solver is None:
-                raise ValidationError(
-                    "SliceBroker needs either an orchestrator or a (topology, solver) pair"
-                )
-            orchestrator = E2EOrchestrator(
-                topology, solver, config=config, **orchestrator_kwargs
-            )
-        elif (
-            topology is not None
-            or solver is not None
-            or config is not None
-            or orchestrator_kwargs
-        ):
-            raise ValidationError(
-                "pass either an orchestrator or (topology, solver, config, ...), "
-                "not both"
-            )
-        self._orchestrator = orchestrator
+        self._orchestrator = E2EOrchestrator(topology, solver, config=config)
         #: Lifecycle event bus; subscribe instead of polling the registry.
         self.events = EventBus()
         self._tickets_by_token: dict[str, tuple[str, AdmissionTicket]] = {}
@@ -244,10 +224,7 @@ class SliceBroker:
         #: withdrawn-while-queued -- sorted, so a listing page is a slice of
         #: it.  Kept by the intake writers; an epoch moves names from the
         #: queue to the registry but never adds or removes one.
-        self._names: list[str] = sorted(
-            {request.name for request in orchestrator.slice_manager.pending_requests}
-            | {record.name for record in orchestrator.registry.all_records()}
-        )
+        self._names: list[str] = []
         #: FIFO bound applied to the token cache and the withdrawal markers.
         #: ``cache_limit < 1`` is rejected outright (a zero limit would
         #: busy-evict the entry a tokened submit just inserted, breaking
@@ -289,9 +266,7 @@ class SliceBroker:
             if isinstance(solver_health, HealthMonitor)
             else HealthMonitor()
         )
-        self._fault_injector: FaultInjector | None = getattr(
-            self._orchestrator, "fault_injector", None
-        )
+        self._fault_injector: FaultInjector | None = None
 
     # ------------------------------------------------------------------ #
     # In-process accessors (documented escape hatches; all read-only)
@@ -567,39 +542,30 @@ class SliceBroker:
     # Chaos and degraded operation
     # ------------------------------------------------------------------ #
     @_synchronized
-    def enable_chaos(
-        self,
-        plan: FaultPlan,
-        *,
-        max_retries: int = 2,
-        recovery_epochs: int = 3,
-        probe_interval: int = 4,
-    ) -> FaultInjector:
+    def enable_chaos(self, plan: FaultPlan) -> FaultInjector:
         """Arm a fault plan and wrap the solver in the safeguarded chain.
 
         Builds ``SafeguardedSolver(ChaosSolver(current solver, injector))``
-        around the orchestrator's solver (unless it already is a
-        :class:`SafeguardedSolver`, in which case only its primary is
-        proxied), binds the injector to every hook point, and ties the
-        broker's health machine to the chain.  With ``FaultPlan.empty()``
-        the instrumented run is byte-identical to an uninstrumented one.
+        around the orchestrator's solver, sharing the broker's health
+        monitor (arming a plan is not a recovery).  A solver that already is
+        a :class:`SafeguardedSolver` keeps its chain and gets its primary
+        proxied; re-arming replaces the previous plan's proxy instead of
+        nesting a second one, so only ``plan`` fires.  The injector is bound
+        to every hook point.  With ``FaultPlan.empty()`` the instrumented
+        run is byte-identical to an uninstrumented one.
         """
         injector = FaultInjector(plan)
         attach_injector(self._orchestrator, injector)
         solver = self._orchestrator.solver
         if isinstance(solver, SafeguardedSolver):
-            solver.primary = ChaosSolver(solver.primary, injector)
-            chain = solver
+            primary = solver.primary
+            if isinstance(primary, ChaosSolver):
+                primary = primary.inner
+            solver.primary = ChaosSolver(primary, injector)
         else:
-            chain = SafeguardedSolver(
-                ChaosSolver(solver, injector),
-                max_retries=max_retries,
-                health=HealthMonitor(
-                    recovery_epochs=recovery_epochs, probe_interval=probe_interval
-                ),
-            )
-            self._orchestrator.solver = chain
-        self.health = chain.health
+            solver = SafeguardedSolver(ChaosSolver(solver, injector), health=self.health)
+            self._orchestrator.solver = solver
+        self.health = solver.health
         self._fault_injector = injector
         return injector
 

@@ -49,12 +49,15 @@ from repro.forecasting import (
 )
 from repro.topology.generators import degrade_link_capacities
 from repro.topology.network import NetworkTopology
-from repro.topology.paths import PathSet, compute_path_sets
+from repro.topology.paths import compute_path_sets
 from repro.utils.journal import Journal, assign
 
 #: ``stats.message`` of a decision the orchestrator reused instead of
 #: running the solver.
 REUSED_MESSAGE = "reused unchanged decision from previous epoch"
+
+#: The forecasting chain's last tier before the pessimistic forecast.
+_LAST_RESORT = NaiveForecaster()
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,6 @@ class ForecastingBlock:
 
     primary: Forecaster
     fallback: Forecaster = field(default_factory=DoubleExponentialForecaster)
-    last_resort: Forecaster = field(default_factory=NaiveForecaster)
     #: Optional chaos hook, fired on entry of every per-slice forecast (hook
     #: point ``forecast.forecast_for``); ``None`` in production.
     fault_hook: Callable[[str], None] | None = None
@@ -119,7 +121,7 @@ class ForecastingBlock:
                 self.fault_hook("forecast.forecast_for")
             except Exception:
                 return ForecastInput.pessimistic(request.sla_mbps)
-        for forecaster in (self.primary, self.fallback, self.last_resort):
+        for forecaster in (self.primary, self.fallback, _LAST_RESORT):
             try:
                 if forecaster.can_forecast(history):
                     if isinstance(forecaster, RecursiveForecaster):
@@ -196,28 +198,19 @@ class E2EOrchestrator:
         topology: NetworkTopology,
         solver,
         config: OrchestratorConfig | None = None,
-        path_set: PathSet | None = None,
         forecasting: ForecastingBlock | None = None,
-        monitoring: MonitoringService | None = None,
-        slice_manager: SliceManager | None = None,
-        problem_options: ProblemOptions | None = None,
     ):
         self.topology = topology
         self.solver = solver
         self.config = config or OrchestratorConfig()
-        self.path_set = path_set or compute_path_sets(
-            topology, k=self.config.candidate_paths_per_pair
-        )
+        self.path_set = compute_path_sets(topology, k=self.config.candidate_paths_per_pair)
         self.forecasting = forecasting or ForecastingBlock(
             primary=HoltWintersForecaster(season_length=self.config.epochs_per_day)
         )
-        self.monitoring = monitoring or MonitoringService()
-        self.slice_manager = slice_manager or SliceManager()
+        self.monitoring = MonitoringService()
+        self.slice_manager = SliceManager()
         self.registry = SliceRegistry()
         self.controllers = ControllerSet.for_topology(topology)
-        self._base_problem_options = problem_options or ProblemOptions(
-            epochs_per_day=self.config.epochs_per_day
-        )
         #: Per-slice forecasts that take precedence over the online
         #: forecasting block.  Used by the steady-state evaluation scenarios
         #: (Fig. 5 / Fig. 6), where the orchestrator is assumed to already
@@ -417,13 +410,15 @@ class E2EOrchestrator:
                 stats=_idle_stats(),
             )
 
-        options = self._problem_options(bool(committed_requests))
         problem = self.problem_cache.build(
             topology=self.topology,
             path_set=self.path_set,
             requests=requests,
             forecasts=forecasts,
-            options=options,
+            options=ProblemOptions(
+                allow_deficit=bool(committed_requests),
+                epochs_per_day=self.config.epochs_per_day,
+            ),
         )
         decision = self._solve(problem)
         self._update_registry(epoch, decision)
@@ -555,11 +550,6 @@ class E2EOrchestrator:
         reusable = decision.stats.tier == TIER_PRIMARY
         assign(self, "_last_solve", (key, decision) if reusable else None)
         return decision
-
-    def _problem_options(self, has_committed: bool) -> ProblemOptions:
-        if has_committed == self._base_problem_options.allow_deficit:
-            return self._base_problem_options
-        return replace(self._base_problem_options, allow_deficit=has_committed)
 
     def _update_registry(self, epoch: int, decision: OrchestrationDecision) -> None:
         for name, allocation in decision.allocations.items():

@@ -206,7 +206,7 @@ class CutPool:
     the implied bounds ``0 <= (y, z) <= sla`` (constraints (8)/(10)), so
     relaxing the right-hand side by ``sum_j max(0, violation_j) * sla_j``
     restores a mathematically valid inequality.  Cuts whose repair slack
-    exceeds ``max_relative_slack`` of the cut's own scale carry no
+    exceeds :data:`_MAX_RELATIVE_SLACK` of the cut's own scale carry no
     information anymore and are skipped as stale.
 
     The pool stores each ``(mu, block_id)`` once (:meth:`record`), and it is
@@ -220,21 +220,7 @@ class CutPool:
 
     JOURNALED = ("_entries", "seeded_total", "dropped_total")
 
-    def __init__(
-        self,
-        max_cuts_per_structure: int = 256,
-        max_structures: int = 32,
-        max_relative_slack: float = 0.1,
-    ):
-        if max_cuts_per_structure <= 0:
-            raise ValueError("max_cuts_per_structure must be positive")
-        if max_structures <= 0:
-            raise ValueError("max_structures must be positive")
-        if max_relative_slack < 0:
-            raise ValueError("max_relative_slack must be non-negative")
-        self.max_cuts_per_structure = max_cuts_per_structure
-        self.max_structures = max_structures
-        self.max_relative_slack = max_relative_slack
+    def __init__(self):
         #: In LRU order: eviction drops the first, a use moves one last.
         self._entries: dict[tuple, _PoolEntry] = {}
         #: Diagnostics: cuts seeded / dropped-as-stale over the pool's life.
@@ -327,7 +313,7 @@ class CutPool:
             cut_scale = max(
                 1.0, abs(rhs_value + repair), float(np.max(np.abs(coeff)))
             )
-            if repair > self.max_relative_slack * cut_scale:
+            if repair > _MAX_RELATIVE_SLACK * cut_scale:
                 continue
             master.add_cut(coeff, rhs_value, block_id)
             seeded.append(position)
@@ -380,7 +366,7 @@ class CutPool:
             if key in self._entries:
                 drop(self._entries, key)
             put(self._entries, key, entry)
-            while len(self._entries) > self.max_structures:
+            while len(self._entries) > _MAX_STRUCTURES:
                 drop(self._entries, next(iter(self._entries)))
         multipliers, idle = list(entry.multipliers), list(entry.idle)
         stored = {(block_id, mu.tobytes()) for mu, block_id in multipliers}
@@ -391,7 +377,7 @@ class CutPool:
                 stored.add(identity)
                 multipliers.append((mu, block_id))
                 idle.append(0)
-        excess = max(0, len(multipliers) - self.max_cuts_per_structure)
+        excess = max(0, len(multipliers) - _MAX_CUTS_PER_STRUCTURE)
         put(
             self._entries,
             key,
@@ -415,6 +401,15 @@ _EXACT_CERTIFICATE_REL = 1e-6
 #: certify the same `online_week` epochs; 8 seeds enough dead rows to cost
 #: a millisecond per solve.
 _MAX_IDLE_SOLVES = 2
+
+#: Hard caps of the pool: multipliers per structure (oldest evicted first)
+#: and structures (least recently used evicted first).
+_MAX_CUTS_PER_STRUCTURE = 256
+_MAX_STRUCTURES = 32
+
+#: Largest repair slack, relative to the cut's own scale, at which a stored
+#: multiplier is still seeded (see :class:`CutPool`).
+_MAX_RELATIVE_SLACK = 0.1
 
 #: This process's pricing helper as ``(pid, worker)``; see :func:`_helper`.
 _pricing_helper: tuple[int, futures.ThreadPoolExecutor | None] = (-1, None)

@@ -39,6 +39,9 @@ from repro.core.solution import (
     decision_from_vectors,
 )
 
+#: Knapsack rounds before KAC stops adding feasibility weights.
+MAX_ITERATIONS = 50
+
 #: Guard rails for the epsilon weight recursion of equation (30).
 _EPSILON_MIN = 1e-9
 _EPSILON_MAX = 1e9
@@ -64,11 +67,6 @@ class _Bundle:
 class KACSolver:
     """The Knapsack Admission Control heuristic (Algorithms 2 and 3)."""
 
-    def __init__(self, max_iterations: int = 50):
-        if max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        self.max_iterations = max_iterations
-
     # ------------------------------------------------------------------ #
     def solve(self, problem: ACRRProblem) -> OrchestrationDecision:
         start = time.perf_counter()
@@ -89,7 +87,7 @@ class KACSolver:
         selected = self._initial_selection(bundles, problem)
         outcome = None
 
-        for iteration in range(1, self.max_iterations + 1):
+        for iteration in range(1, MAX_ITERATIONS + 1):
             iterations = iteration
             x = self._selection_to_vector(selected, n)
             outcome = slave.evaluate(x)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.lpsolver import canonical_csc, solve_milp, stack_columns
-from repro.core.problem import ACRRProblem, InfeasibleProblemError
+from repro.core.problem import DEFICIT_COST, ACRRProblem, InfeasibleProblemError
 from repro.core.solution import (
     OrchestrationDecision,
     SolverStats,
@@ -53,7 +53,7 @@ class DirectMILPSolver:
                 problem.objective_x(),
                 np.zeros(n),
                 problem.objective_y(),
-                np.full(num_deficit, problem.options.deficit_cost),
+                np.full(num_deficit, DEFICIT_COST),
             ]
         )
 

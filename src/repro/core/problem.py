@@ -69,6 +69,10 @@ from repro.topology.paths import Path, PathSet
 from repro.utils.journal import assign
 
 
+#: The big-M cost of one unit of resource deficit (Section 3.4).
+DEFICIT_COST = 1.0e4
+
+
 @dataclass(frozen=True)
 class ProblemOptions:
     """Knobs controlling how the AC-RR MILP is built.
@@ -82,13 +86,7 @@ class ProblemOptions:
     allow_deficit:
         Adds the per-domain deficit variables of Section 3.4 (big-M
         relaxation), which keep the problem feasible when previously admitted
-        slices no longer fit.
-    deficit_cost:
-        The big-M cost of one unit of resource deficit.
-    max_paths_per_tenant_pair:
-        Optional cap on the number of candidate paths considered per
-        (tenant, BS, CU) triple after delay filtering; keeps large instances
-        tractable.
+        slices no longer fit; one unit of deficit costs :data:`DEFICIT_COST`.
     epochs_per_day:
         Number of decision epochs per seasonal cycle (day).  The risk scaling
         factor of the paper is ``xi = sigma_hat * L`` with the slice duration
@@ -98,8 +96,6 @@ class ProblemOptions:
 
     overbooking: bool = True
     allow_deficit: bool = False
-    deficit_cost: float = 1.0e4
-    max_paths_per_tenant_pair: int | None = None
     epochs_per_day: int = 24
 
     def without_overbooking(self) -> "ProblemOptions":
@@ -290,26 +286,18 @@ class _ItemTable:
     transport_overhead: np.ndarray
 
 
-def _eligible_paths(table, tolerance_ms: float, cap: int | None) -> np.ndarray:
-    """Rows of the path table a tenant may use: delay filtering (constraint
-    (7)), then at most ``cap`` paths per (BS, CU) pair in rank order."""
-    mask = table.delay_ms <= tolerance_ms
-    if cap is not None:
-        rank = np.cumsum(mask)
-        mask &= rank - (rank - mask)[table.pair_start] <= cap
-    return np.flatnonzero(mask)
 
 
 def _build_item_table(
     topology: NetworkTopology,
     path_set: PathSet,
     requests: list[SliceRequest],
-    options: ProblemOptions,
 ) -> _ItemTable:
     table = path_set.table()
-    # One delay mask per distinct tolerance, not per request.
+    # Delay filtering (constraint (7)): one mask per distinct tolerance, not
+    # per request.
     eligible = {
-        tolerance: _eligible_paths(table, tolerance, options.max_paths_per_tenant_pair)
+        tolerance: np.flatnonzero(table.delay_ms <= tolerance)
         for tolerance in dict.fromkeys(request.latency_tolerance_ms for request in requests)
     }
     chosen = [eligible[request.latency_tolerance_ms] for request in requests]
@@ -417,7 +405,7 @@ class ACRRProblem:
         self._compute_unit_names = topology.compute_unit_names
         self._link_keys = [link.key for link in topology.links]
         self._capacities = topology.capacities()
-        self._table = _build_item_table(topology, path_set, self.requests, self.options)
+        self._table = _build_item_table(topology, path_set, self.requests)
         #: What only the structure fixes (shared with every
         #: :meth:`with_forecasts` clone) and what the forecasts enter.
         self._structure_cache: dict[str, object] = {}

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.utils.executors import SerialExecutor, resolve_executor
+from repro.utils.executors import default_executor
 from repro.utils.rng import derive_spec_seed, normalize_spec, spec_hash
 
 #: Bump when the persisted record layout changes; loaders reject other versions.
@@ -374,7 +374,6 @@ class Campaign:
     def run(
         self,
         cache_dir: str | Path | None = None,
-        executor=None,
         workers: int | None = None,
         force: bool = False,
     ) -> CampaignResult:
@@ -384,15 +383,15 @@ class Campaign:
         executes, nothing is written) -- the hermetic mode used by most
         tests.  Otherwise completed runs are loaded from
         ``<cache_dir>/<experiment>/<run_id>.json`` and only the missing
-        specs are executed (through ``executor``, or serially/in a pool
-        according to ``workers``).  Each fresh record is persisted as soon
+        specs are executed, serially or in a pool of ``workers`` processes
+        (:func:`~repro.utils.executors.default_executor`).  Each fresh record is persisted as soon
         as its run finishes, so a sweep interrupted (or aborted by a
         failing run) mid-way keeps everything completed up to that point
         and resumes from there.  ``force=True`` re-executes everything and
         overwrites the cache.
         """
         specs = self.resolved_specs()
-        executor = resolve_executor(executor, workers)
+        executor = default_executor(workers)
         store = RunStore(cache_dir) if cache_dir is not None else None
 
         records: dict[str, RunRecord] = {}
@@ -505,7 +504,6 @@ __all__ = [
     "RunRecord",
     "RunSpec",
     "RunStore",
-    "SerialExecutor",
     "build_scenario",
     "default_cache_dir",
     "execute_spec",

@@ -304,17 +304,14 @@ def cmd_status(args: argparse.Namespace, out) -> int:
 
 def cmd_run(args: argparse.Namespace, out) -> int:
     campaign, render = _entry(args.campaign).build(args.full)
-    executor = default_executor(args.workers)
     started = time.perf_counter()
-    result = campaign.run(
-        cache_dir=args.cache_dir, executor=executor, force=args.force
-    )
+    result = campaign.run(cache_dir=args.cache_dir, workers=args.workers, force=args.force)
     elapsed = time.perf_counter() - started
     rate = result.num_executed / elapsed if elapsed > 0 else float("inf")
     print(
         f"campaign {campaign.name}: {len(result.records)} runs "
         f"({result.num_executed} executed, {result.num_cached} cached) "
-        f"in {elapsed:.1f}s [{executor!r}, {rate:.2f} runs/s]",
+        f"in {elapsed:.1f}s [{default_executor(args.workers)!r}, {rate:.2f} runs/s]",
         file=out,
     )
     if result.num_executed == 0 and result.num_cached == len(result.records):

@@ -7,7 +7,7 @@ when the primary path fails.  The tiers, strongest first:
 
 ``primary``
     The configured solver (Benders).  Transient failures are retried up to
-    ``max_retries`` times; a success here is bit-identical to an
+    :data:`MAX_RETRIES` times; a success here is bit-identical to an
     unsafeguarded run.
 ``warm_replay``
     Replay the last *certified* decision (produced by a successful primary
@@ -30,9 +30,9 @@ when the primary path fails.  The tiers, strongest first:
 
 The :class:`HealthMonitor` tracks the broker-visible health state:
 HEALTHY -> DEGRADED on any non-primary tier, degraded commit or failed
-epoch; DEGRADED -> HEALTHY after ``recovery_epochs`` consecutive clean
+epoch; DEGRADED -> HEALTHY after :data:`RECOVERY_EPOCHS` consecutive clean
 primary epochs; reject-all puts the broker in SAFE_MODE, where the chain
-skips the primary except for a recovery probe every ``probe_interval``-th
+skips the primary except for a recovery probe every :data:`PROBE_INTERVAL`-th
 solve (a successful probe re-enters DEGRADED and starts the clean streak).
 """
 
@@ -59,6 +59,13 @@ TIER_REJECT_ALL = "reject_all"
 #: Fallback order, strongest tier first.
 TIER_ORDER = (TIER_PRIMARY, TIER_WARM_REPLAY, TIER_NO_OVERBOOKING, TIER_REJECT_ALL)
 
+#: Retries of a transient primary failure before the chain falls through.
+MAX_RETRIES = 2
+#: Consecutive clean primary epochs that take DEGRADED back to HEALTHY.
+RECOVERY_EPOCHS = 3
+#: In SAFE_MODE, every this-many-th solve is a recovery probe.
+PROBE_INTERVAL = 4
+
 
 class BrokerHealth(str, enum.Enum):
     HEALTHY = "healthy"
@@ -70,13 +77,7 @@ class HealthMonitor:
     """Tracks broker health across epochs (never rolled back with an epoch:
     a fault that forced a rollback still *happened* and must count)."""
 
-    def __init__(self, recovery_epochs: int = 3, probe_interval: int = 4):
-        if recovery_epochs < 1:
-            raise ValueError("recovery_epochs must be at least 1")
-        if probe_interval < 1:
-            raise ValueError("probe_interval must be at least 1")
-        self.recovery_epochs = recovery_epochs
-        self.probe_interval = probe_interval
+    def __init__(self):
         self.state = BrokerHealth.HEALTHY
         #: Consecutive clean (primary-tier, undegraded) epochs so far.
         self.clean_streak = 0
@@ -86,13 +87,13 @@ class HealthMonitor:
         """Whether the next solve may try the primary tier.
 
         Always true outside SAFE_MODE.  In SAFE_MODE, every
-        ``probe_interval``-th solve is a recovery probe; the others go
+        :data:`PROBE_INTERVAL`-th solve is a recovery probe; the others go
         straight to reject-all.
         """
         if self.state is not BrokerHealth.SAFE_MODE:
             return True
         self._safe_solves += 1
-        return self._safe_solves % self.probe_interval == 0
+        return self._safe_solves % PROBE_INTERVAL == 0
 
     def note_outcome(self, tier: str, degraded: bool) -> None:
         """Fold one committed epoch's solve outcome into the health state."""
@@ -106,7 +107,7 @@ class HealthMonitor:
             self.clean_streak = 0
         else:
             self.clean_streak += 1
-            if self.clean_streak >= self.recovery_epochs:
+            if self.clean_streak >= RECOVERY_EPOCHS:
                 self.state = BrokerHealth.HEALTHY
             elif self.state is BrokerHealth.SAFE_MODE:
                 # Successful recovery probe: leave safe mode, keep counting
@@ -145,14 +146,10 @@ class SafeguardedSolver:
         self,
         primary,
         baseline: NoOverbookingSolver | None = None,
-        max_retries: int = 2,
         health: HealthMonitor | None = None,
     ):
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         self.primary = primary
         self.baseline = baseline or NoOverbookingSolver()
-        self.max_retries = max_retries
         self.health = health or HealthMonitor()
         #: Last certified decision: (problem identity, decision) of the
         #: most recent successful primary solve.
@@ -173,7 +170,7 @@ class SafeguardedSolver:
             try:
                 decision = self.primary.solve(problem)
             except self.TRANSIENT_TYPES as error:
-                if retries < self.max_retries:
+                if retries < MAX_RETRIES:
                     retries += 1
                     continue
                 reason = f"transient failures exhausted {retries} retries: {error}"

@@ -38,6 +38,11 @@ from repro.utils.stats import standard_error_below
 #: Number of synthetic epochs drawn when deriving "oracle" forecasts from the
 #: demand statistics (the steady-state knowledge assumed by Fig. 5 / Fig. 6).
 _ORACLE_SAMPLE_EPOCHS = 200
+
+#: The paper's stopping rule: a run may end once the standard error of the
+#: per-epoch net revenue is below 2 % of its mean, after at least 8 epochs.
+CONVERGENCE_THRESHOLD = 0.02
+MIN_EPOCHS_FOR_CONVERGENCE = 8
 #: Monitoring period in seconds (the paper samples every 5 minutes).
 _SAMPLE_PERIOD_S = 300.0
 
@@ -170,27 +175,21 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        stop_on_converged_revenue: bool = False,
-        convergence_threshold: float = 0.02,
-        min_epochs_for_convergence: int = 8,
-    ) -> SimulationResult:
+    def run(self, stop_on_converged_revenue: bool = False) -> SimulationResult:
         """Simulate the scenario and return the aggregated result.
 
-        With ``stop_on_converged_revenue`` the run ends early once the
-        standard error of the per-epoch net revenue drops below
-        ``convergence_threshold`` (the paper's 2 % stopping rule), but never
-        before ``min_epochs_for_convergence`` epochs.
+        With ``stop_on_converged_revenue`` the run ends early by the paper's
+        stopping rule (:data:`CONVERGENCE_THRESHOLD`,
+        :data:`MIN_EPOCHS_FOR_CONVERGENCE`).
         """
         records: list[EpochRecord] = []
         for epoch in range(self.scenario.num_epochs):
             records.append(self._run_one_epoch(epoch))
             if (
                 stop_on_converged_revenue
-                and len(records) >= min_epochs_for_convergence
+                and len(records) >= MIN_EPOCHS_FOR_CONVERGENCE
                 and standard_error_below(
-                    [r.net_revenue for r in records], convergence_threshold
+                    [r.net_revenue for r in records], CONVERGENCE_THRESHOLD
                 )
             ):
                 break

@@ -17,7 +17,7 @@ from repro.core.milp_solver import DirectMILPSolver
 from repro.dataplane.usage import DomainUsage
 from repro.simulation.engine import SimulationEngine, SimulationResult
 from repro.simulation.scenario import Scenario
-from repro.utils.executors import resolve_executor
+from repro.utils.executors import default_executor
 
 #: Orchestration policies available to the experiments and benchmarks.
 #:
@@ -62,7 +62,6 @@ def _run_policy_job(job: tuple[Scenario, str, bool]) -> SimulationResult:
 def compare_policies(
     scenario: Scenario,
     policies: tuple[str, ...] = ("optimal", "no-overbooking"),
-    executor=None,
     workers: int | None = None,
     stop_on_converged_revenue: bool = False,
 ) -> dict[str, SimulationResult]:
@@ -70,7 +69,7 @@ def compare_policies(
 
     The per-policy runs are independent, so they fan out through the campaign
     executor layer (:mod:`repro.utils.executors`): serial by default, a
-    process pool when ``workers > 1`` or an explicit ``executor`` is given.
+    process pool when ``workers > 1``.
     Every policy replays the same scenario object -- and therefore the same
     seed-derived demand traces -- so the comparison stays paired whichever
     executor runs it.
@@ -82,7 +81,7 @@ def compare_policies(
     returned for a full-run spec (or vice versa); here, where nothing is
     cached, the flag simply propagates to every policy's engine.
     """
-    executor = resolve_executor(executor, workers)
+    executor = default_executor(workers)
     jobs = [(scenario, policy, stop_on_converged_revenue) for policy in policies]
     results = executor.map(_run_policy_job, jobs)
     return dict(zip(policies, results))

@@ -51,8 +51,6 @@ class PathTable:
 
     paths: tuple[Path, ...]
     delay_ms: np.ndarray
-    #: Flat index of the first path of each path's (BS, CU) pair.
-    pair_start: np.ndarray
     base_stations: tuple[str, ...]
     base_station: np.ndarray
     compute_units: tuple[str, ...]
@@ -68,7 +66,6 @@ class PathTable:
 
 def _build_path_table(pairs: Mapping[tuple[str, str], list[Path]]) -> PathTable:
     paths: list[Path] = []
-    pair_start: list[int] = []
     base_stations: dict[str, int] = {}
     compute_units: dict[str, int] = {}
     link_keys: dict[tuple[str, str], int] = {}
@@ -78,10 +75,8 @@ def _build_path_table(pairs: Mapping[tuple[str, str], list[Path]]) -> PathTable:
     link: list[int] = []
     link_count: list[int] = []
     for members in pairs.values():
-        first = len(paths)
         for path in members:
             paths.append(path)
-            pair_start.append(first)
             base_station.append(base_stations.setdefault(path.base_station, len(base_stations)))
             compute_unit.append(compute_units.setdefault(path.compute_unit, len(compute_units)))
             multiplicity: dict[int, int] = {}
@@ -94,7 +89,6 @@ def _build_path_table(pairs: Mapping[tuple[str, str], list[Path]]) -> PathTable:
     return PathTable(
         paths=tuple(paths),
         delay_ms=np.array([path.delay_ms for path in paths], dtype=float),
-        pair_start=np.array(pair_start, dtype=np.intp),
         base_stations=tuple(base_stations),
         base_station=np.array(base_station, dtype=np.intp),
         compute_units=tuple(compute_units),

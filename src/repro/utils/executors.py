@@ -146,23 +146,8 @@ def default_executor(workers: int | None) -> SerialExecutor | ProcessPoolRunExec
     return ProcessPoolRunExecutor(max_workers=workers)
 
 
-def resolve_executor(
-    executor: "SerialExecutor | ProcessPoolRunExecutor | None",
-    workers: int | None = None,
-):
-    """Resolve the ``executor``/``workers`` pair accepted by the sweep APIs.
-
-    An explicit executor object wins; otherwise ``workers`` picks one via
-    :func:`default_executor` (serial when ``workers`` is ``None``).
-    """
-    if executor is not None:
-        return executor
-    return default_executor(workers)
-
-
 __all__ = [
     "SerialExecutor",
     "ProcessPoolRunExecutor",
     "default_executor",
-    "resolve_executor",
 ]

@@ -314,19 +314,6 @@ class TestRelease:
         broker.release("s1", epoch=1)
         assert broker.pending_count == 0
 
-    def test_conflicting_config_and_orchestrator_is_rejected(self):
-        from repro.api import ValidationError
-        from repro.controlplane.orchestrator import OrchestratorConfig
-
-        orchestrator = E2EOrchestrator(
-            topology=operators.testbed_topology(), solver=DirectMILPSolver()
-        )
-        with pytest.raises(ValidationError):
-            SliceBroker(
-                orchestrator=orchestrator,
-                config=OrchestratorConfig(epochs_per_day=7),
-            )
-
     def test_queued_token_tracking_is_pruned_after_collection(self):
         broker = make_broker()
         broker.submit(request("s1", duration=2), client_token="tok")

@@ -156,23 +156,6 @@ class TestEpochEventOrdering:
         assert seen == [LifecycleEventKind.RELEASED]
         assert broker.status("s1").state == "released"
 
-    def test_wrapping_a_driven_orchestrator_replays_no_history(self):
-        from repro.controlplane.orchestrator import E2EOrchestrator
-
-        orchestrator = E2EOrchestrator(
-            topology=operators.testbed_topology(), solver=DirectMILPSolver()
-        )
-        orchestrator.submit_request(request("old", duration=4).to_request())
-        orchestrator.run_epoch(0)
-        # Wrapping an already-driven orchestrator must not replay its
-        # history as spurious first-epoch events.
-        broker = SliceBroker(orchestrator=orchestrator)
-        seen = []
-        broker.events.subscribe(lambda e: seen.append((e.kind.value, e.slice_name)))
-        report = broker.advance_epoch(1)
-        assert report.events == ()
-        assert seen == []
-
     def test_a_failed_epoch_rolls_its_expiry_back_and_the_retry_publishes_it(self):
         from repro.api import SolverError
 

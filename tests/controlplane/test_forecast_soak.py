@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.controlplane.monitoring import MonitoringService
 from repro.controlplane.orchestrator import (
     E2EOrchestrator,
     ForecastingBlock,
@@ -122,17 +121,16 @@ def floats_held(root) -> int:
 @pytest.fixture(scope="module")
 def soak_run():
     counts = Counts()
-    monitoring = MonitoringService()
     orchestrator = E2EOrchestrator(
         topology=build_tiny_topology(),
         solver=DirectMILPSolver(),
         config=OrchestratorConfig(epochs_per_day=SEASON),
-        monitoring=monitoring,
         forecasting=ForecastingBlock(
             primary=counting(HoltWintersForecaster, counts)(season_length=SEASON),
             fallback=counting(DoubleExponentialForecaster, counts)(),
         ),
     )
+    monitoring = orchestrator.monitoring
     requests = {name: SliceRequest(name=name, template=EMBB_TEMPLATE) for name in NAMES}
     rng = np.random.default_rng(0)
     lengths = dict.fromkeys(NAMES, 0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import optimize, sparse
 
-from repro.core.problem import ACRRProblem, InfeasibleProblemError
+from repro.core.problem import DEFICIT_COST, ACRRProblem, InfeasibleProblemError
 from repro.utils.journal import put
 
 
@@ -440,7 +440,7 @@ def direct_milp_model(problem: ACRRProblem):
             model.objective_x(),
             np.zeros(n),
             model.objective_y(),
-            np.full(num_deficit, problem.options.deficit_cost),
+            np.full(num_deficit, DEFICIT_COST),
         ]
     )
     blocks = []
@@ -498,6 +498,7 @@ def same_sparse(got, want) -> bool:
 # shipped, once with every matrix built and folded the retired way -- and
 # the models HiGHS is handed compared one by one (the HiGHS-input shadow in
 # ``tests/core/test_lpsolver_backend.py``).
+from repro.core import benders  # noqa: E402
 from repro.core.benders import CutPool, _MasterState  # noqa: E402
 from repro.core.decomposition import BlockStack, SlaveBlock, SlaveProblem  # noqa: E402
 
@@ -674,7 +675,7 @@ def oracle_seed_master(self: CutPool, key, master, slave):
             continue
         coeff, rhs_value, repair = ready
         cut_scale = max(1.0, abs(rhs_value + repair), float(np.max(np.abs(coeff))))
-        if repair > self.max_relative_slack * cut_scale:
+        if repair > benders._MAX_RELATIVE_SLACK * cut_scale:
             self.dropped_total += 1
             continue
         master.add_cut(coeff, rhs_value, block_id)

@@ -31,7 +31,6 @@ from repro.core.slices import (
 )
 from repro.scenarios import DIFFERENTIAL_FAMILY, sample_scenario
 from repro.scenarios.oracle import problem_for_scenario
-from repro.topology.operators import romanian_topology
 from repro.topology.paths import Path, PathSet, compute_path_sets
 from tests.conftest import build_tiny_topology, low_load_forecasts
 from tests.core.assembly_oracle import (
@@ -180,7 +179,7 @@ class TestCorners:
         assert_assembly_equals_the_oracle(problem, monkeypatch)
 
     def test_deficit_relaxation_columns(self, monkeypatch):
-        problem = corner_problem(options=ProblemOptions(allow_deficit=True, deficit_cost=123.0))
+        problem = corner_problem(options=ProblemOptions(allow_deficit=True))
         assert_assembly_equals_the_oracle(problem, monkeypatch)
         assert direct_model_handed_to_the_solver(problem, monkeypatch)[1].shape[1] == (
             3 * problem.num_items + 3
@@ -206,23 +205,6 @@ class TestCorners:
         empty = SlaveProblem(problem).blocks()[3]
         assert (empty.num_rows, empty.cols.stop - empty.cols.start, empty.theta_lower) == (0, 0, 0.0)
         assert_assembly_equals_the_oracle(problem, monkeypatch)
-
-    def test_path_cap_after_delay_filtering(self, monkeypatch):
-        # Three ranked paths per (BS, CU) pair; uRLLC loses the slow ones to
-        # its delay budget *before* the cap counts.
-        topology = romanian_topology(num_base_stations=3, seed=0)
-        path_set = compute_path_sets(topology, k=3)
-        requests = mixed_requests()
-        forecasts = low_load_forecasts(requests)
-        sizes = {}
-        for cap in (None, 1, 2):
-            problem = ACRRProblem(
-                topology, path_set, requests, forecasts,
-                ProblemOptions(max_paths_per_tenant_pair=cap),
-            )
-            sizes[cap] = problem.num_items
-            assert_assembly_equals_the_oracle(problem, monkeypatch)
-        assert sizes[1] < sizes[2] < sizes[None]
 
     def test_committed_tenants(self, monkeypatch):
         requests = [

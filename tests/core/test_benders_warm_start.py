@@ -3,7 +3,6 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import repro.core.benders as benders
 from repro.core.benders import (
@@ -118,9 +117,10 @@ class TestCutPool:
         assert seeded == 0
         assert best_x is None
 
-    def test_severely_stale_cuts_are_dropped(self):
+    def test_severely_stale_cuts_are_dropped(self, monkeypatch):
+        monkeypatch.setattr(benders, "_MAX_RELATIVE_SLACK", 0.0)
         problem = small_problem(load_fraction=0.2)
-        pool = CutPool(max_relative_slack=0.0)
+        pool = CutPool()
         solver = BendersSolver(warm_start=True)
         solver.cut_pool = pool
         solver.solve(problem)
@@ -133,8 +133,9 @@ class TestCutPool:
         assert pool.dropped_total >= 1
         assert seeded + pool.dropped_total >= 1
 
-    def test_cut_cap_evicts_oldest(self):
-        pool = CutPool(max_cuts_per_structure=3)
+    def test_cut_cap_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(benders, "_MAX_CUTS_PER_STRUCTURE", 3)
+        pool = CutPool()
         key = ("k",)
         mus = [(np.full(4, float(i)), None) for i in range(5)]
         pool.record(key, 4, mus, best_x=None)
@@ -158,8 +159,9 @@ class TestCutPool:
         ]
         assert entry.idle == (2, 1, 0)  # a skipped duplicate keeps its age
 
-    def test_structure_cap_evicts_least_recently_used(self):
-        pool = CutPool(max_structures=2)
+    def test_structure_cap_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(benders, "_MAX_STRUCTURES", 2)
+        pool = CutPool()
         pool.record(("a",), 4, [(np.zeros(4), None)], None)
         pool.record(("b",), 4, [(np.zeros(4), None)], None)
         assert pool.entry(("a",)) is not None  # touch: "a" becomes most recent
@@ -167,14 +169,6 @@ class TestCutPool:
         assert len(pool) == 2
         assert pool.entry(("b",)) is None
         assert pool.entry(("a",)) is not None
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            CutPool(max_cuts_per_structure=0)
-        with pytest.raises(ValueError):
-            CutPool(max_structures=0)
-        with pytest.raises(ValueError):
-            CutPool(max_relative_slack=-0.1)
 
 
 def rewrite_entry(pool: CutPool, key: tuple, **changes) -> None:
@@ -222,8 +216,9 @@ class TestWorkingSet:
         entry = pool.entry(key)
         assert entry.idle == (0, 0, 0) and entry.multipliers[-1][0][0] == 9.0
 
-    def test_hard_cap_still_evicts_oldest_first_with_their_counters(self):
-        pool = CutPool(max_cuts_per_structure=3)
+    def test_hard_cap_still_evicts_oldest_first_with_their_counters(self, monkeypatch):
+        monkeypatch.setattr(benders, "_MAX_CUTS_PER_STRUCTURE", 3)
+        pool = CutPool()
         key = ("k",)
         pool.record(key, 4, [(np.full(4, float(i)), None) for i in range(3)], None)
         rewrite_entry(pool, key, idle=(2, 1, 0))

@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 
 import repro.core.lpsolver as lpsolver
-from repro.core.benders import _MAX_IDLE_SOLVES, BendersSolver, CutPool
+from repro.core.benders import (
+    _MAX_CUTS_PER_STRUCTURE,
+    _MAX_IDLE_SOLVES,
+    BendersSolver,
+    CutPool,
+)
 from repro.scenarios import DIFFERENTIAL_FAMILY, decision_fingerprint, sample_scenario
 from repro.scenarios.oracle import _perturbed_forecast_sequence, problem_for_scenario
 from repro.utils.rng import derive_seed
@@ -52,7 +57,7 @@ def record_every_multiplier(self, key, num_rows, new_multipliers, best_x):
     fresh = tuple((np.array(mu), block_id) for mu, block_id in new_multipliers)
     multipliers = entry.multipliers + fresh
     idle = entry.idle + (0,) * len(new_multipliers)
-    excess = max(0, len(multipliers) - self.max_cuts_per_structure)
+    excess = max(0, len(multipliers) - _MAX_CUTS_PER_STRUCTURE)
     self._entries[key] = replace(entry, multipliers=multipliers[excess:], idle=idle[excess:])
 
 
@@ -100,10 +105,10 @@ def test_the_seeded_master_stops_growing(aged):
     assert max(rows[100:]) <= max(rows[50:100]) + _MAX_IDLE_SOLVES
     # Everything a hoarding pool would hold by now is 1 cut per hit on top of
     # the cold epoch's; the working set is a fraction of that and of the cap.
-    hoard = min(pool.max_cuts_per_structure, len(epochs) + rows[1] - rows[0])
+    hoard = min(_MAX_CUTS_PER_STRUCTURE, len(epochs) + rows[1] - rows[0])
     assert len(entry.multipliers) == len(entry.idle)
     assert 0 < len(entry.multipliers) <= hoard // 4
-    assert len(entry.multipliers) <= pool.max_cuts_per_structure // 4
+    assert len(entry.multipliers) <= _MAX_CUTS_PER_STRUCTURE // 4
     assert max(entry.idle) <= _MAX_IDLE_SOLVES
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro.core.baseline import NoOverbookingSolver
 from repro.core.benders import BendersSolver
 from repro.core.forecast_inputs import ForecastInput
-from repro.core.kac import KACSolver
+from repro.core.kac import MAX_ITERATIONS, KACSolver
 from repro.core.milp_solver import DirectMILPSolver
 from repro.core.problem import ACRRProblem, InfeasibleProblemError, ProblemOptions
 from repro.core.slices import EMBB_TEMPLATE, MMTC_TEMPLATE, URLLC_TEMPLATE, make_requests
@@ -178,7 +178,7 @@ class TestKAC:
         allocation = decision.allocations["mMTC-0"]
         assert allocation.accepted
         assert allocation.compute_unit == "core-cu"
-        assert decision.stats.cuts_feasibility == KACSolver().max_iterations
+        assert decision.stats.cuts_feasibility == MAX_ITERATIONS
         assert_decision_feasible(problem, decision)
         for mbps in allocation.reservations_mbps.values():
             assert 2.0 - 1e-9 <= mbps <= 10.0 + 1e-9

@@ -22,7 +22,6 @@ from repro.utils.executors import (
     ProcessPoolRunExecutor,
     SerialExecutor,
     default_executor,
-    resolve_executor,
 )
 from repro.utils.rng import derive_spec_seed, spec_hash
 
@@ -248,15 +247,11 @@ class TestRunStoreAndResume:
         # Pool mode drains completed futures before re-raising a failure,
         # so sibling runs that finished are persisted for the resume.
         # The bad spec fails inside the worker (unknown scenario kind).
-        from repro.utils.executors import ProcessPoolRunExecutor
-
         good = [tiny_sim_spec("no-overbooking"), tiny_sim_spec("optimal")]
         bad = tiny_sim_spec(scenario="not-a-scenario")
         campaign = Campaign(name="test", specs=(bad, *good))
         with pytest.raises(KeyError, match="unknown scenario kind"):
-            campaign.run(
-                cache_dir=tmp_path, executor=ProcessPoolRunExecutor(max_workers=2)
-            )
+            campaign.run(cache_dir=tmp_path, workers=2)
         store = RunStore(tmp_path)
         assert all(store.load(spec) is not None for spec in good)
         resumed = Campaign(name="test", specs=tuple(good)).run(cache_dir=tmp_path)
@@ -294,10 +289,6 @@ class TestExecutorSelection:
         assert isinstance(default_executor(None), SerialExecutor)
         assert isinstance(default_executor(1), SerialExecutor)
         assert isinstance(default_executor(4), ProcessPoolRunExecutor)
-
-    def test_resolve_prefers_explicit_executor(self):
-        explicit = SerialExecutor()
-        assert resolve_executor(explicit, workers=8) is explicit
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from repro.faults import (
     SolverBudgetExceededError,
     TransientSolverError,
 )
+from repro.faults.safeguard import MAX_RETRIES, PROBE_INTERVAL, RECOVERY_EPOCHS
 from repro.scenarios import decision_fingerprint
 from repro.topology.generators import degrade_link_capacities
 from repro.topology.paths import compute_path_sets
@@ -63,7 +64,7 @@ class TestChainTiers:
 
     def test_transient_failure_is_retried_on_the_primary_tier(self, mixed_problem):
         primary = FlakyPrimary([TransientSolverError("blip")])
-        chain = SafeguardedSolver(primary, max_retries=2)
+        chain = SafeguardedSolver(primary)
         decision = chain.solve(mixed_problem)
         assert primary.calls == 2
         assert decision.stats.tier == TIER_PRIMARY
@@ -71,19 +72,19 @@ class TestChainTiers:
         assert chain.health.state is BrokerHealth.DEGRADED
 
     def test_retry_exhaustion_matches_the_no_overbooking_oracle(self, mixed_problem):
-        primary = FlakyPrimary([TransientSolverError("blip")] * 3)
-        chain = SafeguardedSolver(primary, max_retries=2)
+        primary = FlakyPrimary([TransientSolverError("blip")] * (MAX_RETRIES + 1))
+        chain = SafeguardedSolver(primary)
         decision = chain.solve(mixed_problem)
-        assert primary.calls == 3
+        assert primary.calls == MAX_RETRIES + 1
         assert decision.stats.tier == TIER_NO_OVERBOOKING
-        assert decision.stats.retries == 2
+        assert decision.stats.retries == MAX_RETRIES
         assert "transient failures exhausted" in decision.stats.fallback_reason
         oracle = NoOverbookingSolver().solve(mixed_problem)
         assert decision_fingerprint(decision) == decision_fingerprint(oracle)
 
     def test_budget_exhaustion_is_never_retried(self, mixed_problem):
         primary = FlakyPrimary([SolverBudgetExceededError("no incumbent")])
-        chain = SafeguardedSolver(primary, max_retries=5)
+        chain = SafeguardedSolver(primary)
         decision = chain.solve(mixed_problem)
         assert primary.calls == 1
         assert decision.stats.tier == TIER_NO_OVERBOOKING
@@ -96,7 +97,7 @@ class TestChainTiers:
         from repro.core.decomposition import SlaveNumericalError
 
         primary = FlakyPrimary([SlaveNumericalError("LP failed on feasible basis")])
-        chain = SafeguardedSolver(primary, max_retries=5)
+        chain = SafeguardedSolver(primary)
         decision = chain.solve(mixed_problem)
         assert primary.calls == 1
         assert decision.stats.tier == TIER_NO_OVERBOOKING
@@ -175,26 +176,20 @@ class TestChainTiers:
 
     def test_safe_mode_skips_the_primary_until_the_probe(self, mixed_problem):
         primary = FlakyPrimary()
-        chain = SafeguardedSolver(
-            primary, health=HealthMonitor(recovery_epochs=2, probe_interval=3)
-        )
+        chain = SafeguardedSolver(primary)
         chain.health.state = BrokerHealth.SAFE_MODE
-        # Two solves short of the probe go straight to reject-all.
-        for _ in range(2):
+        # The solves short of the probe go straight to reject-all.
+        for _ in range(PROBE_INTERVAL - 1):
             decision = chain.solve(mixed_problem)
             assert decision.stats.tier == TIER_REJECT_ALL
             assert "awaiting recovery probe" in decision.stats.fallback_reason
         assert primary.calls == 0
-        # The third solve is the recovery probe: the primary runs, succeeds,
+        # The next solve is the recovery probe: the primary runs, succeeds,
         # and the chain leaves safe mode.
         decision = chain.solve(mixed_problem)
         assert primary.calls == 1
         assert decision.stats.tier == TIER_PRIMARY
         assert chain.health.state is BrokerHealth.DEGRADED
-
-    def test_max_retries_must_be_non_negative(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            SafeguardedSolver(FlakyPrimary(), max_retries=-1)
 
 
 class TestCertifiedDecisionIsEpochState:
@@ -226,12 +221,6 @@ class TestCertifiedDecisionIsEpochState:
 
 
 class TestHealthMonitor:
-    def test_constructor_validates_parameters(self):
-        with pytest.raises(ValueError, match="recovery_epochs"):
-            HealthMonitor(recovery_epochs=0)
-        with pytest.raises(ValueError, match="probe_interval"):
-            HealthMonitor(probe_interval=0)
-
     def test_non_primary_tier_degrades(self):
         monitor = HealthMonitor()
         monitor.note_outcome(TIER_WARM_REPLAY, degraded=True)
@@ -243,21 +232,24 @@ class TestHealthMonitor:
         assert monitor.state is BrokerHealth.DEGRADED
 
     def test_recovery_needs_consecutive_clean_primary_epochs(self):
-        monitor = HealthMonitor(recovery_epochs=3)
+        monitor = HealthMonitor()
         monitor.note_outcome(TIER_NO_OVERBOOKING, degraded=True)
-        for _ in range(2):
+        for _ in range(RECOVERY_EPOCHS - 1):
             monitor.note_outcome(TIER_PRIMARY, degraded=False)
             assert monitor.state is BrokerHealth.DEGRADED
         monitor.note_outcome(TIER_PRIMARY, degraded=False)
         assert monitor.state is BrokerHealth.HEALTHY
 
     def test_a_degraded_epoch_resets_the_clean_streak(self):
-        monitor = HealthMonitor(recovery_epochs=2)
+        monitor = HealthMonitor()
         monitor.note_outcome(TIER_NO_OVERBOOKING, degraded=True)
-        monitor.note_outcome(TIER_PRIMARY, degraded=False)
+        for _ in range(RECOVERY_EPOCHS - 1):
+            monitor.note_outcome(TIER_PRIMARY, degraded=False)
         monitor.note_outcome(TIER_PRIMARY, degraded=True)
-        monitor.note_outcome(TIER_PRIMARY, degraded=False)
+        for _ in range(RECOVERY_EPOCHS - 1):
+            monitor.note_outcome(TIER_PRIMARY, degraded=False)
         assert monitor.state is BrokerHealth.DEGRADED
+        assert monitor.clean_streak == RECOVERY_EPOCHS - 1
 
     def test_reject_all_enters_safe_mode(self):
         monitor = HealthMonitor()
@@ -265,28 +257,28 @@ class TestHealthMonitor:
         assert monitor.state is BrokerHealth.SAFE_MODE
 
     def test_probe_cadence_in_safe_mode(self):
-        monitor = HealthMonitor(probe_interval=4)
+        monitor = HealthMonitor()
         monitor.note_outcome(TIER_REJECT_ALL, degraded=True)
-        assert [monitor.should_probe() for _ in range(8)] == [
-            False, False, False, True, False, False, False, True,
-        ]
+        probes = [monitor.should_probe() for _ in range(2 * PROBE_INTERVAL)]
+        assert probes == 2 * ([False] * (PROBE_INTERVAL - 1) + [True])
 
     def test_should_probe_is_always_true_outside_safe_mode(self):
-        monitor = HealthMonitor(probe_interval=4)
+        monitor = HealthMonitor()
         assert all(monitor.should_probe() for _ in range(6))
         monitor.note_outcome(TIER_PRIMARY, degraded=True)
         assert all(monitor.should_probe() for _ in range(6))
 
     def test_successful_probe_re_enters_degraded_then_recovers(self):
-        monitor = HealthMonitor(recovery_epochs=2, probe_interval=1)
+        monitor = HealthMonitor()
         monitor.note_outcome(TIER_REJECT_ALL, degraded=True)
-        monitor.note_outcome(TIER_PRIMARY, degraded=False)
-        assert monitor.state is BrokerHealth.DEGRADED
+        for _ in range(RECOVERY_EPOCHS - 1):
+            monitor.note_outcome(TIER_PRIMARY, degraded=False)
+            assert monitor.state is BrokerHealth.DEGRADED
         monitor.note_outcome(TIER_PRIMARY, degraded=False)
         assert monitor.state is BrokerHealth.HEALTHY
 
     def test_failed_epoch_degrades_and_resets_the_streak(self):
-        monitor = HealthMonitor(recovery_epochs=2)
+        monitor = HealthMonitor()
         assert monitor.state is BrokerHealth.HEALTHY
         monitor.note_failed_epoch()
         assert monitor.state is BrokerHealth.DEGRADED
@@ -315,13 +307,11 @@ class TestDecisionReuseUnderTheChain:
     """The orchestrator reuses an unchanged decision only when the solver
     certified it, and a reused epoch reports the work it did: none."""
 
-    def _broker(self, primary, recovery_epochs):
+    def _broker(self, primary):
         from repro.api import SliceBroker, SliceRequestV1
         from tests.conftest import build_tiny_topology
 
-        chain = SafeguardedSolver(
-            primary, health=HealthMonitor(recovery_epochs=recovery_epochs, probe_interval=1)
-        )
+        chain = SafeguardedSolver(primary)
         # The core CU lies beyond the eMBB latency tolerance, so both slices
         # stay on the edge CU and, with constant forecasts, every epoch from
         # the second on poses the same problem.
@@ -337,7 +327,7 @@ class TestDecisionReuseUnderTheChain:
         from repro.controlplane.orchestrator import REUSED_MESSAGE
 
         primary = FailsOnCall(2, RuntimeError("boom"))
-        broker = self._broker(primary, recovery_epochs=1)
+        broker = self._broker(primary)
         assert broker.advance_epoch(0).solver_tier == TIER_PRIMARY
         fallback = broker.advance_epoch(1)  # committed now: nothing to replay
         assert fallback.solver_tier == TIER_NO_OVERBOOKING
@@ -346,29 +336,75 @@ class TestDecisionReuseUnderTheChain:
         assert primary.calls == 3  # the primary is asked again
         assert resolved.solver_message != REUSED_MESSAGE
         assert resolved.solver_tier == TIER_PRIMARY
-        assert resolved.health == BrokerHealth.HEALTHY.value
-        for epoch in (3, 4):  # the certified decision is reused
-            report = broker.advance_epoch(epoch)
+        # The certified decision is reused, and every clean epoch counts
+        # towards recovery from the resolved one on.
+        reused = [broker.advance_epoch(epoch) for epoch in range(3, 2 + RECOVERY_EPOCHS)]
+        for report in reused:
             assert report.solver_message == REUSED_MESSAGE
             assert report.solver_tier == TIER_PRIMARY
         assert primary.calls == 3
+        assert [report.health for report in [resolved, *reused]] == (
+            [BrokerHealth.DEGRADED.value] * (RECOVERY_EPOCHS - 1) + [BrokerHealth.HEALTHY.value]
+        )
 
     def test_a_reused_decision_reports_no_retries(self):
         from repro.controlplane.orchestrator import REUSED_MESSAGE
 
         primary = FailsOnCall(2, TransientSolverError("flaky"))
-        broker = self._broker(primary, recovery_epochs=2)
+        broker = self._broker(primary)
         broker.advance_epoch(0)
         retried = broker.advance_epoch(1)
         assert primary.calls == 3
         assert retried.solver_retries == 1
         assert retried.degraded_reasons == ("primary solver needed 1 transient retries",)
-        reports = [broker.advance_epoch(epoch) for epoch in (2, 3)]
+        reports = [broker.advance_epoch(epoch) for epoch in range(2, 2 + RECOVERY_EPOCHS)]
         assert primary.calls == 3
         for report in reports:
             assert report.solver_message == REUSED_MESSAGE
             assert report.solver_retries == 0
             assert report.degraded_reasons == ()
-        assert [report.health for report in reports] == [
-            BrokerHealth.DEGRADED.value, BrokerHealth.HEALTHY.value,
-        ]
+        assert [report.health for report in reports] == (
+            [BrokerHealth.DEGRADED.value] * (RECOVERY_EPOCHS - 1) + [BrokerHealth.HEALTHY.value]
+        )
+
+
+class TestArmingChaos:
+    """``SliceBroker.enable_chaos`` arms one plan on the broker's own chain."""
+
+    def _broker(self, solver):
+        from repro.api import SliceBroker
+        from repro.topology.operators import testbed_topology
+
+        return SliceBroker(topology=testbed_topology(), solver=solver)
+
+    def test_re_arming_replaces_the_previous_plans_solver_faults(self):
+        from repro.api import SliceRequestV1
+        from repro.faults import HOOK_SOLVER, ChaosSolver, FaultKind, FaultPlan, FaultSpec
+
+        broker = self._broker(DirectMILPSolver())
+        broker.enable_chaos(
+            FaultPlan.of(FaultSpec(hook=HOOK_SOLVER, kind=FaultKind.CRASH, epoch=0))
+        )
+        injector = broker.enable_chaos(FaultPlan.empty())
+        broker.submit(SliceRequestV1.of("u1", "uRLLC"))
+        report = broker.advance_epoch(0)
+        assert report.solver_tier == TIER_PRIMARY
+        assert report.health == BrokerHealth.HEALTHY.value
+        assert report.accepted == ("u1",)
+        # One proxy, carrying the plan armed last.
+        primary = broker.orchestrator.solver.primary
+        assert isinstance(primary, ChaosSolver) and primary.injector is injector
+        assert isinstance(primary.inner, DirectMILPSolver)
+
+    def test_arming_keeps_the_health_the_broker_reached(self):
+        from repro.api import SliceRequestV1, SolverError
+        from repro.faults import FaultPlan
+
+        broker = self._broker(FailsOnCall(1, RuntimeError("boom")))
+        broker.submit(SliceRequestV1.of("u1", "uRLLC"))
+        with pytest.raises(SolverError):
+            broker.advance_epoch(0)
+        assert broker.health.state is BrokerHealth.DEGRADED
+        broker.enable_chaos(FaultPlan.empty())
+        assert broker.health.state is BrokerHealth.DEGRADED
+        assert broker.orchestrator.solver.health is broker.health

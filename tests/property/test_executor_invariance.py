@@ -17,7 +17,6 @@ from repro.core.benders import BendersSolver
 from repro.experiments.campaign import Campaign
 from repro.experiments.fig5_homogeneous import fig5_campaign
 from repro.scenarios import DIFFERENTIAL_FAMILY, problem_for_scenario, sample_scenario
-from repro.utils.executors import ProcessPoolRunExecutor, SerialExecutor
 
 pytestmark = pytest.mark.slow
 
@@ -44,17 +43,15 @@ def small_grid_campaign(policies: tuple[str, ...] = ("optimal",)) -> Campaign:
 class TestExecutorInvariance:
     def test_serial_and_process_pool_records_identical(self):
         campaign = small_grid_campaign()
-        serial = campaign.run(executor=SerialExecutor())
-        pooled = campaign.run(executor=ProcessPoolRunExecutor(max_workers=2))
+        serial = campaign.run()
+        pooled = campaign.run(workers=2)
         assert _record_dicts(serial) == _record_dicts(pooled)
 
     def test_pool_filled_cache_is_valid_for_serial_resume(self, tmp_path):
         campaign = small_grid_campaign()
-        pooled = campaign.run(
-            cache_dir=tmp_path, executor=ProcessPoolRunExecutor(max_workers=2)
-        )
+        pooled = campaign.run(cache_dir=tmp_path, workers=2)
         assert pooled.num_executed == len(campaign.specs)
-        resumed = campaign.run(cache_dir=tmp_path, executor=SerialExecutor())
+        resumed = campaign.run(cache_dir=tmp_path)
         assert resumed.num_executed == 0
         assert _record_dicts(resumed) == _record_dicts(pooled)
 
@@ -70,8 +67,8 @@ class TestExecutorInvariance:
             ),
             base_seed=77,
         )
-        serial = derived.run(executor=SerialExecutor())
-        pooled = derived.run(executor=ProcessPoolRunExecutor(max_workers=2))
+        serial = derived.run()
+        pooled = derived.run(workers=2)
         assert _record_dicts(serial) == _record_dicts(pooled)
 
     def test_benders_campaign_forked_after_a_parent_solve(self):
@@ -83,6 +80,6 @@ class TestExecutorInvariance:
         problem = problem_for_scenario(sample_scenario(DIFFERENTIAL_FAMILY, seed=0))
         BendersSolver().solve(problem)
         campaign = small_grid_campaign(policies=("benders",))
-        serial = campaign.run(executor=SerialExecutor())
-        pooled = campaign.run(executor=ProcessPoolRunExecutor(max_workers=2))
+        serial = campaign.run()
+        pooled = campaign.run(workers=2)
         assert _record_dicts(serial) == _record_dicts(pooled)

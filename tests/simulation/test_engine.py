@@ -6,7 +6,7 @@ import pytest
 from repro.core.slices import EMBB_TEMPLATE
 from repro.simulation.runner import compare_policies, make_solver, run_scenario
 from repro.simulation.scenario import homogeneous_scenario, testbed_scenario as make_testbed_scenario
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.engine import MIN_EPOCHS_FOR_CONVERGENCE, SimulationEngine
 from repro.utils.stats import relative_gain
 from tests.conftest import build_tiny_topology
 
@@ -113,10 +113,8 @@ class TestConvergenceStopping:
             seed=3,
         )
         engine = SimulationEngine(scenario, make_solver("optimal"), policy_name="optimal")
-        result = engine.run(
-            stop_on_converged_revenue=True, min_epochs_for_convergence=5
-        )
-        assert len(result.epoch_records) < 30
+        result = engine.run(stop_on_converged_revenue=True)
+        assert MIN_EPOCHS_FOR_CONVERGENCE <= len(result.epoch_records) < 30
 
 
 class TestOracleForecasts:

@@ -23,7 +23,6 @@ from repro.utils.executors import (
     ProcessPoolRunExecutor,
     SerialExecutor,
     default_executor,
-    resolve_executor,
 )
 
 POOLED = [ProcessPoolRunExecutor]
@@ -212,11 +211,6 @@ class TestResolution:
         pooled = default_executor(3)
         assert isinstance(pooled, ProcessPoolRunExecutor)
         assert pooled.max_workers == 3
-
-    def test_resolve_executor_prefers_explicit_object(self):
-        explicit = ProcessPoolRunExecutor(max_workers=2)
-        assert resolve_executor(explicit, workers=8) is explicit
-        assert isinstance(resolve_executor(None, workers=None), SerialExecutor)
 
     @pytest.mark.parametrize("executor_cls", POOLED)
     def test_rejects_non_positive_workers(self, executor_cls):
