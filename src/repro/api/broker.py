@@ -710,15 +710,13 @@ class SliceBroker:
         # Registry + controllers are consistent here; only now fan out.
         self.events.publish(events)
         stats = decision.stats
-        tier = getattr(stats, "tier", TIER_PRIMARY)
-        retries = getattr(stats, "retries", 0)
-        fallback_reason = getattr(stats, "fallback_reason", "")
-        rehomed = tuple(getattr(self._orchestrator, "last_rehomed", ()))
+        tier, retries = stats.tier, stats.retries
+        rehomed = self._orchestrator.last_rehomed
         reasons: list[str] = []
         if tier != TIER_PRIMARY:
             reasons.append(
-                f"solver tier {tier}: {fallback_reason}"
-                if fallback_reason
+                f"solver tier {tier}: {stats.fallback_reason}"
+                if stats.fallback_reason
                 else f"solver tier {tier}"
             )
         elif retries:
@@ -754,7 +752,7 @@ class SliceBroker:
                 self.health.note_outcome(tier, True)
         return EpochReport(
             epoch=epoch,
-            idle=stats.solver == "idle",
+            idle=idle,
             objective_value=decision.objective_value,
             accepted=tuple(sorted(decision.accepted_tenants)),
             rejected=tuple(sorted(decision.rejected_tenants)),
@@ -772,7 +770,7 @@ class SliceBroker:
             solver_optimal=stats.optimal,
             solver_warm_cuts=stats.cuts_warm,
             solver_message=stats.message,
-            solver_time_truncated=getattr(stats, "time_truncated", False),
+            solver_time_truncated=stats.time_truncated,
             events=tuple(events),
             degraded=degraded,
             solver_tier=tier,

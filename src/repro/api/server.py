@@ -85,12 +85,12 @@ class EventLog:
     Subscribes to the broker's event bus and appends every event under a
     monotonically increasing sequence number (the first event is seq 1).
     Retention is a ring: only the newest ``retention`` events stay resident
-    (amortised O(1) per append via front-offset compaction, the ring-buffer
-    TSDB's idiom), while sequence numbers keep counting -- ``__len__``
-    still reports the total ever published.  :meth:`page` serves the
-    cursor-paged ``/v1/events`` feed; paging from a cursor whose events
-    have been evicted raises a typed :class:`ValidationError` naming the
-    oldest sequence number still available.
+    (amortised O(1) per append via front-offset compaction), while
+    sequence numbers keep counting -- ``__len__`` still reports the total
+    ever published.  :meth:`page` serves the cursor-paged ``/v1/events``
+    feed; paging from a cursor whose events have been evicted raises a
+    typed :class:`ValidationError` naming the oldest sequence number still
+    available.
     """
 
     def __init__(self, broker: SliceBroker, retention: int = DEFAULT_EVENT_RETENTION):

@@ -31,9 +31,9 @@ once its right-hand side is re-derived from the new ``(h0, H)`` and relaxed
 by the (computable) dual-infeasibility slack against the new objective.
 Stale cuts whose slack grew too large are skipped, cuts that stopped
 binding age out of the pool; the surviving ones re-seed the master, which
-typically certifies the previous optimum in one round -- the decision a cold
-solve returns, up to a certified tie inside the stopping band (the
-differential warm-start sweeps pin which of the two holds where).
+typically re-proposes and certifies the previous optimum in one round.
+Anything else runs the cold loop, so warm and cold return the same decision
+(the differential warm-start sweeps assert it on every instance).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.core.lpsolver import (
     FEASIBILITY_TOL,
     MILPSolution,
     dense_rows_to_csc,
-    is_feasible_point,
     solve_milp,
     stack_columns,
 )
@@ -92,7 +91,6 @@ class _MasterState:
         num_thetas = len(theta_lowers)
         self.num_items = n
         self.num_thetas = num_thetas
-        self.theta_lowers = theta_lowers
         self.cost = np.concatenate([cost_x, np.ones(num_thetas)])
         self.lower = np.concatenate([np.zeros(n), theta_lowers])
         self.upper = np.concatenate([np.ones(n), np.full(num_thetas, np.inf)])
@@ -389,12 +387,6 @@ class CutPool:
             ),
         )
 
-
-#: Relative width of the "essentially exact" certificate tier of the warm
-#: fast path -- the same comparison tolerance the differential harness uses
-#: to call two optima equal.  A certificate this tight cannot hide a
-#: materially different cold incumbent.
-_EXACT_CERTIFICATE_REL = 1e-6
 
 #: How many consecutive seeded master solves a stored multiplier may sit
 #: idle (slack, or skipped) before :meth:`CutPool.age` drops it.  0 to 4
@@ -699,14 +691,15 @@ class BendersSolver:
         accuracy for speed: a hit carries the same optimality certificate a
         cold termination carries.
 
-        Closing the stopping rule is not enough on its own: the hit is
-        accepted only if the master also *corroborates* the previous optimum
-        (re-proposes it, proves it attains the master optimum, or the
-        certificate is essentially exact) -- a guard against "certified
-        ties" inside a loose relative stopping band, where cold could settle
-        on a different, equally certified vertex.  A byte-identical re-solve
-        (a renewal the orchestrator's decision reuse did not catch) takes
-        this same path: it re-certifies or runs cold, same decision.
+        Closing the stopping rule is not enough on its own: a hit is a
+        *re-proposal* -- the seeded master must propose exactly the previous
+        admission vector, as the first round of a cold loop would propose
+        its incumbent.  The seeded cuts bound the answer; they never choose
+        it.  A previous decision certified inside the stopping band but not
+        re-proposed is a tie cold may break the other way, so it runs cold.
+        A byte-identical re-solve (a renewal the orchestrator's decision
+        reuse did not catch) takes this same path: it re-proposes or runs
+        cold, same decision.
         """
         pool_key = problem.identity()
         if self.cut_pool.entry(pool_key) is None:
@@ -736,25 +729,7 @@ class BendersSolver:
         if not np.isfinite(gap) or gap > self._gap_target(upper_bound):
             return None
         if not np.array_equal(x_proposed, previous_x):
-            corroborated = gap <= max(
-                self.tolerance, _EXACT_CERTIFICATE_REL * abs(upper_bound)
-            )
-            if not corroborated:
-                # Attainment: the previous decision, lifted into the seeded
-                # master, is a feasible point at the master optimum.
-                lifted = self._lift_previous(seeded_master, previous_x)
-                attainment_tol = 1e-9 * max(1.0, abs(master_objective))
-                corroborated = float(
-                    np.dot(seeded_master.cost, lifted)
-                ) <= master_objective + attainment_tol and is_feasible_point(
-                    lifted,
-                    *seeded_master.rows(),
-                    seeded_master.integrality,
-                    seeded_master.lower,
-                    seeded_master.upper,
-                )
-            if not corroborated:
-                return None
+            return None
         stats = SolverStats(
             solver="benders",
             iterations=1,
@@ -770,32 +745,6 @@ class BendersSolver:
         )
         self.cut_pool.record(pool_key, len(slave.h0), [(outcome.duals, None)], previous_x)
         return decision_from_vectors(problem, previous_x, outcome.z, stats)
-
-    @staticmethod
-    def _lift_previous(master: _MasterState, previous_x: np.ndarray) -> np.ndarray:
-        """Lift a previous admission vector into a full master vector.
-
-        The surrogate variables are raised to the smallest values the seeded
-        optimality cuts allow at ``previous_x`` (walking the cut rows in
-        order and charging any shortfall to the lowest-index surrogate a row
-        involves -- raising a surrogate never breaks an earlier row, the
-        coefficients are non-negative), so the lifted point is feasible for
-        the seeded master whenever ``previous_x`` itself still is.
-        """
-        n = master.num_items
-        thetas = master.theta_lowers.copy()
-        cuts, cut_rhs = master.cut_rows()
-        # Row activities at (previous_x, thetas = 0), summed per row in
-        # column order -- the order the sparse rows are stored in.
-        matrix, _, _ = master.rows()
-        activity = matrix.dot(np.concatenate([previous_x, np.zeros(master.num_thetas)]))
-        needed = cut_rhs - activity[master.num_static_rows :]
-        for row, theta_coeff in enumerate(cuts[:, n:]):
-            support = np.flatnonzero(theta_coeff > 0.5)
-            shortfall = needed[row] - float(np.sum(thetas[support]))
-            if shortfall > 0.0:
-                thetas[support[0]] += shortfall
-        return np.concatenate([previous_x, thetas])
 
     def _solve_master(self, master: _MasterState) -> MILPSolution:
         """Solve the current master MILP (values over x and the surrogates,

@@ -488,38 +488,9 @@ class Phase1Problem:
 # --------------------------------------------------------------------- #
 # Mixed-integer programs
 # --------------------------------------------------------------------- #
-#: Tolerance of :func:`is_feasible_point` on bounds, integrality and rows
-#: (relative to a row's activity); also what the cut pool calls "slack" when
-#: it ages its working set.
+#: Relative tolerance below which the cut pool calls a seeded cut "tight"
+#: (and above which "slack") when it ages its working set.
 FEASIBILITY_TOL = 1e-7
-
-
-def is_feasible_point(
-    values: np.ndarray,
-    matrix: sparse.csc_matrix,
-    row_lower: np.ndarray,
-    row_upper: np.ndarray,
-    integrality: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> bool:
-    """Whether ``values`` is a point of the MILP ``row_lower <= matrix v <=
-    row_upper``, ``lower <= v <= upper``, integral where ``integrality`` says
-    so -- each within :data:`FEASIBILITY_TOL`."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != np.asarray(lower).shape:
-        return False
-    if np.any(values < lower - FEASIBILITY_TOL) or np.any(values > upper + FEASIBILITY_TOL):
-        return False
-    integral = np.asarray(integrality) > 0.5
-    if np.any(np.abs(values[integral] - np.round(values[integral])) > FEASIBILITY_TOL):
-        return False
-    activity = np.asarray(matrix.dot(values)).ravel()
-    scale = np.maximum(1.0, np.abs(activity))
-    return not (
-        np.any(activity < row_lower - FEASIBILITY_TOL * scale)
-        or np.any(activity > row_upper + FEASIBILITY_TOL * scale)
-    )
 
 
 @functools.lru_cache(maxsize=32)

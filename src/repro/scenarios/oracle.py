@@ -264,9 +264,10 @@ def warm_start_check(
     steady-state forecast drifts twice -- once with a warm-started solver
     carried across the whole sequence, once with a fresh cold solver per
     instance -- and fingerprints every pair of decisions.  The warm solver's
-    fast path either *certifies* the previous optimum under the solver's own
-    stopping rule or falls back to the exact cold trajectory, so any
-    fingerprint mismatch is a bug in the warm-start layer.
+    fast path accepts the previous optimum only when the seeded master
+    re-proposes it and closes the solver's own stopping rule, and otherwise
+    falls back to the exact cold trajectory, so any fingerprint mismatch is
+    a bug in the warm-start layer.
 
     ``exact_tolerances`` switches both solvers to the differential harness's
     near-exact stopping rule (certificates must close to 1e-9, the regime of

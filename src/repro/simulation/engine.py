@@ -8,8 +8,8 @@ reservation and pushes the result to the domain controllers; the tenants'
 traffic is then multiplexed over the admitted slices' resources
 (:class:`~repro.dataplane.multiplexing.SliceMultiplexer`), which decides
 what each slice loses on saturated resources; monitoring samples flow back
-through the broker into the time-series store and drive the next epoch's
-forecasts.  The revenue accountant keeps the score.
+through the broker into the per-slice peak tracks of the monitoring service
+and drive the next epoch's forecasts.  The revenue accountant keeps the score.
 
 The engine is one *driver* of the broker among several (examples, future
 trace replayers / RL environments): every control-plane mutation here goes

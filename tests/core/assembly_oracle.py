@@ -593,25 +593,6 @@ class OracleMaster(_MasterState):
         )
 
 
-def oracle_lift_previous(master: OracleMaster, previous_x: np.ndarray):
-    """``BendersSolver._lift_previous`` as it was (sparse cut rows, ``todense``)."""
-    n = master.num_items
-    thetas = master.theta_lowers.copy()
-    cut_matrix, cut_rhs = master.csr_cut_rows()
-    if cut_matrix is not None:
-        base = np.asarray(cut_matrix[:, :n].dot(previous_x)).ravel()
-        theta_coeff = np.asarray(cut_matrix[:, n:].todense())
-        needed = cut_rhs - base
-        for row in range(cut_matrix.shape[0]):
-            support = np.flatnonzero(theta_coeff[row] > 0.5)
-            if not len(support):
-                continue
-            shortfall = needed[row] - float(np.sum(thetas[support]))
-            if shortfall > 0.0:
-                thetas[support[0]] += shortfall
-    return np.concatenate([previous_x, thetas])
-
-
 def oracle_seed_master(self: CutPool, key, master, slave):
     """``CutPool.seed_master`` as it was: per-system sparse slices, one
     batch of products per aggregate system and per block."""
@@ -692,6 +673,3 @@ def retire_the_array_assembly(monkeypatch) -> None:
     monkeypatch.setattr("repro.core.benders.SlaveProblem", OracleSlave)
     monkeypatch.setattr("repro.core.benders._MasterState", OracleMaster)
     monkeypatch.setattr("repro.core.benders.CutPool.seed_master", oracle_seed_master)
-    monkeypatch.setattr(
-        "repro.core.benders.BendersSolver._lift_previous", staticmethod(oracle_lift_previous)
-    )

@@ -6,7 +6,6 @@ import numpy as np
 
 import repro.core.benders as benders
 from repro.core.benders import (
-    _EXACT_CERTIFICATE_REL,
     _MAX_IDLE_SOLVES,
     BendersSolver,
     CutPool,
@@ -377,22 +376,18 @@ class TestWarmStartedSolver:
         assert fingerprint(cold) == fingerprint(warm)
 
 
-class TestLazyLift:
-    """The previous decision is lifted into the master only where it is
-    read: the attainment check of a fast path whose master proposed
-    another vector and whose certificate is not essentially exact."""
+class TestReProposal:
+    """A fast-path hit is a seeded master that closes the stopping rule and
+    re-proposes the previous admission vector; any other outcome runs the
+    cold loop and returns what a solver with warm starts disabled returns."""
 
     @staticmethod
     def spy(monkeypatch):
-        """Record the lifts, the rounded master candidates and the admission
-        vectors solves return, in call order."""
-        seen = {"lifted": [], "proposed": [], "returned": []}
-        lift, master = BendersSolver._lift_previous, BendersSolver._solve_master
+        """Record the rounded master candidates and the admission vectors
+        solves return, in call order."""
+        seen = {"proposed": [], "returned": []}
+        master = BendersSolver._solve_master
         decide = benders.decision_from_vectors
-
-        def lifting(seeded_master, previous_x):
-            seen["lifted"].append(previous_x)
-            return lift(seeded_master, previous_x)
 
         def solving(solver, master_state):
             result = master(solver, master_state)
@@ -403,7 +398,6 @@ class TestLazyLift:
             seen["returned"].append(np.asarray(x))
             return decide(problem, x, *args)
 
-        monkeypatch.setattr(BendersSolver, "_lift_previous", staticmethod(lifting))
         monkeypatch.setattr(BendersSolver, "_solve_master", solving)
         monkeypatch.setattr(benders, "decision_from_vectors", deciding)
         return seen
@@ -417,9 +411,15 @@ class TestLazyLift:
             base, count=count, spread=0.02, seed=derive_seed(scenario.seed, tag, scenario.name)
         )
 
-    def test_same_vector_steady_state_never_lifts(self, monkeypatch):
+    @staticmethod
+    def solver(warm_start: bool = True) -> BendersSolver:
+        return BendersSolver(
+            max_iterations=12, master_time_limit_s=None, time_limit_s=None, warm_start=warm_start
+        )
+
+    def test_every_steady_state_hit_re_proposes(self, monkeypatch):
         base, drifted = self.drift(0, count=6, tag="steady")
-        solver = BendersSolver(max_iterations=12, master_time_limit_s=None, time_limit_s=None)
+        solver = self.solver()
         solver.solve(base)
         seen = self.spy(monkeypatch)
         for problem in drifted:
@@ -429,21 +429,110 @@ class TestLazyLift:
         assert len(seen["proposed"]) == len(seen["returned"]) == 6
         for proposed, returned in zip(seen["proposed"], seen["returned"]):
             assert np.array_equal(proposed, returned)
-        assert seen["lifted"] == []
 
-    def test_a_drift_hit_corroborated_by_attainment(self, monkeypatch):
+    def test_a_certified_previous_decision_not_re_proposed_runs_cold(self, monkeypatch):
         base, (drifted,) = self.drift(32, count=1, tag="overlap")
-        solver = BendersSolver(max_iterations=12, master_time_limit_s=None, time_limit_s=None)
+        solver = self.solver()
         solver.solve(base)
+        previous_x = solver.cut_pool.entry(drifted.identity()).best_x
         seen = self.spy(monkeypatch)
         decision = solver.solve(drifted)
-        # A hit: one seeded master, its candidate not the previous decision.
-        assert decision.stats.cuts_warm > 0 and decision.stats.iterations == 1
-        (previous_x,), (proposed,) = seen["lifted"], seen["proposed"]
-        assert not np.array_equal(proposed, previous_x)
-        # The certificate is outside the exact tier: attainment decided.
-        upper_bound = float(decision.stats.message.split("UB=")[1].split()[0])
-        assert decision.stats.gap > max(solver.tolerance, _EXACT_CERTIFICATE_REL * abs(upper_bound))
-        # ... and the previous decision is what the solve returns.
-        (returned,) = seen["returned"]
-        assert np.array_equal(returned, previous_x)
+        # The seeded master proposed another vector than the previous one ...
+        assert not np.array_equal(seen["proposed"][0], previous_x)
+        # ... so the solve ran the cold loop and returned the cold decision.
+        assert decision.stats.cuts_warm == 0
+        assert fingerprint(decision) == fingerprint(self.solver(warm_start=False).solve(drifted))
+
+    # Each refusal below is one early return of the fast path, forced on the
+    # first steady-state drift of instance 0 -- an instance whose fast path
+    # otherwise hits (see test_every_steady_state_hit_re_proposes).
+    @staticmethod
+    def once(monkeypatch, owner, name, replacement):
+        """Replace ``owner.name`` for its first call only -- the fast path's
+        -- with ``replacement(original, *args)``; return the calls seen."""
+        original = getattr(owner, name)
+        calls = []
+
+        def patched(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                return replacement(original, *args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, patched)
+        return calls
+
+    def refused(self, solver, drifted):
+        """Solve ``drifted``; assert the solve ran the cold loop and matches a
+        solver with warm starts disabled byte for byte."""
+        decision = solver.solve(drifted)
+        cold = self.solver(warm_start=False).solve(drifted)
+        assert decision.stats.cuts_warm == 0
+        assert decision.stats.iterations == cold.stats.iterations
+        assert fingerprint(decision) == fingerprint(cold)
+        return decision
+
+    def test_an_identity_never_solved_builds_no_seeded_master(self, monkeypatch):
+        _, (drifted,) = self.drift(0, count=1, tag="steady")
+        solver = self.solver()
+        seen = self.spy(monkeypatch)
+        decision = self.refused(solver, drifted)
+        # Every master solve was a round of the cold loop (the warm-disabled
+        # reference solve above adds as many again).
+        assert len(seen["proposed"]) == 2 * decision.stats.iterations
+        assert solver.cut_pool.entry(drifted.identity()) is not None
+
+    def test_a_pool_that_seeds_no_cut_runs_cold(self, monkeypatch):
+        base, (drifted,) = self.drift(0, count=1, tag="steady")
+        solver = self.solver()
+        solver.solve(base)
+
+        def seeding_nothing(original, pool, key, master, slave):
+            _, previous_x = original(pool, key, master, slave)
+            return 0, previous_x
+
+        self.once(monkeypatch, CutPool, "seed_master", seeding_nothing)
+        seen = self.spy(monkeypatch)
+        decision = self.refused(solver, drifted)
+        # No seeded master was solved: nothing bounds it.
+        assert len(seen["proposed"]) == 2 * decision.stats.iterations
+
+    def test_an_unsolved_seeded_master_runs_cold(self, monkeypatch):
+        base, (drifted,) = self.drift(0, count=1, tag="steady")
+        solver = self.solver()
+        solver.solve(base)
+
+        def unsolved(original, solver, master):
+            solved = original(solver, master)
+            return replace(solved, success=False, status="forced: not solved")
+
+        calls = self.once(monkeypatch, BendersSolver, "_solve_master", unsolved)
+        decision = self.refused(solver, drifted)
+        # The seeded master, then every round of the cold loop, then the
+        # warm-disabled reference solve.
+        assert len(calls) == 1 + 2 * decision.stats.iterations
+
+    def test_an_infeasible_previous_decision_runs_cold(self, monkeypatch):
+        base, (drifted,) = self.drift(0, count=1, tag="steady")
+        solver = self.solver()
+        solver.solve(base)
+        previous_x = solver.cut_pool.entry(drifted.identity()).best_x
+
+        def infeasible(original, slave, x):
+            return replace(original(slave, x), feasible=False)
+
+        calls = self.once(monkeypatch, SlaveProblem, "evaluate", infeasible)
+        self.refused(solver, drifted)
+        assert np.array_equal(calls[0][1], previous_x)
+
+    def test_a_re_proposal_with_an_open_gap_runs_cold(self, monkeypatch):
+        base, (drifted,) = self.drift(0, count=1, tag="steady")
+        solver = self.solver()
+        solver.solve(base)
+        previous_x = solver.cut_pool.entry(drifted.identity()).best_x
+        self.once(monkeypatch, BendersSolver, "_gap_target", lambda *_: -np.inf)
+        seen = self.spy(monkeypatch)
+        self.refused(solver, drifted)
+        # The seeded master re-proposed the previous decision: only the
+        # stopping rule refused the hit.
+        assert np.array_equal(seen["proposed"][0], previous_x)

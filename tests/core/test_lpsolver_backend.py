@@ -32,7 +32,6 @@ from repro.core.lpsolver import (
     MILPSolution,
     Phase1Problem,
     backend_version,
-    is_feasible_point,
     solve_milp,
 )
 from repro.core.milp_solver import DirectMILPSolver
@@ -654,7 +653,11 @@ class TestMilpStatuses:
         got = solve_milp(*args, time_limit_s=0.1, mip_rel_gap=0.0)
         assert not got.success
         assert got.status == "Time limit reached. (HiGHS Status 13: Time limit reached)"
-        assert is_feasible_point(got.values, *args[1:])
+        # The incumbent is a knapsack point: binary, within the capacity.
+        binary = np.round(got.values)
+        assert np.isin(binary, (0.0, 1.0)).all()
+        assert np.allclose(got.values, binary, rtol=0.0, atol=1e-9)
+        assert weights @ binary <= capacity
         assert got.objective == pytest.approx(float(args[0] @ got.values))
         assert 0.0 < got.mip_gap < 1e-3
 

@@ -6,8 +6,8 @@ sweep scenario: ``DIFFERENTIAL_FAMILY`` seed 0, spread 0.02) through one
 pooled ``BendersSolver``.  Every drift epoch certifies in one round whether
 the pool ages its multipliers or hoards them; what ageing changes is the
 size of the master HiGHS is handed to get there.  Hit counts of *other*
-instances move both ways with the corroboration guard and are deliberately
-not asserted here.
+instances move both ways with the re-proposal rule and are deliberately not
+asserted here.
 """
 
 from __future__ import annotations

@@ -1,24 +1,14 @@
 """Warm-vs-cold differential checking of the Benders warm-start layer.
 
-Two regimes, two contracts.
-
-*Short, narrow drift* (spread 0.02 x 2 epochs, the 28-scenario sweep): the
-decisions of a warm-started solver carried across the sequence are
-*bit-identical* to fresh cold solves of the same instances -- the warm fast
-path either certifies the previous optimum under the solver's own stopping
-rule, corroborated by the master, or falls back to the exact cold
-trajectory.  Pinned as equality of fingerprints: a difference here is a
-regression.  Warm starts must also never cost extra master iterations.
-
-*Long, wide drift* (spread 0.05 x 12 epochs): fingerprints are NOT always
-equal, and were not before the pool aged its cuts either -- about one
-decision in a hundred is a *certified tie*: the same accepted set, another
-reservation or path whose objective lies inside the 1 % stopping band, which
-the corroboration guard does not rule out.  What holds there, and is
-asserted, is what the certificate promises: equal accepted sets, a warm
-objective no worse than the cold one by more than the gap target, every
-solve ``optimal``.  The count of path-level differences is reported per PR
-in CHANGES.md, not asserted.
+One contract: the decisions of a warm-started solver carried across a drift
+sequence are *bit-identical* to fresh cold solves of the same instances.  The
+warm fast path accepts only a re-proposal -- a seeded master that closes the
+solver's own stopping rule and proposes exactly the previous admission
+vector -- and otherwise runs the cold loop from a virgin master.  Pinned as
+equality of fingerprints on short, narrow drift (spread 0.02 x 2 epochs, the
+28-scenario sweep) and on long, wide drift (spread 0.05 x 12 epochs): a
+difference in either is a regression.  Warm starts must also never cost
+extra master iterations.
 """
 
 from __future__ import annotations
@@ -104,11 +94,12 @@ def test_warm_start_check_is_reproducible():
 
 
 # --------------------------------------------------------------------- #
-# Long, wide drift: the contract that actually holds
+# Long, wide drift: the same contract
 # --------------------------------------------------------------------- #
 #: 48 scenarios x (1 + 12) instances, each solved cold and warm: ~12 s.  The
-#: window holds the seeds whose fingerprints differ (32, 35, 46, 79 at base
-#: seed 0) as well as ones that never do.
+#: window holds the seeds whose fingerprints differed while the fast path
+#: also accepted certified previous decisions the master did not re-propose
+#: (32, 35, 41, 46, 79 at base seed 0) as well as ones that never did.
 _DRIFT_SEEDS = [BASE_SEED + 32 + index for index in range(48)]
 _DRIFT_EPOCHS = 12
 _DRIFT_SPREAD = 0.05
@@ -137,16 +128,7 @@ def test_long_wide_drift_returns_certified_decisions(seed):
         note = f"epoch {epoch}: warm {warm.stats.message} / cold {cold.stats.message} {seed_note(seed)}"
         assert cold.stats.optimal and warm.stats.optimal, note
         assert warm.stats.iterations <= cold.stats.iterations, note
-        accepted = [
-            sorted(name for name, allocation in decision.allocations.items() if allocation.accepted)
-            for decision in (warm, cold)
-        ]
-        assert accepted[0] == accepted[1], note
-        gap_target = warm_solver._gap_target(cold.objective_value)
-        assert warm.objective_value <= cold.objective_value + gap_target, note
-        if warm.stats.cuts_warm == 0:
-            # A miss is the cold loop from a virgin master: same bytes.
-            assert decision_fingerprint(warm) == decision_fingerprint(cold), note
+        assert decision_fingerprint(warm) == decision_fingerprint(cold), note
 
 
 def test_the_failure_message_names_the_mismatched_instances():
