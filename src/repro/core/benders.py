@@ -46,13 +46,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from repro.core.decomposition import SlaveNumericalError, SlaveProblem
+from repro.core.decomposition import BlockStack, SlaveNumericalError, SlaveProblem
 from repro.core.lpsolver import (
     FEASIBILITY_TOL,
     MILPSolution,
+    canonical_csc,
     dense_rows_to_csc,
     solve_milp,
     stack_columns,
+    stacked_arrays,
 )
 from repro.core.problem import ACRRProblem, InfeasibleProblemError
 from repro.core.solution import (
@@ -61,6 +63,34 @@ from repro.core.solution import (
     decision_from_vectors,
 )
 from repro.utils.journal import assign, drop, put
+
+
+def _static_rows_layout(
+    problem: ACRRProblem, footprint: sparse.csc_matrix, num_thetas: int
+) -> tuple:
+    """The master's static rows -- capacity surrogate over path selection,
+    no surrogate entries -- as ``(indptr, indices, data, slots, row_lower,
+    row_upper)``; ``slots`` are the positions in ``data`` of ``footprint``'s
+    entries, in its order.  Selection is forecast-free, so ``data`` serves
+    every forecast with ``footprint``'s pattern once the slots are
+    rewritten."""
+    capacity, selection = problem.capacity_block(), problem.selection_block()
+    num_rows = capacity.num_rows + selection.num_rows
+    indptr, indices, data, _ = stacked_arrays(
+        [[footprint, selection.x], [(num_rows, num_thetas)]]
+    )
+    # Column j holds its footprint entries first (capacity rows come first).
+    slots = np.arange(footprint.nnz) + np.repeat(
+        indptr[: problem.num_items] - footprint.indptr[:-1], np.diff(footprint.indptr)
+    )
+    return (
+        indptr,
+        indices,
+        data,
+        slots,
+        np.concatenate([capacity.lower, selection.lower]),
+        np.concatenate([capacity.upper, selection.upper]),
+    )
 
 
 class _MasterState:
@@ -108,19 +138,25 @@ class _MasterState:
         # one weak phase-1 feasibility cut at a time -- the differential
         # harness caught instances with binding transport capacity where the
         # incumbent never appeared within hundreds of iterations.
-        capacity = problem.capacity_block()
-        selection = problem.selection_block()
-        self.num_static_rows = capacity.num_rows + selection.num_rows
-        # Neither block changes within a solve: stacked once, so a master
-        # round only merges its cut rows in.
-        self._rows = stack_columns(
-            [
-                [problem.floor_footprint(), selection.x],
-                [(self.num_static_rows, num_thetas)],
-            ]
+        #
+        # The static rows are laid out once per structure, surrogate count
+        # and footprint pattern (a floor of zero drops entries); a solve
+        # writes this forecast's footprint into its slots, so a master round
+        # only merges its cut rows in.
+        footprint = problem.floor_footprint()
+        pattern = (num_thetas, footprint.indptr.tobytes(), footprint.indices.tobytes())
+        indptr, indices, template, slots, self._static_lower, self._static_upper = (
+            problem.per_structure(
+                ("master rows", *pattern),
+                lambda: _static_rows_layout(problem, footprint, num_thetas),
+            )
         )
-        self._static_lower = np.concatenate([capacity.lower, selection.lower])
-        self._static_upper = np.concatenate([capacity.upper, selection.upper])
+        self.num_static_rows = len(self._static_lower)
+        data = template.copy()
+        data[slots] = footprint.data
+        self._rows = canonical_csc(
+            indptr, indices, data, (self.num_static_rows, n + num_thetas)
+        )
         self._cut_rows: list[np.ndarray] = []
         self._cut_rhs: list[float] = []
         self._merged_cuts = 0
@@ -263,58 +299,45 @@ class CutPool:
             if master.num_thetas == len(candidate.blocks):
                 stack = candidate
 
-        # Batch the re-validation linear algebra per system (the aggregate
-        # system and each referenced block), then emit cuts in their
-        # original storage order so repeated solves of an identical
-        # instance build identical master problems.
-        groups: dict[int | None, list[int]] = {}
-        for position, (_, block_id) in enumerate(entry.multipliers):
-            groups.setdefault(block_id, []).append(position)
-
-        prepared: dict[int, tuple[np.ndarray, float, float]] = {}
-        g_transposed = {
-            id(system): system.g_columns.T for system in (slave, stack) if system is not None
-        }
-        for block_id, positions in groups.items():
-            # A block is its row/column range of the stacked system; its
-            # multipliers are zero-padded into those rows, so the stack's
-            # other blocks contribute exact zeros to the products below.
+        # Per stored multiplier: its cut coefficients, right-hand side and
+        # repair slack, computed in two batches -- the aggregate multipliers
+        # against the slave, every block multiplier against the stack --
+        # then emitted in their original storage order so repeated solves
+        # of an identical instance build identical master problems.
+        multipliers = entry.multipliers
+        aggregate, blockwise = [], []
+        for position, (mu, block_id) in enumerate(multipliers):
             if block_id is None:
-                system, rows, cols = slave, slice(None), slice(None)
+                if len(mu) == num_rows:
+                    aggregate.append((position, slice(None), slice(None)))
             elif stack is not None and 0 <= block_id < len(stack.blocks):
-                system, rows, cols = stack, stack.blocks[block_id].rows, stack.blocks[block_id].cols
-            else:
-                continue  # dropped below
-            h0 = system.h0[rows]
-            usable = [p for p in positions if len(entry.multipliers[p][0]) == len(h0)]
-            if not usable:
-                continue
-            mu_matrix = np.stack([entry.multipliers[p][0] for p in usable])
-            padded = np.zeros((len(system.h0), len(usable)))
-            padded[rows] = mu_matrix.T
-            # Column i: G' mu_i (the dual slack basis) and H' mu_i.
-            gt_mu = g_transposed[id(system)].dot(padded)[cols]
-            coeffs = system.h_transposed.dot(padded)
-            rhs = -mu_matrix.dot(h0)
-            for column, position in enumerate(usable):
-                violation = np.maximum(0.0, -(gt_mu[:, column] + system.d[cols]))
-                # Implied bounds of any feasible slave point: 0 <= u <= sla.
-                repair = float(np.dot(violation, system.u_bound[cols]))
-                prepared[position] = (coeffs[:, column], float(rhs[column]) - repair, repair)
+                block = stack.blocks[block_id]
+                if len(mu) == block.num_rows:
+                    blockwise.append((position, block.rows, block.cols))
+        coeffs = np.zeros((slave.num_items, len(multipliers)))
+        rhs, repair = np.zeros(len(multipliers)), np.zeros(len(multipliers))
+        usable = np.zeros(len(multipliers), dtype=bool)
+        for system, name, members in (
+            (slave, "slave G'", aggregate),
+            (stack, "block stack G'", blockwise),
+        ):
+            if members:
+                positions = [position for position, _, _ in members]
+                # G is forecast-free: its transpose is kept per structure.
+                g_transposed = slave.problem.per_structure(name, lambda: system.g_columns.T)
+                coeffs[:, positions], rhs[positions], repair[positions] = _revalidate(
+                    system,
+                    g_transposed,
+                    [(*multipliers[position], rows, cols) for position, rows, cols in members],
+                )
+                usable[positions] = True
 
-        seeded: list[int] = []
-        for position, (_, block_id) in enumerate(entry.multipliers):
-            ready = prepared.get(position)
-            if ready is None:
-                continue
-            coeff, rhs_value, repair = ready
-            cut_scale = max(
-                1.0, abs(rhs_value + repair), float(np.max(np.abs(coeff)))
-            )
-            if repair > _MAX_RELATIVE_SLACK * cut_scale:
-                continue
-            master.add_cut(coeff, rhs_value, block_id)
-            seeded.append(position)
+        rhs -= repair
+        # A cut whose repair outweighs its own scale says nothing any more.
+        cut_scale = np.fmax(np.fmax(1.0, np.abs(rhs + repair)), np.abs(coeffs).max(axis=0))
+        seeded = np.flatnonzero(usable & ~(repair > _MAX_RELATIVE_SLACK * cut_scale)).tolist()
+        for position, rhs_value in zip(seeded, rhs[seeded].tolist()):
+            master.add_cut(coeffs[:, position], rhs_value, multipliers[position][1])
         put(self._entries, key, replace(entry, seeded=tuple(seeded)))
         assign(self, "seeded_total", self.seeded_total + len(seeded))
         assign(self, "dropped_total", self.dropped_total + len(entry.multipliers) - len(seeded))
@@ -386,6 +409,48 @@ class CutPool:
                 best_x=entry.best_x if best_x is None else np.array(best_x),
             ),
         )
+
+
+def _revalidate(
+    system: SlaveProblem | BlockStack,
+    g_transposed: sparse.csr_matrix,
+    members: list[tuple[np.ndarray, int | None, slice, slice]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut coefficients ``H' mu`` (one column each), right-hand sides
+    ``-h0' mu`` and repair slacks of the stored multipliers ``(mu,
+    block_id, rows, cols)`` of one system: the :class:`SlaveProblem` for
+    aggregate cuts, its :class:`BlockStack` for block cuts (``rows`` /
+    ``cols`` are the block's ranges).
+
+    A block multiplier is zero-padded into its block's rows, so the stack's
+    other blocks contribute exact zeros and one product with ``G'`` and one
+    with ``H'`` serve every block.  Each column keeps the arithmetic of
+    re-validating its own block alone: the sparse products sum each column
+    in the same order whatever else the batch holds, ``-h0' mu`` is taken
+    per block over the same stacked multipliers (a dense product's
+    summation order can depend on its shape), and the repair is one dot
+    product over the column's own range.
+    """
+    padded = np.zeros((len(system.h0), len(members)))
+    groups: dict[int | None, list[int]] = {}
+    for column, (mu, block_id, rows, _) in enumerate(members):
+        padded[rows, column] = mu
+        groups.setdefault(block_id, []).append(column)
+    rhs = np.empty(len(members))
+    for columns in groups.values():
+        mu_matrix = np.stack([members[column][0] for column in columns])
+        rhs[columns] = -mu_matrix.dot(system.h0[members[columns[0]][2]])
+    # Dual feasibility G' mu >= -d fails by ``violation``; every feasible
+    # slave point obeys 0 <= u <= sla, which bounds what that can cost.
+    # One contiguous row per column: a strided dot product sums in another
+    # order, and the cut's last bit would move.
+    dual_slack = np.ascontiguousarray(g_transposed.dot(padded).T)
+    violation = np.maximum(0.0, -(dual_slack + system.d))
+    repair = np.zeros(len(members))
+    for column, (_, _, _, cols) in enumerate(members):
+        if violation[column, cols].any():
+            repair[column] = np.dot(violation[column, cols], system.u_bound[cols])
+    return system.h_transposed.dot(padded), rhs, repair
 
 
 #: How many consecutive seeded master solves a stored multiplier may sit

@@ -31,6 +31,8 @@ from repro.core.lpsolver import (
     canonical_csc,
     gather_slices,
     stack_columns,
+    stacked_arrays,
+    transposed_layout,
 )
 from repro.core.problem import ACRRProblem
 
@@ -168,6 +170,33 @@ def _check_strong_duality(
         )
 
 
+def _slave_frame(problem: ACRRProblem) -> tuple:
+    """``G``, ``h0`` and the implied bounds: the slave's half no forecast
+    enters (the coupling block's y and z parts are forecast-free)."""
+    capacity, coupling = problem.capacity_block(), problem.coupling_block()
+    return (
+        stack_columns([[capacity.y, coupling.y], [capacity.z, coupling.z]]),
+        np.concatenate([capacity.upper, coupling.upper]),
+        np.concatenate([problem.sla_mbps, problem.sla_mbps]),
+    )
+
+
+def _h_layout(capacity, coupling, floor: np.ndarray) -> tuple:
+    """``H = -[A_x of the capacity rows; A_x of the coupling rows]`` row-major,
+    as ``(indptr, indices, data, slots, floored)``: ``slots`` are the
+    positions in ``data`` of the row-(9) entries, one per column in
+    ``floored`` (those with a non-zero ``floor``).  Every other entry is
+    forecast-free, so ``data`` serves every forecast with the same zero
+    floors once the slots are rewritten."""
+    indptr, indices, data, (num_rows, _) = stacked_arrays([[capacity.x, coupling.x]])
+    indptr, indices, order = transposed_layout(indptr, indices, num_rows)
+    floored = np.flatnonzero(floor != 0)
+    # Row (9) of column i is coupling row 5i + 1 (see
+    # ACRRProblem.coupling_block) and holds x_i's entry alone.
+    slots = indptr[capacity.num_rows + 5 * floored + 1]
+    return indptr, indices, np.negative(data[order]), slots, floored
+
+
 class SlaveProblem:
     """The parametric slave LP shared by the Benders and KAC solvers."""
 
@@ -177,7 +206,6 @@ class SlaveProblem:
         self.num_items = n
 
         capacity = problem.capacity_block()
-        coupling = problem.coupling_block()
 
         # No forecast enters G, h0 or the implied bounds: built once per
         # structure and shared by the slaves of every with_forecasts clone.
@@ -185,18 +213,23 @@ class SlaveProblem:
         # these arrays as they are); any feasible slave point satisfies
         # 0 <= (y, z) <= sla.
         self.g_columns, self.h0, self.u_bound = problem.per_structure(
-            "slave",
-            lambda: (
-                stack_columns([[capacity.y, coupling.y], [capacity.z, coupling.z]]),
-                np.concatenate([capacity.upper, coupling.upper]),
-                np.concatenate([problem.sla_mbps, problem.sla_mbps]),
-            ),
+            "slave", lambda: _slave_frame(problem)
         )
-        # Right-hand side h(x) = h0 + H x.  H's pattern follows the forecast
-        # (row (9) has no entry at a forecast of zero): rebuilt, not patched.
-        h_columns = stack_columns([[capacity.x, coupling.x]])
-        np.negative(h_columns.data, out=h_columns.data)
-        self.h_matrix: sparse.csr_matrix = h_columns.tocsr()
+        # Right-hand side h(x) = h0 + H x.  Only row (9) of H, -floor x <=
+        # -z, reads the forecast, and a floor of zero is no entry there, so
+        # H's layout is built once per structure *and* zero-floor mask; a
+        # bind writes the floors into their slots of the layout's data.
+        floor = problem.reservation_floor()
+        self._zero_floors = np.packbits(floor == 0).tobytes()
+        indptr, indices, template, slots, floored = problem.per_structure(
+            ("slave H", self._zero_floors),
+            lambda: _h_layout(capacity, problem.coupling_block(), floor),
+        )
+        data = template.copy()
+        data[slots] = np.negative(floor[floored])
+        self.h_matrix: sparse.csr_matrix = sparse.csr_matrix(
+            (data, indices, indptr), shape=(len(self.h0), n)
+        )
         self.h_transposed: sparse.csc_matrix = self.h_matrix.T
         self.num_capacity_rows = capacity.num_rows
 
@@ -206,8 +239,8 @@ class SlaveProblem:
         self.u_upper = np.full(2 * n, np.inf)
         # Compiled on first use, re-solved per right-hand side afterwards:
         # the slave LP, its phase-1 certificate problem (first infeasible
-        # evaluate) and the stacked block LP.  They hold native HiGHS
-        # instances, so they live and die with this object (one solve).
+        # evaluate) and the stacked block LP.  They hold the forecast's
+        # objective, so they live and die with this object (one solve).
         self._lp: CompiledLP | None = None
         self._phase1: Phase1Problem | None = None
         self._stack_lp: CompiledLP | None = None
@@ -358,14 +391,22 @@ class SlaveProblem:
         """Bind the forecast to the per-structure frame: ``d`` in stack
         order, the surrogate floors, and ``H``, which keeps its full width,
         so its rows are gathered (shared capacity rows once per block that
-        touches them)."""
+        touches them).  The gather follows ``H``'s layout, so it is kept
+        under the same zero-floor key; a bind only takes the data."""
         blocks, starts, rows, cols, g_stack, h0, u_bound = self.problem.per_structure(
             "block stack", self._block_stack_frame
         )
         h = self.h_matrix
-        indptr, entry = gather_slices(h.indptr, rows)
+
+        def gather() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            indptr, entry = gather_slices(h.indptr, rows)
+            return indptr, h.indices[entry], entry
+
+        indptr, indices, entry = self.problem.per_structure(
+            ("block stack H", self._zero_floors), gather
+        )
         h_stack = sparse.csr_matrix(
-            (h.data[entry], h.indices[entry], indptr), shape=(len(rows), self.num_items)
+            (h.data[entry], indices, indptr), shape=(len(rows), self.num_items)
         )
         theta_floor = np.minimum(self.problem.objective_y() * self.problem.sla_mbps, 0.0)
         return BlockStack(

@@ -18,9 +18,13 @@ HiGHS does not:
   for the KAC heuristic (Benders takes optimality cuts only: its master's
   capacity surrogate keeps every candidate slave-feasible).
 
-A :class:`CompiledLP` (and the :class:`Phase1Problem` built on it) owns a
-native HiGHS instance: keep it on objects that live for one solve, never on
-anything that is cached across epochs or crosses a process boundary.
+The native HiGHS instance is per thread and never hangs off an object
+(:func:`_instance`): every solve passes its options and its model into the
+calling thread's instance, so a :class:`CompiledLP` (and the
+:class:`Phase1Problem` built on it) is plain arrays that pickle, and the
+instance is rebuilt in a forked child.  ``passOptions`` and ``passModel``
+replace everything a run reads -- every option, the model, basis and
+solution -- so a reused instance runs the cold solve a fresh one runs.
 
 HiGHS takes its constraint matrix column-major, so that is the layout the
 model builders assemble in (:func:`stack_columns`): a ``csc_matrix`` in
@@ -32,6 +36,8 @@ is what makes "the solver sees the same model" checkable by comparing bytes.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,7 +64,7 @@ def backend_version() -> str:
     CI prints this before the suite: results are pinned bit for bit, so a
     golden drift after an image bump is attributable to one of the two.
     """
-    highs = _Highs()
+    highs = _instance()
     return f"scipy {scipy.__version__} | HiGHS {highs.version()} ({highs.githash()})"
 
 
@@ -134,10 +140,33 @@ def dense_rows_to_csc(rows: np.ndarray) -> sparse.csc_matrix:
     )
 
 
+def transposed_layout(
+    indptr: np.ndarray, indices: np.ndarray, num_minor: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bookkeeping of transposing a compressed layout (CSC to CSR or back):
+    the new ``indptr`` and ``indices`` and, for every entry in the new
+    order, its position in the source arrays.  Entries keep their source
+    order within each new major slice, so canonical in is canonical out --
+    the layout ``tocsr`` / ``tocsc`` produce, without building a matrix."""
+    order = np.argsort(indices, kind="stable")
+    transposed = np.zeros(num_minor + 1, dtype=np.int32)
+    np.cumsum(np.bincount(indices, minlength=num_minor), out=transposed[1:])
+    major = np.repeat(np.arange(len(indptr) - 1, dtype=np.int32), np.diff(indptr))
+    return transposed, major[order], order
+
+
 def stack_columns(
     grid: Sequence[Sequence[sparse.csc_matrix | tuple[int, int]]],
 ) -> sparse.csc_matrix:
-    """Assemble a block matrix column-major, in one pass, into canonical CSC.
+    """Assemble a block matrix column-major, in one pass, into canonical CSC
+    (the arrays of :func:`stacked_arrays`)."""
+    return canonical_csc(*stacked_arrays(grid))
+
+
+def stacked_arrays(
+    grid: Sequence[Sequence[sparse.csc_matrix | tuple[int, int]]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """``(indptr, indices, data, shape)`` of a block matrix, column-major.
 
     ``grid`` lists the block *columns* left to right; each block column
     lists its blocks top to bottom.  A block is a canonical ``csc_matrix``
@@ -191,7 +220,7 @@ def stack_columns(
                 data[slots] = block.data
                 cursor += per_col
         first_col += width
-    return canonical_csc(indptr, indices, data, (heights.pop(), first_col))
+    return indptr, indices, data, (heights.pop(), first_col)
 
 
 # --------------------------------------------------------------------- #
@@ -320,6 +349,24 @@ def _highs_model(
     )
 
 
+#: Per thread, ``(pid, instance)``: see :func:`_instance`.
+_local = threading.local()
+
+
+def _instance() -> "_highs._Highs":
+    """The calling thread's HiGHS instance, built on its first solve.
+
+    Constructing one costs about as much as passing a small model, so a
+    thread keeps one for its life and every solve re-passes options and
+    model into it.  Rebuilt when the pid changes: a forked child inherits
+    the parent's memory, not its native state.
+    """
+    held = getattr(_local, "highs", None)
+    if held is None or held[0] != os.getpid():
+        held = _local.highs = (os.getpid(), _Highs())
+    return held[1]
+
+
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
@@ -379,10 +426,11 @@ def _run(highs: "_highs._Highs", model: _Model, is_mip: bool):
 class CompiledLP:
     """``min c'u  s.t.  A u <= b,  lower <= u <= upper`` with ``b`` left open.
 
-    Everything but the right-hand side is checked, converted and handed to
-    HiGHS once; :meth:`solve` swaps the row upper bounds and re-passes the
-    model.  Re-passing resets basis and solution, so each solve is the cold
-    solve ``linprog`` ran and solves never see each other's state.
+    Everything but the right-hand side is checked and converted once;
+    :meth:`solve` swaps the row upper bounds and passes options and model
+    into the thread's instance.  Passing resets basis and solution, so each
+    solve is the cold solve ``linprog`` ran and solves never see each
+    other's state.
     """
 
     def __init__(
@@ -397,8 +445,6 @@ class CompiledLP:
         self.num_rows = matrix.shape[0]
         unbounded = np.full(self.num_rows, np.inf)
         self._model = _highs_model(cost, matrix, lower, upper, -unbounded, unbounded)
-        self._highs = _Highs()
-        self._highs.passOptions(_LP_OPTIONS)
 
     def solve(self, b_ub: np.ndarray) -> LPSolution:
         """Solve for one right-hand side.
@@ -408,7 +454,9 @@ class CompiledLP:
         convention used by the Benders derivation in the paper).
         """
         self._model.row_upper = _checked_vector("b_ub", b_ub, self.num_rows)
-        code, message, info, solution = _run(self._highs, self._model, is_mip=False)
+        highs = _instance()
+        highs.passOptions(_LP_OPTIONS)
+        code, message, info, solution = _run(highs, self._model, is_mip=False)
         if solution is None:
             return LPSolution(
                 success=False,
@@ -535,7 +583,7 @@ def solve_milp(
         cost, matrix, lower, upper, row_lower, row_upper, kinds.astype(np.int32)
     )
 
-    highs = _Highs()
+    highs = _instance()
     limit = None if time_limit_s is None else float(time_limit_s)
     if highs.passOptions(_milp_options(float(mip_rel_gap), limit)) == _ERROR:
         raise ValueError(

@@ -54,7 +54,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, replace
 from functools import cached_property, partial, wraps
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 from scipy import sparse
@@ -542,11 +542,14 @@ class ACRRProblem:
         clone._bind_forecasts(forecasts)
         return clone
 
-    def per_structure(self, name: str, build: Callable[[], object]):
+    def per_structure(self, name: Hashable, build: Callable[[], object]):
         """``build()`` once per structure: a solver's own forecast-free
         arrays, shared with every :meth:`with_forecasts` clone like the rest
-        of the structure cache.  Arrays only -- what is cached here outlives
-        the epoch, so nothing that holds a native solver instance belongs."""
+        of the structure cache.  A layout whose sparsity a forecast of zero
+        moves is keyed on the structure *and* that pattern: ``name`` is then
+        ``(name, pattern)``, and each pattern gets its own layout.  Arrays
+        only -- what is cached here outlives the epoch and is never written
+        into."""
         if name not in self._structure_cache:
             self._structure_cache[name] = build()
         return self._structure_cache[name]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.utils.validation import ensure_non_negative, ensure_positive
 
@@ -153,9 +154,13 @@ class TransportLink:
         if self.endpoint_a == self.endpoint_b:
             raise ValueError("a link cannot connect a node to itself")
 
-    @property
+    @cached_property
     def key(self) -> tuple[str, str]:
-        """Canonical (sorted) endpoint pair identifying the undirected link."""
+        """Canonical (sorted) endpoint pair identifying the undirected link.
+
+        Read per link per epoch by the controllers and the data plane, so
+        built once.  The link is frozen, so the cached pair cannot go stale;
+        equality, hash and repr stay the fields'."""
         return tuple(sorted((self.endpoint_a, self.endpoint_b)))  # type: ignore[return-value]
 
 

@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.benders import _MasterState
+from repro.core.benders import BendersSolver, _MasterState
 from repro.core.decomposition import SlaveProblem
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.milp_solver import DirectMILPSolver
@@ -47,6 +47,11 @@ from tests.differential.conftest import (
 )
 
 SEEDS = [BASE_SEED + index for index in range(NUM_DIFFERENTIAL_SCENARIOS)]
+
+
+def identical(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal values *and* equal bytes: -0.0, NaN and the dtype count."""
+    return np.array_equal(got, want) and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def direct_model_handed_to_the_solver(problem: ACRRProblem, monkeypatch):
@@ -238,14 +243,23 @@ class TestCorners:
 
     def test_slave_of_a_clone_equals_the_slave_of_a_cold_build(self):
         # G, h0, the implied bounds, the stacked diag(G_b) and its maps live
-        # in the structure cache the clones share; d, H and the surrogate
-        # floors are bound per forecast.  A zero forecast drops H's row (9)
-        # entry, so H is re-gathered: zero and non-zero clones in turn, off
-        # a non-zero original, each against a slave built from nothing.
+        # in the structure cache the clones share; so do the layouts of H,
+        # of its gather into the stack and of the master's static rows,
+        # keyed on the structure *and* the zero-forecast pattern, which
+        # moves their sparsity.  d, the data of H and of the footprint, and
+        # the surrogate floors are bound per forecast.  Zero and non-zero
+        # clones in turn, off a non-zero original, each against a slave, a
+        # master and a seeded master built from nothing -- byte for byte.
         requests = mixed_requests()
         base = corner_problem(requests)
         base_slave = SlaveProblem(base)
         base_slave.block_stack()
+        # Stored multipliers of the structure to seed every master with.
+        solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
+        solver.solve(base)
+        pool, key = solver.cut_pool, base.identity()
+        assert any(block_id is None for _, block_id in pool.entry(key).multipliers)
+        assert any(block_id is not None for _, block_id in pool.entry(key).multipliers)
         sequence = []
         for fraction, zeroed in ((0.55, requests[::2]), (0.2, ()), (0.7, requests[1::3])):
             forecasts = low_load_forecasts(requests, fraction=fraction, sigma=0.4)
@@ -267,9 +281,33 @@ class TestCorners:
                     assert np.array_equal(getattr(got, vector), getattr(want, vector)), vector
             assert slave.num_capacity_rows == cold.num_capacity_rows
             assert stack.blocks == cold_stack.blocks  # ranges and theta_lower, exactly
-            patterns.add(slave.h_matrix.nnz)
-        assert len(patterns) == 3  # H's pattern really moved with the forecasts
-        # Arrays only: nothing the clones share holds a native HiGHS instance.
+            seeded = []
+            for got in (slave, cold):
+                problem = got.problem
+                lowers = [block.theta_lower for block in got.blocks()]
+                master = _MasterState(problem, problem.objective_x(), lowers)
+                static = master.rows()
+                count, _ = pool.seed_master(key, master, got)
+                seeded.append((count, static, master.rows(), master.cut_rows()))
+            (count, *arrays), (cold_count, *cold_arrays) = seeded
+            assert count == cold_count > 0
+            for got, want in zip(arrays, cold_arrays):
+                for part, cold_part in zip(got, want):
+                    if hasattr(part, "indptr"):
+                        assert part.shape == cold_part.shape
+                        for name in ("indptr", "indices", "data"):
+                            assert identical(getattr(part, name), getattr(cold_part, name)), name
+                    else:
+                        assert identical(part, cold_part)
+            patterns.add((slave.h_matrix.nnz, arrays[0][0].nnz))
+        assert len(patterns) == 3  # H's and the footprint's patterns really moved
+        # One layout per pattern: the original's (which the non-zero clone
+        # shares) and one per zero-forecast mask.
+        layouts = [key[0] for key in base._structure_cache if isinstance(key, tuple)]
+        for name in ("slave H", "block stack H", "master rows"):
+            assert layouts.count(name) == 3, name
+        # Arrays only: nothing the clones share holds a compiled model, whose
+        # objective is one forecast's.
         from repro.core.lpsolver import CompiledLP, Phase1Problem
 
         def leaves(value):

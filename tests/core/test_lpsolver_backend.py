@@ -671,8 +671,8 @@ class TestMilpStatuses:
 
 class TestNothingCompiledCrossesAProcessBoundary:
     def test_problem_solver_and_pool_still_pickle(self, mixed_problem):
-        # (e) RA05: compiled models hold native HiGHS handles, so they hang
-        # only off objects that live for one solve.
+        # (e) RA05: the native HiGHS instance is per thread, in lpsolver
+        # (tests/core/test_highs_instance.py); nothing a solve keeps holds it.
         solver = BendersSolver()
         before = solver.solve(mixed_problem)
         for thing in (mixed_problem, solver, solver.cut_pool, CutPool()):
@@ -680,14 +680,6 @@ class TestNothingCompiledCrossesAProcessBoundary:
         revived = pickle.loads(pickle.dumps(solver))
         after = revived.solve(pickle.loads(pickle.dumps(mixed_problem)))
         assert after.expected_net_reward == before.expected_net_reward
-
-    def test_compiled_models_live_on_the_slave_only(self, mixed_problem):
-        slave = SlaveProblem(mixed_problem)
-        slave.evaluate(np.zeros(slave.num_items))
-        slave.evaluate_blocks(np.zeros(slave.num_items))
-        assert isinstance(slave._lp, CompiledLP) and isinstance(slave._stack_lp, CompiledLP)
-        with pytest.raises(TypeError):
-            pickle.dumps(slave._lp)
 
 
 def test_import_guard_names_the_supported_scipy_range():

@@ -1,5 +1,9 @@
 """Tests for data-plane elements (base stations, links, compute units)."""
 
+import copy
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.topology.elements import (
@@ -98,6 +102,23 @@ class TestTransportLink:
     def test_key_is_canonical(self):
         link = TransportLink(endpoint_a="b", endpoint_b="a", capacity_mbps=100.0)
         assert link.key == ("a", "b")
+
+    def test_key_is_built_once_and_changes_no_value_semantics(self):
+        def link():
+            return TransportLink(
+                endpoint_a="z", endpoint_b="a", capacity_mbps=100.0, overhead=1.05
+            )
+
+        untouched, read = link(), link()
+        assert read.key is read.key == ("a", "z")  # one tuple, cached
+        assert read == untouched and hash(read) == hash(untouched)
+        assert repr(read) == repr(untouched)
+        assert "key" not in repr(read)
+        for original in (read, untouched):
+            for revived in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+                assert revived == original and hash(revived) == hash(original)
+                assert revived.key == ("a", "z")
+        assert replace(read, endpoint_b="y").key == ("y", "z")  # no stale key
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
