@@ -9,7 +9,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     # scipy >= 1.15 vendors the highspy bindings repro.core.lpsolver drives.
     install_requires=["numpy", "scipy>=1.15", "networkx"],
     entry_points={

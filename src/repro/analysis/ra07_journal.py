@@ -17,7 +17,7 @@ rollback would miss it and a mid-epoch reader would see it.  So under
 * a subscript store or delete into declared state (``x.<name>[k] = ...``)
   or a mutating method call on it (``x.<name>.append(...)``) is a finding;
 * a store to a field of a journaled value (``record.state = ...``,
-  ``entry.idle = ...``, ``object.__setattr__(record, "state", ...)``) is a
+  ``entry.multipliers = ...``, ``object.__setattr__(record, "state", ...)``) is a
   finding: build a new value with ``dataclasses.replace`` and write that.
   Field names are not unique (the Benders loop state has a ``best_x`` too),
   so a receiver the function types as another class -- an annotated

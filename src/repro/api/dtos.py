@@ -18,6 +18,7 @@ existing clients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -26,6 +27,7 @@ from repro.api.events import LifecycleEvent
 from repro.api.wire import check_version, require, stamp
 from repro.controlplane.slice_manager import SliceDescriptor
 from repro.core.slices import TEMPLATES, SliceRequest, SliceTemplate
+from repro.utils.validation import ensure_non_negative_int, ensure_positive_int
 
 __all__ = [
     "SliceRequestV1",
@@ -78,8 +80,8 @@ class SliceRequestV1:
             raise ValidationError("slice name must be non-empty")
         if self.duration_epochs <= 0:
             raise ValidationError("duration_epochs must be positive")
-        if self.penalty_factor < 0:
-            raise ValidationError("penalty_factor must be non-negative")
+        if not 0 <= self.penalty_factor < math.inf:  # NaN fails both
+            raise ValidationError("penalty_factor must be finite and non-negative")
         if self.arrival_epoch < 0:
             raise ValidationError("arrival_epoch must be non-negative")
 
@@ -186,9 +188,13 @@ class SliceRequestV1:
             lambda: cls(
                 name=str(require(payload, "name", "SliceRequestV1")),
                 template=template,
-                duration_epochs=int(require(payload, "duration_epochs", "SliceRequestV1")),
+                duration_epochs=ensure_positive_int(
+                    require(payload, "duration_epochs", "SliceRequestV1"), "duration_epochs"
+                ),
                 penalty_factor=float(require(payload, "penalty_factor", "SliceRequestV1")),
-                arrival_epoch=int(require(payload, "arrival_epoch", "SliceRequestV1")),
+                arrival_epoch=ensure_non_negative_int(
+                    require(payload, "arrival_epoch", "SliceRequestV1"), "arrival_epoch"
+                ),
             ),
             "SliceRequestV1",
         )

@@ -442,13 +442,15 @@ class BrokerServer:
 
     @staticmethod
     def _int_param(query: dict[str, list[str]], name: str, default: int | None) -> int | None:
-        raw = query.get(name, [default])[-1]
-        try:
-            return raw if raw is None else int(raw)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"query parameter {name!r} must be an integer, got {raw!r}"
-            ) from None
+        if name not in query:
+            return default
+        raw = query[name][-1]
+        # ASCII digits and an optional leading minus: int() would also take
+        # "+1", "1_0" and other digit sets.
+        digits = raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValidationError(f"query parameter {name!r} must be an integer, got {raw!r}")
+        return int(raw)
 
     def _events_payload(self, query: dict[str, list[str]]) -> dict[str, Any]:
         since = self._int_param(query, "since", 0)

@@ -149,12 +149,23 @@ def encode_json(payload: Mapping[str, Any]) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
+def _refuse_constant(literal: str) -> Any:
+    raise ValidationError(f"{literal} is not JSON (RFC 8259 has no such literal)")
+
+
+#: ``json.loads`` with any option builds a decoder per call; this one is
+#: built once.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def decode_json(body: bytes, *, what: str = "request body") -> Any:
-    """Parse a JSON body, mapping malformed input to the ``validation`` code."""
+    """Parse a JSON body, mapping malformed input -- ``NaN`` and
+    ``Infinity``, which Python's parser accepts, included -- to the
+    ``validation`` code."""
     if not body:
         raise ValidationError(f"{what} must be a JSON document, got an empty body")
     try:
-        return json.loads(body.decode("utf-8"))
+        return _DECODER.decode(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ValidationError(f"malformed JSON {what}: {error}") from error
 
@@ -279,15 +290,11 @@ def write_head(start: str, headers: Mapping[str, str]) -> bytes:
 
 def content_length(headers: Headers, limit: int | None = MAX_BODY_BYTES) -> int:
     """The declared body length of a message (0 without a Content-Length)."""
-    length_header = headers.get("Content-Length")
-    try:
-        length = int(length_header) if length_header is not None else 0
-    except ValueError:
-        raise ValidationError(
-            f"malformed Content-Length header {length_header!r}"
-        ) from None
-    if length < 0:
-        raise ValidationError(f"negative Content-Length {length}")
+    length_header = headers.get("Content-Length", "0")
+    # RFC 9110 8.6: 1*DIGIT -- no sign, no underscore, no other digit set.
+    if not (length_header.isascii() and length_header.isdigit()):
+        raise ValidationError(f"malformed Content-Length header {length_header!r}")
+    length = int(length_header)
     if limit is not None and length > limit:
         raise ValidationError(
             f"request body of {length} bytes exceeds the {limit}-byte bound",

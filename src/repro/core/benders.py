@@ -22,18 +22,19 @@ after finitely many iterations.
 
 Cross-epoch warm start (see DESIGN.md, "Warm-started solver layer"): the
 orchestrator re-solves a nearly identical instance every decision epoch, so
-the solver persists the dual multipliers behind every cut in a
-:class:`CutPool` keyed by :meth:`ACRRProblem.identity`.  On the next solve
-of the same identity the stored multipliers are *re-validated* against the
-new instance -- the slave constraint matrix ``G`` is forecast-independent, so a
-stored ``mu >= 0`` yields a provably valid inequality for the new master
-once its right-hand side is re-derived from the new ``(h0, H)`` and relaxed
-by the (computable) dual-infeasibility slack against the new objective.
-Stale cuts whose slack grew too large are skipped, cuts that stopped
-binding age out of the pool; the surviving ones re-seed the master, which
-typically re-proposes and certifies the previous optimum in one round.
-Anything else runs the cold loop, so warm and cold return the same decision
-(the differential warm-start sweeps assert it on every instance).
+the solver keeps the dual multipliers behind the last decision's cuts in a
+one-slot :class:`CutPool` keyed by :meth:`ACRRProblem.identity`.  When the
+next solve has the same identity the stored multipliers are *re-validated*
+against the new instance -- the slave constraint matrix ``G`` is
+forecast-independent, so a stored ``mu >= 0`` yields a provably valid
+inequality for the new master once its right-hand side is re-derived from
+the new ``(h0, H)`` and relaxed by the (computable) dual-infeasibility slack
+against the new objective.  Stale cuts whose slack grew too large are
+skipped; the surviving ones re-seed the master, which typically re-proposes
+and certifies the previous optimum in one round, and the cuts that were
+tight there are the new certificate.  Anything else runs the cold loop, so
+warm and cold return the same decision (the differential warm-start sweeps
+assert it on every instance).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent import futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -62,7 +63,7 @@ from repro.core.solution import (
     SolverStats,
     decision_from_vectors,
 )
-from repro.utils.journal import assign, drop, put
+from repro.utils.journal import assign
 
 
 def _static_rows_layout(
@@ -187,6 +188,14 @@ class _MasterState:
         cuts = np.array(self._cut_rows).reshape(-1, self.num_items + self.num_thetas)
         return cuts, np.asarray(self._cut_rhs)
 
+    def tight_cuts(self, values: np.ndarray) -> np.ndarray:
+        """Per cut, in row order, whether it is tight at ``values`` (over
+        ``x`` and the surrogates), within the relative
+        :data:`FEASIBILITY_TOL`."""
+        cuts, rhs = self.cut_rows()
+        activity = cuts.dot(values)
+        return activity - rhs <= FEASIBILITY_TOL * np.maximum(1.0, np.abs(activity))
+
     def rows(self) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray]:
         """Capacity surrogate, path selection, then the cuts in insertion
         order: one canonical column-major matrix and its row bounds."""
@@ -203,32 +212,24 @@ class _MasterState:
 
 @dataclass(frozen=True)
 class _PoolEntry:
-    """Stored warm-start state of one problem structure.  Immutable: the
-    pool's writers replace an entry, so the epoch journal can keep the old
-    one without copying it."""
+    """The certificate of the last decision.  Immutable: the pool replaces
+    it, so the epoch journal can keep the old one without copying it."""
 
     num_rows: int
-    #: Dual multipliers of past cuts as ``(mu, block_id)`` pairs, no two
-    #: equal; ``block_id`` is ``None`` for aggregate (full-system) cuts and
-    #: a slave block index for block cuts, whose multipliers span only that
-    #: block's rows and re-validate against the block system.
-    multipliers: tuple[tuple[np.ndarray, int | None], ...] = ()
-    #: Admission vector of the last incumbent under this structure.
-    best_x: np.ndarray | None = None
-    #: Per stored multiplier, how many consecutive seeded master solves it
-    #: was slack in (or skipped at seeding); see :meth:`CutPool.age`.
-    idle: tuple[int, ...] = ()
-    #: Positions in ``multipliers`` behind the cut rows of the master seeded
-    #: last, in row order: scratch between ``seed_master`` and ``age``, not
-    #: state (``compare=False`` keeps it out of the fingerprint).  A plain
-    #: field, so every replacement carries it over.
-    seeded: tuple[int, ...] = field(default=(), compare=False)
+    #: Dual multipliers of the decision's cuts as ``(mu, block_id)`` pairs,
+    #: no two equal; ``block_id`` is ``None`` for aggregate (full-system)
+    #: cuts and a slave block index for block cuts, whose multipliers span
+    #: only that block's rows and re-validate against the block system.
+    multipliers: tuple[tuple[np.ndarray, int | None], ...]
+    #: The decision's admission vector.
+    best_x: np.ndarray
 
 
 class CutPool:
-    """Cross-epoch persistence of Benders cuts, keyed by
-    :meth:`ACRRProblem.identity` (no arrival epochs: a *renewed* slice
-    warm-starts from the cuts of its previous life).
+    """Cross-epoch persistence of Benders cuts: one slot holding the
+    certificate of the last decision, keyed by :meth:`ACRRProblem.identity`
+    (no arrival epochs: a *renewed* slice warm-starts from the cuts of its
+    previous life, as long as nothing else was solved in between).
 
     The pool stores the *dual multipliers* ``mu`` behind each cut rather
     than the cut coefficients themselves: coefficients ``(H' mu, -h0' mu)``
@@ -243,51 +244,40 @@ class CutPool:
     exceeds :data:`_MAX_RELATIVE_SLACK` of the cut's own scale carry no
     information anymore and are skipped as stale.
 
-    The pool stores each ``(mu, block_id)`` once (:meth:`record`), and it is
-    a *working set*, not an archive (:meth:`age`): a multiplier
-    whose cut was slack at the seeded master's optimum, or skipped at
-    seeding, :data:`_MAX_IDLE_SOLVES` + 1 solves running is dropped.
-    Eviction cannot cost validity -- every seeded cut is still re-proven and
-    a miss still runs the cold loop -- only, at worst, a certification; nor
-    can a key collision, for the same reason.
+    Every solve replaces the slot once (:meth:`record`): a cold solve with
+    its own multipliers, a fast-path hit with the seeded multipliers whose
+    cuts were tight at the seeded master's optimum plus the multiplier it
+    priced the previous decision with.  The slot is a certificate, not an
+    archive, and dropping anything from it cannot cost validity -- every
+    seeded cut is still re-proven and a miss still runs the cold loop --
+    only, at worst, a certification; nor can a key collision, for the same
+    reason.
     """
 
-    JOURNALED = ("_entries", "seeded_total", "dropped_total")
+    JOURNALED = ("_slot",)
 
     def __init__(self):
-        #: In LRU order: eviction drops the first, a use moves one last.
-        self._entries: dict[tuple, _PoolEntry] = {}
-        #: Diagnostics: cuts seeded / dropped-as-stale over the pool's life.
-        self.seeded_total = 0
-        self.dropped_total = 0
+        #: ``(identity, certificate)`` of the last decision, or None.
+        self._slot: tuple[tuple, _PoolEntry] | None = None
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entry(self, key: tuple) -> _PoolEntry | None:
-        entry = self._entries.get(key)
-        if entry is not None:
-            # LRU touch: re-insert so eviction drops the coldest structure.
-            put(self._entries, key, drop(self._entries, key))
-        return entry
+    def __contains__(self, key: tuple) -> bool:
+        return self._slot is not None and self._slot[0] == key
 
     def seed_master(
         self, key: tuple, master: "_MasterState", slave: SlaveProblem
-    ) -> tuple[int, np.ndarray | None]:
+    ) -> tuple[list[tuple[np.ndarray, int | None]], np.ndarray | None]:
         """Re-validate the stored cuts of ``key`` and add the survivors.
 
-        Returns ``(number of cuts seeded, stored incumbent admission vector
-        or None)``.  Cuts are seeded in their original order so repeated
-        solves of an identical instance build identical master problems.
+        Returns ``(the multipliers seeded, in row order; the stored
+        admission vector)`` -- ``([], None)`` if the slot holds no
+        certificate of this system.  Cuts are seeded in their stored order
+        so repeated solves of an identical instance build identical master
+        problems.
         """
-        entry = self.entry(key)
-        if entry is None:
-            return 0, None
         num_rows = len(slave.h0)
-        if entry.num_rows != num_rows or not entry.multipliers:
-            if entry.num_rows == num_rows:
-                return 0, entry.best_x
-            return 0, None
+        if key not in self or self._slot[1].num_rows != num_rows:
+            return [], None
+        entry = self._slot[1]
 
         # Block cuts re-validate against their block's own system (its
         # row/column range of the stacked block system); they are only
@@ -338,77 +328,28 @@ class CutPool:
         seeded = np.flatnonzero(usable & ~(repair > _MAX_RELATIVE_SLACK * cut_scale)).tolist()
         for position, rhs_value in zip(seeded, rhs[seeded].tolist()):
             master.add_cut(coeffs[:, position], rhs_value, multipliers[position][1])
-        put(self._entries, key, replace(entry, seeded=tuple(seeded)))
-        assign(self, "seeded_total", self.seeded_total + len(seeded))
-        assign(self, "dropped_total", self.dropped_total + len(entry.multipliers) - len(seeded))
-        return len(seeded), entry.best_x
-
-    def age(self, key: tuple, master: "_MasterState", values: np.ndarray) -> None:
-        """Age the multipliers of ``key`` after its seeded ``master`` was
-        solved to ``values`` (over ``x`` and the surrogates).
-
-        A seeded cut that is tight there starts over at zero; one that is
-        slack -- by the relative :data:`FEASIBILITY_TOL` -- and every
-        multiplier :meth:`seed_master` skipped is one solve older, and past
-        :data:`_MAX_IDLE_SOLVES` it leaves the pool.
-        """
-        entry = self._entries[key]
-        cuts, rhs = master.cut_rows()
-        activity = cuts.dot(values)
-        tight = activity - rhs <= FEASIBILITY_TOL * np.maximum(1.0, np.abs(activity))
-        idle = np.array(entry.idle) + 1
-        idle[np.array(entry.seeded, dtype=int)[tight]] = 0
-        keep = np.flatnonzero(idle <= _MAX_IDLE_SOLVES).tolist()
-        put(
-            self._entries,
-            key,
-            replace(
-                entry,
-                multipliers=tuple(entry.multipliers[position] for position in keep),
-                idle=tuple(idle[keep].tolist()),
-            ),
-        )
+        return [multipliers[position] for position in seeded], entry.best_x
 
     def record(
         self,
         key: tuple,
         num_rows: int,
-        new_multipliers: list[tuple[np.ndarray, int | None]],
-        best_x: np.ndarray | None,
+        multipliers: list[tuple[np.ndarray, int | None]],
+        best_x: np.ndarray,
     ) -> None:
-        """Append one solve's freshly generated multipliers and incumbent.
-
-        A multiplier already stored for the structure -- same block, same
-        bytes -- is skipped: it would only seed a duplicate row.
-        """
-        entry = self._entries.get(key)
-        if entry is None or entry.num_rows != num_rows:
-            entry = _PoolEntry(num_rows=num_rows)
-            if key in self._entries:
-                drop(self._entries, key)
-            put(self._entries, key, entry)
-            while len(self._entries) > _MAX_STRUCTURES:
-                drop(self._entries, next(iter(self._entries)))
-        multipliers, idle = list(entry.multipliers), list(entry.idle)
-        stored = {(block_id, mu.tobytes()) for mu, block_id in multipliers}
-        for mu, block_id in new_multipliers:
+        """Replace the slot with one decision's certificate: its
+        multipliers, each ``(block_id, bytes)`` once and at most the newest
+        :data:`_MAX_CUTS_PER_STRUCTURE`, and its admission vector."""
+        distinct, stored = [], set()
+        for mu, block_id in multipliers:
             mu = np.array(mu)
             identity = (block_id, mu.tobytes())
             if identity not in stored:
                 stored.add(identity)
-                multipliers.append((mu, block_id))
-                idle.append(0)
-        excess = max(0, len(multipliers) - _MAX_CUTS_PER_STRUCTURE)
-        put(
-            self._entries,
-            key,
-            replace(
-                entry,
-                multipliers=tuple(multipliers[excess:]),
-                idle=tuple(idle[excess:]),
-                best_x=entry.best_x if best_x is None else np.array(best_x),
-            ),
-        )
+                distinct.append((mu, block_id))
+        excess = max(0, len(distinct) - _MAX_CUTS_PER_STRUCTURE)
+        certificate = _PoolEntry(num_rows, tuple(distinct[excess:]), np.array(best_x))
+        assign(self, "_slot", (key, certificate))
 
 
 def _revalidate(
@@ -453,16 +394,9 @@ def _revalidate(
     return system.h_transposed.dot(padded), rhs, repair
 
 
-#: How many consecutive seeded master solves a stored multiplier may sit
-#: idle (slack, or skipped) before :meth:`CutPool.age` drops it.  0 to 4
-#: certify the same `online_week` epochs; 8 seeds enough dead rows to cost
-#: a millisecond per solve.
-_MAX_IDLE_SOLVES = 2
-
-#: Hard caps of the pool: multipliers per structure (oldest evicted first)
-#: and structures (least recently used evicted first).
+#: Hard cap of the certificate a decision leaves in the pool: the newest
+#: multipliers of a long cold loop are kept.
 _MAX_CUTS_PER_STRUCTURE = 256
-_MAX_STRUCTURES = 32
 
 #: Largest repair slack, relative to the cut's own scale, at which a stored
 #: multiplier is still seeded (see :class:`CutPool`).
@@ -562,12 +496,12 @@ class BendersSolver:
         returned (and flagged as non-optimal) when it is exceeded.
 
         ``warm_start`` keeps a :class:`CutPool` on the solver instance
-        (:attr:`cut_pool`) so consecutive solves of structurally matching
-        instances (the orchestrator's steady-state epochs) re-seed each
-        other's cuts.  Warm starts only ever add *valid* inequalities and an
-        incumbent bound, so a warm decision carries the certificate a cold
-        one does (asserted by the differential warm-start sweeps); disable
-        for raw-latency baselines.
+        (:attr:`cut_pool`): a solve of the identity solved last (the
+        orchestrator's steady-state epochs) is seeded with the cuts of the
+        previous decision's certificate.  Warm starts only ever add *valid*
+        inequalities, so a warm decision carries the certificate a cold one
+        does (asserted by the differential warm-start sweeps); disable for
+        raw-latency baselines.
 
         ``multi_cut`` is inert: the per-block master is the only master.
         The keyword is accepted (``True`` only) because
@@ -767,12 +701,12 @@ class BendersSolver:
         cold, same decision.
         """
         pool_key = problem.identity()
-        if self.cut_pool.entry(pool_key) is None:
-            # An identity never solved: nothing to seed.
+        if pool_key not in self.cut_pool:
+            # Not the identity solved last: nothing to seed.
             return None
         seeded_master = _MasterState(problem, cost_x, theta_lowers)
         seeded, previous_x = self.cut_pool.seed_master(pool_key, seeded_master, slave)
-        if not seeded or previous_x is None:
+        if not seeded:
             return None
         # The previous decision is priced on the helper while the seeded
         # master is solved here: the two share no state.
@@ -783,7 +717,7 @@ class BendersSolver:
                 return None
             master_objective = float(solved.objective)
             x_proposed = np.round(solved.values[: seeded_master.num_items])
-            self.cut_pool.age(pool_key, seeded_master, solved.values)
+            tight = seeded_master.tight_cuts(solved.values)
             outcome = pricing.result()
         finally:
             pricing.settle()
@@ -802,13 +736,18 @@ class BendersSolver:
             optimal=True,
             gap=max(0.0, gap),
             cuts_optimality=1,
-            cuts_warm=seeded,
+            cuts_warm=len(seeded),
             message=(
                 f"UB={upper_bound:.6f} LB={master_objective:.6f} "
-                f"(warm fast path, {seeded} seeded cuts)"
+                f"(warm fast path, {len(seeded)} seeded cuts)"
             ),
         )
-        self.cut_pool.record(pool_key, len(slave.h0), [(outcome.duals, None)], previous_x)
+        # The hit's certificate: the seeded cuts that bound the re-proposal,
+        # and the one it was priced with.
+        kept = [multiplier for multiplier, bound in zip(seeded, tight) if bound]
+        self.cut_pool.record(
+            pool_key, len(slave.h0), kept + [(outcome.duals, None)], previous_x
+        )
         return decision_from_vectors(problem, previous_x, outcome.z, stats)
 
     def _solve_master(self, master: _MasterState) -> MILPSolution:

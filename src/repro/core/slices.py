@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.utils.validation import (
+    ensure_finite,
     ensure_in_range,
     ensure_non_negative,
     ensure_positive,
@@ -43,6 +44,14 @@ class SliceTemplate:
     default_relative_std: float = 0.25
 
     def __post_init__(self) -> None:
+        for name in (
+            "reward",
+            "latency_tolerance_ms",
+            "sla_mbps",
+            "compute_baseline_cpus",
+            "compute_cpus_per_mbps",
+        ):
+            ensure_finite(getattr(self, name), name)
         ensure_positive(self.reward, "reward")
         ensure_positive(self.latency_tolerance_ms, "latency_tolerance_ms")
         ensure_positive(self.sla_mbps, "sla_mbps")
@@ -132,6 +141,7 @@ class SliceRequest:
     def __post_init__(self) -> None:
         if self.duration_epochs <= 0:
             raise ValueError("duration_epochs must be positive")
+        ensure_finite(self.penalty_factor, "penalty_factor")
         ensure_non_negative(self.penalty_factor, "penalty_factor")
         if self.arrival_epoch < 0:
             raise ValueError("arrival_epoch must be non-negative")

@@ -13,8 +13,8 @@ and that a clean recovery epoch after a fault reaches the same fingerprint as
 a never-faulted twin.
 
 Values are rendered by type: tables in their insertion order (a rollback
-restores it), arrays by digest, frozen dataclasses field by field (scratch
-fields are ``compare=False`` and left out), decisions without their solver
+restores it), arrays by digest, frozen dataclasses field by field (fields
+with ``compare=False`` are left out), decisions without their solver
 statistics (wall-clock runtimes differ between twins) and problems by their
 identity and forecasts.  Anything else is its ``repr`` with
 object addresses masked.

@@ -28,9 +28,9 @@ for an entry).  That log is the whole per-epoch cost of crash consistency:
   where the broker's lifecycle events come from.
 
 A table's insertion order is state too (the intake queue's is the order
-requests are decided in, the cut pool's is its LRU order), and re-inserting
-a dropped key moves it last: the epoch's first :func:`drop` from a table
-records the table's key order, and a rollback puts it back.
+requests are decided in), and re-inserting a dropped key moves it last: the
+epoch's first :func:`drop` from a table records the table's key order, and
+a rollback puts it back.
 """
 
 from __future__ import annotations

@@ -29,6 +29,14 @@ def _as_real(value, name: str) -> float:
     return value
 
 
+def ensure_finite(value: float, name: str) -> float:
+    """Return ``value`` if a finite real number, otherwise raise ``ValueError``."""
+    value = _as_real(value, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def ensure_positive(value: float, name: str) -> float:
     """Return ``value`` if strictly positive, otherwise raise ``ValueError``."""
     value = _as_real(value, name)

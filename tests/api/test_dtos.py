@@ -5,6 +5,7 @@ explicit schema version."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -244,13 +245,21 @@ class TestSliceRequestV1:
         assert excinfo.value.code == "validation"
         assert "holographic" in str(excinfo.value)
 
-    def test_domain_violations_become_validation_errors(self):
+    @pytest.mark.parametrize("field, value", [
+        ("duration_epochs", 0),
+        ("template.sla_mbps", -3.0),
+        ("penalty_factor", math.inf),
+        ("template.sla_mbps", math.inf),
+        ("template.reward", math.inf),
+        # int() used to truncate these silently.
+        ("duration_epochs", 2.7),
+        ("arrival_epoch", 0.5),
+    ])
+    def test_domain_violations_become_validation_errors(self, field, value):
         payload = SliceRequestV1.of("s1", "eMBB").to_dict()
-        payload["duration_epochs"] = 0
-        with pytest.raises(ValidationError):
-            SliceRequestV1.from_dict(payload)
-        payload = SliceRequestV1.of("s1", "eMBB").to_dict()
-        payload["template"]["sla_mbps"] = -3.0
+        *parents, name = field.split(".")
+        target = payload["template"] if parents else payload
+        target[name] = value
         with pytest.raises(ValidationError):
             SliceRequestV1.from_dict(payload)
 

@@ -211,7 +211,9 @@ class TestBodyIsConsumedBeforeAnyResponse:
             status, _, payload = conn.reply()
             assert (status, payload["health"]) == (200, "healthy")
 
-    @pytest.mark.parametrize("length", [str(MAX_BODY_BYTES + 1), "-1", "twelve", "3\r\nContent-Length: 4"])
+    @pytest.mark.parametrize(
+        "length", [str(MAX_BODY_BYTES + 1), "-1", "+12", "1_2", "twelve", "3\r\nContent-Length: 4"]
+    )
     def test_unusable_content_length_answers_and_closes(self, server, length):
         with RawConnection(server) as conn:
             conn.send(

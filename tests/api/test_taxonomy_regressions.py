@@ -9,12 +9,17 @@ transports can map them to HTTP statuses.
 
 from __future__ import annotations
 
+import http.client
+import json
+import math
+
 import pytest
 
 from repro.api.dtos import SliceRequestV1, SliceStatus
 from repro.api.errors import LifecycleError, ValidationError
 from repro.api.server import BrokerServer
 from repro.api.broker import SliceBroker
+from repro.core.benders import BendersSolver
 from repro.core.milp_solver import DirectMILPSolver
 from repro.core.slices import TEMPLATES
 from repro.topology import operators
@@ -37,9 +42,10 @@ class TestDirectDtoConstruction:
         with pytest.raises(ValidationError):
             SliceRequestV1(name="t", template=template, duration_epochs=0)
 
-    def test_negative_penalty(self, template):
+    @pytest.mark.parametrize("penalty", [-0.5, math.inf, math.nan])
+    def test_negative_or_non_finite_penalty(self, template, penalty):
         with pytest.raises(ValidationError):
-            SliceRequestV1(name="t", template=template, penalty_factor=-0.5)
+            SliceRequestV1(name="t", template=template, penalty_factor=penalty)
 
     def test_negative_arrival(self, template):
         with pytest.raises(ValidationError):
@@ -53,6 +59,56 @@ class TestDirectDtoConstruction:
     def test_valid_direct_construction_still_works(self, template):
         request = SliceRequestV1(name="t", template=template)
         assert SliceRequestV1.from_dict(request.to_dict()) == request
+
+
+class TestNonFiniteNumbersAreRefusedAtSubmit:
+    """One tenant's ``Infinity`` used to reach the solver: every later epoch
+    failed on a non-finite cost and rolled the request back into the queue."""
+
+    @staticmethod
+    def benders_broker() -> SliceBroker:
+        return SliceBroker(
+            topology=operators.testbed_topology(),
+            solver=BendersSolver(master_time_limit_s=None, time_limit_s=None),
+        )
+
+    @staticmethod
+    def payload(**changes) -> dict:
+        return {**SliceRequestV1.of("bad", "uRLLC", duration_epochs=2).to_dict(), **changes}
+
+    def test_in_process_the_queue_is_unchanged_and_the_next_epoch_commits(self):
+        broker = self.benders_broker()
+        broker.submit(SliceRequestV1.of("good", "uRLLC", duration_epochs=2))
+        with pytest.raises(ValidationError):
+            broker.submit(SliceRequestV1.from_dict(self.payload(penalty_factor=math.inf)))
+        assert broker.pending_count == 1
+        report = broker.advance_epoch(0)
+        assert report.accepted == ("good",) and report.pending_requests == 0
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+    def test_over_the_wire_the_queue_is_unchanged_and_the_next_epoch_commits(self, literal):
+        broker = self.benders_broker()
+        good = json.dumps(SliceRequestV1.of("good", "uRLLC", duration_epochs=2).to_dict())
+        bad = json.dumps(self.payload(penalty_factor=123.0)).replace("123.0", literal)
+        with BrokerServer(broker) as server:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                answers = []
+                for body in (good, bad):
+                    conn.request("POST", "/v1/slices", body=body.encode())
+                    response = conn.getresponse()
+                    answers.append((response.status, json.loads(response.read())))
+                assert answers[0][0] == 201
+                status, payload = answers[1]
+                assert (status, payload["error"]) == (400, "validation")
+                assert broker.pending_count == 1
+                conn.request("POST", "/v1/epochs", body=b'{"epoch": 0}')
+                response = conn.getresponse()
+                report = json.loads(response.read())
+            finally:
+                conn.close()
+        assert response.status == 200
+        assert report["accepted"] == ["good"] and report["pending_requests"] == 0
 
 
 class TestServerDoubleStart:

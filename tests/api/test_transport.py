@@ -414,7 +414,8 @@ class TestSlicePaging:
 
     def test_bad_paging_params_are_validation_errors(self, served):
         _, server, _ = served
-        for query in ("offset=x", "limit=x", "offset=-1", "limit=-1"):
+        # "%2B1" is a literal "+1" ("+" alone decodes to a space).
+        for query in ("offset=x", "limit=x", "offset=-1", "limit=-1", "offset=%2B1", "limit=1_0"):
             status, payload = raw_exchange(server, "GET", f"/v1/slices?{query}")
             assert status == STATUS_BY_CODE["validation"], query
             assert payload["error"] == "validation", query

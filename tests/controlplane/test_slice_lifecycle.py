@@ -215,35 +215,87 @@ class TestWarmStateSurvivesIdleEpochs:
         assert orchestrator._last_solve is not None
         assert orchestrator._last_solve[0] == key_before
 
-    def test_solver_warm_state_survives_idle_and_renewal(self):
-        """After an idle gap, a renewed identical slice warm-starts Benders."""
-        from repro.core.benders import BendersSolver
-        from repro.scenarios import decision_fingerprint
+    @staticmethod
+    def _benders_orchestrator(monkeypatch):
+        """A Benders orchestrator, and per solve ``(whether the pool held
+        the problem's identity, cuts seeded)``."""
+        from repro.core.benders import BendersSolver, CutPool
 
-        topology = build_tiny_topology()
+        solves = []
+        seed_master, solve = CutPool.seed_master, BendersSolver.solve
+
+        def noting_solve(solver, problem):
+            if solver.cut_pool is not None:  # not the cold reference
+                solves.append([problem.identity() in solver.cut_pool, 0])
+            return solve(solver, problem)
+
+        def noting_seed(pool, key, master, slave):
+            seeded, best_x = seed_master(pool, key, master, slave)
+            solves[-1][1] = len(seeded)
+            return seeded, best_x
+
+        monkeypatch.setattr(BendersSolver, "solve", noting_solve)
+        monkeypatch.setattr(CutPool, "seed_master", noting_seed)
         orchestrator = E2EOrchestrator(
-            topology=topology,
+            topology=build_tiny_topology(),
             solver=BendersSolver(master_time_limit_s=None, time_limit_s=None),
             config=OrchestratorConfig(samples_per_epoch=4),
         )
         orchestrator.forecast_overrides["u1"] = ForecastInput(
             lambda_hat_mbps=10.0, sigma_hat=0.2
         )
+        return orchestrator, solves
+
+    @staticmethod
+    def _cold(problem):
+        from repro.core.benders import BendersSolver
+
+        return BendersSolver(
+            master_time_limit_s=None, time_limit_s=None, warm_start=False
+        ).solve(problem)
+
+    def test_solver_warm_state_survives_idle_and_renewal(self, monkeypatch):
+        """After an idle gap, a renewed identical slice warm-starts Benders
+        when its structure is the last one solved."""
+        from repro.scenarios import decision_fingerprint
+
+        orchestrator, solves = self._benders_orchestrator(monkeypatch)
+        orchestrator.submit_request(urllc("u1", arrival=0, duration=1))
+        assert orchestrator.run_epoch(0).is_accepted("u1")
+        orchestrator.run_epoch(1)  # idle: u1 expired, nothing solved
+        orchestrator.submit_request(urllc("u1", arrival=2, duration=1))
+        # Another forecast: the orchestrator's decision reuse misses.
+        orchestrator.forecast_overrides["u1"] = ForecastInput(
+            lambda_hat_mbps=10.5, sigma_hat=0.2
+        )
+        renewed = orchestrator.run_epoch(2)
+        assert renewed.is_accepted("u1")
+        # The renewal's candidate problem has the identity of the original
+        # candidate instance (arrival epochs enter neither the key nor the
+        # MILP) and nothing was solved in between, so the slot still holds
+        # the slice's previous certificate and seeds the renewal's solve --
+        # which decides exactly what a cold solve of the same instance
+        # decides.
+        assert [held for held, _ in solves] == [False, True]
+        assert solves[1][1] > 0
+        cold = self._cold(orchestrator.last_problem)
+        assert decision_fingerprint(renewed) == decision_fingerprint(cold)
+
+    def test_a_renewal_after_another_structure_runs_cold(self, monkeypatch):
+        """Candidate, committed (another identity), idle, renewal: the slot
+        holds the committed structure's certificate, so the renewal seeds
+        nothing and decides what a cold solve decides."""
+        from repro.scenarios import decision_fingerprint
+
+        orchestrator, solves = self._benders_orchestrator(monkeypatch)
         orchestrator.submit_request(urllc("u1", arrival=0, duration=2))
-        first = orchestrator.run_epoch(0)
-        assert first.is_accepted("u1")
+        assert orchestrator.run_epoch(0).is_accepted("u1")
         orchestrator.run_epoch(1)
         orchestrator.run_epoch(2)  # idle
         orchestrator.submit_request(urllc("u1", arrival=3, duration=2))
         renewed = orchestrator.run_epoch(3)
         assert renewed.is_accepted("u1")
-        # The renewal's candidate problem matches the original candidate
-        # instance byte for byte (arrival epochs enter neither the warm-start
-        # key nor the MILP), so the pool entry of the slice's previous life
-        # survives the idle gap and seeds the renewal's solve -- which
-        # decides exactly what a cold solve of the same instance decides.
-        assert orchestrator.solver.cut_pool.seeded_total > 0
-        cold = BendersSolver(
-            master_time_limit_s=None, time_limit_s=None, warm_start=False
-        ).solve(orchestrator.last_problem)
+        assert [held for held, _ in solves] == [False, False, False]
+        assert renewed.stats.cuts_warm == 0
+        cold = self._cold(orchestrator.last_problem)
         assert decision_fingerprint(renewed) == decision_fingerprint(cold)

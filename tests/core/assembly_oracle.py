@@ -13,13 +13,12 @@ order and the scipy calls are the retired source's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, sparse
 
 from repro.core.problem import DEFICIT_COST, ACRRProblem, InfeasibleProblemError
-from repro.utils.journal import put
 
 
 def _risk_slope(item) -> float:
@@ -596,14 +595,10 @@ class OracleMaster(_MasterState):
 def oracle_seed_master(self: CutPool, key, master, slave):
     """``CutPool.seed_master`` as it was: per-system sparse slices, one
     batch of products per aggregate system and per block."""
-    entry = self.entry(key)
-    if entry is None:
-        return 0, None
     num_rows = slave.g_matrix.shape[0]
-    if entry.num_rows != num_rows or not entry.multipliers:
-        if entry.num_rows == num_rows:
-            return 0, entry.best_x
-        return 0, None
+    if key not in self or self._slot[1].num_rows != num_rows:
+        return [], None
+    entry = self._slot[1]
 
     sla = np.array([item.sla_mbps for item in slave.problem.items])
     u_bound = np.concatenate([sla, sla])
@@ -652,19 +647,14 @@ def oracle_seed_master(self: CutPool, key, master, slave):
     for position, (_, block_id) in enumerate(entry.multipliers):
         ready = prepared.get(position)
         if ready is None:
-            self.dropped_total += 1
             continue
         coeff, rhs_value, repair = ready
         cut_scale = max(1.0, abs(rhs_value + repair), float(np.max(np.abs(coeff))))
         if repair > benders._MAX_RELATIVE_SLACK * cut_scale:
-            self.dropped_total += 1
             continue
         master.add_cut(coeff, rhs_value, block_id)
-        seeded.append(position)
-    # ... kept on the pool's entry, which is replaced, not edited.
-    put(self._entries, key, replace(entry, seeded=tuple(seeded)))
-    self.seeded_total += len(seeded)
-    return len(seeded), entry.best_x
+        seeded.append(entry.multipliers[position])
+    return seeded, entry.best_x
 
 
 def retire_the_array_assembly(monkeypatch) -> None:

@@ -258,8 +258,9 @@ class TestCorners:
         solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
         solver.solve(base)
         pool, key = solver.cut_pool, base.identity()
-        assert any(block_id is None for _, block_id in pool.entry(key).multipliers)
-        assert any(block_id is not None for _, block_id in pool.entry(key).multipliers)
+        multipliers = pool._slot[1].multipliers
+        assert any(block_id is None for _, block_id in multipliers)
+        assert any(block_id is not None for _, block_id in multipliers)
         sequence = []
         for fraction, zeroed in ((0.55, requests[::2]), (0.2, ()), (0.7, requests[1::3])):
             forecasts = low_load_forecasts(requests, fraction=fraction, sigma=0.4)
@@ -287,8 +288,8 @@ class TestCorners:
                 lowers = [block.theta_lower for block in got.blocks()]
                 master = _MasterState(problem, problem.objective_x(), lowers)
                 static = master.rows()
-                count, _ = pool.seed_master(key, master, got)
-                seeded.append((count, static, master.rows(), master.cut_rows()))
+                cuts, _ = pool.seed_master(key, master, got)
+                seeded.append((len(cuts), static, master.rows(), master.cut_rows()))
             (count, *arrays), (cold_count, *cold_arrays) = seeded
             assert count == cold_count > 0
             for got, want in zip(arrays, cold_arrays):

@@ -328,8 +328,6 @@ class TestHighsIsHandedTheOraclesModels:
         assert thread_differences(got, handed_to_highs.snapshot()) == [], seed_note(seed)
 
     def test_warm_fast_path_hit(self, handed_to_highs, monkeypatch):
-        import repro.core.benders as benders
-
         # Where each seeded master lands among the calling thread's models,
         # and the rows it must have there: static rows plus seeded cuts.
         fast_path = []
@@ -337,7 +335,7 @@ class TestHighsIsHandedTheOraclesModels:
 
         def noting_seed(pool, key, master, slave):
             seeded, previous_x = real_seed(pool, key, master, slave)
-            master.seeded_rows = master.num_static_rows + seeded
+            master.seeded_rows = master.num_static_rows + len(seeded)
             return seeded, previous_x
 
         def noting_master(solver, master):
@@ -356,9 +354,9 @@ class TestHighsIsHandedTheOraclesModels:
                 [base]
                 + _perturbed_forecast_sequence(
                     base,
-                    # Long enough for the pool to age cuts out and seed the
-                    # masters after that from what is left.
-                    count=benders._MAX_IDLE_SOLVES + 3,
+                    # Long enough for hits to replace the certificate and
+                    # seed the masters after that from what is left.
+                    count=5,
                     spread=0.02,
                     seed=derive_seed(scenario.seed, "warm-start-oracle", scenario.name),
                 )
@@ -374,9 +372,10 @@ class TestHighsIsHandedTheOraclesModels:
                 )
                 stats = [solver.solve(p).stats for p in instances]
                 hits += sum(s.cuts_warm > 0 for s in stats)
-                (entry,) = solver.cut_pool._entries.values()
+                _, entry = solver.cut_pool._slot
                 recorded = sum(s.cuts_optimality + s.cuts_feasibility for s in stats)
-                pools.append((recorded, [s.cuts_warm for s in stats], entry.idle))
+                held = [(block_id, mu.tobytes()) for mu, block_id in entry.multipliers]
+                pools.append((recorded, [s.cuts_warm for s in stats], held))
             return handed_to_highs.snapshot(), hits, pools
 
         got, hits, pools = run()
@@ -385,8 +384,8 @@ class TestHighsIsHandedTheOraclesModels:
         for position, rows in fast_path:
             model = got["calling"][position]
             assert model["is_mip"] and model["shape"][0] == rows
-        # ... and evictions: pools smaller than everything ever recorded.
-        assert any(len(idle) < recorded for recorded, _, idle in pools)
+        # ... and certificates smaller than everything ever recorded.
+        assert any(len(held) < recorded for recorded, _, held in pools)
         retire_the_array_assembly(monkeypatch)
         want, want_hits, want_pools = run()
         assert (hits, pools) == (want_hits, want_pools)

@@ -1,5 +1,7 @@
 """Tests for slice templates and requests (Table 1)."""
 
+import math
+
 import pytest
 
 from repro.core.slices import (
@@ -35,16 +37,25 @@ class TestTable1Templates:
     def test_registry_contains_all_types(self):
         assert set(TEMPLATES) == {"eMBB", "mMTC", "uRLLC"}
 
-    def test_template_validation(self):
-        with pytest.raises(ValueError):
-            SliceTemplate(
-                name="bad",
-                reward=0.0,
-                latency_tolerance_ms=10.0,
-                sla_mbps=10.0,
-                compute_baseline_cpus=0.0,
-                compute_cpus_per_mbps=0.0,
-            )
+    @pytest.mark.parametrize("field, value", [
+        ("reward", 0.0),
+        ("reward", math.inf),
+        ("sla_mbps", math.inf),
+        ("latency_tolerance_ms", math.inf),
+        ("compute_baseline_cpus", math.inf),
+        ("compute_cpus_per_mbps", math.nan),
+    ])
+    def test_template_validation(self, field, value):
+        fields = dict(
+            name="bad",
+            reward=1.0,
+            latency_tolerance_ms=10.0,
+            sla_mbps=10.0,
+            compute_baseline_cpus=0.0,
+            compute_cpus_per_mbps=0.0,
+        )
+        with pytest.raises(ValueError, match=field):
+            SliceTemplate(**{**fields, field: value})
 
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):
@@ -85,6 +96,11 @@ class TestSliceRequest:
     def test_invalid_arrival(self):
         with pytest.raises(ValueError):
             SliceRequest(name="t", template=EMBB_TEMPLATE, arrival_epoch=-1)
+
+    @pytest.mark.parametrize("penalty", [-1.0, math.inf, math.nan])
+    def test_invalid_penalty(self, penalty):
+        with pytest.raises(ValueError, match="penalty_factor"):
+            SliceRequest(name="t", template=EMBB_TEMPLATE, penalty_factor=penalty)
 
 
 class TestMakeRequests:

@@ -15,7 +15,6 @@ sweeps are ``chaos``-marked and run in CI's time-capped chaos job.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from hypothesis import strategies as st
 from repro.api import BrokerError, SliceBroker, SliceRequestV1, SolverError
 from repro.controlplane.orchestrator import OrchestratorConfig
 from repro.core.baseline import NoOverbookingSolver
-from repro.core.benders import BendersSolver, CutPool
+from repro.core.benders import BendersSolver, CutPool, _MasterState
 from repro.core.decomposition import SlaveProblem
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.milp_solver import DirectMILPSolver
@@ -245,8 +244,13 @@ def advance_drifting(broker: SliceBroker, epoch: int):
     return broker.advance_epoch(epoch)
 
 
-def pool_state(solver: BendersSolver) -> list:
-    return [(len(entry.multipliers), entry.idle) for entry in solver.cut_pool._entries.values()]
+def pool_state(solver: BendersSolver) -> tuple | None:
+    """The pool's slot as comparable bytes: identity, multipliers, best_x."""
+    if solver.cut_pool._slot is None:
+        return None
+    key, entry = solver.cut_pool._slot
+    multipliers = [(block_id, mu.tobytes()) for mu, block_id in entry.multipliers]
+    return key, multipliers, entry.best_x.tobytes()
 
 
 class MidRoundCrash(Exception):
@@ -262,7 +266,7 @@ class TestWarmStartStateRollsBack:
         solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
         broker = make_chaos_broker(plan, solver=solver)
         broker.advance_epoch(0)
-        assert any(entry.multipliers for entry in solver.cut_pool._entries.values())
+        assert solver.cut_pool._slot[1].multipliers
         before = control_plane_fingerprint(broker.orchestrator)
         with pytest.raises(SolverError):
             broker.advance_epoch(1)  # solved (the pool grew), then crashed
@@ -270,13 +274,13 @@ class TestWarmStartStateRollsBack:
         broker.advance_epoch(1)
         assert control_plane_fingerprint(broker.orchestrator) != before
 
-    def test_pool_ageing_rolls_back_and_the_retry_seeds_what_a_twin_seeds(self):
+    def test_a_hits_pool_write_rolls_back_and_the_retry_seeds_what_a_twin_seeds(self):
         # Steady structure, drifting forecasts: from epoch 2 on every epoch
-        # is a fast-path hit whose seeded master ages the pool -- counters
-        # move, idle multipliers leave, one cut is recorded -- *before* the
-        # controllers apply.  A crash there must put all of that back, and
+        # is a fast-path hit that replaces the pool's certificate -- slack
+        # seeded cuts leave, the priced one joins -- *before* the
+        # controllers apply.  A crash there must put the old one back, and
         # the retry must then seed exactly what a never-faulted twin seeds.
-        crash_epoch = 4  # the first epoch whose ageing evicts
+        crash_epoch = 4
         plan = FaultPlan.of(make_spec(HOOK_CLOUD_APPLY, FaultKind.CRASH, epoch=crash_epoch))
         broker, solver = steady_broker(plan)
         twin, twin_solver = steady_broker(FaultPlan.empty())
@@ -285,21 +289,20 @@ class TestWarmStartStateRollsBack:
         assert "warm fast path" in report.solver_message == twin_report.solver_message
         before, pool_before = control_plane_fingerprint(broker.orchestrator), pool_state(solver)
         assert before == control_plane_fingerprint(twin.orchestrator)
-        assert any(any(idle) for _, idle in pool_before)  # counters are live state
 
-        aged_to = []
-        real_age = CutPool.age
+        written = []
+        real_record = CutPool.record
 
-        def noting_age(pool, key, master, values):
-            real_age(pool, key, master, values)
-            aged_to.append(pool._entries[key].idle)
+        def noting_record(pool, *args):
+            real_record(pool, *args)
+            written.append(pool_state(solver))
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CutPool, "age", noting_age)
+            patch.setattr(CutPool, "record", noting_record)
             with pytest.raises(SolverError):
-                # Certified, aged, recorded -- then crashed.
+                # Certified, recorded -- then crashed.
                 advance_drifting(broker, crash_epoch)
-        assert len(aged_to) == 1 and aged_to[0] not in [idle for _, idle in pool_before]
+        assert len(written) == 1 and written[0] != pool_before
         assert control_plane_fingerprint(broker.orchestrator) == before
         assert pool_state(solver) == pool_before
 
@@ -307,8 +310,7 @@ class TestWarmStartStateRollsBack:
         twin_report = advance_drifting(twin, crash_epoch)
         assert "warm fast path" in report.solver_message
         assert report.solver_message == twin_report.solver_message  # same seeded cuts
-        assert solver.cut_pool.seeded_total == twin_solver.cut_pool.seeded_total
-        assert pool_state(solver) == pool_state(twin_solver) != pool_before
+        assert pool_state(solver) == pool_state(twin_solver) == written[0]
         assert control_plane_fingerprint(broker.orchestrator) == control_plane_fingerprint(
             twin.orchestrator
         )
@@ -317,11 +319,12 @@ class TestWarmStartStateRollsBack:
         )
 
     def test_a_solve_crash_in_the_middle_of_a_round_rolls_back(self):
-        # A fast-path round overlaps two solves: the seeded master here (it
-        # then ages the pool) and the previous decision's slave LP on the
-        # pricing helper.  That LP crashing surfaces after the ageing, from
-        # inside solver.solve: the epoch must still roll back byte for byte,
-        # and its retry must equal a never-faulted twin's epoch.
+        # A fast-path round overlaps two solves: the seeded master here (its
+        # tight cuts are read off it) and the previous decision's slave LP
+        # on the pricing helper.  That LP crashing surfaces from inside
+        # solver.solve, before the hit writes the pool: the epoch must still
+        # roll back byte for byte, and its retry must equal a never-faulted
+        # twin's epoch.
         crash_epoch = 3
         broker, solver = steady_broker(FaultPlan.empty())
         twin, _ = steady_broker(FaultPlan.empty())
@@ -330,23 +333,25 @@ class TestWarmStartStateRollsBack:
             advance_drifting(twin, epoch)
         before, pool_before = control_plane_fingerprint(broker.orchestrator), pool_state(solver)
 
-        aged, priced = [], []
-        real_age = CutPool.age
+        read, priced, written = [], [], []
+        real_tight = _MasterState.tight_cuts
 
-        def noting_age(pool, key, master, values):
-            real_age(pool, key, master, values)
-            aged.append(key)
+        def noting_tight(master, values):
+            read.append(master)
+            return real_tight(master, values)
 
         def crashing_evaluate(slave, x):
             priced.append(x)
             raise MidRoundCrash("the slave LP died mid-round")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CutPool, "age", noting_age)
+            patch.setattr(_MasterState, "tight_cuts", noting_tight)
             patch.setattr(SlaveProblem, "evaluate", crashing_evaluate)
+            patch.setattr(CutPool, "record", lambda pool, *args: written.append(args))
             with pytest.raises(MidRoundCrash):
                 advance_drifting(broker, crash_epoch)
-        assert len(aged) == len(priced) == 1  # master solved, pool aged, pricing crashed
+        # Master solved, its tight cuts read, pricing crashed, nothing recorded.
+        assert len(read) == len(priced) == 1 and written == []
         assert control_plane_fingerprint(broker.orchestrator) == before
         assert pool_state(solver) == pool_before
 
@@ -359,18 +364,6 @@ class TestWarmStartStateRollsBack:
         assert decision_fingerprint(broker.last_decision) == decision_fingerprint(
             twin.last_decision
         )
-
-    def test_idle_counters_enter_the_fingerprint(self):
-        solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
-        broker = make_chaos_broker(FaultPlan.empty(), solver=solver)
-        broker.advance_epoch(0)
-        before = control_plane_fingerprint(broker.orchestrator)
-        entries = solver.cut_pool._entries
-        key, entry = next((k, e) for k, e in entries.items() if e.multipliers)
-        entries[key] = replace(entry, idle=(entry.idle[0] + 1, *entry.idle[1:]))
-        assert control_plane_fingerprint(broker.orchestrator) != before
-        entries[key] = entry
-        assert control_plane_fingerprint(broker.orchestrator) == before
 
 
 class TestFingerprintCoversTheDeclaredState:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.benders import BendersSolver, CutPool
@@ -179,7 +180,8 @@ class TestChaosSolver:
         proxy = ChaosSolver(inner, FaultInjector(FaultPlan.empty()))
         paths = [path for path, _ in declared_state(proxy)]
         assert paths == [f"inner.cut_pool.{name}" for name in CutPool.JOURNALED]
-        assert dict(declared_state(proxy))["inner.cut_pool._entries"] is inner.cut_pool._entries
+        inner.cut_pool.record(("k",), 4, [(np.zeros(4), None)], np.zeros(2))
+        assert dict(declared_state(proxy))["inner.cut_pool._slot"] is inner.cut_pool._slot
 
     def test_tolerates_inner_solvers_without_declared_state(self):
         class Bare:
