@@ -622,14 +622,17 @@ class SliceBroker:
     ) -> None:
         """Feed monitoring samples for one slice at one base station.
 
-        A non-finite sample, or an epoch older than the slice's last report
-        (at any of its base stations), is a ``ValidationError`` and records
-        nothing.
+        A base station the topology does not have, a negative epoch, a
+        non-finite sample, or an epoch older than the slice's last report
+        (at any of its base stations), is a ``ValidationError`` naming the
+        slice and the station, and records nothing.
         """
         try:
             self._orchestrator.observe_load(slice_name, base_station, epoch, samples_mbps)
         except ValueError as error:
-            raise ValidationError(str(error), details={"slice_name": slice_name}) from error
+            raise ValidationError(
+                str(error), details={"slice_name": slice_name, "base_station": base_station}
+            ) from error
 
     @_synchronized
     def set_forecast_overrides(self, overrides: Mapping[str, ForecastInput]) -> None:

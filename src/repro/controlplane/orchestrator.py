@@ -278,7 +278,24 @@ class E2EOrchestrator:
         epoch: int,
         samples_mbps: list[float] | np.ndarray,
     ) -> None:
-        """Feed monitoring samples collected by the controllers."""
+        """Feed monitoring samples collected by the controllers.
+
+        A base station the topology does not have, or a negative epoch, is
+        a ``ValueError`` and records nothing: every report of a slice folds
+        into its one peak track, so a stray one would move its forecast.
+        """
+        try:
+            self.topology.base_station(base_station)
+        except KeyError:
+            raise ValueError(
+                f"load samples of slice {slice_name!r} name base station "
+                f"{base_station!r}, which the topology does not have"
+            ) from None
+        if int(epoch) < 0:
+            raise ValueError(
+                f"load samples of slice {slice_name!r} at {base_station!r} "
+                f"must have a non-negative epoch (got {epoch})"
+            )
         self.monitoring.record_samples(slice_name, base_station, epoch, samples_mbps)
 
     # ------------------------------------------------------------------ #

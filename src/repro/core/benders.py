@@ -51,10 +51,9 @@ from repro.core.decomposition import BlockStack, SlaveNumericalError, SlaveProbl
 from repro.core.lpsolver import (
     FEASIBILITY_TOL,
     MILPSolution,
+    append_rows,
     canonical_csc,
-    dense_rows_to_csc,
     solve_milp,
-    stack_columns,
     stacked_arrays,
 )
 from repro.core.problem import ACRRProblem, InfeasibleProblemError
@@ -102,9 +101,11 @@ class _MasterState:
     over ``(x, theta_0..theta_{B-1})``, the bounds/integrality vectors and
     the static rows (capacity surrogate, then path selection) -- is
     assembled exactly once, column-major and canonical: the layout HiGHS
-    takes.  Cut rows are queued as plain dense arrays, so ``add_cut`` builds
-    no sparse object at all; ``rows()`` merges the rows queued since the
-    last call into the columns, one pass whatever their number.
+    takes.  Cuts are queued as plain dense blocks, column-major (row ``j``
+    of a block holds master column ``j``'s entries of its cuts), so
+    ``add_cuts`` builds no sparse object at all; ``rows()`` appends the
+    cuts queued since the last call below the rows, one pass whatever
+    their number, and builds the one matrix it hands out.
 
     ``theta_lowers`` carries one lower bound per surrogate, one surrogate
     per slave block (:class:`SlaveBlock.theta_lower`); the *sum* of the
@@ -155,10 +156,15 @@ class _MasterState:
         self.num_static_rows = len(self._static_lower)
         data = template.copy()
         data[slots] = footprint.data
-        self._rows = canonical_csc(
-            indptr, indices, data, (self.num_static_rows, n + num_thetas)
-        )
-        self._cut_rows: list[np.ndarray] = []
+        #: The rows merged so far as canonical column-major arrays, and
+        #: their matrix, built when :meth:`rows` hands them out.
+        self._layout = (indptr, indices, data)
+        self._rows: sparse.csc_matrix | None = None
+        #: Every cut, one dense ``(x + thetas, cuts)`` block per
+        #: :meth:`add_cuts` call, in insertion order; the blocks not merged
+        #: into ``_layout`` yet; how many cuts are.
+        self._cut_columns: list[np.ndarray] = []
+        self._queued: list[np.ndarray] = []
         self._cut_rhs: list[float] = []
         self._merged_cuts = 0
 
@@ -166,26 +172,39 @@ class _MasterState:
     def num_cuts(self) -> int:
         return len(self._cut_rhs)
 
-    def add_cut(
-        self, coefficients: np.ndarray, rhs: float, block_id: int | None = None
+    def add_cuts(
+        self,
+        coefficients: np.ndarray,
+        rhs: list[float],
+        block_ids: list[int | None],
     ) -> None:
-        """Append one optimality cut ``coeff' x + thetas >= rhs`` to the pool.
+        """Append optimality cuts ``coeff' x + thetas >= rhs``, one per
+        column of the ``(x, cuts)`` array ``coefficients``.
 
-        ``block_id`` selects which surrogates the cut bounds: ``None`` means
-        all of them (the aggregate cut), a block index that block's own.
-        The row is only *queued* here; :meth:`rows` merges it in.
+        ``block_ids`` selects which surrogates each cut bounds: ``None``
+        means all of them (the aggregate cut), a block index that block's
+        own.  The cuts are only *queued* here; :meth:`rows` merges them in.
         """
-        theta_part = np.zeros(self.num_thetas)
-        if block_id is None:
-            theta_part[:] = 1.0
-        else:
-            theta_part[block_id] = 1.0
-        self._cut_rows.append(np.concatenate([coefficients, theta_part]))
-        self._cut_rhs.append(rhs)
+        if not block_ids:
+            return
+        n = self.num_items
+        columns = np.zeros((n + self.num_thetas, len(block_ids)))
+        columns[:n] = coefficients
+        for cut, block_id in enumerate(block_ids):
+            if block_id is None:
+                columns[n:, cut] = 1.0
+            else:
+                columns[n + block_id, cut] = 1.0
+        self._cut_columns.append(columns)
+        self._queued.append(columns)
+        self._cut_rhs.extend(rhs)
 
     def cut_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cuts as a dense ``(cuts, x + thetas)`` array, and their RHS."""
-        cuts = np.array(self._cut_rows).reshape(-1, self.num_items + self.num_thetas)
+        """The cuts as a dense, row-major ``(cuts, x + thetas)`` array, and
+        their RHS."""
+        if not self._cut_columns:
+            return np.zeros((0, self.num_items + self.num_thetas)), np.zeros(0)
+        cuts = np.ascontiguousarray(np.hstack(self._cut_columns).T)
         return cuts, np.asarray(self._cut_rhs)
 
     def tight_cuts(self, values: np.ndarray) -> np.ndarray:
@@ -199,10 +218,14 @@ class _MasterState:
     def rows(self) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray]:
         """Capacity surrogate, path selection, then the cuts in insertion
         order: one canonical column-major matrix and its row bounds."""
-        if self._merged_cuts < len(self._cut_rows):
-            queued = np.vstack(self._cut_rows[self._merged_cuts :])
-            self._rows = stack_columns([[self._rows, dense_rows_to_csc(queued)]])
-            self._merged_cuts = len(self._cut_rows)
+        if self._queued:
+            self._layout = append_rows(
+                *self._layout, self.num_static_rows + self._merged_cuts, np.hstack(self._queued)
+            )
+            self._queued, self._merged_cuts, self._rows = [], self.num_cuts, None
+        if self._rows is None:
+            shape = (self.num_static_rows + self.num_cuts, self.num_items + self.num_thetas)
+            self._rows = canonical_csc(*self._layout, shape)
         return (
             self._rows,
             np.concatenate([self._static_lower, self._cut_rhs]),
@@ -223,6 +246,15 @@ class _PoolEntry:
     multipliers: tuple[tuple[np.ndarray, int | None], ...]
     #: The decision's admission vector.
     best_x: np.ndarray
+    #: Per multiplier, the half of its re-validation no forecast enters:
+    #: ``(-h0' mu, G' mu)`` over its own system -- the slave, or its
+    #: block's rows and columns of the block stack -- or None until a
+    #: re-validation computes it (a cold solve records none).
+    halves: tuple[tuple[float, np.ndarray] | None, ...]
+    #: The slave ``G`` the halves were computed against: the structure's
+    #: own, shared by every clone of it.  A slave with another ``G``
+    #: computes them afresh.
+    g_columns: sparse.csc_matrix | None = field(default=None, compare=False)
 
 
 class CutPool:
@@ -244,6 +276,12 @@ class CutPool:
     exceeds :data:`_MAX_RELATIVE_SLACK` of the cut's own scale carry no
     information anymore and are skipped as stale.
 
+    ``G`` and ``h0`` are forecast-free, so ``-h0' mu`` and ``G' mu`` of a
+    stored multiplier are the same floats every epoch of one structure: the
+    certificate carries them (:attr:`_PoolEntry.halves`), computed at a
+    multiplier's first re-validation, and a later one computes only what
+    the forecast moves -- ``H' mu`` and the violation against the new ``d``.
+
     Every solve replaces the slot once (:meth:`record`): a cold solve with
     its own multipliers, a fast-path hit with the seeded multipliers whose
     cuts were tight at the seeded master's optimum plus the multiplier it
@@ -251,7 +289,8 @@ class CutPool:
     archive, and dropping anything from it cannot cost validity -- every
     seeded cut is still re-proven and a miss still runs the cold loop --
     only, at worst, a certification; nor can a key collision, for the same
-    reason.
+    reason (the carried halves are used only against the ``G`` they were
+    computed from).
     """
 
     JOURNALED = ("_slot",)
@@ -272,7 +311,7 @@ class CutPool:
         admission vector)`` -- ``([], None)`` if the slot holds no
         certificate of this system.  Cuts are seeded in their stored order
         so repeated solves of an identical instance build identical master
-        problems.
+        problems.  Halves computed here complete the slot's certificate.
         """
         num_rows = len(slave.h0)
         if key not in self or self._slot[1].num_rows != num_rows:
@@ -289,46 +328,68 @@ class CutPool:
             if master.num_thetas == len(candidate.blocks):
                 stack = candidate
 
-        # Per stored multiplier: its cut coefficients, right-hand side and
-        # repair slack, computed in two batches -- the aggregate multipliers
-        # against the slave, every block multiplier against the stack --
-        # then emitted in their original storage order so repeated solves
-        # of an identical instance build identical master problems.
+        # The seedable multipliers in storage order, each with its system
+        # and its rows and columns there.
         multipliers = entry.multipliers
-        aggregate, blockwise = [], []
+        usable = []
         for position, (mu, block_id) in enumerate(multipliers):
             if block_id is None:
                 if len(mu) == num_rows:
-                    aggregate.append((position, slice(None), slice(None)))
+                    usable.append((position, slave, slice(None), slice(None)))
             elif stack is not None and 0 <= block_id < len(stack.blocks):
                 block = stack.blocks[block_id]
                 if len(mu) == block.num_rows:
-                    blockwise.append((position, block.rows, block.cols))
-        coeffs = np.zeros((slave.num_items, len(multipliers)))
-        rhs, repair = np.zeros(len(multipliers)), np.zeros(len(multipliers))
-        usable = np.zeros(len(multipliers), dtype=bool)
-        for system, name, members in (
-            (slave, "slave G'", aggregate),
-            (stack, "block stack G'", blockwise),
-        ):
+                    usable.append((position, stack, block.rows, block.cols))
+
+        # The forecast-free halves the certificate does not carry yet,
+        # computed in two batches -- the aggregate multipliers against the
+        # slave, every block multiplier against the stack -- and carried
+        # from here on.
+        carried = entry.g_columns is slave.g_columns
+        halves = list(entry.halves) if carried else [None] * len(multipliers)
+        missing = [member for member in usable if halves[member[0]] is None]
+        for system, name in ((slave, "slave G'"), (stack, "block stack G'")):
+            members = [(position, rows, cols) for position, of, rows, cols in missing if of is system]
             if members:
-                positions = [position for position, _, _ in members]
                 # G is forecast-free: its transpose is kept per structure.
                 g_transposed = slave.problem.per_structure(name, lambda: system.g_columns.T)
-                coeffs[:, positions], rhs[positions], repair[positions] = _revalidate(
+                computed = _forecast_free_halves(
                     system,
                     g_transposed,
                     [(*multipliers[position], rows, cols) for position, rows, cols in members],
                 )
-                usable[positions] = True
+                for (position, _, _), half in zip(members, computed):
+                    halves[position] = half
+        if missing:
+            completed = _PoolEntry(
+                entry.num_rows, multipliers, entry.best_x, tuple(halves), slave.g_columns
+            )
+            assign(self, "_slot", (key, completed))
+        if not usable:
+            return [], entry.best_x
 
+        # What the forecast moves, a block multiplier padded into its
+        # block's rows of the slave.
+        coeffs, rhs, repair = _revalidate(
+            slave,
+            [
+                (
+                    system,
+                    multipliers[position][0],
+                    stack.slave_rows[rows] if system is stack else rows,
+                    cols,
+                    halves[position],
+                )
+                for position, system, rows, cols in usable
+            ],
+        )
         rhs -= repair
         # A cut whose repair outweighs its own scale says nothing any more.
         cut_scale = np.fmax(np.fmax(1.0, np.abs(rhs + repair)), np.abs(coeffs).max(axis=0))
-        seeded = np.flatnonzero(usable & ~(repair > _MAX_RELATIVE_SLACK * cut_scale)).tolist()
-        for position, rhs_value in zip(seeded, rhs[seeded].tolist()):
-            master.add_cut(coeffs[:, position], rhs_value, multipliers[position][1])
-        return [multipliers[position] for position in seeded], entry.best_x
+        fresh = np.flatnonzero(~(repair > _MAX_RELATIVE_SLACK * cut_scale)).tolist()
+        seeded = [multipliers[usable[column][0]] for column in fresh]
+        master.add_cuts(coeffs[:, fresh], rhs[fresh].tolist(), [block_id for _, block_id in seeded])
+        return seeded, entry.best_x
 
     def record(
         self,
@@ -339,38 +400,51 @@ class CutPool:
     ) -> None:
         """Replace the slot with one decision's certificate: its
         multipliers, each ``(block_id, bytes)`` once and at most the newest
-        :data:`_MAX_CUTS_PER_STRUCTURE`, and its admission vector."""
-        distinct, stored = [], set()
-        for mu, block_id in multipliers:
-            mu = np.array(mu)
-            identity = (block_id, mu.tobytes())
-            if identity not in stored:
-                stored.add(identity)
-                distinct.append((mu, block_id))
-        excess = max(0, len(distinct) - _MAX_CUTS_PER_STRUCTURE)
-        certificate = _PoolEntry(num_rows, tuple(distinct[excess:]), np.array(best_x))
+        :data:`_MAX_CUTS_PER_STRUCTURE`, and its admission vector.  A pair
+        the slot already holds for ``key`` (the very object
+        :meth:`seed_master` handed out) is kept as it is, with its half."""
+        held, g_columns = {}, None
+        if key in self:
+            entry = self._slot[1]
+            g_columns = entry.g_columns
+            held = {id(pair): half for pair, half in zip(entry.multipliers, entry.halves)}
+        distinct = {}
+        for pair in multipliers:
+            mu, block_id = pair
+            identity = (block_id, np.asarray(mu).tobytes())
+            if identity not in distinct:
+                if id(pair) in held:
+                    distinct[identity] = (pair, held[id(pair)])
+                else:
+                    distinct[identity] = ((np.array(mu), block_id), None)
+        kept = list(distinct.values())[max(0, len(distinct) - _MAX_CUTS_PER_STRUCTURE) :]
+        certificate = _PoolEntry(
+            num_rows,
+            tuple(pair for pair, _ in kept),
+            np.array(best_x),
+            tuple(half for _, half in kept),
+            g_columns,
+        )
         assign(self, "_slot", (key, certificate))
 
 
-def _revalidate(
+def _forecast_free_halves(
     system: SlaveProblem | BlockStack,
     g_transposed: sparse.csr_matrix,
     members: list[tuple[np.ndarray, int | None, slice, slice]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut coefficients ``H' mu`` (one column each), right-hand sides
-    ``-h0' mu`` and repair slacks of the stored multipliers ``(mu,
-    block_id, rows, cols)`` of one system: the :class:`SlaveProblem` for
-    aggregate cuts, its :class:`BlockStack` for block cuts (``rows`` /
-    ``cols`` are the block's ranges).
+) -> list[tuple[float, np.ndarray]]:
+    """``(-h0' mu, G' mu)`` of the stored multipliers ``(mu, block_id,
+    rows, cols)`` of one system: the :class:`SlaveProblem` for aggregate
+    multipliers, its :class:`BlockStack` for block multipliers (``rows`` /
+    ``cols`` are the block's ranges, and ``G' mu`` is kept over ``cols``).
 
     A block multiplier is zero-padded into its block's rows, so the stack's
-    other blocks contribute exact zeros and one product with ``G'`` and one
-    with ``H'`` serve every block.  Each column keeps the arithmetic of
-    re-validating its own block alone: the sparse products sum each column
-    in the same order whatever else the batch holds, ``-h0' mu`` is taken
-    per block over the same stacked multipliers (a dense product's
-    summation order can depend on its shape), and the repair is one dot
-    product over the column's own range.
+    other blocks contribute exact zeros and one product with ``G'`` serves
+    every block.  Each multiplier keeps the arithmetic of re-validating its
+    own block alone: the sparse product sums each column in the same order
+    whatever else the batch holds, and ``-h0' mu`` is taken per block over
+    the same stacked multipliers (a dense product's summation order can
+    depend on its shape).
     """
     padded = np.zeros((len(system.h0), len(members)))
     groups: dict[int | None, list[int]] = {}
@@ -381,17 +455,58 @@ def _revalidate(
     for columns in groups.values():
         mu_matrix = np.stack([members[column][0] for column in columns])
         rhs[columns] = -mu_matrix.dot(system.h0[members[columns[0]][2]])
+    dual_slack = g_transposed.dot(padded)
+    return [
+        (rhs_value, dual_slack[cols, column].copy())
+        for column, (rhs_value, (_, _, _, cols)) in enumerate(zip(rhs.tolist(), members))
+    ]
+
+
+def _revalidate(
+    slave: SlaveProblem,
+    members: list[
+        tuple[SlaveProblem | BlockStack, np.ndarray, slice | np.ndarray, slice, tuple[float, np.ndarray]]
+    ],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut coefficients ``H' mu`` (one column each), right-hand sides
+    ``-h0' mu`` and repair slacks of the stored multipliers ``(system, mu,
+    rows, cols, half)`` -- ``system`` the :class:`SlaveProblem` for an
+    aggregate multiplier, its :class:`BlockStack` for a block multiplier,
+    ``rows`` its rows of the slave, ``cols`` its columns of ``system`` --
+    given each one's forecast-free ``half`` (see
+    :func:`_forecast_free_halves`): the part of the re-validation the
+    forecast moves.  ``H`` reads the reservation floors; the repair reads
+    ``d``.
+
+    One product with the slave's ``H'`` serves every multiplier.  A block's
+    rows of the stack are copies of slave rows, in increasing slave order,
+    so a block multiplier padded into the slave rows meets the entries of
+    its block's ``H_b'`` in the order the stack's ``H'`` takes them; the
+    rows in between add exact zeros, which leave a sum that starts at
+    ``+0.0`` as it is.
+    """
+    padded = np.zeros((len(slave.h0), len(members)))
+    for column, (_, mu, rows, _, _) in enumerate(members):
+        padded[rows, column] = mu
     # Dual feasibility G' mu >= -d fails by ``violation``; every feasible
     # slave point obeys 0 <= u <= sla, which bounds what that can cost.
-    # One contiguous row per column: a strided dot product sums in another
-    # order, and the cut's last bit would move.
-    dual_slack = np.ascontiguousarray(g_transposed.dot(padded).T)
-    violation = np.maximum(0.0, -(dual_slack + system.d))
-    repair = np.zeros(len(members))
-    for column, (_, _, _, cols) in enumerate(members):
-        if violation[column, cols].any():
-            repair[column] = np.dot(violation[column, cols], system.u_bound[cols])
-    return system.h_transposed.dot(padded), rhs, repair
+    violation = np.maximum(
+        0.0,
+        -(
+            np.concatenate([dual_slack for *_, (_, dual_slack) in members])
+            + np.concatenate([system.d[cols] for system, _, _, cols, _ in members])
+        ),
+    )
+    repair = np.empty(len(members))
+    end = 0
+    for column, (system, _, _, cols, (_, dual_slack)) in enumerate(members):
+        start, end = end, end + len(dual_slack)
+        # One contiguous vector per multiplier: a strided dot product sums
+        # in another order, and the cut's last bit would move.  Without a
+        # violation it is an exact 0.0 (the bounds are finite).
+        repair[column] = np.dot(violation[start:end], system.u_bound[cols])
+    rhs = np.array([rhs_value for *_, (rhs_value, _) in members])
+    return slave.h_transposed.dot(padded), rhs, repair
 
 
 #: Hard cap of the certificate a decision leaves in the pool: the newest
@@ -630,8 +745,11 @@ class BendersSolver:
         cuts = [slave.cut_from_multipliers(outcome.duals)]
         cuts += slave.cuts_from_block_multipliers(priced)
         multipliers = [(outcome.duals, None)] + [(mu, block.index) for block, mu in priced]
-        for (coeff, rhs), (_, block_id) in zip(cuts, multipliers):
-            master.add_cut(coeff, rhs, block_id)
+        master.add_cuts(
+            np.column_stack([coeff for coeff, _ in cuts]),
+            [rhs for _, rhs in cuts],
+            [block_id for _, block_id in multipliers],
+        )
         state.multipliers += multipliers
         state.optimality_cuts += len(multipliers)
 

@@ -33,6 +33,7 @@ from repro.core.lpsolver import (
     stack_columns,
     stacked_arrays,
     transposed_layout,
+    with_data,
 )
 from repro.core.problem import ACRRProblem
 
@@ -125,18 +126,33 @@ class BlockStack:
     #: ``diag(G_b)`` column-major and canonical: what HiGHS is handed.
     g_columns: sparse.csc_matrix
     h0: np.ndarray
-    h_matrix: sparse.csr_matrix
-    #: ``H'`` over the same arrays, for cut coefficients ``H' mu``.
-    h_transposed: sparse.csc_matrix
+    #: ``H``'s rows gathered into the stack, row-major: ``(data, indices,
+    #: indptr)``.  A fast-path hit prices no block and seeds its block cuts
+    #: through the slave's ``H'`` (see ``slave_rows``), so it builds
+    #: neither matrix over them.
+    h_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     u_lower: np.ndarray
     u_upper: np.ndarray
     #: Implied bounds of any feasible slave point: 0 <= (y, z) <= sla.
     u_bound: np.ndarray
+    #: The slave row of every stack row: increasing within each block.
+    slave_rows: np.ndarray
 
     @cached_property
     def g_matrix(self) -> sparse.csr_matrix:
         """``g_columns`` row-major, for slicing single blocks out."""
         return self.g_columns.tocsr()
+
+    @cached_property
+    def h_transposed(self) -> sparse.csc_matrix:
+        """``H'``, for cut coefficients ``H' mu``: the row-major arrays of
+        ``H`` are the column-major ones of its transpose."""
+        return sparse.csc_matrix(self.h_rows, shape=(len(self.d) // 2, len(self.h0)))
+
+    @cached_property
+    def h_matrix(self) -> sparse.csr_matrix:
+        """``H``, for right-hand sides."""
+        return self.h_transposed.T
 
 
 @dataclass(frozen=True)
@@ -182,19 +198,21 @@ def _slave_frame(problem: ACRRProblem) -> tuple:
 
 
 def _h_layout(capacity, coupling, floor: np.ndarray) -> tuple:
-    """``H = -[A_x of the capacity rows; A_x of the coupling rows]`` row-major,
-    as ``(indptr, indices, data, slots, floored)``: ``slots`` are the
-    positions in ``data`` of the row-(9) entries, one per column in
-    ``floored`` (those with a non-zero ``floor``).  Every other entry is
-    forecast-free, so ``data`` serves every forecast with the same zero
-    floors once the slots are rewritten."""
-    indptr, indices, data, (num_rows, _) = stacked_arrays([[capacity.x, coupling.x]])
+    """``H = -[A_x of the capacity rows; A_x of the coupling rows]`` as
+    ``(H row-major, H' column-major, slots, floored)`` over one set of
+    arrays: ``slots`` are the positions in their data of the row-(9)
+    entries, one per column in ``floored`` (those with a non-zero
+    ``floor``).  Every other entry is forecast-free, so the layout serves
+    every forecast with the same zero floors once the slots of a copy of
+    the data are rewritten (:func:`~repro.core.lpsolver.with_data`)."""
+    indptr, indices, data, (num_rows, num_cols) = stacked_arrays([[capacity.x, coupling.x]])
     indptr, indices, order = transposed_layout(indptr, indices, num_rows)
     floored = np.flatnonzero(floor != 0)
     # Row (9) of column i is coupling row 5i + 1 (see
     # ACRRProblem.coupling_block) and holds x_i's entry alone.
     slots = indptr[capacity.num_rows + 5 * floored + 1]
-    return indptr, indices, np.negative(data[order]), slots, floored
+    rows = sparse.csr_matrix((np.negative(data[order]), indices, indptr), shape=(num_rows, num_cols))
+    return rows, rows.T, slots, floored
 
 
 class SlaveProblem:
@@ -218,19 +236,18 @@ class SlaveProblem:
         # Right-hand side h(x) = h0 + H x.  Only row (9) of H, -floor x <=
         # -z, reads the forecast, and a floor of zero is no entry there, so
         # H's layout is built once per structure *and* zero-floor mask; a
-        # bind writes the floors into their slots of the layout's data.
+        # bind writes the floors into their slots of a copy of the data.
         floor = problem.reservation_floor()
         self._zero_floors = np.packbits(floor == 0).tobytes()
-        indptr, indices, template, slots, floored = problem.per_structure(
+        rows, columns, slots, floored = problem.per_structure(
             ("slave H", self._zero_floors),
             lambda: _h_layout(capacity, problem.coupling_block(), floor),
         )
-        data = template.copy()
+        data = rows.data.copy()
         data[slots] = np.negative(floor[floored])
-        self.h_matrix: sparse.csr_matrix = sparse.csr_matrix(
-            (data, indices, indptr), shape=(len(self.h0), n)
-        )
-        self.h_transposed: sparse.csc_matrix = self.h_matrix.T
+        self.h_matrix: sparse.csr_matrix = with_data(rows, data)
+        #: ``H'`` over the same arrays, for cut coefficients ``H' mu``.
+        self.h_transposed: sparse.csc_matrix = with_data(columns, data)
         self.num_capacity_rows = capacity.num_rows
 
         # Slave objective: only the y-part of Psi is decided by the slave.
@@ -405,24 +422,21 @@ class SlaveProblem:
         indptr, indices, entry = self.problem.per_structure(
             ("block stack H", self._zero_floors), gather
         )
-        h_stack = sparse.csr_matrix(
-            (h.data[entry], indices, indptr), shape=(len(rows), self.num_items)
-        )
         theta_floor = np.minimum(self.problem.objective_y() * self.problem.sla_mbps, 0.0)
         return BlockStack(
             blocks=[
-                # np.sum over the block's own slice: pairwise, as ever.
-                SlaveBlock(*block, float(np.sum(theta_floor[starts[b] : starts[b + 1]])))
+                # A sum over the block's own slice: pairwise, as ever.
+                SlaveBlock(*block, float(theta_floor[starts[b] : starts[b + 1]].sum()))
                 for b, block in enumerate(blocks)
             ],
             d=self.d[cols],
             g_columns=g_stack,
             h0=h0,
-            h_matrix=h_stack,
-            h_transposed=h_stack.T,
+            h_rows=(h.data[entry], indices, indptr),
             u_lower=np.zeros(len(cols)),
             u_upper=np.full(len(cols), np.inf),
             u_bound=u_bound,
+            slave_rows=rows,
         )
 
     def evaluate_block(self, block: SlaveBlock, x: np.ndarray) -> BlockSolveOutcome:

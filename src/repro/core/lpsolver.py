@@ -35,6 +35,7 @@ is what makes "the solver sees the same model" checkable by comparing bytes.
 
 from __future__ import annotations
 
+import copy
 import functools
 import os
 import threading
@@ -119,6 +120,16 @@ def canonical_csc(
     return matrix
 
 
+def with_data(template: sparse.spmatrix, data: np.ndarray) -> sparse.spmatrix:
+    """``template``'s layout holding ``data``: a shallow copy of the matrix
+    object.  The layout was checked when ``template`` was built and is
+    shared with it, as a matrix built from the same arrays would share it;
+    it is not checked again."""
+    matrix = copy.copy(template)
+    matrix.data = data
+    return matrix
+
+
 def gather_slices(indptr: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bookkeeping of taking the major slices ``which`` (columns of a CSC,
     rows of a CSR layout) in that order: the new ``indptr`` and, for every
@@ -129,15 +140,36 @@ def gather_slices(indptr: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np
     return taken, np.arange(taken[-1]) + np.repeat(indptr[which] - taken[:-1], counts)
 
 
-def dense_rows_to_csc(rows: np.ndarray) -> sparse.csc_matrix:
-    """The non-zeros of a dense ``(k, n)`` array, column-major."""
-    by_column = np.ascontiguousarray(rows.T)
-    nonzero = by_column != 0
-    indptr = np.zeros(rows.shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
-    return canonical_csc(
-        indptr, np.nonzero(nonzero)[1].astype(np.int32), by_column[nonzero], rows.shape
-    )
+def append_rows(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    num_rows: int,
+    columns: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical column-major arrays ``(indptr, indices, data)`` of a
+    ``num_rows``-row matrix with ``k`` rows appended below it, in one pass:
+    the non-zeros of the dense ``(columns, k)`` array ``columns``, whose
+    row ``j`` holds column ``j``'s entries of the new rows.  Canonical in,
+    canonical out: each column keeps its entries, then takes its new ones
+    in row order."""
+    num_cols, k = columns.shape
+    nonzero = np.flatnonzero(columns)  # column by column; -0.0 is no entry
+    added = np.searchsorted(nonzero, np.arange(0, (num_cols + 1) * k, k))
+    merged_indptr = (indptr + added).astype(np.int32)
+    column, row = np.divmod(nonzero, k)
+    # A new entry lands after its column's old entries and the new entries
+    # of the columns before it.
+    slots = indptr[1:][column] + np.arange(len(nonzero))
+    new = np.zeros(merged_indptr[-1], dtype=bool)
+    new[slots] = True
+    merged_indices = np.empty(merged_indptr[-1], dtype=np.int32)
+    merged_indices[slots] = row + num_rows
+    merged_indices[~new] = indices
+    merged_data = np.empty(merged_indptr[-1])
+    merged_data[slots] = columns.ravel()[nonzero]
+    merged_data[~new] = data
+    return merged_indptr, merged_indices, merged_data
 
 
 def transposed_layout(
@@ -536,8 +568,9 @@ class Phase1Problem:
 # --------------------------------------------------------------------- #
 # Mixed-integer programs
 # --------------------------------------------------------------------- #
-#: Relative tolerance below which the cut pool calls a seeded cut "tight"
-#: (and above which "slack") when it ages its working set.
+#: Relative tolerance within which a seeded cut counts as tight at the
+#: seeded master's optimum (``benders._MasterState.tight_cuts``): the
+#: tight ones are the certificate a fast-path hit keeps.
 FEASIBILITY_TOL = 1e-7
 
 

@@ -60,8 +60,8 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.forecast_inputs import ForecastInput
-from repro.core.lpsolver import canonical_csc, gather_slices
-from repro.core.risk import deficit_probability_proxy
+from repro.core.lpsolver import canonical_csc, gather_slices, with_data
+from repro.core.risk import deficit_probability_proxies
 from repro.core.slices import SliceRequest
 from repro.topology.elements import DomainCapacities
 from repro.topology.network import NetworkTopology
@@ -473,13 +473,15 @@ class ACRRProblem:
         start, stop = self._table.tenant_start[tenant_index : tenant_index + 2]
         return self.items[start:stop]
 
-    def selected(self, x: np.ndarray) -> list[tuple[int, int, Path]]:
-        """``(column, tenant index, path)`` of every column ``x`` selects
-        (``x > 0.5``), in column order."""
+    def selected(self, x: np.ndarray) -> list[list[tuple[int, Path]]]:
+        """Per tenant, in tenant order, ``(column, path)`` of every column
+        ``x`` selects (``x > 0.5``), in column order."""
         table = self._table
         chosen = np.flatnonzero(np.asarray(x) > 0.5)
-        columns = (chosen.tolist(), table.tenant[chosen].tolist(), table.path[chosen].tolist())
-        return [(index, tenant, table.paths[path]) for index, tenant, path in zip(*columns)]
+        pairs = list(zip(chosen.tolist(), [table.paths[path] for path in table.path[chosen].tolist()]))
+        # Columns are tenant-contiguous: a tenant's selections are one run.
+        runs = np.searchsorted(chosen, table.tenant_start).tolist()
+        return [pairs[start:stop] for start, stop in zip(runs, runs[1:])]
 
     @property
     def sla_mbps(self) -> np.ndarray:
@@ -547,9 +549,10 @@ class ACRRProblem:
         arrays, shared with every :meth:`with_forecasts` clone like the rest
         of the structure cache.  A layout whose sparsity a forecast of zero
         moves is keyed on the structure *and* that pattern: ``name`` is then
-        ``(name, pattern)``, and each pattern gets its own layout.  Arrays
-        only -- what is cached here outlives the epoch and is never written
-        into."""
+        ``(name, pattern)``, and each pattern gets its own layout.  Arrays,
+        or matrices over them whose copies take a forecast's data
+        (:func:`~repro.core.lpsolver.with_data`) -- what is cached here
+        outlives the epoch and is never written into."""
         if name not in self._structure_cache:
             self._structure_cache[name] = build()
         return self._structure_cache[name]
@@ -589,22 +592,19 @@ class ACRRProblem:
         z = np.asarray(z, dtype=float)
         table = self._table
         chosen = np.flatnonzero(~(x < 0.5))
+        reward = table.reward[chosen]
+        if self.options.overbooking:
+            rho = self._xi[chosen] * deficit_probability_proxies(
+                z[chosen], self._lambda_hat[chosen], table.sla[chosen]
+            )
+            terms = table.penalty[chosen] * rho - reward
+        else:
+            terms = -reward
         total = 0.0
         # Summed column by column, left to right: the value is compared
         # bit for bit across solvers and epochs.
-        for reservation, lambda_hat, sla, xi, penalty, reward in zip(
-            *(
-                column[chosen].tolist()
-                for column in (z, self._lambda_hat, table.sla, self._xi, table.penalty, table.reward)
-            )
-        ):
-            if self.options.overbooking:
-                rho = xi * deficit_probability_proxy(
-                    reservation_mbps=reservation, lambda_hat_mbps=lambda_hat, sla_mbps=sla
-                )
-                total += penalty * rho - reward
-            else:
-                total += -reward
+        for term in terms.tolist():
+            total += term
         return total
 
     # ------------------------------------------------------------------ #
@@ -677,11 +677,19 @@ class ACRRProblem:
     def floor_footprint(self) -> sparse.csc_matrix:
         """``A_x + A_z diag(floor)`` over the capacity rows, column-major:
         what a column loads when admitted at its reservation floor.  Exact
-        zeros are dropped.  Cached; treat as read-only."""
+        zeros are dropped, so the layout is kept per structure and pattern
+        of zeros, and a forecast binds its loads into it.  Cached; treat as
+        read-only."""
         indptr, rows, a_x, a_z, column = self._capacity_stencil()
         load = a_x + a_z * self.reservation_floor()[column]
-        shape = (self.capacity_block().num_rows, self.num_items)
-        return canonical_csc(indptr, rows, load, shape, load != 0)
+        keep = load != 0
+        layout = self.per_structure(
+            ("floor footprint", np.packbits(keep).tobytes()),
+            lambda: canonical_csc(
+                indptr, rows, load, (self.capacity_block().num_rows, self.num_items), keep
+            ),
+        )
+        return with_data(layout, load[keep])
 
     def deficit_domains(self) -> list[str]:
         """Domain of each capacity row ('compute', 'transport' or 'radio').

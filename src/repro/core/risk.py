@@ -17,6 +17,8 @@ in days) and the cost are the AC-RR problem's own
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.utils.validation import ensure_positive
 
 
@@ -35,3 +37,20 @@ def deficit_probability_proxy(
         return 0.0 if reservation_mbps >= sla_mbps else 1.0
     raw = (sla_mbps - reservation_mbps) / (sla_mbps - lambda_hat_mbps)
     return min(1.0, max(0.0, raw))
+
+
+def deficit_probability_proxies(
+    reservation_mbps: np.ndarray, lambda_hat_mbps: np.ndarray, sla_mbps: np.ndarray
+) -> np.ndarray:
+    """:func:`deficit_probability_proxy` of every element, bit for bit: the
+    same quotient, clipped the way ``min(1.0, max(0.0, raw))`` clips it (a
+    NaN quotient and ``-0.0`` become ``0.0``)."""
+    if not (sla_mbps > 0).all():
+        raise ValueError(f"sla_mbps must be > 0, got {sla_mbps[~(sla_mbps > 0)][0]!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = (sla_mbps - reservation_mbps) / (sla_mbps - lambda_hat_mbps)
+    clipped = np.where(raw > 0.0, raw, 0.0)
+    clipped = np.where(clipped < 1.0, clipped, 1.0)
+    # No overbooking headroom: any reservation below the SLA is maximal risk.
+    no_headroom = np.where(reservation_mbps >= sla_mbps, 0.0, 1.0)
+    return np.where(lambda_hat_mbps >= sla_mbps, no_headroom, clipped)

@@ -179,25 +179,16 @@ def decision_from_vectors(
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    chosen: dict[int, list[tuple[int, Path]]] = {}
-    for index, tenant_index, path in problem.selected(x):
-        chosen.setdefault(tenant_index, []).append((index, path))
+    reserved = z.tolist()
     allocations: dict[str, TenantAllocation] = {}
-    for tenant_index, request in enumerate(problem.requests):
-        paths: dict[str, Path] = {}
-        reservations: dict[str, float] = {}
-        compute_unit: str | None = None
-        for index, path in chosen.get(tenant_index, ()):
-            paths[path.base_station] = path
-            reservations[path.base_station] = float(z[index])
-            compute_unit = path.compute_unit
-        accepted = bool(paths)
+    for request, selected in zip(problem.requests, problem.selected(x)):
+        paths = {path.base_station: path for _, path in selected}
         allocations[request.name] = TenantAllocation(
             request=request,
-            accepted=accepted,
-            compute_unit=compute_unit if accepted else None,
+            accepted=bool(paths),
+            compute_unit=selected[-1][1].compute_unit if selected else None,
             paths=paths,
-            reservations_mbps=reservations,
+            reservations_mbps={path.base_station: reserved[column] for column, path in selected},
         )
     objective = problem.evaluate_objective(x, z)
     return OrchestrationDecision(

@@ -205,7 +205,7 @@ class TestReportLoad:
         assert (learnt.forecast_peak_mbps, learnt.forecast_sigma) == (6.0, 0.001)
         with pytest.raises(ValidationError, match="finite") as raised:
             broker.report_load("s", "bs-0", 11, [5.0, bad])
-        assert raised.value.details == {"slice_name": "s"}
+        assert raised.value.details == {"slice_name": "s", "base_station": "bs-0"}
         assert broker.quote(self.embb()) == learnt
         history = broker.orchestrator.monitoring.peak_history("s")
         assert history.tolist() == [6.0] * 11
@@ -237,6 +237,34 @@ class TestReportLoad:
         with pytest.raises(ValidationError):
             broker.report_load("s", "bs-0", 11, ["heavy"])
         assert broker.orchestrator.monitoring.peak_history("s").size == 11
+
+    def test_unknown_base_station_leaves_the_forecast_learnt(self):
+        """A report from a station the topology does not have used to fold
+        into the slice's peak track: one ``[45.0]`` at "no-such-station"
+        moved the quote from 6.0 to 24.72 Mb/s, sigma 1.0."""
+        from repro.api.errors import ValidationError
+
+        broker = self.learnt_broker()
+        learnt = broker.quote(self.embb())
+        with pytest.raises(ValidationError, match="no-such-station") as raised:
+            broker.report_load("s", "no-such-station", 11, [45.0])
+        assert raised.value.details == {"slice_name": "s", "base_station": "no-such-station"}
+        assert broker.quote(self.embb()) == learnt
+        assert broker.orchestrator.monitoring.peak_history("s").tolist() == [6.0] * 11
+
+    def test_negative_epoch_is_a_validation_error(self):
+        """Also for a slice with no track yet, which accepted it before."""
+        from repro.api.errors import ValidationError
+
+        broker = self.learnt_broker()
+        learnt = broker.quote(self.embb())
+        for name in ("s", "fresh"):
+            with pytest.raises(ValidationError, match="non-negative epoch") as raised:
+                broker.report_load(name, "bs-1", -1, [45.0])
+            assert raised.value.details == {"slice_name": name, "base_station": "bs-1"}
+        assert broker.quote(self.embb()) == learnt
+        assert broker.orchestrator.monitoring.peak_history("s").tolist() == [6.0] * 11
+        assert broker.orchestrator.monitoring.peak_history("fresh").size == 0
 
     def test_empty_report_records_nothing(self):
         broker = self.learnt_broker()

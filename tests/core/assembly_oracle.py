@@ -373,6 +373,7 @@ class LoopBuiltSlave:
         )
         self.theta_lowers = theta_lowers
         self.stack_h = self.h_matrix[rows]
+        self.stack_rows = rows
         self.stack_d = self.d[cols]
         self.stack_h0 = self.h0[rows]
         self.stack_u_bound = np.concatenate([sla, sla])[cols]
@@ -530,13 +531,15 @@ class OracleSlave(SlaveProblem):
             d=built.stack_d,
             g_columns=sparse.csc_matrix(built.stack_g),
             h0=built.stack_h0,
-            h_matrix=built.stack_h,
-            h_transposed=built.stack_h.T,
+            h_rows=(built.stack_h.data, built.stack_h.indices, built.stack_h.indptr),
             u_lower=np.zeros(len(built.stack_d)),
             u_upper=np.full(len(built.stack_d), np.inf),
             u_bound=built.stack_u_bound,
+            slave_rows=built.stack_rows,
         )
         stack.__dict__["g_matrix"] = built.stack_g
+        stack.__dict__["h_matrix"] = built.stack_h
+        stack.__dict__["h_transposed"] = built.stack_h.T
         self._block_stack = stack
 
     def cuts_from_block_multipliers(self, pairs):
@@ -572,13 +575,14 @@ class OracleMaster(_MasterState):
         self._folded = 0
 
     def csr_cut_rows(self):
-        if self._folded < len(self._cut_rows):
-            folded = sparse.csr_matrix(np.vstack(self._cut_rows[self._folded :]))
+        cuts, rhs = self.cut_rows()
+        if self._folded < len(cuts):
+            folded = sparse.csr_matrix(cuts[self._folded :])
             if self._cut_matrix is not None:
                 folded = sparse.vstack([self._cut_matrix, folded], format="csr")
             self._cut_matrix = folded
-            self._folded = len(self._cut_rows)
-        return self._cut_matrix, np.asarray(self._cut_rhs)
+            self._folded = len(cuts)
+        return self._cut_matrix, rhs
 
     def rows(self):
         cut_matrix, cut_rhs = self.csr_cut_rows()
@@ -652,7 +656,7 @@ def oracle_seed_master(self: CutPool, key, master, slave):
         cut_scale = max(1.0, abs(rhs_value + repair), float(np.max(np.abs(coeff))))
         if repair > benders._MAX_RELATIVE_SLACK * cut_scale:
             continue
-        master.add_cut(coeff, rhs_value, block_id)
+        master.add_cuts(coeff[:, np.newaxis], [rhs_value], [block_id])
         seeded.append(entry.multipliers[position])
     return seeded, entry.best_x
 

@@ -94,6 +94,32 @@ class TestSparseConstructionsDoNotGrowWithTheInstance:
         # cannot hide behind "equal on both sizes".
         assert set_up_count <= 16 and round_count <= 3
 
+    def test_a_steady_state_fast_path_hit(self, sparse_constructions):
+        # A hit binds the forecast -- H, H' and the floor footprint are the
+        # structure's layouts holding this forecast's data, nothing to
+        # construct -- and seeds the carried certificate: the one seeded
+        # master handed to HiGHS is the one matrix it builds (eight before
+        # the certificate carried its forecast-free half and the seeded
+        # cuts entered the master in one pass).
+        counts = {}
+        for num_tenants in (6, 12):
+            base = instance(num_tenants)
+            requests = base.requests
+            solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
+            built = []
+            for drift in (0.0, 0.001, 0.002, 0.003):
+                forecasts = low_load_forecasts(requests, fraction=0.5 + drift, sigma=0.2)
+                problem = base.with_forecasts(requests, forecasts)
+                del sparse_constructions[:]
+                stats = solver.solve(problem).stats
+                built.append((stats.iterations, stats.cuts_warm > 0, len(sparse_constructions)))
+            # A cold solve, the first hit (which also transposes G and the
+            # stack's G, once per structure), then two steady-state hits.
+            assert [hit for _, hit, _ in built] == [False, True, True, True]
+            assert [iterations for iterations, hit, _ in built if hit] == [1, 1, 1]
+            counts[num_tenants] = [count for _, hit, count in built if hit]
+        assert counts[6] == counts[12] == [3, 1, 1]
+
     def test_direct_milp_model(self, sparse_constructions, monkeypatch):
         counts = []
         for num_tenants in (4, 12):

@@ -302,6 +302,66 @@ class TestCorners:
                         assert identical(part, cold_part)
             patterns.add((slave.h_matrix.nnz, arrays[0][0].nnz))
         assert len(patterns) == 3  # H's and the footprint's patterns really moved
+
+    def test_the_carried_half_is_the_recomputed_half(self, monkeypatch):
+        # The pool's certificate carries -h0' mu and G' mu from the first
+        # re-validation on: computed on one clone, used on the next, whose
+        # zero-floor pattern moved H and the footprint.  Each seeding must
+        # equal one that recomputes both halves from nothing -- the halves
+        # themselves, the seeded multipliers, the master's rows and its
+        # dense cut rows, byte for byte.
+        import repro.core.benders as benders
+
+        computed = []
+        real_halves = benders._forecast_free_halves
+
+        def counting_halves(system, g_transposed, members):
+            computed.append(len(members))
+            return real_halves(system, g_transposed, members)
+
+        monkeypatch.setattr(benders, "_forecast_free_halves", counting_halves)
+        requests = mixed_requests()
+        base = corner_problem(requests)
+        solver = BendersSolver(master_time_limit_s=None, time_limit_s=None)
+        solver.solve(base)
+        pool, key = solver.cut_pool, base.identity()
+        assert all(half is None for half in pool._slot[1].halves)  # a cold solve records none
+        carried_seedings = 0
+        for fraction, zeroed in ((0.55, requests[::2]), (0.2, ()), (0.7, requests[1::3])):
+            forecasts = low_load_forecasts(requests, fraction=fraction, sigma=0.4)
+            for request in zeroed:
+                forecasts[request.name] = ForecastInput(lambda_hat_mbps=0.0, sigma_hat=0.2)
+            slave = SlaveProblem(base.with_forecasts(requests, forecasts))
+            entry = pool._slot[1]
+            fresh = benders.CutPool()
+            fresh.record(key, entry.num_rows, list(entry.multipliers), entry.best_x)
+            seedings = []
+            for each in (pool, fresh):
+                del computed[:]
+                problem = slave.problem
+                lowers = [block.theta_lower for block in slave.blocks()]
+                master = _MasterState(problem, problem.objective_x(), lowers)
+                seeded, _ = each.seed_master(key, master, slave)
+                seedings.append((seeded, master.rows(), master.cut_rows(), each._slot[1], sum(computed)))
+            (seeded, rows, cuts, carried, work), (want_seeded, want_rows, want_cuts, recomputed, _) = seedings
+            carried_seedings += work == 0
+            assert [(b, mu.tobytes()) for mu, b in seeded] == [
+                (b, mu.tobytes()) for mu, b in want_seeded
+            ]
+            assert seeded
+            matrix, want_matrix = rows[0], want_rows[0]
+            for name in ("indptr", "indices", "data"):
+                assert identical(getattr(matrix, name), getattr(want_matrix, name)), name
+            for got, want in zip((*rows[1:], *cuts), (*want_rows[1:], *want_cuts)):
+                assert identical(got, want)
+            assert len(carried.halves) == len(recomputed.halves) == len(entry.multipliers)
+            for half, want in zip(carried.halves, recomputed.halves):
+                assert (half is None) == (want is None)
+                if half is not None:
+                    assert np.float64(half[0]).tobytes() == np.float64(want[0]).tobytes()
+                    assert identical(half[1], want[1])
+        # The first seeding computed the halves; the next two carried them.
+        assert carried_seedings == 2
         # One layout per pattern: the original's (which the non-zero clone
         # shares) and one per zero-forecast mask.
         layouts = [key[0] for key in base._structure_cache if isinstance(key, tuple)]

@@ -235,8 +235,13 @@ class TestStackedPricing:
         assert stacked.stats.iterations == reference.stats.iterations
 
 
+def add_cut(master: _MasterState, coefficients, rhs: float, block_id=None) -> None:
+    """One cut through ``add_cuts``: a block of one column."""
+    master.add_cuts(np.asarray(coefficients)[:, np.newaxis], [rhs], [block_id])
+
+
 class TestLazyCutAccumulation:
-    """Satellite: ``add_cut`` must queue rows, not re-stack the matrix."""
+    """Satellite: ``add_cuts`` must queue rows, not re-stack the matrix."""
 
     def _master(self, problem):
         lowers = [block.theta_lower for block in SlaveProblem(problem).blocks()]
@@ -246,7 +251,7 @@ class TestLazyCutAccumulation:
         master = self._master(embb_problem)
         static = master._rows
         for k in range(10):
-            master.add_cut(np.zeros(embb_problem.num_items), -float(k))
+            add_cut(master, np.zeros(embb_problem.num_items), -float(k))
         assert master.num_cuts == 10
         assert master._rows is static  # nothing merged yet
         assert master._merged_cuts == 0
@@ -254,7 +259,7 @@ class TestLazyCutAccumulation:
     def test_constraints_merges_queued_rows_once_and_caches(self, embb_problem):
         master = self._master(embb_problem)
         for k in range(5):
-            master.add_cut(np.zeros(embb_problem.num_items), -float(k))
+            add_cut(master, np.zeros(embb_problem.num_items), -float(k))
         matrix, lower, upper = master.rows()
         num_static = master.num_static_rows
         assert matrix.shape == (num_static + 5, embb_problem.num_items + master.num_thetas)
@@ -265,7 +270,7 @@ class TestLazyCutAccumulation:
         again, _, _ = master.rows()
         assert again is matrix
         # New cuts are merged below the rows already there, order preserved.
-        master.add_cut(np.zeros(embb_problem.num_items), -99.0)
+        add_cut(master, np.zeros(embb_problem.num_items), -99.0)
         grown, grown_lower, _ = master.rows()
         assert grown.shape[0] == num_static + 6
         assert grown_lower[-1] == -99.0
@@ -277,9 +282,9 @@ class TestLazyCutAccumulation:
         self, embb_problem, monkeypatch
     ):
         # The invariant behind the lazy store: zero sparse constructions per
-        # add_cut; per rows() call with rows queued, one conversion of
-        # the queued batch and one merge into the columns, whatever the
-        # batch size; none with nothing queued.
+        # add_cut; per rows() call with rows queued, one construction -- the
+        # queued batch is appended below the columns in one pass, whatever
+        # its size; none with nothing queued.
         built = []
         real = sparse.csc_matrix
 
@@ -291,17 +296,17 @@ class TestLazyCutAccumulation:
         master = self._master(embb_problem)
         monkeypatch.setattr("repro.core.lpsolver.sparse.csc_matrix", CountingCSC)
         for k in range(50):
-            master.add_cut(np.zeros(embb_problem.num_items), -float(k))
+            add_cut(master, np.zeros(embb_problem.num_items), -float(k))
         assert built == []  # queueing is sparse-free
         master.rows()
-        assert len(built) == 2  # the batch, and its merge
+        assert len(built) == 1  # the merged matrix
         master.rows()
-        assert len(built) == 2  # nothing queued: no work
+        assert len(built) == 1  # nothing queued: no work
         for k in range(50):
-            master.add_cut(np.zeros(embb_problem.num_items), -float(k))
-        assert len(built) == 2
+            add_cut(master, np.zeros(embb_problem.num_items), -float(k))
+        assert len(built) == 1
         matrix, _, _ = master.rows()
-        assert len(built) == 4
+        assert len(built) == 2
         assert matrix.shape[0] == master.num_static_rows + 100
 
     def test_merged_matrix_equals_per_row_csr_stacking(self, embb_problem):
@@ -313,11 +318,11 @@ class TestLazyCutAccumulation:
         master = self._master(embb_problem)
         static = master.rows()[0].copy()
         for row in coefficients[:7]:
-            master.add_cut(row, 0.0)
+            add_cut(master, row, 0.0)
         master.rows()
         block_ids = [k % master.num_thetas for k in range(5)]
         for row, block_id in zip(coefficients[7:], block_ids):
-            master.add_cut(row, 0.0, block_id)
+            add_cut(master, row, 0.0, block_id)
         rows, _, _ = master.rows()
         # Aggregate cuts bound every surrogate, block cuts their block's own.
         theta = np.vstack([np.ones((7, master.num_thetas)), np.eye(master.num_thetas)[block_ids]])
@@ -340,9 +345,9 @@ class TestLazyCutAccumulation:
         master = _MasterState(mixed_problem, mixed_problem.objective_x(), lowers)
         assert master.num_thetas == len(lowers)
         n = mixed_problem.num_items
-        master.add_cut(np.zeros(n), 0.0)  # aggregate: all surrogates
-        master.add_cut(np.zeros(n), 0.0, block_id=2)
-        master.add_cut(np.zeros(n), 0.0, block_id=0)
+        add_cut(master, np.zeros(n), 0.0)  # aggregate: all surrogates
+        add_cut(master, np.zeros(n), 0.0, block_id=2)
+        add_cut(master, np.zeros(n), 0.0, block_id=0)
         cuts, _ = master.cut_rows()
         rows, _, _ = master.rows()
         assert np.array_equal(rows.toarray()[master.num_static_rows :], cuts)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.forecast_inputs import ForecastInput
 from repro.core.problem import ACRRProblem, InfeasibleProblemError, ProblemOptions
+from repro.core.risk import deficit_probability_proxy
 from repro.core.slices import EMBB_TEMPLATE, URLLC_TEMPLATE, make_requests
 from tests.conftest import build_tiny_topology, low_load_forecasts
 from repro.topology.paths import compute_path_sets
@@ -99,6 +100,76 @@ class TestObjective:
         assert embb_problem.evaluate_objective(x, z_tight) > embb_problem.evaluate_objective(
             x, z_full
         )
+
+
+def scalar_objective(problem: ACRRProblem, x: np.ndarray, z: np.ndarray) -> float:
+    """``evaluate_objective`` as it was: one scalar ``deficit_probability_proxy``
+    per chosen column, summed left to right -- the reference the array
+    version must equal bit for bit."""
+    total = 0.0
+    for item in problem.items:
+        if x[item.index] < 0.5:
+            continue
+        if problem.options.overbooking:
+            rho = item.xi * deficit_probability_proxy(
+                reservation_mbps=float(z[item.index]),
+                lambda_hat_mbps=item.lambda_hat_mbps,
+                sla_mbps=item.sla_mbps,
+            )
+            total += item.penalty_rate_per_path * rho - item.reward_per_path
+        else:
+            total += -item.reward_per_path
+    return total
+
+
+class TestObjectiveEqualsTheScalarReference:
+    """The per-item terms are arrays now; the sum is still the scalar one."""
+
+    @staticmethod
+    def vectors(problem: ACRRProblem, rng: np.random.Generator):
+        """Admission vectors (NaN counts as chosen, as ``~(x < 0.5)`` says)
+        and reservations on every clipping edge: zeros of either sign,
+        below the floor, at it, between it and the SLA, at the SLA and
+        beyond it."""
+        n = problem.num_items
+        sla = np.array([item.sla_mbps for item in problem.items])
+        floor = np.array([item.lambda_hat_mbps for item in problem.items])
+        choices = np.stack(
+            [
+                np.zeros(n),
+                np.full(n, -0.0),
+                0.5 * floor,
+                floor,
+                floor + rng.random(n) * (sla - floor),
+                sla,
+                1.5 * sla,
+            ]
+        )
+        for _ in range(4):
+            x = (rng.random(n) < 0.5).astype(float)
+            x[rng.random(n) < 0.05] = np.nan
+            yield x, choices[rng.integers(len(choices), size=n), np.arange(n)]
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_differential_family(self, seed):
+        from repro.scenarios import DIFFERENTIAL_FAMILY, sample_scenario
+        from repro.scenarios.oracle import problem_for_scenario
+
+        problem = problem_for_scenario(sample_scenario(DIFFERENTIAL_FAMILY, seed=seed))
+        requests = problem.requests
+        # Half the tenants forecast at their SLA: no overbooking headroom.
+        pessimistic = problem.with_forecasts(
+            requests,
+            {
+                r.name: ForecastInput.pessimistic(r.sla_mbps) if i % 2 else problem.forecast(r.name)
+                for i, r in enumerate(requests)
+            },
+        )
+        rng = np.random.default_rng(seed)
+        for instance in (problem, pessimistic, problem.without_overbooking()):
+            for x, z in self.vectors(instance, rng):
+                got, want = instance.evaluate_objective(x, z), scalar_objective(instance, x, z)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
 
 
 class TestConstraintBlocks:

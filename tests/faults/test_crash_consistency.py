@@ -245,12 +245,17 @@ def advance_drifting(broker: SliceBroker, epoch: int):
 
 
 def pool_state(solver: BendersSolver) -> tuple | None:
-    """The pool's slot as comparable bytes: identity, multipliers, best_x."""
+    """The pool's slot as comparable bytes: identity, multipliers, best_x
+    and the carried halves."""
     if solver.cut_pool._slot is None:
         return None
     key, entry = solver.cut_pool._slot
     multipliers = [(block_id, mu.tobytes()) for mu, block_id in entry.multipliers]
-    return key, multipliers, entry.best_x.tobytes()
+    halves = [
+        None if half is None else (np.float64(half[0]).tobytes(), half[1].tobytes())
+        for half in entry.halves
+    ]
+    return key, multipliers, entry.best_x.tobytes(), halves
 
 
 class MidRoundCrash(Exception):
@@ -289,6 +294,10 @@ class TestWarmStartStateRollsBack:
         assert "warm fast path" in report.solver_message == twin_report.solver_message
         before, pool_before = control_plane_fingerprint(broker.orchestrator), pool_state(solver)
         assert before == control_plane_fingerprint(twin.orchestrator)
+        # The certificate carries the forecast-free half of what it holds.
+        entry_before = solver.cut_pool._slot[1]
+        assert any(half is not None for half in entry_before.halves)
+        carried = [None if half is None else half[1] for half in entry_before.halves]
 
         written = []
         real_record = CutPool.record
@@ -305,6 +314,13 @@ class TestWarmStartStateRollsBack:
         assert len(written) == 1 and written[0] != pool_before
         assert control_plane_fingerprint(broker.orchestrator) == before
         assert pool_state(solver) == pool_before
+        # The old entry itself is back, its carried arrays with it.
+        restored = solver.cut_pool._slot[1]
+        assert restored is entry_before
+        assert all(
+            (got is None and want is None) or got[1] is want
+            for got, want in zip(restored.halves, carried)
+        )
 
         report = advance_drifting(broker, crash_epoch)
         twin_report = advance_drifting(twin, crash_epoch)
