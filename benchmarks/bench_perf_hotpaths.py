@@ -230,8 +230,8 @@ def test_benders_master_with_accumulated_cuts(benchmark):
         x = (rng.random(problem.num_items) < 0.5).astype(float)
         outcome = slave.evaluate(x)
         if outcome.feasible:
-            coefficients, rhs = slave.cut_from_multipliers(outcome.duals)
-            master.add_cuts(coefficients[:, np.newaxis], [rhs], [None])
+            coefficients = slave.cut_coefficients([(outcome.duals, slice(None))])
+            master.add_cuts(coefficients, [-float(np.dot(slave.h0, outcome.duals))], [None])
 
     solution = benchmark.pedantic(
         solver._solve_master, args=(master,), rounds=5, iterations=1

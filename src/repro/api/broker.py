@@ -82,6 +82,7 @@ from repro.core.slices import SliceRequest
 from repro.faults.injector import ChaosSolver, FaultInjector, attach_injector
 from repro.faults.plan import FaultPlan
 from repro.faults.safeguard import TIER_PRIMARY, HealthMonitor, SafeguardedSolver
+from repro.utils.validation import ensure_non_negative_int
 
 
 def _coerce_request(
@@ -98,6 +99,16 @@ def _coerce_request(
         "slice request must be a SliceRequestV1, a SliceRequest or a payload "
         f"mapping, got {type(request).__name__}"
     )
+
+
+def _check_epoch(epoch: int) -> None:
+    """An epoch that is not a non-negative integer is the caller's error,
+    refused before any state is touched: not a failed epoch, so health does
+    not move."""
+    try:
+        ensure_non_negative_int(epoch, "epoch")
+    except ValueError as error:
+        raise ValidationError(str(error), details={"epoch": epoch}) from error
 
 
 def _request_fingerprint(request: SliceRequest) -> str:
@@ -666,8 +677,10 @@ class SliceBroker:
         Status reads from other threads are not held up: from the start of
         the epoch until the commit point below they are answered from the
         pre-epoch state read through the epoch's journal, i.e. ordered
-        before this epoch.
+        before this epoch.  An ``epoch`` that is not a non-negative integer
+        is a :class:`ValidationError` that runs nothing.
         """
+        _check_epoch(epoch)
         registry = self._orchestrator.registry
         events: list[LifecycleEvent] = []
         try:
@@ -1029,8 +1042,10 @@ class SliceBroker:
         reservations at the start of the next decision epoch, exactly as a
         natural expiry would.  The RELEASED event is published synchronously.
         Releasing a slice that is neither queued nor admitted raises
-        :class:`LifecycleError`.
+        :class:`LifecycleError`; an ``epoch`` that is not a non-negative
+        integer is a :class:`ValidationError` that releases nothing.
         """
+        _check_epoch(epoch)
         # The tables change under the state mutex; the event goes out after
         # it is dropped, so a subscriber may read the broker from its
         # callback (and already sees the released state).

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from repro.core.decomposition import BlockStack, SlaveNumericalError, SlaveProblem
+from repro.core.decomposition import SlaveNumericalError, SlaveProblem
 from repro.core.lpsolver import (
     FEASIBILITY_TOL,
     MILPSolution,
@@ -242,14 +242,14 @@ class _PoolEntry:
     #: Dual multipliers of the decision's cuts as ``(mu, block_id)`` pairs,
     #: no two equal; ``block_id`` is ``None`` for aggregate (full-system)
     #: cuts and a slave block index for block cuts, whose multipliers span
-    #: only that block's rows and re-validate against the block system.
+    #: only that block's slave rows.
     multipliers: tuple[tuple[np.ndarray, int | None], ...]
     #: The decision's admission vector.
     best_x: np.ndarray
     #: Per multiplier, the half of its re-validation no forecast enters:
-    #: ``(-h0' mu, G' mu)`` over its own system -- the slave, or its
-    #: block's rows and columns of the block stack -- or None until a
-    #: re-validation computes it (a cold solve records none).
+    #: ``(-h0' mu, G' mu)`` over its slave rows, ``G' mu`` kept at its
+    #: slave columns, or None until a re-validation computes it (a cold
+    #: solve records none).
     halves: tuple[tuple[float, np.ndarray] | None, ...]
     #: The slave ``G`` the halves were computed against: the structure's
     #: own, shared by every clone of it.  A slave with another ``G``
@@ -318,49 +318,42 @@ class CutPool:
             return [], None
         entry = self._slot[1]
 
-        # Block cuts re-validate against their block's own system (its
-        # row/column range of the stacked block system); they are only
-        # seedable into a master that actually carries that block's
-        # surrogate (a master over the same block structure).
-        stack = None
+        # Block cuts are only seedable into a master that actually carries
+        # that block's surrogate (a master over the same block structure).
+        blocks = None
         if any(block_id is not None for _, block_id in entry.multipliers):
-            candidate = slave.block_stack()
-            if master.num_thetas == len(candidate.blocks):
-                stack = candidate
+            candidate = slave.blocks()
+            if master.num_thetas == len(candidate):
+                blocks = candidate
 
-        # The seedable multipliers in storage order, each with its system
-        # and its rows and columns there.
+        # The seedable multipliers in storage order, each with its rows and
+        # columns of the slave.
         multipliers = entry.multipliers
         usable = []
         for position, (mu, block_id) in enumerate(multipliers):
             if block_id is None:
                 if len(mu) == num_rows:
-                    usable.append((position, slave, slice(None), slice(None)))
-            elif stack is not None and 0 <= block_id < len(stack.blocks):
-                block = stack.blocks[block_id]
+                    usable.append((position, slice(None), slice(None)))
+            elif blocks is not None and 0 <= block_id < len(blocks):
+                block = blocks[block_id]
                 if len(mu) == block.num_rows:
-                    usable.append((position, stack, block.rows, block.cols))
+                    usable.append((position, block.slave_rows, block.slave_cols))
 
         # The forecast-free halves the certificate does not carry yet,
-        # computed in two batches -- the aggregate multipliers against the
-        # slave, every block multiplier against the stack -- and carried
-        # from here on.
+        # computed in one batch and carried from here on.
         carried = entry.g_columns is slave.g_columns
         halves = list(entry.halves) if carried else [None] * len(multipliers)
         missing = [member for member in usable if halves[member[0]] is None]
-        for system, name in ((slave, "slave G'"), (stack, "block stack G'")):
-            members = [(position, rows, cols) for position, of, rows, cols in missing if of is system]
-            if members:
-                # G is forecast-free: its transpose is kept per structure.
-                g_transposed = slave.problem.per_structure(name, lambda: system.g_columns.T)
-                computed = _forecast_free_halves(
-                    system,
-                    g_transposed,
-                    [(*multipliers[position], rows, cols) for position, rows, cols in members],
-                )
-                for (position, _, _), half in zip(members, computed):
-                    halves[position] = half
         if missing:
+            # G is forecast-free: its transpose is kept per structure.
+            g_transposed = slave.problem.per_structure("slave G'", lambda: slave.g_columns.T)
+            computed = _forecast_free_halves(
+                slave,
+                g_transposed,
+                [(*multipliers[position], rows, cols) for position, rows, cols in missing],
+            )
+            for (position, _, _), half in zip(missing, computed):
+                halves[position] = half
             completed = _PoolEntry(
                 entry.num_rows, multipliers, entry.best_x, tuple(halves), slave.g_columns
             )
@@ -368,19 +361,12 @@ class CutPool:
         if not usable:
             return [], entry.best_x
 
-        # What the forecast moves, a block multiplier padded into its
-        # block's rows of the slave.
+        # What the forecast moves.
         coeffs, rhs, repair = _revalidate(
             slave,
             [
-                (
-                    system,
-                    multipliers[position][0],
-                    stack.slave_rows[rows] if system is stack else rows,
-                    cols,
-                    halves[position],
-                )
-                for position, system, rows, cols in usable
+                (multipliers[position][0], rows, cols, halves[position])
+                for position, rows, cols in usable
             ],
         )
         rhs -= repair
@@ -429,24 +415,25 @@ class CutPool:
 
 
 def _forecast_free_halves(
-    system: SlaveProblem | BlockStack,
+    slave: SlaveProblem,
     g_transposed: sparse.csr_matrix,
-    members: list[tuple[np.ndarray, int | None, slice, slice]],
+    members: list[tuple[np.ndarray, int | None, slice | np.ndarray, slice | np.ndarray]],
 ) -> list[tuple[float, np.ndarray]]:
     """``(-h0' mu, G' mu)`` of the stored multipliers ``(mu, block_id,
-    rows, cols)`` of one system: the :class:`SlaveProblem` for aggregate
-    multipliers, its :class:`BlockStack` for block multipliers (``rows`` /
-    ``cols`` are the block's ranges, and ``G' mu`` is kept over ``cols``).
+    rows, cols)``: ``rows`` / ``cols`` are the multiplier's slave rows and
+    columns -- all of them for an aggregate multiplier, its block's for a
+    block multiplier -- and ``G' mu`` is kept over ``cols``.
 
-    A block multiplier is zero-padded into its block's rows, so the stack's
-    other blocks contribute exact zeros and one product with ``G'`` serves
-    every block.  Each multiplier keeps the arithmetic of re-validating its
-    own block alone: the sparse product sums each column in the same order
-    whatever else the batch holds, and ``-h0' mu`` is taken per block over
-    the same stacked multipliers (a dense product's summation order can
-    depend on its shape).
+    Each multiplier is zero-padded into its rows, so the other rows
+    contribute exact zeros and one product with ``G'`` serves every
+    multiplier; every entry of a block's columns lies in the block's rows.
+    Each multiplier keeps the arithmetic of re-validating its own block
+    alone: the sparse product sums each column in the same order whatever
+    else the batch holds, and ``-h0' mu`` is taken per block over the same
+    stacked multipliers (a dense product's summation order can depend on
+    its shape).
     """
-    padded = np.zeros((len(system.h0), len(members)))
+    padded = np.zeros((len(slave.h0), len(members)))
     groups: dict[int | None, list[int]] = {}
     for column, (mu, block_id, rows, _) in enumerate(members):
         padded[rows, column] = mu
@@ -454,7 +441,7 @@ def _forecast_free_halves(
     rhs = np.empty(len(members))
     for columns in groups.values():
         mu_matrix = np.stack([members[column][0] for column in columns])
-        rhs[columns] = -mu_matrix.dot(system.h0[members[columns[0]][2]])
+        rhs[columns] = -mu_matrix.dot(slave.h0[members[columns[0]][2]])
     dual_slack = g_transposed.dot(padded)
     return [
         (rhs_value, dual_slack[cols, column].copy())
@@ -464,49 +451,34 @@ def _forecast_free_halves(
 
 def _revalidate(
     slave: SlaveProblem,
-    members: list[
-        tuple[SlaveProblem | BlockStack, np.ndarray, slice | np.ndarray, slice, tuple[float, np.ndarray]]
-    ],
+    members: list[tuple[np.ndarray, slice | np.ndarray, slice | np.ndarray, tuple[float, np.ndarray]]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut coefficients ``H' mu`` (one column each), right-hand sides
-    ``-h0' mu`` and repair slacks of the stored multipliers ``(system, mu,
-    rows, cols, half)`` -- ``system`` the :class:`SlaveProblem` for an
-    aggregate multiplier, its :class:`BlockStack` for a block multiplier,
-    ``rows`` its rows of the slave, ``cols`` its columns of ``system`` --
+    ``-h0' mu`` and repair slacks of the stored multipliers ``(mu, rows,
+    cols, half)`` -- ``rows`` / ``cols`` its slave rows and columns --
     given each one's forecast-free ``half`` (see
     :func:`_forecast_free_halves`): the part of the re-validation the
     forecast moves.  ``H`` reads the reservation floors; the repair reads
-    ``d``.
-
-    One product with the slave's ``H'`` serves every multiplier.  A block's
-    rows of the stack are copies of slave rows, in increasing slave order,
-    so a block multiplier padded into the slave rows meets the entries of
-    its block's ``H_b'`` in the order the stack's ``H'`` takes them; the
-    rows in between add exact zeros, which leave a sum that starts at
-    ``+0.0`` as it is.
-    """
-    padded = np.zeros((len(slave.h0), len(members)))
-    for column, (_, mu, rows, _, _) in enumerate(members):
-        padded[rows, column] = mu
+    ``d``."""
     # Dual feasibility G' mu >= -d fails by ``violation``; every feasible
     # slave point obeys 0 <= u <= sla, which bounds what that can cost.
     violation = np.maximum(
         0.0,
         -(
             np.concatenate([dual_slack for *_, (_, dual_slack) in members])
-            + np.concatenate([system.d[cols] for system, _, _, cols, _ in members])
+            + np.concatenate([slave.d[cols] for _, _, cols, _ in members])
         ),
     )
     repair = np.empty(len(members))
     end = 0
-    for column, (system, _, _, cols, (_, dual_slack)) in enumerate(members):
+    for column, (_, _, cols, (_, dual_slack)) in enumerate(members):
         start, end = end, end + len(dual_slack)
         # One contiguous vector per multiplier: a strided dot product sums
         # in another order, and the cut's last bit would move.  Without a
         # violation it is an exact 0.0 (the bounds are finite).
-        repair[column] = np.dot(violation[start:end], system.u_bound[cols])
+        repair[column] = np.dot(violation[start:end], slave.u_bound[cols])
     rhs = np.array([rhs_value for *_, (rhs_value, _) in members])
-    return slave.h_transposed.dot(padded), rhs, repair
+    return slave.cut_coefficients([(mu, rows) for mu, rows, _, _ in members]), rhs, repair
 
 
 #: Hard cap of the certificate a decision leaves in the pool: the newest
@@ -741,15 +713,16 @@ class BendersSolver:
         for shared capacity.  Each block prices the tenant's relaxed sub-LP,
         so its cut is a valid lower bound on theta_b (q(x) >= sum_b q_b(x),
         see SlaveBlock)."""
-        priced = [(block, result.duals) for block, result in zip(slave.blocks(), block_outcomes)]
-        cuts = [slave.cut_from_multipliers(outcome.duals)]
-        cuts += slave.cuts_from_block_multipliers(priced)
-        multipliers = [(outcome.duals, None)] + [(mu, block.index) for block, mu in priced]
+        cuts = [(outcome.duals, slice(None), None)] + [
+            (result.duals, block.slave_rows, block.index)
+            for block, result in zip(slave.blocks(), block_outcomes)
+        ]
         master.add_cuts(
-            np.column_stack([coeff for coeff, _ in cuts]),
-            [rhs for _, rhs in cuts],
-            [block_id for _, block_id in multipliers],
+            slave.cut_coefficients([(mu, rows) for mu, rows, _ in cuts]),
+            [-float(np.dot(slave.h0[rows], mu)) for mu, rows, _ in cuts],
+            [block_id for *_, block_id in cuts],
         )
+        multipliers = [(mu, block_id) for mu, _, block_id in cuts]
         state.multipliers += multipliers
         state.optimality_cuts += len(multipliers)
 

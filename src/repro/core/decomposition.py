@@ -18,7 +18,7 @@ cut: its master's capacity surrogate keeps every candidate slave-feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -72,10 +72,12 @@ class SlaveSolveOutcome:
 class SlaveBlock:
     """One tenant's relaxed slice of the slave LP (multi-cut block).
 
-    ``rows`` / ``cols`` are the block's ranges in the :class:`BlockStack`.
-    Dropping the other tenants' non-negative terms from a shared ``<=`` row
-    while keeping the full right-hand side relaxes the row, so the block
-    optimum underestimates the tenant's share of the joint slave cost:
+    ``rows`` / ``cols`` are the block's ranges in the :class:`BlockStack`,
+    ``slave_rows`` / ``slave_cols`` the slave rows and columns they copy, in
+    increasing slave order.  Dropping the other tenants' non-negative terms
+    from a shared ``<=`` row while keeping the full right-hand side relaxes
+    the row, so the block optimum underestimates the tenant's share of the
+    joint slave cost:
 
         q(x) >= sum_b q_b(x)   for every admission vector x,
 
@@ -85,10 +87,11 @@ class SlaveBlock:
     """
 
     index: int
-    tenant_index: int
-    item_indices: tuple[int, ...]
     rows: slice
     cols: slice
+    #: Views into the stack's row and column maps: fixed by the ranges.
+    slave_rows: np.ndarray = field(compare=False, repr=False)
+    slave_cols: np.ndarray = field(compare=False, repr=False)
     #: Valid lower bound on the block optimum for any admission vector: the
     #: linearisation variable y never exceeds the SLA bitrate and its
     #: objective coefficients are non-positive, so the block objective is
@@ -111,30 +114,23 @@ class BlockStack:
     capacity rows are duplicated once per block that touches them, so the
     blocks are row- *and* column-disjoint and stack into
 
-        min  d' u   s.t.  diag(G_b) u <= h0 + H x,   u >= 0,
+        min  d' u   s.t.  diag(G_b) u <= h(x)[slave_rows],   u >= 0,
 
     which separates: its optimum is the concatenation of the block optima,
     primal and dual.  One LP call therefore prices every block of a round
     (:meth:`SlaveProblem.evaluate_blocks`) and a :class:`SlaveBlock` is just
-    a contiguous row range and column range of these arrays.  ``h_matrix``
-    keeps the full x width, so block cuts may involve other tenants'
-    admission variables (shared capacity rows carry their baseline terms).
+    a contiguous row range and column range of these arrays.  The stack
+    holds no ``h0`` or ``H``: a right-hand side is the slave's gathered, and
+    a block multiplier's cut is the slave's cut of it padded into the
+    block's slave rows (:meth:`SlaveProblem.cut_coefficients`).
     """
 
     blocks: list[SlaveBlock]
     d: np.ndarray
     #: ``diag(G_b)`` column-major and canonical: what HiGHS is handed.
     g_columns: sparse.csc_matrix
-    h0: np.ndarray
-    #: ``H``'s rows gathered into the stack, row-major: ``(data, indices,
-    #: indptr)``.  A fast-path hit prices no block and seeds its block cuts
-    #: through the slave's ``H'`` (see ``slave_rows``), so it builds
-    #: neither matrix over them.
-    h_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     u_lower: np.ndarray
     u_upper: np.ndarray
-    #: Implied bounds of any feasible slave point: 0 <= (y, z) <= sla.
-    u_bound: np.ndarray
     #: The slave row of every stack row: increasing within each block.
     slave_rows: np.ndarray
 
@@ -142,17 +138,6 @@ class BlockStack:
     def g_matrix(self) -> sparse.csr_matrix:
         """``g_columns`` row-major, for slicing single blocks out."""
         return self.g_columns.tocsr()
-
-    @cached_property
-    def h_transposed(self) -> sparse.csc_matrix:
-        """``H'``, for cut coefficients ``H' mu``: the row-major arrays of
-        ``H`` are the column-major ones of its transpose."""
-        return sparse.csc_matrix(self.h_rows, shape=(len(self.d) // 2, len(self.h0)))
-
-    @cached_property
-    def h_matrix(self) -> sparse.csr_matrix:
-        """``H``, for right-hand sides."""
-        return self.h_transposed.T
 
 
 @dataclass(frozen=True)
@@ -238,15 +223,14 @@ class SlaveProblem:
         # H's layout is built once per structure *and* zero-floor mask; a
         # bind writes the floors into their slots of a copy of the data.
         floor = problem.reservation_floor()
-        self._zero_floors = np.packbits(floor == 0).tobytes()
         rows, columns, slots, floored = problem.per_structure(
-            ("slave H", self._zero_floors),
+            ("slave H", np.packbits(floor == 0).tobytes()),
             lambda: _h_layout(capacity, problem.coupling_block(), floor),
         )
         data = rows.data.copy()
         data[slots] = np.negative(floor[floored])
         self.h_matrix: sparse.csr_matrix = with_data(rows, data)
-        #: ``H'`` over the same arrays, for cut coefficients ``H' mu``.
+        #: ``H'`` over the same arrays, for :meth:`cut_coefficients`.
         self.h_transposed: sparse.csc_matrix = with_data(columns, data)
         self.num_capacity_rows = capacity.num_rows
 
@@ -343,9 +327,9 @@ class SlaveProblem:
 
     def _block_stack_frame(self) -> tuple:
         """The stacked block system's forecast-free half, straight from the
-        slave arrays: per block its identity and row / column range, the
-        item ranges, the row and column maps, ``diag(G_b)``, ``h0`` and the
-        implied bounds in stack order.
+        slave arrays: per block its identity, its row / column range and
+        the slave rows / columns those copy; the item ranges, the row and
+        column maps and ``diag(G_b)``.
 
         Items are tenant-contiguous, so block ``b``'s columns are the
         tenant's ``y`` columns then its ``z`` columns, and ``diag(G_b)`` is
@@ -392,35 +376,18 @@ class SlaveProblem:
             coupling_map[np.maximum(row - num_capacity, 0)],
         )
         g_stack = canonical_csc(indptr, row, g.data[entry], (len(rows), 2 * n))
-        blocks = [
-            (
-                block.index,
-                block.tenant_index,
-                block.item_indices,
-                slice(int(row_offsets[b]), int(row_offsets[b + 1])),
-                slice(2 * int(starts[b]), 2 * int(starts[b + 1])),
-            )
-            for b, block in enumerate(resource_blocks)
-        ]
-        return blocks, starts, rows, cols, g_stack, self.h0[rows], self.u_bound[cols]
+        blocks = []
+        for b, block in enumerate(resource_blocks):
+            row_range = slice(int(row_offsets[b]), int(row_offsets[b + 1]))
+            col_range = slice(2 * int(starts[b]), 2 * int(starts[b + 1]))
+            blocks.append((block.index, row_range, col_range, rows[row_range], cols[col_range]))
+        return blocks, starts, rows, cols, g_stack
 
     def _build_block_stack(self) -> BlockStack:
         """Bind the forecast to the per-structure frame: ``d`` in stack
-        order, the surrogate floors, and ``H``, which keeps its full width,
-        so its rows are gathered (shared capacity rows once per block that
-        touches them).  The gather follows ``H``'s layout, so it is kept
-        under the same zero-floor key; a bind only takes the data."""
-        blocks, starts, rows, cols, g_stack, h0, u_bound = self.problem.per_structure(
+        order and the surrogate floors."""
+        blocks, starts, rows, cols, g_stack = self.problem.per_structure(
             "block stack", self._block_stack_frame
-        )
-        h = self.h_matrix
-
-        def gather() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            indptr, entry = gather_slices(h.indptr, rows)
-            return indptr, h.indices[entry], entry
-
-        indptr, indices, entry = self.problem.per_structure(
-            ("block stack H", self._zero_floors), gather
         )
         theta_floor = np.minimum(self.problem.objective_y() * self.problem.sla_mbps, 0.0)
         return BlockStack(
@@ -431,11 +398,8 @@ class SlaveProblem:
             ],
             d=self.d[cols],
             g_columns=g_stack,
-            h0=h0,
-            h_rows=(h.data[entry], indices, indptr),
             u_lower=np.zeros(len(cols)),
             u_upper=np.full(len(cols), np.inf),
-            u_bound=u_bound,
             slave_rows=rows,
         )
 
@@ -443,7 +407,7 @@ class SlaveProblem:
         """Price one block at ``x`` with its own LP: the reference
         :meth:`evaluate_blocks` is tested against."""
         stack = self.block_stack()
-        b = stack.h0[block.rows] + stack.h_matrix[block.rows].dot(
+        b = self.h0[block.slave_rows] + self.h_matrix[block.slave_rows].dot(
             np.asarray(x, dtype=float)
         )
         solution: LPSolution = CompiledLP(
@@ -475,7 +439,7 @@ class SlaveProblem:
 
     def _evaluate_blocks(self, x: np.ndarray) -> list[BlockSolveOutcome]:
         stack = self.block_stack()
-        b = stack.h0 + stack.h_matrix.dot(x)
+        b = self.rhs(x)[stack.slave_rows]
         if self._stack_lp is None:
             self._stack_lp = CompiledLP(
                 stack.d, stack.g_columns, stack.u_lower, stack.u_upper
@@ -493,46 +457,35 @@ class SlaveProblem:
             outcomes.append(BlockSolveOutcome(block.index, objective, duals))
         return outcomes
 
-    def cuts_from_block_multipliers(
-        self, pairs: list[tuple[SlaveBlock, np.ndarray]]
-    ) -> list[tuple[np.ndarray, float]]:
-        """Like :meth:`cut_from_multipliers`, for a round's block multipliers.
-
-        The returned coefficients span the full admission vector (shared
-        capacity rows carry other tenants' baseline terms); each cut reads
-        ``theta_b + (H_b' mu)' x >= -h0_b' mu``.
-        """
-        stack = self.block_stack()
-        # Zero outside each block's rows: the other blocks' rows add exact
-        # zeros, so one product over the cached transpose is every H_b' mu
-        # without slicing any H_b out of the stack.
-        padded = np.zeros((len(stack.h0), len(pairs)))
-        for column, (block, mu) in enumerate(pairs):
-            padded[block.rows, column] = mu
-        coeffs = stack.h_transposed.dot(padded) if pairs else padded
-        return [
-            (coeffs[:, column], -float(np.dot(stack.h0[block.rows], mu)))
-            for column, (block, mu) in enumerate(pairs)
-        ]
-
     # ------------------------------------------------------------------ #
     # Cut generation
     # ------------------------------------------------------------------ #
-    def cut_from_multipliers(self, mu: np.ndarray) -> tuple[np.ndarray, float]:
-        """Translate dual multipliers into cut coefficients.
+    def cut_coefficients(
+        self, multipliers: list[tuple[np.ndarray, slice | np.ndarray]]
+    ) -> np.ndarray:
+        """``H' mu`` of every ``(mu, rows)`` pair, one column each.
 
-        For multipliers ``mu >= 0`` of the slave rows, both cut families have
-        the common linear form over x:
+        ``mu >= 0`` multiplies the slave rows ``rows``: all of them
+        (``slice(None)``) for a slave multiplier, a block's ``slave_rows``
+        for a block multiplier.  Both cut families have the common linear
+        form over x:
 
             (H' mu)' x >= -h0' mu          (feasibility cut)
             theta + (H' mu)' x >= -h0' mu  (optimality cut)
 
-        Returns ``(coefficients over x, right-hand side)`` of that inequality.
+        and a block cut is the slave's cut of its multiplier, which spans the
+        full admission vector (shared capacity rows carry other tenants'
+        baseline terms) and bounds ``theta_b`` alone.  Each ``mu`` is
+        zero-padded into its rows, so the other rows add exact zeros and one
+        product serves every pair: the sparse product sums each column in
+        the same order whatever else the batch holds.  The right-hand sides
+        ``-h0' mu`` stay with the callers: a dense product's summation order
+        can depend on its shape, so each keeps its own.
         """
-        mu = np.asarray(mu, dtype=float)
-        coeff = self.h_transposed.dot(mu)
-        rhs = -float(np.dot(self.h0, mu))
-        return coeff, rhs
+        padded = np.zeros((len(self.h0), len(multipliers)))
+        for column, (mu, rows) in enumerate(multipliers):
+            padded[rows, column] = mu
+        return self.h_transposed.dot(padded)
 
     def knapsack_weights(self, ray: np.ndarray) -> tuple[np.ndarray, float]:
         """KAC weights (27)-(28): per-item weights and the knapsack capacity.
@@ -541,5 +494,5 @@ class SlaveProblem:
         ``sum_i w_i x_i <= W`` with ``w_i = -(H' mu)_i`` and ``W = h0' mu``,
         which is the multi-constrained knapsack form of Problem 6.
         """
-        coeff, rhs = self.cut_from_multipliers(ray)
-        return -coeff, -rhs
+        coeff = self.cut_coefficients([(ray, slice(None))])[:, 0]
+        return -coeff, float(np.dot(self.h0, ray))

@@ -16,7 +16,9 @@ The paper's full grid (3 operators x 3 slice types x 9 load points x 3
 variability levels x 3 penalties, on 197-1497-cell networks) takes CPLEX
 hours per point; the defaults below use the reduced operator topologies and a
 sub-sampled grid so the whole figure regenerates in minutes, while preserving
-the trends (see EXPERIMENTS.md for the paper-vs-measured comparison).
+the trends.  README "Running the experiment campaigns" shows how to run it;
+a paper-vs-measured comparison waits for the ROADMAP item "The paper's
+claims as executed checks, not prose".
 """
 
 from __future__ import annotations

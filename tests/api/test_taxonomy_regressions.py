@@ -23,6 +23,7 @@ from repro.core.benders import BendersSolver
 from repro.core.milp_solver import DirectMILPSolver
 from repro.core.slices import TEMPLATES
 from repro.topology import operators
+from tests.conftest import build_tiny_topology
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,78 @@ class TestNonFiniteNumbersAreRefusedAtSubmit:
                 conn.close()
         assert response.status == 200
         assert report["accepted"] == ["good"] and report["pending_requests"] == 0
+
+
+class TestNegativeEpochsAreRefused:
+    """``advance_epoch(-4)`` used to run an epoch -- its report listed a
+    slice admitted at epoch 2 as accepted and active -- and
+    ``release(..., epoch=-1)`` stamped its RELEASED event with epoch -1."""
+
+    @staticmethod
+    def broker_with_one_admitted_and_one_queued() -> SliceBroker:
+        broker = SliceBroker(
+            topology=build_tiny_topology(),
+            solver=BendersSolver(master_time_limit_s=None, time_limit_s=None),
+        )
+        broker.submit(SliceRequestV1.of("b", "eMBB", arrival_epoch=2, duration_epochs=3))
+        broker.submit(SliceRequestV1.of("q", "eMBB", arrival_epoch=4, duration_epochs=2))
+        for epoch in range(3):
+            broker.advance_epoch(epoch)
+        assert broker.status("b").state == "admitted" and broker.pending_count == 1
+        return broker
+
+    @staticmethod
+    def state(broker: SliceBroker, events: list) -> tuple:
+        health = broker.health
+        return (
+            broker.pending_count,
+            [status.to_dict() for status in broker.list_slices()],
+            (health.state, health.clean_streak),
+            list(events),
+        )
+
+    def test_in_process_nothing_moves_and_the_next_epoch_commits(self):
+        broker = self.broker_with_one_admitted_and_one_queued()
+        events: list = []
+        broker.events.subscribe(events.append)
+        before = self.state(broker, events)
+        for epoch in (-4, 2.5, True):  # nor a fraction or a bool
+            with pytest.raises(ValidationError, match="non-negative integer") as refused:
+                broker.advance_epoch(epoch)
+            assert refused.value.details == {"epoch": epoch}
+        with pytest.raises(ValidationError, match="non-negative integer") as refused:
+            broker.release("b", epoch=-1)
+        assert refused.value.details == {"epoch": -1}
+        assert self.state(broker, events) == before
+        report = broker.advance_epoch(3)
+        assert (report.accepted, report.active) == (("b",), ("b",))
+        assert broker.status("b").state == "admitted"
+
+    def test_over_the_wire_they_are_a_400_and_nothing_moves(self):
+        broker = self.broker_with_one_admitted_and_one_queued()
+        with BrokerServer(broker) as server:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+
+            def call(method, path, body=None):
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                return response.status, json.loads(response.read())
+
+            try:
+                before = (self.state(broker, []), call("GET", "/v1/events?since=0"))
+                refused = [
+                    call("POST", "/v1/epochs", b'{"epoch": -4}'),
+                    call("POST", "/v1/slices/b:release", b'{"epoch": -1}'),
+                ]
+                after = (self.state(broker, []), call("GET", "/v1/events?since=0"))
+                status, report = call("POST", "/v1/epochs", b'{"epoch": 3}')
+            finally:
+                conn.close()
+        for (code, payload), epoch in zip(refused, (-4, -1)):
+            assert (code, payload["error"]) == (400, "validation")
+            assert payload["details"] == {"epoch": epoch}
+        assert after == before
+        assert status == 200 and report["accepted"] == report["active"] == ["b"]
 
 
 class TestServerDoubleStart:

@@ -374,6 +374,7 @@ class LoopBuiltSlave:
         self.theta_lowers = theta_lowers
         self.stack_h = self.h_matrix[rows]
         self.stack_rows = rows
+        self.stack_cols = cols
         self.stack_d = self.d[cols]
         self.stack_h0 = self.h0[rows]
         self.stack_u_bound = np.concatenate([sla, sla])[cols]
@@ -500,12 +501,22 @@ def same_sparse(got, want) -> bool:
 # ``tests/core/test_lpsolver_backend.py``).
 from repro.core import benders  # noqa: E402
 from repro.core.benders import CutPool, _MasterState  # noqa: E402
-from repro.core.decomposition import BlockStack, SlaveBlock, SlaveProblem  # noqa: E402
+from repro.core.decomposition import (  # noqa: E402
+    BlockSolveOutcome,
+    BlockStack,
+    SlaveBlock,
+    SlaveNumericalError,
+    SlaveProblem,
+    _check_strong_duality,
+)
+from repro.core.lpsolver import CompiledLP  # noqa: E402
 
 
 class OracleSlave(SlaveProblem):
     """A slave whose every array is the loop-built one, handed to the LP
-    layer row-major as it used to be (``CompiledLP`` converts it)."""
+    layer row-major as it used to be (``CompiledLP`` converts it), with the
+    block stack's own ``H`` and ``h0`` that priced blocks and cut them
+    before they were read from the slave's rows."""
 
     def __init__(self, problem: ACRRProblem):
         super().__init__(problem)
@@ -515,49 +526,65 @@ class OracleSlave(SlaveProblem):
         self.h_matrix = built.h_matrix
         self.h_transposed = built.h_matrix.T
         self.h0, self.d = built.h0, built.d
-        blocks = [
-            SlaveBlock(
-                index=index,
-                tenant_index=index,
-                item_indices=tuple(item_indices),
-                rows=slice(built.row_offsets[index], built.row_offsets[index + 1]),
-                cols=slice(built.col_offsets[index], built.col_offsets[index + 1]),
-                theta_lower=built.theta_lowers[index],
+        self.stack_h, self.stack_h0 = built.stack_h, built.stack_h0
+        self.stack_u_bound = built.stack_u_bound
+        blocks = []
+        for index in range(len(built.theta_lowers)):
+            rows = slice(built.row_offsets[index], built.row_offsets[index + 1])
+            cols = slice(built.col_offsets[index], built.col_offsets[index + 1])
+            blocks.append(
+                SlaveBlock(
+                    index=index,
+                    rows=rows,
+                    cols=cols,
+                    slave_rows=built.stack_rows[rows],
+                    slave_cols=built.stack_cols[cols],
+                    theta_lower=built.theta_lowers[index],
+                )
             )
-            for index, (item_indices, _) in enumerate(built.model.resource_blocks())
-        ]
         stack = BlockStack(
             blocks=blocks,
             d=built.stack_d,
             g_columns=sparse.csc_matrix(built.stack_g),
-            h0=built.stack_h0,
-            h_rows=(built.stack_h.data, built.stack_h.indices, built.stack_h.indptr),
             u_lower=np.zeros(len(built.stack_d)),
             u_upper=np.full(len(built.stack_d), np.inf),
-            u_bound=built.stack_u_bound,
             slave_rows=built.stack_rows,
         )
         stack.__dict__["g_matrix"] = built.stack_g
-        stack.__dict__["h_matrix"] = built.stack_h
-        stack.__dict__["h_transposed"] = built.stack_h.T
         self._block_stack = stack
 
-    def cuts_from_block_multipliers(self, pairs):
-        # One product per block, as ``cut_from_block_multipliers`` ran.
+    def _evaluate_blocks(self, x):
+        # The stack's own right-hand side, as it was priced.
         stack = self.block_stack()
-        cuts = []
-        for block, mu in pairs:
-            mu = np.asarray(mu, dtype=float)
-            padded = np.zeros(len(stack.h0))
-            padded[block.rows] = mu
-            coeff = stack.h_transposed.dot(padded)
-            cuts.append((coeff, -float(np.dot(stack.h0[block.rows], mu))))
-        return cuts
+        b = self.stack_h0 + self.stack_h.dot(x)
+        if self._stack_lp is None:
+            self._stack_lp = CompiledLP(stack.d, stack.g_columns, stack.u_lower, stack.u_upper)
+        solution = self._stack_lp.solve(b)
+        if not solution.success:
+            raise SlaveNumericalError(f"stacked block LP not solved: {solution.status}")
+        outcomes = []
+        for block in stack.blocks:
+            duals = solution.duals_upper[block.rows]
+            objective = float(np.dot(stack.d[block.cols], solution.primal[block.cols]))
+            _check_strong_duality(block.index, objective, b[block.rows], duals)
+            outcomes.append(BlockSolveOutcome(block.index, objective, duals))
+        return outcomes
 
-    def cut_from_multipliers(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        coeff = np.asarray(self.h_matrix.T.dot(mu)).ravel()
-        return coeff, -float(np.dot(self.h0, mu))
+    def cut_coefficients(self, multipliers):
+        # One product per multiplier: the slave's H' for a slave multiplier,
+        # the stack's H' over the stack rows for a block multiplier, as
+        # ``cut_from_multipliers`` and ``cut_from_block_multipliers`` ran.
+        block_of = {id(block.slave_rows): block for block in self.blocks()}
+        columns = []
+        for mu, rows in multipliers:
+            mu = np.asarray(mu, dtype=float)
+            if isinstance(rows, slice):
+                columns.append(np.asarray(self.h_matrix.T.dot(mu)).ravel())
+            else:
+                padded = np.zeros(len(self.stack_h0))
+                padded[block_of[id(rows)].rows] = mu
+                columns.append(self.stack_h.T.dot(padded))
+        return np.column_stack(columns)
 
 
 class OracleMaster(_MasterState):
@@ -626,8 +653,8 @@ def oracle_seed_master(self: CutPool, key, master, slave):
         elif blocks is not None and 0 <= block_id < len(blocks):
             rows, cols = blocks[block_id].rows, blocks[block_id].cols
             system_d, system_g = stack.d[cols], stack.g_matrix[rows, cols]
-            system_h, system_h0 = stack.h_matrix[rows], stack.h0[rows]
-            bound = stack.u_bound[cols]
+            system_h, system_h0 = slave.stack_h[rows], slave.stack_h0[rows]
+            bound = slave.stack_u_bound[cols]
             expected_rows = blocks[block_id].num_rows
         else:
             for position in positions:

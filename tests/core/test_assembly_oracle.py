@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import benders
 from repro.core.benders import BendersSolver, _MasterState
 from repro.core.decomposition import SlaveProblem
 from repro.core.forecast_inputs import ForecastInput
@@ -103,11 +104,8 @@ def assert_assembly_equals_the_oracle(problem: ACRRProblem, monkeypatch, note: s
     assert stack.g_columns.has_canonical_format
     assert same_sparse(stack.g_columns, want.stack_g.tocsc()), f"stacked G {note}"
     assert same_sparse(stack.g_matrix, want.stack_g), f"stacked G row-major {note}"
-    assert same_sparse(stack.h_matrix, want.stack_h), f"stacked H {note}"
-    assert same_sparse(stack.h_transposed, want.stack_h.T.tocsc()), note
     assert np.array_equal(stack.d, want.stack_d), note
-    assert np.array_equal(stack.h0, want.stack_h0), note
-    assert np.array_equal(stack.u_bound, want.stack_u_bound), note
+    assert_slave_row_forms_equal_the_oracle(slave, want, note)
     assert [block.theta_lower for block in stack.blocks] == want.theta_lowers, note
     assert [b.rows.start for b in stack.blocks] + [stack.blocks[-1].rows.stop] == want.row_offsets
     assert [b.cols.start for b in stack.blocks] + [stack.blocks[-1].cols.stop] == want.col_offsets
@@ -129,6 +127,55 @@ def assert_assembly_equals_the_oracle(problem: ACRRProblem, monkeypatch, note: s
     assert same_sparse(got[1], want_direct[1].tocsc()), f"direct MILP matrix {note}"
     for position in (0, 2, 3, 4, 5, 6):
         assert np.array_equal(got[position], want_direct[position]), f"direct MILP {position} {note}"
+
+
+def assert_slave_row_forms_equal_the_oracle(slave: SlaveProblem, want: LoopBuiltSlave, note=""):
+    """A block is a set of slave rows and columns: its right-hand side,
+    its cut coefficients (batched with an aggregate column) and the ``G'
+    mu`` of its multipliers, read from the slave there, must equal what the
+    oracle's stacked system gives -- byte for byte, at random candidates
+    and random sparse non-negative multipliers."""
+    stack = slave.block_stack()
+    blocks = stack.blocks
+    assert identical(stack.slave_rows, want.stack_rows), note
+    for block in blocks:
+        assert identical(block.slave_rows, want.stack_rows[block.rows]), note
+        assert identical(block.slave_cols, want.stack_cols[block.cols]), note
+        # What the right-hand sides -h0' mu and the repair read.
+        assert identical(slave.h0[block.slave_rows], want.stack_h0[block.rows]), note
+        assert identical(slave.d[block.slave_cols], want.stack_d[block.cols]), note
+        assert identical(slave.u_bound[block.slave_cols], want.stack_u_bound[block.cols]), note
+    stack_h_transposed = want.stack_h.T.tocsc()
+    stack_g_transposed = want.stack_g.T.tocsr()
+    rng = np.random.default_rng(0)
+
+    def sparse_multiplier(size):
+        return rng.random(size) * (rng.random(size) < 0.3)
+
+    for _ in range(3):
+        x = (rng.random(slave.num_items) < 0.5).astype(float)
+        got = slave.rhs(x)[stack.slave_rows]
+        assert identical(got, want.stack_h0 + want.stack_h.dot(x)), f"block rhs {note}"
+        aggregate = sparse_multiplier(len(slave.h0))
+        mus = [sparse_multiplier(block.num_rows) for block in blocks]
+        coeffs = slave.cut_coefficients(
+            [(aggregate, slice(None))] + [(mu, block.slave_rows) for block, mu in zip(blocks, mus)]
+        )
+        assert identical(coeffs[:, 0], want.h_matrix.T.dot(aggregate)), f"aggregate cut {note}"
+        padded = np.zeros((len(want.stack_h0), len(blocks)))
+        for column, (block, mu) in enumerate(zip(blocks, mus)):
+            padded[block.rows, column] = mu
+        assert identical(
+            np.ascontiguousarray(coeffs[:, 1:]), stack_h_transposed.dot(padded)
+        ), f"block cuts {note}"
+        halves = benders._forecast_free_halves(
+            slave,
+            slave.g_columns.T,
+            [(mu, block.index, block.slave_rows, block.slave_cols) for block, mu in zip(blocks, mus)],
+        )
+        dual_slack = stack_g_transposed.dot(padded)
+        for column, (block, (_, got)) in enumerate(zip(blocks, halves)):
+            assert identical(got, dual_slack[block.cols, column].copy()), f"block G' mu {note}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -243,8 +290,8 @@ class TestCorners:
 
     def test_slave_of_a_clone_equals_the_slave_of_a_cold_build(self):
         # G, h0, the implied bounds, the stacked diag(G_b) and its maps live
-        # in the structure cache the clones share; so do the layouts of H,
-        # of its gather into the stack and of the master's static rows,
+        # in the structure cache the clones share; so do the layouts of H
+        # and of the master's static rows,
         # keyed on the structure *and* the zero-forecast pattern, which
         # moves their sparsity.  d, the data of H and of the footprint, and
         # the surrogate floors are bound per forecast.  Zero and non-zero
@@ -275,13 +322,17 @@ class TestCorners:
             assert slave.g_columns is base_slave.g_columns  # shared, not rebuilt
             assert stack.g_columns is base_slave.block_stack().g_columns
             assert cold.g_columns is not base_slave.g_columns
-            for got, want in ((slave, cold), (stack, cold_stack)):
-                for matrix in ("g_columns", "g_matrix", "h_matrix", "h_transposed"):
-                    assert same_sparse(getattr(got, matrix), getattr(want, matrix)), matrix
-                for vector in ("d", "h0", "u_lower", "u_upper", "u_bound"):
-                    assert np.array_equal(getattr(got, vector), getattr(want, vector)), vector
+            for matrix in ("g_columns", "g_matrix", "h_matrix", "h_transposed"):
+                assert same_sparse(getattr(slave, matrix), getattr(cold, matrix)), matrix
+            for vector in ("d", "h0", "u_lower", "u_upper", "u_bound"):
+                assert np.array_equal(getattr(slave, vector), getattr(cold, vector)), vector
+            for matrix in ("g_columns", "g_matrix"):
+                assert same_sparse(getattr(stack, matrix), getattr(cold_stack, matrix)), matrix
+            for vector in ("d", "u_lower", "u_upper", "slave_rows"):
+                assert np.array_equal(getattr(stack, vector), getattr(cold_stack, vector)), vector
             assert slave.num_capacity_rows == cold.num_capacity_rows
             assert stack.blocks == cold_stack.blocks  # ranges and theta_lower, exactly
+            assert_slave_row_forms_equal_the_oracle(slave, LoopBuiltSlave(slave.problem))
             seeded = []
             for got in (slave, cold):
                 problem = got.problem
@@ -310,14 +361,12 @@ class TestCorners:
         # equal one that recomputes both halves from nothing -- the halves
         # themselves, the seeded multipliers, the master's rows and its
         # dense cut rows, byte for byte.
-        import repro.core.benders as benders
-
         computed = []
         real_halves = benders._forecast_free_halves
 
-        def counting_halves(system, g_transposed, members):
+        def counting_halves(slave, g_transposed, members):
             computed.append(len(members))
-            return real_halves(system, g_transposed, members)
+            return real_halves(slave, g_transposed, members)
 
         monkeypatch.setattr(benders, "_forecast_free_halves", counting_halves)
         requests = mixed_requests()
@@ -365,7 +414,7 @@ class TestCorners:
         # One layout per pattern: the original's (which the non-zero clone
         # shares) and one per zero-forecast mask.
         layouts = [key[0] for key in base._structure_cache if isinstance(key, tuple)]
-        for name in ("slave H", "block stack H", "master rows"):
+        for name in ("slave H", "master rows"):
             assert layouts.count(name) == 3, name
         # Arrays only: nothing the clones share holds a compiled model, whose
         # objective is one forecast's.

@@ -68,12 +68,17 @@ class TestSlaveEvaluation:
         assert slave.evaluate(x).objective >= bound - 1e-9
 
 
+def feasibility_cut(slave: SlaveProblem, ray: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(H' ray)' x >= -h0' ray``: coefficients over x and right-hand side."""
+    return slave.cut_coefficients([(ray, slice(None))])[:, 0], -float(np.dot(slave.h0, ray))
+
+
 class TestCuts:
     def test_feasibility_cut_separates_infeasible_point(self, urllc_problem):
         slave = SlaveProblem(urllc_problem)
         x_bad = accept_all_edge(urllc_problem)
         outcome = slave.evaluate(x_bad)
-        coeff, rhs = slave.cut_from_multipliers(outcome.ray)
+        coeff, rhs = feasibility_cut(slave, outcome.ray)
         # The cut must be violated by the infeasible point...
         assert float(coeff @ x_bad) < rhs - 1e-9
         # ...and satisfied by the optimal (feasible) admission vector.
@@ -93,7 +98,7 @@ class TestCuts:
     def test_knapsack_weights_are_cut_rearrangement(self, urllc_problem):
         slave = SlaveProblem(urllc_problem)
         outcome = slave.evaluate(accept_all_edge(urllc_problem))
-        coeff, rhs = slave.cut_from_multipliers(outcome.ray)
+        coeff, rhs = feasibility_cut(slave, outcome.ray)
         weights, capacity = slave.knapsack_weights(outcome.ray)
         assert np.allclose(weights, -coeff)
         assert capacity == pytest.approx(-rhs)

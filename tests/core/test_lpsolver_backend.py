@@ -461,11 +461,11 @@ class TestCompiledLP:
         compiled = CompiledLP(*model)
         n = slave.num_items
         xs = [np.zeros(n), np.ones(n), np.zeros(n)]
-        solutions = [compiled.solve(stack.h0 + stack.h_matrix.dot(x)) for x in xs]
+        solutions = [compiled.solve(slave.rhs(x)[stack.slave_rows]) for x in xs]
         assert all(solution.success for solution in solutions)
         assert same_lp(solutions[2], solutions[0])
         for x, solution in zip(xs, solutions):
-            b = stack.h0 + stack.h_matrix.dot(x)
+            b = slave.rhs(x)[stack.slave_rows]
             assert same_lp(solution, compiled_once(model[0], model[1], b, *model[2:]))
 
     def test_infeasible_lp_and_phase1_ray_equal_the_oracle(self, mixed_problem):

@@ -101,7 +101,8 @@ class TestResourceBlocks:
         slave = SlaveProblem(embb_problem)
         x = accept_all_edge(embb_problem)
         for block, outcome in zip(slave.blocks(), slave.evaluate_blocks(x)):
-            ((coeff, rhs),) = slave.cuts_from_block_multipliers([(block, outcome.duals)])
+            coeff = slave.cut_coefficients([(outcome.duals, block.slave_rows)])[:, 0]
+            rhs = -float(np.dot(slave.h0[block.slave_rows], outcome.duals))
             # theta_b + coeff' x >= rhs holds with theta_b = q_b(x): LP
             # duality makes it tight at the generating point.
             assert outcome.objective + float(coeff @ x) >= rhs - 1e-8
@@ -113,7 +114,7 @@ class TestResourceBlocks:
         for block in slave.blocks():
             assert (block.rows.start, block.cols.start) == (row_stop, col_stop)
             row_stop, col_stop = block.rows.stop, block.cols.stop
-            assert block.num_rows >= 5 * len(block.item_indices)
+            assert block.num_rows >= 5 * ((block.cols.stop - block.cols.start) // 2)
         assert stack.g_matrix.shape == (row_stop, col_stop)
         assert col_stop == 2 * mixed_problem.num_items
         # Block-diagonal: no entry couples one block's rows to another's columns.
@@ -123,7 +124,7 @@ class TestResourceBlocks:
         )
         owner_of_col = np.repeat(
             np.arange(len(slave.blocks())),
-            [2 * len(b.item_indices) for b in slave.blocks()],
+            [b.cols.stop - b.cols.start for b in slave.blocks()],
         )
         assert np.array_equal(owner_of_row[coupled.row], owner_of_col[coupled.col])
 
@@ -149,7 +150,7 @@ class TestStackedPricing:
         slave = SlaveProblem(mixed_problem)
         broken = slave.blocks()[1]
         x = np.zeros(mixed_problem.num_items)
-        x[list(broken.item_indices)] = 2.0
+        x[list(mixed_problem.resource_blocks()[1].item_indices)] = 2.0
         with pytest.raises(SlaveNumericalError, match="stacked block LP not solved"):
             slave.evaluate_blocks(x)
         assert len(calls) == 1  # the stacked call, and no block priced on its own
@@ -433,7 +434,7 @@ class TestSlaveNumericalError:
         slave = SlaveProblem(mixed_problem)
         stack = slave.block_stack()
         x = accept_all_edge(mixed_problem)
-        b = stack.h0 + stack.h_matrix.dot(x)
+        b = slave.rhs(x)[stack.slave_rows]
         for block, outcome in zip(slave.blocks(), slave.evaluate_blocks(x)):
             residual = abs(outcome.objective + float(b[block.rows] @ outcome.duals))
             assert residual <= 1e-9 * max(1.0, abs(outcome.objective))
