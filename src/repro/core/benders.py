@@ -39,6 +39,7 @@ assert it on every instance).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from concurrent import futures
@@ -50,6 +51,7 @@ from scipy import sparse
 from repro.core.decomposition import SlaveNumericalError, SlaveProblem
 from repro.core.lpsolver import (
     FEASIBILITY_TOL,
+    Basis,
     MILPSolution,
     append_rows,
     canonical_csc,
@@ -255,6 +257,10 @@ class _PoolEntry:
     #: own, shared by every clone of it.  A slave with another ``G``
     #: computes them afresh.
     g_columns: sparse.csc_matrix | None = field(default=None, compare=False)
+    #: The optimal basis of the slave LP a fast-path hit priced the
+    #: decision with, for the next hit's pricing to start from; None after
+    #: a cold solve.
+    slave_basis: Basis | None = None
 
 
 class CutPool:
@@ -301,6 +307,10 @@ class CutPool:
 
     def __contains__(self, key: tuple) -> bool:
         return self._slot is not None and self._slot[0] == key
+
+    def slave_basis(self, key: tuple) -> Basis | None:
+        """The slave basis the certificate of ``key`` holds, if any."""
+        return self._slot[1].slave_basis if key in self else None
 
     def seed_master(
         self, key: tuple, master: "_MasterState", slave: SlaveProblem
@@ -354,8 +364,8 @@ class CutPool:
             )
             for (position, _, _), half in zip(missing, computed):
                 halves[position] = half
-            completed = _PoolEntry(
-                entry.num_rows, multipliers, entry.best_x, tuple(halves), slave.g_columns
+            completed = dataclasses.replace(
+                entry, halves=tuple(halves), g_columns=slave.g_columns
             )
             assign(self, "_slot", (key, completed))
         if not usable:
@@ -383,12 +393,14 @@ class CutPool:
         num_rows: int,
         multipliers: list[tuple[np.ndarray, int | None]],
         best_x: np.ndarray,
+        slave_basis: Basis | None = None,
     ) -> None:
         """Replace the slot with one decision's certificate: its
         multipliers, each ``(block_id, bytes)`` once and at most the newest
-        :data:`_MAX_CUTS_PER_STRUCTURE`, and its admission vector.  A pair
-        the slot already holds for ``key`` (the very object
-        :meth:`seed_master` handed out) is kept as it is, with its half."""
+        :data:`_MAX_CUTS_PER_STRUCTURE`, its admission vector and a hit's
+        slave basis.  A pair the slot already holds for ``key`` (the very
+        object :meth:`seed_master` handed out) is kept as it is, with its
+        half."""
         held, g_columns = {}, None
         if key in self:
             entry = self._slot[1]
@@ -410,6 +422,7 @@ class CutPool:
             np.array(best_x),
             tuple(half for _, half in kept),
             g_columns,
+            slave_basis,
         )
         assign(self, "_slot", (key, certificate))
 
@@ -769,10 +782,13 @@ class BendersSolver:
         master; one master solve then yields a *valid lower bound* for the
         new instance (the seeded cuts are proven valid inequalities) and one
         slave evaluation prices the previous admission vector on the new
-        right-hand side.  When ``UB(previous x) - LB <= gap_target`` -- the
-        exact stopping rule the cold loop uses -- the previous decision is
-        certified gap-target-optimal for the new instance and returned after
-        a single master/slave round.
+        right-hand side, hot-started from the slave basis the previous hit
+        left in the certificate (a drifted forecast leaves that basis
+        optimal, and the multipliers and vertex are the cold solve's:
+        DESIGN.md, "HiGHS is driven directly").  When ``UB(previous x) - LB
+        <= gap_target`` -- the exact stopping rule the cold loop uses -- the
+        previous decision is certified gap-target-optimal for the new
+        instance and returned after a single master/slave round.
 
         Anything less -- an infeasible slave, an open gap, a structurally
         unknown instance -- returns None and the caller runs the standard
@@ -795,13 +811,15 @@ class BendersSolver:
         if pool_key not in self.cut_pool:
             # Not the identity solved last: nothing to seed.
             return None
+        slave_basis = self.cut_pool.slave_basis(pool_key)
         seeded_master = _MasterState(problem, cost_x, theta_lowers)
         seeded, previous_x = self.cut_pool.seed_master(pool_key, seeded_master, slave)
         if not seeded:
             return None
         # The previous decision is priced on the helper while the seeded
-        # master is solved here: the two share no state.
-        pricing = _Overlapped(slave.evaluate, previous_x)
+        # master is solved here: the two share no state.  The slave LP
+        # starts from the basis the previous hit left, if any.
+        pricing = _Overlapped(slave.evaluate, previous_x, slave_basis)
         try:
             solved = self._solve_master(seeded_master)
             if not solved.success:
@@ -829,15 +847,19 @@ class BendersSolver:
             cuts_optimality=1,
             cuts_warm=len(seeded),
             message=(
-                f"UB={upper_bound:.6f} LB={master_objective:.6f} "
-                f"(warm fast path, {len(seeded)} seeded cuts)"
+                f"UB={upper_bound:.6f} LB={master_objective:.6f} (warm fast path, "
+                f"{len(seeded)} seeded cuts, {'cold' if slave_basis is None else 'hot'} pricing)"
             ),
         )
         # The hit's certificate: the seeded cuts that bound the re-proposal,
-        # and the one it was priced with.
+        # the one it was priced with, and that slave LP's basis.
         kept = [multiplier for multiplier, bound in zip(seeded, tight) if bound]
         self.cut_pool.record(
-            pool_key, len(slave.h0), kept + [(outcome.duals, None)], previous_x
+            pool_key,
+            len(slave.h0),
+            kept + [(outcome.duals, None)],
+            previous_x,
+            outcome.basis,
         )
         return decision_from_vectors(problem, previous_x, outcome.z, stats)
 

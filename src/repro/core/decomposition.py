@@ -25,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.lpsolver import (
+    Basis,
     CompiledLP,
     LPSolution,
     Phase1Problem,
@@ -66,6 +67,9 @@ class SlaveSolveOutcome:
     duals: np.ndarray
     infeasibility: float
     ray: np.ndarray
+    #: The slave LP's optimal basis (None unless feasible), to hot-start the
+    #: next slave LP of this structure from.
+    basis: Basis | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -265,18 +269,25 @@ class SlaveProblem:
         x = np.asarray(x, dtype=float)
         return self.h0 + self.h_matrix.dot(x)
 
-    def evaluate(self, x: np.ndarray) -> SlaveSolveOutcome:
-        """Solve the slave LP at ``x``; fall back to the phase-1 certificate."""
+    def evaluate(self, x: np.ndarray, basis: Basis | None = None) -> SlaveSolveOutcome:
+        """Solve the slave LP at ``x``; fall back to the phase-1 certificate.
+
+        With a ``basis`` (an earlier slave LP's of this shape) the LP is
+        hot-started from it.  That outcome is not remembered: the next cold
+        call at ``x`` solves cold, so the cold loop never prices with a
+        hot-started vertex."""
+        if basis is not None:
+            return self._evaluate(x, basis)
         key = np.asarray(x, dtype=float).tobytes()
         if self._last_outcome is None or self._last_outcome[0] != key:
             self._last_outcome = (key, self._evaluate(x))
         return self._last_outcome[1]
 
-    def _evaluate(self, x: np.ndarray) -> SlaveSolveOutcome:
+    def _evaluate(self, x: np.ndarray, basis: Basis | None = None) -> SlaveSolveOutcome:
         b = self.rhs(x)
         if self._lp is None:
             self._lp = CompiledLP(self.d, self.g_columns, self.u_lower, self.u_upper)
-        solution: LPSolution = self._lp.solve(b)
+        solution: LPSolution = self._lp.solve(b, basis)
         n = self.num_items
         if solution.success:
             return SlaveSolveOutcome(
@@ -287,6 +298,7 @@ class SlaveProblem:
                 duals=solution.duals_upper,
                 infeasibility=0.0,
                 ray=np.zeros(len(b)),
+                basis=solution.basis,
             )
         if self._phase1 is None:
             self._phase1 = Phase1Problem(self.g_columns, self.u_lower, self.u_upper)

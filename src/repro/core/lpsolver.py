@@ -24,7 +24,10 @@ calling thread's instance, so a :class:`CompiledLP` (and the
 :class:`Phase1Problem` built on it) is plain arrays that pickle, and the
 instance is rebuilt in a forked child.  ``passOptions`` and ``passModel``
 replace everything a run reads -- every option, the model, basis and
-solution -- so a reused instance runs the cold solve a fresh one runs.
+solution -- so a reused instance runs the cold solve a fresh one runs.  The
+one state a solve may carry into another is explicit: a :class:`Basis` it
+handed out, passed back in by the caller to hot-start an LP of the same
+shape.
 
 HiGHS takes its constraint matrix column-major, so that is the layout the
 model builders assemble in (:func:`stack_columns`): a ``csc_matrix`` in
@@ -39,7 +42,7 @@ import copy
 import functools
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +72,48 @@ def backend_version() -> str:
     return f"scipy {scipy.__version__} | HiGHS {highs.version()} ({highs.githash()})"
 
 
+#: ``HighsBasisStatus`` by its integer code.
+_BASIS_STATUS = tuple(sorted(_highs.HighsBasisStatus.__members__.values(), key=int))
+
+
+class Basis:
+    """The simplex basis of a solved LP, to hot-start a later LP of the
+    same shape from (HiGHS refuses one of another shape: that run is cold).
+
+    Held as the native ``HighsBasis``: HiGHS hands it out and takes it back
+    in about a microsecond, while reading its statuses crosses the binding
+    as one enum object per row and column (~0.4 ms for a slave LP).  The
+    statuses are read only to pickle (:meth:`__reduce__`) and to
+    fingerprint (:meth:`statuses`).  Never mutated once built.
+    """
+
+    __slots__ = ("native",)
+
+    def __init__(self, native: "_highs.HighsBasis"):
+        self.native = native
+
+    def statuses(self) -> tuple[np.ndarray, np.ndarray]:
+        """The column and row statuses as ``int8`` ``HighsBasisStatus`` codes."""
+        return _status_codes(self.native.col_status), _status_codes(self.native.row_status)
+
+    def __reduce__(self):
+        return _revived_basis, self.statuses()
+
+
+def _status_codes(statuses: list) -> np.ndarray:
+    return np.fromiter(map(int, statuses), np.int8, len(statuses))
+
+
+def _revived_basis(cols: np.ndarray, rows: np.ndarray) -> Basis:
+    """The :class:`Basis` whose :meth:`Basis.statuses` are ``(cols, rows)``:
+    a valid basis of HiGHS's own making, as :meth:`Basis.__reduce__` took it."""
+    native = _highs.HighsBasis()
+    native.valid, native.alien, native.was_alien = True, False, False
+    native.col_status = [_BASIS_STATUS[code] for code in cols.tolist()]
+    native.row_status = [_BASIS_STATUS[code] for code in rows.tolist()]
+    return Basis(native)
+
+
 @dataclass(frozen=True)
 class LPSolution:
     """Result of a continuous LP solve."""
@@ -79,6 +124,8 @@ class LPSolution:
     primal: np.ndarray
     duals_upper: np.ndarray
     infeasible: bool
+    #: The optimal basis, to hot-start the next solve of this LP from.
+    basis: Basis | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -403,12 +450,13 @@ _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
-def _run(highs: "_highs._Highs", model: _Model, is_mip: bool):
+def _run(highs: "_highs._Highs", model: _Model, is_mip: bool, basis: Basis | None = None):
     """Load and solve ``model``; returns ``(scipy status, message, info, solution)``.
 
-    ``passModel`` drops any basis and solution the instance holds, so every
-    run is a cold solve.  ``solution`` is ``None`` unless there is something
-    safe to read: an optimum, or a MIP incumbent at a limit.
+    ``passModel`` drops any basis and solution the instance holds, so a run
+    is a cold solve unless it is handed a ``basis`` of an LP of the model's
+    shape to start from.  ``solution`` is ``None`` unless there is
+    something safe to read: an optimum, or a MIP incumbent at a limit.
     """
     matrix = model.matrix
     passed = highs.passModel(
@@ -430,6 +478,9 @@ def _run(highs: "_highs._Highs", model: _Model, is_mip: bool):
     )
     status = _ModelStatus.kModelError
     described = info = solution = None
+    if passed != _ERROR and basis is not None:
+        # A basis HiGHS refuses leaves none set: the run is then cold.
+        highs.setBasis(basis.native)
     if passed != _ERROR:
         ran = highs.run() != _ERROR
         status = highs.getModelStatus()
@@ -462,7 +513,8 @@ class CompiledLP:
     :meth:`solve` swaps the row upper bounds and passes options and model
     into the thread's instance.  Passing resets basis and solution, so each
     solve is the cold solve ``linprog`` ran and solves never see each
-    other's state.
+    other's state -- unless the caller hands one solve's
+    :attr:`LPSolution.basis` to another.
     """
 
     def __init__(
@@ -478,17 +530,19 @@ class CompiledLP:
         unbounded = np.full(self.num_rows, np.inf)
         self._model = _highs_model(cost, matrix, lower, upper, -unbounded, unbounded)
 
-    def solve(self, b_ub: np.ndarray) -> LPSolution:
-        """Solve for one right-hand side.
+    def solve(self, b_ub: np.ndarray, basis: Basis | None = None) -> LPSolution:
+        """Solve for one right-hand side, hot-started from ``basis`` if one
+        is given.
 
         Returns the dual multipliers of the inequality rows as *non-negative*
         numbers ``mu`` such that the dual objective is ``-b' mu`` (the sign
-        convention used by the Benders derivation in the paper).
+        convention used by the Benders derivation in the paper), and the
+        optimal basis.
         """
         self._model.row_upper = _checked_vector("b_ub", b_ub, self.num_rows)
         highs = _instance()
         highs.passOptions(_LP_OPTIONS)
-        code, message, info, solution = _run(highs, self._model, is_mip=False)
+        code, message, info, solution = _run(highs, self._model, False, basis)
         if solution is None:
             return LPSolution(
                 success=False,
@@ -507,6 +561,7 @@ class CompiledLP:
             primal=np.array(solution.col_value, dtype=float),
             duals_upper=duals,
             infeasible=False,
+            basis=Basis(highs.getBasis()),
         )
 
 

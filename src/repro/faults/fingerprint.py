@@ -15,9 +15,9 @@ a never-faulted twin.
 Values are rendered by type: tables in their insertion order (a rollback
 restores it), arrays by digest, frozen dataclasses field by field (fields
 with ``compare=False`` are left out), decisions without their solver
-statistics (wall-clock runtimes differ between twins) and problems by their
-identity and forecasts.  Anything else is its ``repr`` with
-object addresses masked.
+statistics (wall-clock runtimes differ between twins), problems by their
+identity and forecasts, and a held simplex basis by its statuses.  Anything
+else is its ``repr`` with object addresses masked.
 
 Deliberately excluded, by being declared nowhere: monitoring history and
 forecast overrides (run_epoch never mutates them), the forecast memo (a
@@ -37,6 +37,7 @@ import re
 
 import numpy as np
 
+from repro.core.lpsolver import Basis
 from repro.core.problem import ACRRProblem
 from repro.core.solution import OrchestrationDecision
 from repro.utils.journal import declared_state
@@ -72,6 +73,8 @@ def _payload(value) -> object:
         return [[_payload(key), _payload(item)] for key, item in value.items()]
     if isinstance(value, OrchestrationDecision):
         return _decision_payload(value)
+    if isinstance(value, Basis):
+        return _payload(value.statuses())
     if isinstance(value, ACRRProblem):
         return [
             _payload(value.identity()),

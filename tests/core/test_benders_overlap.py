@@ -180,13 +180,13 @@ class TestFastPathMiss:
         real_fast_path = BendersSolver._warm_fast_path
         masters, pending_at_miss = [], []
 
-        def gated_evaluate(slave, x):
+        def gated_evaluate(slave, x, basis=None):
             if threading.get_ident() == calling:
-                return real_evaluate(slave, x)
+                return real_evaluate(slave, x, basis)
             parked.set()
             assert released.wait(HANG_GUARD_S)
             try:
-                return real_evaluate(slave, x)
+                return real_evaluate(slave, x, basis)
             finally:
                 finished.set()
 

@@ -555,8 +555,8 @@ class TestReProposal:
         solver.solve(base)
         previous_x = certificate(solver.cut_pool, drifted.identity()).best_x
 
-        def infeasible(original, slave, x):
-            return replace(original(slave, x), feasible=False)
+        def infeasible(original, slave, x, *basis):
+            return replace(original(slave, x, *basis), feasible=False)
 
         calls = self.once(monkeypatch, SlaveProblem, "evaluate", infeasible)
         self.refused(solver, drifted)
@@ -573,3 +573,101 @@ class TestReProposal:
         # The seeded master re-proposed the previous decision: only the
         # stopping rule refused the hit.
         assert np.array_equal(seen["proposed"][0], previous_x)
+
+
+class TestHotStartedPricing:
+    """A hit prices the previous decision with the slave LP hot-started
+    from the basis the previous hit left in the certificate.  Instance 0's
+    steady drifts all hit (see TestReProposal)."""
+
+    @staticmethod
+    def priced(monkeypatch) -> list[tuple[bytes, object]]:
+        """``(x, basis handed)`` of every slave LP solved, in call order."""
+        priced, real = [], SlaveProblem._evaluate
+
+        def noting(slave, x, basis=None):
+            priced.append((np.asarray(x, dtype=float).tobytes(), basis))
+            return real(slave, x, basis)
+
+        monkeypatch.setattr(SlaveProblem, "_evaluate", noting)
+        return priced
+
+    def test_a_hit_right_after_a_cold_solve_prices_cold_and_leaves_a_basis(self, monkeypatch):
+        base, drifted = TestReProposal.drift(0, count=3, tag="steady")
+        solver = TestReProposal.solver()
+        solver.solve(base)
+        assert solver.cut_pool.slave_basis(base.identity()) is None
+        priced = self.priced(monkeypatch)
+        messages, held = [], []
+        for problem in drifted:
+            del priced[:]
+            previous_x = certificate(solver.cut_pool, problem.identity()).best_x
+            handed = solver.cut_pool.slave_basis(problem.identity())
+            messages.append(solver.solve(problem).stats.message)
+            # One slave LP: the previous decision, from the held basis.
+            assert priced == [(previous_x.tobytes(), handed)]
+            held.append(solver.cut_pool.slave_basis(problem.identity()))
+        # The message names how the pricing started: cold after the cold
+        # solve, hot from the basis each hit leaves for the next.
+        assert [message.rsplit(", ", 1)[-1] for message in messages] == [
+            "cold pricing)",
+            "hot pricing)",
+            "hot pricing)",
+        ]
+        assert all(basis is not None for basis in held) and len(set(map(id, held))) == 3
+
+    def test_a_hot_started_pricing_equals_a_cold_one_bit_for_bit(self):
+        base, drifted = TestReProposal.drift(0, count=4, tag="steady")
+        solver = TestReProposal.solver()
+        solver.solve(base)
+        hot_starts = 0
+        for problem in drifted:
+            basis = solver.cut_pool.slave_basis(problem.identity())
+            previous_x = certificate(solver.cut_pool, problem.identity()).best_x
+            solver.solve(problem)
+            if basis is None:
+                continue
+            hot_starts += 1
+            hot = SlaveProblem(problem).evaluate(previous_x, basis)
+            cold = SlaveProblem(problem).evaluate(previous_x)
+            assert hot is not cold and hot.basis is not None
+            assert hot.objective == cold.objective
+            for field in ("y", "z", "duals"):
+                assert np.array_equal(getattr(hot, field), getattr(cold, field)), field
+        assert hot_starts == 3
+
+    def test_a_hot_outcome_is_not_remembered(self):
+        # Hot-started pricing never enters the slave's memo: the next cold
+        # call at the same x solves again, cold, and is remembered.
+        base, (drifted,) = TestReProposal.drift(0, count=1, tag="steady")
+        solver = TestReProposal.solver()
+        solver.solve(base)
+        x = certificate(solver.cut_pool, base.identity()).best_x
+        basis = SlaveProblem(base).evaluate(x).basis
+        slave = SlaveProblem(drifted)
+        hot = slave.evaluate(x, basis)
+        assert slave._last_outcome is None
+        cold = slave.evaluate(x)
+        assert cold is not hot and slave.evaluate(x) is cold
+
+    def test_a_miss_after_a_hot_started_pricing_re_prices_cold(self, monkeypatch):
+        base, drifted = TestReProposal.drift(0, count=2, tag="steady")
+        solver = TestReProposal.solver()
+        for problem in (base, drifted[0]):
+            solver.solve(problem)
+        previous_x = certificate(solver.cut_pool, drifted[1].identity()).best_x
+        assert solver.cut_pool.slave_basis(drifted[1].identity()) is not None
+        priced = self.priced(monkeypatch)
+        # The stopping rule refuses the hit, after the hot-started pricing.
+        TestReProposal.once(monkeypatch, BendersSolver, "_gap_target", lambda *_: -np.inf)
+        decision = solver.solve(drifted[1])
+        assert priced[0][0] == previous_x.tobytes() and priced[0][1] is not None
+        # The cold loop priced every candidate cold -- the previous decision
+        # again, if proposed -- and returned what a solver with warm starts
+        # disabled returns.
+        assert priced[1:] and all(basis is None for _, basis in priced[1:])
+        cold = TestReProposal.solver(warm_start=False).solve(drifted[1])
+        assert decision.stats.cuts_warm == 0
+        assert decision.stats.iterations == cold.stats.iterations
+        assert fingerprint(decision) == fingerprint(cold)
+        assert solver.cut_pool.slave_basis(drifted[1].identity()) is None

@@ -25,7 +25,14 @@ from scipy import sparse
 from repro.core import lpsolver
 from repro.core.benders import BendersSolver
 from repro.core.decomposition import SlaveProblem
-from repro.core.lpsolver import CompiledLP, LPSolution, MILPSolution, Phase1Problem, solve_milp
+from repro.core.lpsolver import (
+    Basis,
+    CompiledLP,
+    LPSolution,
+    MILPSolution,
+    Phase1Problem,
+    solve_milp,
+)
 from repro.scenarios import DIFFERENTIAL_FAMILY, decision_fingerprint, sample_scenario
 from repro.scenarios.oracle import problem_for_scenario
 
@@ -69,8 +76,9 @@ def mixed_sequence(problem) -> list:
         sparse.vstack([matrix, sparse.csr_matrix(np.ones((1, 5)))], format="csr"),
         np.append(row_lower, 6.0), np.append(row_upper, np.inf), kinds, lower, upper,
     )
+    first = lp.solve(feasible_rhs)
     return [
-        lp.solve(feasible_rhs),
+        first,
         solve_milp(*knapsack(40, seed=1)),
         lp.solve(infeasible_rhs),
         phase1.certificate(infeasible_rhs),
@@ -80,6 +88,9 @@ def mixed_sequence(problem) -> list:
         solve_milp(*infeasible),
         lp.solve(feasible_rhs),
         solve_milp(*knapsack(40, seed=3)),
+        # A hot start: the slave LP at another right-hand side from its
+        # first solve's basis.
+        lp.solve(slave.rhs(np.eye(n)[0]), basis=first.basis),
     ]
 
 
@@ -89,6 +100,8 @@ def as_bytes(result) -> tuple:
         return tuple(as_bytes(value) for value in vars(result).values())
     if isinstance(result, tuple):
         return tuple(as_bytes(value) for value in result)
+    if isinstance(result, Basis):
+        return as_bytes(result.statuses())
     if isinstance(result, np.ndarray):
         return (result.dtype.str, result.shape, result.tobytes())
     if isinstance(result, float):
@@ -118,6 +131,7 @@ class TestReuseIsInvisible:
         assert results[0].success and not results[2].success and results[2].infeasible
         assert results[3][0] > 0.0 and results[3][1].any()
         assert results[4].success and results[5].infeasible
+        assert results[8].success and results[8].basis is not None
 
     def test_a_time_limited_incumbent_and_what_follows(self, sequence_problem, monkeypatch):
         # Where a wall-clock limit stops branch-and-bound is not reproducible

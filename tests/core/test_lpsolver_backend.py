@@ -35,7 +35,12 @@ from repro.core.lpsolver import (
     solve_milp,
 )
 from repro.core.milp_solver import DirectMILPSolver
-from repro.scenarios import DIFFERENTIAL_FAMILY, sample_scenario, warm_start_check
+from repro.scenarios import (
+    DIFFERENTIAL_FAMILY,
+    decision_fingerprint,
+    sample_scenario,
+    warm_start_check,
+)
 from repro.scenarios.oracle import _perturbed_forecast_sequence, problem_for_scenario
 from repro.utils.rng import derive_seed
 from tests.core.assembly_oracle import direct_milp_model, retire_the_array_assembly
@@ -129,6 +134,8 @@ def same_milp(got: MILPSolution, want: MILPSolution) -> bool:
 def shadowed_backend(monkeypatch):
     """Shadow every LP and MILP the solvers issue with the oracle.
 
+    A hot-started LP is held to the cold ``linprog`` solve, bit for bit.
+
     Returns ``(call counts by kind, descriptions of every disagreement)``.
     """
     counts = {"lp": 0, "milp": 0}
@@ -139,8 +146,8 @@ def shadowed_backend(monkeypatch):
         real_init(self, cost, a_ub, lower, upper)
         self.oracle_model = (cost, a_ub, lower, upper)
 
-    def shadowed_solve(self, b_ub):
-        got = real_solve(self, b_ub)
+    def shadowed_solve(self, b_ub, basis=None):
+        got = real_solve(self, b_ub, basis)
         cost, a_ub, lower, upper = self.oracle_model
         want = linprog_reference(cost, a_ub, b_ub, lower, upper)
         counts["lp"] += 1
@@ -191,9 +198,17 @@ class TestBackendEqualsScipyWrappers:
         assert 2 <= counts["lp"] <= 2 * decision.stats.iterations
         assert not disagreements, f"{disagreements[0]} {seed_note(seed)}"
 
-    def test_warm_started_sequences(self, shadowed_backend):
-        # Warm fast path: seeded masters, then the cold loop on a miss.
+    def test_warm_started_sequences(self, shadowed_backend, monkeypatch):
+        # Warm fast path: seeded masters and hot-started pricing, then the
+        # cold loop on a miss.
         _, disagreements = shadowed_backend
+        hot_starts, real_evaluate = [], SlaveProblem.evaluate
+
+        def noting(slave, x, basis=None):
+            hot_starts.append(basis is not None)
+            return real_evaluate(slave, x, basis)
+
+        monkeypatch.setattr(SlaveProblem, "evaluate", noting)
         hits = 0
         for seed in SEEDS[:6]:
             outcome = warm_start_check(
@@ -202,7 +217,7 @@ class TestBackendEqualsScipyWrappers:
             hits += outcome.fast_path_hits
             assert not outcome.mismatched_instances, seed_note(seed)
             assert not disagreements, f"{disagreements[0]} {seed_note(seed)}"
-        assert hits > 0
+        assert hits > 0 and any(hot_starts)
 
 
 # --------------------------------------------------------------------- #
@@ -210,7 +225,7 @@ class TestBackendEqualsScipyWrappers:
 # --------------------------------------------------------------------- #
 MODEL_FIELDS = (
     "start_", "index_", "value_", "col_cost_", "col_lower_", "col_upper_",
-    "row_lower_", "row_upper_", "integrality_",
+    "row_lower_", "row_upper_", "integrality_", "col_status", "row_status",
 )
 
 
@@ -244,10 +259,17 @@ def handed_to_highs(monkeypatch):
     models = HandedModels()
     real_run = lpsolver._run
 
-    def recording_run(highs, model, is_mip):
+    def recording_run(highs, model, is_mip, basis=None):
+        # The basis a hot start is handed, as status codes; none is empty.
+        col_status, row_status = (
+            (np.zeros(0, np.int8),) * 2 if basis is None else basis.statuses()
+        )
         models.append(
             {
                 "is_mip": is_mip,
+                "hot": basis is not None,
+                "col_status": col_status,
+                "row_status": row_status,
                 "shape": model.matrix.shape,
                 "start_": model.matrix.indptr.copy(),
                 "index_": model.matrix.indices.copy(),
@@ -260,7 +282,7 @@ def handed_to_highs(monkeypatch):
                 "integrality_": model.integrality.copy(),
             }
         )
-        return real_run(highs, model, is_mip)
+        return real_run(highs, model, is_mip, basis)
 
     monkeypatch.setattr(lpsolver, "_run", recording_run)
     return models
@@ -271,8 +293,9 @@ def model_differences(got: list[dict], want: list[dict]) -> list[str]:
     if len(got) != len(want):
         differences.append(f"{len(got)} models handed over, the oracle hands over {len(want)}")
     for position, (a, b) in enumerate(zip(got, want)):
-        if (a["is_mip"], a["shape"]) != (b["is_mip"], b["shape"]):
-            differences.append(f"model {position}: kind/shape {a['shape']} != {b['shape']}")
+        kinds = [(model["is_mip"], model["shape"], model["hot"]) for model in (a, b)]
+        if kinds[0] != kinds[1]:
+            differences.append(f"model {position}: kind/shape/start {kinds[0]} != {kinds[1]}")
         for field in MODEL_FIELDS:
             # Bytes, not closeness: equal dtype-normalised arrays, NaN-free.
             if not np.array_equal(a[field], b[field]):
@@ -330,8 +353,15 @@ class TestHighsIsHandedTheOraclesModels:
     def test_warm_fast_path_hit(self, handed_to_highs, monkeypatch):
         # Where each seeded master lands among the calling thread's models,
         # and the rows it must have there: static rows plus seeded cuts.
-        fast_path = []
+        # Each hit's slave LP is handed the basis the previous hit left.
+        fast_path, pricing = [], []
         real_seed, real_master = CutPool.seed_master, BendersSolver._solve_master
+        real_held = CutPool.slave_basis
+
+        def noting_held(pool, key):
+            basis = real_held(pool, key)
+            pricing.append(None if basis is None else basis.statuses())
+            return basis
 
         def noting_seed(pool, key, master, slave):
             seeded, previous_x = real_seed(pool, key, master, slave)
@@ -346,6 +376,7 @@ class TestHighsIsHandedTheOraclesModels:
 
         monkeypatch.setattr(CutPool, "seed_master", noting_seed)
         monkeypatch.setattr(BendersSolver, "_solve_master", noting_master)
+        monkeypatch.setattr(CutPool, "slave_basis", noting_held)
         sequences = []
         for seed in SEEDS[:6]:
             scenario = sample_scenario(DIFFERENTIAL_FAMILY, seed=seed)
@@ -365,6 +396,7 @@ class TestHighsIsHandedTheOraclesModels:
         def run():
             handed_to_highs.clear()
             fast_path.clear()
+            pricing.clear()
             hits, pools = 0, []
             for instances in sequences:
                 solver = BendersSolver(
@@ -384,6 +416,18 @@ class TestHighsIsHandedTheOraclesModels:
         for position, rows in fast_path:
             model = got["calling"][position]
             assert model["is_mip"] and model["shape"][0] == rows
+        # Every held basis reaches HiGHS as it is, status for status, with a
+        # slave LP of its shape; every other model is solved cold.
+        handed = [model for models in got.values() for model in models if model["hot"]]
+        held = [basis for basis in pricing if basis is not None]
+        assert held and len(handed) == len(held)
+        for col_status, row_status in held:
+            assert any(
+                model["shape"] == (len(row_status), len(col_status))
+                and np.array_equal(model["col_status"], col_status)
+                and np.array_equal(model["row_status"], row_status)
+                for model in handed
+            )
         # ... and certificates smaller than everything ever recorded.
         assert any(len(held) < recorded for recorded, _, held in pools)
         retire_the_array_assembly(monkeypatch)
@@ -422,10 +466,19 @@ class TestHighsIsHandedTheOraclesModels:
                 "row_lower_": row_lower,
                 "row_upper_": row_upper,
                 "integrality_": kinds,
+                "hot": False,
+                "col_status": np.zeros(0, np.int8),
+                "row_status": np.zeros(0, np.int8),
             }
             assert thread_differences(
                 handed_to_highs.snapshot(), {"calling": [want], "helper": []}
             ) == [], seed_note(seed)
+
+
+def accept_first_item(problem) -> np.ndarray:
+    x = np.zeros(problem.num_items)
+    x[0] = 1.0
+    return x
 
 
 def feasible_and_infeasible_rhs(slave: SlaveProblem):
@@ -493,6 +546,24 @@ class TestCompiledLP:
         assert infeasibility == oracle.objective > 0.0
         assert np.array_equal(ray, oracle.duals_upper)
         assert float(np.dot(b2, ray)) < 0.0
+
+    def test_a_hot_start_returns_the_cold_bytes_and_a_foreign_basis_is_refused(
+        self, mixed_problem
+    ):
+        # The slave LP hot-started from its own basis at another right-hand
+        # side lands on the cold solve's vertex and multipliers; a basis of
+        # another LP's shape is refused by HiGHS and the solve runs cold.
+        slave = SlaveProblem(mixed_problem)
+        model = (slave.d, slave.g_columns, slave.u_lower, slave.u_upper)
+        compiled = CompiledLP(*model)
+        b1, _ = feasible_and_infeasible_rhs(slave)
+        b2 = slave.rhs(accept_first_item(mixed_problem))
+        own = compiled.solve(b1).basis
+        foreign = compiled_once(*TestInputChecks.lp_args()).basis
+        cold = CompiledLP(*model).solve(b2)
+        assert same_lp(cold, linprog_reference(slave.d, slave.g_matrix, b2, *model[2:]))
+        for basis in (own, foreign):
+            assert same_lp(compiled.solve(b2, basis), cold)
 
     def test_unbounded_lp_reports_scipys_wording(self):
         matrix = sparse.csr_matrix(np.array([[1.0, -1.0]]))
@@ -679,6 +750,36 @@ class TestNothingCompiledCrossesAProcessBoundary:
         revived = pickle.loads(pickle.dumps(solver))
         after = revived.solve(pickle.loads(pickle.dumps(mixed_problem)))
         assert after.expected_net_reward == before.expected_net_reward
+
+    def test_a_solver_pickled_after_a_hit_decides_the_same(self, handed_to_highs):
+        # After a hit the certificate holds a native slave basis; it pickles
+        # as status codes and revives into a basis HiGHS takes as its own:
+        # the revived solver hands HiGHS the same models and basis and
+        # decides the same.
+        scenario = sample_scenario(DIFFERENTIAL_FAMILY, seed=SEEDS[0])
+        base = problem_for_scenario(scenario)
+        drifted = _perturbed_forecast_sequence(
+            base, count=2, spread=0.02,
+            seed=derive_seed(scenario.seed, "warm-start-oracle", scenario.name),
+        )
+        solver = BendersSolver(max_iterations=12, master_time_limit_s=None, time_limit_s=None)
+        for problem in (base, drifted[0]):
+            solver.solve(problem)
+        held = solver.cut_pool.slave_basis(drifted[1].identity())
+        assert held is not None
+        revived = pickle.loads(pickle.dumps(solver))
+        again = revived.cut_pool.slave_basis(drifted[1].identity())
+        assert again is not held
+        assert all(map(np.array_equal, again.statuses(), held.statuses()))
+        handed_to_highs.clear()
+        want = solver.solve(drifted[1])
+        handed = handed_to_highs.snapshot()
+        handed_to_highs.clear()
+        got = revived.solve(pickle.loads(pickle.dumps(drifted[1])))
+        assert want.stats.message.endswith("hot pricing)")
+        assert got.stats.message == want.stats.message
+        assert decision_fingerprint(got) == decision_fingerprint(want)
+        assert thread_differences(handed_to_highs.snapshot(), handed) == []
 
 
 def test_import_guard_names_the_supported_scipy_range():

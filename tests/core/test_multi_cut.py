@@ -55,8 +55,8 @@ def patch_slave_lp(monkeypatch, solve) -> None:
     compile inside ``lpsolver`` and are not touched."""
 
     class PatchedLP(CompiledLP):
-        def solve(self, b_ub):
-            return solve(self, b_ub, super().solve)
+        def solve(self, b_ub, basis=None):
+            return solve(self, b_ub, lambda b: super(PatchedLP, self).solve(b, basis))
 
     monkeypatch.setattr("repro.core.decomposition.CompiledLP", PatchedLP)
 

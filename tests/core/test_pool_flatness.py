@@ -46,15 +46,15 @@ def instances():
 real_record = CutPool.record
 
 
-def hoarding_record(self, key, num_rows, multipliers, best_x):
+def hoarding_record(self, key, num_rows, multipliers, best_x, *basis):
     """``CutPool.record`` that keeps what the slot held for ``key`` too."""
     held = list(self._slot[1].multipliers) if key in self else []
-    real_record(self, key, num_rows, held + list(multipliers), best_x)
+    real_record(self, key, num_rows, held + list(multipliers), best_x, *basis)
 
 
-def record_every_multiplier(self, key, num_rows, multipliers, best_x):
+def record_every_multiplier(self, key, num_rows, multipliers, best_x, *basis):
     """``CutPool.record`` without its deduplication: every multiplier stored."""
-    real_record(self, key, num_rows, [], best_x)
+    real_record(self, key, num_rows, [], best_x, *basis)
     fresh = tuple((np.array(mu), block_id) for mu, block_id in multipliers)
     excess = max(0, len(fresh) - _MAX_CUTS_PER_STRUCTURE)
     assign(self, "_slot", (key, replace(self._slot[1], multipliers=fresh[excess:])))
@@ -66,10 +66,10 @@ def sweep(instances, hoarding: bool = False, deduplicate: bool = True):
     master_rows: list[int] = []
     real_run = lpsolver._run
 
-    def recording_run(highs, model, is_mip):
+    def recording_run(highs, model, is_mip, basis=None):
         if is_mip:
             master_rows.append(model.matrix.shape[0])
-        return real_run(highs, model, is_mip)
+        return real_run(highs, model, is_mip, basis)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lpsolver, "_run", recording_run)

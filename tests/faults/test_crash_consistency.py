@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.api import BrokerError, SliceBroker, SliceRequestV1, SolverError
 from repro.controlplane.orchestrator import OrchestratorConfig
+from repro.core import lpsolver
 from repro.core.baseline import NoOverbookingSolver
 from repro.core.benders import BendersSolver, CutPool, _MasterState
 from repro.core.decomposition import SlaveProblem
@@ -245,8 +246,8 @@ def advance_drifting(broker: SliceBroker, epoch: int):
 
 
 def pool_state(solver: BendersSolver) -> tuple | None:
-    """The pool's slot as comparable bytes: identity, multipliers, best_x
-    and the carried halves."""
+    """The pool's slot as comparable bytes: identity, multipliers, best_x,
+    the carried halves and the held slave basis."""
     if solver.cut_pool._slot is None:
         return None
     key, entry = solver.cut_pool._slot
@@ -255,7 +256,26 @@ def pool_state(solver: BendersSolver) -> tuple | None:
         None if half is None else (np.float64(half[0]).tobytes(), half[1].tobytes())
         for half in entry.halves
     ]
-    return key, multipliers, entry.best_x.tobytes(), halves
+    basis = entry.slave_basis
+    held = None if basis is None else tuple(codes.tobytes() for codes in basis.statuses())
+    return key, multipliers, entry.best_x.tobytes(), halves, held
+
+
+def handed_bases(patch) -> list:
+    """Record, per model HiGHS is handed, the basis it is handed (as
+    comparable bytes, None for a cold solve); sorted by the caller, since
+    the pricing helper hands its model over concurrently."""
+    handed, real_run = [], lpsolver._run
+
+    def recording_run(highs, model, is_mip, basis=None):
+        handed.append(
+            (is_mip, model.matrix.shape)
+            + (() if basis is None else tuple(codes.tobytes() for codes in basis.statuses()))
+        )
+        return real_run(highs, model, is_mip, basis)
+
+    patch.setattr(lpsolver, "_run", recording_run)
+    return handed
 
 
 class MidRoundCrash(Exception):
@@ -296,6 +316,7 @@ class TestWarmStartStateRollsBack:
         assert before == control_plane_fingerprint(twin.orchestrator)
         # The certificate carries the forecast-free half of what it holds.
         entry_before = solver.cut_pool._slot[1]
+        basis_before = entry_before.slave_basis
         assert any(half is not None for half in entry_before.halves)
         carried = [None if half is None else half[1] for half in entry_before.halves]
 
@@ -314,16 +335,24 @@ class TestWarmStartStateRollsBack:
         assert len(written) == 1 and written[0] != pool_before
         assert control_plane_fingerprint(broker.orchestrator) == before
         assert pool_state(solver) == pool_before
-        # The old entry itself is back, its carried arrays with it.
+        # The old entry itself is back, its carried arrays and the slave
+        # basis the hit before left with it.
         restored = solver.cut_pool._slot[1]
         assert restored is entry_before
         assert all(
             (got is None and want is None) or got[1] is want
             for got, want in zip(restored.halves, carried)
         )
+        assert restored.slave_basis is basis_before is not None
 
-        report = advance_drifting(broker, crash_epoch)
-        twin_report = advance_drifting(twin, crash_epoch)
+        # The retry hands HiGHS what the twin hands it, bases included.
+        with pytest.MonkeyPatch.context() as patch:
+            handed = handed_bases(patch)
+            report = advance_drifting(broker, crash_epoch)
+            retried, handed[:] = sorted(handed), []
+            twin_report = advance_drifting(twin, crash_epoch)
+            assert retried == sorted(handed)
+            assert sum(len(model) > 2 for model in retried) == 1  # the hot pricing
         assert "warm fast path" in report.solver_message
         assert report.solver_message == twin_report.solver_message  # same seeded cuts
         assert pool_state(solver) == pool_state(twin_solver) == written[0]
@@ -352,11 +381,11 @@ class TestWarmStartStateRollsBack:
         read, priced, written = [], [], []
         real_tight = _MasterState.tight_cuts
 
-        def noting_tight(master, values):
+        def noting_tight(master, x):
             read.append(master)
-            return real_tight(master, values)
+            return real_tight(master, x)
 
-        def crashing_evaluate(slave, x):
+        def crashing_evaluate(slave, x, basis=None):
             priced.append(x)
             raise MidRoundCrash("the slave LP died mid-round")
 
@@ -371,9 +400,15 @@ class TestWarmStartStateRollsBack:
         assert control_plane_fingerprint(broker.orchestrator) == before
         assert pool_state(solver) == pool_before
 
-        report = advance_drifting(broker, crash_epoch)
-        twin_report = advance_drifting(twin, crash_epoch)
+        # The retry prices from the basis the twin prices from.
+        with pytest.MonkeyPatch.context() as patch:
+            handed = handed_bases(patch)
+            report = advance_drifting(broker, crash_epoch)
+            retried, handed[:] = sorted(handed), []
+            twin_report = advance_drifting(twin, crash_epoch)
+            assert retried == sorted(handed)
         assert "warm fast path" in report.solver_message == twin_report.solver_message
+        assert report.solver_message.endswith("hot pricing)")
         assert control_plane_fingerprint(broker.orchestrator) == control_plane_fingerprint(
             twin.orchestrator
         )
