@@ -633,16 +633,18 @@ class SliceBroker:
     ) -> None:
         """Feed monitoring samples for one slice at one base station.
 
-        A base station the topology does not have, a negative epoch, a
-        non-finite sample, or an epoch older than the slice's last report
-        (at any of its base stations), is a ``ValidationError`` naming the
-        slice and the station, and records nothing.
+        A base station the topology does not have, an epoch that is not a
+        non-negative integer, a non-finite sample, or an epoch older than the
+        slice's last report (at any of its base stations), is a
+        ``ValidationError`` naming the slice, the station and the epoch, and
+        records nothing.
         """
         try:
             self._orchestrator.observe_load(slice_name, base_station, epoch, samples_mbps)
         except ValueError as error:
             raise ValidationError(
-                str(error), details={"slice_name": slice_name, "base_station": base_station}
+                str(error),
+                details={"slice_name": slice_name, "base_station": base_station, "epoch": epoch},
             ) from error
 
     @_synchronized

@@ -20,6 +20,8 @@ that is a prefix of the fresh one, folds only the new peaks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -53,7 +55,10 @@ class MonitoringService:
         values = np.asarray(samples_mbps, dtype=np.float64).ravel()
         if not len(values):
             return
-        if not np.isfinite(values).all():
+        # Some sample is NaN or infinite exactly when the peak is NaN or
+        # +inf or the least sample is -inf: two reductions, no mask.
+        peak = float(values.max())
+        if not (math.isfinite(peak) and math.isfinite(values.min())):
             raise ValueError(
                 f"load samples of slice {slice_name!r} at {base_station!r} "
                 f"must be finite (epoch {epoch})"
@@ -64,7 +69,6 @@ class MonitoringService:
                 f"load samples of slice {slice_name!r} must arrive in epoch "
                 f"order (got epoch {epoch} at {base_station!r} after {last})"
             )
-        peak = float(values.max())
         if epoch == last:
             track = self._peaks[slice_name]
             if peak > track[-1]:

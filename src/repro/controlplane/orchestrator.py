@@ -51,6 +51,7 @@ from repro.topology.generators import degrade_link_capacities
 from repro.topology.network import NetworkTopology
 from repro.topology.paths import compute_path_sets
 from repro.utils.journal import Journal, assign
+from repro.utils.validation import ensure_non_negative_int
 
 #: ``stats.message`` of a decision the orchestrator reused instead of
 #: running the solver.
@@ -280,8 +281,9 @@ class E2EOrchestrator:
     ) -> None:
         """Feed monitoring samples collected by the controllers.
 
-        A base station the topology does not have, or a negative epoch, is
-        a ``ValueError`` and records nothing: every report of a slice folds
+        A base station the topology does not have, or an epoch that is not
+        a non-negative integer (``2.5``, ``"3"``, a bool), is a
+        ``ValueError`` and records nothing: every report of a slice folds
         into its one peak track, so a stray one would move its forecast.
         """
         try:
@@ -291,11 +293,14 @@ class E2EOrchestrator:
                 f"load samples of slice {slice_name!r} name base station "
                 f"{base_station!r}, which the topology does not have"
             ) from None
-        if int(epoch) < 0:
-            raise ValueError(
-                f"load samples of slice {slice_name!r} at {base_station!r} "
-                f"must have a non-negative epoch (got {epoch})"
-            )
+        if type(epoch) is not int or epoch < 0:
+            try:
+                epoch = ensure_non_negative_int(epoch, "epoch")
+            except ValueError:
+                raise ValueError(
+                    f"load samples of slice {slice_name!r} at {base_station!r} "
+                    f"must have a non-negative epoch (an integer; got {epoch!r})"
+                ) from None
         self.monitoring.record_samples(slice_name, base_station, epoch, samples_mbps)
 
     # ------------------------------------------------------------------ #

@@ -144,12 +144,12 @@ class OrchestrationDecision:
         for name, alloc in self.allocations.items():
             if not alloc.accepted:
                 continue
+            reserved = alloc.reservations_mbps
             for bs, path in alloc.paths.items():
-                mbps = alloc.reservations_mbps.get(bs, 0.0)
+                mbps = reserved.get(bs, 0.0)
                 for link in path.links:
-                    reservations[link.key][name] = (
-                        reservations[link.key].get(name, 0.0) + mbps * link.overhead
-                    )
+                    per_slice = reservations[link.key]
+                    per_slice[name] = per_slice.get(name, 0.0) + mbps * link.overhead
         return reservations
 
     def compute_reservations_cpus(self, problem: ACRRProblem) -> dict[str, dict[str, float]]:

@@ -18,11 +18,12 @@ The implementation is vectorized over the whole sample axis (see DESIGN.md,
 "Vectorized data plane"): offered loads are stacked into one
 ``(num_keys, num_samples)`` array, the per-resource membership (which keys
 load each radio / transport / compute resource, with which multiplier) is
-compiled once per epoch into a sparse matrix, per-resource demand is a single
-sparse-dense matrix product, and the overload attribution runs on whole
-sample vectors at once.  All member-axis reductions accumulate sequentially
-in membership order, so the results are bit-for-bit identical to the
-straight-line per-sample formulation (kept as a reference implementation in
+compiled once per epoch into flat row / key / multiplier arrays, per-resource
+demand is one weighted ``bincount`` over them, and the overload attribution
+runs on whole sample vectors at once, for the overloaded resources only.  All
+member-axis reductions accumulate sequentially in membership order, so the
+results are bit-for-bit identical to the straight-line per-sample formulation
+(kept as a reference implementation in
 ``tests/property/test_multiplexer_equivalence.py``).
 """
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.solution import TenantAllocation
 from repro.topology.network import NetworkTopology
@@ -54,29 +54,51 @@ class ResourceLoadResult:
 class _ResourceMembership:
     """Membership of every resource, compiled once per epoch.
 
-    ``matrix`` is the sparse ``(num_resources, num_keys)`` multiplier matrix:
-    ``matrix[r, k]`` is how many resource units one Mb/s of key ``k``'s
-    traffic consumes on resource ``r`` (1 for radio, the link overhead for
-    transport, CPUs-per-Mb/s for compute).  ``base`` holds the load-independent
-    demand (baseline CPUs), ``capacity`` the physical capacities and ``labels``
-    the resource names.  The CSR layout doubles as the per-resource member
-    table: row ``r``'s indices/data are exactly the member keys and their
-    multipliers, in membership (insertion) order.
+    Entry ``i`` says that one Mb/s of key ``keys[i]``'s traffic consumes
+    ``multipliers[i]`` units of resource ``rows[i]`` (1 for radio, the link
+    overhead for transport, CPUs-per-Mb/s for compute).  A resource's entries
+    appear in key order, so accumulating them in storage order adds its
+    members in membership order.  ``base`` holds the load-independent demand
+    (baseline CPUs) and ``capacity`` the physical capacity per row; rows are
+    the radio resources, then the transport links, then the compute units.
     """
 
-    matrix: sparse.csr_matrix
+    rows: np.ndarray
+    keys: np.ndarray
+    multipliers: np.ndarray
     base: np.ndarray
     capacity: np.ndarray
-    labels: tuple[str, ...]
+    radio: tuple[str, ...]
+    links: tuple[tuple[str, str], ...]
+    compute: tuple[str, ...]
 
-    @property
-    def num_resources(self) -> int:
-        return len(self.labels)
+    def demand(self, loads: np.ndarray) -> np.ndarray:
+        """``base[r] + sum_i multipliers[i] * loads[keys[i]]`` over the row's entries.
+
+        ``bincount`` adds its weights one by one in index order, from 0 --
+        the sequential sum of a sparse row times the sample matrix.
+        """
+        num_rows = len(self.base)
+        num_samples = loads.shape[1]
+        slots = (self.rows[:, np.newaxis] * num_samples + np.arange(num_samples)).ravel()
+        weights = (self.multipliers[:, np.newaxis] * loads.take(self.keys, axis=0)).ravel()
+        load = np.bincount(slots, weights=weights, minlength=num_rows * num_samples)
+        return self.base[:, np.newaxis] + load.reshape(num_rows, num_samples)
 
     def members(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """(member key indices, multipliers) of one resource row."""
-        start, stop = self.matrix.indptr[row], self.matrix.indptr[row + 1]
-        return self.matrix.indices[start:stop], self.matrix.data[start:stop]
+        """(member key indices, multipliers) of one resource row, in key order."""
+        entries = np.flatnonzero(self.rows == row)
+        return self.keys[entries], self.multipliers[entries]
+
+    def label(self, row: int) -> str:
+        """The resource's name: ``radio:<bs>``, ``transport:<a>--<b>``, ``compute:<cu>``."""
+        if row < len(self.radio):
+            return f"radio:{self.radio[row]}"
+        row -= len(self.radio)
+        if row < len(self.links):
+            a, b = self.links[row]
+            return f"transport:{a}--{b}"
+        return f"compute:{self.compute[row - len(self.links)]}"
 
 
 class SliceMultiplexer:
@@ -91,7 +113,6 @@ class SliceMultiplexer:
         self.allocations = {
             name: alloc for name, alloc in allocations.items() if alloc.accepted
         }
-        self._capacities = topology.capacities()
 
     # ------------------------------------------------------------------ #
     def unserved_traffic(
@@ -110,28 +131,19 @@ class SliceMultiplexer:
 
         # Stack the offered loads into one (num_keys, num_samples) matrix;
         # each key's samples are converted to float64 exactly once.
-        loads = np.stack(
-            [np.asarray(offered_samples_mbps[key], dtype=float) for key in keys]
-        )
+        loads = np.array([offered_samples_mbps[key] for key in keys], dtype=float)
         num_keys, num_samples = loads.shape
 
-        membership = self._membership(keys)
-        reservations = self._reservations(keys)
-
-        # Per-resource demand for every sample in one sparse matrix product:
-        # demand[r, s] = base[r] + sum_k matrix[r, k] * loads[k, s].
-        demand = membership.base[:, np.newaxis] + membership.matrix.dot(loads)
-        overload = demand - membership.capacity[:, np.newaxis]
+        membership, reservations = self._membership(keys)
+        overload = membership.demand(loads) - membership.capacity[:, np.newaxis]
+        hot = overload > _EPSILON
 
         unserved = np.zeros((num_keys, num_samples))
         overloaded: list[str] = []
-        for row in range(membership.num_resources):
-            hot = overload[row] > _EPSILON
-            if not hot.any():
-                continue
-            overloaded.append(membership.labels[row])
+        for row in np.flatnonzero(hot.any(axis=1)).tolist():
+            overloaded.append(membership.label(row))
             member_idx, multipliers = membership.members(row)
-            cols = np.flatnonzero(hot)
+            cols = np.flatnonzero(hot[row])
             shortfall = _attribute_overload(
                 overload[row, cols],
                 loads[np.ix_(member_idx, cols)],
@@ -144,122 +156,122 @@ class SliceMultiplexer:
             unserved[np.ix_(member_idx, cols)] = np.maximum(target, shortfall)
 
         return ResourceLoadResult(
-            unserved_mbps={key: unserved[k] for k, key in enumerate(keys)},
+            unserved_mbps=dict(zip(keys, unserved)),
             overloaded_resources=tuple(sorted(overloaded)),
         )
 
     # ------------------------------------------------------------------ #
-    # Resource membership tables
+    # Resource membership table
     # ------------------------------------------------------------------ #
-    def _reservations(self, keys) -> np.ndarray:
-        """Per-key reservation in Mb/s (0 for keys without an allocation)."""
-        reservations = np.zeros(len(keys))
+    def _membership(self, keys) -> tuple[_ResourceMembership, np.ndarray]:
+        """Compile the resource table for one epoch, and each key's reservation.
+
+        Rows are numbered per domain in order of first use by ``keys``.  One
+        pass over the keys records, per served key, its radio row, its path
+        and its compute row; a path's link rows and overheads are gathered
+        once however many keys share it (within this call: nothing is kept
+        between epochs).  The entries are then laid out key by key as flat
+        arrays.  Capacities are read from the topology on every call, since
+        a link failure rescales them between epochs.
+        """
+        radio_rows: dict[str, int] = {}
+        link_rows: dict[tuple[str, str], int] = {}
+        compute_rows: dict[str, int] = {}
+        # Per distinct path (by identity, for this call): its link rows and
+        # the overhead per row, in path order; a link listed twice adds its
+        # overhead twice.
+        path_slots: dict[int, int] = {}
+        path_rows: list[list[int]] = []
+        path_overheads: list[list[float]] = []
+        # Per served key, in key order: its reservation, radio row, link
+        # entries (laid end to end), compute row and compute multipliers.
+        served: list[int] = []
+        reserved_mbps: list[float] = []
+        radio: list[int] = []
+        links: list[int] = []
+        overheads: list[float] = []
+        hops: list[int] = []
+        compute: list[int] = []
+        multiplier: list[float] = []
+        baseline: list[float] = []
+        last_name = allocation = None
         for k, (name, bs) in enumerate(keys):
-            allocation = self.allocations.get(name)
-            if allocation is not None:
-                reservations[k] = allocation.reservations_mbps.get(bs, 0.0)
-        return reservations
+            if name != last_name:
+                last_name = name
+                allocation = self.allocations.get(name)
+                if allocation is None:
+                    continue
+                paths = allocation.paths
+                reserved = allocation.reservations_mbps
+                unit = None
+                cpus_per_mbps = allocation.request.compute_cpus_per_mbps
+                baseline_cpus = allocation.request.compute_baseline_cpus
+            elif allocation is None:
+                continue
+            path = paths.get(bs)
+            if path is None:
+                continue
+            slot = path_slots.get(id(path))
+            if slot is None:
+                slot = path_slots[id(path)] = len(path_rows)
+                hop_rows: list[int] = []
+                hop_overheads: list[float] = []
+                for link in path.links:
+                    row = link_rows.setdefault(link.key, len(link_rows))
+                    if row in hop_rows:
+                        at = hop_rows.index(row)
+                        hop_overheads[at] = hop_overheads[at] + link.overhead
+                    else:
+                        hop_rows.append(row)
+                        hop_overheads.append(link.overhead)
+                path_rows.append(hop_rows)
+                path_overheads.append(hop_overheads)
+            if unit is None:
+                unit = compute_rows.setdefault(allocation.compute_unit, len(compute_rows))
+            served.append(k)
+            reserved_mbps.append(reserved.get(bs, 0.0))
+            radio.append(radio_rows.setdefault(bs, len(radio_rows)))
+            links += path_rows[slot]
+            overheads += path_overheads[slot]
+            hops.append(len(path_rows[slot]))
+            compute.append(unit)
+            multiplier.append(cpus_per_mbps)
+            baseline.append(baseline_cpus)
 
-    def _membership(self, keys) -> _ResourceMembership:
-        """Compile the sparse resource-membership tables for one epoch."""
-        key_index = {key: k for k, key in enumerate(keys)}
-        resources: list[tuple[str, float, list[tuple[int, float, float]]]] = []
-        for group in (
-            self._radio_members(keys),
-            self._link_members(keys),
-            self._compute_members(keys),
-        ):
-            for resource, capacity, members in group:
-                resources.append(
-                    (
-                        resource,
-                        capacity,
-                        [
-                            (key_index[key], multiplier, constant)
-                            for key, multiplier, constant in members
-                        ],
-                    )
-                )
+        # Radio entries, then link entries, then compute entries, each block
+        # key by key: every row's entries come from one block, in key order.
+        num_radio, num_links = len(radio_rows), len(link_rows)
+        num_rows = num_radio + num_links + len(compute_rows)
+        first_link, first_compute = len(radio), len(radio) + len(links)
+        rows = np.array(radio + links + compute, dtype=np.intp)
+        rows[first_link:first_compute] += num_radio
+        rows[first_compute:] += num_radio + num_links
+        served_keys = np.array(served, dtype=np.intp)
+        members = np.concatenate((served_keys, np.repeat(served_keys, hops), served_keys))
+        multipliers = np.array([1.0] * len(served) + overheads + multiplier, dtype=float)
+        # Baseline CPUs per compute unit, summed in key order from 0.
+        base = np.bincount(rows[first_compute:], weights=baseline, minlength=num_rows)
+        # Only member keys' reservations are ever read.
+        reservations = np.zeros(len(keys))
+        reservations[served_keys] = reserved_mbps
 
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        base = np.zeros(len(resources))
-        capacity = np.zeros(len(resources))
-        labels: list[str] = []
-        for row, (resource, cap, members) in enumerate(resources):
-            labels.append(resource)
-            capacity[row] = cap
-            base[row] = sum(constant for (_k, _mult, constant) in members)
-            for k, multiplier, _constant in members:
-                rows.append(row)
-                cols.append(k)
-                vals.append(multiplier)
-        # coo -> csr keeps each row's entries in insertion order because the
-        # member key indices are strictly increasing within a resource (the
-        # builders iterate ``keys`` in order); the CSR row slices therefore
-        # reproduce the scalar implementation's member iteration order.
-        matrix = sparse.csr_matrix(
-            (
-                np.asarray(vals, dtype=float),
-                (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)),
-            ),
-            shape=(len(resources), len(keys)),
+        topology = self.topology
+        capacity = np.array(
+            [topology.base_station(bs).capacity_mbps for bs in radio_rows]
+            + [topology.link(*key).capacity_mbps for key in link_rows]
+            + [topology.compute_unit(cu).capacity_cpus for cu in compute_rows]
         )
-        return _ResourceMembership(
-            matrix=matrix,
+        membership = _ResourceMembership(
+            rows=rows,
+            keys=members,
+            multipliers=multipliers,
             base=base,
             capacity=capacity,
-            labels=tuple(labels),
+            radio=tuple(radio_rows),
+            links=tuple(link_rows),
+            compute=tuple(compute_rows),
         )
-
-    def _radio_members(self, keys):
-        """Radio domain: per BS, every slice served there loads it 1:1 (Mb/s)."""
-        members: dict[str, list] = {}
-        for name, bs in keys:
-            allocation = self.allocations.get(name)
-            if allocation is None or bs not in allocation.paths:
-                continue
-            members.setdefault(bs, []).append(((name, bs), 1.0, 0.0))
-        capacities = {
-            bs.name: bs.capacity_mbps for bs in self.topology.base_stations
-        }
-        return [
-            (f"radio:{bs}", capacities[bs], member_list)
-            for bs, member_list in members.items()
-        ]
-
-    def _link_members(self, keys):
-        members: dict[tuple[str, str], list] = {}
-        for name, bs in keys:
-            allocation = self.allocations.get(name)
-            if allocation is None or bs not in allocation.paths:
-                continue
-            for link in allocation.paths[bs].links:
-                members.setdefault(link.key, []).append(((name, bs), link.overhead, 0.0))
-        return [
-            (
-                f"transport:{key[0]}--{key[1]}",
-                self._capacities.transport_mbps[key],
-                member_list,
-            )
-            for key, member_list in members.items()
-        ]
-
-    def _compute_members(self, keys):
-        members: dict[str, list] = {}
-        for name, bs in keys:
-            allocation = self.allocations.get(name)
-            if allocation is None or bs not in allocation.paths:
-                continue
-            request = allocation.request
-            members.setdefault(allocation.compute_unit, []).append(
-                ((name, bs), request.compute_cpus_per_mbps, request.compute_baseline_cpus)
-            )
-        return [
-            (f"compute:{cu}", self._capacities.compute_cpus[cu], member_list)
-            for cu, member_list in members.items()
-        ]
+        return membership, reservations
 
 
 def _attribute_overload(

@@ -41,6 +41,13 @@ class RanSlicingEnforcer:
 
     base_station: BaseStation
     _shares: dict[str, RadioShare] = field(default_factory=dict)
+    #: ``sum`` of the granted shares, kept as a running total: ``sum`` adds
+    #: them in grant order from 0, so granting a new slice extends it to the
+    #: same float; updating a slice's share re-sums.
+    _allocated: float = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._allocated = sum(share.prbs for share in self._shares.values())
 
     @property
     def capacity_prbs(self) -> float:
@@ -48,7 +55,7 @@ class RanSlicingEnforcer:
 
     @property
     def allocated_prbs(self) -> float:
-        return sum(share.prbs for share in self._shares.values())
+        return self._allocated
 
     @property
     def free_prbs(self) -> float:
@@ -82,6 +89,10 @@ class RanSlicingEnforcer:
             )
         share = RadioShare(slice_name=slice_name, base_station=self.base_station.name, prbs=prbs)
         self._shares[slice_name] = share
+        if currently is None:
+            self._allocated = self._allocated + prbs
+        else:
+            self._allocated = sum(granted.prbs for granted in self._shares.values())
         return share
 
     def served_bitrate(self, slice_name: str, offered_mbps: float) -> float:

@@ -134,46 +134,68 @@ class RevenueAccountant:
             For the same keys, how much of each sample the data plane could
             not serve (the overbooking deficit after statistical multiplexing).
         """
+        report = self.report
+        # Group the offered keys by slice name up front instead of rescanning
+        # the whole dict for every active request.
+        offered_by_name: dict[str, list[tuple[str, str]]] = {}
+        for key in offered_samples_mbps:
+            offered_by_name.setdefault(key[0], []).append(key)
+        # The keys that carried samples, in request-then-key order, with
+        # their samples and unserved traffic laid end to end.
+        charged: list[tuple[str, str]] = []
+        offered: list[np.ndarray] = []
+        unserved: list[np.ndarray] = []
+        for request in active_requests:
+            for key in offered_by_name.get(request.name, ()):
+                samples = np.asarray(offered_samples_mbps[key], dtype=float)
+                if samples.size == 0:
+                    continue
+                charged.append(key)
+                offered.append(samples)
+                missing = unserved_samples_mbps.get(key)
+                unserved.append(np.zeros_like(samples) if missing is None else missing)
+        deficit_of: dict[tuple[str, str], float] = {}
+        if charged:
+            sizes = np.fromiter(map(len, offered), dtype=np.intp, count=len(offered))
+            if not np.array_equal(sizes, np.fromiter(map(len, unserved), dtype=np.intp)):
+                raise ValueError("unserved samples must match the offered samples key by key")
+            starts = np.zeros(len(sizes), dtype=np.intp)
+            np.cumsum(sizes[:-1], out=starts[1:])
+            offered_flat = np.concatenate(offered)
+            unserved_flat = np.concatenate(unserved).astype(float, copy=False)
+            # Each key's deficit is the max of its (non-empty) run: exact.
+            deficit_of = dict(zip(charged, np.maximum.reduceat(unserved_flat, starts).tolist()))
+            # Per-sample SLA-violation statistics, in request-then-key order.
+            violated = unserved_flat > _VIOLATION_TOLERANCE_MBPS
+            report.total_samples += len(offered_flat)
+            report.violated_samples += int(np.count_nonzero(violated))
+            sample = offered_flat[violated]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fractions = np.where(sample > 0, unserved_flat[violated] / sample, 0.0)
+            report.drop_fractions.extend(fractions.tolist())
+
+        # Reward and penalty accumulate as scalars, request by request and
+        # key by key, in the order the per-key loop added them.
         reward = 0.0
         penalty = 0.0
-        # Group the offered keys by slice name up front (and convert each
-        # sample array to float64 exactly once) instead of rescanning -- and
-        # reconverting -- the whole dict for every active request.
-        offered_by_name: dict[str, list[tuple[tuple[str, str], np.ndarray]]] = {}
-        for key, samples in offered_samples_mbps.items():
-            offered_by_name.setdefault(key[0], []).append(
-                (key, np.asarray(samples, dtype=float))
-            )
         for request in active_requests:
             slice_reward = request.reward / request.duration_epochs
             reward += slice_reward
-            self.report.per_slice_reward[request.name] = (
-                self.report.per_slice_reward.get(request.name, 0.0) + slice_reward
+            report.per_slice_reward[request.name] = (
+                report.per_slice_reward.get(request.name, 0.0) + slice_reward
             )
             penalty_rate = request.penalty_rate_per_mbps / (
                 request.duration_epochs * self.num_base_stations
             )
-            for (name, bs), samples in offered_by_name.get(request.name, []):
-                if samples.size == 0:
+            for key in offered_by_name.get(request.name, ()):
+                deficit = deficit_of.get(key)
+                if deficit is None:
                     continue
-                unserved = np.asarray(
-                    unserved_samples_mbps.get((name, bs), np.zeros_like(samples)),
-                    dtype=float,
-                )
-                deficit = float(unserved.max()) if unserved.size else 0.0
                 slice_penalty = penalty_rate * deficit
                 penalty += slice_penalty
-                self.report.per_slice_penalty[request.name] = (
-                    self.report.per_slice_penalty.get(request.name, 0.0) + slice_penalty
+                report.per_slice_penalty[request.name] = (
+                    report.per_slice_penalty.get(request.name, 0.0) + slice_penalty
                 )
-                # Per-sample SLA-violation statistics.
-                violated = unserved > _VIOLATION_TOLERANCE_MBPS
-                self.report.total_samples += int(samples.size)
-                self.report.violated_samples += int(np.count_nonzero(violated))
-                for sample, missing in zip(samples[violated], unserved[violated]):
-                    self.report.drop_fractions.append(
-                        float(missing / sample) if sample > 0 else 0.0
-                    )
 
         epoch_revenue = EpochRevenue(
             epoch=epoch,

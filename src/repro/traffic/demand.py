@@ -66,7 +66,7 @@ class DemandModel(abc.ABC):
         else:
             raw = self._rng.normal(loc=mean, scale=std, size=num_samples)
         clipped = np.clip(raw, 0.0, self.sla_mbps)
-        return EpochDemand(epoch=epoch, samples_mbps=tuple(float(v) for v in clipped))
+        return EpochDemand(epoch=epoch, samples_mbps=tuple(clipped.tolist()))
 
     def peak_series(self, num_epochs: int, samples_per_epoch: int) -> np.ndarray:
         """Convenience helper: per-epoch peak loads for ``num_epochs`` epochs."""

@@ -19,6 +19,8 @@ from typing import Sequence
 
 def _as_real(value, name: str) -> float:
     """Coerce ``value`` to ``float``, rejecting non-numbers and NaN."""
+    if type(value) is float and value == value:
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(
             f"{name} must be a real number, got {value!r} of type {type(value).__name__}"

@@ -205,7 +205,7 @@ class TestReportLoad:
         assert (learnt.forecast_peak_mbps, learnt.forecast_sigma) == (6.0, 0.001)
         with pytest.raises(ValidationError, match="finite") as raised:
             broker.report_load("s", "bs-0", 11, [5.0, bad])
-        assert raised.value.details == {"slice_name": "s", "base_station": "bs-0"}
+        assert raised.value.details == {"slice_name": "s", "base_station": "bs-0", "epoch": 11}
         assert broker.quote(self.embb()) == learnt
         history = broker.orchestrator.monitoring.peak_history("s")
         assert history.tolist() == [6.0] * 11
@@ -248,7 +248,9 @@ class TestReportLoad:
         learnt = broker.quote(self.embb())
         with pytest.raises(ValidationError, match="no-such-station") as raised:
             broker.report_load("s", "no-such-station", 11, [45.0])
-        assert raised.value.details == {"slice_name": "s", "base_station": "no-such-station"}
+        assert raised.value.details == {
+            "slice_name": "s", "base_station": "no-such-station", "epoch": 11
+        }
         assert broker.quote(self.embb()) == learnt
         assert broker.orchestrator.monitoring.peak_history("s").tolist() == [6.0] * 11
 
@@ -261,7 +263,7 @@ class TestReportLoad:
         for name in ("s", "fresh"):
             with pytest.raises(ValidationError, match="non-negative epoch") as raised:
                 broker.report_load(name, "bs-1", -1, [45.0])
-            assert raised.value.details == {"slice_name": name, "base_station": "bs-1"}
+            assert raised.value.details == {"slice_name": name, "base_station": "bs-1", "epoch": -1}
         assert broker.quote(self.embb()) == learnt
         assert broker.orchestrator.monitoring.peak_history("s").tolist() == [6.0] * 11
         assert broker.orchestrator.monitoring.peak_history("fresh").size == 0

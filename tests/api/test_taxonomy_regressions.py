@@ -13,6 +13,7 @@ import http.client
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.api.dtos import SliceRequestV1, SliceStatus
@@ -182,6 +183,39 @@ class TestNegativeEpochsAreRefused:
             assert payload["details"] == {"epoch": epoch}
         assert after == before
         assert status == 200 and report["accepted"] == report["active"] == ["b"]
+
+
+class TestNonIntegerLoadEpochsAreRefused:
+    """``report_load`` truncated its epoch: ``2.5`` was recorded at epoch 2,
+    ``np.float64(4.9)`` at epoch 4 and ``"3"`` at epoch 3 -- epochs that
+    ``advance_epoch`` and ``release`` refuse."""
+
+    def test_nothing_is_recorded_and_integral_epochs_still_are(self):
+        broker = SliceBroker(
+            topology=build_tiny_topology(),
+            solver=BendersSolver(master_time_limit_s=None, time_limit_s=None),
+        )
+        monitoring = broker.orchestrator.monitoring
+        broker.report_load("s", "bs-0", 1, [5.0])
+
+        def track():
+            return monitoring.peak_history("s").tolist(), monitoring._last_epoch["s"]
+
+        before = track()
+        for epoch in (2.5, np.float64(4.9), "3", True, -1):
+            with pytest.raises(ValidationError, match="non-negative epoch") as refused:
+                broker.report_load("s", "bs-0", epoch, [9.0])
+            assert refused.value.details == {
+                "slice_name": "s",
+                "base_station": "bs-0",
+                "epoch": epoch,
+            }
+            assert track() == before
+        # An integral epoch of another type is the same epoch.
+        broker.report_load("s", "bs-1", np.int64(2), [7.0])
+        broker.report_load("s", "bs-0", 3.0, [8.0])
+        assert track() == ([5.0, 7.0, 8.0], 3)
+        assert type(monitoring._last_epoch["s"]) is int
 
 
 class TestServerDoubleStart:

@@ -11,15 +11,19 @@ capacity.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.slices import EMBB_TEMPLATE, SliceRequest, SliceTemplate
 from repro.core.solution import TenantAllocation
 from repro.dataplane.multiplexing import _EPSILON, ResourceLoadResult, SliceMultiplexer
+from repro.topology.generators import degrade_link_capacities
 from repro.topology.paths import compute_path_sets
 
 from tests.conftest import build_tiny_topology
+from tests.property.engine_step_oracle import OracleMembership, oracle_unserved_traffic
 
 
 # --------------------------------------------------------------------- #
@@ -37,9 +41,10 @@ def scalar_unserved_traffic(
     unserved = {key: np.zeros(num_samples) for key in keys}
     overloaded: set[str] = set()
 
-    radio_members = mux._radio_members(keys)
-    link_members = mux._link_members(keys)
-    compute_members = mux._compute_members(keys)
+    table = OracleMembership(mux.topology, mux.allocations)
+    radio_members = table.radio_members(keys)
+    link_members = table.link_members(keys)
+    compute_members = table.compute_members(keys)
 
     for sample_index in range(num_samples):
         loads = {
@@ -296,3 +301,111 @@ class TestVectorizedEquivalence:
         assert_identical(
             scalar_unserved_traffic(mux, offered), mux.unserved_traffic(as_lists)
         )
+
+
+class TestAgainstTheRetiredTable:
+    """The array-built resource table against the retired per-triple builder.
+
+    Epoch after epoch, as the simulation engine drives it: a fresh
+    multiplexer per epoch over the same ``Path`` objects, then a link
+    failure that rescales capacities between epochs, then a changed
+    admitted set.  The retired vectorized multiplexer
+    (``engine_step_oracle.oracle_unserved_traffic``) and the scalar seed
+    must both agree byte for byte.
+    """
+
+    @staticmethod
+    def check(topology, allocations, offered, scalar=True) -> ResourceLoadResult:
+        expected = oracle_unserved_traffic(topology, allocations, offered)
+        mux = SliceMultiplexer(topology, allocations)
+        assert_identical(expected, mux.unserved_traffic(offered))
+        if scalar:
+            assert_identical(expected, scalar_unserved_traffic(mux, offered))
+        return expected
+
+    @staticmethod
+    def next_epoch(rng, allocations, offered):
+        """New loads and new reservations over the same paths."""
+        allocations = {
+            name: dataclasses.replace(
+                alloc,
+                reservations_mbps={
+                    bs: mbps * float(rng.uniform(0.6, 1.4))
+                    for bs, mbps in alloc.reservations_mbps.items()
+                },
+            )
+            for name, alloc in allocations.items()
+        }
+        offered = {
+            (name, bs): rng.uniform(0.0, 50.0, size=len(samples))
+            for (name, bs), samples in offered.items()
+        }
+        return allocations, offered
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_epochs_then_a_link_failure_then_a_new_admitted_set(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        topology, allocations, offered = random_case(
+            rng,
+            num_bs=int(rng.integers(2, 5)),
+            num_tenants=int(rng.integers(4, 9)),
+            num_samples=12,
+            reservation_fraction=0.4,
+            capacity_scale=float(rng.uniform(0.3, 0.7)),
+        )
+        hot = set()
+        for _ in range(3):
+            hot.update(self.check(topology, allocations, offered).overloaded_resources)
+            allocations, offered = self.next_epoch(rng, allocations, offered)
+
+        # A multiplexer built before the failure reads the capacities after it.
+        built_before = SliceMultiplexer(topology, allocations)
+        used = [
+            link.key
+            for alloc in allocations.values()
+            for path in alloc.paths.values()
+            for link in path.links
+        ]
+        degrade_link_capacities(topology, sorted(set(used))[:2], 0.2)
+        expected = self.check(topology, allocations, offered)
+        assert_identical(expected, built_before.unserved_traffic(offered))
+        hot.update(expected.overloaded_resources)
+        assert any(label.startswith("transport:") for label in hot)
+
+        # One tenant leaves, another is admitted at the stations it had.
+        names = list(allocations)
+        leaving = next(name for name in names if allocations[name].accepted)
+        joining = next(
+            (name for name in names if not allocations[name].accepted), None
+        )
+        admitted = dict(allocations)
+        left = admitted.pop(leaving)
+        if joining is not None:
+            admitted[joining] = dataclasses.replace(
+                left, request=allocations[joining].request
+            )
+        allocations, offered = self.next_epoch(rng, admitted, offered)
+        self.check(topology, allocations, offered)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_link_listed_twice_and_interleaved_keys(self, seed):
+        """A path listing a link twice adds its overhead twice (the retired
+        sparse build summed duplicate entries; the scalar seed keeps one
+        multiplier per key, so it is no reference here); keys need not come
+        grouped by slice."""
+        rng = np.random.default_rng(200 + seed)
+        topology, allocations, offered = random_case(
+            rng, num_bs=3, num_tenants=6, num_samples=10,
+            reservation_fraction=0.3, capacity_scale=0.3,
+        )
+        name, alloc = next(
+            (name, alloc) for name, alloc in allocations.items() if alloc.accepted
+        )
+        bs, path = next(iter(alloc.paths.items()))
+        looped = dataclasses.replace(path, links=path.links + path.links[:1])
+        allocations[name] = dataclasses.replace(alloc, paths={**alloc.paths, bs: looped})
+        keys = list(offered)
+        rng.shuffle(keys)
+        shuffled = {key: offered[key] for key in keys}
+        result = self.check(topology, allocations, shuffled, scalar=False)
+        assert result.overloaded_resources
