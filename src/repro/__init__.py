@@ -26,50 +26,42 @@ The package is organised around the paper's architecture:
 * :mod:`repro.experiments` -- one module per table/figure of the paper.
 """
 
-from repro.core.slices import (
-    SliceTemplate,
-    SliceRequest,
-    EMBB_TEMPLATE,
-    MMTC_TEMPLATE,
-    URLLC_TEMPLATE,
-)
-from repro.core.problem import ACRRProblem
-from repro.core.benders import BendersSolver
-from repro.core.kac import KACSolver
-from repro.core.baseline import NoOverbookingSolver
-from repro.core.milp_solver import DirectMILPSolver
-from repro.topology.network import NetworkTopology
-from repro.topology.operators import (
-    romanian_topology,
-    swiss_topology,
-    italian_topology,
-)
-from repro.controlplane.orchestrator import E2EOrchestrator
-from repro.api import SliceBroker, SliceRequestV1
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.scenario import Scenario
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SliceTemplate",
-    "SliceRequest",
-    "EMBB_TEMPLATE",
-    "MMTC_TEMPLATE",
-    "URLLC_TEMPLATE",
-    "ACRRProblem",
-    "BendersSolver",
-    "KACSolver",
-    "NoOverbookingSolver",
-    "DirectMILPSolver",
-    "NetworkTopology",
-    "romanian_topology",
-    "swiss_topology",
-    "italian_topology",
-    "E2EOrchestrator",
-    "SliceBroker",
-    "SliceRequestV1",
-    "SimulationEngine",
-    "Scenario",
-    "__version__",
-]
+#: Public name -> the module that defines it.  Imported on first access
+#: (PEP 562): ``import repro.analysis`` or ``import repro.utils`` does not
+#: pay for the solver stack and scipy.
+_EXPORTS = {
+    "SliceTemplate": "repro.core.slices",
+    "SliceRequest": "repro.core.slices",
+    "EMBB_TEMPLATE": "repro.core.slices",
+    "MMTC_TEMPLATE": "repro.core.slices",
+    "URLLC_TEMPLATE": "repro.core.slices",
+    "ACRRProblem": "repro.core.problem",
+    "BendersSolver": "repro.core.benders",
+    "KACSolver": "repro.core.kac",
+    "NoOverbookingSolver": "repro.core.baseline",
+    "DirectMILPSolver": "repro.core.milp_solver",
+    "NetworkTopology": "repro.topology.network",
+    "romanian_topology": "repro.topology.operators",
+    "swiss_topology": "repro.topology.operators",
+    "italian_topology": "repro.topology.operators",
+    "E2EOrchestrator": "repro.controlplane.orchestrator",
+    "SliceBroker": "repro.api",
+    "SliceRequestV1": "repro.api",
+    "SimulationEngine": "repro.simulation.engine",
+    "Scenario": "repro.simulation.scenario",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later reads skip this hook
+    return value

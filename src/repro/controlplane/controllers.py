@@ -46,13 +46,16 @@ class RanController:
         could transiently exceed the carrier size even though the final
         allocation is feasible.
         """
+        accepted = [
+            (slice_name, alloc.reservations_mbps)
+            for slice_name, alloc in decision.allocations.items()
+            if alloc.accepted
+        ]
         planned = {}
         for bs_name, current in self.enforcers.items():
             enforcer = RanSlicingEnforcer(current.base_station)
-            for slice_name, alloc in decision.allocations.items():
-                if not alloc.accepted:
-                    continue
-                mbps = alloc.reservations_mbps.get(bs_name)
+            for slice_name, reservations in accepted:
+                mbps = reservations.get(bs_name)
                 if mbps is None:
                     continue
                 # Under the big-M deficit relaxation (Section 3.4) the decision

@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from repro.utils.validation import ensure_int
+
 
 class MonitoringService:
     """Per-slice peak tracks fed by the controllers' load samples."""
@@ -47,22 +49,34 @@ class MonitoringService:
         """Fold the monitoring samples of one slice at one BS for one epoch.
 
         Every base station of a slice feeds the same track, so reports must
-        arrive in epoch order per slice.  A non-finite sample or an epoch
-        older than the slice's last report raises ``ValueError`` and records
-        nothing; an empty block records nothing and checks nothing.
+        arrive in epoch order per slice.  An epoch that is not an integer
+        (``2.5``, ``"3"``, a bool; an integral float is its integer), a
+        non-finite sample, or an epoch older than the slice's last report
+        raises ``ValueError`` and records nothing; an empty block records
+        nothing and checks only that its epoch is an integer.
         """
-        epoch = int(epoch)
-        values = np.asarray(samples_mbps, dtype=np.float64).ravel()
-        if not len(values):
+        if type(epoch) is not int:
+            try:
+                epoch = ensure_int(epoch, "epoch")
+            except ValueError:
+                raise ValueError(
+                    f"load samples of slice {slice_name!r} at {base_station!r} "
+                    f"must have an integer epoch (got {epoch!r})"
+                ) from None
+        # One float64 vector, read back as Python floats: on a dozen samples
+        # ``max`` and ``sum`` over the list cost a third of two reductions.
+        values = np.asarray(samples_mbps, dtype=np.float64).ravel().tolist()
+        if not values:
             return
-        # Some sample is NaN or infinite exactly when the peak is NaN or
-        # +inf or the least sample is -inf: two reductions, no mask.
-        peak = float(values.max())
-        if not (math.isfinite(peak) and math.isfinite(values.min())):
+        # A NaN or an infinite sample makes the sum NaN or infinite; a
+        # non-finite sum of finite samples (an overflow) is checked sample
+        # by sample.
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise ValueError(
                 f"load samples of slice {slice_name!r} at {base_station!r} "
                 f"must be finite (epoch {epoch})"
             )
+        peak = max(values)
         last = self._last_epoch.get(slice_name)
         if last is not None and epoch < last:
             raise ValueError(

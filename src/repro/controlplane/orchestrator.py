@@ -60,6 +60,9 @@ REUSED_MESSAGE = "reused unchanged decision from previous epoch"
 #: The forecasting chain's last tier before the pessimistic forecast.
 _LAST_RESORT = NaiveForecaster()
 
+#: Bytes per history entry (float64).
+_FLOAT_BYTES = np.dtype(np.float64).itemsize
+
 
 @dataclass(frozen=True)
 class OrchestratorConfig:
@@ -98,12 +101,12 @@ class ForecastingBlock:
     #: Optional chaos hook, fired on entry of every per-slice forecast (hook
     #: point ``forecast.forecast_for``); ``None`` in production.
     fault_hook: Callable[[str], None] | None = None
-    #: Slice name -> ``(forecaster, history, state)``: the recursive tier
-    #: that last forecast the slice, the history it folded and the state it
-    #: reached.  A pure function of that history, so it needs no checkpoint;
-    #: entries are replaced whole, never edited (see DESIGN.md "Forecasting
-    #: as a filter").
-    _folds: dict[str, tuple[RecursiveForecaster, np.ndarray, Any]] = field(
+    #: Slice name -> ``(forecaster, history bytes, state)``: the recursive
+    #: tier that last forecast the slice, the bytes of the float64 history
+    #: it folded and the state it reached.  A pure function of that
+    #: history, so it needs no checkpoint; entries are replaced whole, never
+    #: edited (see DESIGN.md "Forecasting as a filter").
+    _folds: dict[str, tuple[RecursiveForecaster, bytes, Any]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -140,14 +143,19 @@ class ForecastingBlock:
         """``forecaster.forecast(history)``, folding only the peaks that
         arrived since ``name`` was last forecast by the same tier.  Anything
         else -- a raised last peak, a tier change, a renewal the memo forgot
-        -- fails the prefix test and folds the history from scratch."""
+        -- fails the prefix test and folds the history from scratch.
+
+        The prefix test compares bytes: a history whose bytes extend the
+        folded ones holds the same floats, so folding only its suffix gives
+        the bytes a fold of the whole gives (the filter contract)."""
         observations = forecaster.observations(history)
+        folded = history.tobytes()
         entry = self._folds.get(name)
-        if entry is not None and entry[0] is forecaster and _is_prefix(entry[1], history):
-            state = forecaster.fold(entry[2], observations[entry[1].size :])
+        if entry is not None and entry[0] is forecaster and folded.startswith(entry[1]):
+            state = forecaster.fold(entry[2], observations[len(entry[1]) // _FLOAT_BYTES :])
         else:
             state = forecaster.fit(observations)
-        self._folds[name] = (forecaster, history.copy(), state)
+        self._folds[name] = (forecaster, folded, state)
         return forecaster.outcome(state, observations, 1)
 
     def retain(self, names: Iterable[str]) -> None:
@@ -157,10 +165,6 @@ class ForecastingBlock:
         the memo meanwhile, and the memo is replaced, not edited under it."""
         folds = self._folds
         self._folds = {name: folds[name] for name in names if name in folds}
-
-
-def _is_prefix(prefix: np.ndarray, array: np.ndarray) -> bool:
-    return prefix.size <= array.size and np.array_equal(prefix, array[: prefix.size])
 
 
 @dataclass(frozen=True)

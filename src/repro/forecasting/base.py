@@ -15,12 +15,16 @@ the observations that arrived since, and gets the same bytes.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.core.forecast_inputs import MIN_SIGMA_HAT, ForecastInput
+
+_add_reduce = np.add.reduce
+_fmin_reduce = np.fmin.reduce
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,9 @@ class Forecaster(abc.ABC):
         arr = np.asarray(history, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("cannot forecast an empty history")
-        if (arr < 0).any():
+        # ``(arr < 0).any()`` as one reduction: fmin skips NaNs, as the
+        # comparison does, and -0.0 is not below 0 either way.
+        if _fmin_reduce(arr) < 0:
             raise ValueError("load history must be non-negative")
         return arr
 
@@ -91,11 +97,21 @@ class Forecaster(abc.ABC):
 
 def normalised_rmse(observed: np.ndarray, errors: np.ndarray) -> float:
     """RMS of the one-step ``errors`` over the mean of ``observed``, clipped
-    into (MIN_SIGMA_HAT, 1].  Both means are ``np.mean`` over whole arrays:
-    their summation order is part of the forecast's bytes."""
-    mean = float(np.mean(np.abs(observed))) or 1.0
-    rmse = float(np.sqrt(np.mean(errors**2)))
+    into (MIN_SIGMA_HAT, 1].  Both means are ``np.mean``'s over whole
+    arrays: their summation order is part of the forecast's bytes."""
+    mean = _mean(np.abs(observed)) or 1.0
+    rmse = math.sqrt(_mean(errors**2))
     return min(max(rmse / mean, MIN_SIGMA_HAT), 1.0)
+
+
+def _mean(values: np.ndarray) -> float:
+    """``float(np.mean(values))`` of a float vector, without its Python
+    wrapper: the same pairwise ``add.reduce`` over every axis, divided by
+    the count.  An empty vector goes through ``np.mean`` itself (NaN, with
+    its warning)."""
+    if not values.size:
+        return float(np.mean(values))
+    return float(_add_reduce(values, None)) / values.size
 
 
 class RecursiveForecaster(Forecaster):

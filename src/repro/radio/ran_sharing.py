@@ -59,7 +59,7 @@ class RanSlicingEnforcer:
 
     @property
     def free_prbs(self) -> float:
-        return self.capacity_prbs - self.allocated_prbs
+        return self.base_station.capacity_prbs - self.allocated_prbs
 
     def shares(self) -> dict[str, RadioShare]:
         return dict(self._shares)
@@ -79,15 +79,16 @@ class RanSlicingEnforcer:
         remaining carrier capacity; the orchestrator's admission control is
         responsible for never issuing such a grant.
         """
+        station = self.base_station
         prbs = self.prbs_for_bitrate(mbps)
         currently = self._shares.get(slice_name)
-        available = self.free_prbs + (currently.prbs if currently else 0.0)
+        available = station.capacity_prbs - self._allocated + (currently.prbs if currently else 0.0)
         if prbs > available + 1e-9:
             raise ValueError(
                 f"cannot grant {prbs:.1f} PRBs to {slice_name!r} on "
-                f"{self.base_station.name!r}: only {available:.1f} PRBs available"
+                f"{station.name!r}: only {available:.1f} PRBs available"
             )
-        share = RadioShare(slice_name=slice_name, base_station=self.base_station.name, prbs=prbs)
+        share = RadioShare(slice_name, station.name, prbs)
         self._shares[slice_name] = share
         if currently is None:
             self._allocated = self._allocated + prbs

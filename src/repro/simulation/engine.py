@@ -227,12 +227,9 @@ class SimulationEngine:
                 active_allocations[record.name] = allocation
             for bs in self.topology.base_station_names:
                 demand = self._demand_model(workload, bs)
-                # Convert to float64 once here; the multiplexer and the
-                # revenue accountant consume the arrays as-is.
-                samples = np.asarray(
-                    demand.sample_epoch(epoch, self.scenario.samples_per_epoch).samples_mbps,
-                    dtype=float,
-                )
+                # The float64 array the samples are drawn into: the
+                # multiplexer and the revenue accountant consume it as-is.
+                samples = demand.draw(epoch, self.scenario.samples_per_epoch)
                 offered[(record.name, bs)] = samples
                 self.broker.report_load(record.name, bs, epoch, samples)
 

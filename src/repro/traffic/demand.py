@@ -16,7 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.rng import make_rng
-from repro.utils.validation import ensure_non_negative, ensure_positive
+from repro.utils.validation import (
+    ensure_non_negative,
+    ensure_non_negative_int,
+    ensure_positive,
+    ensure_positive_count,
+)
+
+try:  # the ufunc ``np.clip`` dispatches to for a float array (numpy 2)
+    from numpy._core.umath import clip as _clip
+except (ImportError, AttributeError):  # another layout: the wrapper, slower
+    _clip = np.clip
 
 
 @dataclass(frozen=True)
@@ -56,17 +66,30 @@ class DemandModel(abc.ABC):
 
         The tenant's traffic is shaped by the middlebox so it never exceeds
         the SLA bitrate; samples are clipped to ``[0, sla_mbps]`` accordingly.
+        ``epoch`` must be a non-negative integer (an integral float is its
+        integer) and ``num_samples`` a positive integer of an integer type;
+        anything else -- a bool, ``12.0`` samples, a string -- is a
+        ``ValueError`` and draws nothing.
         """
-        if num_samples <= 0:
-            raise ValueError(f"num_samples must be positive, got {num_samples}")
+        samples = self.draw(epoch, num_samples)
+        return EpochDemand(int(epoch), tuple(samples.tolist()))
+
+    def draw(self, epoch: int, num_samples: int) -> np.ndarray:
+        """The samples :meth:`sample_epoch` draws, as the fresh float64
+        array they are drawn into (what a consumer of arrays reads)."""
+        if type(num_samples) is not int or num_samples <= 0:
+            num_samples = ensure_positive_count(num_samples, "num_samples")
+        if type(epoch) is not int or epoch < 0:
+            epoch = ensure_non_negative_int(epoch, "epoch")
         mean = self.mean_mbps(epoch)
         std = self.std_mbps(epoch)
         if std == 0.0:
-            raw = np.full(num_samples, mean)
+            raw = np.full(num_samples, mean, dtype=float)
         else:
             raw = self._rng.normal(loc=mean, scale=std, size=num_samples)
-        clipped = np.clip(raw, 0.0, self.sla_mbps)
-        return EpochDemand(epoch=epoch, samples_mbps=tuple(clipped.tolist()))
+        # The ufunc ``np.clip`` dispatches to for a float array, called
+        # directly, in place on the fresh draw.
+        return _clip(raw, 0.0, self.sla_mbps, out=raw)
 
     def peak_series(self, num_epochs: int, samples_per_epoch: int) -> np.ndarray:
         """Convenience helper: per-epoch peak loads for ``num_epochs`` epochs."""

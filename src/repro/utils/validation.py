@@ -13,7 +13,7 @@ rejected with the same uniform message shape (instead of surfacing as
 from __future__ import annotations
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 
@@ -49,6 +49,8 @@ def ensure_positive(value: float, name: str) -> float:
 
 def ensure_non_negative(value: float, name: str) -> float:
     """Return ``value`` if >= 0, otherwise raise ``ValueError``."""
+    if type(value) is float and value >= 0.0:  # NaN fails the comparison
+        return value
     value = _as_real(value, name)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
@@ -80,6 +82,11 @@ def _as_integral(value, name: str, kind: str) -> int:
     return int(as_float)
 
 
+def ensure_int(value, name: str) -> int:
+    """Return ``value`` as ``int`` if it is an integer (of any sign)."""
+    return _as_integral(value, name, "an integer")
+
+
 def ensure_positive_int(value, name: str) -> int:
     """Return ``value`` as ``int`` if it is a strictly positive integer."""
     value = _as_integral(value, name, "a positive integer")
@@ -94,6 +101,16 @@ def ensure_non_negative_int(value, name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return value
+
+
+def ensure_positive_count(value, name: str) -> int:
+    """Return ``value`` as ``int`` if it is a positive integer *type*: an
+    ``int`` or a numpy integer, not a bool.  Stricter than
+    :func:`ensure_positive_int` for a count that sizes an array, which numpy
+    refuses as a float (``12.0``) too."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def ensure_choice(value, choices: Sequence, name: str):

@@ -14,14 +14,23 @@ Only ``self`` became an explicit argument (and the RAN plan's enforcer a
 plain share table, with ``free_prbs`` re-summed as the retired enforcer
 did); the arithmetic, the iteration order and the scipy calls are the
 retired source's.
+
+The second half keeps what the per-key Python of a steady-state epoch was
+before it was trimmed: the sample track's array reductions (which truncated
+a fractional epoch) and the forecasting memo's ``np.array_equal`` prefix
+test and ``np.mean`` error statistics.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import sparse
 
 from repro.dataplane.multiplexing import _EPSILON, ResourceLoadResult, _attribute_overload
+from repro.core.forecast_inputs import MIN_SIGMA_HAT, ForecastInput
+from repro.forecasting.base import RecursiveForecaster
 from repro.radio.ran_sharing import RadioShare
 from repro.simulation.revenue import _VIOLATION_TOLERANCE_MBPS, EpochRevenue
 from repro.topology.elements import PRBS_PER_MHZ
@@ -329,3 +338,105 @@ def oracle_sample_epoch(model, epoch: int, num_samples: int) -> tuple[float, ...
         raw = model._rng.normal(loc=mean, scale=std, size=num_samples)
     clipped = np.clip(raw, 0.0, model.sla_mbps)
     return tuple(float(v) for v in clipped)
+
+
+# --------------------------------------------------------------------- #
+# Monitoring: two array reductions per report, the epoch truncated
+# --------------------------------------------------------------------- #
+class OracleMonitoring:
+    """The retired ``MonitoringService`` (``peak_history`` unchanged)."""
+
+    def __init__(self) -> None:
+        self._peaks: dict[str, list[float]] = {}
+        self._last_epoch: dict[str, int] = {}
+
+    def record_samples(self, slice_name, base_station, epoch, samples_mbps) -> None:
+        epoch = int(epoch)
+        values = np.asarray(samples_mbps, dtype=np.float64).ravel()
+        if not len(values):
+            return
+        # Some sample is NaN or infinite exactly when the peak is NaN or
+        # +inf or the least sample is -inf: two reductions, no mask.
+        peak = float(values.max())
+        if not (math.isfinite(peak) and math.isfinite(values.min())):
+            raise ValueError(
+                f"load samples of slice {slice_name!r} at {base_station!r} "
+                f"must be finite (epoch {epoch})"
+            )
+        last = self._last_epoch.get(slice_name)
+        if last is not None and epoch < last:
+            raise ValueError(
+                f"load samples of slice {slice_name!r} must arrive in epoch "
+                f"order (got epoch {epoch} at {base_station!r} after {last})"
+            )
+        if epoch == last:
+            track = self._peaks[slice_name]
+            if peak > track[-1]:
+                track[-1] = peak
+        else:
+            self._peaks.setdefault(slice_name, []).append(max(0.0, peak))
+            self._last_epoch[slice_name] = epoch
+
+    def peak_history(self, slice_name: str) -> np.ndarray:
+        return np.array(self._peaks.get(slice_name, ()), dtype=np.float64)
+
+
+# --------------------------------------------------------------------- #
+# Forecasting: np.mean statistics, an np.array_equal memo
+# --------------------------------------------------------------------- #
+def oracle_normalised_rmse(observed: np.ndarray, errors: np.ndarray) -> float:
+    """The retired ``forecasting.base.normalised_rmse``."""
+    mean = float(np.mean(np.abs(observed))) or 1.0
+    rmse = float(np.sqrt(np.mean(errors**2)))
+    return min(max(rmse / mean, MIN_SIGMA_HAT), 1.0)
+
+
+def oracle_validate_history(history: np.ndarray) -> np.ndarray:
+    """The retired ``Forecaster._validate_history``."""
+    arr = np.asarray(history, dtype=float).ravel()
+    if arr.size == 0:
+        raise ValueError("cannot forecast an empty history")
+    if (arr < 0).any():
+        raise ValueError("load history must be non-negative")
+    return arr
+
+
+def _oracle_is_prefix(prefix: np.ndarray, array: np.ndarray) -> bool:
+    return prefix.size <= array.size and np.array_equal(prefix, array[: prefix.size])
+
+
+class OracleForecastingBlock:
+    """The retired ``ForecastingBlock`` chain and memo (no fault hook), over
+    the given tiers: ``(forecaster, history copy, state)`` per slice."""
+
+    def __init__(self, primary, fallback, last_resort):
+        self.tiers = (primary, fallback, last_resort)
+        self._folds = {}
+
+    def forecast_for(self, request, history) -> ForecastInput:
+        history = np.asarray(history, dtype=float)
+        for forecaster in self.tiers:
+            try:
+                if forecaster.can_forecast(history):
+                    if isinstance(forecaster, RecursiveForecaster):
+                        outcome = self._filter(request.name, forecaster, history)
+                    else:
+                        outcome = forecaster.forecast(history, horizon=1)
+                    return outcome.as_forecast_input(request.sla_mbps)
+            except Exception:
+                continue
+        return ForecastInput.pessimistic(request.sla_mbps)
+
+    def _filter(self, name, forecaster, history):
+        observations = forecaster.observations(history)
+        entry = self._folds.get(name)
+        if entry is not None and entry[0] is forecaster and _oracle_is_prefix(entry[1], history):
+            state = forecaster.fold(entry[2], observations[entry[1].size :])
+        else:
+            state = forecaster.fit(observations)
+        self._folds[name] = (forecaster, history.copy(), state)
+        return forecaster.outcome(state, observations, 1)
+
+    def retain(self, names) -> None:
+        folds = self._folds
+        self._folds = {name: folds[name] for name in names if name in folds}

@@ -1,14 +1,17 @@
 """Tests for the argument-validation helpers."""
 
+import numpy as np
 import pytest
 
 from repro.utils.validation import (
     ensure_choice,
     ensure_in_range,
+    ensure_int,
     ensure_non_negative,
     ensure_non_negative_int,
     ensure_ordered_pair,
     ensure_positive,
+    ensure_positive_count,
     ensure_positive_int,
     ensure_probability,
 )
@@ -31,6 +34,15 @@ class TestEnsureNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ensure_non_negative(-0.1, "x")
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 2.5, float("inf")])
+    def test_a_non_negative_float_is_returned_as_is(self, value):
+        assert ensure_non_negative(value, "x").hex() == value.hex()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), -1e-300])
+    def test_a_nan_or_negative_float_is_refused(self, value):
+        with pytest.raises(ValueError, match="x must be"):
+            ensure_non_negative(value, "x")
 
 
 class TestEnsureInRange:
@@ -117,6 +129,25 @@ class TestEnsureInts:
     def test_non_negative_int_rejections(self, value):
         with pytest.raises(ValueError, match="n must be a non-negative integer"):
             ensure_non_negative_int(value, "n")
+
+    def test_an_int_of_any_sign(self):
+        assert ensure_int(-3, "n") == -3
+        assert ensure_int(np.int64(4), "n") == 4 and type(ensure_int(np.int64(4), "n")) is int
+        assert ensure_int(-2.0, "n") == -2
+
+    @pytest.mark.parametrize("value", [2.5, "3", None, True, float("nan"), float("inf")])
+    def test_int_rejections(self, value):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ensure_int(value, "n")
+
+    def test_a_count_is_of_an_integer_type(self):
+        assert ensure_positive_count(12, "n") == 12
+        assert type(ensure_positive_count(np.int32(3), "n")) is int
+
+    @pytest.mark.parametrize("value", [0, -2, 12.0, np.float64(4.0), "3", None, True])
+    def test_count_rejections(self, value):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            ensure_positive_count(value, "n")
 
 
 class TestEnsureChoice:
