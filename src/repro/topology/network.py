@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.topology.elements import (
     BaseStation,
@@ -14,6 +12,9 @@ from repro.topology.elements import (
     TransportLink,
     TransportSwitch,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -27,9 +28,9 @@ class NetworkTopology:
       (transport domain, capacity ``C_e``),
     * compute units (compute domain, capacity ``C_c``).
 
-    It exposes an undirected :class:`networkx.Graph` view used for path
-    enumeration, and the per-domain capacity snapshot consumed by the AC-RR
-    problem builder.
+    It exposes the per-domain capacity snapshot consumed by the AC-RR problem
+    builder, and an undirected :class:`networkx.Graph` view for analysis
+    (the path search reads :class:`repro.topology.paths.TransportAdjacency`).
     """
 
     name: str = "topology"
@@ -139,6 +140,8 @@ class NetworkTopology:
     # ------------------------------------------------------------------ #
     def graph(self) -> nx.Graph:
         """Return an undirected graph view (nodes keyed by name)."""
+        import networkx as nx
+
         g = nx.Graph()
         for name in self._base_stations:
             g.add_node(name, kind="bs")
@@ -169,17 +172,19 @@ class NetworkTopology:
 
         Every base station must be able to reach at least one compute unit,
         otherwise no slice could ever be admitted (constraint (6) requires a
-        path from *every* BS).
+        path from *every* BS).  Reachability follows the path search's rule:
+        no path transits another base station.
         """
+        from repro.topology.paths import TransportAdjacency
+
         if not self._base_stations:
             raise ValueError("topology has no base stations")
         if not self._compute_units:
             raise ValueError("topology has no compute units")
-        g = self.graph()
+        adjacency = TransportAdjacency(self)
         cu_names = set(self._compute_units)
         for bs_name in self._base_stations:
-            reachable = nx.node_connected_component(g, bs_name) if bs_name in g else set()
-            if not reachable & cu_names:
+            if not adjacency.reachable(bs_name) & cu_names:
                 raise ValueError(
                     f"base station {bs_name!r} cannot reach any compute unit"
                 )

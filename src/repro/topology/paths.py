@@ -5,20 +5,26 @@ compute unit ``c``, a set ``P_{b,c}`` of candidate paths using k-shortest-path
 methods based on Dijkstra's algorithm.  Each path is characterised by a delay
 ``D_p`` (store-and-forward model of :mod:`repro.topology.delay`) and, in this
 implementation, also by a bottleneck capacity used by Fig. 4(d).
+
+The search is Yen's algorithm over a bidirectional Dijkstra, ported
+operation for operation from networkx 3.6.1 onto one
+:class:`TransportAdjacency` per call, so paths of equal delay rank exactly
+as networkx ranks them (DESIGN.md, "Candidate paths").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from heapq import heappop, heappush
+from itertools import count
 from typing import Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.topology.delay import link_delay_us
 from repro.topology.elements import TransportLink
 from repro.topology.network import NetworkTopology
+from repro.utils.validation import ensure_positive_int
 
 
 @dataclass(frozen=True)
@@ -170,58 +176,178 @@ def _build_path(
     )
 
 
-def k_shortest_paths(
-    topology: NetworkTopology,
-    base_station: str,
-    compute_unit: str,
-    k: int,
-) -> list[Path]:
-    """Compute up to ``k`` loop-free shortest paths between a BS and a CU.
+def _bidirectional_dijkstra(
+    neighbours: list[list[tuple[int, float, int]]],
+    source: int,
+    target: int,
+    blocked: bytearray,
+    ignored: set[int],
+) -> tuple[float, list[int]] | None:
+    """networkx 3.6.1 ``_bidirectional_dijkstra``, on a :class:`TransportAdjacency`.
 
-    Paths are ranked by total store-and-forward delay.  Returns an empty list
-    when the two nodes are disconnected.
+    The same ``(dist, counter, node)`` heap keys from one shared counter, the
+    same forward/backward alternation, the same relaxation and meeting test,
+    so equal-delay ties break as networkx breaks them.  ``blocked[w]`` stands
+    for both of its node filters (a removed node, an ignored node) and
+    ``ignored`` for its edge filter, by link.  ``None`` is ``NetworkXNoPath``;
+    networkx's negative-weight check is a plain skip, as delays are positive.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    g = topology.graph()
-    if base_station not in g or compute_unit not in g:
-        raise KeyError("both endpoints must exist in the topology")
-    # Transport paths terminate at radio sites but never transit through
-    # them: remove every other base station from the search graph so that a
-    # dual-homed cell cannot act as a relay between aggregation switches.
-    other_base_stations = [
-        name
-        for name, data in g.nodes(data=True)
-        if data.get("kind") == "bs" and name != base_station
-    ]
-    g.remove_nodes_from(other_base_stations)
-
-    def edge_weight(u: str, v: str, _data: dict) -> float:
-        return link_delay_us(topology.link(u, v))
-
-    try:
-        generator = nx.shortest_simple_paths(
-            g, base_station, compute_unit, weight=edge_weight
+    dists: tuple[dict[int, float], dict[int, float]] = ({}, {})
+    paths = ({source: [source]}, {target: [target]})
+    fringe: tuple[list, list] = ([], [])
+    seen: tuple[dict[int, float], dict[int, float]] = ({source: 0}, {target: 0})
+    counter = count()
+    heappush(fringe[0], (0, next(counter), source))
+    heappush(fringe[1], (0, next(counter), target))
+    final_dist = 0.0
+    final_path: list[int] = []
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        done = dists[direction]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in dists[1 - direction]:
+            return final_dist, final_path
+        heap, ahead, behind, route = (
+            fringe[direction], seen[direction], seen[1 - direction], paths[direction]
         )
-        node_sequences = list(islice(generator, k))
-    except nx.NetworkXNoPath:
-        return []
-    return [
-        _build_path(topology, base_station, compute_unit, sequence)
-        for sequence in node_sequences
-    ]
+        for w, weight, link in neighbours[v]:
+            if blocked[w] or link in ignored or w in done:
+                continue
+            length = dist + weight
+            if w not in ahead or length < ahead[w]:
+                ahead[w] = length
+                heappush(heap, (length, next(counter), w))
+                route[w] = route[v] + [w]
+                if w in behind:
+                    total = seen[0][w] + seen[1][w]
+                    if not final_path or final_dist > total:
+                        final_dist = total
+                        back = paths[1][w][:]
+                        back.reverse()
+                        final_path = paths[0][w] + back[1:]
+    return None
+
+
+class TransportAdjacency:
+    """The transport graph of one topology, as the path search reads it.
+
+    Nodes are ints: base stations first (``0 .. B-1``), then switches, then
+    compute units.  ``neighbours[v]`` lists ``(w, delay_us, link)`` in
+    link-insertion order -- the order a ``networkx.Graph`` built from the
+    topology iterates them -- with each link's :func:`link_delay_us` computed
+    once, so the weights are those of the topology at construction.
+
+    A path starts at a base station but never transits another one: a
+    dual-homed cell must not relay between aggregation switches.  Every
+    search therefore bars each base station but its own source.
+    """
+
+    __slots__ = ("names", "index", "neighbours", "hops", "bs_mask")
+
+    def __init__(self, topology: NetworkTopology):
+        bs_names = topology.base_station_names
+        self.names = [
+            *bs_names,
+            *(switch.name for switch in topology.switches),
+            *topology.compute_unit_names,
+        ]
+        self.index = {name: node for node, name in enumerate(self.names)}
+        #: 1 for a base station, 0 for a switch or compute unit.
+        self.bs_mask = bytearray(len(self.names))
+        self.bs_mask[: len(bs_names)] = b"\x01" * len(bs_names)
+        self.neighbours: list[list[tuple[int, float, int]]] = [[] for _ in self.names]
+        #: ``(u, v) -> (delay_us, link)`` in both orientations.
+        self.hops: dict[tuple[int, int], tuple[float, int]] = {}
+        for link_id, link in enumerate(topology.links):
+            a, b = self.index[link.endpoint_a], self.index[link.endpoint_b]
+            delay = link_delay_us(link)
+            self.neighbours[a].append((b, delay, link_id))
+            self.neighbours[b].append((a, delay, link_id))
+            self.hops[a, b] = self.hops[b, a] = (delay, link_id)
+
+    def _barred(self, source: int) -> bytearray:
+        barred = bytearray(self.bs_mask)
+        barred[source] = 0
+        return barred
+
+    def reachable(self, base_station: str) -> set[str]:
+        """Every node a path from ``base_station`` can reach."""
+        source = self.index[base_station]
+        barred = self._barred(source)
+        found = {source}
+        stack = [source]
+        while stack:
+            for w, _delay, _link in self.neighbours[stack.pop()]:
+                if not barred[w] and w not in found:
+                    found.add(w)
+                    stack.append(w)
+        return {self.names[node] for node in found}
+
+    def k_shortest(self, base_station: str, compute_unit: str, k: int) -> list[list[str]]:
+        """Up to ``k`` loop-free node sequences, shortest delay first.
+
+        networkx 3.6.1 ``shortest_simple_paths`` (Yen) cut at ``k`` as
+        ``islice`` cuts it: the same ``PathBuffer`` (a ``(cost, counter,
+        path)`` heap that drops a path it already queues), the same ignored
+        edges and nodes per spur, and root lengths as the same left fold.
+        """
+        source, target = self.index[base_station], self.index[compute_unit]
+        neighbours, hops = self.neighbours, self.hops
+        blocked = self._barred(source)
+        first = _bidirectional_dijkstra(neighbours, source, target, blocked, set())
+        if first is None:
+            return []
+        counter = count()
+        buffer = [(first[0], next(counter), first[1])]
+        queued = {tuple(first[1])}
+        found: list[list[int]] = []
+        while buffer:
+            _, _, path = heappop(buffer)
+            queued.remove(tuple(path))
+            found.append(path)
+            if len(found) == k:
+                break
+            ignored: set[int] = set()
+            root_length = 0
+            for i in range(1, len(path)):
+                root = path[:i]
+                if i > 1:
+                    root_length += hops[path[i - 2], path[i - 1]][0]
+                for earlier in found:
+                    if earlier[:i] == root:
+                        ignored.add(hops[earlier[i - 1], earlier[i]][1])
+                spur = _bidirectional_dijkstra(neighbours, root[-1], target, blocked, ignored)
+                if spur is not None:
+                    candidate = root[:-1] + spur[1]
+                    key = tuple(candidate)
+                    if key not in queued:
+                        heappush(buffer, (root_length + spur[0], next(counter), candidate))
+                        queued.add(key)
+                blocked[root[-1]] = 1
+            for node in path[:-1]:
+                blocked[node] = 0
+        names = self.names
+        return [[names[node] for node in path] for path in found]
 
 
 def compute_path_sets(topology: NetworkTopology, k: int = 4) -> PathSet:
     """Enumerate candidate paths for every (base station, compute unit) pair.
 
-    This is the offline pre-computation step described in Section 2.1.2; the
-    result is reused across decision epochs.
+    This is the offline pre-computation step described in Section 2.1.2: up
+    to ``k`` paths per pair, ranked by total store-and-forward delay, all
+    searched on one :class:`TransportAdjacency`.  A pair with no path is left
+    out.  The result is reused across decision epochs.
     """
+    k = ensure_positive_int(k, "k")
+    adjacency = TransportAdjacency(topology)
     paths: dict[tuple[str, str], list[Path]] = {}
     for bs in topology.base_station_names:
         for cu in topology.compute_unit_names:
-            candidates = k_shortest_paths(topology, bs, cu, k=k)
-            if candidates:
-                paths[(bs, cu)] = candidates
+            sequences = adjacency.k_shortest(bs, cu, k)
+            if sequences:
+                paths[(bs, cu)] = [_build_path(topology, bs, cu, nodes) for nodes in sequences]
     return PathSet(paths)

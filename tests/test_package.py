@@ -16,11 +16,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def loaded_after(statement: str) -> list[str]:
-    """Modules of the solver stack a fresh interpreter holds after ``statement``."""
+    """Modules of the solver stack, and networkx, a fresh interpreter holds
+    after ``statement``."""
     probe = (
         f"{statement}\n"
         "import sys\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('repro.core', 'scipy'))))"
+        "print(sorted(m for m in sys.modules if m.startswith(('repro.core', 'scipy', 'networkx'))))"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
@@ -32,6 +33,17 @@ def loaded_after(statement: str) -> list[str]:
 def test_the_analysis_tools_do_not_load_the_solver_stack():
     assert loaded_after("import repro.analysis") == []
     assert loaded_after("import repro") == []
+
+
+def test_the_path_search_and_a_broker_do_not_load_networkx():
+    # Only ``NetworkTopology.graph()`` imports networkx, on call.
+    assert "networkx" not in loaded_after("import repro.topology")
+    assert "networkx" not in loaded_after(
+        "from repro.api import SliceBroker\n"
+        "from repro.core.benders import BendersSolver\n"
+        "from repro.topology import testbed_topology\n"
+        "SliceBroker(testbed_topology(), BendersSolver())"
+    )
 
 
 def test_a_public_name_loads_its_module():

@@ -88,3 +88,20 @@ class TestValidation:
         topo.add_compute_unit(ComputeUnit(name="cu", capacity_cpus=4.0))
         with pytest.raises(ValueError, match="cannot reach"):
             topo.validate()
+
+    def test_validate_applies_the_path_rule(self):
+        # bs-1 reaches the CU only through bs-0, and a path never transits
+        # another base station: bs-1 has no candidate path, so no slice
+        # could be admitted on this topology.
+        topo = NetworkTopology()
+        topo.add_base_station(BaseStation(name="bs-0", capacity_mhz=20.0))
+        topo.add_base_station(BaseStation(name="bs-1", capacity_mhz=20.0))
+        topo.add_compute_unit(ComputeUnit(name="cu", capacity_cpus=4.0))
+        topo.add_link(TransportLink(endpoint_a="bs-1", endpoint_b="bs-0", capacity_mbps=1000.0))
+        topo.add_link(TransportLink(endpoint_a="bs-0", endpoint_b="cu", capacity_mbps=1000.0))
+        with pytest.raises(ValueError, match="'bs-1' cannot reach"):
+            topo.validate()
+        topo.add_switch(TransportSwitch(name="sw"))
+        topo.add_link(TransportLink(endpoint_a="bs-1", endpoint_b="sw", capacity_mbps=1000.0))
+        topo.add_link(TransportLink(endpoint_a="sw", endpoint_b="cu", capacity_mbps=1000.0))
+        topo.validate()

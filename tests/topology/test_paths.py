@@ -3,30 +3,30 @@
 import pytest
 
 from repro.topology.delay import link_delay_us
-from repro.topology.elements import TransportLink, TransportSwitch
-from repro.topology.paths import compute_path_sets, k_shortest_paths
+from repro.topology.elements import ComputeUnit, TransportLink, TransportSwitch
+from repro.topology.network import NetworkTopology
+from repro.topology.paths import compute_path_sets
 from tests.conftest import build_tiny_topology
 
 
-class TestKShortestPaths:
+def candidate_paths(topology, base_station, compute_unit, k):
+    return compute_path_sets(topology, k=k).paths(base_station, compute_unit)
+
+
+class TestCandidatePaths:
     def test_single_path_star(self):
         topo = build_tiny_topology()
-        paths = k_shortest_paths(topo, "bs-0", "edge-cu", k=3)
+        paths = candidate_paths(topo, "bs-0", "edge-cu", k=3)
         assert len(paths) == 1
         assert paths[0].nodes == ("bs-0", "sw", "edge-cu")
         assert len(paths[0].links) == 2
-
-    def test_k_must_be_positive(self):
-        topo = build_tiny_topology()
-        with pytest.raises(ValueError):
-            k_shortest_paths(topo, "bs-0", "edge-cu", k=0)
 
     def test_multiple_paths_with_redundant_switch(self):
         topo = build_tiny_topology()
         topo.add_switch(TransportSwitch(name="sw2"))
         topo.add_link(TransportLink(endpoint_a="bs-0", endpoint_b="sw2", capacity_mbps=500.0))
         topo.add_link(TransportLink(endpoint_a="sw2", endpoint_b="edge-cu", capacity_mbps=500.0))
-        paths = k_shortest_paths(topo, "bs-0", "edge-cu", k=4)
+        paths = candidate_paths(topo, "bs-0", "edge-cu", k=4)
         assert len(paths) == 2
         # Paths are ordered by increasing delay.
         assert paths[0].delay_us <= paths[1].delay_us
@@ -36,40 +36,85 @@ class TestKShortestPaths:
         topo.add_switch(TransportSwitch(name="sw2"))
         topo.add_link(TransportLink(endpoint_a="bs-0", endpoint_b="sw2", capacity_mbps=200.0))
         topo.add_link(TransportLink(endpoint_a="sw2", endpoint_b="edge-cu", capacity_mbps=800.0))
-        paths = k_shortest_paths(topo, "bs-0", "edge-cu", k=4)
+        paths = candidate_paths(topo, "bs-0", "edge-cu", k=4)
         slower = [p for p in paths if "sw2" in p.nodes][0]
         assert slower.capacity_mbps == pytest.approx(200.0)
 
     def test_core_cu_latency_added(self):
         topo = build_tiny_topology(core_latency_ms=20.0)
-        edge = k_shortest_paths(topo, "bs-0", "edge-cu", k=1)[0]
-        core = k_shortest_paths(topo, "bs-0", "core-cu", k=1)[0]
+        edge = candidate_paths(topo, "bs-0", "edge-cu", k=1)[0]
+        core = candidate_paths(topo, "bs-0", "core-cu", k=1)[0]
         assert core.delay_ms == pytest.approx(edge.delay_ms + 20.0, rel=0.05)
 
     def test_delay_is_its_links_plus_the_cu_access_latency(self):
         topo = build_tiny_topology(core_latency_ms=3.0)
-        path = k_shortest_paths(topo, "bs-0", "core-cu", k=1)[0]
+        path = candidate_paths(topo, "bs-0", "core-cu", k=1)[0]
         expected = sum(link_delay_us(link) for link in path.links) + 3.0 * 1000.0
         assert path.delay_us == pytest.approx(expected)
 
-    def test_unknown_endpoint_rejected(self):
+    def test_unknown_pair_has_no_paths(self):
         topo = build_tiny_topology()
-        with pytest.raises(KeyError):
-            k_shortest_paths(topo, "bs-9", "edge-cu", k=1)
+        assert candidate_paths(topo, "bs-9", "edge-cu", k=1) == []
 
-    def test_disconnected_pair_has_no_paths(self):
+    def test_unreachable_compute_unit_has_no_pair(self):
         topo = build_tiny_topology()
-        topo.add_switch(TransportSwitch(name="island"))
-        assert k_shortest_paths(topo, "bs-0", "island", k=2) == []
+        topo.add_compute_unit(ComputeUnit(name="island", capacity_cpus=4.0))
+        path_set = compute_path_sets(topo, k=2)
+        assert candidate_paths(topo, "bs-0", "island", k=2) == []
+        assert all(cu != "island" for (_bs, cu), _paths in path_set.items())
 
     def test_paths_never_relay_through_another_base_station(self):
         # bs-1 gets a direct link to the edge CU; bs-0 must still reach it
         # through the switch only, not via sw -> bs-1 -> edge-cu.
         topo = build_tiny_topology()
         topo.add_link(TransportLink(endpoint_a="bs-1", endpoint_b="edge-cu", capacity_mbps=1000.0))
-        paths = k_shortest_paths(topo, "bs-0", "edge-cu", k=4)
+        paths = candidate_paths(topo, "bs-0", "edge-cu", k=4)
         assert [p.nodes for p in paths] == [("bs-0", "sw", "edge-cu")]
-        assert len(k_shortest_paths(topo, "bs-1", "edge-cu", k=4)) == 2
+        assert len(candidate_paths(topo, "bs-1", "edge-cu", k=4)) == 2
+
+    def test_weights_are_read_per_call(self):
+        # A capacity change between two calls re-ranks the two routes.
+        topo = build_tiny_topology()
+        topo.add_switch(TransportSwitch(name="sw2"))
+        topo.add_link(TransportLink(endpoint_a="bs-0", endpoint_b="sw2", capacity_mbps=500.0))
+        topo.add_link(TransportLink(endpoint_a="sw2", endpoint_b="edge-cu", capacity_mbps=500.0))
+        before = candidate_paths(topo, "bs-0", "edge-cu", k=2)
+        assert before[0].nodes == ("bs-0", "sw", "edge-cu")
+        topo.replace_link(TransportLink(endpoint_a="sw", endpoint_b="edge-cu", capacity_mbps=10.0))
+        after = candidate_paths(topo, "bs-0", "edge-cu", k=2)
+        assert after[0].nodes == ("bs-0", "sw2", "edge-cu")
+        assert after[1].capacity_mbps == 10.0
+
+
+class TestPathCountValidation:
+    """``k`` is checked up front, with an error that names it."""
+
+    @pytest.mark.parametrize("k", [0, -1, True, False, 2.5, "3", None])
+    def test_rejected(self, tiny_topology, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            compute_path_sets(tiny_topology, k=k)
+
+    def test_zero_is_rejected_even_without_pairs(self):
+        topo = NetworkTopology()
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            compute_path_sets(topo, k=0)
+
+    def test_an_integral_float_is_its_int(self, tiny_topology):
+        assert compute_path_sets(tiny_topology, k=2.0).items() == (
+            compute_path_sets(tiny_topology, k=2).items()
+        )
+
+    def test_a_broker_with_a_boolean_path_count_is_refused(self, tiny_topology):
+        from repro.api import SliceBroker
+        from repro.controlplane.orchestrator import OrchestratorConfig
+        from repro.core.milp_solver import DirectMILPSolver
+
+        with pytest.raises(ValueError, match="k must be a positive integer, got True"):
+            SliceBroker(
+                tiny_topology,
+                DirectMILPSolver(),
+                config=OrchestratorConfig(candidate_paths_per_pair=True),
+            )
 
 
 class TestPathSet:
