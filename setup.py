@@ -11,7 +11,7 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     # scipy >= 1.15 vendors the highspy bindings repro.core.lpsolver drives.
-    install_requires=["numpy", "scipy>=1.15", "networkx"],
+    install_requires=["numpy", "scipy>=1.15"],
     entry_points={
         "console_scripts": [
             "repro-experiments = repro.experiments.cli:main",

@@ -64,6 +64,7 @@ from repro.api.errors import (
     ValidationError,
 )
 from repro.api.events import EventBus, LifecycleEvent, LifecycleEventKind
+from repro.api.wire import checked
 from repro.controlplane.orchestrator import (
     REUSED_MESSAGE,
     E2EOrchestrator,
@@ -82,14 +83,21 @@ from repro.core.slices import SliceRequest
 from repro.faults.injector import ChaosSolver, FaultInjector, attach_injector
 from repro.faults.plan import FaultPlan
 from repro.faults.safeguard import TIER_PRIMARY, HealthMonitor, SafeguardedSolver
-from repro.utils.validation import ensure_non_negative_int
+from repro.utils.validation import (
+    ensure_in_range,
+    ensure_non_negative_int,
+    ensure_positive_int,
+    ensure_text,
+)
 
 
 def _coerce_request(
     request: SliceRequestV1 | SliceRequest | Mapping[str, Any],
 ) -> SliceRequest:
-    """Accept the three supported request forms, normalised to the core type."""
+    """Accept the three supported request forms, normalised to the core type
+    (an in-process :class:`SliceRequest` meets the V1 field rules too)."""
     if isinstance(request, SliceRequest):
+        SliceRequestV1.from_request(request)
         return request
     if isinstance(request, SliceRequestV1):
         return request.to_request()
@@ -99,16 +107,6 @@ def _coerce_request(
         "slice request must be a SliceRequestV1, a SliceRequest or a payload "
         f"mapping, got {type(request).__name__}"
     )
-
-
-def _check_epoch(epoch: int) -> None:
-    """An epoch that is not a non-negative integer is the caller's error,
-    refused before any state is touched: not a failed epoch, so health does
-    not move."""
-    try:
-        ensure_non_negative_int(epoch, "epoch")
-    except ValueError as error:
-        raise ValidationError(str(error), details={"epoch": epoch}) from error
 
 
 def _request_fingerprint(request: SliceRequest) -> str:
@@ -150,21 +148,6 @@ def _record_status(record: SliceRecord, renewal_count: int) -> SliceStatus:
 #: reported: the withdrawn-while-queued, never-registered name falls back to
 #: "unknown slice"; live state is never affected.
 DEFAULT_CACHE_LIMIT = 65536
-
-
-def _evict_oldest(cache: dict, limit: int) -> list:
-    """FIFO-evict until ``cache`` fits ``limit`` (dicts preserve insertion
-    order); returns the evicted keys."""
-    if limit < 1:
-        # A zero/negative limit would busy-evict every entry including the
-        # one just inserted, silently breaking same-call replay; the broker
-        # constructor rejects such limits, this guard catches direct misuse.
-        raise ValueError(f"cache limit must be >= 1, got {limit}")
-    evicted = []
-    while len(cache) > limit:
-        evicted.append(next(iter(cache)))
-        del cache[evicted[-1]]
-    return evicted
 
 
 def _synchronized(method):
@@ -237,20 +220,13 @@ class SliceBroker:
         #: queue to the registry but never adds or removes one.
         self._names: list[str] = []
         #: FIFO bound applied to the token cache and the withdrawal markers.
-        #: ``cache_limit < 1`` is rejected outright (a zero limit would
-        #: busy-evict the entry a tokened submit just inserted, breaking
-        #: same-call replay) rather than silently clamped.
-        if int(cache_limit) != cache_limit or cache_limit < 1:
-            raise ValidationError(
-                f"cache_limit must be an integer >= 1, got {cache_limit!r}"
-            )
-        self._cache_limit = int(cache_limit)
-        if max_pending is not None and (int(max_pending) != max_pending or max_pending < 1):
-            raise ValidationError(
-                f"max_pending must be None or an integer >= 1, got {max_pending!r}"
-            )
+        #: A positive integer: a zero limit would busy-evict the entry a
+        #: tokened submit just inserted, breaking same-call replay.
+        self._cache_limit = checked(ensure_positive_int, cache_limit, "cache_limit")
         #: Intake-queue bound; ``None`` disables backpressure.
-        self._max_pending = None if max_pending is None else int(max_pending)
+        if max_pending is not None:
+            max_pending = checked(ensure_positive_int, max_pending, "max_pending")
+        self._max_pending = max_pending
         #: One reentrant lock serialises the whole admission path (intake,
         #: release, epochs, cache maintenance).  Reentrant because
         #: ``submit_batch`` drives ``submit`` and error paths may re-enter.
@@ -310,6 +286,7 @@ class SliceBroker:
 
     def active_slices(self, epoch: int) -> list[SliceRecord]:
         """Registry records of slices that must stay provisioned at ``epoch``."""
+        epoch = checked(ensure_non_negative_int, epoch, "epoch")
         return self._orchestrator.registry.active_slices(epoch)
 
     def admitted_names(self) -> list[str]:
@@ -339,6 +316,8 @@ class SliceBroker:
         reusing a token with a *different* payload raises
         :class:`DuplicateSliceError`.
         """
+        if client_token is not None:
+            client_token = checked(ensure_text, client_token, "client_token")
         core_request, fingerprint = self._prepare(request, client_token)
         with self._lock, self._state_mutex:
             return self._submit_prepared(core_request, fingerprint, client_token)
@@ -355,16 +334,7 @@ class SliceBroker:
         core_request = _coerce_request(request)
         if client_token is None:
             return core_request, None
-        # Fingerprinting converts through the V1 DTO, whose stricter domain
-        # checks can reject an in-process SliceRequest -- keep that a
-        # structured error, not a bare ValueError.
-        try:
-            return core_request, _request_fingerprint(core_request)
-        except (TypeError, ValueError) as error:
-            raise ValidationError(
-                f"invalid slice request: {error}",
-                details={"slice_name": core_request.name},
-            ) from error
+        return core_request, _request_fingerprint(core_request)
 
     def _submit_prepared(
         self,
@@ -448,7 +418,11 @@ class SliceBroker:
                 "client_tokens must be None or match the requests one-to-one",
                 details={"requests": len(requests), "client_tokens": len(client_tokens)},
             )
-        tokens: Sequence[str | None] = client_tokens or [None] * len(requests)
+        tokens: Sequence[str | None] = [None] * len(requests)
+        if client_tokens is not None:
+            tokens = [
+                t if t is None else checked(ensure_text, t, "client_tokens") for t in client_tokens
+            ]
         tickets: list[AdmissionTicket] = []
         enqueued: list[tuple[str, str | None]] = []
         completed = False
@@ -486,11 +460,6 @@ class SliceBroker:
         return tickets
 
     def _enqueue(self, request: SliceRequest, client_token: str | None) -> AdmissionTicket:
-        if not request.name:
-            # The core SliceRequest permits an empty name; the northbound
-            # boundary does not (V1 DTOs reject it) -- enforce it here so
-            # in-process submissions behave the same with or without a token.
-            raise ValidationError("slice name must be non-empty")
         manager = self._orchestrator.slice_manager
         if manager.pending_request(request.name) is not None:
             raise DuplicateSliceError(
@@ -589,12 +558,16 @@ class SliceBroker:
         The named links lose ``1 - capacity_factor`` of their capacity when
         the next ``advance_epoch`` starts; displaced slices are re-homed
         through the renewal path and reported in ``EpochReport.rehomed``.
+        ``capacity_factor`` lies in (0, 1).
         """
+        capacity_factor = checked(
+            ensure_in_range, capacity_factor, "capacity_factor", 0.0, 1.0, closed=False
+        )
         try:
             self._orchestrator.schedule_link_failure(
                 [tuple(key) for key in link_keys], capacity_factor
             )
-        except (KeyError, ValueError) as error:
+        except KeyError as error:
             raise ValidationError(
                 f"invalid link failure: {error}",
                 details={"links": [list(key) for key in link_keys]},
@@ -633,12 +606,15 @@ class SliceBroker:
     ) -> None:
         """Feed monitoring samples for one slice at one base station.
 
-        A base station the topology does not have, an epoch that is not a
-        non-negative integer, a non-finite sample, or an epoch older than the
-        slice's last report (at any of its base stations), is a
-        ``ValidationError`` naming the slice, the station and the epoch, and
-        records nothing.
+        A base station the topology does not have, a non-finite sample, or
+        an epoch older than the slice's last report (at any of its base
+        stations), is a ``ValidationError`` naming the slice, the station and
+        the epoch, and records nothing (as is a refusal by a parameter rule).
         """
+        # ~42 reports an epoch: the plain case skips the adapter calls.
+        if type(slice_name) is not str or not slice_name or type(epoch) is not int or epoch < 0:
+            slice_name = checked(ensure_text, slice_name, "slice_name")
+            epoch = checked(ensure_non_negative_int, epoch, "epoch")
         try:
             self._orchestrator.observe_load(slice_name, base_station, epoch, samples_mbps)
         except ValueError as error:
@@ -680,9 +656,10 @@ class SliceBroker:
         the epoch until the commit point below they are answered from the
         pre-epoch state read through the epoch's journal, i.e. ordered
         before this epoch.  An ``epoch`` that is not a non-negative integer
-        is a :class:`ValidationError` that runs nothing.
+        is a :class:`ValidationError` that runs nothing: not a failed epoch,
+        so health does not move.
         """
-        _check_epoch(epoch)
+        epoch = checked(ensure_non_negative_int, epoch, "epoch")
         registry = self._orchestrator.registry
         events: list[LifecycleEvent] = []
         try:
@@ -941,6 +918,7 @@ class SliceBroker:
         Never waits for a decision epoch: a read that overlaps one is
         answered from the epoch's checkpoint (the pre-epoch state).
         """
+        slice_name = checked(ensure_text, slice_name, "slice_name")
         with self._state_mutex:
             return self._status_from(self._read_source(), slice_name)
 
@@ -1007,16 +985,9 @@ class SliceBroker:
         would say) taken in the same critical section, so the two can never
         disagree.
         """
-        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
-            raise ValidationError(
-                f"offset must be a non-negative integer, got {offset!r}"
-            )
-        if limit is not None and (
-            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
-        ):
-            raise ValidationError(
-                f"limit must be a non-negative integer or None, got {limit!r}"
-            )
+        offset = checked(ensure_non_negative_int, offset, "offset")
+        if limit is not None:
+            limit = checked(ensure_non_negative_int, limit, "limit")
         stop = None if limit is None else offset + limit
         with self._state_mutex:
             source = self._read_source()
@@ -1047,7 +1018,8 @@ class SliceBroker:
         :class:`LifecycleError`; an ``epoch`` that is not a non-negative
         integer is a :class:`ValidationError` that releases nothing.
         """
-        _check_epoch(epoch)
+        slice_name = checked(ensure_text, slice_name, "slice_name")
+        epoch = checked(ensure_non_negative_int, epoch, "epoch")
         # The tables change under the state mutex; the event goes out after
         # it is dropped, so a subscriber may read the broker from its
         # callback (and already sees the released state).
@@ -1089,7 +1061,9 @@ class SliceBroker:
                     request.arrival_epoch,
                     request.duration_epochs,
                 )
-                for evicted in _evict_oldest(self._withdrawn, self._cache_limit):
+                while len(self._withdrawn) > self._cache_limit:  # oldest first
+                    evicted = next(iter(self._withdrawn))
+                    del self._withdrawn[evicted]
                     self._unindex_if_unknown(evicted)
             status = SliceStatus(
                 name=slice_name,

@@ -26,6 +26,10 @@ once when a kept-alive connection turns out to be dead; POSTs are never
 auto-retried (an idempotency token makes the *caller's* retry safe, the
 transport must not guess).  :class:`BrokerConnectionError` is the only
 transport failure that escapes.
+
+Numbers cross as JSON, in a body or a query value, to the broker's own
+parameter rules (DESIGN.md, "Input contract"); a header carries only text,
+so the client applies the text rule to a token itself.
 """
 
 from __future__ import annotations
@@ -51,12 +55,18 @@ from repro.api.transport import (
     JSON_CONTENT_TYPE,
     content_length,
     encode_json,
+    encode_query_value,
+    json_text,
     read_body,
     read_head,
     send,
     slice_path,
     write_head,
 )
+from repro.api.wire import checked
+from repro.utils.validation import ensure_in_range, ensure_int_in_range, ensure_text
+
+_FOREVER = float("inf")
 
 __all__ = ["BrokerClient", "BrokerConnectionError", "EventPage", "SlicePage"]
 
@@ -100,9 +110,9 @@ class BrokerClient:
     """Typed client for one broker server (one connection, one session)."""
 
     def __init__(self, host: str, port: int, *, timeout: float = 60.0):
-        self._host = host
-        self._port = port
-        self._timeout = timeout
+        self._host = checked(ensure_text, host, "host")
+        self._port = checked(ensure_int_in_range, port, "port", 0, 65535)
+        self._timeout = checked(ensure_in_range, timeout, "timeout", 0.0, _FOREVER, closed=False)
         self._sock: socket.socket | None = None
         self._rfile: BinaryIO | None = None
 
@@ -194,7 +204,9 @@ class BrokerClient:
         *,
         client_token: str | None = None,
     ) -> AdmissionTicket:
-        headers = {} if client_token is None else {IDEMPOTENCY_HEADER: client_token}
+        headers = {}
+        if client_token is not None:
+            headers[IDEMPOTENCY_HEADER] = checked(ensure_text, client_token, "client_token")
         payload = self._request(
             "POST",
             f"{API_PREFIX}/slices",
@@ -211,7 +223,7 @@ class BrokerClient:
     ) -> list[AdmissionTicket]:
         headers = {}
         if client_tokens is not None:
-            headers[IDEMPOTENCY_BATCH_HEADER] = json.dumps(list(client_tokens))
+            headers[IDEMPOTENCY_BATCH_HEADER] = json_text(list(client_tokens))
         payload = self._request(
             "POST",
             f"{API_PREFIX}/slices:batch",
@@ -233,14 +245,9 @@ class BrokerClient:
     def list_slices(
         self, offset: int = 0, *, limit: int | None = None
     ) -> SlicePage:
-        path = f"{API_PREFIX}/slices"
-        params = []
-        if offset:
-            params.append(f"offset={offset}")
+        path = f"{API_PREFIX}/slices?offset={encode_query_value(offset)}"
         if limit is not None:
-            params.append(f"limit={limit}")
-        if params:
-            path += "?" + "&".join(params)
+            path += f"&limit={encode_query_value(limit)}"
         payload = self._request("GET", path)
         return SlicePage(
             (SliceStatus.from_dict(entry) for entry in payload["slices"]),
@@ -259,9 +266,9 @@ class BrokerClient:
         return EpochReport.from_dict(payload)
 
     def events(self, since: int = 0, *, limit: int | None = None) -> EventPage:
-        path = f"{API_PREFIX}/events?since={since}"
+        path = f"{API_PREFIX}/events?since={encode_query_value(since)}"
         if limit is not None:
-            path += f"&limit={limit}"
+            path += f"&limit={encode_query_value(limit)}"
         payload = self._request("GET", path)
         events = [
             (entry["seq"], LifecycleEvent.from_dict(entry["event"]))

@@ -18,16 +18,20 @@ existing clients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.api.errors import ValidationError
 from repro.api.events import LifecycleEvent
-from repro.api.wire import check_version, require, stamp
+from repro.api.wire import check_version, checked, require, stamp
 from repro.controlplane.slice_manager import SliceDescriptor
 from repro.core.slices import TEMPLATES, SliceRequest, SliceTemplate
-from repro.utils.validation import ensure_non_negative_int, ensure_positive_int
+from repro.utils.validation import (
+    ensure_non_negative_finite,
+    ensure_non_negative_int,
+    ensure_positive_int,
+    ensure_text,
+)
 
 __all__ = [
     "SliceRequestV1",
@@ -71,19 +75,10 @@ class SliceRequestV1:
     arrival_epoch: int = 0
 
     def __post_init__(self) -> None:
-        # Structured taxonomy errors even on *direct* construction: the DTO
-        # is itself the northbound boundary, so a tenant building one with a
-        # bad field must see `code == "validation"`, not a bare ValueError
-        # (RA02; the `of`/`from_dict` paths already translated, the plain
-        # constructor leaked).
-        if not self.name:
-            raise ValidationError("slice name must be non-empty")
-        if self.duration_epochs <= 0:
-            raise ValidationError("duration_epochs must be positive")
-        if not 0 <= self.penalty_factor < math.inf:  # NaN fails both
-            raise ValidationError("penalty_factor must be finite and non-negative")
-        if self.arrival_epoch < 0:
-            raise ValidationError("arrival_epoch must be non-negative")
+        # Direct construction, ``of`` and ``from_dict`` all meet the field
+        # rules here; each field keeps the plain value its rule returns.
+        for name, rule in _REQUEST_FIELD_RULES:
+            object.__setattr__(self, name, checked(rule, getattr(self, name), name))
 
     # -- conversions ---------------------------------------------------- #
     @classmethod
@@ -103,15 +98,12 @@ class SliceRequestV1:
                 f"unknown slice type {slice_type!r}",
                 details={"known_types": sorted(TEMPLATES)},
             ) from None
-        return _validated(
-            lambda: cls(
-                name=name,
-                template=template,
-                duration_epochs=duration_epochs,
-                penalty_factor=penalty_factor,
-                arrival_epoch=arrival_epoch,
-            ),
-            "SliceRequestV1",
+        return cls(
+            name=name,
+            template=template,
+            duration_epochs=duration_epochs,
+            penalty_factor=penalty_factor,
+            arrival_epoch=arrival_epoch,
         )
 
     @classmethod
@@ -127,15 +119,12 @@ class SliceRequestV1:
 
     def to_request(self) -> SliceRequest:
         """Control-plane :class:`SliceRequest` this DTO describes."""
-        return _validated(
-            lambda: SliceRequest(
-                name=self.name,
-                template=self.template,
-                duration_epochs=self.duration_epochs,
-                penalty_factor=self.penalty_factor,
-                arrival_epoch=self.arrival_epoch,
-            ),
-            "SliceRequestV1",
+        return SliceRequest(
+            name=self.name,
+            template=self.template,
+            duration_epochs=self.duration_epochs,
+            penalty_factor=self.penalty_factor,
+            arrival_epoch=self.arrival_epoch,
         )
 
     # -- wire format ---------------------------------------------------- #
@@ -166,38 +155,35 @@ class SliceRequestV1:
             raise ValidationError(
                 "SliceRequestV1 'template' must be a mapping of template fields"
             )
+        where = "SliceRequestV1.template"
         template = _validated(
             lambda: SliceTemplate(
-                name=str(require(payload, "slice_type", "SliceRequestV1")),
-                reward=float(require(template_payload, "reward", "SliceRequestV1.template")),
-                latency_tolerance_ms=float(
-                    require(template_payload, "latency_tolerance_ms", "SliceRequestV1.template")
-                ),
-                sla_mbps=float(require(template_payload, "sla_mbps", "SliceRequestV1.template")),
-                compute_baseline_cpus=float(
-                    require(template_payload, "compute_baseline_cpus", "SliceRequestV1.template")
-                ),
-                compute_cpus_per_mbps=float(
-                    require(template_payload, "compute_cpus_per_mbps", "SliceRequestV1.template")
-                ),
-                default_relative_std=float(template_payload.get("default_relative_std", 0.25)),
+                name=require(payload, "slice_type", "SliceRequestV1"),
+                reward=require(template_payload, "reward", where),
+                latency_tolerance_ms=require(template_payload, "latency_tolerance_ms", where),
+                sla_mbps=require(template_payload, "sla_mbps", where),
+                compute_baseline_cpus=require(template_payload, "compute_baseline_cpus", where),
+                compute_cpus_per_mbps=require(template_payload, "compute_cpus_per_mbps", where),
+                default_relative_std=template_payload.get("default_relative_std", 0.25),
             ),
             "SliceRequestV1",
         )
-        return _validated(
-            lambda: cls(
-                name=str(require(payload, "name", "SliceRequestV1")),
-                template=template,
-                duration_epochs=ensure_positive_int(
-                    require(payload, "duration_epochs", "SliceRequestV1"), "duration_epochs"
-                ),
-                penalty_factor=float(require(payload, "penalty_factor", "SliceRequestV1")),
-                arrival_epoch=ensure_non_negative_int(
-                    require(payload, "arrival_epoch", "SliceRequestV1"), "arrival_epoch"
-                ),
-            ),
-            "SliceRequestV1",
+        return cls(
+            name=require(payload, "name", "SliceRequestV1"),
+            template=template,
+            duration_epochs=require(payload, "duration_epochs", "SliceRequestV1"),
+            penalty_factor=require(payload, "penalty_factor", "SliceRequestV1"),
+            arrival_epoch=require(payload, "arrival_epoch", "SliceRequestV1"),
         )
+
+
+#: The rule of each scalar field of :class:`SliceRequestV1`.
+_REQUEST_FIELD_RULES = (
+    ("name", ensure_text),
+    ("duration_epochs", ensure_positive_int),
+    ("penalty_factor", ensure_non_negative_finite),
+    ("arrival_epoch", ensure_non_negative_int),
+)
 
 
 # --------------------------------------------------------------------- #

@@ -52,6 +52,7 @@ from repro.api.transport import (
     batch_tokens_from_header,
     content_length,
     decode_json,
+    decode_query_value,
     encode_json,
     error_body,
     http_date,
@@ -61,6 +62,13 @@ from repro.api.transport import (
     send,
     status_for,
     write_head,
+)
+from repro.api.wire import checked
+from repro.utils.validation import (
+    ensure_int_in_range,
+    ensure_non_negative_int,
+    ensure_positive_int,
+    ensure_text,
 )
 
 __all__ = ["BrokerServer", "EventLog", "DEFAULT_EVENT_RETENTION"]
@@ -94,10 +102,6 @@ class EventLog:
     """
 
     def __init__(self, broker: SliceBroker, retention: int = DEFAULT_EVENT_RETENTION):
-        if retention < 1:
-            raise ValidationError(
-                f"event retention must be >= 1, got {retention}"
-            )
         self._lock = threading.Lock()
         self._retention = retention
         self._events: list[LifecycleEvent] = []
@@ -123,13 +127,13 @@ class EventLog:
     def page(self, since: int, limit: int | None = None) -> tuple[list[dict[str, Any]], int]:
         """Events with seq > ``since`` (at most ``limit``), plus the next cursor.
 
-        Only the window is copied under the log lock; the payloads are
+        ``since`` and ``limit`` are checked non-negative ints.  Only the
+        window is copied under the log lock; the payloads are
         encoded after it is dropped, so a large page never stalls
         :meth:`_append` -- which runs inside an epoch's event fan-out, under
         the broker's admission lock.
         """
         with self._lock:
-            since = max(0, since)
             dropped = self._total - (len(self._events) - self._start)
             if since < dropped:
                 raise ValidationError(
@@ -269,12 +273,14 @@ class BrokerServer:
         max_batch: int = DEFAULT_MAX_BATCH,
         event_retention: int = DEFAULT_EVENT_RETENTION,
     ):
-        if max_batch < 1:
-            raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
+        host = checked(ensure_text, host, "host")
+        port = checked(ensure_int_in_range, port, "port", 0, 65535)
         self.broker = broker
-        self.max_batch = max_batch
+        self.max_batch = checked(ensure_positive_int, max_batch, "max_batch")
         #: Cursor-paged event feed backing ``GET /v1/events`` (ring-bounded).
-        self.event_log = EventLog(broker, retention=event_retention)
+        self.event_log = EventLog(
+            broker, retention=checked(ensure_positive_int, event_retention, "event_retention")
+        )
         self._http = _BrokerHTTPServer((host, port), _BrokerRequestHandler)
         self._http.api = self
         self._thread: threading.Thread | None = None
@@ -368,14 +374,12 @@ class BrokerServer:
                 quote = self.broker.quote(self._payload_mapping(body))
                 return request._respond_json(quote.to_dict())
             if path == f"{API_PREFIX}/epochs":
-                body = decode_json(request._read_body())
-                epoch = self._epoch_field(body)
+                epoch = self._epoch_field(request._read_body())
                 report = self.broker.advance_epoch(epoch)
                 return request._respond_json(report.to_dict())
             name, verb = self._slice_segment(path)
             if name is not None and verb == "release":
-                body = decode_json(request._read_body())
-                epoch = self._epoch_field(body)
+                epoch = self._epoch_field(request._read_body())
                 status = self.broker.release(name, epoch=epoch)
                 return request._respond_json(status.to_dict())
         raise NotFoundError(
@@ -420,14 +424,9 @@ class BrokerServer:
         return body
 
     @staticmethod
-    def _epoch_field(body: Any) -> int:
-        payload = BrokerServer._payload_mapping(body)
-        epoch = payload.get("epoch")
-        if isinstance(epoch, bool) or not isinstance(epoch, int):
-            raise ValidationError(
-                f"body field 'epoch' must be an integer, got {epoch!r}"
-            )
-        return epoch
+    def _epoch_field(body: bytes) -> Any:
+        """The body's ``epoch`` as decoded; the broker's rule judges it."""
+        return BrokerServer._payload_mapping(decode_json(body)).get("epoch")
 
     @staticmethod
     def _slice_segment(path: str) -> tuple[str | None, str | None]:
@@ -441,28 +440,23 @@ class BrokerServer:
         return name, verb
 
     @staticmethod
-    def _int_param(query: dict[str, list[str]], name: str, default: int | None) -> int | None:
+    def _query_param(query: dict[str, list[str]], name: str, default: Any) -> Any:
+        """The last ``name`` value, as the JSON value it spells (unchecked)."""
         if name not in query:
             return default
-        raw = query[name][-1]
-        # ASCII digits and an optional leading minus: int() would also take
-        # "+1", "1_0" and other digit sets.
-        digits = raw.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValidationError(f"query parameter {name!r} must be an integer, got {raw!r}")
-        return int(raw)
+        return decode_query_value(query[name][-1], name)
 
     def _events_payload(self, query: dict[str, list[str]]) -> dict[str, Any]:
-        since = self._int_param(query, "since", 0)
-        limit = self._int_param(query, "limit", None)
-        if limit is not None and limit < 0:
-            raise ValidationError(f"query parameter 'limit' must be >= 0, got {limit}")
+        since = checked(ensure_non_negative_int, self._query_param(query, "since", 0), "since")
+        limit = self._query_param(query, "limit", None)
+        if limit is not None:
+            limit = checked(ensure_non_negative_int, limit, "limit")
         events, next_seq = self.event_log.page(since, limit)
         return {"events": events, "next": next_seq}
 
     def _slices_payload(self, query: dict[str, list[str]]) -> dict[str, Any]:
-        offset = self._int_param(query, "offset", 0)
-        limit = self._int_param(query, "limit", None)
+        offset = self._query_param(query, "offset", 0)
+        limit = self._query_param(query, "limit", None)
         page = self.broker.list_slices(offset=offset, limit=limit)
         return {
             "slices": [status.to_dict() for status in page],

@@ -50,12 +50,15 @@ path, which escapes ``:``-bearing segments distinctly.
 from __future__ import annotations
 
 import json
+import math
 import time
 from email.utils import formatdate
 from typing import Any, BinaryIO, Mapping
 from urllib.parse import quote, unquote
 
 from repro.api.errors import BrokerError, ValidationError
+from repro.api.wire import checked
+from repro.utils.validation import ensure_text
 
 __all__ = [
     "API_PREFIX",
@@ -70,6 +73,9 @@ __all__ = [
     "error_body",
     "encode_json",
     "decode_json",
+    "json_text",
+    "encode_query_value",
+    "decode_query_value",
     "slice_path",
     "parse_slice_path",
     "batch_tokens_from_header",
@@ -140,44 +146,76 @@ def status_for(error: BrokerError) -> int:
 
 
 def error_body(error: BrokerError) -> bytes:
-    """The JSON wire body of a structured broker error."""
-    return encode_json(error.to_dict())
+    """The JSON wire body of a structured broker error.  JSON has no NaN or
+    infinity, so a non-finite number its ``details`` echo goes as text."""
+    payload = error.to_dict()
+    payload["details"] = {
+        key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in payload["details"].items()
+    }
+    return encode_json(payload)
+
+
+def _scalar(value: Any) -> Any:
+    """A numpy scalar encodes as the Python number it holds."""
+    if getattr(value, "shape", None) == () and hasattr(value, "item"):
+        return value.item()
+    raise ValidationError(f"a {type(value).__name__} is not a JSON value")
+
+
+#: Built once (``json.dumps`` / ``loads`` with an option build one per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_scalar)
+_DECODER = json.JSONDecoder()
 
 
 def encode_json(payload: Mapping[str, Any]) -> bytes:
     """Canonical JSON encoding of a response/request body."""
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
-def _refuse_constant(literal: str) -> Any:
-    raise ValidationError(f"{literal} is not JSON (RFC 8259 has no such literal)")
-
-
-#: ``json.loads`` with any option builds a decoder per call; this one is
-#: built once.
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def decode_json(body: bytes, *, what: str = "request body") -> Any:
-    """Parse a JSON body, mapping malformed input -- ``NaN`` and
-    ``Infinity``, which Python's parser accepts, included -- to the
-    ``validation`` code."""
+    """Parse a JSON body, mapping malformed input to the ``validation`` code.
+    ``NaN`` / ``Infinity`` decode to floats (as ``1e999`` does), for the
+    rule of the field they fill to refuse by name, as it does in process."""
     if not body:
         raise ValidationError(f"{what} must be a JSON document, got an empty body")
     try:
         return _DECODER.decode(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except ValueError as error:  # undecodable bytes, bad JSON, a 5000-digit int
         raise ValidationError(f"malformed JSON {what}: {error}") from error
 
 
+def json_text(value: Any) -> str:
+    """The JSON text of one value (a header's, a query value's)."""
+    return _ENCODER.encode(value)
+
+
+def encode_query_value(value: Any) -> str:
+    """A query value: ``value``'s JSON text, URL-quoted, decoded back whole."""
+    return quote(json_text(value), safe="")
+
+
+def decode_query_value(raw: str, name: str) -> Any:
+    """Inverse of :func:`encode_query_value` on unquoted text; text that is
+    not JSON (``x``, ``+1``, ``1_0``) is refused naming ``name``."""
+    try:
+        return _DECODER.decode(raw)
+    except ValueError:
+        raise ValidationError(
+            f"query parameter {name!r} must be a JSON value, got {raw!r}",
+            details={name: raw},
+        ) from None
+
+
 def slice_path(name: str, *, verb: str | None = None) -> str:
-    """Path of one slice's resource, with the name URL-quoted.
+    """Path of one slice's resource, with the name URL-quoted (a name that
+    is not text has no path: the ``slice_name`` rule refuses it).
 
     ``quote(..., safe="")`` escapes ``/`` and ``:`` inside names, so a slice
     named ``a:release`` yields ``/v1/slices/a%3Arelease`` -- distinct from
     the custom-verb route ``/v1/slices/a:release``.
     """
-    path = f"{API_PREFIX}/slices/{quote(name, safe='')}"
+    path = f"{API_PREFIX}/slices/{quote(checked(ensure_text, name, 'slice_name'), safe='')}"
     return f"{path}:{verb}" if verb else path
 
 
@@ -208,9 +246,8 @@ def batch_tokens_from_header(value: str | None, count: int) -> list[str | None] 
             f"malformed {IDEMPOTENCY_BATCH_HEADER} header (must be a JSON "
             f"array of tokens/nulls): {error}"
         ) from error
-    if not isinstance(tokens, list) or not all(
-        token is None or isinstance(token, str) for token in tokens
-    ):
+    if not isinstance(tokens, list):
+        # Each entry meets the broker's ``client_tokens`` rule.
         raise ValidationError(
             f"{IDEMPOTENCY_BATCH_HEADER} header must be a JSON array of "
             "strings or nulls"

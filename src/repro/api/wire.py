@@ -53,3 +53,14 @@ def require(payload: Mapping[str, Any], key: str, dto_name: str) -> Any:
         raise ValidationError(
             f"{dto_name} payload is missing required field {key!r}"
         ) from None
+
+
+def checked(rule, value: Any, name: str, *bounds: Any, **options: Any) -> Any:
+    """``rule(value, *bounds, name)`` -- the plain value that flows on -- with
+    its ``ValueError`` as a :class:`ValidationError` whose ``details`` map
+    ``name`` to ``value``: the one adapter the northbound surface refuses
+    through, in process and over the wire (DESIGN.md, "Input contract")."""
+    try:
+        return rule(value, *bounds, name, **options)
+    except ValueError as error:
+        raise ValidationError(str(error), details={name: value}) from None

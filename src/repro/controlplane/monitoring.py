@@ -24,8 +24,6 @@ import math
 
 import numpy as np
 
-from repro.utils.validation import ensure_int
-
 
 class MonitoringService:
     """Per-slice peak tracks fed by the controllers' load samples."""
@@ -49,20 +47,11 @@ class MonitoringService:
         """Fold the monitoring samples of one slice at one BS for one epoch.
 
         Every base station of a slice feeds the same track, so reports must
-        arrive in epoch order per slice.  An epoch that is not an integer
-        (``2.5``, ``"3"``, a bool; an integral float is its integer), a
-        non-finite sample, or an epoch older than the slice's last report
-        raises ``ValueError`` and records nothing; an empty block records
-        nothing and checks only that its epoch is an integer.
+        arrive in epoch order per slice.  ``epoch`` is an ``int`` (the
+        broker's parameter rule makes it one).  A non-finite sample, or an
+        epoch older than the slice's last report, raises ``ValueError`` and
+        records nothing; an empty block records nothing.
         """
-        if type(epoch) is not int:
-            try:
-                epoch = ensure_int(epoch, "epoch")
-            except ValueError:
-                raise ValueError(
-                    f"load samples of slice {slice_name!r} at {base_station!r} "
-                    f"must have an integer epoch (got {epoch!r})"
-                ) from None
         # One float64 vector, read back as Python floats: on a dozen samples
         # ``max`` and ``sum`` over the list cost a third of two reductions.
         values = np.asarray(samples_mbps, dtype=np.float64).ravel().tolist()

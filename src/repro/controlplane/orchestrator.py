@@ -51,7 +51,7 @@ from repro.topology.generators import degrade_link_capacities
 from repro.topology.network import NetworkTopology
 from repro.topology.paths import compute_path_sets
 from repro.utils.journal import Journal, assign
-from repro.utils.validation import ensure_non_negative_int
+from repro.utils.validation import ensure_positive_int
 
 #: ``stats.message`` of a decision the orchestrator reused instead of
 #: running the solver.
@@ -77,12 +77,18 @@ class OrchestratorConfig:
     decision.  Steady-state simulations (the Fig. 5 / Fig. 6 oracle
     scenarios) hit this on every epoch after the admission settles; disable
     it when benchmarking raw solver latency.
+    The three counts are positive integers (``2.0`` is ``2``); anything else
+    is a ``ValueError`` naming the field, raised here.
     """
 
     epochs_per_day: int = 24
     samples_per_epoch: int = 12
     candidate_paths_per_pair: int = 3
     reuse_unchanged_decisions: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("epochs_per_day", "samples_per_epoch", "candidate_paths_per_pair"):
+            object.__setattr__(self, name, ensure_positive_int(getattr(self, name), name))
 
 
 @dataclass
@@ -285,26 +291,18 @@ class E2EOrchestrator:
     ) -> None:
         """Feed monitoring samples collected by the controllers.
 
-        A base station the topology does not have, or an epoch that is not
-        a non-negative integer (``2.5``, ``"3"``, a bool), is a
-        ``ValueError`` and records nothing: every report of a slice folds
-        into its one peak track, so a stray one would move its forecast.
+        A base station the topology does not have is a ``ValueError`` and
+        records nothing: every report of a slice folds into its one peak
+        track, so a stray one would move its forecast.  ``epoch`` is the
+        broker's checked non-negative ``int``.
         """
         try:
             self.topology.base_station(base_station)
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable "name"
             raise ValueError(
                 f"load samples of slice {slice_name!r} name base station "
                 f"{base_station!r}, which the topology does not have"
             ) from None
-        if type(epoch) is not int or epoch < 0:
-            try:
-                epoch = ensure_non_negative_int(epoch, "epoch")
-            except ValueError:
-                raise ValueError(
-                    f"load samples of slice {slice_name!r} at {base_station!r} "
-                    f"must have a non-negative epoch (an integer; got {epoch!r})"
-                ) from None
         self.monitoring.record_samples(slice_name, base_station, epoch, samples_mbps)
 
     # ------------------------------------------------------------------ #
@@ -327,15 +325,12 @@ class E2EOrchestrator:
         the next epoch starts (before expiries are processed), and any
         admitted slice whose transport reservations no longer fit the
         damaged links is re-homed through the renewal path.
+        ``capacity_factor`` is the broker's checked float in (0, 1).
         """
-        if not 0.0 < capacity_factor < 1.0:
-            raise ValueError(
-                f"capacity_factor must be in (0, 1), got {capacity_factor!r}"
-            )
         keys = [tuple(sorted(key)) for key in link_keys]
         for key in keys:
             self.topology.link(*key)  # raises KeyError for unknown links
-        self._scheduled_link_failures.append((keys, float(capacity_factor)))
+        self._scheduled_link_failures.append((keys, capacity_factor))
 
     def run_epoch(
         self,

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.utils.validation import (
     ensure_finite,
-    ensure_in_range,
     ensure_non_negative,
     ensure_positive,
+    ensure_probability,
+    ensure_text,
 )
 
 
@@ -44,25 +45,28 @@ class SliceTemplate:
     default_relative_std: float = 0.25
 
     def __post_init__(self) -> None:
-        for name in (
-            "reward",
-            "latency_tolerance_ms",
-            "sla_mbps",
-            "compute_baseline_cpus",
-            "compute_cpus_per_mbps",
-        ):
-            ensure_finite(getattr(self, name), name)
-        ensure_positive(self.reward, "reward")
-        ensure_positive(self.latency_tolerance_ms, "latency_tolerance_ms")
-        ensure_positive(self.sla_mbps, "sla_mbps")
-        ensure_non_negative(self.compute_baseline_cpus, "compute_baseline_cpus")
-        ensure_non_negative(self.compute_cpus_per_mbps, "compute_cpus_per_mbps")
-        ensure_in_range(self.default_relative_std, 0.0, 1.0, "default_relative_std")
+        # Each field keeps the float its rule returns: a template decoded
+        # from a wire payload equals the catalogue one.
+        ensure_text(self.name, "name")
+        for name, rule in _TEMPLATE_FIELD_RULES:
+            value = rule(ensure_finite(getattr(self, name), name), name)
+            object.__setattr__(self, name, value)
 
     def compute_cpus(self, carried_mbps: float) -> float:
         """CPU cores consumed when carrying ``carried_mbps`` (the s_tau map)."""
         ensure_non_negative(carried_mbps, "carried_mbps")
         return self.compute_baseline_cpus + self.compute_cpus_per_mbps * carried_mbps
+
+
+#: The rule of each number of a :class:`SliceTemplate` (all also finite).
+_TEMPLATE_FIELD_RULES = (
+    ("reward", ensure_positive),
+    ("latency_tolerance_ms", ensure_positive),
+    ("sla_mbps", ensure_positive),
+    ("compute_baseline_cpus", ensure_non_negative),
+    ("compute_cpus_per_mbps", ensure_non_negative),
+    ("default_relative_std", ensure_probability),
+)
 
 
 def _template_reward(base: float, compute_cpus_per_mbps: float) -> float:

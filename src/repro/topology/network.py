@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.topology.elements import (
     BaseStation,
@@ -12,9 +11,6 @@ from repro.topology.elements import (
     TransportLink,
     TransportSwitch,
 )
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 @dataclass
@@ -29,8 +25,8 @@ class NetworkTopology:
     * compute units (compute domain, capacity ``C_c``).
 
     It exposes the per-domain capacity snapshot consumed by the AC-RR problem
-    builder, and an undirected :class:`networkx.Graph` view for analysis
-    (the path search reads :class:`repro.topology.paths.TransportAdjacency`).
+    builder; the path search reads it through
+    :class:`repro.topology.paths.TransportAdjacency`.
     """
 
     name: str = "topology"
@@ -121,12 +117,6 @@ class NetworkTopology:
         key = tuple(sorted((endpoint_a, endpoint_b)))
         return self._links[key]  # type: ignore[index]
 
-    def links_between(self, nodes: Iterable[str]) -> Iterator[TransportLink]:
-        """Yield the links along a node sequence (consecutive pairs)."""
-        sequence = list(nodes)
-        for a, b in zip(sequence, sequence[1:]):
-            yield self.link(a, b)
-
     @property
     def base_station_names(self) -> list[str]:
         return list(self._base_stations)
@@ -138,27 +128,6 @@ class NetworkTopology:
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
-    def graph(self) -> nx.Graph:
-        """Return an undirected graph view (nodes keyed by name)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        for name in self._base_stations:
-            g.add_node(name, kind="bs")
-        for name in self._switches:
-            g.add_node(name, kind="switch")
-        for name in self._compute_units:
-            g.add_node(name, kind="cu")
-        for link in self._links.values():
-            g.add_edge(
-                link.endpoint_a,
-                link.endpoint_b,
-                capacity_mbps=link.capacity_mbps,
-                length_km=link.length_km,
-                technology=link.technology,
-            )
-        return g
-
     def capacities(self) -> DomainCapacities:
         """Snapshot of per-domain capacities consumed by the AC-RR problem."""
         return DomainCapacities(

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.topology.delay import link_delay_us
-from repro.topology.elements import TransportLink
+from repro.topology.elements import ComputeUnit, TransportLink
 from repro.topology.network import NetworkTopology
 from repro.utils.validation import ensure_positive_int
 
@@ -160,19 +160,22 @@ class PathSet:
 
 
 def _build_path(
-    topology: NetworkTopology, bs_name: str, cu_name: str, node_sequence: list[str]
+    adjacency: "TransportAdjacency", links: list[TransportLink], bs_name: str,
+    cu: ComputeUnit, nodes: list[int],
 ) -> Path:
-    links = tuple(topology.links_between(node_sequence))
-    cu = topology.compute_unit(cu_name)
-    delay = sum(link_delay_us(link) for link in links) + cu.access_latency_ms * 1000.0
-    capacity = min(link.capacity_mbps for link in links)
+    """The :class:`Path` along ``nodes`` (ids of ``adjacency``): each hop's
+    link and delay as the search held them, summed in hop order."""
+    hops = [adjacency.hops[u, v] for u, v in zip(nodes, nodes[1:])]
+    path_links = tuple(links[link] for _delay, link in hops)
+    delay = sum(delay for delay, _link in hops) + cu.access_latency_ms * 1000.0
+    names = adjacency.names
     return Path(
         base_station=bs_name,
-        compute_unit=cu_name,
-        nodes=tuple(node_sequence),
-        links=links,
+        compute_unit=cu.name,
+        nodes=tuple(names[node] for node in nodes),
+        links=path_links,
         delay_us=delay,
-        capacity_mbps=capacity,
+        capacity_mbps=min(link.capacity_mbps for link in path_links),
     )
 
 
@@ -287,8 +290,8 @@ class TransportAdjacency:
                     stack.append(w)
         return {self.names[node] for node in found}
 
-    def k_shortest(self, base_station: str, compute_unit: str, k: int) -> list[list[str]]:
-        """Up to ``k`` loop-free node sequences, shortest delay first.
+    def k_shortest(self, base_station: str, compute_unit: str, k: int) -> list[list[int]]:
+        """Up to ``k`` loop-free node-id sequences, shortest delay first.
 
         networkx 3.6.1 ``shortest_simple_paths`` (Yen) cut at ``k`` as
         ``islice`` cuts it: the same ``PathBuffer`` (a ``(cost, counter,
@@ -330,8 +333,7 @@ class TransportAdjacency:
                 blocked[root[-1]] = 1
             for node in path[:-1]:
                 blocked[node] = 0
-        names = self.names
-        return [[names[node] for node in path] for path in found]
+        return found
 
 
 def compute_path_sets(topology: NetworkTopology, k: int = 4) -> PathSet:
@@ -344,10 +346,13 @@ def compute_path_sets(topology: NetworkTopology, k: int = 4) -> PathSet:
     """
     k = ensure_positive_int(k, "k")
     adjacency = TransportAdjacency(topology)
+    links = topology.links
     paths: dict[tuple[str, str], list[Path]] = {}
     for bs in topology.base_station_names:
-        for cu in topology.compute_unit_names:
-            sequences = adjacency.k_shortest(bs, cu, k)
+        for cu in topology.compute_units:
+            sequences = adjacency.k_shortest(bs, cu.name, k)
             if sequences:
-                paths[(bs, cu)] = [_build_path(topology, bs, cu, nodes) for nodes in sequences]
+                paths[(bs, cu.name)] = [
+                    _build_path(adjacency, links, bs, cu, nodes) for nodes in sequences
+                ]
     return PathSet(paths)

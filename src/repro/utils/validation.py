@@ -7,7 +7,9 @@ states the admissible range and quotes the value received --
 ``"alpha must be in [0.0, 1.0], got 1.5"``.  Non-numeric and NaN inputs are
 rejected with the same uniform message shape (instead of surfacing as
 ``TypeError`` from a comparison), so callers can rely on catching
-``ValueError`` alone.
+``ValueError`` alone.  This is the northbound input contract (DESIGN.md,
+"Input contract"): a bool or a numeric string is not a number, and ``2.0``
+or a numpy scalar is the plain number it equals, which is what flows on.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ def _as_real(value, name: str) -> float:
         raise ValueError(
             f"{name} must be a real number, got {value!r} of type {type(value).__name__}"
         )
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float is beyond every bound
+        value = math.inf if value > 0 else -math.inf
     if math.isnan(value):
         raise ValueError(f"{name} must be a real number, got NaN")
     return value
@@ -57,11 +62,20 @@ def ensure_non_negative(value: float, name: str) -> float:
     return value
 
 
-def ensure_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Return ``value`` if within [low, high], otherwise raise ``ValueError``."""
+def ensure_non_negative_finite(value: float, name: str) -> float:
+    """Return ``value`` if a finite real number >= 0, otherwise raise ``ValueError``."""
     value = _as_real(value, name)
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
+def ensure_in_range(value: float, low: float, high: float, name: str, *, closed=True) -> float:
+    """Return ``value`` if within [low, high] (or (low, high)), else raise ``ValueError``."""
+    value = _as_real(value, name)
+    if not (low <= value <= high if closed else low < value < high):
+        bounds = f"[{low}, {high}]" if closed else f"({low}, {high})"
+        raise ValueError(f"{name} must be in {bounds}, got {value!r}")
     return value
 
 
@@ -71,20 +85,20 @@ def ensure_probability(value: float, name: str) -> float:
 
 
 def _as_integral(value, name: str, kind: str) -> int:
-    """Coerce ``value`` to ``int``, rejecting non-numbers, NaN/inf and fractions."""
+    """Coerce ``value`` to ``int``, rejecting non-numbers, NaN/inf and fractions
+    (an integer type is taken whole, however large)."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(
             f"{name} must be {kind}, got {value!r} of type {type(value).__name__}"
         )
+    if isinstance(value, Integral):
+        return int(value)
     as_float = float(value)
-    if not math.isfinite(as_float) or as_float != int(as_float):
+    if not as_float.is_integer():  # NaN and +-inf are not integers either
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return int(as_float)
-
-
-def ensure_int(value, name: str) -> int:
-    """Return ``value`` as ``int`` if it is an integer (of any sign)."""
-    return _as_integral(value, name, "an integer")
 
 
 def ensure_positive_int(value, name: str) -> int:
@@ -100,6 +114,21 @@ def ensure_non_negative_int(value, name: str) -> int:
     value = _as_integral(value, name, "a non-negative integer")
     if value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def ensure_int_in_range(value, low: int, high: int, name: str) -> int:
+    """Return ``value`` as ``int`` if it is an integer within [low, high]."""
+    value = _as_integral(value, name, f"an integer in [{low}, {high}]")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
+def ensure_text(value, name: str) -> str:
+    """Return ``value`` if it is a non-empty ``str`` (a number is not text)."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
     return value
 
 

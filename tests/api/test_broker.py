@@ -254,20 +254,6 @@ class TestReportLoad:
         assert broker.quote(self.embb()) == learnt
         assert broker.orchestrator.monitoring.peak_history("s").tolist() == [6.0] * 11
 
-    def test_negative_epoch_is_a_validation_error(self):
-        """Also for a slice with no track yet, which accepted it before."""
-        from repro.api.errors import ValidationError
-
-        broker = self.learnt_broker()
-        learnt = broker.quote(self.embb())
-        for name in ("s", "fresh"):
-            with pytest.raises(ValidationError, match="non-negative epoch") as raised:
-                broker.report_load(name, "bs-1", -1, [45.0])
-            assert raised.value.details == {"slice_name": name, "base_station": "bs-1", "epoch": -1}
-        assert broker.quote(self.embb()) == learnt
-        assert broker.orchestrator.monitoring.peak_history("s").tolist() == [6.0] * 11
-        assert broker.orchestrator.monitoring.peak_history("fresh").size == 0
-
     def test_empty_report_records_nothing(self):
         broker = self.learnt_broker()
         learnt = broker.quote(self.embb())

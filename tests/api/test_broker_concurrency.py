@@ -20,9 +20,7 @@ from repro.api import (
     SliceBroker,
     SliceRequestV1,
     SolverError,
-    ValidationError,
 )
-from repro.api.broker import _evict_oldest
 import repro.controlplane.orchestrator as orchestrator_module
 from repro.controlplane.orchestrator import ForecastingBlock, OrchestratorConfig
 from repro.controlplane.slice_manager import SliceManager
@@ -194,27 +192,13 @@ class TestBackpressure:
 
 
 # --------------------------------------------------------------------- #
-# Constructor validation (satellite: cache_limit >= 1)
+# Constructor limits (their values: tests/api/test_input_contract.py)
 # --------------------------------------------------------------------- #
 class TestLimitsValidation:
-    @pytest.mark.parametrize("bad", [0, -1, -65536])
-    def test_cache_limit_below_one_is_rejected(self, bad):
-        with pytest.raises(ValidationError, match="cache_limit"):
-            make_broker(cache_limit=bad)
-
     def test_cache_limit_one_preserves_same_call_replay(self):
         broker = make_broker(cache_limit=1)
         first = broker.submit(request("a", arrival=9), client_token="t-a")
         assert broker.submit(request("a", arrival=9), client_token="t-a") == first
-
-    @pytest.mark.parametrize("bad", [0, -5])
-    def test_max_pending_below_one_is_rejected(self, bad):
-        with pytest.raises(ValidationError, match="max_pending"):
-            make_broker(max_pending=bad)
-
-    def test_evict_oldest_rejects_nonpositive_limit(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            _evict_oldest({"a": 1}, 0)
 
 
 # --------------------------------------------------------------------- #

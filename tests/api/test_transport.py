@@ -220,14 +220,6 @@ class TestWireErrors:
         )
         self.assert_taxonomy(status, payload, "validation")
 
-    def test_bad_epoch_field(self, served):
-        _, server, _ = served
-        for bad in ({"epoch": "zero"}, {"epoch": True}, {}):
-            status, payload = raw_exchange(
-                server, "POST", "/v1/epochs", body=json.dumps(bad).encode()
-            )
-            self.assert_taxonomy(status, payload, "validation")
-
     def test_malformed_batch_token_header(self, served):
         _, server, _ = served
         body = json.dumps({"requests": [request("s1", arrival=1).to_dict()]}).encode()
@@ -364,10 +356,6 @@ class TestEventRetention:
         _, _, client = tiny_log
         total = self.publish(client)
         assert client.health()["events_published"] == total
-
-    def test_retention_must_be_positive(self):
-        with pytest.raises(ValidationError, match="retention"):
-            BrokerServer(make_broker(), event_retention=0)
 
     def test_default_retention_keeps_small_feeds_whole(self, served):
         _, _, client = served

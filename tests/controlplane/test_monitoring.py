@@ -396,42 +396,6 @@ class TestRejectedWrites:
                 assert earlier[-1] <= later[earlier.size - 1]
 
 
-class TestEpochIsAnInteger:
-    """A report whose epoch is not an integer raises and records nothing.
-    It used to be truncated: a report at epoch 2.7 raised epoch 2's peak.
-    (Negative integers are the orchestrator's to refuse; the track only
-    orders epochs.)"""
-
-    @pytest.mark.parametrize("epoch", [2.7, np.float64(4.9), "3", True, None, float("nan")])
-    def test_a_non_integer_epoch_raises_and_records_nothing(self, epoch):
-        monitoring = MonitoringService()
-        monitoring.record_samples("s", "bs-0", 2, [1.0])
-        for block in ([5.0], [], np.array([7.0])):
-            with pytest.raises(ValueError, match="integer epoch"):
-                monitoring.record_samples("s", "bs-1", epoch, block)
-        with pytest.raises(ValueError, match="integer epoch"):
-            monitoring.record_samples("fresh", "bs-0", epoch, [1.0])
-        assert monitoring.peak_history("s").tolist() == [1.0]
-        assert monitoring._last_epoch == {"s": 2}
-        assert monitoring.peak_history("fresh").size == 0
-
-    def test_a_fractional_epoch_is_not_truncated(self):
-        monitoring = MonitoringService()
-        monitoring.record_samples("s", "bs0", 2, [1.0])
-        with pytest.raises(ValueError, match="2.7"):
-            monitoring.record_samples("s", "bs0", 2.7, [9.0])
-        assert monitoring.peak_history("s").tolist() == [1.0]
-
-    def test_an_integral_epoch_of_another_type_is_that_epoch(self):
-        monitoring = MonitoringService()
-        monitoring.record_samples("s", "bs-0", np.int64(1), [1.0])
-        monitoring.record_samples("s", "bs-1", 1.0, [3.0])
-        monitoring.record_samples("s", "bs-0", np.float64(2.0), [2.0])
-        assert monitoring.peak_history("s").tolist() == [3.0, 2.0]
-        assert monitoring._last_epoch == {"s": 2}
-        assert type(monitoring._last_epoch["s"]) is int
-
-
 class TestForecasterHandoff:
     """Monitoring -> Forecasting: the peak history must feed every
     fallback tier of the forecasting block with usable inputs."""

@@ -12,7 +12,10 @@ with ``==`` against :func:`oracle_path_sets`.
 
 Only the public ``k`` check moved to the caller; the search is the retired
 source's, and it pins networkx's tie order (the CI ``unit`` job prints the
-networkx version beside the solver build for that reason).
+networkx version beside the solver build for that reason).  The networkx
+view of a topology (:func:`topology_graph`, once ``NetworkTopology.graph``)
+and the by-name path assembly (:func:`build_path`) live here too: the
+shipped search needs neither, so networkx is a test dependency only.
 """
 
 from __future__ import annotations
@@ -23,7 +26,44 @@ import networkx as nx
 
 from repro.topology.delay import link_delay_us
 from repro.topology.network import NetworkTopology
-from repro.topology.paths import Path, PathSet, _build_path
+from repro.topology.paths import Path, PathSet
+
+
+def topology_graph(topology: NetworkTopology) -> nx.Graph:
+    """An undirected graph view of ``topology`` (nodes keyed by name)."""
+    g = nx.Graph()
+    for bs in topology.base_stations:
+        g.add_node(bs.name, kind="bs")
+    for switch in topology.switches:
+        g.add_node(switch.name, kind="switch")
+    for cu in topology.compute_units:
+        g.add_node(cu.name, kind="cu")
+    for link in topology.links:
+        g.add_edge(
+            link.endpoint_a,
+            link.endpoint_b,
+            capacity_mbps=link.capacity_mbps,
+            length_km=link.length_km,
+            technology=link.technology,
+        )
+    return g
+
+
+def build_path(
+    topology: NetworkTopology, bs_name: str, cu_name: str, node_sequence: list[str]
+) -> Path:
+    """The retired path assembly: every hop's link looked up by name."""
+    links = tuple(topology.link(a, b) for a, b in zip(node_sequence, node_sequence[1:]))
+    cu = topology.compute_unit(cu_name)
+    delay = sum(link_delay_us(link) for link in links) + cu.access_latency_ms * 1000.0
+    return Path(
+        base_station=bs_name,
+        compute_unit=cu_name,
+        nodes=tuple(node_sequence),
+        links=links,
+        delay_us=delay,
+        capacity_mbps=min(link.capacity_mbps for link in links),
+    )
 
 
 def k_shortest_paths(
@@ -39,7 +79,7 @@ def k_shortest_paths(
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    g = topology.graph()
+    g = topology_graph(topology)
     if base_station not in g or compute_unit not in g:
         raise KeyError("both endpoints must exist in the topology")
     # Transport paths terminate at radio sites but never transit through
@@ -63,7 +103,7 @@ def k_shortest_paths(
     except nx.NetworkXNoPath:
         return []
     return [
-        _build_path(topology, base_station, compute_unit, sequence)
+        build_path(topology, base_station, compute_unit, sequence)
         for sequence in node_sequences
     ]
 

@@ -36,7 +36,7 @@ def test_the_analysis_tools_do_not_load_the_solver_stack():
 
 
 def test_the_path_search_and_a_broker_do_not_load_networkx():
-    # Only ``NetworkTopology.graph()`` imports networkx, on call.
+    # networkx is a test dependency: only the path oracle imports it.
     assert "networkx" not in loaded_after("import repro.topology")
     assert "networkx" not in loaded_after(
         "from repro.api import SliceBroker\n"

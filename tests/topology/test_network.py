@@ -10,6 +10,7 @@ from repro.topology.elements import (
 )
 from repro.topology.network import NetworkTopology
 from tests.conftest import build_tiny_topology
+from tests.property.paths_oracle import topology_graph
 
 
 class TestConstruction:
@@ -39,11 +40,6 @@ class TestLookup:
         topo = build_tiny_topology()
         assert topo.link("sw", "bs-0").capacity_mbps == topo.link("bs-0", "sw").capacity_mbps
 
-    def test_links_between_sequence(self):
-        topo = build_tiny_topology()
-        links = list(topo.links_between(["bs-0", "sw", "edge-cu"]))
-        assert len(links) == 2
-
     def test_names(self):
         topo = build_tiny_topology(num_base_stations=3)
         assert topo.base_station_names == ["bs-0", "bs-1", "bs-2"]
@@ -53,7 +49,7 @@ class TestLookup:
 class TestGraphAndCapacities:
     def test_graph_has_all_nodes_and_edges(self):
         topo = build_tiny_topology()
-        graph = topo.graph()
+        graph = topology_graph(topo)
         assert graph.number_of_nodes() == 2 + 1 + 2
         assert graph.number_of_edges() == len(topo.links)
 

@@ -104,18 +104,6 @@ class TestPathCountValidation:
             compute_path_sets(tiny_topology, k=2).items()
         )
 
-    def test_a_broker_with_a_boolean_path_count_is_refused(self, tiny_topology):
-        from repro.api import SliceBroker
-        from repro.controlplane.orchestrator import OrchestratorConfig
-        from repro.core.milp_solver import DirectMILPSolver
-
-        with pytest.raises(ValueError, match="k must be a positive integer, got True"):
-            SliceBroker(
-                tiny_topology,
-                DirectMILPSolver(),
-                config=OrchestratorConfig(candidate_paths_per_pair=True),
-            )
-
 
 class TestPathSet:
     def test_all_pairs_present(self, tiny_topology):

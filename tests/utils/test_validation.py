@@ -6,14 +6,16 @@ import pytest
 from repro.utils.validation import (
     ensure_choice,
     ensure_in_range,
-    ensure_int,
+    ensure_int_in_range,
     ensure_non_negative,
+    ensure_non_negative_finite,
     ensure_non_negative_int,
     ensure_ordered_pair,
     ensure_positive,
     ensure_positive_count,
     ensure_positive_int,
     ensure_probability,
+    ensure_text,
 )
 
 
@@ -130,15 +132,16 @@ class TestEnsureInts:
         with pytest.raises(ValueError, match="n must be a non-negative integer"):
             ensure_non_negative_int(value, "n")
 
-    def test_an_int_of_any_sign(self):
-        assert ensure_int(-3, "n") == -3
-        assert ensure_int(np.int64(4), "n") == 4 and type(ensure_int(np.int64(4), "n")) is int
-        assert ensure_int(-2.0, "n") == -2
+    def test_an_integer_type_is_taken_whole_however_large(self):
+        assert ensure_non_negative_int(2**53 + 1, "n") == 2**53 + 1
+        assert type(ensure_positive_int(np.int64(4), "n")) is int
+        assert ensure_non_negative_int(-0.0, "n") == 0
 
-    @pytest.mark.parametrize("value", [2.5, "3", None, True, float("nan"), float("inf")])
-    def test_int_rejections(self, value):
-        with pytest.raises(ValueError, match="n must be an integer"):
-            ensure_int(value, "n")
+    def test_a_bounded_int(self):
+        assert ensure_int_in_range(65535.0, 0, 65535, "port") == 65535
+        for value in (-1, 65536, 2.5, True):
+            with pytest.raises(ValueError, match=r"port must be an integer in \[0, 65535\]"):
+                ensure_int_in_range(value, 0, 65535, "port")
 
     def test_a_count_is_of_an_integer_type(self):
         assert ensure_positive_count(12, "n") == 12
@@ -219,3 +222,23 @@ class TestScenarioConstructorMessages:
         duplicated = scenario.workloads + (scenario.workloads[0],)
         with pytest.raises(ValueError, match=r"duplicates \['uRLLC1'\]"):
             replace(scenario, workloads=duplicated)
+
+
+class TestNewRules:
+    def test_text_is_a_non_empty_str(self):
+        assert ensure_text("3", "name") == "3"
+        for value in ("", 5, None, True, b"x"):
+            with pytest.raises(ValueError, match="name must be a non-empty string"):
+                ensure_text(value, "name")
+
+    def test_a_finite_non_negative_real(self):
+        assert ensure_non_negative_finite(np.float32(0.5), "m") == 0.5
+        for value in (-0.5, float("inf"), float("nan"), 10**400, "1.5", True):
+            with pytest.raises(ValueError, match="m must be"):
+                ensure_non_negative_finite(value, "m")
+
+    def test_an_open_interval(self):
+        assert ensure_in_range(0.5, 0.0, 1.0, "f", closed=False) == 0.5
+        for value in (0.0, 1.0, 10**400):
+            with pytest.raises(ValueError, match=r"f must be in \(0.0, 1.0\)"):
+                ensure_in_range(value, 0.0, 1.0, "f", closed=False)
