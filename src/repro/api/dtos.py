@@ -8,7 +8,9 @@ Every DTO:
   an actual ``json.dumps``/``json.loads`` round trip);
 * stamps its wire form with an explicit schema version
   (:data:`repro.api.wire.WIRE_VERSION` under ``"schema_version"``) and rejects
-  unknown versions with a :class:`~repro.api.errors.ValidationError`.
+  unknown versions with a :class:`~repro.api.errors.ValidationError`;
+* declares each field once, with its rule, for :mod:`repro.api.wire`'s codec
+  (:class:`SliceRequestV1`, whose template is inline, writes its own).
 
 The ``V1`` suffix on :class:`SliceRequestV1` marks the *wire* format
 generation, not the Python class layout: a breaking change to the payload
@@ -18,19 +20,18 @@ existing clients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.api.errors import ValidationError
 from repro.api.events import LifecycleEvent
-from repro.api.wire import check_version, checked, require, stamp
+from repro.api.wire import WireType, check_version, checked, require, stamp
 from repro.controlplane.slice_manager import SliceDescriptor
 from repro.core.slices import TEMPLATES, SliceRequest, SliceTemplate
+from repro.faults.safeguard import TIER_ORDER, BrokerHealth
 from repro.utils.validation import (
-    ensure_non_negative_finite,
-    ensure_non_negative_int,
-    ensure_positive_int,
-    ensure_text,
+    ensure_bool, ensure_choice, ensure_finite, ensure_mapping, ensure_non_negative_finite,
+    ensure_non_negative_int, ensure_positive_int, ensure_str, ensure_text, ruled,
 )
 
 __all__ = [
@@ -41,18 +42,6 @@ __all__ = [
     "QuoteResponse",
     "EpochReport",
 ]
-
-
-def _validated(build, dto_name: str):
-    """Run a DTO constructor, translating malformed-payload failures into the
-    taxonomy (AttributeError/KeyError cover wrong-shaped nested values, e.g.
-    a scalar where a mapping is expected)."""
-    try:
-        return build()
-    except ValidationError:
-        raise
-    except (TypeError, ValueError, AttributeError, KeyError) as error:
-        raise ValidationError(f"invalid {dto_name} payload: {error}") from error
 
 
 # --------------------------------------------------------------------- #
@@ -68,17 +57,19 @@ class SliceRequestV1:
     shared catalogue to decode a request.
     """
 
-    name: str
+    name: str = ruled(ensure_text)
     template: SliceTemplate
-    duration_epochs: int = 24
-    penalty_factor: float = 1.0
-    arrival_epoch: int = 0
+    duration_epochs: int = ruled(ensure_positive_int, default=24)
+    penalty_factor: float = ruled(ensure_non_negative_finite, default=1.0)
+    arrival_epoch: int = ruled(ensure_non_negative_int, default=0)
 
     def __post_init__(self) -> None:
         # Direct construction, ``of`` and ``from_dict`` all meet the field
         # rules here; each field keeps the plain value its rule returns.
-        for name, rule in _REQUEST_FIELD_RULES:
-            object.__setattr__(self, name, checked(rule, getattr(self, name), name))
+        for name, field in self.__dataclass_fields__.items():
+            if field.metadata:  # the template checks itself
+                value = checked(field.metadata["rule"], getattr(self, name), name)
+                object.__setattr__(self, name, value)
 
     # -- conversions ---------------------------------------------------- #
     @classmethod
@@ -150,23 +141,23 @@ class SliceRequestV1:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SliceRequestV1":
         check_version(payload, "SliceRequestV1")
-        template_payload = require(payload, "template", "SliceRequestV1")
-        if not isinstance(template_payload, Mapping):
-            raise ValidationError(
-                "SliceRequestV1 'template' must be a mapping of template fields"
-            )
+        template_payload = checked(
+            ensure_mapping, require(payload, "template", "SliceRequestV1"), "template"
+        )
         where = "SliceRequestV1.template"
-        template = _validated(
-            lambda: SliceTemplate(
+        # The template's own rules refuse as the template field.
+        template = checked(
+            lambda spec, _name: SliceTemplate(
                 name=require(payload, "slice_type", "SliceRequestV1"),
-                reward=require(template_payload, "reward", where),
-                latency_tolerance_ms=require(template_payload, "latency_tolerance_ms", where),
-                sla_mbps=require(template_payload, "sla_mbps", where),
-                compute_baseline_cpus=require(template_payload, "compute_baseline_cpus", where),
-                compute_cpus_per_mbps=require(template_payload, "compute_cpus_per_mbps", where),
-                default_relative_std=template_payload.get("default_relative_std", 0.25),
+                reward=require(spec, "reward", where),
+                latency_tolerance_ms=require(spec, "latency_tolerance_ms", where),
+                sla_mbps=require(spec, "sla_mbps", where),
+                compute_baseline_cpus=require(spec, "compute_baseline_cpus", where),
+                compute_cpus_per_mbps=require(spec, "compute_cpus_per_mbps", where),
+                default_relative_std=spec.get("default_relative_std", 0.25),
             ),
-            "SliceRequestV1",
+            template_payload,
+            "template",
         )
         return cls(
             name=require(payload, "name", "SliceRequestV1"),
@@ -177,20 +168,11 @@ class SliceRequestV1:
         )
 
 
-#: The rule of each scalar field of :class:`SliceRequestV1`.
-_REQUEST_FIELD_RULES = (
-    ("name", ensure_text),
-    ("duration_epochs", ensure_positive_int),
-    ("penalty_factor", ensure_non_negative_finite),
-    ("arrival_epoch", ensure_non_negative_int),
-)
-
-
 # --------------------------------------------------------------------- #
 # Tickets and statuses
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class AdmissionTicket:
+class AdmissionTicket(WireType):
     """Receipt for an accepted submission (queued, not yet decided).
 
     The ticket proves intake: the request sits in the slice manager's queue
@@ -198,41 +180,11 @@ class AdmissionTicket:
     ``client_token`` returns an equal ticket without enqueueing twice.
     """
 
-    ticket_id: str
-    slice_name: str
-    arrival_epoch: int
-    descriptor: SliceDescriptor
-    client_token: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return stamp(
-            {
-                "ticket_id": self.ticket_id,
-                "slice_name": self.slice_name,
-                "arrival_epoch": self.arrival_epoch,
-                "descriptor": self.descriptor.as_dict(),
-                "client_token": self.client_token,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AdmissionTicket":
-        check_version(payload, "AdmissionTicket")
-        descriptor = _validated(
-            lambda: SliceDescriptor.from_dict(require(payload, "descriptor", "AdmissionTicket")),
-            "AdmissionTicket",
-        )
-        token = payload.get("client_token")
-        return _validated(
-            lambda: cls(
-                ticket_id=str(require(payload, "ticket_id", "AdmissionTicket")),
-                slice_name=str(require(payload, "slice_name", "AdmissionTicket")),
-                arrival_epoch=int(require(payload, "arrival_epoch", "AdmissionTicket")),
-                descriptor=descriptor,
-                client_token=None if token is None else str(token),
-            ),
-            "AdmissionTicket",
-        )
+    ticket_id: str = ruled(ensure_text)
+    slice_name: str = ruled(ensure_text)
+    arrival_epoch: int = ruled(ensure_non_negative_int)
+    descriptor: SliceDescriptor = ruled(SliceDescriptor)
+    client_token: str | None = ruled(ensure_text, default=None)
 
 
 #: SliceStatus.state values (the registry lifecycle plus the broker-level
@@ -241,64 +193,25 @@ STATUS_STATES = ("queued", "requested", "admitted", "rejected", "expired", "rele
 
 
 @dataclass(frozen=True)
-class SliceStatus:
+class SliceStatus(WireType):
     """Point-in-time lifecycle view of one slice, as clients see it."""
 
-    name: str
-    state: str
-    arrival_epoch: int
-    duration_epochs: int
-    admitted_epoch: int | None = None
-    expires_at: int | None = None
-    compute_unit: str | None = None
+    name: str = ruled(ensure_text)
+    state: str = ruled(STATUS_STATES)
+    arrival_epoch: int = ruled(ensure_non_negative_int)
+    duration_epochs: int = ruled(ensure_positive_int)
+    admitted_epoch: int | None = ruled(ensure_non_negative_int, default=None)
+    expires_at: int | None = ruled(ensure_non_negative_int, default=None)
+    compute_unit: str | None = ruled(ensure_text, default=None)
     #: Excluded from __hash__ (dicts are unhashable); compared by equality.
-    reservations_mbps: dict[str, float] = field(default_factory=dict, hash=False)
-    renewal_count: int = 0
+    reservations_mbps: dict[str, float] = ruled(
+        {str: ensure_non_negative_finite}, default_factory=dict, hash=False
+    )
+    renewal_count: int = ruled(ensure_non_negative_int, default=0)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # direct construction; decode checks the rule
         if self.state not in STATUS_STATES:
-            raise ValidationError(
-                f"unknown slice status state {self.state!r}; expected one of {STATUS_STATES}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return stamp(
-            {
-                "name": self.name,
-                "state": self.state,
-                "arrival_epoch": self.arrival_epoch,
-                "duration_epochs": self.duration_epochs,
-                "admitted_epoch": self.admitted_epoch,
-                "expires_at": self.expires_at,
-                "compute_unit": self.compute_unit,
-                "reservations_mbps": dict(self.reservations_mbps),
-                "renewal_count": self.renewal_count,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SliceStatus":
-        check_version(payload, "SliceStatus")
-        admitted = payload.get("admitted_epoch")
-        expires = payload.get("expires_at")
-        unit = payload.get("compute_unit")
-        return _validated(
-            lambda: cls(
-                name=str(require(payload, "name", "SliceStatus")),
-                state=str(require(payload, "state", "SliceStatus")),
-                arrival_epoch=int(require(payload, "arrival_epoch", "SliceStatus")),
-                duration_epochs=int(require(payload, "duration_epochs", "SliceStatus")),
-                admitted_epoch=None if admitted is None else int(admitted),
-                expires_at=None if expires is None else int(expires),
-                compute_unit=None if unit is None else str(unit),
-                reservations_mbps={
-                    str(k): float(v)
-                    for k, v in payload.get("reservations_mbps", {}).items()
-                },
-                renewal_count=int(payload.get("renewal_count", 0)),
-            ),
-            "SliceStatus",
-        )
+            checked(ensure_choice, self.state, "state", STATUS_STATES)
 
 
 # --------------------------------------------------------------------- #
@@ -323,7 +236,7 @@ class SlicePage(list):
 
 
 @dataclass(frozen=True)
-class QuoteResponse:
+class QuoteResponse(WireType):
     """Non-binding admission quote: what the broker would plan for a request.
 
     Mirrors what the forecasting block feeds the AC-RR problem (peak-load
@@ -331,53 +244,20 @@ class QuoteResponse:
     the template -- nothing here mutates broker state.
     """
 
-    slice_name: str
-    slice_type: str
-    sla_mbps: float
-    forecast_peak_mbps: float
-    forecast_sigma: float
-    reward_per_epoch: float
-    penalty_rate_per_mbps: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return stamp(
-            {
-                "slice_name": self.slice_name,
-                "slice_type": self.slice_type,
-                "sla_mbps": self.sla_mbps,
-                "forecast_peak_mbps": self.forecast_peak_mbps,
-                "forecast_sigma": self.forecast_sigma,
-                "reward_per_epoch": self.reward_per_epoch,
-                "penalty_rate_per_mbps": self.penalty_rate_per_mbps,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "QuoteResponse":
-        check_version(payload, "QuoteResponse")
-        return _validated(
-            lambda: cls(
-                slice_name=str(require(payload, "slice_name", "QuoteResponse")),
-                slice_type=str(require(payload, "slice_type", "QuoteResponse")),
-                sla_mbps=float(require(payload, "sla_mbps", "QuoteResponse")),
-                forecast_peak_mbps=float(
-                    require(payload, "forecast_peak_mbps", "QuoteResponse")
-                ),
-                forecast_sigma=float(require(payload, "forecast_sigma", "QuoteResponse")),
-                reward_per_epoch=float(require(payload, "reward_per_epoch", "QuoteResponse")),
-                penalty_rate_per_mbps=float(
-                    require(payload, "penalty_rate_per_mbps", "QuoteResponse")
-                ),
-            ),
-            "QuoteResponse",
-        )
+    slice_name: str = ruled(ensure_text)
+    slice_type: str = ruled(ensure_text)
+    sla_mbps: float = ruled(ensure_non_negative_finite)
+    forecast_peak_mbps: float = ruled(ensure_non_negative_finite)
+    forecast_sigma: float = ruled(ensure_non_negative_finite)
+    reward_per_epoch: float = ruled(ensure_non_negative_finite)
+    penalty_rate_per_mbps: float = ruled(ensure_non_negative_finite)
 
 
 # --------------------------------------------------------------------- #
 # Epoch reports
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class EpochReport:
+class EpochReport(WireType):
     """What one decision epoch did, as returned by ``advance_epoch``.
 
     ``accepted``/``rejected`` mirror the epoch's admission decision (accepted
@@ -389,120 +269,38 @@ class EpochReport:
     Degradation fields (see DESIGN.md, "Fault model & degraded modes"):
     ``degraded`` is True when any fault fired during the epoch or the
     decision came from a fallback tier; ``solver_tier`` names the
-    safeguard-chain tier that produced the decision ("primary",
-    "warm_replay", "no_overbooking", "reject_all"); ``solver_retries``
+    safeguard-chain tier that produced the decision; ``solver_retries``
     counts transient-failure retries spent; ``health`` is the broker health
-    state after the epoch ("healthy", "degraded", "safe_mode");
+    state after the epoch;
     ``degraded_reasons`` lists the faults/fallbacks behind the flag;
     ``rehomed`` names the slices a mid-epoch link failure displaced into the
     renewal path this epoch.
     """
 
-    epoch: int
-    idle: bool
-    objective_value: float
-    accepted: tuple[str, ...] = ()
-    rejected: tuple[str, ...] = ()
-    expired: tuple[str, ...] = ()
-    renewed: tuple[str, ...] = ()
-    active: tuple[str, ...] = ()
-    pending_requests: int = 0
-    solver: str = ""
-    solver_iterations: int = 0
-    solver_runtime_s: float = 0.0
-    solver_optimal: bool = True
-    solver_warm_cuts: int = 0
-    solver_message: str = ""
+    epoch: int = ruled(ensure_non_negative_int)
+    idle: bool = ruled(ensure_bool)
+    objective_value: float = ruled(ensure_finite)
+    accepted: tuple[str, ...] = ruled([ensure_text], default=())
+    rejected: tuple[str, ...] = ruled([ensure_text], default=())
+    expired: tuple[str, ...] = ruled([ensure_text], default=())
+    renewed: tuple[str, ...] = ruled([ensure_text], default=())
+    active: tuple[str, ...] = ruled([ensure_text], default=())
+    pending_requests: int = ruled(ensure_non_negative_int, default=0)
+    solver: str = ruled(ensure_str, default="")
+    solver_iterations: int = ruled(ensure_non_negative_int, default=0)
+    solver_runtime_s: float = ruled(ensure_non_negative_finite, default=0.0)
+    solver_optimal: bool = ruled(ensure_bool, default=True)
+    solver_warm_cuts: int = ruled(ensure_non_negative_int, default=0)
+    solver_message: str = ruled(ensure_str, default="")
     #: True when the solver hit its wall-clock budget and returned its best
     #: incumbent without an optimality certificate (distinct from
     #: ``solver_optimal``, which can also be False for a clean gap-limited
     #: stop); consumers should treat such a decision as provisional.
-    solver_time_truncated: bool = False
-    events: tuple[LifecycleEvent, ...] = ()
-    degraded: bool = False
-    solver_tier: str = "primary"
-    solver_retries: int = 0
-    health: str = "healthy"
-    degraded_reasons: tuple[str, ...] = ()
-    rehomed: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        return stamp(
-            {
-                "epoch": self.epoch,
-                "idle": self.idle,
-                "objective_value": self.objective_value,
-                "accepted": list(self.accepted),
-                "rejected": list(self.rejected),
-                "expired": list(self.expired),
-                "renewed": list(self.renewed),
-                "active": list(self.active),
-                "pending_requests": self.pending_requests,
-                "solver": self.solver,
-                "solver_iterations": self.solver_iterations,
-                "solver_runtime_s": self.solver_runtime_s,
-                "solver_optimal": self.solver_optimal,
-                "solver_warm_cuts": self.solver_warm_cuts,
-                "solver_message": self.solver_message,
-                "solver_time_truncated": self.solver_time_truncated,
-                "events": [event.to_dict() for event in self.events],
-                "degraded": self.degraded,
-                "solver_tier": self.solver_tier,
-                "solver_retries": self.solver_retries,
-                "health": self.health,
-                "degraded_reasons": list(self.degraded_reasons),
-                "rehomed": list(self.rehomed),
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EpochReport":
-        check_version(payload, "EpochReport")
-
-        def names(key: str) -> tuple[str, ...]:
-            value = payload.get(key, ())
-            if not isinstance(value, (list, tuple)):
-                # A scalar (notably a string, which would silently explode
-                # into per-character "names") is a malformed payload.
-                raise ValidationError(
-                    f"EpochReport field {key!r} must be a list of slice names, "
-                    f"got {type(value).__name__}"
-                )
-            return tuple(str(name) for name in value)
-
-        events = _validated(
-            lambda: tuple(
-                LifecycleEvent.from_dict(event) for event in payload.get("events", ())
-            ),
-            "EpochReport",
-        )
-        return _validated(
-            lambda: cls(
-                epoch=int(require(payload, "epoch", "EpochReport")),
-                idle=bool(require(payload, "idle", "EpochReport")),
-                objective_value=float(require(payload, "objective_value", "EpochReport")),
-                accepted=names("accepted"),
-                rejected=names("rejected"),
-                expired=names("expired"),
-                renewed=names("renewed"),
-                active=names("active"),
-                pending_requests=int(payload.get("pending_requests", 0)),
-                solver=str(payload.get("solver", "")),
-                solver_iterations=int(payload.get("solver_iterations", 0)),
-                solver_runtime_s=float(payload.get("solver_runtime_s", 0.0)),
-                solver_optimal=bool(payload.get("solver_optimal", True)),
-                solver_warm_cuts=int(payload.get("solver_warm_cuts", 0)),
-                solver_message=str(payload.get("solver_message", "")),
-                solver_time_truncated=bool(
-                    payload.get("solver_time_truncated", False)
-                ),
-                events=events,
-                degraded=bool(payload.get("degraded", False)),
-                solver_tier=str(payload.get("solver_tier", "primary")),
-                solver_retries=int(payload.get("solver_retries", 0)),
-                health=str(payload.get("health", "healthy")),
-                degraded_reasons=names("degraded_reasons"),
-                rehomed=names("rehomed"),
-            ),
-            "EpochReport",
-        )
+    solver_time_truncated: bool = ruled(ensure_bool, default=False)
+    events: tuple[LifecycleEvent, ...] = ruled([LifecycleEvent], default=())
+    degraded: bool = ruled(ensure_bool, default=False)
+    solver_tier: str = ruled(TIER_ORDER, default="primary")
+    solver_retries: int = ruled(ensure_non_negative_int, default=0)
+    health: str = ruled(tuple(h.value for h in BrokerHealth), default="healthy")
+    degraded_reasons: tuple[str, ...] = ruled([ensure_str], default=())
+    rehomed: tuple[str, ...] = ruled([ensure_text], default=())

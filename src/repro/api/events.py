@@ -24,10 +24,11 @@ ADMITTED(name)`` -- in that order, always.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
-from repro.api.wire import check_version, require, stamp
+from repro.api.wire import WireType
+from repro.utils.validation import ensure_non_negative_int, ensure_scalar, ensure_text, ruled
 
 
 class LifecycleEventKind(str, enum.Enum):
@@ -50,52 +51,17 @@ EPOCH_EVENT_ORDER = (
 
 
 @dataclass(frozen=True, eq=True)
-class LifecycleEvent:
+class LifecycleEvent(WireType):
     """One completed lifecycle transition of one slice."""
 
-    kind: LifecycleEventKind
-    slice_name: str
-    epoch: int
+    kind: LifecycleEventKind = ruled(LifecycleEventKind)
+    slice_name: str = ruled(ensure_text)
+    epoch: int = ruled(ensure_non_negative_int)
     #: JSON-scalar decision metadata (compute unit, reserved bitrate, ...).
     #: Excluded from __hash__ (dicts are unhashable) so events can live in
     #: sets/dict keys -- e.g. a subscriber deduplicating its stream; equality
     #: still compares it.
-    metadata: dict[str, Any] = field(default_factory=dict, hash=False)
-
-    def to_dict(self) -> dict[str, Any]:
-        return stamp(
-            {
-                "kind": self.kind.value,
-                "slice_name": self.slice_name,
-                "epoch": self.epoch,
-                "metadata": dict(self.metadata),
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "LifecycleEvent":
-        from repro.api.errors import ValidationError
-
-        check_version(payload, "LifecycleEvent")
-        kind_value = require(payload, "kind", "LifecycleEvent")
-        try:
-            kind = LifecycleEventKind(kind_value)
-        except ValueError:
-            raise ValidationError(
-                f"unknown lifecycle event kind {kind_value!r}",
-                details={"known_kinds": [k.value for k in LifecycleEventKind]},
-            ) from None
-        try:
-            return cls(
-                kind=kind,
-                slice_name=str(require(payload, "slice_name", "LifecycleEvent")),
-                epoch=int(require(payload, "epoch", "LifecycleEvent")),
-                metadata=dict(payload.get("metadata", {})),
-            )
-        except ValidationError:
-            raise
-        except (TypeError, ValueError, AttributeError) as error:
-            raise ValidationError(f"invalid LifecycleEvent payload: {error}") from error
+    metadata: dict[str, Any] = ruled({str: ensure_scalar}, default_factory=dict, hash=False)
 
 
 #: Subscriber signature: called once per event, in deterministic order.

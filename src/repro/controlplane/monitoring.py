@@ -48,13 +48,23 @@ class MonitoringService:
 
         Every base station of a slice feeds the same track, so reports must
         arrive in epoch order per slice.  ``epoch`` is an ``int`` (the
-        broker's parameter rule makes it one).  A non-finite sample, or an
-        epoch older than the slice's last report, raises ``ValueError`` and
-        records nothing; an empty block records nothing.
+        broker's parameter rule makes it one).  A block that is not of
+        integer or float numbers (a string, a bool, ``None``), a non-finite
+        sample, or an epoch older than the slice's last report, raises
+        ``ValueError`` and records nothing; an empty block records nothing.
         """
+        block = samples_mbps
+        if type(block) is not np.ndarray or block.dtype != np.float64:
+            block = np.asarray(block)
+            if block.dtype.kind not in "iuf":
+                raise ValueError(
+                    f"load samples of slice {slice_name!r} at {base_station!r} "
+                    f"must be numbers, got {block.dtype} samples (epoch {epoch})"
+                )
+            block = block.astype(np.float64)
         # One float64 vector, read back as Python floats: on a dozen samples
         # ``max`` and ``sum`` over the list cost a third of two reductions.
-        values = np.asarray(samples_mbps, dtype=np.float64).ravel().tolist()
+        values = block.ravel().tolist()
         if not values:
             return
         # A NaN or an infinite sample makes the sum NaN or infinite; a

@@ -51,7 +51,7 @@ from repro.topology.generators import degrade_link_capacities
 from repro.topology.network import NetworkTopology
 from repro.topology.paths import compute_path_sets
 from repro.utils.journal import Journal, assign
-from repro.utils.validation import ensure_positive_int
+from repro.utils.validation import ensure_bool, ensure_positive_int
 
 #: ``stats.message`` of a decision the orchestrator reused instead of
 #: running the solver.
@@ -77,8 +77,9 @@ class OrchestratorConfig:
     decision.  Steady-state simulations (the Fig. 5 / Fig. 6 oracle
     scenarios) hit this on every epoch after the admission settles; disable
     it when benchmarking raw solver latency.
-    The three counts are positive integers (``2.0`` is ``2``); anything else
-    is a ``ValueError`` naming the field, raised here.
+    The three counts are positive integers (``2.0`` is ``2``) and the flag is
+    a bool (``"False"`` is not one); anything else is a ``ValueError`` naming
+    the field, raised here.
     """
 
     epochs_per_day: int = 24
@@ -89,6 +90,8 @@ class OrchestratorConfig:
     def __post_init__(self) -> None:
         for name in ("epochs_per_day", "samples_per_epoch", "candidate_paths_per_pair"):
             object.__setattr__(self, name, ensure_positive_int(getattr(self, name), name))
+        flag = ensure_bool(self.reuse_unchanged_decisions, "reuse_unchanged_decisions")
+        object.__setattr__(self, "reuse_unchanged_decisions", flag)
 
 
 @dataclass

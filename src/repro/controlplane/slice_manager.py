@@ -14,23 +14,26 @@ from dataclasses import dataclass, field
 
 from repro.core.slices import SliceRequest
 from repro.utils.journal import Journal, assign, drop, put
+from repro.utils.validation import (
+    ensure_non_negative_finite, ensure_positive_int, ensure_text, ruled)
 
 
 @dataclass(frozen=True)
 class SliceDescriptor:
-    """A TOSCA-like network-service descriptor derived from a slice request."""
+    """A TOSCA-like network-service descriptor derived from a slice request
+    (on the wire inside an admission ticket, by its field rules)."""
 
-    slice_name: str
-    slice_type: str
-    sla_mbps: float
-    latency_tolerance_ms: float
-    duration_epochs: int
+    slice_name: str = ruled(ensure_text)
+    slice_type: str = ruled(ensure_text)
+    sla_mbps: float = ruled(ensure_non_negative_finite)
+    latency_tolerance_ms: float = ruled(ensure_non_negative_finite)
+    duration_epochs: int = ruled(ensure_positive_int)
     #: Excluded from __hash__ (dicts are unhashable) so descriptors -- and
     #: the admission tickets embedding them -- stay hashable; equality still
     #: compares the full compute model.
-    compute_model: dict[str, float] = field(hash=False)
-    reward: float
-    penalty_factor: float
+    compute_model: dict[str, float] = ruled({str: ensure_non_negative_finite}, hash=False)
+    reward: float = ruled(ensure_non_negative_finite)
+    penalty_factor: float = ruled(ensure_non_negative_finite)
 
     @classmethod
     def from_request(cls, request: SliceRequest) -> "SliceDescriptor":
@@ -47,40 +50,6 @@ class SliceDescriptor:
             reward=request.reward,
             penalty_factor=request.penalty_factor,
         )
-
-    def as_dict(self) -> dict:
-        """Plain-dictionary form (what would be serialised to TOSCA/REST)."""
-        return {
-            "slice_name": self.slice_name,
-            "slice_type": self.slice_type,
-            "sla_mbps": self.sla_mbps,
-            "latency_tolerance_ms": self.latency_tolerance_ms,
-            "duration_epochs": self.duration_epochs,
-            "compute_model": dict(self.compute_model),
-            "reward": self.reward,
-            "penalty_factor": self.penalty_factor,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SliceDescriptor":
-        """Inverse of :meth:`as_dict` (``from_dict(as_dict(d)) == d``)."""
-        try:
-            return cls(
-                slice_name=str(payload["slice_name"]),
-                slice_type=str(payload["slice_type"]),
-                sla_mbps=float(payload["sla_mbps"]),
-                latency_tolerance_ms=float(payload["latency_tolerance_ms"]),
-                duration_epochs=int(payload["duration_epochs"]),
-                compute_model={
-                    str(k): float(v) for k, v in payload["compute_model"].items()
-                },
-                reward=float(payload["reward"]),
-                penalty_factor=float(payload["penalty_factor"]),
-            )
-        except KeyError as missing:
-            raise ValueError(
-                f"slice descriptor payload is missing field {missing.args[0]!r}"
-            ) from None
 
 
 @dataclass

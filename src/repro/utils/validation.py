@@ -1,7 +1,7 @@
 """Small argument-validation helpers shared by the public API.
 
 Every helper follows one contract: on success the validated value is
-returned as a ``float`` (or ``int`` for the integer helpers); on failure a
+returned plain (a ``float``, an ``int`` for the integer helpers); on failure a
 ``ValueError`` is raised whose message always names the offending argument,
 states the admissible range and quotes the value received --
 ``"alpha must be in [0.0, 1.0], got 1.5"``.  Non-numeric and NaN inputs are
@@ -14,9 +14,12 @@ or a numpy scalar is the plain number it equals, which is what flows on.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from numbers import Integral, Real
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 
 def _as_real(value, name: str) -> float:
@@ -132,6 +135,45 @@ def ensure_text(value, name: str) -> str:
     return value
 
 
+def ensure_str(value, name: str) -> str:
+    """Return ``value`` if it is a ``str``, the empty string included."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def ensure_bool(value, name: str) -> bool:
+    """Return ``value`` as ``bool`` if it is a bool or a numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r} of type {type(value).__name__}")
+    return bool(value)
+
+
+def ensure_scalar(value, name: str):
+    """Return ``value`` if it is a JSON scalar (``None``, bool, int, float, str)."""
+    if value is not None and not isinstance(value, (bool, int, float, str)):
+        raise ValueError(f"{name} must be a JSON scalar, got {value!r}")
+    return value
+
+
+def ensure_list(value, name: str) -> list | tuple:
+    """Return ``value`` if it is a list or a tuple (a string is not a list)."""
+    if type(value) is not list and type(value) is not tuple:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def ensure_mapping(value, name: str) -> Mapping:
+    """Return ``value`` if it is a mapping whose keys are all ``str``."""
+    if isinstance(value, Mapping):
+        for key in value:
+            if type(key) is not str:
+                break
+        else:
+            return value
+    raise ValueError(f"{name} must be a mapping with str keys, got {value!r}")
+
+
 def ensure_positive_count(value, name: str) -> int:
     """Return ``value`` as ``int`` if it is a positive integer *type*: an
     ``int`` or a numpy integer, not a bool.  Stricter than
@@ -168,3 +210,12 @@ def ensure_ordered_pair(
         bounds = f"[{'-inf' if low is None else low}, {'inf' if high is None else high}]"
         raise ValueError(f"{name} must lie within {bounds}, got {value!r}")
     return (lo, hi)
+
+
+def ruled(rule, **options):
+    """A dataclass field (``options`` as for :func:`dataclasses.field`) that
+    :mod:`repro.api.wire` encodes and decodes by ``rule``: a helper above, a
+    tuple of choices, an enum or wire record class, ``[rule]`` for a list of
+    it or ``{str: rule}`` for a str-keyed mapping of it.  A field whose
+    default is ``None`` also takes ``None``."""
+    return dataclasses.field(metadata={"rule": rule}, **options)

@@ -4,6 +4,7 @@ explicit schema version."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -20,7 +21,8 @@ from repro.api.dtos import (
 )
 from repro.api.errors import ValidationError
 from repro.api.events import LifecycleEvent, LifecycleEventKind
-from repro.api.wire import VERSION_KEY, WIRE_VERSION
+from repro.api.transport import encode_json
+from repro.api.wire import VERSION_KEY, WIRE_VERSION, decode, encode
 from repro.controlplane.slice_manager import SliceDescriptor
 from repro.core.slices import TEMPLATES, SliceRequest, SliceTemplate
 
@@ -69,8 +71,11 @@ descriptors = st.builds(
     sla_mbps=positive_floats,
     latency_tolerance_ms=positive_floats,
     duration_epochs=st.integers(min_value=1, max_value=200),
-    compute_model=st.fixed_dictionaries(
-        {"baseline_cpus": non_negative_floats, "cpus_per_mbps": non_negative_floats}
+    compute_model=st.one_of(
+        st.fixed_dictionaries(
+            {"baseline_cpus": non_negative_floats, "cpus_per_mbps": non_negative_floats}
+        ),
+        st.dictionaries(names, non_negative_floats, max_size=3),
     ),
     reward=positive_floats,
     penalty_factor=non_negative_floats,
@@ -182,6 +187,160 @@ def test_round_trip_through_json(name, strategy, cls):
         assert rebuilt == dto
 
     check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(descriptors)
+def test_descriptor_round_trips_unstamped_through_json(descriptor):
+    payload = encode(descriptor)
+    assert VERSION_KEY not in payload
+    assert decode(SliceDescriptor, json.loads(json.dumps(payload))) == descriptor
+
+
+#: The stamped response wire types.
+STAMPED_TYPES = (AdmissionTicket, SliceStatus, QuoteResponse, EpochReport, LifecycleEvent)
+
+
+@pytest.mark.parametrize("strategy,cls", [
+    (tickets, AdmissionTicket),
+    (statuses, SliceStatus),
+    (quotes, QuoteResponse),
+    (reports, EpochReport),
+    (events, LifecycleEvent),
+    (descriptors, SliceDescriptor),
+], ids=lambda p: getattr(p, "__name__", ""))
+def test_the_payload_keys_are_the_field_names(strategy, cls):
+    @settings(max_examples=10, deadline=None)
+    @given(strategy)
+    def check(dto):
+        payload = encode(dto) if cls is SliceDescriptor else dto.to_dict()
+        assert set(payload) - {VERSION_KEY} == {f.name for f in dataclasses.fields(cls)}
+
+    check()
+
+
+# --------------------------------------------------------------------- #
+# Wire version 1, byte for byte
+# --------------------------------------------------------------------- #
+_EXPIRED = LifecycleEvent(LifecycleEventKind.EXPIRED, "s0", 3, {"admitted_epoch": None})
+_ADMITTED = LifecycleEvent(
+    LifecycleEventKind.ADMITTED,
+    "s1",
+    3,
+    {"objective_value": -1.5, "compute_unit": "cu-edge", "reserved_mbps_total": 21.5},
+)
+
+#: One fully populated instance of each wire type (every optional field off
+#: its default) and the bytes its version-1 encoding is.
+PINNED = [
+    (
+        AdmissionTicket(
+            "tkt-000007",
+            "s1",
+            3,
+            SliceDescriptor(
+                slice_name="s1",
+                slice_type="eMBB",
+                sla_mbps=50.0,
+                latency_tolerance_ms=30.0,
+                duration_epochs=4,
+                compute_model={"baseline_cpus": 0.5, "cpus_per_mbps": 0.25},
+                reward=1.5,
+                penalty_factor=2.0,
+            ),
+            client_token="tok-1",
+        ),
+        b'{"arrival_epoch": 3, "client_token": "tok-1", "descriptor": {"compute_model": '
+        b'{"baseline_cpus": 0.5, "cpus_per_mbps": 0.25}, "duration_epochs": 4, '
+        b'"latency_tolerance_ms": 30.0, "penalty_factor": 2.0, "reward": 1.5, '
+        b'"sla_mbps": 50.0, "slice_name": "s1", "slice_type": "eMBB"}, '
+        b'"schema_version": 1, "slice_name": "s1", "ticket_id": "tkt-000007"}',
+    ),
+    (
+        SliceStatus(
+            "s1",
+            "admitted",
+            3,
+            4,
+            admitted_epoch=3,
+            expires_at=7,
+            compute_unit="cu-edge",
+            reservations_mbps={"bs-0": 12.5, "bs-1": 0.25},
+            renewal_count=2,
+        ),
+        b'{"admitted_epoch": 3, "arrival_epoch": 3, "compute_unit": "cu-edge", '
+        b'"duration_epochs": 4, "expires_at": 7, "name": "s1", "renewal_count": 2, '
+        b'"reservations_mbps": {"bs-0": 12.5, "bs-1": 0.25}, "schema_version": 1, '
+        b'"state": "admitted"}',
+    ),
+    (
+        QuoteResponse("s1", "eMBB", 50.0, 21.5, 0.125, 1.5, 0.03),
+        b'{"forecast_peak_mbps": 21.5, "forecast_sigma": 0.125, '
+        b'"penalty_rate_per_mbps": 0.03, "reward_per_epoch": 1.5, "schema_version": 1, '
+        b'"sla_mbps": 50.0, "slice_name": "s1", "slice_type": "eMBB"}',
+    ),
+    (
+        _ADMITTED,
+        b'{"epoch": 3, "kind": "admitted", "metadata": {"compute_unit": "cu-edge", '
+        b'"objective_value": -1.5, "reserved_mbps_total": 21.5}, "schema_version": 1, '
+        b'"slice_name": "s1"}',
+    ),
+    (
+        EpochReport(
+            epoch=3,
+            idle=False,
+            objective_value=-1.5,
+            accepted=("s1", "s2"),
+            rejected=("s4",),
+            expired=("s0",),
+            renewed=("s2",),
+            active=("s1", "s2"),
+            pending_requests=2,
+            solver="benders",
+            solver_iterations=7,
+            solver_runtime_s=0.125,
+            solver_optimal=False,
+            solver_warm_cuts=3,
+            solver_message="gap limit",
+            solver_time_truncated=True,
+            events=(_EXPIRED, _ADMITTED),
+            degraded=True,
+            solver_tier="warm_replay",
+            solver_retries=1,
+            health="degraded",
+            degraded_reasons=("solver tier warm_replay: injected",),
+            rehomed=("s2",),
+        ),
+        b'{"accepted": ["s1", "s2"], "active": ["s1", "s2"], "degraded": true, '
+        b'"degraded_reasons": ["solver tier warm_replay: injected"], "epoch": 3, '
+        b'"events": [{"epoch": 3, "kind": "expired", "metadata": {"admitted_epoch": null}, '
+        b'"schema_version": 1, "slice_name": "s0"}, {"epoch": 3, "kind": "admitted", '
+        b'"metadata": {"compute_unit": "cu-edge", "objective_value": -1.5, '
+        b'"reserved_mbps_total": 21.5}, "schema_version": 1, "slice_name": "s1"}], '
+        b'"expired": ["s0"], "health": "degraded", "idle": false, "objective_value": -1.5, '
+        b'"pending_requests": 2, "rehomed": ["s2"], "rejected": ["s4"], "renewed": ["s2"], '
+        b'"schema_version": 1, "solver": "benders", "solver_iterations": 7, '
+        b'"solver_message": "gap limit", "solver_optimal": false, "solver_retries": 1, '
+        b'"solver_runtime_s": 0.125, "solver_tier": "warm_replay", '
+        b'"solver_time_truncated": true, "solver_warm_cuts": 3}',
+    ),
+]
+
+
+def test_pinned_instances_cover_every_wire_type():
+    assert {type(dto) for dto, _ in PINNED} == set(STAMPED_TYPES)
+    for dto, _ in PINNED:
+        defaults = [
+            f.name for f in dataclasses.fields(dto)
+            if f.default is not dataclasses.MISSING and getattr(dto, f.name) == f.default
+        ]
+        assert defaults == [], (type(dto).__name__, defaults)
+
+
+@pytest.mark.parametrize("dto,wire", PINNED, ids=lambda p: type(p).__name__)
+def test_wire_version_1_bytes_are_pinned(dto, wire):
+    assert encode_json(dto.to_dict()) == wire
+    assert type(dto).from_dict(json.loads(wire)) == dto
 
 
 SAMPLE_DTOS = [
@@ -308,16 +467,16 @@ class TestMalformedPayloadsStayStructured:
 class TestSliceDescriptorRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(descriptors)
-    def test_from_dict_inverts_as_dict(self, descriptor):
-        assert SliceDescriptor.from_dict(descriptor.as_dict()) == descriptor
+    def test_decode_inverts_encode(self, descriptor):
+        assert decode(SliceDescriptor, encode(descriptor)) == descriptor
 
-    def test_missing_field_is_a_value_error(self):
-        payload = SliceDescriptor.from_request(
-            SliceRequest(name="s", template=TEMPLATES["eMBB"])
-        ).as_dict()
+    def test_missing_field_is_a_validation_error(self):
+        payload = encode(
+            SliceDescriptor.from_request(SliceRequest(name="s", template=TEMPLATES["eMBB"]))
+        )
         del payload["sla_mbps"]
-        with pytest.raises(ValueError, match="sla_mbps"):
-            SliceDescriptor.from_dict(payload)
+        with pytest.raises(ValidationError, match="sla_mbps"):
+            decode(SliceDescriptor, payload)
 
 
 class TestEpochReportDegradationFields:

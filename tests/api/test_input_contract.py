@@ -17,6 +17,11 @@ plane, the intake queue and broker health as they were.
 * :class:`TestOverTheWire` (``transport`` marker) drives the same values
   through a :class:`BrokerClient` and an in-process broker in lockstep: the
   two outcomes, and the two control planes, must be equal.
+* :class:`TestResponseDecoders` substitutes the same values, one field at a
+  time, into a valid encoded payload of every response wire type:
+  :data:`RESPONSE_ROWS` names each field's rule, and
+  :func:`test_every_response_field_has_a_row` enumerates the fields with
+  ``dataclasses.fields``.
 
 Hypothesis is seeded from ``REPRO_TEST_SEED`` (default 0) with a bounded
 example count, so every run draws the same values.
@@ -39,10 +44,14 @@ from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.api import BrokerClient, BrokerServer, SliceBroker, SliceRequestV1
+from repro.api.dtos import AdmissionTicket, EpochReport, QuoteResponse, SliceStatus
 from repro.api.errors import BrokerError, ValidationError
+from repro.api.events import LifecycleEvent, LifecycleEventKind
 from repro.api.transport import error_body
 from repro.controlplane.orchestrator import OrchestratorConfig
+from repro.controlplane.slice_manager import SliceDescriptor
 from repro.faults.fingerprint import control_plane_fingerprint
+from tests.api.test_dtos import PINNED
 from tests.conftest import CoinSolver, build_tiny_topology
 
 SEED = int(os.environ.get("REPRO_TEST_SEED", "0"))
@@ -126,6 +135,74 @@ def NON_NEGATIVE_FINITE(value) -> float:
     return real
 
 
+def FINITE(value) -> float:
+    real = _real(value)
+    if not math.isfinite(real):
+        raise Refused
+    return real
+
+
+def BOOL(value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise Refused
+    return bool(value)
+
+
+def STR(value) -> str:
+    if not isinstance(value, str):
+        raise Refused
+    return value
+
+
+def SCALAR(value):
+    if value is not None and not isinstance(value, (bool, int, float, str)):
+        raise Refused
+    return value
+
+
+def SAMPLE(value) -> float:
+    """One load sample, as the peak it records: a real that numpy holds as
+    an integer or a float (an int beyond 64 bits it holds as an object)."""
+    if isinstance(value, int) and not isinstance(value, bool) and not -(2**63) <= value < 2**64:
+        raise Refused
+    real = _real(value)
+    if not math.isfinite(real):
+        raise Refused
+    return max(0.0, real)
+
+
+def CHOICE(*options) -> Callable[[Any], Any]:
+    def rule(value):
+        if isinstance(value, (bool, np.bool_)) or value not in options:
+            raise Refused
+        return value
+
+    return rule
+
+
+def LIST(rule: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    def check(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise Refused
+        return tuple(rule(item) for item in value)
+
+    return check
+
+
+def MAPPING(rule: Callable[[Any], Any]) -> Callable[[Any], dict]:
+    def check(value) -> dict:
+        if not isinstance(value, dict) or not all(type(key) is str for key in value):
+            raise Refused
+        return {key: rule(item) for key, item in value.items()}
+
+    return check
+
+
+def RECORD(value):
+    """A nested wire record: no generated value (a scalar) is one."""
+    raise Refused
+
+
 def OPEN_INTERVAL(low: float, high: float) -> Callable[[Any], float]:
     def rule(value) -> float:
         real = _real(value)
@@ -180,6 +257,8 @@ class Row:
     only: tuple | None = None
     echoes: bool = True
     probes: tuple = ()
+    #: The detail keys a refusal names instead of the parameter.
+    named_by: tuple = ()
 
     @property
     def param(self) -> str:
@@ -189,11 +268,16 @@ class Row:
         return st.one_of(st.sampled_from(self.valid), HOSTILE) if self.valid else HOSTILE
 
     def check(self, body: Callable[[Any], None]) -> Callable[[], None]:
-        """``body`` as a seeded, bounded Hypothesis test over :meth:`values`."""
-        test = given(value=self.values())(body)
-        for probe in self.probes:
-            test = example(value=probe)(test)
-        return seed(SEED)(BOUNDED(test))
+        return seeded(self.values(), self.probes, body)
+
+
+def seeded(values, probes: tuple, body: Callable[[Any], None]) -> Callable[[], None]:
+    """``body`` as a seeded, bounded Hypothesis test over ``values``, trying
+    every probe."""
+    test = given(value=values)(body)
+    for probe in probes:
+        test = example(value=probe)(test)
+    return seed(SEED)(BOUNDED(test))
 
 
 _names = itertools.count()
@@ -241,6 +325,12 @@ def report_epoch(broker: SliceBroker, value) -> int:
     name = fresh_name()
     broker.report_load(name, "bs-0", value, [1.0])
     return broker.orchestrator.monitoring._last_epoch[name]
+
+
+def reported_peak(value) -> float:
+    broker = make_broker()
+    broker.report_load("s", "bs-0", 0, [value])
+    return broker.orchestrator.monitoring._peaks["s"][-1]
 
 
 def scheduled_factor(broker: SliceBroker, value) -> float:
@@ -409,7 +499,14 @@ ROWS: tuple[Row, ...] = (
         NON_NEGATIVE_INT,
         build=lambda value: report_epoch(make_broker(), value),
     ),
-    Row(("SliceBroker.report_load.samples_mbps",), None, "finite samples, monitoring's rule"),
+    Row(
+        ("SliceBroker.report_load.samples_mbps",),
+        SAMPLE,
+        "one sample a block; refused naming the slice, the station and the epoch",
+        build=reported_peak,
+        probes=("1.5", True, None),
+        named_by=("slice_name", "base_station", "epoch"),
+    ),
     Row(("SliceBroker.set_forecast_overrides.overrides",), None, "ForecastInput objects"),
     Row(("SliceBroker.set_forecasting.forecasting",), None, "a ForecastingBlock"),
     Row(("SliceBroker.enable_chaos.plan",), None, "a FaultPlan"),
@@ -471,7 +568,15 @@ ROWS: tuple[Row, ...] = (
     Row(("SliceRequestV1.template",), None, "a SliceTemplate, whose __post_init__ checks it"),
     *(config_field(field) for field in ("epochs_per_day", "samples_per_epoch",
                                         "candidate_paths_per_pair")),
-    Row(("OrchestratorConfig.reuse_unchanged_decisions",), None, "a flag, read for truth"),
+    Row(
+        ("OrchestratorConfig.reuse_unchanged_decisions",),
+        BOOL,
+        build=lambda value: OrchestratorConfig(
+            reuse_unchanged_decisions=value
+        ).reuse_unchanged_decisions,
+        error=ValueError,
+        probes=("False", 0, None, np.bool_(False)),
+    ),
 )
 
 REQUEST_FIELDS = {
@@ -533,7 +638,9 @@ def verdict(row: Row, value) -> tuple[bool, Any]:
 def assert_refused(row: Row, value, error: Exception) -> None:
     """The typed error of the layer, naming the parameter and its value."""
     assert type(error) is row.error, (row.entries[0], value, error)
-    if isinstance(error, BrokerError):
+    if row.named_by:
+        assert set(row.named_by) <= set(error.details), (row.entries[0], value, error.details)
+    elif isinstance(error, BrokerError):
         assert row.param in error.details, (row.entries[0], value, error.details)
         assert same(error.details[row.param], value), (row.entries[0], value, error.details)
     else:
@@ -542,7 +649,7 @@ def assert_refused(row: Row, value, error: Exception) -> None:
 
 def assert_accepted(row: Row, value, coerced, became) -> None:
     """A number or a string flows on as the plain value the rule makes of it."""
-    if row.echoes and type(coerced) in (int, float, str) and became is not None:
+    if row.echoes and type(coerced) in (int, float, str, bool) and became is not None:
         assert same(became, coerced) and type(became) is type(coerced), (
             row.entries[0], value, became,
         )
@@ -692,3 +799,230 @@ class TestOverTheWire:
             )
 
         row.check(check)()
+
+
+# --------------------------------------------------------------------- #
+# Response decoders: one row per field of every wire type
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ResponseRow:
+    """The rule one field of a wire type is decoded by.
+
+    A generated value is substituted for the field in a valid encoded
+    payload, as itself and, for a list or a mapping, also as ``wrap(value)``
+    (its one item); ``valid`` are values the rule accepts, mixed in."""
+
+    entry: str
+    rule: Callable[[Any], Any]
+    wrap: Callable[[Any], Any] | None = None
+    valid: tuple = ()
+    probes: tuple = ()
+
+    @property
+    def owner(self) -> str:
+        return self.entry.split(".")[0]
+
+    @property
+    def field(self) -> str:
+        return self.entry.split(".")[1]
+
+
+def _listed(value) -> list:
+    return [value]
+
+
+def _keyed(value) -> dict:
+    return {"k": value}
+
+
+NAMES = LIST(TEXT)
+TIERS = ("primary", "warm_replay", "no_overbooking", "reject_all")
+HEALTH = ("healthy", "degraded", "safe_mode")
+STATES = ("queued", "requested", "admitted", "rejected", "expired", "released")
+KINDS = tuple(kind.value for kind in LifecycleEventKind)
+
+
+def KIND(value) -> LifecycleEventKind:
+    return LifecycleEventKind(CHOICE(*KINDS)(value))
+
+
+def response_rows(owner: str, **rules) -> list[ResponseRow]:
+    rows = []
+    for field, spec in rules.items():
+        rule, *options = spec if isinstance(spec, tuple) else (spec,)
+        rows.append(ResponseRow(f"{owner}.{field}", rule, **dict(options)))
+    return rows
+
+
+TEXT_FIELD = (TEXT, ("valid", TEXT_VALUES))
+NAMES_FIELD = (NAMES, ("wrap", _listed), ("valid", (["a", "b"],)))
+
+RESPONSE_ROWS: tuple[ResponseRow, ...] = (
+    *response_rows(
+        "AdmissionTicket",
+        ticket_id=TEXT_FIELD,
+        slice_name=TEXT_FIELD,
+        arrival_epoch=(NON_NEGATIVE_INT, ("probes", (True, 2.5, -3))),
+        descriptor=RECORD,
+        client_token=(OPTIONAL(TEXT), ("valid", TEXT_VALUES)),
+    ),
+    *response_rows(
+        "SliceDescriptor",
+        slice_name=TEXT_FIELD,
+        slice_type=TEXT_FIELD,
+        sla_mbps=(NON_NEGATIVE_FINITE, ("probes", ("1.5",))),
+        latency_tolerance_ms=NON_NEGATIVE_FINITE,
+        duration_epochs=(POSITIVE_INT, ("probes", (2.7,))),
+        compute_model=(MAPPING(NON_NEGATIVE_FINITE), ("wrap", _keyed)),
+        reward=NON_NEGATIVE_FINITE,
+        penalty_factor=NON_NEGATIVE_FINITE,
+    ),
+    *response_rows(
+        "SliceStatus",
+        name=TEXT_FIELD,
+        state=(CHOICE(*STATES), ("valid", STATES)),
+        arrival_epoch=(NON_NEGATIVE_INT, ("probes", (-3,))),
+        duration_epochs=POSITIVE_INT,
+        admitted_epoch=OPTIONAL(NON_NEGATIVE_INT),
+        expires_at=OPTIONAL(NON_NEGATIVE_INT),
+        compute_unit=(OPTIONAL(TEXT), ("valid", TEXT_VALUES)),
+        reservations_mbps=(MAPPING(NON_NEGATIVE_FINITE), ("wrap", _keyed)),
+        renewal_count=NON_NEGATIVE_INT,
+    ),
+    *response_rows(
+        "QuoteResponse",
+        slice_name=TEXT_FIELD,
+        slice_type=TEXT_FIELD,
+        sla_mbps=NON_NEGATIVE_FINITE,
+        forecast_peak_mbps=NON_NEGATIVE_FINITE,
+        forecast_sigma=NON_NEGATIVE_FINITE,
+        reward_per_epoch=NON_NEGATIVE_FINITE,
+        penalty_rate_per_mbps=NON_NEGATIVE_FINITE,
+    ),
+    *response_rows(
+        "LifecycleEvent",
+        kind=(KIND, ("valid", KINDS)),
+        slice_name=(TEXT, ("valid", TEXT_VALUES), ("probes", (7,))),
+        epoch=(NON_NEGATIVE_INT, ("probes", (2.7,))),
+        metadata=(MAPPING(SCALAR), ("wrap", _keyed)),
+    ),
+    *response_rows(
+        "EpochReport",
+        epoch=(NON_NEGATIVE_INT, ("probes", (True,))),
+        idle=(BOOL, ("probes", ("no",))),
+        objective_value=(FINITE, ("probes", ("1.5",))),
+        accepted=NAMES_FIELD,
+        rejected=NAMES_FIELD,
+        expired=NAMES_FIELD,
+        renewed=NAMES_FIELD,
+        active=NAMES_FIELD,
+        pending_requests=NON_NEGATIVE_INT,
+        solver=(STR, ("valid", ("", *TEXT_VALUES))),
+        solver_iterations=(NON_NEGATIVE_INT, ("probes", (2.9,))),
+        solver_runtime_s=NON_NEGATIVE_FINITE,
+        solver_optimal=BOOL,
+        solver_warm_cuts=NON_NEGATIVE_INT,
+        solver_message=(STR, ("valid", ("", *TEXT_VALUES))),
+        solver_time_truncated=BOOL,
+        events=(LIST(RECORD), ("wrap", _listed)),
+        degraded=BOOL,
+        solver_tier=(CHOICE(*TIERS), ("valid", TIERS)),
+        solver_retries=NON_NEGATIVE_INT,
+        health=(CHOICE(*HEALTH), ("valid", HEALTH)),
+        degraded_reasons=(LIST(STR), ("wrap", _listed), ("valid", (["", "x"],))),
+        rehomed=NAMES_FIELD,
+    ),
+)
+
+#: Every response wire type, the descriptor nested in a ticket included.
+WIRE_TYPES = (
+    AdmissionTicket,
+    SliceDescriptor,
+    SliceStatus,
+    QuoteResponse,
+    LifecycleEvent,
+    EpochReport,
+)
+SAMPLES = {type(dto).__name__: dto for dto, _ in PINNED}
+
+
+def carrier(row: ResponseRow) -> tuple[type, dict, dict]:
+    """The stamped type that carries ``row``'s field, a valid encoded payload
+    of it, and the dictionary in that payload the field sits in (a
+    descriptor rides inside a ticket)."""
+    if row.owner == "SliceDescriptor":
+        payload = SAMPLES["AdmissionTicket"].to_dict()
+        return AdmissionTicket, payload, payload["descriptor"]
+    payload = SAMPLES[row.owner].to_dict()
+    return type(SAMPLES[row.owner]), payload, payload
+
+
+def decoded_field(row: ResponseRow, cls: type, payload: dict) -> Any:
+    record = cls.from_dict(payload)
+    return getattr(record.descriptor if row.owner == "SliceDescriptor" else record, row.field)
+
+
+def substituted(row: ResponseRow, value) -> Any:
+    """Decode a valid payload whose ``row`` field is ``value``; return the
+    decoded field."""
+    cls, payload, target = carrier(row)
+    target[row.field] = value
+    return decoded_field(row, cls, payload)
+
+
+def assert_plain(became, coerced, where) -> None:
+    """``became`` is ``coerced``, of the same type, through tuples and dicts."""
+    assert same(became, coerced) and type(became) is type(coerced), (where, became, coerced)
+    if isinstance(coerced, tuple):
+        for got, want in zip(became, coerced):
+            assert_plain(got, want, where)
+    if isinstance(coerced, dict):
+        for key in coerced:
+            assert_plain(became[key], coerced[key], where)
+
+
+def test_every_response_field_has_a_row():
+    entries = [row.entry for row in RESPONSE_ROWS]
+    assert len(entries) == len(set(entries)), "a field has two rows"
+    assert set(entries) == {
+        f"{cls.__name__}.{field.name}" for cls in WIRE_TYPES for field in dataclasses.fields(cls)
+    }
+
+
+class TestResponseDecoders:
+    @pytest.mark.parametrize("row", RESPONSE_ROWS, ids=lambda row: row.entry)
+    def test_a_value_decodes_to_the_plain_value_or_is_refused_naming_the_field(self, row):
+        def check(value):
+            for placed in (value,) if row.wrap is None else (value, row.wrap(value)):
+                try:
+                    ok, coerced = True, row.rule(placed)
+                except Refused:
+                    ok, coerced = False, None
+                try:
+                    became = substituted(row, placed)
+                except ValidationError as error:
+                    assert not ok, (row.entry, placed, error)
+                    assert str(error).startswith(f"{row.field} must"), (row.entry, str(error))
+                    assert row.field in error.details, (row.entry, placed, error.details)
+                    assert same(error.details[row.field], placed), (row.entry, error.details)
+                    continue
+                assert ok, (row.entry, placed, became)
+                assert_plain(became, coerced, row.entry)
+
+        values = st.one_of(st.sampled_from(row.valid), HOSTILE) if row.valid else HOSTILE
+        seeded(values, row.probes, check)()
+
+    @pytest.mark.parametrize("row", RESPONSE_ROWS, ids=lambda row: row.entry)
+    def test_a_missing_field_takes_its_default_or_is_refused_naming_it(self, row):
+        owner = next(cls for cls in WIRE_TYPES if cls.__name__ == row.owner)
+        field = next(f for f in dataclasses.fields(owner) if f.name == row.field)
+        cls, payload, target = carrier(row)
+        del target[row.field]
+        if field.default is not dataclasses.MISSING:
+            assert decoded_field(row, cls, payload) == field.default
+        elif field.default_factory is not dataclasses.MISSING:
+            assert decoded_field(row, cls, payload) == field.default_factory()
+        else:
+            with pytest.raises(ValidationError, match=repr(row.field)) as refused:
+                cls.from_dict(payload)
+            assert refused.value.details == {"missing_field": row.field}

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api.errors import ValidationError
+from repro.api.wire import decode, encode
 from repro.controlplane.slice_manager import SliceDescriptor, SliceManager
 from repro.core.slices import MMTC_TEMPLATE, SliceRequest
 
@@ -20,21 +22,21 @@ class TestDescriptor:
         assert descriptor.compute_model["cpus_per_mbps"] == 2.0
         assert descriptor.penalty_factor == 2.0
 
-    def test_as_dict_round_trip(self):
+    def test_wire_encoding(self):
         descriptor = SliceDescriptor.from_request(request("a"))
-        data = descriptor.as_dict()
+        data = encode(descriptor)
         assert data["slice_name"] == "a"
         assert data["compute_model"]["baseline_cpus"] == 0.0
 
-    def test_from_dict_inverts_as_dict(self):
+    def test_decode_inverts_encode(self):
         descriptor = SliceDescriptor.from_request(request("a"))
-        assert SliceDescriptor.from_dict(descriptor.as_dict()) == descriptor
+        assert decode(SliceDescriptor, encode(descriptor)) == descriptor
 
-    def test_from_dict_missing_field(self):
-        payload = SliceDescriptor.from_request(request("a")).as_dict()
+    def test_decode_missing_field(self):
+        payload = encode(SliceDescriptor.from_request(request("a")))
         del payload["duration_epochs"]
-        with pytest.raises(ValueError, match="duration_epochs"):
-            SliceDescriptor.from_dict(payload)
+        with pytest.raises(ValidationError, match="duration_epochs"):
+            decode(SliceDescriptor, payload)
 
 
 class TestQueue:

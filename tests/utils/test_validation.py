@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    ensure_bool,
     ensure_choice,
     ensure_in_range,
     ensure_int_in_range,
+    ensure_list,
+    ensure_mapping,
     ensure_non_negative,
     ensure_non_negative_finite,
     ensure_non_negative_int,
@@ -15,6 +18,8 @@ from repro.utils.validation import (
     ensure_positive_count,
     ensure_positive_int,
     ensure_probability,
+    ensure_scalar,
+    ensure_str,
     ensure_text,
 )
 
@@ -242,3 +247,35 @@ class TestNewRules:
         for value in (0.0, 1.0, 10**400):
             with pytest.raises(ValueError, match=r"f must be in \(0.0, 1.0\)"):
                 ensure_in_range(value, 0.0, 1.0, "f", closed=False)
+
+
+class TestWireRules:
+    def test_a_flag_is_a_bool(self):
+        assert ensure_bool(np.bool_(False), "f") is False
+        for value in ("False", 0, 1.0, None):
+            with pytest.raises(ValueError, match="f must be a bool"):
+                ensure_bool(value, "f")
+
+    def test_any_str_takes_the_empty_string(self):
+        assert ensure_str("", "s") == ""
+        with pytest.raises(ValueError, match="s must be a string"):
+            ensure_str(5, "s")
+
+    def test_a_json_scalar(self):
+        for value in (None, True, 2, 2.5, "x"):
+            assert ensure_scalar(value, "v") is value
+        for value in ([1], {"a": 1}, np.int64(2)):
+            with pytest.raises(ValueError, match="v must be a JSON scalar"):
+                ensure_scalar(value, "v")
+
+    def test_a_list_is_not_a_string(self):
+        assert ensure_list(("a",), "l") == ("a",)
+        for value in ("ab", {"a": 1}, None):
+            with pytest.raises(ValueError, match="l must be a list"):
+                ensure_list(value, "l")
+
+    def test_a_mapping_has_str_keys(self):
+        assert ensure_mapping({"a": 1}, "m") == {"a": 1}
+        for value in ({1: 2}, [("a", 1)], "a"):
+            with pytest.raises(ValueError, match="m must be a mapping with str keys"):
+                ensure_mapping(value, "m")
